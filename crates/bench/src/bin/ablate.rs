@@ -1,5 +1,6 @@
-//! Ablation study of CLGP's design choices (DESIGN.md §6): which of the
-//! mechanism's three departures from FDP buys what.
+//! Ablation study of CLGP's design choices (paper §3.2; README "Prefetcher
+//! mechanisms"): which of the mechanism's three departures from FDP buys
+//! what.
 //!
 //! * `free-on-use`  — replace the consumers-counter lifetime with FDP's
 //!   free-on-use + LRU replacement.

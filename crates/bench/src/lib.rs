@@ -1,7 +1,7 @@
 //! # prestage-bench
 //!
 //! The experiment harness: figure/table binaries in `src/bin/` (one per
-//! table/figure of the paper — see DESIGN.md §5 for the index), the
+//! table/figure of the paper — `prestage list` prints the index), the
 //! Criterion benches in `benches/`, and the shared presentation layer.
 //!
 //! Since the `ExperimentSpec` redesign the harness has three layers:

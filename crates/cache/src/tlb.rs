@@ -354,7 +354,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_instances() {
-        let seq: Vec<(u64, u64)> = (0..200).map(|i| ((i * 37) % 64 << 12, i)).collect();
+        let seq: Vec<(u64, u64)> = (0..200).map(|i| (((i * 37) % 64) << 12, i)).collect();
         let mut a = tiny();
         let mut b = tiny();
         for &(addr, at) in &seq {

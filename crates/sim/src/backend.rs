@@ -11,7 +11,9 @@
 //! commit in order.  Stores retire into the D-cache at issue (an idealised
 //! store buffer); dirty evictions generate writeback traffic on the L2 bus.
 //! Wrong-path instructions never enter the RUU (they only perturb the
-//! front-end and memory system), a simplification documented in DESIGN.md.
+//! front-end and memory system): a deliberate simplification for a fetch
+//! study, since the engine drops wrong-path deliveries at decode (see
+//! [`crate::engine`]).
 
 use prestage_cache::{Completion, L2System, ReqClass, ReqId, SetAssocCache};
 use prestage_isa::{Addr, OpClass, Reg, StaticInst, NUM_REGS};

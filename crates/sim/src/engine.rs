@@ -12,7 +12,10 @@
 //! checkpoint, and fetch resumes on the correct path.
 //!
 //! Wrong-path instructions are fetched and prefetched but never dispatched
-//! into the RUU (see DESIGN.md for this simplification).
+//! into the RUU.  This is a deliberate simplification: they cost fetch
+//! bandwidth, cache ports and bus slots, which is what a fetch study
+//! measures, and then evaporate at decode, so they never occupy RUU entries
+//! or access the D-cache.
 
 use crate::backend::BackEnd;
 use crate::config::SimConfig;

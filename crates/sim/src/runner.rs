@@ -326,6 +326,26 @@ where
         .collect()
 }
 
+/// [`pool_map`] over tasks `0..costs.len()`, started in order of falling
+/// estimated cost (ties in index order), so the longest task does not
+/// start last while the other workers idle.  Results come back in index
+/// order.
+pub(crate) fn pool_map_largest_first<T, F>(costs: &[u64], threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
+    let mut done: Vec<(usize, T)> = order
+        .iter()
+        .copied()
+        .zip(pool_map(order.len(), threads, |k| f(order[k])))
+        .collect();
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, v)| v).collect()
+}
+
 /// [`pool_map`] with cooperative cancellation: workers keep pulling
 /// indices from the shared cursor until it runs dry *or* `cancel` is
 /// observed set, whichever comes first.  Indices that ran come back as

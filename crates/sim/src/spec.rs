@@ -30,19 +30,21 @@ use crate::config::{ConfigPreset, SimConfig};
 use crate::engine::PredictorKind;
 use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
 use crate::runner::{
-    default_threads, live_source, run_cells_sourced_observed, CellGrid, CellResult,
-    GridResult, SweepCell,
+    default_threads, live_source, pool_map_largest_first, run_cells_sourced_observed,
+    CellGrid, CellResult, GridResult, SweepCell,
 };
 use crate::stats::SimStats;
 use prestage_cacti::TechNode;
 use prestage_json::Json;
 use prestage_workload::{
-    build, replay_file_trusted, replay_shared, specint2000, BenchmarkProfile, DynInst,
+    build, replay_file_trusted, replay_shared, specint2000, BenchmarkProfile, DynInst, TraceReader,
     Workload,
 };
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The paper's L1 I-cache sweep axis: 256 B … 64 KB.
@@ -81,7 +83,20 @@ pub const TRACE_RECORD_SLACK: u64 = 16_384;
 /// benchmark replays one shared in-memory decode (no per-cell I/O, decode
 /// or hashing).  Beyond it, cells fall back to streaming the file at
 /// constant memory — bit-exact either way, just slower per cell.
+///
+/// The traces load in parallel on the set-up pool, but the budget is spent
+/// before that pool starts: in spec bench order, from the vetted headers'
+/// declared counts.  Which traces stay in memory therefore never depends
+/// on the pool width or on which load finishes first.
 pub const TRACE_INMEM_BUDGET_BYTES: u64 = 512 << 20;
+
+/// Rough single-core set-up costs on a 2-vCPU x86-64 host: building a
+/// workload takes about 200 ns per static instruction (gcc, the largest,
+/// 12–16 ms), vetting and decoding a trace a few ns per file byte.  They
+/// only order the set-up pool's tasks, largest first, so the longest task
+/// does not start last; results never depend on them.
+const BUILD_NS_PER_STATIC_INST: u64 = 200;
+const LOAD_NS_PER_TRACE_BYTE: u64 = 2;
 
 /// One benchmark's vetted replay source.
 #[derive(Debug, Clone)]
@@ -91,6 +106,58 @@ enum ReplaySource {
     /// Over the in-memory budget: cells stream the file (trusted — the
     /// verification pass already proved these exact bytes clean).
     Streamed(PathBuf),
+}
+
+/// A used benchmark's trace whose header passed
+/// [`ExperimentSpec::vet_trace`], routed and waiting for its body pass.
+struct VettedTrace {
+    bench_idx: usize,
+    path: PathBuf,
+    /// File length in bytes: caps the decode's up-front allocation.
+    len: u64,
+    /// Decode into memory (within the budget) or stream per cell.
+    in_memory: bool,
+    /// Positioned at the first chunk.  Locked once, by the one set-up
+    /// task that loads this trace.
+    reader: Mutex<TraceReader<BufReader<File>>>,
+}
+
+impl VettedTrace {
+    /// The body pass: every chunk CRC, every record, trailing data.  A
+    /// trace routed in memory decodes straight into the vector its cells
+    /// will share.
+    fn load(&self) -> Result<ReplaySource, String> {
+        let path = self.path.display();
+        let mut reader = self
+            .reader
+            .lock()
+            .map_err(|_| format!("trace {path}: a set-up worker panicked while loading it"))?;
+        let corrupt = |e: std::io::Error| format!("trace {path} is corrupt: {e}");
+        if self.in_memory {
+            let records = reader.read_all(self.len).map_err(corrupt)?;
+            return Ok(ReplaySource::InMemory(Arc::new(records), self.path.clone()));
+        }
+        if let Some(e) = reader.by_ref().find_map(|r| r.err()) {
+            return Err(corrupt(e));
+        }
+        Ok(ReplaySource::Streamed(self.path.clone()))
+    }
+}
+
+/// What a spec's cells need before the cell pool starts.
+struct SetUp {
+    /// The spec's workloads in bench order; empty when the caller brought
+    /// its own.
+    workloads: Vec<Workload>,
+    /// One slot per spec benchmark (`None` for the ones no cell uses), or
+    /// `None` for live generation.
+    traces: Option<Vec<Option<ReplaySource>>>,
+}
+
+/// One set-up task's output.
+enum SetUpOut {
+    Built(Workload),
+    Loaded(usize, Result<ReplaySource, String>),
 }
 
 
@@ -411,9 +478,8 @@ impl ExperimentSpec {
                 self.exec_seed
             ));
         }
-        // Saturating: validate() rejects overflowing run lengths, but this
-        // path is also reachable via `resolve_traces` on an unvalidated
-        // spec and must not panic on hostile input.
+        // Saturating: validate() rejects overflowing run lengths, but the
+        // vet must stay total even on a spec that skipped it.
         let needed = self.warmup_insts.saturating_add(self.measure_insts);
         if h.count < needed {
             return Err(format!(
@@ -428,78 +494,117 @@ impl ExperimentSpec {
         Ok(reader)
     }
 
-    /// Resolve and *vet* the replay traces for every benchmark: identity
-    /// and length against this spec, then one streaming pass over each
-    /// file (every chunk CRC, every record) at constant memory.
-    pub fn resolve_traces(&self) -> Result<Option<Vec<PathBuf>>, String> {
-        let Some(paths) = self.trace_paths()? else {
-            return Ok(None);
-        };
-        for (path, name) in paths.iter().zip(self.bench_names()?) {
-            let mut reader = self.vet_trace(path, name)?;
-            if let Some(e) = reader.by_ref().find_map(|r| r.err()) {
-                return Err(format!("trace {} is corrupt: {e}", path.display()));
-            }
-        }
-        Ok(Some(paths))
-    }
-
-    /// The vet-and-load pass behind the spec runners: verify and load only
-    /// the benchmarks `cells` actually references (a shard of a 12-bench
-    /// spec must not pay for — or spend in-memory budget on — the other
-    /// eleven traces), returning one slot per spec benchmark (`None` for
-    /// the unreferenced ones).
+    /// The set-up behind the spec runners: build the workloads (when
+    /// `build_workloads`; callers with pre-built ones skip it) and vet and
+    /// load the replay traces of the benchmarks `cells` actually references
+    /// (a shard of a 12-bench spec must not pay for — or spend in-memory
+    /// budget on — the other eleven traces).
+    ///
+    /// Trace headers are vetted first, one after another in bench order,
+    /// and each trace is routed in memory or to streaming from its declared
+    /// count (see [`TRACE_INMEM_BUDGET_BYTES`]).  Then every workload build
+    /// and every trace body pass runs as one task on a pool of the spec's
+    /// width, largest first.  The first failure in bench order is the one
+    /// reported, whatever the width.
     ///
     /// Verification happens here, *once per process*; the sweep cells then
-    /// replay a shared in-memory decode (within
-    /// [`TRACE_INMEM_BUDGET_BYTES`]) or a trusted re-stream of the proven
-    /// bytes, never re-verifying per cell.
-    fn replay_sources(
+    /// replay a shared in-memory decode or a trusted re-stream of the
+    /// proven bytes, never re-verifying per cell.
+    fn set_up(&self, cells: &[SweepCell], build_workloads: bool) -> Result<SetUp, String> {
+        self.set_up_within(cells, build_workloads, TRACE_INMEM_BUDGET_BYTES)
+    }
+
+    /// [`set_up`](Self::set_up) under an explicit in-memory budget.
+    fn set_up_within(
         &self,
         cells: &[SweepCell],
-    ) -> Result<Option<Vec<Option<ReplaySource>>>, String> {
-        let Some(paths) = self.trace_paths()? else {
-            return Ok(None);
+        build_workloads: bool,
+        mut budget: u64,
+    ) -> Result<SetUp, String> {
+        let profiles = self.bench_profiles()?;
+        let paths = self.trace_paths()?;
+        let mut vetted = Vec::new();
+        // A bad header fails the run, so vetting stops there and only the
+        // traces before it still load: one of them may fail first.
+        let mut bad_header = None;
+        if let Some(paths) = &paths {
+            let mut used = vec![false; paths.len()];
+            for c in cells {
+                if let Some(u) = used.get_mut(c.bench_idx) {
+                    *u = true;
+                }
+            }
+            for (bench_idx, (path, p)) in paths.iter().zip(&profiles).enumerate() {
+                if !used[bench_idx] {
+                    continue;
+                }
+                let reader = match self.vet_trace(path, p.name) {
+                    Ok(reader) => reader,
+                    Err(e) => {
+                        bad_header = Some(e);
+                        break;
+                    }
+                };
+                let decoded_bytes = reader
+                    .header()
+                    .count
+                    .saturating_mul(std::mem::size_of::<DynInst>() as u64);
+                let in_memory = decoded_bytes <= budget;
+                if in_memory {
+                    budget -= decoded_bytes;
+                }
+                vetted.push(VettedTrace {
+                    bench_idx,
+                    path: path.clone(),
+                    // Only an allocation cap: an unknown length allocates
+                    // as records decode.
+                    len: std::fs::metadata(path).map_or(0, |m| m.len()),
+                    in_memory,
+                    reader: Mutex::new(reader),
+                });
+            }
+        }
+        let n_builds = if build_workloads && bad_header.is_none() {
+            profiles.len()
+        } else {
+            0
         };
-        let mut used = vec![false; paths.len()];
-        for c in cells {
-            if let Some(u) = used.get_mut(c.bench_idx) {
-                *u = true;
+        let costs: Vec<u64> = profiles[..n_builds]
+            .iter()
+            .map(|p| p.target_insts().saturating_mul(BUILD_NS_PER_STATIC_INST))
+            .chain(
+                vetted
+                    .iter()
+                    .map(|t| t.len.saturating_mul(LOAD_NS_PER_TRACE_BYTE)),
+            )
+            .collect();
+        let outs = pool_map_largest_first(&costs, self.resolved_threads(), |k| {
+            match k.checked_sub(n_builds) {
+                None => SetUpOut::Built(build(&profiles[k], self.workload_seed)),
+                Some(j) => SetUpOut::Loaded(vetted[j].bench_idx, vetted[j].load()),
+            }
+        });
+        let mut workloads = Vec::with_capacity(n_builds);
+        let mut loaded: Vec<Option<Result<ReplaySource, String>>> =
+            profiles.iter().map(|_| None).collect();
+        for out in outs {
+            match out {
+                SetUpOut::Built(w) => workloads.push(w),
+                SetUpOut::Loaded(bench_idx, source) => loaded[bench_idx] = Some(source),
             }
         }
-        let mut budget = TRACE_INMEM_BUDGET_BYTES;
-        let mut sources = Vec::with_capacity(paths.len());
-        for ((path, name), used) in paths.into_iter().zip(self.bench_names()?).zip(used) {
-            if !used {
-                sources.push(None);
-                continue;
-            }
-            let mut reader = self.vet_trace(&path, name)?;
-            // One full pass: CRCs, record structure, count — and, within
-            // the memory budget, the decode every cell will share.
-            let declared = reader.header().count;
-            let decoded_bytes = declared.saturating_mul(std::mem::size_of::<DynInst>() as u64);
-            let corrupt =
-                |e: std::io::Error| format!("trace {} is corrupt: {e}", path.display());
-            if decoded_bytes <= budget {
-                // The declared count routes between in-memory and
-                // streaming, but is never trusted for allocation (a CRC is
-                // not a MAC): capacity is clamped and the vector grows
-                // only as records actually decode.
-                let mut records = Vec::with_capacity(declared.min(1 << 16) as usize);
-                for r in reader.by_ref() {
-                    records.push(r.map_err(corrupt)?);
-                }
-                budget -= decoded_bytes;
-                sources.push(Some(ReplaySource::InMemory(Arc::new(records), path)));
-            } else {
-                if let Some(e) = reader.by_ref().find_map(|r| r.err()) {
-                    return Err(corrupt(e));
-                }
-                sources.push(Some(ReplaySource::Streamed(path)));
-            }
+        // Every loaded trace precedes the bad header in bench order.
+        let sources = loaded
+            .into_iter()
+            .map(Option::transpose)
+            .collect::<Result<Vec<_>, _>>()?;
+        if let Some(e) = bad_header {
+            return Err(e);
         }
-        Ok(Some(sources))
+        Ok(SetUp {
+            workloads,
+            traces: paths.map(|_| sources),
+        })
     }
 
     /// Resolve the benchmark filter to profiles, in *filter order* (or the
@@ -543,13 +648,10 @@ impl ExperimentSpec {
 
     /// Build the workload set (the expensive step: static program
     /// synthesis per benchmark, seeded by
-    /// [`workload_seed`](Self::workload_seed)).
+    /// [`workload_seed`](Self::workload_seed)), one benchmark per task on a
+    /// pool of the spec's width, largest program first.  Bench order.
     pub fn build_workloads(&self) -> Result<Vec<Workload>, String> {
-        Ok(self
-            .bench_profiles()?
-            .iter()
-            .map(|p| build(p, self.workload_seed))
-            .collect())
+        Ok(self.set_up(&[], true)?.workloads)
     }
 
     /// The full simulator configuration for one (preset, L1 size) grid
@@ -933,9 +1035,9 @@ impl CellGrid {
 
 /// Evaluate spec cells over pre-built workloads, routing each cell's
 /// committed path to the spec's source: live generation, or (when
-/// `traces` is `Some`) a per-cell streaming replay of the benchmark's
-/// recorded trace.  All cells of one benchmark share one trace *file* —
-/// each worker streams it independently at constant memory.
+/// `traces` is `Some`) a replay of the benchmark's vetted trace: the
+/// shared in-memory decode, or a per-cell stream of the file at constant
+/// memory.
 fn run_spec_cells_over(
     spec: &ExperimentSpec,
     cells: &[SweepCell],
@@ -1012,7 +1114,7 @@ fn run_spec_cells_observed_over(
                             records.clone(),
                             path.display().to_string(),
                         )),
-                        // Trusted: replay_sources streamed these exact
+                        // Trusted: set-up streamed these exact
                         // bytes clean before the pool started.
                         ReplaySource::Streamed(path) => Box::new(
                             replay_file_trusted(path).unwrap_or_else(|e| {
@@ -1036,9 +1138,8 @@ pub fn run_spec_cells(
     cells: &[SweepCell],
 ) -> Result<Vec<CellResult>, String> {
     spec.validate()?;
-    let workloads = spec.build_workloads()?;
-    let traces = spec.replay_sources(cells)?;
-    run_spec_cells_over(spec, cells, &workloads, traces.as_deref())
+    let set_up = spec.set_up(cells, true)?;
+    run_spec_cells_over(spec, cells, &set_up.workloads, set_up.traces.as_deref())
 }
 
 /// [`run_spec_cells`] with per-cell progress and cooperative cancellation
@@ -1055,15 +1156,25 @@ pub fn run_spec_cells_observed(
     cancel: &AtomicBool,
 ) -> Result<Vec<CellResult>, String> {
     spec.validate()?;
-    let workloads = spec.build_workloads()?;
-    let traces = spec.replay_sources(cells)?;
-    run_spec_cells_observed_over(spec, cells, &workloads, traces.as_deref(), observer, cancel)
+    let set_up = spec.set_up(cells, true)?;
+    run_spec_cells_observed_over(
+        spec,
+        cells,
+        &set_up.workloads,
+        set_up.traces.as_deref(),
+        observer,
+        cancel,
+    )
 }
 
 /// Run the whole experiment in-process: ordered `[preset][size]` rows with
 /// per-benchmark entries in spec bench order.  Errors on an invalid spec.
 pub fn try_run_spec(spec: &ExperimentSpec) -> Result<Vec<Vec<GridResult>>, String> {
-    try_run_spec_over(spec, &spec.build_workloads()?)
+    let grid = CellGrid::from_spec(spec)?;
+    let cells = grid.cells();
+    let set_up = spec.set_up(&cells, true)?;
+    let results = run_spec_cells_over(spec, &cells, &set_up.workloads, set_up.traces.as_deref())?;
+    Ok(grid.merge_named(results, &spec.bench_names()?))
 }
 
 /// [`try_run_spec`] over pre-built workloads — for callers running several
@@ -1090,7 +1201,7 @@ pub fn try_run_spec_over(
         ));
     }
     let cells = grid.cells();
-    let traces = spec.replay_sources(&cells)?;
+    let traces = spec.set_up(&cells, false)?.traces;
     let results = run_spec_cells_over(spec, &cells, workloads, traces.as_deref())?;
     Ok(grid.merge_named(results, &names))
 }
@@ -1819,12 +1930,13 @@ mod tests {
             1024,
         )
         .unwrap();
-        let e = spec.resolve_traces().unwrap_err();
+        let cells = CellGrid::from_spec(&spec).unwrap().cells();
+        let e = run_spec_cells(&spec, &cells).unwrap_err();
         assert!(e.contains("exec seed 99"), "{e}");
         // Too-short traces are refused with both lengths.
         let f = std::fs::File::create(&path).unwrap();
         prestage_workload::record_trace(std::io::BufWriter::new(f), &w, 3, 100, 1024).unwrap();
-        let e = spec.resolve_traces().unwrap_err();
+        let e = run_spec_cells(&spec, &cells).unwrap_err();
         assert!(e.contains("holds 100 instructions"), "{e}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1833,7 +1945,7 @@ mod tests {
     fn replay_shards_only_vet_the_benchmarks_they_run() {
         // A two-bench replay spec with only the first bench's trace
         // recorded: cells touching just that bench must run; the full
-        // grid (and the vet-everything entry point) must refuse.
+        // grid must refuse.
         let dir = std::env::temp_dir().join(format!("prestage_scope_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1865,7 +1977,137 @@ mod tests {
         assert_eq!(results.len(), gzip_cells.len());
         let e = run_spec_cells(&spec, &grid.cells()).unwrap_err();
         assert!(e.contains("mcf"), "{e}");
-        assert!(spec.resolve_traces().unwrap_err().contains("mcf"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn record(w: &Workload, path: &Path, exec_seed: u64, n: u64) {
+        let f = std::fs::File::create(path).unwrap();
+        prestage_workload::record_trace(std::io::BufWriter::new(f), w, exec_seed, n, 1024).unwrap();
+    }
+
+    /// A `tiny_spec` over `bench`, replaying traces recorded into a fresh
+    /// scratch directory named by `tag` (returned for clean-up).
+    fn recorded_replay_spec(tag: &str, bench: &[&str]) -> (ExperimentSpec, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("prestage_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = ExperimentSpec {
+            bench: Some(bench.iter().map(|b| b.to_string()).collect()),
+            trace: Some(TraceSource {
+                dir: dir.to_string_lossy().into_owned(),
+            }),
+            ..tiny_spec()
+        };
+        let paths = spec.trace_paths().unwrap().unwrap();
+        for (w, path) in spec.build_workloads().unwrap().iter().zip(&paths) {
+            record(w, path, spec.exec_seed, spec.trace_record_insts());
+        }
+        (spec, dir)
+    }
+
+    #[test]
+    fn the_first_bad_trace_in_bench_order_is_reported_at_any_width() {
+        let (spec, dir) = recorded_replay_spec("first_bad", &["gzip", "mcf", "twolf"]);
+        let paths = spec.trace_paths().unwrap().unwrap();
+        let good: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+        let workloads = spec.build_workloads().unwrap();
+        let cells = CellGrid::from_spec(&spec).unwrap().cells();
+        // Body corruption: a flipped payload byte in the last chunk.
+        let corrupt = |i: usize| {
+            let mut bytes = good[i].clone();
+            let at = bytes.len() - 10;
+            bytes[at] ^= 0x40;
+            std::fs::write(&paths[i], bytes).unwrap();
+        };
+        // Header rejection: recorded under a foreign exec seed.
+        let foreign = |i: usize| record(&workloads[i], &paths[i], 99, spec.trace_record_insts());
+        type Breakage<'a> = &'a dyn Fn(usize);
+        let cases: [(Breakage, Breakage, &str); 3] = [
+            (&corrupt, &corrupt, "CRC mismatch"),
+            (&corrupt, &foreign, "CRC mismatch"),
+            (&foreign, &corrupt, "exec seed 99"),
+        ];
+        for (break_mcf, break_twolf, want) in cases {
+            for (i, bytes) in good.iter().enumerate() {
+                std::fs::write(&paths[i], bytes).unwrap();
+            }
+            break_mcf(1);
+            break_twolf(2);
+            for threads in [1, 4] {
+                let spec = ExperimentSpec {
+                    threads: Some(threads),
+                    ..spec.clone()
+                };
+                // In memory and streamed alike.
+                for budget in [TRACE_INMEM_BUDGET_BYTES, 0] {
+                    let Err(e) = spec.set_up_within(&cells, true, budget) else {
+                        panic!("two bad traces set up clean")
+                    };
+                    assert!(
+                        e.contains("mcf-w") && e.contains(want),
+                        "{threads} threads: {e}"
+                    );
+                    assert!(!e.contains("twolf"), "{threads} threads: {e}");
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn set_up_routes_by_budget_and_replays_bit_exactly_at_any_width() {
+        let (replay, dir) = recorded_replay_spec("routing", &["gzip", "mcf", "twolf"]);
+        let live = ExperimentSpec {
+            trace: None,
+            ..replay.clone()
+        };
+        let cells = CellGrid::from_spec(&replay).unwrap().cells();
+        let want = run_spec_cells(&live, &cells).unwrap();
+        // Room for exactly one decode: the first trace in bench order stays
+        // in memory and the other two stream, for every pool width.
+        let one = replay.trace_record_insts() * std::mem::size_of::<DynInst>() as u64;
+        for threads in [1, 2, 4] {
+            let spec = ExperimentSpec {
+                threads: Some(threads),
+                ..replay.clone()
+            };
+            let set_up = spec.set_up_within(&cells, true, one).unwrap();
+            let traces = set_up.traces.as_deref().unwrap();
+            assert!(matches!(traces[0], Some(ReplaySource::InMemory(..))));
+            assert!(traces[1..]
+                .iter()
+                .all(|t| matches!(t, Some(ReplaySource::Streamed(_)))));
+            let got = run_spec_cells_over(&spec, &cells, &set_up.workloads, Some(traces)).unwrap();
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!((g.cell, &g.stats), (w.cell, &w.stats), "{threads} threads");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_inflated_header_count_fails_on_its_missing_bytes() {
+        // A CRC-valid header claiming 2^23 records (inside the in-memory
+        // budget, so the trace is routed to a decode) over a 21k-record
+        // body: the decode's allocation is capped by the file's length and
+        // the load fails on the first absent chunk.
+        let (spec, dir) = recorded_replay_spec("inflated", &["gzip"]);
+        let path = &spec.trace_paths().unwrap().unwrap()[0];
+        let mut bytes = std::fs::read(path).unwrap();
+        // magic(4) version(4) profile_len(2) profile seeds(16), then count(8)
+        // chunk size(4) and the header CRC over everything before it.
+        let count_at = 10 + "gzip".len() + 16;
+        let crc_at = count_at + 12;
+        bytes[count_at..count_at + 8].copy_from_slice(&(1u64 << 23).to_le_bytes());
+        let crc = prestage_workload::trace_io::crc32(&bytes[..crc_at]);
+        bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+        let e = run_spec_cells(&spec, &CellGrid::from_spec(&spec).unwrap().cells()).unwrap_err();
+        assert!(
+            e.contains("is corrupt") && e.contains("truncated reading chunk"),
+            "{e}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -532,8 +532,10 @@ impl<R: Read> TraceReader<R> {
         self.chunks_read
     }
 
-    /// Decode the next v2 chunk into `self.chunk`.
-    fn read_chunk(&mut self) -> io::Result<()> {
+    /// Decode the next v2 chunk, appending its records to `out`; returns
+    /// how many it held.  `produced` is left to the caller, which counts
+    /// records as it hands them out.
+    fn read_chunk(&mut self, out: &mut Vec<DynInst>) -> io::Result<u32> {
         let k = self.chunks_read;
         let n = u32::from_le_bytes(read_field::<4>(
             &mut self.r,
@@ -583,10 +585,9 @@ impl<R: Read> TraceReader<R> {
             }
         }
         let mut pos = 0usize;
-        self.chunk.clear();
-        self.chunk.reserve(n as usize);
+        out.reserve(n as usize);
         for j in 0..n {
-            self.chunk.push(
+            out.push(
                 decode_inst(payload, &mut pos)
                     .map_err(|e| invalid(format!("chunk {k} record {j}: {e}")))?,
             );
@@ -597,9 +598,66 @@ impl<R: Read> TraceReader<R> {
                 plen - pos
             )));
         }
-        self.chunk_pos = 0;
         self.chunks_read += 1;
-        Ok(())
+        Ok(n)
+    }
+
+    /// v2 forbids trailing garbage: a concatenated or padded file is
+    /// corruption, not silence.  (v1 stays permissive, as it always was.)
+    fn check_trailing(&mut self) -> io::Result<()> {
+        if self.header.version != VERSION || self.trailing_checked {
+            return Ok(());
+        }
+        self.trailing_checked = true;
+        let mut one = [0u8; 1];
+        match self.r.read(&mut one)? {
+            0 => Ok(()),
+            _ => Err(invalid("trailing data after the final chunk".into())),
+        }
+    }
+
+    /// Fuse the reader after an error and pass the error on.
+    fn fail(&mut self, e: io::Error) -> io::Error {
+        self.failed = true;
+        e
+    }
+
+    /// Decode every remaining record into one vector, allocated once: the
+    /// whole-trace load.  Every check the iterator makes still runs (chunk
+    /// framing, chunk CRCs unless [`trusted`](Self::trusted), record
+    /// bounds, trailing data), but chunks decode straight into the result,
+    /// without a per-record `io::Result`.
+    ///
+    /// The header's count is untrusted (a CRC is not a MAC): the up-front
+    /// allocation is the declared remaining count capped by what
+    /// `input_len` bytes can hold, so a header claiming 2^60 records over a
+    /// small input fails on its missing bytes instead of allocating first.
+    /// Pass the input's byte length when it is known, or a smaller cap; the
+    /// vector grows past the cap if records keep decoding.
+    pub fn read_all(&mut self, input_len: u64) -> io::Result<Vec<DynInst>> {
+        if self.failed {
+            return Err(invalid("trace reader already failed".into()));
+        }
+        let cap = (self.header.count - self.produced).min(input_len / MIN_REC_BYTES as u64);
+        let mut out = Vec::with_capacity(usize::try_from(cap).unwrap_or(0));
+        if self.header.version == VERSION_V1 {
+            for rec in self.by_ref() {
+                out.push(rec?);
+            }
+            return Ok(out);
+        }
+        // The rest of a chunk the iterator already started.
+        out.extend_from_slice(&self.chunk[self.chunk_pos..]);
+        self.produced += (self.chunk.len() - self.chunk_pos) as u64;
+        self.chunk_pos = self.chunk.len();
+        while self.produced < self.header.count {
+            match self.read_chunk(&mut out) {
+                Ok(n) => self.produced += u64::from(n),
+                Err(e) => return Err(self.fail(e)),
+            }
+        }
+        self.check_trailing().map_err(|e| self.fail(e))?;
+        Ok(out)
     }
 
     /// One v1 record straight off the reader.
@@ -635,27 +693,7 @@ impl<R: Read> TraceReader<R> {
             return None;
         }
         if self.produced == self.header.count {
-            // v2 forbids trailing garbage: a concatenated or padded file is
-            // corruption, not silence.  (v1 stays permissive, as it always
-            // was.)
-            if self.header.version == VERSION && !self.trailing_checked {
-                self.trailing_checked = true;
-                let mut one = [0u8; 1];
-                match self.r.read(&mut one) {
-                    Ok(0) => {}
-                    Ok(_) => {
-                        self.failed = true;
-                        return Some(Err(invalid(
-                            "trailing data after the final chunk".into(),
-                        )));
-                    }
-                    Err(e) => {
-                        self.failed = true;
-                        return Some(Err(e));
-                    }
-                }
-            }
-            return None;
+            return self.check_trailing().err().map(|e| Err(self.fail(e)));
         }
         if self.header.version != VERSION_V1 {
             // Fast path: drain the decoded chunk without re-entering the
@@ -665,9 +703,12 @@ impl<R: Read> TraceReader<R> {
                 self.produced += 1;
                 return Some(Ok(i));
             }
-            if let Err(e) = self.read_chunk() {
-                self.failed = true;
-                return Some(Err(e));
+            let mut chunk = std::mem::take(&mut self.chunk);
+            chunk.clear();
+            let read = self.read_chunk(&mut chunk);
+            self.chunk = chunk;
+            if let Err(e) = read {
+                return Some(Err(self.fail(e)));
             }
             self.chunk_pos = 1;
             self.produced += 1;
@@ -678,10 +719,7 @@ impl<R: Read> TraceReader<R> {
                 self.produced += 1;
                 Some(Ok(i))
             }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
+            Err(e) => Some(Err(self.fail(e))),
         }
     }
 }
@@ -723,17 +761,14 @@ pub fn write_trace<W: Write>(mut w: W, insts: &[DynInst]) -> io::Result<()> {
 
 /// Read a whole trace (either version) into memory.
 ///
-/// The header's `count` field is untrusted: preallocation is clamped to a
-/// small constant and the vector only grows as records actually decode, so
-/// a hostile header claiming 2^60 records fails on its missing bytes
-/// instead of driving a giant allocation first.
+/// The header's `count` field is untrusted and the input's length unknown:
+/// preallocation is clamped to a small constant and the vector only grows
+/// as records actually decode, so a hostile header claiming 2^60 records
+/// fails on its missing bytes instead of driving a giant allocation first.
+/// Callers that know the input's length should use
+/// [`TraceReader::read_all`], which sizes the vector once.
 pub fn read_trace<R: Read>(r: R) -> io::Result<Vec<DynInst>> {
-    let reader = TraceReader::new(r)?;
-    let mut out = Vec::with_capacity(reader.header().count.min(4096) as usize);
-    for rec in reader {
-        out.push(rec?);
-    }
-    Ok(out)
+    TraceReader::new(r)?.read_all(4096 * MIN_REC_BYTES as u64)
 }
 
 /// Record exactly `n_insts` instructions of `(workload, exec_seed)` into a
@@ -943,6 +978,55 @@ mod tests {
         let e = read_trace(&buf[..]).unwrap_err();
         let msg = e.to_string();
         assert!(msg.contains("truncated") && msg.contains("record 0"), "{msg}");
+    }
+
+    #[test]
+    fn read_all_sizes_its_vector_once_and_matches_the_iterator() {
+        let insts = small_insts(3_000);
+        for chunk in [1u32, 100, DEFAULT_CHUNK_INSTS] {
+            let bytes = v2_bytes(&insts, chunk);
+            for reader in [
+                TraceReader::new(&bytes[..]),
+                TraceReader::trusted(&bytes[..]),
+            ] {
+                let all = reader.unwrap().read_all(bytes.len() as u64).unwrap();
+                assert_eq!(all, insts, "chunk size {chunk}");
+                assert_eq!(all.capacity(), insts.len(), "one exact allocation");
+            }
+            // Picking up after the iterator, mid-chunk.
+            let mut r = TraceReader::new(&bytes[..]).unwrap();
+            let head: Vec<_> = r.by_ref().take(150).map(|x| x.unwrap()).collect();
+            let mut joined = head;
+            joined.extend(r.read_all(bytes.len() as u64).unwrap());
+            assert_eq!(joined, insts, "chunk size {chunk}");
+            assert!(r.next().is_none(), "read_all drains the reader");
+        }
+    }
+
+    #[test]
+    fn read_all_hostile_count_fails_on_missing_bytes_without_allocating() {
+        // A CRC-valid header claiming 2^60 records over one real chunk: the
+        // up-front allocation is capped by the input's length, so the load
+        // dies on the absent second chunk, not on a 2^60-record allocation.
+        let insts = small_insts(50);
+        let real = v2_bytes(&insts, 64);
+        let hlen = header_bytes(&meta(), 0, 64).len();
+        let mut bytes = header_bytes(&meta(), 1 << 60, 64);
+        bytes.extend_from_slice(&real[hlen..]);
+        let e = TraceReader::new(&bytes[..])
+            .unwrap()
+            .read_all(bytes.len() as u64)
+            .unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("truncated reading chunk 1 record count"),
+            "{e}"
+        );
+        // A failed reader stays failed.
+        let mut r = TraceReader::new(&bytes[..]).unwrap();
+        assert!(r.read_all(bytes.len() as u64).is_err());
+        assert!(r.next().is_none());
+        assert!(r.read_all(bytes.len() as u64).is_err());
     }
 
     #[test]

@@ -224,6 +224,75 @@ fn every_mechanism_replays_bit_identically_to_live() {
     }
 }
 
+/// Pool-width invariance of replay: at `threads` 1, 2 and 4 the replayed
+/// grid equals the live grid, both through the spec runner (whose parallel
+/// set-up loads these small traces onto the shared in-memory path) and
+/// through per-cell streamed file replay (the path a trace over the
+/// in-memory budget takes).  The spec router's own in-memory/streamed mix
+/// is covered beside it in `crates/sim/src/spec.rs`.
+#[test]
+fn replayed_grids_equal_live_at_every_pool_width() {
+    let dir = TempDir::new("widths");
+    let live = ExperimentSpec {
+        presets: vec![ConfigPreset::Base, ConfigPreset::ClgpL0],
+        l1_sizes: vec![2 << 10],
+        bench: Some(vec!["gzip".into(), "mcf".into(), "twolf".into()]),
+        warmup_insts: 1_000,
+        measure_insts: 3_000,
+        workload_seed: 17,
+        exec_seed: 19,
+        threads: Some(1),
+        ..ExperimentSpec::default()
+    };
+    let replay = ExperimentSpec {
+        trace: Some(TraceSource {
+            dir: dir.0.to_string_lossy().into_owned(),
+        }),
+        ..live.clone()
+    };
+    let workloads = live.build_workloads().unwrap();
+    let paths = replay.trace_paths().unwrap().unwrap();
+    for (w, path) in workloads.iter().zip(&paths) {
+        let f = std::fs::File::create(path).unwrap();
+        record_trace(
+            BufWriter::new(f),
+            w,
+            live.exec_seed,
+            live.trace_record_insts(),
+            1024,
+        )
+        .unwrap();
+    }
+    let want = grid_output(&live, &try_run_spec(&live).unwrap());
+    let grid = CellGrid::from_spec(&live).unwrap();
+    for threads in [1, 2, 4] {
+        let spec = ExperimentSpec {
+            threads: Some(threads),
+            ..replay.clone()
+        };
+        let shared = try_run_spec(&spec).unwrap();
+        assert_eq!(
+            grid_output(&spec, &shared),
+            want,
+            "in-memory replay, {threads} threads"
+        );
+        let results = run_cells_sourced(
+            &grid.cells(),
+            &workloads,
+            |c| spec.sim_config(c.preset, c.l1),
+            threads,
+            spec.predictor,
+            |c, _w| Box::new(replay_file_trusted(&paths[c.bench_idx]).unwrap()),
+        );
+        let streamed = grid.merge(results, &workloads);
+        assert_eq!(
+            grid_output(&spec, &streamed),
+            want,
+            "streamed replay, {threads} threads"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // v1 → v2 compatibility.
 // ---------------------------------------------------------------------------

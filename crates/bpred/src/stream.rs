@@ -90,25 +90,39 @@ pub trait FetchBlockPredictor {
 /// branch falls through, until the first unconditional transfer or the
 /// length cap: the static fall-back prediction used on table misses.
 ///
+/// One search finds the block holding `start`; the walk then steps
+/// through its instructions and on into the next block while that block
+/// starts exactly where the previous one ends.  A gap closes the stream
+/// as a sequential break at the first unmapped PC.
+///
 /// Returns `None` if `start` is not a mapped instruction.
 pub fn static_fallback_walk(start: Addr, prog: &Program) -> Option<StreamDesc> {
     use prestage_isa::OpClass;
+    let blocks = prog.blocks();
+    let first = prog.block_at(start)?;
+    let mut bi = first.id.0 as usize;
+    let mut idx = ((start - first.start) / INST_BYTES) as usize;
     let mut pc = start;
     let mut len = 0u32;
     while len < MAX_STREAM_INSTS {
-        let inst = match prog.inst_at(pc) {
-            Some(i) => i,
-            None => {
-                // Ran off the image mid-walk: close the stream here.
-                if len == 0 {
-                    return None;
+        let block = &blocks[bi];
+        let Some(inst) = block.insts.get(idx) else {
+            // Off the end of this block: carry on into the next one only
+            // if it starts right here; otherwise the image has a gap.
+            match blocks.get(bi + 1) {
+                Some(next) if next.start == pc => {
+                    bi += 1;
+                    idx = 0;
+                    continue;
                 }
-                return Some(StreamDesc {
-                    start,
-                    len,
-                    next: pc,
-                    end: StreamEnd::SequentialBreak,
-                });
+                _ => {
+                    return Some(StreamDesc {
+                        start,
+                        len,
+                        next: pc,
+                        end: StreamEnd::SequentialBreak,
+                    })
+                }
             }
         };
         len += 1;
@@ -138,7 +152,10 @@ pub fn static_fallback_walk(start: Addr, prog: &Program) -> Option<StreamDesc> {
                 })
             }
             // Conditional branches predicted not-taken in the fall-back.
-            _ => pc += INST_BYTES,
+            _ => {
+                pc += INST_BYTES;
+                idx += 1;
+            }
         }
     }
     Some(StreamDesc {
@@ -224,6 +241,104 @@ mod tests {
     fn fallback_unmapped_start_is_none() {
         let p = program();
         assert!(static_fallback_walk(0x9999_0000, &p).is_none());
+    }
+
+    #[test]
+    fn fallback_crosses_fallthrough_blocks_up_to_the_cap() {
+        let mut pb = ProgramBuilder::new();
+        pb.push(straightline_block(
+            0x4000,
+            40,
+            Terminator::FallThrough { next: 0x40a0 },
+        ));
+        pb.push(straightline_block(
+            0x40a0,
+            40,
+            Terminator::FallThrough { next: 0x4140 },
+        ));
+        pb.push(straightline_block(0x4140, 0, Terminator::Return));
+        let p = pb.finish().unwrap();
+        // From the top: the cap cuts the walk inside the second block.
+        let s = static_fallback_walk(0x4000, &p).unwrap();
+        assert_eq!(
+            (s.len, s.next, s.end),
+            (64, 0x4100, StreamEnd::SequentialBreak)
+        );
+        // From late in the first block: two boundaries, then the return.
+        let s = static_fallback_walk(0x4000 + 30 * 4, &p).unwrap();
+        assert_eq!((s.len, s.end), (10 + 40 + 1, StreamEnd::Return));
+    }
+
+    /// Reference walk: one dictionary search per instruction, ending at
+    /// the first unmapped PC.
+    fn reference_walk(start: Addr, prog: &Program) -> Option<StreamDesc> {
+        use prestage_isa::OpClass;
+        let mut pc = start;
+        let mut len = 0u32;
+        while len < MAX_STREAM_INSTS {
+            let Some(inst) = prog.inst_at(pc) else {
+                return (len > 0).then_some(StreamDesc {
+                    start,
+                    len,
+                    next: pc,
+                    end: StreamEnd::SequentialBreak,
+                });
+            };
+            len += 1;
+            let end = match inst.op {
+                OpClass::Jump => StreamEnd::Taken,
+                OpClass::Call => StreamEnd::Call,
+                OpClass::Return => StreamEnd::Return,
+                _ => {
+                    pc += INST_BYTES;
+                    continue;
+                }
+            };
+            let next = inst.target.unwrap_or(0);
+            return Some(StreamDesc {
+                start,
+                len,
+                next,
+                end,
+            });
+        }
+        Some(StreamDesc {
+            start,
+            len,
+            next: pc,
+            end: StreamEnd::SequentialBreak,
+        })
+    }
+
+    #[test]
+    fn fallback_matches_the_per_instruction_walk_from_every_pc() {
+        // A finished program maps every fall-through successor, so the
+        // walk can only leave the image through the cap or a CTI; every
+        // start (mapped, unmapped, misaligned) must still agree with the
+        // instruction-at-a-time reference.
+        let mut chain = ProgramBuilder::new();
+        chain.push(straightline_block(
+            0x4000,
+            40,
+            Terminator::FallThrough { next: 0x40a0 },
+        ));
+        chain.push(straightline_block(
+            0x40a0,
+            40,
+            Terminator::FallThrough { next: 0x4140 },
+        ));
+        chain.push(straightline_block(0x4140, 0, Terminator::Return));
+        for p in [program(), chain.finish().unwrap()] {
+            let lo = p.blocks()[0].start - 8;
+            let hi = p.blocks().last().unwrap().end() + 8;
+            for pc in (lo..hi).step_by(2) {
+                assert_eq!(
+                    static_fallback_walk(pc, &p),
+                    reference_walk(pc, &p),
+                    "start {pc:#x}"
+                );
+            }
+        }
     }
 
     #[test]

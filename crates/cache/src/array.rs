@@ -11,8 +11,6 @@ pub struct CacheStats {
     pub misses: u64,
     pub fills: u64,
     pub evictions: u64,
-    pub probes: u64,
-    pub probe_hits: u64,
     /// Prefetch-class fills dropped by the [`InsertionPolicy::Bypass`]
     /// policy (counted separately from `fills`, which only counts lines
     /// that actually entered the array).
@@ -188,18 +186,10 @@ impl SetAssocCache {
         }
     }
 
-    /// Tag probe with **no** LRU update and separate accounting — this is
-    /// the extra tag port FDP's Enqueue Cache Probe Filtering uses.
-    pub fn probe(&mut self, addr: Addr) -> bool {
-        self.stats.probes += 1;
-        let hit = self.find(addr).is_some();
-        if hit {
-            self.stats.probe_hits += 1;
-        }
-        hit
-    }
-
-    /// Presence check without any accounting (for assertions/invariants).
+    /// Tag probe with no LRU update and no accounting: the extra tag port
+    /// FDP's Enqueue Cache Probe Filtering uses, and the presence check of
+    /// assertions.  Having no side effect lets a prefetcher probe on a
+    /// cycle where it then stalls without that cycle changing any state.
     pub fn contains(&self, addr: Addr) -> bool {
         self.find(addr).is_some()
     }
@@ -346,11 +336,17 @@ mod tests {
         c.fill(0x000);
         c.fill(0x100);
         // 0x000 is LRU; probing it must NOT refresh it.
-        assert!(c.probe(0x000));
+        assert!(c.contains(0x000));
         let victim = c.fill(0x200);
         assert_eq!(victim, Some((0x000, false)));
-        assert_eq!(c.stats().probes, 1);
-        assert_eq!(c.stats().probe_hits, 1);
+        assert_eq!(
+            *c.stats(),
+            CacheStats {
+                fills: 3,
+                evictions: 1,
+                ..CacheStats::default()
+            }
+        );
     }
 
     #[test]

@@ -157,6 +157,9 @@ pub struct L2System {
     l2: SetAssocCache,
     /// Requests awaiting a bus grant, by (class, seq).
     queue: BinaryHeap<Reverse<Pending>>,
+    /// Smallest `want` in `queue` (`u64::MAX` when empty): no request is
+    /// eligible for a grant before this cycle.
+    min_want: u64,
     /// Requests granted, waiting for data, by (ready time, seq).
     inflight: BinaryHeap<Reverse<Inflight>>,
     /// Outstanding (queued or in-flight) read requests by line, for dedup.
@@ -177,6 +180,7 @@ impl L2System {
             cfg,
             l2: SetAssocCache::new(cfg.capacity, cfg.line, cfg.assoc),
             queue: BinaryHeap::new(),
+            min_want: u64::MAX,
             inflight: BinaryHeap::new(),
             by_line: Vec::new(),
             next_seq: 0,
@@ -196,6 +200,7 @@ impl L2System {
         let seq = self.next_seq;
         self.next_seq += 1;
         let id = ReqId(seq);
+        self.min_want = self.min_want.min(now);
         self.queue.push(Reverse(Pending {
             want: now,
             class,
@@ -216,6 +221,7 @@ impl L2System {
         let line = align_line(addr, self.cfg.transfer as u64);
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.min_want = self.min_want.min(now);
         self.queue.push(Reverse(Pending {
             want: now,
             class: ReqClass::DCache,
@@ -265,8 +271,32 @@ impl L2System {
     /// persistent scratch so the per-cycle path never touches the heap.
     pub fn tick_into(&mut self, now: u64, out: &mut Vec<Completion>) {
         out.clear();
-        // Grant phase: the heap orders by (class, seq); skim off requests
-        // not yet eligible, grant the best eligible one, push the rest back.
+        if self.min_want <= now {
+            self.grant(now);
+        }
+
+        // Completion phase.
+        while let Some(&Reverse(Inflight(c))) = self.inflight.peek() {
+            if c.ready_at > now {
+                break;
+            }
+            self.inflight.pop();
+            if let Some(i) = self
+                .by_line
+                .iter()
+                .position(|&(l, id)| l == c.line && id == c.id)
+            {
+                self.by_line.swap_remove(i);
+            }
+            out.push(c);
+        }
+    }
+
+    /// Grant phase, run only when some queued request is eligible
+    /// (`min_want <= now`): the heap orders by (class, seq), so skim off
+    /// requests not yet eligible, grant the best eligible one, and push
+    /// the rest back.
+    fn grant(&mut self, now: u64) {
         self.deferred.clear();
         let mut granted = None;
         while let Some(Reverse(p)) = self.queue.pop() {
@@ -279,6 +309,12 @@ impl L2System {
         for d in self.deferred.drain(..) {
             self.queue.push(Reverse(d));
         }
+        self.min_want = self
+            .queue
+            .iter()
+            .map(|Reverse(p)| p.want)
+            .min()
+            .unwrap_or(u64::MAX);
         if let Some(p) = granted {
             self.stats.wait_cycles += now - p.want;
             match p.class {
@@ -312,22 +348,18 @@ impl L2System {
                 })));
             }
         }
+    }
 
-        // Completion phase.
-        while let Some(&Reverse(Inflight(c))) = self.inflight.peek() {
-            if c.ready_at > now {
-                break;
-            }
-            self.inflight.pop();
-            if let Some(i) = self
-                .by_line
-                .iter()
-                .position(|&(l, id)| l == c.line && id == c.id)
-            {
-                self.by_line.swap_remove(i);
-            }
-            out.push(c);
-        }
+    /// The earliest cycle `>= now` at which [`tick_into`](Self::tick_into)
+    /// could change any state: the first cycle a queued request becomes
+    /// eligible for a grant, or the first in-flight completion.
+    /// `u64::MAX` when nothing is outstanding.
+    pub fn next_event(&self, now: u64) -> u64 {
+        let ready = self
+            .inflight
+            .peek()
+            .map_or(u64::MAX, |Reverse(Inflight(c))| c.ready_at);
+        self.min_want.min(ready).max(now)
     }
 
     /// Warm the L2 directory with a line (used to pre-load instruction
@@ -494,6 +526,113 @@ mod tests {
     fn config_for_node_uses_table3() {
         assert_eq!(L2Config::for_node(TechNode::T090).l2_latency, 17);
         assert_eq!(L2Config::for_node(TechNode::T045).l2_latency, 24);
+    }
+
+    /// Drive two L2 systems with the misses of a small in-order core running
+    /// `bench`: tiny I and D caches and a 32 KB L2 (small enough to render
+    /// every idle cycle, large enough to mix hits and misses), a next-line
+    /// instruction prefetch on every I-miss, dirty writebacks, at most
+    /// three reads outstanding, and request eligibility staggered a few
+    /// cycles out.  `reference` runs the grant phase on every tick; the
+    /// other may skip it, and whenever it reported an event horizon past
+    /// `now` with no submission since, its tick must change nothing.
+    /// Returns the cycles found idle.
+    fn drive_contract(bench: &str, cycles: u64) -> u64 {
+        use prestage_isa::OpClass;
+        let w = prestage_workload::build(&prestage_workload::by_name(bench).unwrap(), 42);
+        let mut src = prestage_workload::TraceGenerator::new(&w, 7);
+        let cfg = L2Config {
+            capacity: 32 << 10,
+            ..L2Config::for_node(prestage_cacti::TechNode::T045)
+        };
+        let (mut l2, mut reference) = (L2System::new(cfg), L2System::new(cfg));
+        let mut il1 = SetAssocCache::new(2 << 10, 64, 2);
+        let mut dl1 = SetAssocCache::new(2 << 10, 64, 2);
+        let mut insts = std::collections::VecDeque::new();
+        let mut buf = Vec::new();
+        let (mut out, mut ref_out) = (Vec::new(), Vec::new());
+        let (mut idle, mut promise) = (0, 0);
+        for now in 0..cycles {
+            if now >= promise {
+                promise = l2.next_event(now);
+            }
+            reference.min_want = 0;
+            reference.tick_into(now, &mut ref_out);
+            if now < promise {
+                let before = format!("{l2:?}");
+                l2.tick_into(now, &mut out);
+                assert!(
+                    out.is_empty(),
+                    "{bench} cycle {now}: completion on an idle cycle"
+                );
+                assert_eq!(
+                    before,
+                    format!("{l2:?}"),
+                    "{bench} cycle {now}: idle tick changed state"
+                );
+                idle += 1;
+            } else {
+                l2.tick_into(now, &mut out);
+            }
+            assert_eq!(out, ref_out, "{bench} cycle {now}");
+            let mut reads = Vec::new();
+            let mut writebacks = Vec::new();
+            for _ in 0..2 {
+                if l2.by_line.len() + reads.len() >= 3 {
+                    break;
+                }
+                if insts.is_empty() {
+                    src.next_stream(&mut buf);
+                    insts.extend(buf.drain(..));
+                }
+                let di: prestage_workload::DynInst = insts.pop_front().unwrap();
+                if !il1.lookup(di.pc) {
+                    il1.fill(di.pc);
+                    reads.push((di.pc, ReqClass::IFetch));
+                    if !il1.contains(di.pc + 64) {
+                        reads.push((di.pc + 64, ReqClass::Prefetch));
+                    }
+                }
+                if let Some(addr) = di.mem_addr {
+                    if !dl1.lookup(addr) {
+                        reads.push((addr, ReqClass::DCache));
+                        if let Some((victim, true)) = dl1.fill(addr) {
+                            writebacks.push(victim);
+                        }
+                    }
+                    if di.op == OpClass::Store {
+                        dl1.set_dirty(addr);
+                    }
+                }
+            }
+            let want = now + 1 + now % 3;
+            for sys in [&mut l2, &mut reference] {
+                for &(addr, class) in &reads {
+                    if sys.find_pending(addr).is_none() {
+                        sys.submit(addr, class, want);
+                    }
+                }
+                for &victim in &writebacks {
+                    sys.submit_writeback(victim, want);
+                }
+            }
+            if !reads.is_empty() || !writebacks.is_empty() {
+                promise = now + 1;
+            }
+        }
+        assert_eq!(l2.stats(), reference.stats());
+        idle
+    }
+
+    #[test]
+    fn idle_l2_ticks_change_nothing_on_real_traffic() {
+        for bench in ["crafty", "mcf"] {
+            let idle = drive_contract(bench, 30_000);
+            assert!(
+                idle > 1_000,
+                "{bench}: only {idle} idle cycles exercised the contract"
+            );
+        }
     }
 
     #[test]

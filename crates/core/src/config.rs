@@ -137,9 +137,9 @@ pub struct FrontendConfig {
     pub itlb: Option<ITlbConfig>,
     /// Insertion-policy override for *prefetch-class* fills into the
     /// L0/L1 (migrated pre-buffer lines).  `None` uses each mechanism's
-    /// own choice ([`InstrPrefetcher::prefetch_insertion`]
-    /// (crate::prefetch::InstrPrefetcher::prefetch_insertion), MRU for
-    /// every current mechanism); `Some` forces one policy across
+    /// own choice
+    /// ([`InstrPrefetcher::prefetch_insertion`](crate::prefetch::InstrPrefetcher::prefetch_insertion),
+    /// MRU for every current mechanism); `Some` forces one policy across
     /// mechanisms for apples-to-apples sweeps.
     pub insertion: Option<InsertionPolicy>,
 }

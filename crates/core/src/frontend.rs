@@ -11,7 +11,10 @@
 //!    deliveries come back tagged with block sequence, PC range and fetch
 //!    source;
 //! 3. routes L2 completions back via [`FrontEnd::on_completion`];
-//! 4. calls [`FrontEnd::flush`] on a branch misprediction redirect.
+//! 4. calls [`FrontEnd::flush`] on a branch misprediction redirect;
+//! 5. may skip the ticks of cycles before [`FrontEnd::next_event`],
+//!    folding in the pre-buffer stalls they would have counted with
+//!    [`FrontEnd::skip_stalled`].
 //!
 //! ## Fetch path
 //!
@@ -36,7 +39,7 @@
 
 use crate::buffer::{PbKind, PbLookup, PreBuffer};
 use crate::config::{FrontendConfig, PrefetcherKind};
-use crate::prefetch::{InstrPrefetcher, PrefetchCheckpoint, PrefetchView};
+use crate::prefetch::{Idle, InstrPrefetcher, PrefetchCheckpoint, PrefetchView};
 use crate::queue::{FetchQueue, LineSlot, QueueKind};
 use crate::stats::FrontStats;
 use prestage_cache::{
@@ -394,10 +397,74 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
         self.resolve_waiting_pb(now, l2);
         self.deliver(now, downstream_free, out);
         self.start_fetches(now, l2);
-        // Prefetch mechanism tick: lend it the view of everything a
-        // prefetch engine may touch (it cannot reach the in-flight fetch
-        // pipeline or the ports the fetch unit owns).  Disjoint field
-        // borrows — no take/put-back, no indirection.
+        let (pf, mut view) = self.prefetch_view();
+        pf.tick(now, &mut view, l2);
+    }
+
+    /// The earliest cycle `>= now` at which [`tick`](Self::tick) (with the
+    /// same `downstream_free`) could change any state other than
+    /// `pb_alloc_stalls`, and whether each cycle before it counts one
+    /// pre-buffer allocation stall.  Only an outside event (a completion,
+    /// a pushed block, a flush, more decode slots) can move it earlier.
+    /// The inputs: pending L1 copies, a `WaitPb` line whose entry stopped
+    /// being pending, the head line's ready time when decode has slots, a
+    /// fetch start (or a blocked L1 retry), and the mechanism's
+    /// [`InstrPrefetcher::next_event`].
+    pub fn next_event(&mut self, now: u64, downstream_free: u32) -> (u64, bool) {
+        let mut at = self
+            .l1_copies
+            .iter()
+            .fold(u64::MAX, |at, &(ready, _)| at.min(ready));
+        let mut all_ready = true;
+        for lf in &self.inflight {
+            match lf.state {
+                LfState::Ready(_) => {}
+                LfState::WaitMem(_) => all_ready = false,
+                LfState::WaitPb => {
+                    let line = lf.slot.line;
+                    if self
+                        .pb
+                        .as_ref()
+                        .is_none_or(|pb| pb.lookup(line) != PbLookup::Pending)
+                    {
+                        return (now, false);
+                    }
+                    all_ready = false;
+                }
+            }
+        }
+        if self.cfg.fetch_width.min(downstream_free) > 0 {
+            if let Some(LfState::Ready(ready)) = self.inflight.front().map(|lf| lf.state) {
+                at = at.min(ready);
+            }
+        }
+        if all_ready && self.inflight.len() < self.cfg.max_inflight {
+            if let Some(slot) = self.queue.head_line() {
+                at = at.min(self.l1_retry_at(slot.line, now).unwrap_or(now));
+            }
+        }
+        if at <= now {
+            return (now, false);
+        }
+        let (pf, mut view) = self.prefetch_view();
+        match pf.next_event(now, &mut view) {
+            Idle::Until(t) => (at.min(t).max(now), false),
+            Idle::Stalled => (at, true),
+        }
+    }
+
+    /// Account `cycles` quiescent cycles the engine skipped while
+    /// [`next_event`](Self::next_event) reported a pre-buffer stall: each
+    /// would have counted one `pb_alloc_stalls` and nothing else.
+    pub fn skip_stalled(&mut self, cycles: u64) {
+        self.stats.pb_alloc_stalls += cycles;
+    }
+
+    /// Lend the mechanism the view of everything a prefetch engine may
+    /// touch (it cannot reach the in-flight fetch pipeline or the ports
+    /// the fetch unit owns).  Disjoint field borrows — no take/put-back,
+    /// no indirection.
+    fn prefetch_view(&mut self) -> (&mut P, PrefetchView<'_>) {
         let FrontEnd {
             cfg,
             queue,
@@ -413,7 +480,7 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
             pf,
             ..
         } = self;
-        let mut view = PrefetchView {
+        let view = PrefetchView {
             cfg,
             queue,
             pb: pb.as_mut(),
@@ -426,7 +493,7 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
             tlb: tlb.as_mut(),
             stats,
         };
-        pf.tick(now, &mut view, l2);
+        (pf, view)
     }
 
     // -- fetch path -------------------------------------------------------
@@ -588,6 +655,21 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
         }
     }
 
+    /// A blocking (non-pipelined) L1 whose port is busy leaves an
+    /// L1-resident line that misses the pre-buffer queued, to retry when
+    /// the port frees, rather than commit to a far-future access slot:
+    /// that cycle, when `line` at the queue head is in this case.
+    fn l1_retry_at(&self, line: Addr, now: u64) -> Option<u64> {
+        let blocked = !self.cfg.l1_pipelined
+            && !self.l1_port.can_start(now)
+            && self.l1.contains(line)
+            && self
+                .pb
+                .as_ref()
+                .is_none_or(|pb| pb.lookup(line) == PbLookup::Miss);
+        blocked.then(|| self.l1_port.next_start(now))
+    }
+
     fn start_fetches(&mut self, now: u64, l2: &mut L2System) {
         while self.inflight.len() < self.cfg.max_inflight {
             // In-order fetch: a line waiting on memory (or on an in-flight
@@ -637,15 +719,9 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
                     }
                 }
                 PbLookup::Miss => {
-                    // A blocking (non-pipelined) L1 whose port is busy:
-                    // leave L1-resident lines queued and retry next cycle
-                    // rather than commit to a far-future access slot.
-                    // (Checked before translating, so a retried line does
-                    // not pay — or train — the TLB twice.)
-                    if self.l1.contains(line)
-                        && !self.cfg.l1_pipelined
-                        && !self.l1_port.can_start(now)
-                    {
+                    // Checked before translating, so a retried line does
+                    // not pay — or train — the TLB twice.
+                    if self.l1_retry_at(line, now).is_some() {
                         return;
                     }
                     let at = self.translate_demand(line, now);

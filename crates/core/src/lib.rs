@@ -41,7 +41,7 @@ pub use config::{FrontendConfig, PrefetcherKind};
 pub use prestage_cache::{ITlbConfig, InsertionPolicy, TlbCheckpoint, TlbStats};
 pub use frontend::{Delivery, FetchSource, FrontEnd};
 pub use prefetch::{
-    prefetcher_state_bytes, ClgpPrefetcher, FdpPrefetcher, InstrPrefetcher, ManaPrefetcher,
+    prefetcher_state_bytes, ClgpPrefetcher, FdpPrefetcher, Idle, InstrPrefetcher, ManaPrefetcher,
     NextLinePrefetcher, NoPrefetcher, PrefetchCheckpoint, PrefetchView, ProgMapPrefetcher,
 };
 pub use queue::{FetchQueue, LineSlot, QueueKind};

@@ -12,6 +12,8 @@
 //!   [`InstrPrefetcher::tick`], using the [`PrefetchView`] the front-end
 //!   lends it (queue scan, pre-buffer allocation, L1 probe/copy ports, L2
 //!   requests);
+//! * it **reports its horizon** through [`InstrPrefetcher::next_event`],
+//!   so the engine can jump the clock over cycles in which it cannot act;
 //! * its speculative training state is **checkpointed/restored** around
 //!   wrong-path excursions ([`InstrPrefetcher::checkpoint`] /
 //!   [`InstrPrefetcher::restore`]) and its counters reset at the warm-up
@@ -52,6 +54,20 @@ pub const PREFETCH_QUEUE_CAP: usize = 32;
 /// not its tables.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefetchCheckpoint(Vec<u64>);
+
+/// What a mechanism's [`tick`](InstrPrefetcher::tick) would do from now on
+/// if nothing outside it changed: the answer of
+/// [`InstrPrefetcher::next_event`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Idle {
+    /// No state changes before this cycle (`u64::MAX`: none until an
+    /// outside event).  A value at or below `now` means it acts now.
+    Until(u64),
+    /// Stalled at the head of line on a full pre-buffer: every cycle counts
+    /// one `pb_alloc_stalls` and changes nothing else, until an outside
+    /// event (a fill, a use, a redirect) frees an entry.
+    Stalled,
+}
 
 /// The slice of front-end state a mechanism may touch during its tick:
 /// the decoupling queue (scan + `prefetched` bits), the pre-buffer, the
@@ -146,6 +162,15 @@ pub trait InstrPrefetcher: std::fmt::Debug {
     /// emit at most a port-limited number of requests through `fe`.
     fn tick(&mut self, now: u64, fe: &mut PrefetchView<'_>, l2: &mut L2System);
 
+    /// Whether [`tick`](Self::tick) at `now` would change any state, given
+    /// that nothing outside the mechanism changes meanwhile: follow the
+    /// tick's early exits without taking any action.  `fe` is mutable only
+    /// so a scan cursor may be normalized (an idempotent, invisible step
+    /// the tick would take anyway).  A mechanism that cannot prove it is
+    /// idle must return `Idle::Until(now)`: that is always correct, and
+    /// only costs the cycles the engine could have skipped.
+    fn next_event(&mut self, now: u64, fe: &mut PrefetchView<'_>) -> Idle;
+
     /// The fetch unit accepted `slot` from the decoupling queue — the
     /// in-order (speculative, wrong-path-included) fetch stream every
     /// history-based mechanism trains on.
@@ -220,6 +245,10 @@ impl InstrPrefetcher for NoPrefetcher {
 
     fn tick(&mut self, _now: u64, _fe: &mut PrefetchView<'_>, _l2: &mut L2System) {}
 
+    fn next_event(&mut self, _now: u64, _fe: &mut PrefetchView<'_>) -> Idle {
+        Idle::Until(u64::MAX)
+    }
+
     fn migrate_used_lines(&self) -> bool {
         // Nothing ever enters the pre-buffer, so nothing migrates out.
         false
@@ -270,7 +299,7 @@ fn issue_queue_head(
         return;
     }
     if let Some(l0) = fe.l0.as_deref_mut() {
-        if l0.probe(line) {
+        if l0.contains(line) {
             fe.stats.prefetch_from_pb += 1;
             reqq.pop_front();
             return;
@@ -281,12 +310,36 @@ fn issue_queue_head(
         fe.stats.pb_alloc_stalls += 1;
         return;
     }
-    if fe.l1.probe(line) {
+    if fe.l1.contains(line) {
         fe.copy_from_l1(line, now);
     } else {
         fe.request_from_l2(line, now, l2);
     }
     reqq.pop_front();
+}
+
+/// [`InstrPrefetcher::next_event`] for a mechanism whose tick is
+/// [`issue_queue_head`]: it acts unless the queue is empty (never) or the
+/// head is a miss everywhere it looks and the pre-buffer is full (stalled).
+fn issue_queue_horizon(reqq: &VecDeque<Addr>, now: u64, fe: &PrefetchView<'_>) -> Idle {
+    let (Some(&line), Some(pb)) = (reqq.front(), fe.pb.as_deref()) else {
+        return Idle::Until(u64::MAX);
+    };
+    let in_l0 = fe.l0.as_deref().is_some_and(|l0| l0.contains(line));
+    if pb.lookup(line) != PbLookup::Miss || in_l0 {
+        return Idle::Until(now);
+    }
+    pb_stall_or_act(pb, now)
+}
+
+/// The last early exit every mechanism shares: a head-of-line candidate
+/// that must be allocated stalls on a full pre-buffer, else issues now.
+fn pb_stall_or_act(pb: &PreBuffer, now: u64) -> Idle {
+    if pb.can_allocate() {
+        Idle::Until(now)
+    } else {
+        Idle::Stalled
+    }
 }
 
 /// Push `line` into a capped, duplicate-free request queue.
@@ -349,13 +402,13 @@ impl InstrPrefetcher for FdpPrefetcher {
             // paper's §5.2.  This is exactly FDP's weakness against CLGP:
             // L1-resident lines keep paying the multi-cycle hit.
             if let Some(l0) = fe.l0.as_deref_mut() {
-                if l0.probe(line) {
+                if l0.contains(line) {
                     fe.stats.filtered += 1;
                     fe.stats.prefetch_from_pb += 1;
                     continue;
                 }
             }
-            if fe.l1.probe(line) {
+            if fe.l1.contains(line) {
                 fe.stats.filtered += 1;
                 fe.stats.prefetch_from_l1 += 1;
                 continue;
@@ -378,12 +431,27 @@ impl InstrPrefetcher for FdpPrefetcher {
         // §3.1.1: with an L0 the prefetch request is served by the L1
         // when the line is (rarely, post-filter) found there; otherwise —
         // and always in base FDP — by the L2 hierarchy.
-        if fe.l0.is_some() && fe.l1.probe(line) {
+        if fe.l0.is_some() && fe.l1.contains(line) {
             fe.copy_from_l1(line, now);
         } else {
             fe.request_from_l2(line, now, l2);
         }
         self.piq.pop_front();
+    }
+
+    fn next_event(&mut self, now: u64, fe: &mut PrefetchView<'_>) -> Idle {
+        let Some(pb) = fe.pb.as_deref() else {
+            return Idle::Until(u64::MAX);
+        };
+        // The enqueue phase acts on any unscanned slot it has room for.
+        if self.piq.len() < self.piq_entries && fe.queue.first_unprefetched().is_some() {
+            return Idle::Until(now);
+        }
+        match self.piq.front() {
+            None => Idle::Until(u64::MAX),
+            Some(&line) if pb.lookup(line) != PbLookup::Miss => Idle::Until(now),
+            Some(_) => pb_stall_or_act(pb, now),
+        }
     }
 
     fn on_redirect(&mut self) {
@@ -443,7 +511,7 @@ impl InstrPrefetcher for NextLinePrefetcher {
     fn tick(&mut self, now: u64, fe: &mut PrefetchView<'_>, l2: &mut L2System) {
         let Some(&line) = self.piq.front() else { return };
         let Some(pb) = fe.pb.as_deref_mut() else { return };
-        if pb.lookup(line) != PbLookup::Miss || fe.l1.probe(line) {
+        if pb.lookup(line) != PbLookup::Miss || fe.l1.contains(line) {
             fe.stats.filtered += 1;
             self.piq.pop_front();
             return;
@@ -455,6 +523,16 @@ impl InstrPrefetcher for NextLinePrefetcher {
         }
         fe.request_from_l2(line, now, l2);
         self.piq.pop_front();
+    }
+
+    fn next_event(&mut self, now: u64, fe: &mut PrefetchView<'_>) -> Idle {
+        let (Some(&line), Some(pb)) = (self.piq.front(), fe.pb.as_deref()) else {
+            return Idle::Until(u64::MAX);
+        };
+        if pb.lookup(line) != PbLookup::Miss || fe.l1.contains(line) {
+            return Idle::Until(now);
+        }
+        pb_stall_or_act(pb, now)
     }
 
     fn on_redirect(&mut self) {
@@ -525,7 +603,7 @@ impl InstrPrefetcher for ClgpPrefetcher {
             }
             // A line already one cycle away in the L0 needs no prestaging.
             if let Some(l0) = fe.l0.as_deref_mut() {
-                if l0.probe(line) {
+                if l0.contains(line) {
                     slot.prefetched = true;
                     fe.stats.prefetch_from_pb += 1;
                     continue;
@@ -537,20 +615,35 @@ impl InstrPrefetcher for ClgpPrefetcher {
                 return;
             }
             slot.prefetched = true;
-            if fe.cfg.ablate_filter && fe.l1.probe(line) {
+            if fe.cfg.ablate_filter && fe.l1.contains(line) {
                 // Ablated CLGP: behave like FDP's filter — leave the line
                 // to the multi-cycle L1.
                 fe.stats.filtered += 1;
                 fe.stats.prefetch_from_l1 += 1;
                 continue;
             }
-            if fe.l1.probe(line) {
+            if fe.l1.contains(line) {
                 fe.copy_from_l1(line, now);
             } else {
                 fe.request_from_l2(line, now, l2);
             }
             return; // one real prefetch per cycle
         }
+    }
+
+    fn next_event(&mut self, now: u64, fe: &mut PrefetchView<'_>) -> Idle {
+        let Some(pb) = fe.pb.as_deref() else {
+            return Idle::Until(u64::MAX);
+        };
+        let Some(slot) = fe.queue.first_unprefetched() else {
+            return Idle::Until(u64::MAX);
+        };
+        let line = slot.line;
+        let in_l0 = fe.l0.as_deref().is_some_and(|l0| l0.contains(line));
+        if pb.lookup(line) != PbLookup::Miss || in_l0 {
+            return Idle::Until(now);
+        }
+        pb_stall_or_act(pb, now)
     }
 }
 
@@ -772,6 +865,10 @@ impl InstrPrefetcher for ManaPrefetcher {
         issue_queue_head(&mut self.reqq, now, fe, l2);
     }
 
+    fn next_event(&mut self, now: u64, fe: &mut PrefetchView<'_>) -> Idle {
+        issue_queue_horizon(&self.reqq, now, fe)
+    }
+
     fn on_redirect(&mut self) {
         self.reqq.clear();
         self.cur = None;
@@ -914,6 +1011,10 @@ impl InstrPrefetcher for ProgMapPrefetcher {
 
     fn tick(&mut self, now: u64, fe: &mut PrefetchView<'_>, l2: &mut L2System) {
         issue_queue_head(&mut self.reqq, now, fe, l2);
+    }
+
+    fn next_event(&mut self, now: u64, fe: &mut PrefetchView<'_>) -> Idle {
+        issue_queue_horizon(&self.reqq, now, fe)
     }
 
     fn on_redirect(&mut self) {

@@ -126,6 +126,15 @@ pub struct BackEnd {
     /// unresolved source tags.  Capacity is the map's width; construction
     /// rejects larger windows by name.
     waiting: u128,
+    /// Bitmap of RUU entries in `WaitMem` state, indexed like `waiting`:
+    /// a completion visits only the loads waiting on memory.
+    wait_mem: u128,
+    /// No `Waiting` entry can issue before this cycle.  A full issue scan
+    /// sets it to the earliest ready time among the entries it left
+    /// waiting; dispatch and wakeup lower it; a scan cut short by issue
+    /// width or D-cache ports sets it to the next cycle.  `tick` skips the
+    /// scan while `now` is below it.
+    next_issue: u64,
 }
 
 /// Sentinel ready-time for values still being produced.
@@ -135,6 +144,12 @@ const PENDING: u64 = u64::MAX >> 1;
 /// than a concrete ready time.  Real cycle numbers and sequence numbers
 /// both stay far below it.
 const DEP: u64 = 1 << 63;
+
+/// The first cycle an entry with these sources may issue.  A `DEP` tag
+/// is above every reachable cycle, so it reads as "not until woken".
+fn issue_time(src_time: &[u64; 2]) -> u64 {
+    src_time[0].max(src_time[1])
+}
 
 impl BackEnd {
     pub fn new(cfg: BackendConfig) -> Self {
@@ -153,6 +168,8 @@ impl BackEnd {
             next_seq: 0,
             pending_mispredicts: 0,
             waiting: 0,
+            wait_mem: 0,
+            next_issue: u64::MAX,
             wake_buf: Vec::with_capacity(cfg.width as usize),
             cfg,
         }
@@ -212,6 +229,7 @@ impl BackEnd {
         if mispredict {
             self.pending_mispredicts += 1;
         }
+        self.next_issue = self.next_issue.min(issue_time(&src_time));
         self.waiting |= 1u128 << self.ruu.len();
         self.ruu.push_back(RuuEntry {
             seq,
@@ -225,155 +243,96 @@ impl BackEnd {
         seq
     }
 
-    /// Broadcast a finished producer to every waiting consumer.  Consumers
-    /// always sit *behind* their producer (dependences are captured at
-    /// in-order dispatch), so the walk starts at `from`; only `Waiting`
-    /// entries can carry unresolved tags, so it visits set bits of
-    /// `waiting` rather than every younger entry.
-    fn wakeup(ruu: &mut VecDeque<RuuEntry>, waiting: u128, from: usize, producer: u64, at: u64) {
+    /// Broadcast a finished producer to every waiting consumer, lowering
+    /// the issue horizon to each woken consumer's new issue time.
+    /// Consumers always sit *behind* their producer (dependences are
+    /// captured at in-order dispatch), so the walk starts at `from`; only
+    /// `Waiting` entries can carry unresolved tags, so it visits set bits
+    /// of `waiting` rather than every younger entry.
+    fn wakeup(&mut self, from: usize, producer: u64, at: u64) {
         let tag = DEP | producer;
-        let mut bits = if from < 128 { (waiting >> from) << from } else { 0 };
+        let mut bits = if from < 128 {
+            (self.waiting >> from) << from
+        } else {
+            0
+        };
         while bits != 0 {
             let idx = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let e = &mut ruu[idx];
+            let e = &mut self.ruu[idx];
+            let mut woken = false;
             for k in 0..2 {
                 if e.src_time[k] == tag {
                     e.src_time[k] = at;
+                    woken = true;
                 }
+            }
+            if woken {
+                self.next_issue = self.next_issue.min(issue_time(&e.src_time));
             }
         }
     }
 
     /// A D-cache miss returned from the L2 system.
     pub fn on_completion(&mut self, c: &Completion) {
-        let last_writer = self.last_writer;
-        // Several loads can wait on one line request (MSHR merge).  Wakeup
-        // interleaves safely with the scan: it only patches src_dep /
-        // src_time, which the WaitMem match never reads.
-        for i in 0..self.ruu.len() {
+        // Several loads can wait on one line request (MSHR merge), so
+        // every load waiting on memory is checked.  Wakeup interleaves
+        // safely with the walk: it only patches `Waiting` entries.
+        let mut bits = self.wait_mem;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
             let e = &mut self.ruu[i];
             if e.state != EState::WaitMem(c.id) {
                 continue;
             }
             let at = c.ready_at + 1;
             e.state = EState::Done(at);
+            self.wait_mem &= !(1u128 << i);
             let (seq, dst) = (e.seq, e.dst);
             if let Some(d) = dst {
-                if last_writer[d.index()] == seq {
+                if self.last_writer[d.index()] == seq {
                     self.reg_ready[d.index()] = at;
                 }
-                Self::wakeup(&mut self.ruu, self.waiting, i + 1, seq, at);
+                self.wakeup(i + 1, seq, at);
             }
         }
     }
 
-    fn ready(e: &RuuEntry, now: u64) -> bool {
-        e.src_time[0] <= now && e.src_time[1] <= now
+    /// The earliest cycle `>= now` at which [`tick`](Self::tick) could
+    /// change any state other than `commit_stall_cycles`: the issue
+    /// horizon, the head entry's completion (commit), and the cycle before
+    /// the oldest unresolved mispredict completes (it resolves once its
+    /// completion is at most one cycle away).  A cycle past every reachable
+    /// one when nothing can happen without an outside event (a completion
+    /// or a dispatch).
+    pub fn next_event(&self, now: u64) -> u64 {
+        let mut at = self.next_issue;
+        if let Some(EState::Done(t)) = self.ruu.front().map(|e| e.state) {
+            at = at.min(t);
+        }
+        if self.pending_mispredicts > 0 {
+            if let Some(EState::Done(t)) = self.ruu.iter().find(|e| e.mispredict).map(|e| e.state) {
+                at = at.min(t.saturating_sub(1));
+            }
+        }
+        at.max(now)
     }
 
-    /// One cycle: issue, then commit.
+    /// Account `cycles` quiescent cycles the engine skipped: cycles before
+    /// [`next_event`](Self::next_event), in each of which `tick` would only
+    /// have counted a commit stall.
+    pub fn skip_idle(&mut self, cycles: u64) {
+        self.stats.commit_stall_cycles += cycles;
+    }
+
+    /// One cycle: issue, resolve, then commit.
     pub fn tick(&mut self, now: u64, l2: &mut L2System) -> BackTick {
-        // ---- Issue: oldest-first, up to width, respecting D-cache ports.
-        //
-        // Wakeups are deferred to after the scan: every issue completes at
-        // now+1 or later (all execution latencies are >= 1), so a consumer
-        // woken by an instruction issued this cycle could never itself
-        // issue this cycle — deferral is bit-exact, and it lets the scan
-        // hold one iterator instead of re-indexing the deque per entry.
-        let mut issued = 0u32;
-        let mut dports = self.cfg.dcache_ports;
-        let width = self.cfg.width;
-        let dcache_latency = self.cfg.dcache_latency as u64;
-        let mut wake = std::mem::take(&mut self.wake_buf);
-        wake.clear();
-        // Walk only the Waiting entries (set bits), oldest first — the
-        // same visit order as a full scan that skipped non-Waiting states.
-        let mut bits = self.waiting;
-        while issued < width && bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let e = &mut self.ruu[i];
-            if !Self::ready(e, now) {
-                continue;
-            }
-            let done_at = match e.op {
-                OpClass::Load => {
-                    if dports == 0 {
-                        continue;
-                    }
-                    dports -= 1;
-                    self.stats.loads += 1;
-                    let addr = e.mem_addr.unwrap_or(0);
-                    if self.dcache.lookup(addr) {
-                        self.stats.dcache_hits += 1;
-                        now + 1 + dcache_latency
-                    } else {
-                        self.stats.dcache_misses += 1;
-                        let req = match l2.find_pending(addr) {
-                            Some(r) => r,
-                            None => l2.submit(addr, ReqClass::DCache, now + 1),
-                        };
-                        // Fill (write-allocate) now; dirty victims write
-                        // back over the bus.
-                        if let Some((victim, dirty)) = self.dcache.fill(addr) {
-                            if dirty {
-                                l2.submit_writeback(victim, now + 1);
-                            }
-                        }
-                        e.state = EState::WaitMem(req);
-                        self.waiting &= !(1u128 << i);
-                        issued += 1;
-                        // Destination stays PENDING until completion.
-                        continue;
-                    }
-                }
-                OpClass::Store => {
-                    if dports == 0 {
-                        continue;
-                    }
-                    dports -= 1;
-                    self.stats.stores += 1;
-                    let addr = e.mem_addr.unwrap_or(0);
-                    if !self.dcache.lookup(addr) {
-                        self.stats.dcache_misses += 1;
-                        // Write-allocate: traffic only, the store itself
-                        // retires through the store buffer.
-                        if l2.find_pending(addr).is_none() {
-                            l2.submit(addr, ReqClass::DCache, now + 1);
-                        }
-                        if let Some((victim, dirty)) = self.dcache.fill(addr) {
-                            if dirty {
-                                l2.submit_writeback(victim, now + 1);
-                            }
-                        }
-                    } else {
-                        self.stats.dcache_hits += 1;
-                    }
-                    self.dcache.set_dirty(addr);
-                    now + 1
-                }
-                op => {
-                    if op.is_cti() {
-                        self.stats.branches += 1;
-                    }
-                    now + op.exec_latency() as u64
-                }
-            };
-            e.state = EState::Done(done_at);
-            self.waiting &= !(1u128 << i);
-            if let Some(d) = e.dst {
-                if self.last_writer[d.index()] == e.seq {
-                    self.reg_ready[d.index()] = done_at;
-                }
-                wake.push((i + 1, e.seq, done_at));
-            }
-            issued += 1;
+        // No waiting entry can be ready before `next_issue`, so a scan
+        // before then would find nothing to issue.
+        if now >= self.next_issue {
+            self.issue(now, l2);
         }
-        for &(from, seq, at) in &wake {
-            Self::wakeup(&mut self.ruu, self.waiting, from, seq, at);
-        }
-        self.wake_buf = wake;
 
         // ---- Resolve mispredicted branches the moment they finish.
         let mut resolved = None;
@@ -415,10 +374,14 @@ impl BackEnd {
                 None => break,
             }
         }
-        // Committed entries were Done, never Waiting: shifting the bitmap
-        // down just re-anchors it at the new front.
-        debug_assert_eq!(self.waiting & ((1u128 << committed_now) - 1), 0);
+        // Committed entries were Done, never Waiting or WaitMem: shifting
+        // the bitmaps down just re-anchors them at the new front.
+        debug_assert_eq!(
+            (self.waiting | self.wait_mem) & ((1u128 << committed_now) - 1),
+            0
+        );
         self.waiting >>= committed_now;
+        self.wait_mem >>= committed_now;
         if committed_now == 0 {
             self.stats.commit_stall_cycles += 1;
         }
@@ -427,6 +390,125 @@ impl BackEnd {
             committed_now,
             resolved_mispredict: resolved,
         }
+    }
+
+    /// Issue: oldest-first, up to width, respecting D-cache ports.
+    ///
+    /// Wakeups are deferred to after the scan: every issue completes at
+    /// now+1 or later (all execution latencies are >= 1), so a consumer
+    /// woken by an instruction issued this cycle could never itself issue
+    /// this cycle — deferral is bit-exact, and it lets the scan hold one
+    /// iterator instead of re-indexing the deque per entry.
+    fn issue(&mut self, now: u64, l2: &mut L2System) {
+        let mut issued = 0u32;
+        let mut dports = self.cfg.dcache_ports;
+        let width = self.cfg.width;
+        let dcache_latency = self.cfg.dcache_latency as u64;
+        let mut wake = std::mem::take(&mut self.wake_buf);
+        // Earliest issue time among the entries the scan leaves waiting.
+        let mut horizon = u64::MAX;
+        let mut port_limited = false;
+        // Walk only the Waiting entries (set bits), oldest first — the
+        // same visit order as a full scan that skipped non-Waiting states.
+        let mut bits = self.waiting;
+        while issued < width && bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let e = &mut self.ruu[i];
+            let ready_at = issue_time(&e.src_time);
+            if ready_at > now {
+                horizon = horizon.min(ready_at);
+                continue;
+            }
+            let done_at = match e.op {
+                OpClass::Load => {
+                    if dports == 0 {
+                        port_limited = true;
+                        continue;
+                    }
+                    dports -= 1;
+                    self.stats.loads += 1;
+                    let addr = e.mem_addr.unwrap_or(0);
+                    if self.dcache.lookup(addr) {
+                        self.stats.dcache_hits += 1;
+                        now + 1 + dcache_latency
+                    } else {
+                        self.stats.dcache_misses += 1;
+                        let req = match l2.find_pending(addr) {
+                            Some(r) => r,
+                            None => l2.submit(addr, ReqClass::DCache, now + 1),
+                        };
+                        // Fill (write-allocate) now; dirty victims write
+                        // back over the bus.
+                        if let Some((victim, dirty)) = self.dcache.fill(addr) {
+                            if dirty {
+                                l2.submit_writeback(victim, now + 1);
+                            }
+                        }
+                        e.state = EState::WaitMem(req);
+                        self.waiting &= !(1u128 << i);
+                        self.wait_mem |= 1u128 << i;
+                        issued += 1;
+                        // Destination stays PENDING until completion.
+                        continue;
+                    }
+                }
+                OpClass::Store => {
+                    if dports == 0 {
+                        port_limited = true;
+                        continue;
+                    }
+                    dports -= 1;
+                    self.stats.stores += 1;
+                    let addr = e.mem_addr.unwrap_or(0);
+                    if !self.dcache.lookup(addr) {
+                        self.stats.dcache_misses += 1;
+                        // Write-allocate: traffic only, the store itself
+                        // retires through the store buffer.
+                        if l2.find_pending(addr).is_none() {
+                            l2.submit(addr, ReqClass::DCache, now + 1);
+                        }
+                        if let Some((victim, dirty)) = self.dcache.fill(addr) {
+                            if dirty {
+                                l2.submit_writeback(victim, now + 1);
+                            }
+                        }
+                    } else {
+                        self.stats.dcache_hits += 1;
+                    }
+                    self.dcache.set_dirty(addr);
+                    now + 1
+                }
+                op => {
+                    if op.is_cti() {
+                        self.stats.branches += 1;
+                    }
+                    now + op.exec_latency() as u64
+                }
+            };
+            e.state = EState::Done(done_at);
+            self.waiting &= !(1u128 << i);
+            if let Some(d) = e.dst {
+                if self.last_writer[d.index()] == e.seq {
+                    self.reg_ready[d.index()] = done_at;
+                }
+                wake.push((i + 1, e.seq, done_at));
+            }
+            issued += 1;
+        }
+        // A scan cut short by width (bits left) or ports may have left
+        // ready entries behind; a full one saw every entry still waiting.
+        // Wakeups then lower the horizon.
+        self.next_issue = if bits != 0 || port_limited {
+            now + 1
+        } else {
+            horizon
+        };
+        for &(from, seq, at) in &wake {
+            self.wakeup(from, seq, at);
+        }
+        wake.clear();
+        self.wake_buf = wake;
     }
 
     /// Warm the D-cache directory (pre-measurement warm-up).
@@ -590,6 +672,121 @@ mod tests {
             l2s.tick(now);
         }
         assert!(l2s.stats().writebacks >= 1);
+    }
+
+    /// `format!("{:?}")` with the value of counter `name` blanked out.
+    fn masked(debug: String, name: &str) -> String {
+        let key = format!("{name}: ");
+        let Some(at) = debug.find(&key).map(|i| i + key.len()) else {
+            return debug;
+        };
+        let digits = debug[at..].bytes().take_while(u8::is_ascii_digit).count();
+        format!("{}_{}", &debug[..at], &debug[at + digits..])
+    }
+
+    /// Dispatch `bench`'s committed path into two RUUs (up to width per
+    /// cycle, every 23rd instruction flagged mispredicted, a 12-cycle fetch
+    /// bubble after each resolves), each against its own L2 system.
+    /// `reference` runs the issue scan on every tick; the other may skip
+    /// it, and whenever it reported an event horizon past `now` with no
+    /// dispatch or completion since, its tick may only count a commit
+    /// stall.  Returns the cycles found idle.
+    fn drive_contract(bench: &str, cycles: u64) -> u64 {
+        let w = prestage_workload::build(&prestage_workload::by_name(bench).unwrap(), 42);
+        let mut src = prestage_workload::TraceGenerator::new(&w, 7);
+        // Small caches keep the per-cycle renderings cheap and the misses
+        // frequent.
+        let cfg = BackendConfig {
+            dcache_capacity: 4 << 10,
+            ..BackendConfig::default()
+        };
+        let l2cfg = L2Config {
+            capacity: 32 << 10,
+            ..L2Config::for_node(TechNode::T045)
+        };
+        let (mut be, mut reference) = (BackEnd::new(cfg), BackEnd::new(cfg));
+        let (mut l2s, mut ref_l2) = (L2System::new(l2cfg), L2System::new(l2cfg));
+        let mut insts = std::collections::VecDeque::new();
+        let mut buf = Vec::new();
+        let (mut idle, mut dispatched, mut bubble_until, mut promise) = (0, 0u64, 0, 0);
+        for now in 0..cycles {
+            let done = l2s.tick(now);
+            assert_eq!(done, ref_l2.tick(now), "{bench} cycle {now}");
+            for c in &done {
+                be.on_completion(c);
+                reference.on_completion(c);
+            }
+            if !done.is_empty() {
+                promise = now;
+            }
+            if now >= promise {
+                promise = be.next_event(now);
+            }
+            reference.next_issue = 0;
+            let expect = reference.tick(now, &mut ref_l2);
+            let t = if now < promise {
+                let before = masked(format!("{be:?}"), "commit_stall_cycles");
+                let l2_before = (l2s.outstanding(), *l2s.stats());
+                let stalls = be.stats().commit_stall_cycles;
+                let t = be.tick(now, &mut l2s);
+                assert_eq!(
+                    t,
+                    BackTick::default(),
+                    "{bench} cycle {now}: idle tick acted"
+                );
+                assert_eq!(
+                    before,
+                    masked(format!("{be:?}"), "commit_stall_cycles"),
+                    "{bench} cycle {now}"
+                );
+                assert_eq!(
+                    l2_before,
+                    (l2s.outstanding(), *l2s.stats()),
+                    "{bench} cycle {now}: idle tick used the L2"
+                );
+                assert_eq!(be.stats().commit_stall_cycles, stalls + 1);
+                idle += 1;
+                t
+            } else {
+                be.tick(now, &mut l2s)
+            };
+            assert_eq!(
+                (t, be.stats()),
+                (expect, reference.stats()),
+                "{bench} cycle {now}"
+            );
+            if t.resolved_mispredict.is_some() {
+                bubble_until = now + 12;
+            }
+            for _ in 0..cfg.width {
+                if now < bubble_until || be.free_slots() == 0 {
+                    break;
+                }
+                if insts.is_empty() {
+                    src.next_stream(&mut buf);
+                    insts.extend(buf.drain(..));
+                }
+                let di: prestage_workload::DynInst = insts.pop_front().unwrap();
+                let st = w.program.block(di.block).insts[di.idx as usize];
+                dispatched += 1;
+                let mispredict = dispatched % 23 == 0;
+                be.dispatch(&st, di.mem_addr, mispredict);
+                reference.dispatch(&st, di.mem_addr, mispredict);
+                promise = now + 1;
+            }
+        }
+        idle
+    }
+
+    #[test]
+    fn idle_backend_ticks_only_count_commit_stalls() {
+        for bench in ["crafty", "mcf"] {
+            let idle = drive_contract(bench, 12_000);
+            assert!(
+                idle > 1_000,
+                "{bench}: only {idle} idle cycles exercised the contract"
+            );
+        }
     }
 
     #[test]

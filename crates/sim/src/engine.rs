@@ -16,6 +16,51 @@
 //! bandwidth, cache ports and bus slots, which is what a fetch study
 //! measures, and then evaporate at decode, so they never occupy RUU entries
 //! or access the D-cache.
+//!
+//! # How time advances
+//!
+//! The machine spends long stretches waiting on a 200-cycle memory, a
+//! multi-cycle L2 and a one-grant-per-cycle bus, and in about half of all
+//! cycles no unit changes any state.  The engine does not run those
+//! cycles.  Each per-cycle unit reports a `next_event`: the earliest cycle
+//! `>= now` at which its tick could change any state, assuming nothing
+//! outside it changes meanwhile.
+//!
+//! * [`L2System`]: the first cycle a queued request becomes eligible for a
+//!   grant, or the first in-flight completion.
+//! * [`BackEnd`]: its issue horizon, the head entry's completion (commit),
+//!   and the cycle before the oldest unresolved mispredict completes.
+//! * [`FrontEnd`]: pending L1 copies, a line waiting on a pre-buffer entry
+//!   that stopped being pending, the head line's ready time when decode
+//!   has slots, a fetch start or blocked L1 retry, and the mechanism's
+//!   answer through [`InstrPrefetcher::next_event`].
+//! * The engine itself: prediction acts now while the queue has space,
+//!   and dispatch acts at the decode head's ready time while the RUU has a
+//!   free slot.
+//!
+//! At the top of each loop iteration the engine takes the minimum; when it
+//! lies past `now`, the clock jumps straight to it.  Only two counters
+//! tick on a cycle in which nothing else changes, and the jump adds the
+//! skipped span to both: `BackendStats::commit_stall_cycles` always, and
+//! `FrontStats::pb_alloc_stalls` when the mechanism reported
+//! [`Idle::Stalled`](prestage_core::Idle::Stalled) (head of line on a
+//! full pre-buffer).  Everything else is frozen over the span, so the
+//! result is bit-identical to ticking through it.
+//!
+//! Two rules keep the jump exact.  It happens after the committed-target
+//! check and before the cycle runs, so a skipped span never straddles the
+//! warm-up/measurement boundary or the end of a cell (idle cycles commit
+//! nothing).  And it stops one cycle short of the wedge deadline, so a
+//! wedged machine fails its assert at the same cycle with the same
+//! message.
+//!
+//! A unit that cannot prove it is idle must report `now`.  That is always
+//! correct and only costs speed; reporting a cycle past one in which the
+//! unit would act breaks bit-exactness.  A new prefetch mechanism
+//! therefore starts with `Idle::Until(now)` and earns its skips by
+//! following its tick's early exits.  The horizon contract tests in the
+//! cache, core and sim crates tick each unit at every cycle its
+//! `next_event` calls idle and check that only the named counters move.
 
 use crate::backend::BackEnd;
 use crate::config::SimConfig;
@@ -479,6 +524,10 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         // Generous safety valve: nothing legitimate runs below 0.01 IPC.
         let deadline = self.clock + target * 120 + 1_000_000;
         while self.be.committed() - start < target {
+            // Skip here, after the target check and before the cycle, so a
+            // skipped span never crosses the end of a run; the clamp keeps
+            // a wedged machine failing at the same cycle.
+            self.skip_quiescent(deadline - 1);
             self.cycle();
             assert!(
                 self.clock < deadline,
@@ -487,6 +536,55 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                 self.clock
             );
         }
+    }
+
+    /// Jump the clock to the machine's next event, but not past `limit`,
+    /// accounting the skipped cycles exactly as ticking through them
+    /// would have: each counts one commit stall, and one pre-buffer
+    /// allocation stall when the mechanism is stalled at head of line.
+    fn skip_quiescent(&mut self, limit: u64) {
+        let now = self.clock;
+        let (at, pb_stalled) = self.next_event(now);
+        let to = at.min(limit);
+        if to <= now {
+            return;
+        }
+        let cycles = to - now;
+        self.be.skip_idle(cycles);
+        if pb_stalled {
+            self.fe.skip_stalled(cycles);
+        }
+        self.clock = to;
+    }
+
+    /// The earliest cycle `>= now` at which [`cycle`](Self::cycle) could
+    /// change any state other than the two stall counters, and whether the
+    /// front-end counts a pre-buffer stall in each cycle before it.  The
+    /// engine's own stages act when the queue has space (prediction) or
+    /// the decode head is ready for a free RUU slot (dispatch).  Cheap and
+    /// usually decisive checks come first.
+    fn next_event(&mut self, now: u64) -> (u64, bool) {
+        if self.fe.has_queue_space() {
+            return (now, false);
+        }
+        let mut at = self.l2.next_event(now).min(self.be.next_event(now));
+        if self.be.free_slots() > 0 {
+            if let Some(e) = self.decode.front() {
+                at = at.min(e.ready);
+            }
+        }
+        if at <= now {
+            return (now, false);
+        }
+        let (fe_at, pb_stalled) = self.fe.next_event(now, self.decode_free());
+        (at.min(fe_at), pb_stalled)
+    }
+
+    /// Decode-buffer slots free for this cycle's front-end deliveries.
+    fn decode_free(&self) -> u32 {
+        self.cfg
+            .decode_buffer
+            .saturating_sub(u32::try_from(self.decode.len()).unwrap_or(u32::MAX))
     }
 
     /// Advance the whole machine by one cycle.
@@ -511,10 +609,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         }
 
         // 3. Front-end fetch (bounded by decode-buffer space).
-        let free = self
-            .cfg
-            .decode_buffer
-            .saturating_sub(u32::try_from(self.decode.len()).unwrap_or(u32::MAX));
+        let free = self.decode_free();
         self.deliveries.clear();
         let mut deliveries = std::mem::take(&mut self.deliveries);
         self.fe.tick(now, &mut self.l2, free, &mut deliveries);

@@ -10,11 +10,12 @@
 //!   hit-latency avoidance, FDP-style).
 //!
 //! The ablation flags have no preset identity, so this binary derives its
-//! workloads, run lengths and seeds from an `ExperimentSpec` and mutates
-//! the spec-built base config per variant.
+//! workloads, run lengths and seeds from an `ExperimentSpec`, mutates the
+//! spec-built base config per variant, and runs one `Sweep` per variant
+//! with that config.
 
 use prestage_bench::{note_result, results_dir};
-use prestage_sim::{run_grid, ConfigPreset, ExperimentSpec, SimConfig};
+use prestage_sim::{CellGrid, ConfigPreset, ExperimentSpec, SimConfig, Sweep};
 use std::io::Write;
 
 fn main() {
@@ -63,11 +64,20 @@ fn main() {
     std::fs::create_dir_all(results_dir()).unwrap();
     let mut csv = std::fs::File::create(results_dir().join("ablate.csv")).unwrap();
     writeln!(csv, "variant,hmean_ipc,pb_share").unwrap();
-    // All five variants in one run_grid call on the shared cell pool.
-    let configs: Vec<SimConfig> = variants.iter().map(|(_, c)| *c).collect();
-    let grids = run_grid(&configs, &w, spec.exec_seed);
+    let grid =
+        CellGrid::from_spec(&spec).unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
+    let cells = grid.cells();
+    let names = spec.bench_names().expect("validated above");
     let mut full = None;
-    for ((name, _), r) in variants.iter().zip(&grids) {
+    for (name, cfg) in &variants {
+        let results = Sweep {
+            workloads: Some(&w),
+            configure: Some(&|_| *cfg),
+            ..Sweep::new(&spec, &cells)
+        }
+        .run()
+        .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
+        let r = &grid.merge_named(results, &names)[0][0];
         let h = r.hmean_ipc();
         let pb: f64 = r
             .per_bench

@@ -24,7 +24,7 @@ use prestage_bench::perf::{diff, load_baseline, parse_medians_tsv, CellPerf, Per
 use prestage_bench::{results_dir, size_label};
 use prestage_cacti::TechNode;
 use prestage_serve::{Dispatch, Response, Scheduler, ServeConfig};
-use prestage_sim::{run_spec_cells, CellGrid, ConfigPreset, ExperimentSpec, ITlbConfig, PrefetcherKind};
+use prestage_sim::{CellGrid, ConfigPreset, ExperimentSpec, ITlbConfig, PrefetcherKind, Sweep};
 use std::io::Write;
 
 /// True median: mean of the two middle elements for even counts (the CI
@@ -165,7 +165,9 @@ fn main() {
     };
 
     let t0 = std::time::Instant::now();
-    let results = run_spec_cells(&spec, &grid.cells()).expect("validated above");
+    let results = Sweep::new(&spec, &grid.cells())
+        .run()
+        .expect("validated above");
 
     // Per-row medians (plus min/max — the noise-characterization data the
     // ROADMAP's warning→failure escalation needs), grouped by the cells'
@@ -213,7 +215,9 @@ fn main() {
             std::process::exit(2);
         });
         total_cells += mgrid.n_cells();
-        let mresults = run_spec_cells(&mspec, &mgrid.cells()).expect("validated above");
+        let mresults = Sweep::new(&mspec, &mgrid.cells())
+            .run()
+            .expect("validated above");
         let mut walls: Vec<f64> = mresults.iter().map(|r| r.wall.as_secs_f64()).collect();
         walls.sort_by(|a, b| a.total_cmp(b));
         let mmerged = mgrid.merge_named(mresults, &names);
@@ -242,7 +246,9 @@ fn main() {
             std::process::exit(2);
         });
         total_cells += tgrid.n_cells();
-        let tresults = run_spec_cells(&tspec, &tgrid.cells()).expect("validated above");
+        let tresults = Sweep::new(&tspec, &tgrid.cells())
+            .run()
+            .expect("validated above");
         let mut walls: Vec<f64> = tresults.iter().map(|r| r.wall.as_secs_f64()).collect();
         walls.sort_by(|a, b| a.total_cmp(b));
         let tmerged = tgrid.merge_named(tresults, &names);
@@ -305,9 +311,8 @@ fn main() {
     let prev_path = std::env::var_os("PRESTAGE_PREV_JSON")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| path.clone());
-    // Upgrade-or-compare, explicitly: a readable baseline (current schema,
-    // or the previous one upgraded in place) is diffed; an unreadable one
-    // is *named* — never a silent skip that reads as "no movement".
+    // A readable current-schema baseline is diffed; an unreadable one is
+    // *named* — never a silent skip that reads as "no movement".
     let mut failed = false;
     match std::fs::read_to_string(&prev_path) {
         Err(_) => println!("\nno previous artifact at {} — baseline run", prev_path.display()),
@@ -315,11 +320,8 @@ fn main() {
             Err(why) => {
                 println!("\n::warning::ci_grid: {why}; treating this as a baseline run");
             }
-            Ok((prev, note)) => {
+            Ok(prev) => {
                 println!("\n# vs previous run ({})", prev_path.display());
-                if let Some(n) = note {
-                    println!("note: {n}");
-                }
                 let (deltas, warnings, failures) = diff(&prev, &report);
                 for d in &deltas {
                     println!("{d}");

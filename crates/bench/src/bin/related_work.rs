@@ -22,8 +22,8 @@ use prestage_bench::{note_result, results_dir};
 use prestage_cacti::{area_mm2, energy_nj_per_access, CacheGeometry};
 use prestage_core::{prefetcher_state_bytes, ITlbConfig, PrefetcherKind};
 use prestage_sim::{
-    harmonic_mean, run_grid, try_run_spec_over, ConfigPreset, ExperimentSpec, PredictorKind,
-    SimConfig,
+    harmonic_mean, CellGrid, ConfigPreset, ExperimentSpec, GridResult, PredictorKind, SimConfig,
+    Sweep, SweepCell,
 };
 use std::io::Write;
 
@@ -37,6 +37,23 @@ fn main() {
     let w = base
         .build_workloads()
         .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
+    let names = base.bench_names().expect("validated above");
+    // The one (preset, size) row of a derived one-row spec, over the shared
+    // workloads; `configure` swaps in a config with no preset identity.
+    let row = |spec: &ExperimentSpec,
+               configure: Option<&(dyn Fn(&SweepCell) -> SimConfig + Sync)>|
+     -> GridResult {
+        let grid =
+            CellGrid::from_spec(spec).unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
+        let results = Sweep {
+            workloads: Some(&w),
+            configure,
+            ..Sweep::new(spec, &grid.cells())
+        }
+        .run()
+        .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
+        grid.merge_named(results, &names).remove(0).remove(0)
+    };
 
     // --- Prefetch scheme ladder: none -> NLP -> FDP -> CLGP. -------------
     let mut nlp_cfg = base.sim_config(ConfigPreset::Fdp, l1);
@@ -51,12 +68,9 @@ fn main() {
     std::fs::create_dir_all(results_dir()).unwrap();
     let mut csv = std::fs::File::create(results_dir().join("related_work.csv")).unwrap();
     writeln!(csv, "scheme,hmean_ipc").unwrap();
-    // The whole ladder in one run_grid call on the shared cell pool.
-    let configs: Vec<SimConfig> = schemes.iter().map(|(_, c)| *c).collect();
-    let grids = run_grid(&configs, &w, base.exec_seed);
     let mut ladder = Vec::new();
-    for ((name, _), r) in schemes.iter().zip(&grids) {
-        let h = r.hmean_ipc();
+    for (name, cfg) in &schemes {
+        let h = row(&base, Some(&|_| *cfg)).hmean_ipc();
         println!("{name:<22} HMEAN {h:.3}");
         writeln!(csv, "{name},{h:.4}").unwrap();
         ladder.push(h);
@@ -84,8 +98,7 @@ fn main() {
             prefetcher,
             ..base.clone()
         };
-        let grid = try_run_spec_over(&spec, &w)
-            .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
+        let grid = row(&spec, None);
         let cfg = spec.sim_config(preset, l1);
         // CACTI cost of the mechanism's private metadata, modelled as a
         // small 4-way SRAM of 8-byte records at the spec's node.  The
@@ -101,7 +114,7 @@ fn main() {
             (capacity, area_mm2(&g, spec.tech), energy_nj_per_access(&g, spec.tech))
         };
         eprintln!("  ran mechanism {name}");
-        rows.push((name, grid[0][0].clone(), modeled, area, energy));
+        rows.push((name, grid, modeled, area, energy));
     }
     print!("{:<10}", "bench");
     for (name, ..) in &rows {
@@ -171,12 +184,14 @@ fn main() {
             prefetcher: Some(kind),
             ..base.clone()
         };
-        let spec_on = ExperimentSpec { itlb: Some(itlb), ..spec_off.clone() };
-        let off = try_run_spec_over(&spec_off, &w)
-            .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        let on = try_run_spec_over(&spec_on, &w)
-            .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        let (h_off, h_on) = (off[0][0].hmean_ipc(), on[0][0].hmean_ipc());
+        let spec_on = ExperimentSpec {
+            itlb: Some(itlb),
+            ..spec_off.clone()
+        };
+        let (h_off, h_on) = (
+            row(&spec_off, None).hmean_ipc(),
+            row(&spec_on, None).hmean_ipc(),
+        );
         println!("{:<10} {h_off:>9.3} {h_on:>9.3}", kind.id());
         writeln!(tcsv, "{},{h_off:.4},{h_on:.4}", kind.id()).unwrap();
         eprintln!("  ran {} with and without i-TLB", kind.id());
@@ -206,11 +221,15 @@ fn main() {
     ] {
         // The predictor is a first-class spec field: same experiment,
         // different `predictor`.
-        let spec = ExperimentSpec { predictor: kind, ..base.clone() };
-        let rows = try_run_spec_over(&spec, &w)
-            .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        let row = &rows[0][0];
-        let ipcs: Vec<f64> = row.per_bench.iter().map(|(_, s)| s.ipc()).collect();
+        let spec = ExperimentSpec {
+            predictor: kind,
+            ..base.clone()
+        };
+        let ipcs: Vec<f64> = row(&spec, None)
+            .per_bench
+            .iter()
+            .map(|(_, s)| s.ipc())
+            .collect();
         let h = harmonic_mean(&ipcs);
         println!("{name:<28} HMEAN {h:.3}");
         writeln!(csv, "{name},{h:.4}").unwrap();

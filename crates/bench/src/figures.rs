@@ -9,7 +9,7 @@
 
 use crate::report::{self, ReportKind};
 use prestage_cacti::TechNode;
-use prestage_sim::{run_spec, ConfigPreset, ExperimentSpec};
+use prestage_sim::{try_run_spec, ConfigPreset, ExperimentSpec};
 
 /// One declared figure.
 #[derive(Debug, Clone, Copy)]
@@ -166,7 +166,7 @@ pub fn run_figure(name: &str) {
     });
     let spec = (fig.make_spec)().env_overrides();
     let t0 = std::time::Instant::now();
-    let rows = run_spec(&spec);
+    let rows = try_run_spec(&spec).unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
     eprintln!(
         "  swept {} cells ({} presets x {} sizes x {} benchmarks) in {:.2}s",
         spec.presets.len() * spec.l1_sizes.len() * rows[0][0].per_bench.len(),

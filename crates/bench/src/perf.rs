@@ -5,10 +5,9 @@
 //!
 //! Serialization rides the shared [`prestage_json`] module (the original
 //! hand-rolled line scanner this module started as was promoted there).
-//! Baselines load through [`load_baseline`]: the previous schema (5) is
-//! upgraded in place so one schema bump never costs a comparison, and
-//! anything else — an older schema, damaged JSON, a truncation — is a
-//! *named* error rather than a silent "no baseline".
+//! Baselines load through [`load_baseline`]: anything but a complete
+//! current-schema report — an older schema, damaged JSON, a truncation —
+//! is a *named* error rather than a silent "no baseline".
 //!
 //! Micro-bench medians arrive via the Criterion shim's
 //! `CRITERION_MEDIANS_FILE` hook (vendor/criterion): each
@@ -112,9 +111,8 @@ pub struct PerfReport {
 /// `elems`/`policy` (throughput + measurement-policy provenance) and the
 /// spread-derived `fail_threshold`; 6 grew the grid's row set with the
 /// TLB-on row (an `itlb`-suffixed preset label simulated with address
-/// translation enabled).  A schema-5 baseline is upgraded in place by
-/// [`load_baseline`]; anything older reads as a *named* schema mismatch,
-/// never a silent "no baseline".
+/// translation enabled).  [`load_baseline`] reads this schema only; any
+/// other reads as a *named* schema mismatch, never a silent "no baseline".
 pub const PERF_SCHEMA: u32 = 6;
 
 /// Relative change `new/old - 1`, with a zero/zero as no change and a
@@ -199,21 +197,14 @@ impl PerfReport {
     /// Parse a report previously written by [`PerfReport::to_json`].
     /// Returns `None` on anything that does not look like a complete
     /// current-schema report, so CI treats a stale or damaged artifact as
-    /// "no baseline" rather than silently comparing less.  For baseline
-    /// loading with explicit schema-5 upgrade, use [`load_baseline`].
+    /// "no baseline" rather than silently comparing less.  For the reason,
+    /// use [`load_baseline`].
     pub fn from_json(text: &str) -> Option<PerfReport> {
-        let v = Json::parse(text).ok()?;
-        if v.get("schema")?.as_u64()? as u32 != PERF_SCHEMA {
-            return None;
-        }
-        Self::parse_with_schema(&v, PERF_SCHEMA)
+        load_baseline(text).ok()
     }
 
-    /// Shared body for schema 6 (current) and schema 5 (upgrade path):
-    /// the two are structurally identical — 6 marks the grid's row set
-    /// growing the TLB-on row — while the `schema >= 5` guards keep the
-    /// historical field boundaries explicit.
-    fn parse_with_schema(v: &Json, schema: u32) -> Option<PerfReport> {
+    /// The body of a current-schema report.
+    fn parse(v: &Json) -> Option<PerfReport> {
         let cells = v
             .get("cells")?
             .as_arr()?
@@ -240,16 +231,8 @@ impl PerfReport {
                 Some(BenchMedian {
                     name: b.get("name")?.as_str()?.to_string(),
                     median_ns: b.get("median_ns")?.as_f64()?,
-                    elems: if schema >= 5 {
-                        b.get("elems")?.as_u64()?
-                    } else {
-                        0
-                    },
-                    policy: if schema >= 5 {
-                        b.get("policy")?.as_str()?.to_string()
-                    } else {
-                        String::new()
-                    },
+                    elems: b.get("elems")?.as_u64()?,
+                    policy: b.get("policy")?.as_str()?.to_string(),
                 })
             })
             .collect::<Option<Vec<_>>>()?;
@@ -260,53 +243,34 @@ impl PerfReport {
                 cache_hit_s: s.get("cache_hit_s")?.as_f64()?,
             }),
         };
-        let fail_threshold = if schema >= 5 {
-            v.get("fail_threshold")?.as_f64()?
-        } else {
-            Self::derived_fail_threshold(&cells)
-        };
         Some(PerfReport {
             total_wall_s: v.get("total_wall_s")?.as_f64()?,
             cells,
             benches,
             serve,
-            fail_threshold,
+            fail_threshold: v.get("fail_threshold")?.as_f64()?,
         })
     }
 }
 
-/// Load a baseline artifact for comparison: upgrade-or-compare,
-/// explicitly.  A current-schema report parses as-is; a schema-5 report
-/// is upgraded in place (it predates the TLB-on grid row, which will
-/// diff as a new cell) with a note saying so; anything else — an older
-/// schema, a future schema, damaged JSON — is a *named* error, so CI
-/// output states exactly why no comparison happened instead of silently
-/// skipping it.
-pub fn load_baseline(text: &str) -> Result<(PerfReport, Option<String>), String> {
+/// Load a baseline artifact for comparison.  A current-schema report
+/// parses as-is; anything else — another schema, damaged JSON, a
+/// truncation — is a *named* error, so CI output states exactly why no
+/// comparison happened instead of silently skipping it.
+pub fn load_baseline(text: &str) -> Result<PerfReport, String> {
     let v = Json::parse(text).map_err(|e| format!("baseline artifact is not JSON: {e}"))?;
     let schema = v
         .get("schema")
         .and_then(Json::as_u64)
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or("baseline artifact has no in-range numeric `schema` field")?;
-    match schema {
-        PERF_SCHEMA => PerfReport::parse_with_schema(&v, PERF_SCHEMA)
-            .map(|r| (r, None))
-            .ok_or_else(|| format!("baseline artifact is schema {PERF_SCHEMA} but incomplete")),
-        5 => PerfReport::parse_with_schema(&v, 5)
-            .map(|r| {
-                let note = format!(
-                    "baseline artifact upgraded from schema 5 to {PERF_SCHEMA} \
-                     (predates the TLB-on grid row, which will diff as a new cell)"
-                );
-                (r, Some(note))
-            })
-            .ok_or_else(|| "baseline artifact is schema 5 but incomplete".to_string()),
-        n => Err(format!(
-            "baseline artifact is schema {n}, this build reads {PERF_SCHEMA} \
-             (upgradeable: 5) — regenerate the baseline"
-        )),
+        .ok_or("baseline artifact has no numeric `schema` field")?;
+    if schema != u64::from(PERF_SCHEMA) {
+        return Err(format!(
+            "baseline artifact is schema {schema}, this build reads {PERF_SCHEMA} \
+             — regenerate the baseline"
+        ));
     }
+    PerfReport::parse(&v)
+        .ok_or_else(|| format!("baseline artifact is schema {PERF_SCHEMA} but incomplete"))
 }
 
 /// Parse the Criterion shim's medians file: one
@@ -588,54 +552,33 @@ mod tests {
         assert!(PerfReport::from_json(&other).is_none());
     }
 
-    /// A schema-5 artifact (the previous release's format — structurally
-    /// identical, but written before the grid grew the TLB-on row) must
-    /// read as the current schema's shape.
-    fn schema5_json() -> String {
-        report(1.0, 0.01)
-            .to_json()
-            .replace("\"schema\": 6", "\"schema\": 5")
-    }
-
     #[test]
-    fn baseline_upgrades_schema_5_and_names_everything_else() {
-        // Schema 6 loads clean, no note.
+    fn baseline_loads_schema_6_only_and_names_everything_else() {
+        // Schema 6 loads clean.
         let six = report(1.0, 0.01);
-        let (loaded, note) = load_baseline(&six.to_json()).expect("current schema loads");
-        assert_eq!(loaded, six);
-        assert!(note.is_none());
-
-        // Schema 5 upgrades in place, with a note naming the boundary.
-        let (up, note) = load_baseline(&schema5_json()).expect("schema 5 upgrades");
-        let note = note.expect("upgrade is announced");
-        assert!(note.contains("schema 5"), "{note}");
-        assert!(note.contains("TLB"), "{note}");
-        assert_eq!(up, report(1.0, 0.01));
-        // The upgraded baseline diffs against a current report without
-        // spurious warnings: the schema boundary costs nothing.
-        let (deltas, warnings, failures) = diff(&up, &report(1.0, 0.01));
-        assert!(!deltas.is_empty());
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert!(failures.is_empty(), "{failures:?}");
+        assert_eq!(
+            load_baseline(&six.to_json()).expect("current schema loads"),
+            six
+        );
 
         // Everything else is a *named* refusal, not a silent skip —
-        // including schema 4, which was upgradeable one release ago and
-        // now names both itself and the supported upgrade floor.
+        // including schema 5, which was upgradeable one release ago.
         let e = load_baseline("not json").unwrap_err();
         assert!(e.contains("not JSON"), "{e}");
-        let four = report(1.0, 1.0)
-            .to_json()
-            .replace("\"schema\": 6", "\"schema\": 4");
-        let e = load_baseline(&four).unwrap_err();
-        assert!(e.contains("schema 4"), "{e}");
-        assert!(e.contains("upgradeable: 5"), "{e}");
-        let two = report(1.0, 1.0)
-            .to_json()
-            .replace("\"schema\": 6", "\"schema\": 2");
-        let e = load_baseline(&two).unwrap_err();
-        assert!(e.contains("schema 2"), "{e}");
+        for old in [5, 4, 2] {
+            let text = six
+                .to_json()
+                .replace("\"schema\": 6", &format!("\"schema\": {old}"));
+            let e = load_baseline(&text).unwrap_err();
+            assert!(
+                e.contains(&format!("schema {old}, this build reads 6")),
+                "{e}"
+            );
+        }
         let e = load_baseline("{\"schema\": true}").unwrap_err();
         assert!(e.contains("schema"), "{e}");
+        let e = load_baseline("{\"schema\": 6}").unwrap_err();
+        assert!(e.contains("incomplete"), "{e}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! emission; they are now declarations (an [`ExperimentSpec`] plus a
 //! [`ReportKind`]) and this module owns the four renderings the paper's
 //! figures need.  Each renderer takes the spec (for axes and labels) and
-//! the ordered `[preset][size]` rows `run_spec` returned, prints the
+//! the ordered `[preset][size]` rows `try_run_spec` returned, prints the
 //! figure's data series as an aligned text table, and writes the matching
 //! CSV(s) under [`crate::results_dir`].
 

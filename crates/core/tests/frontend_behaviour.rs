@@ -285,7 +285,7 @@ fn pipelined_l1_streams_lines_back_to_back() {
     let mut piped = plain;
     piped.l1_pipelined = true;
 
-    let run_one = |cfg: FrontendConfig| -> u64 {
+    let run_frontend = |cfg: FrontendConfig| -> u64 {
         let mut fe = FrontEnd::<NoPrefetcher>::new(cfg);
         let mut l2sys = l2(tech);
         let mut out = Vec::new();
@@ -300,8 +300,8 @@ fn pipelined_l1_streams_lines_back_to_back() {
         assert_eq!(out.iter().map(|d| d.count).sum::<u32>(), 128);
         out.last().unwrap().cycle
     };
-    let t_plain = run_one(plain);
-    let t_piped = run_one(piped);
+    let t_plain = run_frontend(plain);
+    let t_piped = run_frontend(piped);
     assert!(
         t_piped < t_plain,
         "pipelined L1 should finish sooner: {t_piped} vs {t_plain}"
@@ -417,7 +417,7 @@ fn ablated_free_on_use_clgp_loses_reuse() {
     let mut drop = keep;
     drop.ablate_free_on_use = true;
 
-    let run_one = |cfg: FrontendConfig| {
+    let run_frontend = |cfg: FrontendConfig| {
         let mut fe = FrontEnd::<ClgpPrefetcher>::new(cfg);
         let mut l2sys = l2(tech);
         l2sys.warm_fill(0x8000);
@@ -431,8 +431,8 @@ fn ablated_free_on_use_clgp_loses_reuse() {
             .filter(|d| d.source == FetchSource::PreBuffer)
             .count()
     };
-    let with_counter = run_one(keep);
-    let without = run_one(drop);
+    let with_counter = run_frontend(keep);
+    let without = run_frontend(drop);
     assert!(
         with_counter >= without,
         "counter should not reduce prestage hits: {with_counter} vs {without}"

@@ -9,7 +9,7 @@
 //! uses, splits each sweep into contiguous cell-range jobs on a
 //! crash-safe journaled queue ([`queue`]), and evaluates jobs on a
 //! configurable worker pool ([`scheduler`]) — in-process on the sim's
-//! cancellable runner, or as child `prestage shard` processes.  Every
+//! cell pool, or as child `prestage shard` processes.  Every
 //! cell result lands in a content-addressed store ([`cache`]) keyed by
 //! the cell's *identity* (not its grid position), so overlapping sweeps
 //! share work, and a finished sweep's canonical grid artifact is cached

@@ -3,7 +3,7 @@
 //! A submitted [`ExperimentSpec`] is validated, identified by the content
 //! hash of its portable canonical JSON ([`sweep_id`]), split into
 //! contiguous cell-range jobs, journaled, and enqueued.  Worker threads
-//! pop jobs and evaluate them — in-process on the sim's observed runner,
+//! pop jobs and evaluate them — in-process on the sim's cell pool,
 //! or by dispatching a child `prestage shard` process — writing every
 //! cell result into the content-addressed store *before* the job is
 //! journaled done, so a crash between the two only re-runs work that is
@@ -28,8 +28,8 @@ use crate::protocol::{Response, SweepStatus};
 use crate::queue::{replay, JobRange, JobState, Journal, SweepOutcome, JOURNAL_FILE};
 use prestage_json::Json;
 use prestage_sim::{
-    grid_output, run_spec_cells_observed, stats_from_json, stats_to_json, CellGrid,
-    CellResult, ExperimentSpec, ShardFile, SweepCell,
+    grid_output, stats_from_json, stats_to_json, CellGrid, CellResult, ExperimentSpec, ShardFile,
+    Sweep, SweepCell,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 /// How a worker evaluates the uncached cells of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
-    /// On the daemon's own threads via the sim's observed runner.
+    /// On the daemon's own threads via the sim's cell pool.
     InProcess,
     /// In a child `prestage shard` process (same binary, own address
     /// space — a crashing cell takes down one job, not the daemon).
@@ -179,11 +179,6 @@ pub struct Scheduler {
     work: Condvar,
     draining: AtomicBool,
 }
-
-/// Never-set cancel flag for the in-process runner: graceful drain lets
-/// running jobs finish (that is what "drain" means), and a hard kill
-/// does not consult flags.
-static RUN_TO_END: AtomicBool = AtomicBool::new(false);
 
 impl Scheduler {
     /// Open the state directory (journal + cache), replay the journal,
@@ -594,15 +589,11 @@ impl Scheduler {
                 let observer = |_r: &CellResult| {
                     cells_done.fetch_add(1, Ordering::Relaxed);
                 };
-                let got = run_spec_cells_observed(spec, &uncached, &observer, &RUN_TO_END)?;
-                if got.len() != uncached.len() {
-                    return Err(format!(
-                        "runner returned {} of {} cells for job {job}",
-                        got.len(),
-                        uncached.len()
-                    ));
+                Sweep {
+                    observer: Some(&observer),
+                    ..Sweep::new(spec, &uncached)
                 }
-                got
+                .run()?
             }
             Dispatch::Child => {
                 // `prestage shard` takes contiguous ranges, so the child

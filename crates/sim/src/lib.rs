@@ -17,8 +17,9 @@
 //!   `FDP(+L0)(+PB16)`, `CLGP(+L0)(+PB16)` at both technology nodes.
 //! * [`stats`] — run statistics and aggregation (harmonic means, source
 //!   distributions for Figures 7/8).
-//! * [`runner`] — the flat cell-addressed sweep executor: one
-//!   work-stealing pool over (preset × L1-size × benchmark) cells.
+//! * [`runner`] — [`Sweep`], the one way to run a spec's cells: the flat
+//!   cell-addressed grid and one work-stealing pool over
+//!   (preset × L1-size × benchmark) cells.
 //! * [`spec`] — [`ExperimentSpec`], the serializable value that fully
 //!   describes an experiment, with JSON round-trip, the `PRESTAGE_*`
 //!   env override layer, and the shard-file format of the `prestage` CLI.
@@ -38,14 +39,9 @@ pub use backend::{BackEnd, BackendConfig, BackendStats};
 pub use config::{ConfigPreset, SimConfig};
 pub use engine::{Engine, PredictorKind};
 pub use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
-pub use runner::{
-    default_threads, live_source, pool_map, pool_map_cancellable, pool_threads, run_cells,
-    run_cells_full, run_cells_sourced, run_cells_sourced_observed, run_cells_with_threads,
-    run_config_over, run_grid, run_one, CellGrid, CellResult, GridResult, SweepCell,
-};
+pub use runner::{default_threads, pool_map, CellGrid, CellResult, GridResult, Sweep, SweepCell};
 pub use spec::{
-    cell_from_json, cell_to_json, grid_output, run_spec, run_spec_cells,
-    run_spec_cells_observed, stats_from_json, stats_to_json, try_run_spec, try_run_spec_over,
+    cell_from_json, cell_to_json, grid_output, stats_from_json, stats_to_json, try_run_spec,
     ExperimentSpec, ShardFile, TraceSource, L1_SIZES, TRACE_RECORD_SLACK,
 };
 pub use stats::{harmonic_mean, SimStats};

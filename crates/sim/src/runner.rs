@@ -4,25 +4,26 @@
 //! first runner parallelised only the innermost axis: each (preset, size)
 //! cell spawned and tore down its own thread pool, so every core idled at
 //! every cell boundary.  This module instead flattens the whole grid into
-//! [`SweepCell`]s — flat deterministic cell identifiers — and evaluates an
-//! arbitrary slice of them on one long-lived work-stealing pool
-//! ([`run_cells`], built on [`pool_map`]'s atomic work cursor; the offline
-//! build has no rayon).  [`CellGrid`] maps cells to flat grid positions and
-//! [`CellGrid::merge`] reassembles ordered [`GridResult`]s per
+//! [`SweepCell`]s — flat deterministic cell identifiers — and
+//! [`Sweep::run`] evaluates an arbitrary slice of them on one long-lived
+//! work-stealing pool ([`pool_map`]'s atomic work cursor; the offline
+//! build has no rayon).  [`CellGrid`] maps cells to flat grid positions
+//! and [`CellGrid::merge_named`] reassembles ordered [`GridResult`]s per
 //! (preset, size) row from the unordered cell results.
 //!
 //! Every cell is an independent deterministic simulation, so results are
 //! bit-exact regardless of thread count or cell order — and the flat
-//! addressing doubles as the unit of distribution for the multi-process
-//! sharding the ROADMAP plans: a shard is just a sub-slice of
-//! [`CellGrid::cells`], and `merge` accepts any union of shard outputs.
+//! addressing doubles as the unit of distribution for multi-process
+//! sharding: a shard is just a sub-slice of [`CellGrid::cells`], and
+//! `merge_named` accepts any union of shard outputs.
 
 use crate::config::{ConfigPreset, SimConfig};
-use crate::engine::{Engine, PredictorKind};
+use crate::engine::Engine;
+use crate::spec::{ExperimentSpec, ReplaySource, TRACE_INMEM_BUDGET_BYTES};
 use crate::stats::{harmonic_mean, SimStats};
 use prestage_cacti::TechNode;
-use prestage_workload::{build, BenchmarkProfile, InstSource, TraceGenerator, Workload};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use prestage_workload::{replay_file_trusted, replay_shared, InstSource, TraceGenerator, Workload};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Result of one grid row: per-benchmark stats plus the harmonic-mean IPC.
@@ -76,15 +77,6 @@ pub struct SweepCell {
     pub bench_idx: usize,
     /// Engine execution seed (wrong-path / bus arbitration jitter).
     pub exec_seed: u64,
-}
-
-impl SweepCell {
-    /// The paper-preset configuration this cell denotes.  Callers that need
-    /// non-default run lengths or ablation knobs pass their own `configure`
-    /// closure to [`run_cells`] instead.
-    pub fn config(&self) -> SimConfig {
-        SimConfig::preset(self.preset, self.tech, self.l1)
-    }
 }
 
 /// One evaluated cell: the identifier, its stats, and how long it took on
@@ -198,22 +190,15 @@ impl CellGrid {
     }
 
     /// Reassemble unordered cell results into ordered [`GridResult`]s,
-    /// indexed `[preset][size]` with per-benchmark entries in workload
-    /// order.
+    /// indexed `[preset][size]` with per-benchmark entries labelled by
+    /// `names` in workload order.  Merging needs only the grid shape and
+    /// the benchmark labels, so a cross-process collector merges
+    /// serialized shard results without rebuilding any workload.
     ///
     /// # Panics
     /// If a result does not belong to this grid, a position is duplicated,
     /// or any position is missing — a sharded run that lost a cell should
     /// fail loudly, not ship a partial figure.
-    pub fn merge(&self, results: Vec<CellResult>, workloads: &[Workload]) -> Vec<Vec<GridResult>> {
-        let names: Vec<&str> = workloads.iter().map(|w| w.profile.name).collect();
-        self.merge_named(results, &names)
-    }
-
-    /// [`CellGrid::merge`] by benchmark *name* — what a cross-process
-    /// collector uses: merging serialized shard results needs the grid
-    /// shape and the benchmark labels, not the (expensive, already-paid)
-    /// workload builds behind them.
     pub fn merge_named(&self, results: Vec<CellResult>, names: &[&str]) -> Vec<Vec<GridResult>> {
         assert_eq!(
             names.len(),
@@ -233,40 +218,213 @@ impl CellGrid {
                 r.cell
             );
         }
-        let flat = slots.into_iter().enumerate().map(|(i, s)| {
+        let mut flat = slots.into_iter().enumerate().map(|(i, s)| {
             s.unwrap_or_else(|| panic!("missing result for cell {:?}", self.cell_at(i)))
         });
-        let mut rows =
-            reassemble_rows(flat, self.presets.len() * self.sizes.len(), names).into_iter();
         self.presets
             .iter()
-            .map(|_| self.sizes.iter().map(|_| rows.next().expect("sized")).collect())
+            .map(|_| {
+                self.sizes
+                    .iter()
+                    .map(|_| GridResult {
+                        per_bench: names
+                            .iter()
+                            .map(|n| (n.to_string(), flat.next().expect("sized")))
+                            .collect(),
+                    })
+                    .collect()
+            })
             .collect()
     }
 }
 
-/// Chunk a flat, row-major stream of per-cell stats back into
-/// [`GridResult`] rows with per-benchmark entries in workload order — the
-/// one reassembly loop shared by [`CellGrid::merge_named`] and
-/// [`run_grid`].
-fn reassemble_rows(
-    flat: impl Iterator<Item = SimStats>,
-    n_rows: usize,
-    names: &[&str],
-) -> Vec<GridResult> {
-    let mut flat = flat.fuse();
-    (0..n_rows)
-        .map(|_| GridResult {
-            per_bench: names
-                .iter()
-                .map(|n| (n.to_string(), flat.next().expect("sized")))
-                .collect(),
-        })
-        .collect()
+/// One sweep: an arbitrary slice of a spec's cells (a whole grid, one
+/// row, or one shard of a distributed sweep) evaluated on the
+/// work-stealing pool.  This value and its [`run`](Sweep::run) method are
+/// the whole run surface; [`try_run_spec`](crate::try_run_spec) is the
+/// whole-grid shorthand.
+///
+/// The spec supplies everything that is experiment or host setting: run
+/// lengths, seeds, pool width (`threads`), fetch-block predictor and
+/// committed-path source (`trace`).  The optional fields default to
+/// `None` through [`Sweep::new`]; override them with struct-update syntax:
+///
+/// ```
+/// # use prestage_sim::{CellGrid, ConfigPreset, ExperimentSpec, Sweep};
+/// let spec = ExperimentSpec {
+///     presets: vec![ConfigPreset::Base],
+///     l1_sizes: vec![4 << 10],
+///     bench: Some(vec!["gzip".into()]),
+///     warmup_insts: 500,
+///     measure_insts: 2_000,
+///     ..ExperimentSpec::default()
+/// };
+/// let cells = CellGrid::from_spec(&spec)?.cells();
+/// let workloads = spec.build_workloads()?;
+/// let results = Sweep {
+///     workloads: Some(&workloads),
+///     ..Sweep::new(&spec, &cells)
+/// }
+/// .run()?;
+/// assert_eq!(results.len(), cells.len());
+/// # Ok::<(), String>(())
+/// ```
+pub struct Sweep<'a> {
+    /// The experiment the cells belong to.
+    pub spec: &'a ExperimentSpec,
+    /// The cells to evaluate; results come back in this order.
+    pub cells: &'a [SweepCell],
+    /// Pre-built workloads in spec bench order, for callers running
+    /// several sweeps over one bench set (rebuilding the synthetic
+    /// programs per sweep would dominate).  Checked by name against the
+    /// spec's bench set.  `None` builds them during set-up.
+    pub workloads: Option<&'a [Workload]>,
+    /// Maps each cell to its full [`SimConfig`]; `None` uses
+    /// [`ExperimentSpec::sim_config`].  Only configurations with no preset
+    /// identity (ablation flags, hand-built ladders) need it.
+    pub configure: Option<&'a (dyn Fn(&SweepCell) -> SimConfig + Sync)>,
+    /// Called once per finished cell, on whichever worker finished it, in
+    /// completion order (a progress counter).
+    pub observer: Option<&'a (dyn Fn(&CellResult) + Sync)>,
+}
+
+impl<'a> Sweep<'a> {
+    /// A sweep of `cells` under `spec` with every optional field `None`.
+    pub fn new(spec: &'a ExperimentSpec, cells: &'a [SweepCell]) -> Sweep<'a> {
+        Sweep {
+            spec,
+            cells,
+            workloads: None,
+            configure: None,
+            observer: None,
+        }
+    }
+
+    /// Validate the spec, set up its workloads and the replay traces the
+    /// cells use (see [`TRACE_INMEM_BUDGET_BYTES`]), then evaluate every
+    /// cell on a pool of the spec's width.  Results come back in
+    /// input-cell order and are bit-exact for any width, because every
+    /// cell simulation is independent and deterministic.
+    ///
+    /// Each cell's committed path comes from the spec's source: a live
+    /// generator seeded by the cell's exec seed, or a replay of the
+    /// benchmark's vetted trace — the shared in-memory decode, or a
+    /// per-cell stream of the file at constant memory.
+    ///
+    /// # Panics
+    /// If a cell indexes outside the spec's benchmarks on the live path,
+    /// or asks a replaying spec for a foreign exec seed (the traces embody
+    /// the spec's).
+    pub fn run(&self) -> Result<Vec<CellResult>, String> {
+        self.run_within(TRACE_INMEM_BUDGET_BYTES)
+    }
+
+    /// [`run`](Self::run) under an explicit in-memory trace budget.
+    pub(crate) fn run_within(&self, budget: u64) -> Result<Vec<CellResult>, String> {
+        let Sweep {
+            spec,
+            cells,
+            workloads,
+            configure,
+            observer,
+        } = *self;
+        spec.validate()?;
+        if let Some(given) = workloads {
+            let names = spec.bench_names()?;
+            if given.len() != names.len()
+                || given.iter().zip(&names).any(|(w, n)| w.profile.name != *n)
+            {
+                return Err(format!(
+                    "given workloads [{}] do not match the spec's bench set [{}]",
+                    given
+                        .iter()
+                        .map(|w| w.profile.name)
+                        .collect::<Vec<_>>()
+                        .join(", "),
+                    names.join(", ")
+                ));
+            }
+        }
+        let set_up = spec.set_up_within(cells, workloads.is_none(), budget)?;
+        let workloads = workloads.unwrap_or(&set_up.workloads);
+        let traces = set_up.traces.as_deref();
+        if let Some(sources) = traces {
+            // Named rejection *before* the pool starts: every cell must
+            // have a loaded replay source, so no worker can hit a missing
+            // slot mid-sweep.
+            for c in cells {
+                if !matches!(sources.get(c.bench_idx), Some(Some(_))) {
+                    return Err(format!(
+                        "cell (preset {:?}, bench index {}) has no loaded replay \
+                         source — the spec's traces do not cover every bench the \
+                         cells reference",
+                        c.preset, c.bench_idx
+                    ));
+                }
+            }
+        }
+        for c in cells {
+            assert!(
+                c.bench_idx < workloads.len(),
+                "cell {c:?} indexes outside the {} given workloads",
+                workloads.len()
+            );
+        }
+        Ok(pool_map(cells.len(), spec.resolved_threads(), |i| {
+            let cell = cells[i];
+            let w = &workloads[cell.bench_idx];
+            let t0 = std::time::Instant::now();
+            let cfg = match configure {
+                Some(f) => f(&cell),
+                None => spec.sim_config(cell.preset, cell.l1),
+            };
+            let source: Box<dyn InstSource + '_> = match traces {
+                None => Box::new(TraceGenerator::new(w, cell.exec_seed)),
+                Some(sources) => {
+                    // The recorded traces embody one execution seed; a
+                    // foreign-seed cell would silently replay the wrong
+                    // dynamic path (live generation honours it).
+                    assert_eq!(
+                        cell.exec_seed, spec.exec_seed,
+                        "cell {cell:?} wants exec seed {}, but the spec's traces were \
+                         recorded at {} — replay cannot serve foreign-seed cells",
+                        cell.exec_seed, spec.exec_seed
+                    );
+                    match &sources[cell.bench_idx] {
+                        Some(ReplaySource::InMemory(records, path)) => {
+                            Box::new(replay_shared(records.clone(), path.display().to_string()))
+                        }
+                        // Trusted: set-up streamed these exact bytes
+                        // clean before the pool started.
+                        Some(ReplaySource::Streamed(path)) => {
+                            Box::new(replay_file_trusted(path).unwrap_or_else(|e| {
+                                panic!("cannot replay {}: {e}", path.display())
+                            }))
+                        }
+                        None => unreachable!(
+                            "bench index {} was pre-checked against the replay \
+                             sources before the pool started",
+                            cell.bench_idx
+                        ),
+                    }
+                }
+            };
+            let stats = Engine::with_source(cfg, w, source, spec.predictor).run();
+            let r = CellResult {
+                cell,
+                stats,
+                wall: t0.elapsed(),
+            };
+            if let Some(observe) = observer {
+                observe(&r);
+            }
+            r
+        }))
+    }
 }
 
 /// The machine's available parallelism (4 when undetectable) — the pool
-/// width used when an [`ExperimentSpec`](crate::ExperimentSpec) leaves
+/// width used when an [`ExperimentSpec`] leaves
 /// `threads` unset.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
@@ -274,20 +432,13 @@ pub fn default_threads() -> usize {
         .unwrap_or(4)
 }
 
-/// Worker-thread count for the pool: the `PRESTAGE_THREADS` override if
-/// set (parsed — loudly — by the [`crate::spec`] env layer), else
-/// [`default_threads`].
-pub fn pool_threads() -> usize {
-    crate::spec::threads_override().unwrap_or_else(default_threads)
-}
-
 /// The in-tree work-stealing executor: evaluate `f(0..n)` on `threads`
 /// workers pulling indices from one shared atomic cursor, returning results
 /// in index order.
 ///
-/// This is the single pool every sweep entry point shares ([`run_cells`],
-/// [`run_grid`], [`run_config_over`]): one `thread::scope` spans the whole
-/// task list, so cores stay busy across cell boundaries instead of
+/// This is the single pool behind [`Sweep::run`], the sweep set-up and
+/// `prestage trace record`: one `thread::scope` spans the whole task
+/// list, so cores stay busy across cell boundaries instead of
 /// resynchronising per (preset, size) cell.  With `threads <= 1` the tasks
 /// run serially on the caller's thread — the reference order the
 /// determinism tests compare against.
@@ -346,231 +497,57 @@ where
     done.into_iter().map(|(_, v)| v).collect()
 }
 
-/// [`pool_map`] with cooperative cancellation: workers keep pulling
-/// indices from the shared cursor until it runs dry *or* `cancel` is
-/// observed set, whichever comes first.  Indices that ran come back as
-/// `Some` — bit-identical to what a full [`pool_map`] would have produced,
-/// because each task is independent — and indices never started are
-/// `None`.  With `threads <= 1` the tasks run serially on the caller's
-/// thread, checking `cancel` between indices.
-pub fn pool_map_cancellable<T, F>(
-    n: usize,
-    threads: usize,
-    cancel: &AtomicBool,
-    f: F,
-) -> Vec<Option<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for (i, slot) in out.iter_mut().enumerate() {
-            if cancel.load(Ordering::Relaxed) {
-                break;
-            }
-            *slot = Some(f(i));
-        }
-        return out;
-    }
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || loop {
-                if cancel.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                tx.send((i, f(i))).expect("collector alive");
-            });
-        }
-    });
-    drop(tx);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, v) in rx {
-        out[i] = Some(v);
-    }
-    out
-}
-
-/// Evaluate an arbitrary slice of cells — a whole grid, one row, or one
-/// shard of a distributed sweep — across `threads` workers.  `configure`
-/// maps each cell to its full [`SimConfig`] (run lengths, ablation knobs);
-/// use [`SweepCell::config`] when the paper preset defaults suffice.
-///
-/// Results come back in input-cell order; they are bit-exact for any
-/// `threads`, because every cell simulation is independent and
-/// deterministic.
-pub fn run_cells_with_threads<F>(
-    cells: &[SweepCell],
-    workloads: &[Workload],
-    configure: F,
-    threads: usize,
-) -> Vec<CellResult>
-where
-    F: Fn(&SweepCell) -> SimConfig + Sync,
-{
-    run_cells_full(cells, workloads, configure, threads, PredictorKind::Stream)
-}
-
-/// The fully-parameterised cell executor: like [`run_cells_with_threads`]
-/// but with an explicit fetch-block predictor — the knob
-/// [`ExperimentSpec`](crate::ExperimentSpec) exposes for the
-/// predictor-quality comparisons of §2.1.  Streams come from the live
-/// generator; [`run_cells_sourced`] is the same executor with the source
-/// pluggable (trace replay).
-pub fn run_cells_full<F>(
-    cells: &[SweepCell],
-    workloads: &[Workload],
-    configure: F,
-    threads: usize,
-    predictor: PredictorKind,
-) -> Vec<CellResult>
-where
-    F: Fn(&SweepCell) -> SimConfig + Sync,
-{
-    run_cells_sourced(cells, workloads, configure, threads, predictor, live_source)
-}
-
-/// The default committed-path source: a fresh live [`TraceGenerator`] per
-/// cell, seeded by the cell's exec seed.
-pub fn live_source<'w>(cell: &SweepCell, w: &'w Workload) -> Box<dyn InstSource + 'w> {
-    Box::new(TraceGenerator::new(w, cell.exec_seed))
-}
-
-/// The most general cell executor: every cell's engine pulls its committed
-/// path from `source(cell, workload)` — the live generator
-/// ([`live_source`]) or a per-cell disk replay (`ExperimentSpec`s with a
-/// `trace` source route here).  Each worker opens its own source, so
-/// replaying cells share a trace *file*, not a materialised `Vec`: memory
-/// stays constant in trace length no matter how many cells replay it.
-pub fn run_cells_sourced<'w, F, S>(
-    cells: &[SweepCell],
-    workloads: &'w [Workload],
-    configure: F,
-    threads: usize,
-    predictor: PredictorKind,
-    source: S,
-) -> Vec<CellResult>
-where
-    F: Fn(&SweepCell) -> SimConfig + Sync,
-    S: Fn(&SweepCell, &'w Workload) -> Box<dyn InstSource + 'w> + Sync,
-{
-    static RUN_TO_END: AtomicBool = AtomicBool::new(false);
-    run_cells_sourced_observed(
-        cells,
-        workloads,
-        configure,
-        threads,
-        predictor,
-        source,
-        &|_| {},
-        &RUN_TO_END,
-    )
-}
-
-/// [`run_cells_sourced`] with per-cell progress and cooperative
-/// cancellation — the executor behind the `prestage serve` job workers.
-/// `observer` is invoked (on whichever worker thread finished the cell)
-/// once per completed cell, in completion order; when `cancel` is set,
-/// workers stop pulling new cells and the completed subset comes back in
-/// input-cell order.  Completed results are bit-identical to a full
-/// [`run_cells_sourced`] run of the same cells.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cells_sourced_observed<'w, F, S>(
-    cells: &[SweepCell],
-    workloads: &'w [Workload],
-    configure: F,
-    threads: usize,
-    predictor: PredictorKind,
-    source: S,
-    observer: &(dyn Fn(&CellResult) + Sync),
-    cancel: &AtomicBool,
-) -> Vec<CellResult>
-where
-    F: Fn(&SweepCell) -> SimConfig + Sync,
-    S: Fn(&SweepCell, &'w Workload) -> Box<dyn InstSource + 'w> + Sync,
-{
-    for c in cells {
-        assert!(
-            c.bench_idx < workloads.len(),
-            "cell {c:?} indexes outside the {} given workloads",
-            workloads.len()
-        );
-    }
-    pool_map_cancellable(cells.len(), threads, cancel, |i| {
-        let cell = cells[i];
-        let w = &workloads[cell.bench_idx];
-        let t0 = std::time::Instant::now();
-        let stats =
-            Engine::with_source(configure(&cell), w, source(&cell, w), predictor).run();
-        let r = CellResult {
-            cell,
-            stats,
-            wall: t0.elapsed(),
-        };
-        observer(&r);
-        r
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// [`run_cells_with_threads`] on the default pool width ([`pool_threads`]).
-pub fn run_cells<F>(cells: &[SweepCell], workloads: &[Workload], configure: F) -> Vec<CellResult>
-where
-    F: Fn(&SweepCell) -> SimConfig + Sync,
-{
-    run_cells_with_threads(cells, workloads, configure, pool_threads())
-}
-
-/// Build a workload and run one configuration over it.
-pub fn run_one(cfg: SimConfig, profile: &BenchmarkProfile, seed: u64) -> SimStats {
-    let w = build(profile, seed);
-    Engine::new(cfg, &w, seed).run()
-}
-
-/// Run a whole grid of arbitrary configs: the (config × workload) cross
-/// product flattened onto one [`pool_map`] pool.  Returns one
-/// [`GridResult`] per config, input order.
-///
-/// Unlike [`run_cells`] this takes opaque `SimConfig`s (ablation variants
-/// have no preset identity), but it shares the same executor, so multi-row
-/// callers still keep every core busy across row boundaries.
-pub fn run_grid(configs: &[SimConfig], workloads: &[Workload], exec_seed: u64) -> Vec<GridResult> {
-    let n = configs.len() * workloads.len();
-    let flat = pool_map(n, pool_threads(), |i| {
-        let (ci, wi) = (i / workloads.len(), i % workloads.len());
-        Engine::new(configs[ci], &workloads[wi], exec_seed).run()
-    });
-    let names: Vec<&str> = workloads.iter().map(|w| w.profile.name).collect();
-    reassemble_rows(flat.into_iter(), configs.len(), &names)
-}
-
-/// Run one config over pre-built workloads in parallel; order preserved.
-pub fn run_config_over(cfg: SimConfig, workloads: &[Workload], exec_seed: u64) -> GridResult {
-    run_grid(&[cfg], workloads, exec_seed)
-        .pop()
-        .expect("one config in, one result out")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ConfigPreset, SimConfig};
+    use crate::engine::Engine;
+    use crate::spec::ExperimentSpec;
     use prestage_cacti::TechNode;
 
     fn tiny_workloads(n: usize) -> Vec<Workload> {
         prestage_workload::specint_mini(n, 5)
+    }
+
+    /// A spec whose bench set is exactly `workloads`.
+    fn spec_over(
+        workloads: &[Workload],
+        presets: Vec<ConfigPreset>,
+        l1_sizes: Vec<usize>,
+    ) -> ExperimentSpec {
+        ExperimentSpec {
+            presets,
+            tech: TechNode::T090,
+            l1_sizes,
+            bench: Some(
+                workloads
+                    .iter()
+                    .map(|w| w.profile.name.to_string())
+                    .collect(),
+            ),
+            warmup_insts: 2_000,
+            measure_insts: 8_000,
+            exec_seed: 3,
+            threads: Some(2),
+            ..ExperimentSpec::default()
+        }
+    }
+
+    /// The grid rows of `spec` over pre-built `workloads`.
+    fn rows_over(
+        spec: &ExperimentSpec,
+        workloads: &[Workload],
+        configure: Option<&(dyn Fn(&SweepCell) -> SimConfig + Sync)>,
+    ) -> Vec<Vec<GridResult>> {
+        let grid = CellGrid::from_spec(spec).unwrap();
+        let results = Sweep {
+            workloads: Some(workloads),
+            configure,
+            ..Sweep::new(spec, &grid.cells())
+        }
+        .run()
+        .unwrap();
+        grid.merge_named(results, &spec.bench_names().unwrap())
     }
 
     fn test_grid(n_bench: usize) -> CellGrid {
@@ -586,9 +563,13 @@ mod tests {
     #[test]
     fn parallel_grid_matches_serial() {
         let workloads = tiny_workloads(3);
-        let cfg = SimConfig::preset(ConfigPreset::Base, TechNode::T090, 4 << 10)
-            .with_insts(5_000, 20_000);
-        let par = run_config_over(cfg, &workloads, 3);
+        let spec = ExperimentSpec {
+            warmup_insts: 5_000,
+            measure_insts: 20_000,
+            ..spec_over(&workloads, vec![ConfigPreset::Base], vec![4 << 10])
+        };
+        let par = rows_over(&spec, &workloads, None).remove(0).remove(0);
+        let cfg = spec.sim_config(ConfigPreset::Base, 4 << 10);
         // Serial reference.
         let serial: Vec<f64> = workloads
             .iter()
@@ -603,19 +584,22 @@ mod tests {
     }
 
     #[test]
-    fn run_grid_spans_configs_and_workloads() {
+    fn configured_sweeps_span_configs_and_workloads() {
+        // Opaque configurations (no preset identity) ride `configure`,
+        // one sweep per configuration over the spec's one-row grid.
         let workloads = tiny_workloads(2);
+        let spec = spec_over(&workloads, vec![ConfigPreset::Base], vec![2 << 10]);
         let configs: Vec<SimConfig> = [ConfigPreset::Base, ConfigPreset::BaseL0]
             .iter()
             .map(|&p| SimConfig::preset(p, TechNode::T090, 2 << 10).with_insts(2_000, 8_000))
             .collect();
-        let grid = run_grid(&configs, &workloads, 7);
-        assert_eq!(grid.len(), 2);
-        for (cfg, row) in configs.iter().zip(&grid) {
+        for cfg in &configs {
+            let rows = rows_over(&spec, &workloads, Some(&|_: &SweepCell| *cfg));
+            let row = &rows[0][0];
             assert_eq!(row.per_bench.len(), 2);
             for ((name, s), w) in row.per_bench.iter().zip(&workloads) {
                 assert_eq!(name, w.profile.name);
-                let serial = Engine::new(*cfg, w, 7).run();
+                let serial = Engine::new(*cfg, w, 3).run();
                 assert_eq!(s.cycles, serial.cycles);
                 assert_eq!(s.committed, serial.committed);
             }
@@ -665,24 +649,30 @@ mod tests {
     #[test]
     fn merge_reassembles_shuffled_cells() {
         let workloads = tiny_workloads(2);
-        let grid = test_grid(2);
-        let mut results = run_cells_with_threads(
-            &grid.cells(),
+        let spec = spec_over(
             &workloads,
-            |c| c.config().with_insts(2_000, 8_000),
-            2,
+            vec![ConfigPreset::Base, ConfigPreset::ClgpL0],
+            vec![2 << 10, 4 << 10],
         );
+        let grid = CellGrid::from_spec(&spec).unwrap();
+        let mut results = Sweep {
+            workloads: Some(&workloads),
+            ..Sweep::new(&spec, &grid.cells())
+        }
+        .run()
+        .unwrap();
         // Any reordering of the unordered cell results must merge the same.
         results.reverse();
         results.swap(0, 3);
-        let merged = grid.merge(results, &workloads);
+        let names: Vec<&str> = workloads.iter().map(|w| w.profile.name).collect();
+        let merged = grid.merge_named(results, &names);
         assert_eq!(merged.len(), 2);
         for (pi, row) in merged.iter().enumerate() {
             assert_eq!(row.len(), 2);
             for (si, r) in row.iter().enumerate() {
                 let cell = grid.cell_at((pi * 2 + si) * 2);
                 let serial = Engine::new(
-                    cell.config().with_insts(2_000, 8_000),
+                    spec.sim_config(cell.preset, cell.l1),
                     &workloads[0],
                     cell.exec_seed,
                 )
@@ -696,7 +686,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "missing result")]
     fn merge_rejects_lost_cells() {
-        let workloads = tiny_workloads(1);
         let grid = CellGrid::new(
             vec![ConfigPreset::Base],
             TechNode::T090,
@@ -704,7 +693,7 @@ mod tests {
             1,
             3,
         );
-        grid.merge(Vec::new(), &workloads);
+        grid.merge_named(Vec::new(), &["gzip"]);
     }
 
     #[test]

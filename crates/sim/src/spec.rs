@@ -10,12 +10,12 @@
 //!
 //! * [`CellGrid::from_spec`] turns a spec into the flat cell grid the
 //!   work-stealing pool executes;
-//! * [`run_spec`] runs the whole grid in-process and returns ordered
-//!   `[preset][size]` rows;
-//! * [`run_spec_cells`] runs an arbitrary cell slice — the unit the
+//! * [`Sweep`] runs an arbitrary slice of those cells — the unit the
 //!   `prestage shard` CLI distributes across processes — and
 //!   [`ShardFile`] is its serialized output, reassembled bit-exactly by
 //!   `prestage merge` via [`CellGrid::merge_named`];
+//! * [`try_run_spec`] runs the whole grid in-process and returns ordered
+//!   `[preset][size]` rows;
 //! * [`grid_output`] renders merged rows deterministically, so a merged
 //!   multi-process run and a single-process run of the same spec produce
 //!   byte-identical artifacts.
@@ -30,20 +30,15 @@ use crate::config::{ConfigPreset, SimConfig};
 use crate::engine::PredictorKind;
 use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
 use crate::runner::{
-    default_threads, live_source, pool_map_largest_first, run_cells_sourced_observed,
-    CellGrid, CellResult, GridResult, SweepCell,
+    default_threads, pool_map_largest_first, CellGrid, CellResult, GridResult, Sweep, SweepCell,
 };
 use crate::stats::SimStats;
 use prestage_cacti::TechNode;
 use prestage_json::Json;
-use prestage_workload::{
-    build, replay_file_trusted, replay_shared, specint2000, BenchmarkProfile, DynInst, TraceReader,
-    Workload,
-};
+use prestage_workload::{build, specint2000, BenchmarkProfile, DynInst, TraceReader, Workload};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -60,13 +55,11 @@ pub const L1_SIZES: [usize; 9] = [
     64 << 10,
 ];
 
-/// Schema version of every JSON artifact this module writes.  Schema 2
-/// added the `trace` field; schema 3 added the `prefetcher` mechanism
-/// override; schema 4 added the memory-system model fields `itlb` and
-/// `insertion`.  Spec files of earlier schemas still parse, with the
-/// fields they predate defaulting (`trace` → live generation,
-/// `prefetcher` → each preset's own mechanism, `itlb` → free translation,
-/// `insertion` → each mechanism's own policy).
+/// Schema version of every JSON artifact this module writes, and the only
+/// one it reads.  Schema 2 added the `trace` field, schema 3 the
+/// `prefetcher` mechanism override, schema 4 the memory-system model
+/// fields `itlb` and `insertion`; files of earlier schemas are refused by
+/// name (re-serialize them with every field present).
 pub const SPEC_SCHEMA: u64 = 4;
 
 /// Run-ahead slack `prestage trace record` captures beyond
@@ -100,7 +93,7 @@ const LOAD_NS_PER_TRACE_BYTE: u64 = 2;
 
 /// One benchmark's vetted replay source.
 #[derive(Debug, Clone)]
-enum ReplaySource {
+pub(crate) enum ReplaySource {
     /// Decoded during verification; cells replay the shared `Arc`.
     InMemory(Arc<Vec<DynInst>>, PathBuf),
     /// Over the in-memory budget: cells stream the file (trusted — the
@@ -145,13 +138,13 @@ impl VettedTrace {
 }
 
 /// What a spec's cells need before the cell pool starts.
-struct SetUp {
+pub(crate) struct SetUp {
     /// The spec's workloads in bench order; empty when the caller brought
     /// its own.
-    workloads: Vec<Workload>,
+    pub(crate) workloads: Vec<Workload>,
     /// One slot per spec benchmark (`None` for the ones no cell uses), or
     /// `None` for live generation.
-    traces: Option<Vec<Option<ReplaySource>>>,
+    pub(crate) traces: Option<Vec<Option<ReplaySource>>>,
 }
 
 /// One set-up task's output.
@@ -287,14 +280,8 @@ fn std_env(name: &str) -> Option<String> {
     std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
 }
 
-/// The `PRESTAGE_THREADS` override, if set (empty counts as unset).
-/// Panics on malformed values rather than silently running serial.  Also
-/// consulted by [`crate::runner::pool_threads`] for the non-spec entry
-/// points, so the variable has exactly one parser.
-pub(crate) fn threads_override() -> Option<usize> {
-    parse_threads(std_env("PRESTAGE_THREADS").as_deref())
-}
-
+/// Parse a `PRESTAGE_THREADS` value (empty counts as unset).  Panics on
+/// malformed values rather than silently running serial.
 fn parse_threads(value: Option<&str>) -> Option<usize> {
     match value.map(str::trim) {
         None | Some("") => None,
@@ -515,7 +502,7 @@ impl ExperimentSpec {
     }
 
     /// [`set_up`](Self::set_up) under an explicit in-memory budget.
-    fn set_up_within(
+    pub(crate) fn set_up_within(
         &self,
         cells: &[SweepCell],
         build_workloads: bool,
@@ -805,31 +792,20 @@ impl ExperimentSpec {
             .get("schema")
             .and_then(Json::as_u64)
             .ok_or("schema must be an integer")?;
-        if schema == 0 || schema > SPEC_SCHEMA {
+        if schema != SPEC_SCHEMA {
             return Err(format!(
-                "spec schema {schema} not supported (this build reads schemas 1..={SPEC_SCHEMA})"
+                "spec schema {schema} not supported (this build reads schema {SPEC_SCHEMA} only)"
             ));
         }
-        // `trace` arrived with schema 2, `prefetcher` with schema 3, and
-        // `itlb`/`insertion` with schema 4; a file of an earlier schema
-        // both may and must omit the later fields (strictness per schema:
-        // no field is ever silently ignored, none is silently defaulted
-        // within its own schema).
-        let known: &[&str] = match schema {
-            1 => &KNOWN[..11],
-            2 => &KNOWN[..12],
-            3 => &KNOWN[..13],
-            _ => &KNOWN,
-        };
         for k in &keys {
-            if !known.contains(k) {
+            if !KNOWN.contains(k) {
                 return Err(format!(
-                    "unknown spec field {k:?} (valid fields for schema {schema}: {})",
-                    known.join(", ")
+                    "unknown spec field {k:?} (valid fields: {})",
+                    KNOWN.join(", ")
                 ));
             }
         }
-        for k in known {
+        for k in &KNOWN {
             if !keys.contains(k) {
                 return Err(format!("spec is missing field {k:?}"));
             }
@@ -1033,184 +1009,12 @@ impl CellGrid {
 // Running a spec.
 // ---------------------------------------------------------------------------
 
-/// Evaluate spec cells over pre-built workloads, routing each cell's
-/// committed path to the spec's source: live generation, or (when
-/// `traces` is `Some`) a replay of the benchmark's vetted trace: the
-/// shared in-memory decode, or a per-cell stream of the file at constant
-/// memory.
-fn run_spec_cells_over(
-    spec: &ExperimentSpec,
-    cells: &[SweepCell],
-    workloads: &[Workload],
-    traces: Option<&[Option<ReplaySource>]>,
-) -> Result<Vec<CellResult>, String> {
-    static RUN_TO_END: AtomicBool = AtomicBool::new(false);
-    run_spec_cells_observed_over(spec, cells, workloads, traces, &|_| {}, &RUN_TO_END)
-}
-
-/// [`run_spec_cells_over`] with per-cell progress and cooperative
-/// cancellation (see
-/// [`run_cells_sourced_observed`](crate::runner::run_cells_sourced_observed)).
-fn run_spec_cells_observed_over(
-    spec: &ExperimentSpec,
-    cells: &[SweepCell],
-    workloads: &[Workload],
-    traces: Option<&[Option<ReplaySource>]>,
-    observer: &(dyn Fn(&CellResult) + Sync),
-    cancel: &AtomicBool,
-) -> Result<Vec<CellResult>, String> {
-    let configure = |c: &SweepCell| spec.sim_config(c.preset, c.l1);
-    match traces {
-        None => Ok(run_cells_sourced_observed(
-            cells,
-            workloads,
-            configure,
-            spec.resolved_threads(),
-            spec.predictor,
-            live_source,
-            observer,
-            cancel,
-        )),
-        Some(sources) => {
-            // Named rejection *before* the pool starts: every cell must
-            // have a loaded replay source, so the worker closure below
-            // cannot hit a missing slot mid-sweep.
-            for c in cells {
-                if !matches!(sources.get(c.bench_idx), Some(Some(_))) {
-                    return Err(format!(
-                        "cell (preset {:?}, bench index {}) has no loaded replay \
-                         source — the spec's traces do not cover every bench the \
-                         cells reference",
-                        c.preset, c.bench_idx
-                    ));
-                }
-            }
-            let spec_seed = spec.exec_seed;
-            Ok(run_cells_sourced_observed(
-                cells,
-                workloads,
-                configure,
-                spec.resolved_threads(),
-                spec.predictor,
-                move |c, _w| {
-                    // The recorded traces embody one execution seed; a
-                    // foreign-seed cell would silently replay the wrong
-                    // dynamic path (live_source honours c.exec_seed).
-                    assert_eq!(
-                        c.exec_seed, spec_seed,
-                        "cell {c:?} wants exec seed {}, but the spec's traces were \
-                         recorded at {spec_seed} — replay cannot serve foreign-seed cells",
-                        c.exec_seed
-                    );
-                    let Some(Some(source)) = sources.get(c.bench_idx) else {
-                        unreachable!(
-                            "bench index {} was pre-checked against the replay \
-                             sources before the pool started",
-                            c.bench_idx
-                        )
-                    };
-                    match source {
-                        ReplaySource::InMemory(records, path) => Box::new(replay_shared(
-                            records.clone(),
-                            path.display().to_string(),
-                        )),
-                        // Trusted: set-up streamed these exact
-                        // bytes clean before the pool started.
-                        ReplaySource::Streamed(path) => Box::new(
-                            replay_file_trusted(path).unwrap_or_else(|e| {
-                                panic!("cannot replay {}: {e}", path.display())
-                            }),
-                        ),
-                    }
-                },
-                observer,
-                cancel,
-            ))
-        }
-    }
-}
-
-/// Evaluate an arbitrary slice of a spec's cells (a whole grid or one
-/// shard) on the work-stealing pool, honouring the spec's run lengths,
-/// seeds, pool width, predictor and trace source.
-pub fn run_spec_cells(
-    spec: &ExperimentSpec,
-    cells: &[SweepCell],
-) -> Result<Vec<CellResult>, String> {
-    spec.validate()?;
-    let set_up = spec.set_up(cells, true)?;
-    run_spec_cells_over(spec, cells, &set_up.workloads, set_up.traces.as_deref())
-}
-
-/// [`run_spec_cells`] with per-cell progress and cooperative cancellation
-/// — what a long-lived orchestrator (the `prestage serve` daemon) needs to
-/// stream job counters and drain workers on shutdown.  `observer` runs on
-/// the worker threads, once per completed cell; setting `cancel` makes
-/// workers stop pulling new cells, and only the completed subset (in
-/// input-cell order) is returned.  Completed results are bit-identical to
-/// an uncancelled [`run_spec_cells`] of the same slice.
-pub fn run_spec_cells_observed(
-    spec: &ExperimentSpec,
-    cells: &[SweepCell],
-    observer: &(dyn Fn(&CellResult) + Sync),
-    cancel: &AtomicBool,
-) -> Result<Vec<CellResult>, String> {
-    spec.validate()?;
-    let set_up = spec.set_up(cells, true)?;
-    run_spec_cells_observed_over(
-        spec,
-        cells,
-        &set_up.workloads,
-        set_up.traces.as_deref(),
-        observer,
-        cancel,
-    )
-}
-
 /// Run the whole experiment in-process: ordered `[preset][size]` rows with
 /// per-benchmark entries in spec bench order.  Errors on an invalid spec.
 pub fn try_run_spec(spec: &ExperimentSpec) -> Result<Vec<Vec<GridResult>>, String> {
     let grid = CellGrid::from_spec(spec)?;
-    let cells = grid.cells();
-    let set_up = spec.set_up(&cells, true)?;
-    let results = run_spec_cells_over(spec, &cells, &set_up.workloads, set_up.traces.as_deref())?;
+    let results = Sweep::new(spec, &grid.cells()).run()?;
     Ok(grid.merge_named(results, &spec.bench_names()?))
-}
-
-/// [`try_run_spec`] over pre-built workloads — for callers running several
-/// derived specs over one bench set (the headline binary runs five), where
-/// rebuilding the synthetic programs per call would dominate.  The
-/// workloads must match the spec's resolved bench set exactly.
-pub fn try_run_spec_over(
-    spec: &ExperimentSpec,
-    workloads: &[Workload],
-) -> Result<Vec<Vec<GridResult>>, String> {
-    let grid = CellGrid::from_spec(spec)?;
-    let names = spec.bench_names()?;
-    if workloads.len() != names.len()
-        || workloads.iter().zip(&names).any(|(w, n)| w.profile.name != *n)
-    {
-        return Err(format!(
-            "given workloads [{}] do not match the spec's bench set [{}]",
-            workloads
-                .iter()
-                .map(|w| w.profile.name)
-                .collect::<Vec<_>>()
-                .join(", "),
-            names.join(", ")
-        ));
-    }
-    let cells = grid.cells();
-    let traces = spec.set_up(&cells, false)?.traces;
-    let results = run_spec_cells_over(spec, &cells, workloads, traces.as_deref())?;
-    Ok(grid.merge_named(results, &names))
-}
-
-/// [`try_run_spec`], panicking (loudly, with the spec error) on an invalid
-/// spec — the figure-binary entry point, where an invalid spec is a bug or
-/// a typo'd `PRESTAGE_BENCH` and must abort the reproduction.
-pub fn run_spec(spec: &ExperimentSpec) -> Vec<Vec<GridResult>> {
-    try_run_spec(spec).unwrap_or_else(|e| panic!("invalid experiment spec: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -1366,8 +1170,9 @@ fn source_of(v: &Json, key: &str) -> Result<prestage_core::SourceCount, String> 
     })
 }
 
-/// Parse [`stats_to_json`]'s representation back; every missing or
-/// malformed counter is named.
+/// Parse [`stats_to_json`]'s representation back; every missing,
+/// malformed or unknown counter is named.  An unknown counter (written by
+/// a build with an extra field) must not merge silently dropped.
 pub fn stats_from_json(v: &Json) -> Result<SimStats, String> {
     let sub = |key: &str| {
         v.get(key)
@@ -1378,7 +1183,7 @@ pub fn stats_from_json(v: &Json) -> Result<SimStats, String> {
     let bus = sub("bus")?;
     let pred = sub("pred")?;
     let backend = sub("backend")?;
-    Ok(SimStats {
+    let stats = SimStats {
         seed: u64_of(v, "seed")?,
         cycles: u64_of(v, "cycles")?,
         committed: u64_of(v, "committed")?,
@@ -1427,7 +1232,27 @@ pub fn stats_from_json(v: &Json) -> Result<SimStats, String> {
             branches: u64_of(backend, "branches")?,
             commit_stall_cycles: u64_of(backend, "commit_stall_cycles")?,
         },
-    })
+    };
+    // The canonical rendering holds exactly the known keys of each block.
+    let canon = stats_to_json(&stats);
+    for (block, given) in [
+        ("stats", v),
+        ("front", front),
+        ("bus", bus),
+        ("pred", pred),
+        ("backend", backend),
+    ] {
+        let known = if block == "stats" {
+            Some(&canon)
+        } else {
+            canon.get(block)
+        };
+        let unknown = |k: &&str| known.and_then(|c| c.get(k)).is_none();
+        if let Some(k) = given.keys().into_iter().flatten().find(unknown) {
+            return Err(format!("unknown stats field {k:?} in block {block:?}"));
+        }
+    }
+    Ok(stats)
 }
 
 /// Serialize a cell identifier as the canonical JSON object used by
@@ -1553,7 +1378,10 @@ impl ShardFile {
             .ok_or("shard file has no results array")?
             .iter()
             .map(|r| {
-                let secs = r.get("wall_s").and_then(Json::as_f64).unwrap_or(0.0);
+                let secs = r
+                    .get("wall_s")
+                    .and_then(Json::as_f64)
+                    .ok_or("result wall_s is missing or not a number")?;
                 // Found by the fuzz harness: Duration::from_secs_f64
                 // panics on negative or over-range input, so a hostile
                 // wall_s crashed the merge instead of being refused.
@@ -1588,7 +1416,7 @@ impl ShardFile {
 
 /// Render merged `[preset][size]` rows as the canonical grid artifact:
 /// deterministic bytes, full per-cell stats, no timing.  A merged
-/// multi-process run and a single-process [`run_spec`] of the same spec
+/// multi-process run and a single-process [`try_run_spec`] of the same spec
 /// produce identical output — the property the shard/merge CI job diffs.
 ///
 /// The embedded spec has `threads` and `trace` cleared: pool width is
@@ -1763,7 +1591,7 @@ mod tests {
     }
 
     /// Cut `,\n  "<field>": null` out of a serialized spec (for building
-    /// earlier-schema fixtures).
+    /// an earlier-schema file).
     fn cut_field(text: &str, field: &str) -> String {
         let mut out = text.to_string();
         let needle = format!(",\n  \"{field}\": null");
@@ -1773,47 +1601,26 @@ mod tests {
     }
 
     #[test]
-    fn schema_1_and_2_specs_still_parse_with_their_defaults() {
-        // A pre-trace spec file (schema 1, no trace/prefetcher) keeps
-        // working, and a schema-2 file (trace, no prefetcher) too...
+    fn schemas_1_to_3_are_refused_by_name() {
         let v4 = tiny_spec().to_json();
-        let cut_memory_model =
-            |text: &str| cut_field(&cut_field(text, "itlb"), "insertion");
-        let v1 = cut_field(
-            &cut_field(
-                &cut_memory_model(&v4.replace("\"schema\": 4", "\"schema\": 1")),
-                "trace",
-            ),
-            "prefetcher",
-        );
-        let spec = ExperimentSpec::from_json(&v1).unwrap();
-        assert_eq!(spec, tiny_spec());
-        let v2 = cut_field(
-            &cut_memory_model(&v4.replace("\"schema\": 4", "\"schema\": 2")),
-            "prefetcher",
-        );
-        let spec = ExperimentSpec::from_json(&v2).unwrap();
-        assert_eq!(spec, tiny_spec());
-        // ...and a schema-3 file (prefetcher, no itlb/insertion) too.
-        let v3 = cut_memory_model(&v4.replace("\"schema\": 4", "\"schema\": 3"));
-        let spec = ExperimentSpec::from_json(&v3).unwrap();
-        assert_eq!(spec, tiny_spec());
-        // ...but an earlier-schema file *claiming* a later field carries a
-        // field from the future, rejected rather than half-understood.
-        let e = ExperimentSpec::from_json(&cut_field(
-            &cut_memory_model(&v4.replace("\"schema\": 4", "\"schema\": 1")),
-            "prefetcher",
-        ))
-        .unwrap_err();
-        assert!(e.contains("unknown spec field \"trace\""), "{e}");
-        let e = ExperimentSpec::from_json(&cut_memory_model(
-            &v4.replace("\"schema\": 4", "\"schema\": 2"),
-        ))
-        .unwrap_err();
-        assert!(e.contains("unknown spec field \"prefetcher\""), "{e}");
-        let e = ExperimentSpec::from_json(&v4.replace("\"schema\": 4", "\"schema\": 3"))
+        for old in 1..=3 {
+            let e = ExperimentSpec::from_json(
+                &v4.replace("\"schema\": 4", &format!("\"schema\": {old}")),
+            )
             .unwrap_err();
-        assert!(e.contains("unknown spec field \"itlb\""), "{e}");
+            assert!(
+                e.contains(&format!("spec schema {old} not supported")),
+                "{e}"
+            );
+        }
+        // A genuine schema-3 file (no itlb/insertion) is refused for its
+        // schema, not for the fields it predates.
+        let v3 = cut_field(
+            &cut_field(&v4.replace("\"schema\": 4", "\"schema\": 3"), "itlb"),
+            "insertion",
+        );
+        let e = ExperimentSpec::from_json(&v3).unwrap_err();
+        assert!(e.contains("spec schema 3 not supported"), "{e}");
     }
 
     #[test]
@@ -1904,7 +1711,8 @@ mod tests {
             }),
             ..tiny_spec()
         };
-        let e = run_spec_cells(&spec, &CellGrid::from_spec(&spec).unwrap().cells())
+        let e = Sweep::new(&spec, &CellGrid::from_spec(&spec).unwrap().cells())
+            .run()
             .unwrap_err();
         assert!(e.contains("prestage trace record"), "{e}");
 
@@ -1931,12 +1739,12 @@ mod tests {
         )
         .unwrap();
         let cells = CellGrid::from_spec(&spec).unwrap().cells();
-        let e = run_spec_cells(&spec, &cells).unwrap_err();
+        let e = Sweep::new(&spec, &cells).run().unwrap_err();
         assert!(e.contains("exec seed 99"), "{e}");
         // Too-short traces are refused with both lengths.
         let f = std::fs::File::create(&path).unwrap();
         prestage_workload::record_trace(std::io::BufWriter::new(f), &w, 3, 100, 1024).unwrap();
-        let e = run_spec_cells(&spec, &cells).unwrap_err();
+        let e = Sweep::new(&spec, &cells).run().unwrap_err();
         assert!(e.contains("holds 100 instructions"), "{e}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1973,9 +1781,9 @@ mod tests {
             .into_iter()
             .filter(|c| c.bench_idx == 0)
             .collect();
-        let results = run_spec_cells(&spec, &gzip_cells).unwrap();
+        let results = Sweep::new(&spec, &gzip_cells).run().unwrap();
         assert_eq!(results.len(), gzip_cells.len());
-        let e = run_spec_cells(&spec, &grid.cells()).unwrap_err();
+        let e = Sweep::new(&spec, &grid.cells()).run().unwrap_err();
         assert!(e.contains("mcf"), "{e}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2062,7 +1870,7 @@ mod tests {
             ..replay.clone()
         };
         let cells = CellGrid::from_spec(&replay).unwrap().cells();
-        let want = run_spec_cells(&live, &cells).unwrap();
+        let want = Sweep::new(&live, &cells).run().unwrap();
         // Room for exactly one decode: the first trace in bench order stays
         // in memory and the other two stream, for every pool width.
         let one = replay.trace_record_insts() * std::mem::size_of::<DynInst>() as u64;
@@ -2077,10 +1885,137 @@ mod tests {
             assert!(traces[1..]
                 .iter()
                 .all(|t| matches!(t, Some(ReplaySource::Streamed(_)))));
-            let got = run_spec_cells_over(&spec, &cells, &set_up.workloads, Some(traces)).unwrap();
+            let got = Sweep::new(&spec, &cells).run_within(one).unwrap();
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!((g.cell, &g.stats), (w.cell, &w.stats), "{threads} threads");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sweep_runs_cells_in_input_order_observing_each_once_at_any_width() {
+        let spec = ExperimentSpec {
+            bench: Some(vec!["gzip".into(), "mcf".into()]),
+            ..tiny_spec()
+        };
+        let grid = CellGrid::from_spec(&spec).unwrap();
+        // An input order that is not grid order.
+        let mut cells = grid.cells();
+        cells.reverse();
+        cells.swap(0, 3);
+        let workloads = spec.build_workloads().unwrap();
+        let serial: Vec<SimStats> = cells
+            .iter()
+            .map(|c| {
+                let cfg = spec.sim_config(c.preset, c.l1);
+                crate::Engine::new(cfg, &workloads[c.bench_idx], c.exec_seed).run()
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            let spec = ExperimentSpec {
+                threads: Some(threads),
+                ..spec.clone()
+            };
+            let seen = Mutex::new(Vec::new());
+            let observer = |r: &CellResult| seen.lock().unwrap().push(r.cell);
+            let got = Sweep {
+                observer: Some(&observer),
+                ..Sweep::new(&spec, &cells)
+            }
+            .run()
+            .unwrap();
+            let order: Vec<SweepCell> = got.iter().map(|r| r.cell).collect();
+            assert_eq!(order, cells, "{threads} threads");
+            for (r, want) in got.iter().zip(&serial) {
+                assert_eq!(&r.stats, want, "{threads} threads: {:?}", r.cell);
+            }
+            let mut seen: Vec<usize> = seen
+                .into_inner()
+                .unwrap()
+                .iter()
+                .map(|c| grid.index_of(c).unwrap())
+                .collect();
+            seen.sort_unstable();
+            assert_eq!(
+                seen,
+                (0..grid.n_cells()).collect::<Vec<_>>(),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn pre_built_workloads_must_match_the_spec_bench_set() {
+        let spec = tiny_spec();
+        let cells = CellGrid::from_spec(&spec).unwrap().cells();
+        for bench in [vec!["mcf"], vec!["gzip", "mcf"]] {
+            let given = ExperimentSpec {
+                bench: Some(bench.iter().map(|b| b.to_string()).collect()),
+                ..tiny_spec()
+            }
+            .build_workloads()
+            .unwrap();
+            let e = Sweep {
+                workloads: Some(&given),
+                ..Sweep::new(&spec, &cells)
+            }
+            .run()
+            .unwrap_err();
+            assert!(
+                e.contains("do not match the spec's bench set [gzip]"),
+                "{e}"
+            );
+            assert!(e.contains(&format!("[{}]", bench.join(", "))), "{e}");
+        }
+    }
+
+    #[test]
+    fn a_replay_cell_without_a_loaded_source_is_refused_by_name() {
+        let (spec, dir) = recorded_replay_spec("unloaded", &["gzip"]);
+        // A cell of a bench the spec does not have: no trace covers it.
+        let mut cell = CellGrid::from_spec(&spec).unwrap().cell_at(0);
+        cell.bench_idx = 1;
+        let e = Sweep::new(&spec, &[cell]).run().unwrap_err();
+        assert!(e.contains("has no loaded replay source"), "{e}");
+        assert!(e.contains("bench index 1"), "{e}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_replay_equals_live_for_every_mechanism_at_any_width() {
+        // Budget 0 forces every trace onto the per-cell file stream, the
+        // route a trace over the in-memory budget takes.  One recording
+        // serves all mechanisms: the committed path is
+        // mechanism-independent.
+        let (replay, dir) = recorded_replay_spec("streamed", &["gzip", "mcf", "twolf"]);
+        let replay = ExperimentSpec {
+            l1_sizes: vec![2 << 10],
+            ..replay
+        };
+        let cells = CellGrid::from_spec(&replay).unwrap().cells();
+        let set_up = replay.set_up_within(&cells, false, 0).unwrap();
+        assert!(set_up
+            .traces
+            .unwrap()
+            .iter()
+            .all(|t| matches!(t, Some(ReplaySource::Streamed(_)))));
+        for kind in PrefetcherKind::all() {
+            let live = ExperimentSpec {
+                trace: None,
+                prefetcher: Some(kind),
+                ..replay.clone()
+            };
+            let want = Sweep::new(&live, &cells).run().unwrap();
+            for threads in [1, 2, 4] {
+                let spec = ExperimentSpec {
+                    threads: Some(threads),
+                    prefetcher: Some(kind),
+                    ..replay.clone()
+                };
+                let got = Sweep::new(&spec, &cells).run_within(0).unwrap();
+                assert_eq!(got, want, "{kind:?}, {threads} threads");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -2103,7 +2038,9 @@ mod tests {
         let crc = prestage_workload::trace_io::crc32(&bytes[..crc_at]);
         bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(path, &bytes).unwrap();
-        let e = run_spec_cells(&spec, &CellGrid::from_spec(&spec).unwrap().cells()).unwrap_err();
+        let e = Sweep::new(&spec, &CellGrid::from_spec(&spec).unwrap().cells())
+            .run()
+            .unwrap_err();
         assert!(
             e.contains("is corrupt") && e.contains("truncated reading chunk"),
             "{e}"
@@ -2139,7 +2076,7 @@ mod tests {
         // of silently serving the spec-seed trace.
         let mut cell = CellGrid::from_spec(&spec).unwrap().cell_at(0);
         cell.exec_seed = spec.exec_seed + 1;
-        let _ = run_spec_cells(&spec, &[cell]);
+        let _ = Sweep::new(&spec, &[cell]).run();
     }
 
     #[test]
@@ -2248,7 +2185,7 @@ mod tests {
     #[test]
     fn stats_codec_roundtrips_every_field_exactly() {
         // Fill each counter with a distinct value (including one above
-        // 2^53) so a swapped or dropped field cannot cancel out.
+        // 2^53) so a swapped or dropped field cannot go unnoticed.
         let mut n = (1u64 << 53) + 1;
         let mut next = || {
             n += 1;
@@ -2313,7 +2250,7 @@ mod tests {
     fn shard_file_roundtrips_and_checks_its_count() {
         let spec = tiny_spec();
         let grid = CellGrid::from_spec(&spec).unwrap();
-        let results = run_spec_cells(&spec, &grid.cells()[1..3]).unwrap();
+        let results = Sweep::new(&spec, &grid.cells()[1..3]).run().unwrap();
         let shard = ShardFile { spec, start: 1, end: 3, results };
         let text = shard.to_json();
         let back = ShardFile::from_json(&text).unwrap();
@@ -2370,6 +2307,72 @@ mod tests {
             let e = ShardFile::from_json(&text).unwrap_err();
             assert!(e.contains("wall_s"), "wall_s {bad}: {e}");
         }
+    }
+
+    /// A one-result shard file as text, with a fabricated result.
+    fn one_result_shard() -> String {
+        let spec = tiny_spec();
+        let cell = CellGrid::from_spec(&spec).unwrap().cell_at(0);
+        let results = vec![CellResult {
+            cell,
+            stats: SimStats::default(),
+            wall: Duration::from_millis(250),
+        }];
+        ShardFile {
+            spec,
+            start: 0,
+            end: 1,
+            results,
+        }
+        .to_json()
+    }
+
+    #[test]
+    fn shard_results_without_a_numeric_wall_s_are_rejected_by_name() {
+        // `wall_s` used to default to 0 s when missing or non-numeric.
+        let text = one_result_shard();
+        assert!(ShardFile::from_json(&text).is_ok());
+        for bad in [
+            text.replace("\"wall_s\": 0.25,", ""),
+            text.replace("\"wall_s\": 0.25", "\"wall_s\": \"fast\""),
+            text.replace("\"wall_s\": 0.25", "\"wall_s\": null"),
+        ] {
+            assert_ne!(bad, text);
+            let e = ShardFile::from_json(&bad).unwrap_err();
+            assert!(e.contains("wall_s is missing or not a number"), "{e}");
+        }
+    }
+
+    #[test]
+    fn unknown_stats_counters_are_rejected_by_name() {
+        // A shard written by a build with an extra counter must not merge
+        // with that counter silently dropped, whichever block holds it.
+        let canon = stats_to_json(&SimStats::default());
+        for block in ["stats", "front", "bus", "pred", "backend"] {
+            let Json::Obj(mut pairs) = canon.clone() else {
+                unreachable!("stats render as an object")
+            };
+            let target = if block == "stats" {
+                &mut pairs
+            } else {
+                match pairs.iter_mut().find(|(k, _)| k == block) {
+                    Some((_, Json::Obj(inner))) => inner,
+                    _ => unreachable!("{block} renders as an object"),
+                }
+            };
+            target.push(("extra_counter".into(), 7u64.into()));
+            let e = stats_from_json(&Json::Obj(pairs)).unwrap_err();
+            assert!(e.contains("unknown stats field \"extra_counter\""), "{e}");
+            assert!(e.contains(&format!("block \"{block}\"")), "{e}");
+        }
+        // The same refusal reaches `prestage merge` through the shard codec.
+        let text =
+            one_result_shard().replacen("\"flushes\":", "\"extra_counter\": 1, \"flushes\":", 1);
+        let e = ShardFile::from_json(&text).unwrap_err();
+        assert!(
+            e.contains("unknown stats field \"extra_counter\" in block \"front\""),
+            "{e}"
+        );
     }
 
     #[test]

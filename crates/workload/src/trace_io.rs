@@ -428,7 +428,7 @@ impl<R: Read> TraceReader<R> {
 
     /// A reader that skips per-chunk payload-CRC *recomputation* (all
     /// structural checks remain).  For consumers that already verified the
-    /// file this process — `run_spec_cells` vets every trace end-to-end
+    /// file this process — a spec `Sweep` vets every trace end-to-end
     /// once, then fans out to per-cell readers; re-hashing the same bytes
     /// in every cell would be pure overhead on the sweep's hot path.
     pub fn trusted(r: R) -> io::Result<Self> {

@@ -13,18 +13,20 @@ use fetch_prestaging::cacti::{
     area_mm2, energy_nj_per_access, latency_cycles, pipelining_area_overhead, CacheGeometry,
 };
 use fetch_prestaging::prelude::*;
-use fetch_prestaging::sim::run_config_over;
-use prestage_workload::specint2000;
 
 fn main() {
     let tech = TechNode::T090;
-    let workloads: Vec<_> = specint2000()
-        .iter()
-        .map(|p| workload::build_workload(p, 42))
-        .collect();
     let run = |preset, l1| {
-        let cfg = SimConfig::preset(preset, tech, l1).with_insts(30_000, 120_000);
-        run_config_over(cfg, &workloads, 7).hmean_ipc()
+        let spec = ExperimentSpec {
+            presets: vec![preset],
+            tech,
+            l1_sizes: vec![l1],
+            warmup_insts: 30_000,
+            measure_insts: 120_000,
+            exec_seed: 7,
+            ..ExperimentSpec::default()
+        };
+        try_run_spec(&spec).expect("valid spec")[0][0].hmean_ipc()
     };
 
     // CLGP with 1 KB L1 + 512 B L0 + 1 KB pipelined prestage buffer:

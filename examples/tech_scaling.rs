@@ -12,14 +12,8 @@
 
 use fetch_prestaging::cacti::{latency_cycles, CacheGeometry};
 use fetch_prestaging::prelude::*;
-use fetch_prestaging::sim::run_config_over;
-use prestage_workload::specint2000;
 
 fn main() {
-    let workloads: Vec<_> = specint2000()
-        .iter()
-        .map(|p| workload::build_workload(p, 42))
-        .collect();
     let l1 = 8 << 10;
     let geom = CacheGeometry::new(l1, 64, 2, 1);
 
@@ -30,8 +24,16 @@ fn main() {
     for node in [TechNode::T180, TechNode::T130, TechNode::T090, TechNode::T065, TechNode::T045] {
         let lat = latency_cycles(&geom, node);
         let run = |preset| {
-            let cfg = SimConfig::preset(preset, node, l1).with_insts(30_000, 120_000);
-            run_config_over(cfg, &workloads, 7).hmean_ipc()
+            let spec = ExperimentSpec {
+                presets: vec![preset],
+                tech: node,
+                l1_sizes: vec![l1],
+                warmup_insts: 30_000,
+                measure_insts: 120_000,
+                exec_seed: 7,
+                ..ExperimentSpec::default()
+            };
+            try_run_spec(&spec).expect("valid spec")[0][0].hmean_ipc()
         };
         let base = run(ConfigPreset::Base);
         let clgp = run(ConfigPreset::ClgpL0);

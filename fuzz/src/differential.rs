@@ -4,12 +4,10 @@
 //! Each generated [`ExperimentSpec`] is run three ways — live in-process,
 //! sharded through the serialized [`ShardFile`] wire format and merged,
 //! and replayed from a freshly recorded trace — and the three canonical
-//! grid artifacts must be **byte-identical**.  Alongside, two standing
-//! claims get their own properties: all six prefetch mechanisms are
+//! grid artifacts must be **byte-identical**.  Alongside, one standing
+//! claim gets its own property: all six prefetch mechanisms are
 //! bit-identical when the pre-buffer is disabled by config (a disabled
-//! mechanism must be *absent*, not merely quiet), and schema-1/2/3 spec
-//! files upgrade to the same canonical schema-4 JSON as their modern
-//! equivalents.
+//! mechanism must be *absent*, not merely quiet).
 //!
 //! Determinism: every choice comes from one [`SmallRng`] stream, so a
 //! `(n_specs, seed)` pair replays the exact same campaign; any failure
@@ -17,10 +15,9 @@
 
 use prestage_cacti::TechNode;
 use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
-use prestage_json::Json;
 use prestage_sim::{
-    grid_output, run_spec_cells, try_run_spec, CellGrid, CellResult, ConfigPreset, Engine,
-    ExperimentSpec, PredictorKind, ShardFile, SimConfig, TraceSource,
+    grid_output, try_run_spec, CellGrid, CellResult, ConfigPreset, Engine, ExperimentSpec,
+    PredictorKind, ShardFile, SimConfig, Sweep, TraceSource,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,7 +27,7 @@ use std::path::PathBuf;
 /// Outcome of one differential campaign.
 #[derive(Debug)]
 pub struct DiffReport {
-    /// Random specs that went through the live/shard/replay/upgrade gauntlet.
+    /// Random specs that went through the live/shard/replay gauntlet.
     pub specs: u64,
     /// Disabled-prefetch mechanism-equivalence configurations checked.
     pub mechanism_checks: u64,
@@ -46,8 +43,7 @@ const BENCHES: &[&str] = &["gzip", "mcf", "crafty"];
 /// benchmark, short run lengths.  Trace stays `None` — the replay
 /// property installs the trace itself.  `prefetcher` draws `None` half
 /// the time and a uniform mechanism otherwise, so every property also
-/// exercises the monomorphized per-mechanism engines (the schema-upgrade
-/// property compares against the old schemas' expressible subset).
+/// exercises the monomorphized per-mechanism engines.
 fn random_small_spec(rng: &mut SmallRng) -> ExperimentSpec {
     let all_presets = ConfigPreset::all();
     let techs = [TechNode::T180, TechNode::T130, TechNode::T090, TechNode::T065, TechNode::T045];
@@ -171,7 +167,7 @@ fn check_spec_equivalence(
                 spec: spec.clone(),
                 start,
                 end: start + half.len(),
-                results: run_spec_cells(spec, half)?,
+                results: Sweep::new(spec, half).run()?,
             };
             // Through the wire format, exactly as `prestage merge` sees it.
             let back = ShardFile::from_json(&shard.to_json())?;
@@ -262,61 +258,8 @@ fn check_disabled_mechanisms(rng: &mut SmallRng) -> Result<(), String> {
     Ok(())
 }
 
-/// Property C — a schema-1, -2 or -3 rendering of a spec (fields the
-/// old schemas lacked stripped, schema number rewritten) must upgrade to
-/// the *same* canonical JSON as the modern spec restricted to what the
-/// old schema could express: dropping an unexpressible field downgrades
-/// the *spec*, so the expectation drops it too (for a `prefetcher: None`
-/// spec this degenerates to exact round-tripping, the original property).
-fn check_schema_upgrade(spec: &ExperimentSpec) -> Result<(), String> {
-    for (schema, dropped) in [
-        (1i128, &["trace", "prefetcher", "itlb", "insertion"][..]),
-        (2, &["prefetcher", "itlb", "insertion"][..]),
-        (3, &["itlb", "insertion"][..]),
-    ] {
-        let mut expressible = spec.clone();
-        if dropped.contains(&"trace") {
-            expressible.trace = None;
-        }
-        if dropped.contains(&"prefetcher") {
-            expressible.prefetcher = None;
-        }
-        if dropped.contains(&"itlb") {
-            expressible.itlb = None;
-        }
-        if dropped.contains(&"insertion") {
-            expressible.insertion = None;
-        }
-        let canon = expressible.to_json();
-        let Json::Obj(pairs) = spec.to_json_value() else {
-            return Err("spec JSON is not an object".into());
-        };
-        let old = Json::Obj(
-            pairs
-                .into_iter()
-                .filter(|(k, _)| !dropped.contains(&k.as_str()))
-                .map(|(k, v)| {
-                    if k == "schema" {
-                        (k, Json::Int(schema))
-                    } else {
-                        (k, v)
-                    }
-                })
-                .collect(),
-        );
-        let upgraded = ExperimentSpec::from_json(&old.render())
-            .map_err(|e| format!("schema-{schema} downgrade does not parse: {e}"))?;
-        if upgraded.to_json() != canon {
-            return Err(format!(
-                "schema-{schema} spec upgrades to different canonical JSON\n  spec: {canon}"
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Run the full differential campaign: `n_specs` random specs through
-/// properties A and C, and one property-B configuration per spec.
+/// property A, and one property-B configuration per spec.
 /// `log` receives one progress line per spec (the CLI's live ticker).
 pub fn run_differential(
     n_specs: u64,
@@ -337,9 +280,6 @@ pub fn run_differential(
         let spec = random_small_spec(&mut rng);
         report.specs += 1;
         if let Err(e) = check_spec_equivalence(&spec, &mut rng, &scratch) {
-            report.failures.push(e);
-        }
-        if let Err(e) = check_schema_upgrade(&spec) {
             report.failures.push(e);
         }
         if let Err(e) = check_disabled_mechanisms(&mut rng) {
@@ -370,11 +310,6 @@ mod tests {
             assert_eq!(sa, sb);
             sa.validate().expect("generator only emits valid specs");
         }
-    }
-
-    #[test]
-    fn schema_upgrade_holds_for_the_default_spec() {
-        check_schema_upgrade(&ExperimentSpec::default()).unwrap();
     }
 
     #[test]

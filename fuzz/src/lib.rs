@@ -20,9 +20,8 @@
 //! * **A differential driver** ([`differential`]) generates random small
 //!   [`prestage_sim::ExperimentSpec`]s and asserts the repo's core
 //!   equivalences as executable properties: live == replay == shard/merge
-//!   byte-identical artifacts, all six mechanisms bit-identical when the
-//!   pre-buffer is disabled by config, and schema-1/2 spec files
-//!   upgrading to identical canonical schema-3 JSON.
+//!   byte-identical artifacts, and all six mechanisms bit-identical when
+//!   the pre-buffer is disabled by config.
 //!
 //! Crashers found during development are checked in under
 //! `fuzz/regressions/<target>/` and replayed by `fuzz/tests/` as named

@@ -185,8 +185,8 @@ fn json_target(data: &[u8]) -> Result<Outcome, String> {
     }
 }
 
-/// The `ExperimentSpec` codec: strict schema-aware parse; accepted specs
-/// must survive the canonical (schema-3) round trip, and `validate()`
+/// The `ExperimentSpec` codec: strict schema-4 parse; accepted specs
+/// must survive the canonical round trip, and `validate()`
 /// must return — never panic — on whatever parsed.
 fn spec_target(data: &[u8]) -> Result<Outcome, String> {
     let Ok(text) = std::str::from_utf8(data) else {

@@ -102,8 +102,8 @@ fn bounded_campaign_is_deterministic_and_clean() {
 }
 
 /// A small differential run (the full 100-spec sweep is `prestage fuzz`'s
-/// job): live == shard/merge == replay, six-way disabled-prefetch
-/// equality, and schema-1/2 upgrade identity, on a handful of random specs.
+/// job): live == shard/merge == replay and six-way disabled-prefetch
+/// equality, on a handful of random specs.
 #[test]
 fn differential_properties_hold_on_sampled_specs() {
     let report = prestage_fuzz::differential::run_differential(4, 0xD1FF, |_| {});

@@ -49,8 +49,10 @@
 use prestage_bench::figures::{self, Figure};
 use prestage_bench::report;
 use prestage_serve::{Dispatch, Request, Response, ServeConfig};
-use prestage_sim::spec::{grid_output, run_spec_cells, ShardFile, TraceSource};
-use prestage_sim::{pool_map, try_run_spec, CellGrid, ConfigPreset, ExperimentSpec, GridResult};
+use prestage_sim::spec::{grid_output, ShardFile, TraceSource};
+use prestage_sim::{
+    pool_map, try_run_spec, CellGrid, ConfigPreset, ExperimentSpec, GridResult, Sweep,
+};
 use prestage_workload::{build, open_trace, record_trace, specint2000, DEFAULT_CHUNK_INSTS};
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
@@ -181,7 +183,9 @@ fn cmd_shard(mut args: Vec<String>) {
     let (start, end) = parse_range(&range_arg, grid.n_cells());
     let cells = grid.cells();
     let t0 = std::time::Instant::now();
-    let results = run_spec_cells(&spec, &cells[start..end]).unwrap_or_else(|e| fail(&e));
+    let results = Sweep::new(&spec, &cells[start..end])
+        .run()
+        .unwrap_or_else(|e| fail(&e));
     eprintln!(
         "  shard {start}..{end}: ran {} of {} cells in {:.2}s",
         end - start,
@@ -477,7 +481,7 @@ fn cmd_fuzz(mut args: Vec<String>) {
         }
     });
     eprintln!(
-        "  differential: {} spec(s) live==shard==replay + schema upgrade, \
+        "  differential: {} spec(s) live==shard==replay, \
          {} disabled-prefetch six-way check(s), {} failure(s)",
         diff.specs,
         diff.mechanism_checks,

@@ -3,32 +3,47 @@
 //! quantitative sweeps.)
 
 use fetch_prestaging::prelude::*;
-use fetch_prestaging::sim::run_config_over;
-use prestage_workload::{build, specint2000, Workload};
+use fetch_prestaging::sim::GridResult;
 
 /// A reduced benchmark set that exercises both big-code and loop-heavy
 /// behaviour without making the test suite slow.
-fn quick_workloads() -> Vec<Workload> {
-    specint2000()
-        .into_iter()
-        .filter(|p| ["gcc", "vortex", "gzip", "twolf"].contains(&p.name))
-        .map(|p| build(&p, 42))
-        .collect()
+const QUICK: [&str; 4] = ["gzip", "gcc", "vortex", "twolf"];
+
+/// Run lengths (warm-up, measured) of the claim checks.
+const INSTS: (u64, u64) = (30_000, 100_000);
+
+/// One (preset, L1 size) row over the quick benchmark set.
+fn row(
+    preset: ConfigPreset,
+    tech: TechNode,
+    l1: usize,
+    (warmup_insts, measure_insts): (u64, u64),
+    exec_seed: u64,
+) -> GridResult {
+    let spec = ExperimentSpec {
+        presets: vec![preset],
+        tech,
+        l1_sizes: vec![l1],
+        bench: Some(QUICK.map(String::from).to_vec()),
+        warmup_insts,
+        measure_insts,
+        exec_seed,
+        ..ExperimentSpec::default()
+    };
+    try_run_spec(&spec).unwrap().remove(0).remove(0)
 }
 
-fn hmean(preset: ConfigPreset, tech: TechNode, l1: usize, w: &[Workload]) -> f64 {
-    let cfg = SimConfig::preset(preset, tech, l1).with_insts(30_000, 100_000);
-    run_config_over(cfg, w, 7).hmean_ipc()
+fn hmean(preset: ConfigPreset, tech: TechNode, l1: usize) -> f64 {
+    row(preset, tech, l1, INSTS, 7).hmean_ipc()
 }
 
 #[test]
 fn clgp_beats_fdp_beats_baseline_at_small_caches() {
-    let w = quick_workloads();
     let tech = TechNode::T045;
     let l1 = 4 << 10;
-    let base = hmean(ConfigPreset::BaseL0, tech, l1, &w);
-    let fdp = hmean(ConfigPreset::FdpL0, tech, l1, &w);
-    let clgp = hmean(ConfigPreset::ClgpL0, tech, l1, &w);
+    let base = hmean(ConfigPreset::BaseL0, tech, l1);
+    let fdp = hmean(ConfigPreset::FdpL0, tech, l1);
+    let clgp = hmean(ConfigPreset::ClgpL0, tech, l1);
     assert!(fdp > base, "FDP {fdp:.3} <= base {base:.3}");
     assert!(clgp > fdp, "CLGP {clgp:.3} <= FDP {fdp:.3}");
 }
@@ -38,12 +53,11 @@ fn clgp_is_insensitive_to_l1_size() {
     // §5.1: "CLGP almost saturates its performance at very small L1 cache
     // sizes" — the 256B-to-64KB spread must be small relative to the
     // baseline's.
-    let w = quick_workloads();
     let tech = TechNode::T045;
-    let clgp_small = hmean(ConfigPreset::ClgpL0, tech, 1 << 10, &w);
-    let clgp_large = hmean(ConfigPreset::ClgpL0, tech, 64 << 10, &w);
-    let ideal_small = hmean(ConfigPreset::Ideal, tech, 1 << 10, &w);
-    let ideal_large = hmean(ConfigPreset::Ideal, tech, 64 << 10, &w);
+    let clgp_small = hmean(ConfigPreset::ClgpL0, tech, 1 << 10);
+    let clgp_large = hmean(ConfigPreset::ClgpL0, tech, 64 << 10);
+    let ideal_small = hmean(ConfigPreset::Ideal, tech, 1 << 10);
+    let ideal_large = hmean(ConfigPreset::Ideal, tech, 64 << 10);
     let clgp_spread = clgp_large / clgp_small - 1.0;
     let ideal_spread = ideal_large / ideal_small - 1.0;
     assert!(
@@ -61,10 +75,7 @@ fn clgp_is_insensitive_to_l1_size() {
 fn clgp_fetches_dominantly_from_prestage_buffer() {
     // §5.2: "The percentage of fetches that are served by the 4-entry
     // pre-buffer is always over 86%" (88% avg; 95% one-cycle with L0).
-    let w = quick_workloads();
-    let cfg = SimConfig::preset(ConfigPreset::Clgp, TechNode::T045, 8 << 10)
-        .with_insts(30_000, 100_000);
-    let r = run_config_over(cfg, &w, 7);
+    let r = row(ConfigPreset::Clgp, TechNode::T045, 8 << 10, INSTS, 7);
     for (name, s) in &r.per_bench {
         let share = s.front.fetch_share(s.front.fetch_pb);
         assert!(
@@ -80,11 +91,8 @@ fn fdp_degenerates_to_the_l1_as_it_grows() {
     // §5.2 / Figure 7(a): "With a 32 KB I-cache, more than 94% of the FDP
     // fetches comes from L1" — the filter stops prefetching what the L1
     // already holds, so FDP inherits the multi-cycle hit.
-    let w = quick_workloads();
     let share_at = |l1: usize| {
-        let cfg = SimConfig::preset(ConfigPreset::Fdp, TechNode::T045, l1)
-            .with_insts(30_000, 100_000);
-        let r = run_config_over(cfg, &w, 7);
+        let r = row(ConfigPreset::Fdp, TechNode::T045, l1, INSTS, 7);
         r.per_bench
             .iter()
             .map(|(_, s)| s.front.fetch_share(s.front.fetch_l1))
@@ -102,26 +110,24 @@ fn fdp_degenerates_to_the_l1_as_it_grows() {
 
 #[test]
 fn pipelining_helps_the_baseline_but_costs_redirect_depth() {
-    let w = quick_workloads();
     let tech = TechNode::T045;
     // At large sizes, pipelining the multi-cycle L1 must beat blocking it.
-    let plain = hmean(ConfigPreset::Base, tech, 64 << 10, &w);
-    let piped = hmean(ConfigPreset::BasePipelined, tech, 64 << 10, &w);
+    let plain = hmean(ConfigPreset::Base, tech, 64 << 10);
+    let piped = hmean(ConfigPreset::BasePipelined, tech, 64 << 10);
     assert!(piped > plain, "pipelined {piped:.3} <= blocking {plain:.3}");
     // And the ideal one-cycle cache still beats pipelining (the extra
     // stages cost misprediction penalty).
-    let ideal = hmean(ConfigPreset::Ideal, tech, 64 << 10, &w);
+    let ideal = hmean(ConfigPreset::Ideal, tech, 64 << 10);
     assert!(ideal >= piped, "ideal {ideal:.3} < pipelined {piped:.3}");
 }
 
 #[test]
 fn technology_scaling_hurts_base_more_than_clgp() {
     // §1/§6: the CLGP advantage grows as the node shrinks.
-    let w = quick_workloads();
     let l1 = 8 << 10;
     let gain_at = |tech| {
-        let base = hmean(ConfigPreset::BaseL0, tech, l1, &w);
-        let clgp = hmean(ConfigPreset::ClgpL0, tech, l1, &w);
+        let base = hmean(ConfigPreset::BaseL0, tech, l1);
+        let clgp = hmean(ConfigPreset::ClgpL0, tech, l1);
         clgp / base
     };
     let gain_090 = gain_at(TechNode::T090);
@@ -134,11 +140,16 @@ fn technology_scaling_hurts_base_more_than_clgp() {
 
 #[test]
 fn deterministic_end_to_end() {
-    let w = quick_workloads();
-    let cfg = SimConfig::preset(ConfigPreset::ClgpL0Pb16, TechNode::T090, 2 << 10)
-        .with_insts(10_000, 50_000);
-    let a = run_config_over(cfg, &w, 9);
-    let b = run_config_over(cfg, &w, 9);
+    let run = || {
+        row(
+            ConfigPreset::ClgpL0Pb16,
+            TechNode::T090,
+            2 << 10,
+            (10_000, 50_000),
+            9,
+        )
+    };
+    let (a, b) = (run(), run());
     for ((n1, s1), (n2, s2)) in a.per_bench.iter().zip(&b.per_bench) {
         assert_eq!(n1, n2);
         assert_eq!(s1.cycles, s2.cycles);

@@ -1,10 +1,10 @@
-//! Properties of the flat cell-addressed sweep runner: the cell ↔ grid
+//! Properties of the flat cell-addressed `Sweep`: the cell ↔ grid
 //! position mapping is a bijection, and cell evaluation is bit-exact under
 //! any thread count and any cell order — the invariant that makes the grid
-//! shardable across threads today and processes later.
+//! shardable across threads and processes.
 
 use fetch_prestaging::prelude::*;
-use fetch_prestaging::sim::{run_cells_with_threads, CellResult};
+use fetch_prestaging::sim::{CellResult, GridResult};
 use prestage_workload::Workload;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -12,6 +12,59 @@ use rand::{Rng, SeedableRng};
 
 fn tiny_workloads(n: usize) -> Vec<Workload> {
     prestage_workload::specint_mini(n, 5)
+}
+
+/// A spec over exactly the benchmarks of `workloads`, at the T045 node.
+fn spec_over(
+    workloads: &[Workload],
+    presets: Vec<ConfigPreset>,
+    l1_sizes: Vec<usize>,
+    exec_seed: u64,
+    (warmup_insts, measure_insts): (u64, u64),
+) -> ExperimentSpec {
+    ExperimentSpec {
+        presets,
+        tech: TechNode::T045,
+        l1_sizes,
+        bench: Some(
+            workloads
+                .iter()
+                .map(|w| w.profile.name.to_string())
+                .collect(),
+        ),
+        warmup_insts,
+        measure_insts,
+        exec_seed,
+        ..ExperimentSpec::default()
+    }
+}
+
+/// `cells` of `spec` over the pre-built `workloads` on `threads` workers.
+fn sweep(
+    spec: &ExperimentSpec,
+    cells: &[SweepCell],
+    workloads: &[Workload],
+    threads: usize,
+) -> Vec<CellResult> {
+    let spec = ExperimentSpec {
+        threads: Some(threads),
+        ..spec.clone()
+    };
+    Sweep {
+        workloads: Some(workloads),
+        ..Sweep::new(&spec, cells)
+    }
+    .run()
+    .unwrap()
+}
+
+fn merge(
+    grid: &CellGrid,
+    results: Vec<CellResult>,
+    workloads: &[Workload],
+) -> Vec<Vec<GridResult>> {
+    let names: Vec<&str> = workloads.iter().map(|w| w.profile.name).collect();
+    grid.merge_named(results, &names)
 }
 
 fn fisher_yates<T>(items: &mut [T], seed: u64) {
@@ -70,25 +123,25 @@ proptest! {
 }
 
 #[test]
-fn run_cells_is_invariant_under_thread_count_and_shuffle() {
+fn sweep_is_invariant_under_thread_count_and_shuffle() {
     let workloads = tiny_workloads(2);
-    let grid = CellGrid::new(
+    let spec = spec_over(
+        &workloads,
         vec![ConfigPreset::BaseL0, ConfigPreset::ClgpL0],
-        TechNode::T045,
         vec![1 << 10, 4 << 10],
-        workloads.len(),
         7,
+        (1_000, 5_000),
     );
+    let grid = CellGrid::from_spec(&spec).unwrap();
     let cells = grid.cells();
-    let configure = |c: &SweepCell| c.config().with_insts(1_000, 5_000);
 
     // Serial reference: one thread, flat order.
-    let reference = run_cells_with_threads(&cells, &workloads, configure, 1);
+    let reference = sweep(&spec, &cells, &workloads, 1);
 
     // Every thread count gives bit-exact results in the same order.
     let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     for threads in [1, 2, avail, avail + 3] {
-        let got = run_cells_with_threads(&cells, &workloads, configure, threads);
+        let got = sweep(&spec, &cells, &workloads, threads);
         assert_eq!(got.len(), reference.len());
         for (a, b) in got.iter().zip(&reference) {
             assert_stats_eq(a, b, &format!("threads={threads}"));
@@ -96,12 +149,12 @@ fn run_cells_is_invariant_under_thread_count_and_shuffle() {
     }
 
     // Any shuffle of the work list merges back to the same ordered grid.
-    let reference_grid = grid.merge(reference, &workloads);
+    let reference_grid = merge(&grid, reference, &workloads);
     for shuffle_seed in [1u64, 2, 3] {
         let mut shuffled = cells.clone();
         fisher_yates(&mut shuffled, shuffle_seed);
-        let results = run_cells_with_threads(&shuffled, &workloads, configure, 2);
-        let merged = grid.merge(results, &workloads);
+        let results = sweep(&spec, &shuffled, &workloads, 2);
+        let merged = merge(&grid, results, &workloads);
         for (row_a, row_b) in merged.iter().zip(&reference_grid) {
             for (a, b) in row_a.iter().zip(row_b) {
                 for ((n1, s1), (n2, s2)) in a.per_bench.iter().zip(&b.per_bench) {
@@ -116,9 +169,9 @@ fn run_cells_is_invariant_under_thread_count_and_shuffle() {
     // Sharding: splitting the work list and merging the shard unions is the
     // same grid (the ROADMAP's multi-process scheme in miniature).
     let (left, right) = cells.split_at(cells.len() / 2);
-    let mut shards = run_cells_with_threads(left, &workloads, configure, 2);
-    shards.extend(run_cells_with_threads(right, &workloads, configure, 2));
-    let merged = grid.merge(shards, &workloads);
+    let mut shards = sweep(&spec, left, &workloads, 2);
+    shards.extend(sweep(&spec, right, &workloads, 2));
+    let merged = merge(&grid, shards, &workloads);
     for (row_a, row_b) in merged.iter().zip(&reference_grid) {
         for (a, b) in row_a.iter().zip(row_b) {
             for ((_, s1), (_, s2)) in a.per_bench.iter().zip(&b.per_bench) {
@@ -135,30 +188,33 @@ fn mechanism_axis_is_bit_exact_under_threads_and_sharding() {
     // evaluation is bit-exact under any thread count, and a sharded run
     // merges to exactly the whole-grid result.
     let workloads = tiny_workloads(2);
-    let grid = CellGrid::new(
+    let base = spec_over(
+        &workloads,
         vec![ConfigPreset::Base, ConfigPreset::FdpL0],
-        TechNode::T045,
         vec![1 << 10, 4 << 10],
-        workloads.len(),
         7,
+        (1_000, 5_000),
     );
+    let grid = CellGrid::from_spec(&base).unwrap();
     let cells = grid.cells();
     for kind in PrefetcherKind::all() {
-        let configure =
-            |c: &SweepCell| c.config().with_insts(1_000, 5_000).with_prefetcher(kind);
-        let reference = run_cells_with_threads(&cells, &workloads, configure, 1);
+        let spec = ExperimentSpec {
+            prefetcher: Some(kind),
+            ..base.clone()
+        };
+        let reference = sweep(&spec, &cells, &workloads, 1);
         for threads in [2, 5] {
-            let got = run_cells_with_threads(&cells, &workloads, configure, threads);
+            let got = sweep(&spec, &cells, &workloads, threads);
             for (a, b) in got.iter().zip(&reference) {
                 assert_stats_eq(a, b, &format!("{kind:?} threads={threads}"));
             }
         }
         // Shard split + merge equals the single-pass grid.
         let (left, right) = cells.split_at(3);
-        let mut shards = run_cells_with_threads(left, &workloads, configure, 2);
-        shards.extend(run_cells_with_threads(right, &workloads, configure, 2));
-        let merged = grid.merge(shards, &workloads);
-        let whole = grid.merge(reference, &workloads);
+        let mut shards = sweep(&spec, left, &workloads, 2);
+        shards.extend(sweep(&spec, right, &workloads, 2));
+        let merged = merge(&grid, shards, &workloads);
+        let whole = merge(&grid, reference, &workloads);
         for (row_a, row_b) in merged.iter().zip(&whole) {
             for (a, b) in row_a.iter().zip(row_b) {
                 for ((n1, s1), (n2, s2)) in a.per_bench.iter().zip(&b.per_bench) {
@@ -187,18 +243,18 @@ fn whole_flattened_grid_matches_serial_engine_runs() {
     // not just one config row: every cell of the parallel flattened sweep
     // equals a fresh serial Engine run of that cell.
     let workloads = tiny_workloads(3);
-    let grid = CellGrid::new(
+    let spec = spec_over(
+        &workloads,
         vec![ConfigPreset::Base, ConfigPreset::Fdp, ConfigPreset::ClgpL0],
-        TechNode::T045,
         vec![512, 2 << 10],
-        workloads.len(),
         9,
+        (1_000, 5_000),
     );
-    let configure = |c: &SweepCell| c.config().with_insts(1_000, 5_000);
-    let results = run_cells_with_threads(&grid.cells(), &workloads, configure, 4);
+    let grid = CellGrid::from_spec(&spec).unwrap();
+    let results = sweep(&spec, &grid.cells(), &workloads, 4);
     for r in &results {
-        let serial = Engine::new(configure(&r.cell), &workloads[r.cell.bench_idx], r.cell.exec_seed)
-            .run();
+        let cfg = spec.sim_config(r.cell.preset, r.cell.l1);
+        let serial = Engine::new(cfg, &workloads[r.cell.bench_idx], r.cell.exec_seed).run();
         assert_eq!(r.stats.cycles, serial.cycles, "{:?}", r.cell);
         assert_eq!(r.stats.committed, serial.committed, "{:?}", r.cell);
         assert_eq!(r.stats.redirects, serial.redirects, "{:?}", r.cell);
@@ -213,23 +269,22 @@ fn whole_grid_wall_clock_smoke() {
     // (which would indicate the pool serialising on a lock). Not a
     // benchmark — the generous bound only catches catastrophe.
     let workloads = tiny_workloads(2);
-    let grid = CellGrid::new(
+    let spec = spec_over(
+        &workloads,
         vec![ConfigPreset::BasePipelined, ConfigPreset::ClgpL0],
-        TechNode::T045,
         vec![1 << 10, 4 << 10, 16 << 10],
-        workloads.len(),
         3,
+        (2_000, 20_000),
     );
-    let configure = |c: &SweepCell| c.config().with_insts(2_000, 20_000);
-    let cells = grid.cells();
+    let cells = CellGrid::from_spec(&spec).unwrap().cells();
 
     let t0 = std::time::Instant::now();
-    let serial = run_cells_with_threads(&cells, &workloads, configure, 1);
+    let serial = sweep(&spec, &cells, &workloads, 1);
     let serial_wall = t0.elapsed();
 
     let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
     let t0 = std::time::Instant::now();
-    let par = run_cells_with_threads(&cells, &workloads, configure, avail);
+    let par = sweep(&spec, &cells, &workloads, avail);
     let par_wall = t0.elapsed();
 
     eprintln!(

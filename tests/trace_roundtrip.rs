@@ -13,13 +13,11 @@
 //!   format *or* the trace generator is caught at review time.
 
 use prestage_sim::{
-    grid_output, try_run_spec, try_run_spec_over, ConfigPreset, ExperimentSpec, PrefetcherKind,
-    TraceSource,
+    grid_output, try_run_spec, ConfigPreset, ExperimentSpec, PrefetcherKind, TraceSource,
 };
-use prestage_sim::{run_cells_sourced, CellGrid};
 use prestage_workload::{
-    build, by_name, read_trace, record_trace, replay_file_trusted, specint2000, write_trace,
-    InstSource, TraceGenerator, TraceReader, TraceReplayer,
+    build, by_name, read_trace, record_trace, specint2000, write_trace, InstSource, TraceGenerator,
+    TraceReader, TraceReplayer,
 };
 use proptest::prelude::*;
 use std::io::{BufWriter, Cursor};
@@ -148,11 +146,12 @@ proptest! {
 }
 
 /// The mechanism axis of replay parity: for every `PrefetcherKind` —
-/// including the MANA and program-map mechanisms — a live run, a spec
-/// replay (the shared in-memory decode path), and an explicit streamed
-/// file replay (the over-budget fallback path) produce bit-identical
+/// including the MANA and program-map mechanisms — a live run and a spec
+/// replay (the shared in-memory decode path) produce bit-identical
 /// `GridResult`s, every counter of every cell.  One recording serves all
-/// mechanisms: the committed path is mechanism-independent.
+/// mechanisms: the committed path is mechanism-independent.  The streamed
+/// file replay (the over-budget fallback path) is checked for every
+/// mechanism beside the budget router in `crates/sim/src/spec.rs`.
 #[test]
 fn every_mechanism_replays_bit_identically_to_live() {
     let dir = TempDir::new("mech");
@@ -194,10 +193,10 @@ fn every_mechanism_replays_bit_identically_to_live() {
             prefetcher: Some(kind),
             ..replaying.clone()
         };
-        let live_rows = try_run_spec_over(&live, &workloads).unwrap();
+        let live_rows = try_run_spec(&live).unwrap();
         // Spec replay: the traces are small, so this exercises the shared
         // in-memory `SharedReplayer` path.
-        let shared_rows = try_run_spec_over(&shared, &workloads).unwrap();
+        let shared_rows = try_run_spec(&shared).unwrap();
         for (lr, rr) in live_rows.iter().flatten().zip(shared_rows.iter().flatten()) {
             assert_eq!(lr.per_bench, rr.per_bench, "{kind:?}: shared replay diverged");
         }
@@ -206,30 +205,14 @@ fn every_mechanism_replays_bit_identically_to_live() {
             grid_output(&shared, &shared_rows),
             "{kind:?}: replayed artifact bytes diverged"
         );
-        // Streamed replay, forced explicitly (the path a trace over the
-        // in-memory budget takes): one trusted file stream per cell.
-        let grid = CellGrid::from_spec(&shared).unwrap();
-        let results = run_cells_sourced(
-            &grid.cells(),
-            &workloads,
-            |c| shared.sim_config(c.preset, c.l1),
-            2,
-            shared.predictor,
-            |_c, _w| Box::new(replay_file_trusted(&path).unwrap()),
-        );
-        let streamed_rows = grid.merge(results, &workloads);
-        for (lr, rr) in live_rows.iter().flatten().zip(streamed_rows.iter().flatten()) {
-            assert_eq!(lr.per_bench, rr.per_bench, "{kind:?}: streamed replay diverged");
-        }
     }
 }
 
 /// Pool-width invariance of replay: at `threads` 1, 2 and 4 the replayed
-/// grid equals the live grid, both through the spec runner (whose parallel
-/// set-up loads these small traces onto the shared in-memory path) and
-/// through per-cell streamed file replay (the path a trace over the
-/// in-memory budget takes).  The spec router's own in-memory/streamed mix
-/// is covered beside it in `crates/sim/src/spec.rs`.
+/// grid equals the live grid through the spec runner, whose parallel
+/// set-up loads these small traces onto the shared in-memory path.  The
+/// streamed route and the router's in-memory/streamed mix are covered at
+/// the same widths beside the router in `crates/sim/src/spec.rs`.
 #[test]
 fn replayed_grids_equal_live_at_every_pool_width() {
     let dir = TempDir::new("widths");
@@ -264,7 +247,6 @@ fn replayed_grids_equal_live_at_every_pool_width() {
         .unwrap();
     }
     let want = grid_output(&live, &try_run_spec(&live).unwrap());
-    let grid = CellGrid::from_spec(&live).unwrap();
     for threads in [1, 2, 4] {
         let spec = ExperimentSpec {
             threads: Some(threads),
@@ -275,20 +257,6 @@ fn replayed_grids_equal_live_at_every_pool_width() {
             grid_output(&spec, &shared),
             want,
             "in-memory replay, {threads} threads"
-        );
-        let results = run_cells_sourced(
-            &grid.cells(),
-            &workloads,
-            |c| spec.sim_config(c.preset, c.l1),
-            threads,
-            spec.predictor,
-            |c, _w| Box::new(replay_file_trusted(&paths[c.bench_idx]).unwrap()),
-        );
-        let streamed = grid.merge(results, &workloads);
-        assert_eq!(
-            grid_output(&spec, &streamed),
-            want,
-            "streamed replay, {threads} threads"
         );
     }
 }

@@ -95,9 +95,9 @@ fn bench_tracegen(c: &mut Criterion) {
     });
 }
 
-/// Trace I/O hot paths: CRC-verified v2 read throughput (what every
-/// replayed sweep cell pays instead of live generation) and the one-time
-/// record cost.  The `trace/*` medians land in the CI perf artifact via
+/// Trace I/O hot paths: the verify-only set-up pass, CRC-verified v2 read
+/// throughput, both replay routes a sweep cell can take instead of live
+/// generation, and the one-time record cost.  The `trace/*` medians land in the CI perf artifact via
 /// the `CRITERION_MEDIANS_FILE` hook, next to `engine/*` and `bpred/*`.
 fn bench_trace_io(c: &mut Criterion) {
     use prestage_workload::{record_trace, InstSource, TraceReader, TraceReplayer};
@@ -123,8 +123,8 @@ fn bench_trace_io(c: &mut Criterion) {
         })
     });
 
-    // The sweep-cell fast path: structural decode only, CRCs already
-    // verified once by the spec runner.
+    // The same decode without recomputing chunk CRCs: the difference is
+    // the CRC's share.
     c.bench_function("trace/read_trusted_64k_insts", |b| {
         b.iter(|| {
             let mut n = 0u64;
@@ -136,7 +136,13 @@ fn bench_trace_io(c: &mut Criterion) {
         })
     });
 
-    // The full replay path: read + stream reassembly, as the engine sees it.
+    // The set-up pass for a trace one cell replays: every check, no decode.
+    c.bench_function("trace/verify_64k_insts", |b| {
+        b.iter(|| TraceReader::new(&bytes[..]).unwrap().verify().unwrap())
+    });
+
+    // A single-reader cell's replay path: read + CRC + decode + stream
+    // reassembly, as the engine sees it.
     c.bench_function("trace/replay_streams_64k", |b| {
         b.iter(|| {
             let mut replayer =
@@ -150,8 +156,8 @@ fn bench_trace_io(c: &mut Criterion) {
         })
     });
 
-    // The sweep-cell replay path: all cells of a benchmark share one
-    // decoded trace; per-cell cost is the slice scan + bulk copy.
+    // A shared trace's replay path: its cells share one decoded trace;
+    // per-cell cost is the slice scan + bulk copy.
     let decoded = std::sync::Arc::new(
         TraceReader::new(&bytes[..])
             .unwrap()
@@ -160,7 +166,7 @@ fn bench_trace_io(c: &mut Criterion) {
     );
     c.bench_function("trace/replay_shared_64k", |b| {
         b.iter(|| {
-            let mut replayer = prestage_workload::replay_shared(decoded.clone(), "bench");
+            let mut replayer = prestage_workload::SharedReplayer::new(decoded.clone(), "bench");
             let mut buf = Vec::new();
             let mut seen = 0u64;
             while seen + 64 < N {
@@ -168,6 +174,16 @@ fn bench_trace_io(c: &mut Criterion) {
             }
             seen
         })
+    });
+
+    // CRC-32 throughput over 1 MiB (the kernel on CLMUL hosts, the
+    // slice-by-8 tables elsewhere), and the tables alone.
+    let mib: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+    c.bench_function("trace/crc32_1mib", |b| {
+        b.iter(|| prestage_workload::trace_io::crc32(black_box(&mib)))
+    });
+    c.bench_function("trace/crc32_table_1mib", |b| {
+        b.iter(|| prestage_workload::trace_io::crc32_table(black_box(&mib)))
     });
 
     // One-time record cost (generation + encode + CRC).

@@ -53,8 +53,8 @@ pub fn size_label(bytes: usize) -> String {
     }
 }
 
-/// Append a record of measured headline values (consumed by EXPERIMENTS.md
-/// upkeep); returns the notes file's path.
+/// Append a record of measured headline values to `headline_notes.txt` in
+/// the results directory, next to the figure CSVs; returns its path.
 pub fn note_result(name: &str, text: &str) -> PathBuf {
     println!("[{name}] {text}");
     let dir = results_dir();

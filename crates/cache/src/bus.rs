@@ -378,10 +378,6 @@ impl L2System {
         self.l2.reset_stats();
     }
 
-    pub fn l2_stats(&self) -> &crate::array::CacheStats {
-        self.l2.stats()
-    }
-
     /// Outstanding request count (queued + in flight).
     pub fn outstanding(&self) -> usize {
         self.queue.len() + self.inflight.len()

@@ -38,11 +38,6 @@ impl ArrayPort {
         self.latency
     }
 
-    /// Whether the array is pipelined.
-    pub fn is_pipelined(&self) -> bool {
-        self.pipelined
-    }
-
     /// Number of pipeline stages this array contributes to the front-end:
     /// `latency` when pipelined, 1 otherwise (a non-pipelined array is a
     /// single long stage; it stalls instead of deepening the pipe).

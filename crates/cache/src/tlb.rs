@@ -103,11 +103,6 @@ impl TlbCheckpoint {
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
     }
-
-    /// Heap bytes held by this checkpoint (capacity accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * core::mem::size_of::<u64>()
-    }
 }
 
 /// Hit/miss counters for the i-TLB (advisory; not part of any artifact).

@@ -322,11 +322,6 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
         self.pf.state_bytes()
     }
 
-    /// i-TLB storage in bytes (0 when translation is free/unmodeled).
-    pub fn tlb_state_bytes(&self) -> usize {
-        self.tlb.as_ref().map_or(0, |t| t.state_bytes())
-    }
-
     /// i-TLB hit/miss counters, when a TLB is configured.
     pub fn tlb_stats(&self) -> Option<TlbStats> {
         self.tlb.as_ref().map(|t| *t.stats())

@@ -100,14 +100,6 @@ impl PrefetchView<'_> {
         }
     }
 
-    /// Side-effect-free i-TLB presence probe: `None` when translation is
-    /// unmodeled, else whether `line`'s page would hit.  A mechanism can
-    /// use this to *probe around* walks — skip (or deprioritize) candidate
-    /// lines whose translation is cold instead of paying `miss_cycles`.
-    pub fn tlb_probe(&self, line: Addr) -> Option<bool> {
-        self.tlb.as_ref().map(|t| t.probe(line))
-    }
-
     /// Allocate `line` in the pre-buffer and fill it by copying out of the
     /// L1 over the replicated-tag copy port (§3.1's "additional tag port"
     /// extended to data).  Caller has verified the pre-buffer exists, the

@@ -181,11 +181,6 @@ impl FetchQueue {
         self.n_blocks = 0;
         self.pf_cursor = 0;
     }
-
-    /// Sequence number of the newest queued block.
-    pub fn newest_seq(&self) -> Option<u64> {
-        self.lines.back().map(|s| s.block_seq)
-    }
 }
 
 #[cfg(test)]

@@ -515,10 +515,6 @@ impl BackEnd {
     pub fn warm_dcache(&mut self, addr: Addr) {
         self.dcache.fill(addr);
     }
-
-    pub fn dcache_stats(&self) -> &prestage_cache::CacheStats {
-        self.dcache.stats()
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use crate::engine::Engine;
 use crate::spec::{ExperimentSpec, ReplaySource, TRACE_INMEM_BUDGET_BYTES};
 use crate::stats::{harmonic_mean, SimStats};
 use prestage_cacti::TechNode;
-use prestage_workload::{replay_file_trusted, replay_shared, InstSource, TraceGenerator, Workload};
+use prestage_workload::{replay_file, InstSource, SharedReplayer, TraceGenerator, Workload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -308,8 +308,9 @@ impl<'a> Sweep<'a> {
     ///
     /// Each cell's committed path comes from the spec's source: a live
     /// generator seeded by the cell's exec seed, or a replay of the
-    /// benchmark's vetted trace — the shared in-memory decode, or a
-    /// per-cell stream of the file at constant memory.
+    /// benchmark's vetted trace — the shared in-memory decode when several
+    /// cells replay it, otherwise the cell's own stream of the file at
+    /// constant memory, CRC-checked chunk by chunk as it is consumed.
     ///
     /// # Panics
     /// If a cell indexes outside the spec's benchmarks on the live path,
@@ -391,13 +392,13 @@ impl<'a> Sweep<'a> {
                         cell.exec_seed, spec.exec_seed
                     );
                     match &sources[cell.bench_idx] {
-                        Some(ReplaySource::InMemory(records, path)) => {
-                            Box::new(replay_shared(records.clone(), path.display().to_string()))
-                        }
-                        // Trusted: set-up streamed these exact bytes
-                        // clean before the pool started.
+                        Some(ReplaySource::InMemory(records, path)) => Box::new(
+                            SharedReplayer::new(records.clone(), path.display().to_string()),
+                        ),
+                        // Set-up verified the file; this stream re-checks
+                        // each chunk CRC as the cell consumes it.
                         Some(ReplaySource::Streamed(path)) => {
-                            Box::new(replay_file_trusted(path).unwrap_or_else(|e| {
+                            Box::new(replay_file(path).unwrap_or_else(|e| {
                                 panic!("cannot replay {}: {e}", path.display())
                             }))
                         }

@@ -71,33 +71,39 @@ pub const SPEC_SCHEMA: u64 = 4;
 pub const TRACE_RECORD_SLACK: u64 = 16_384;
 
 /// Budget for holding *decoded* traces in memory during a replayed sweep.
-/// Traces are verified once per process either way; within the budget the
-/// verification pass also materialises the records, so every cell of a
-/// benchmark replays one shared in-memory decode (no per-cell I/O, decode
-/// or hashing).  Beyond it, cells fall back to streaming the file at
-/// constant memory — bit-exact either way, just slower per cell.
+/// Only a trace that two or more of the run's cells replay is decoded
+/// into memory: set-up verifies and decodes it in one pass, and each of
+/// its cells replays the shared decode with no I/O, decoding or hashing of
+/// its own.  A trace read by one cell is only verified at set-up (no
+/// records are built), and that cell streams it at constant memory,
+/// re-checking each chunk's CRC as it consumes it — a shared decode would
+/// be shared by no one.  A shared trace beyond the budget streams the same
+/// way in every cell.  Bit-exact on every route.
 ///
-/// The traces load in parallel on the set-up pool, but the budget is spent
-/// before that pool starts: in spec bench order, from the vetted headers'
-/// declared counts.  Which traces stay in memory therefore never depends
-/// on the pool width or on which load finishes first.
+/// The budget is spent before the set-up pool starts: in spec bench order,
+/// from the vetted headers' declared counts.  Which traces stay in memory
+/// therefore never depends on the pool width or on which load finishes
+/// first.
 pub const TRACE_INMEM_BUDGET_BYTES: u64 = 512 << 20;
 
 /// Rough single-core set-up costs on a 2-vCPU x86-64 host: building a
 /// workload takes about 200 ns per static instruction (gcc, the largest,
-/// 12–16 ms), vetting and decoding a trace a few ns per file byte.  They
-/// only order the set-up pool's tasks, largest first, so the longest task
-/// does not start last; results never depend on them.
+/// 12–16 ms); a verify-only trace pass about 0.35 ns per file byte and a
+/// verify-and-decode pass about 0.8 (`trace/verify_64k_insts` and
+/// `trace/read_64k_insts` in the substrate benches).
+/// They only order the set-up pool's tasks, largest first, so the longest
+/// task does not start last; results never depend on them.
 const BUILD_NS_PER_STATIC_INST: u64 = 200;
-const LOAD_NS_PER_TRACE_BYTE: u64 = 2;
+const VERIFY_PS_PER_TRACE_BYTE: u64 = 350;
+const DECODE_PS_PER_TRACE_BYTE: u64 = 800;
 
 /// One benchmark's vetted replay source.
 #[derive(Debug, Clone)]
 pub(crate) enum ReplaySource {
-    /// Decoded during verification; cells replay the shared `Arc`.
+    /// Verified and decoded at set-up; its cells replay the shared `Arc`.
     InMemory(Arc<Vec<DynInst>>, PathBuf),
-    /// Over the in-memory budget: cells stream the file (trusted — the
-    /// verification pass already proved these exact bytes clean).
+    /// Verified at set-up; each cell streams the file, re-checking every
+    /// chunk CRC as it consumes it.
     Streamed(PathBuf),
 }
 
@@ -108,7 +114,8 @@ struct VettedTrace {
     path: PathBuf,
     /// File length in bytes: caps the decode's up-front allocation.
     len: u64,
-    /// Decode into memory (within the budget) or stream per cell.
+    /// Decode into memory (shared by several cells, within the budget) or
+    /// stream per cell.
     in_memory: bool,
     /// Positioned at the first chunk.  Locked once, by the one set-up
     /// task that loads this trace.
@@ -116,9 +123,9 @@ struct VettedTrace {
 }
 
 impl VettedTrace {
-    /// The body pass: every chunk CRC, every record, trailing data.  A
-    /// trace routed in memory decodes straight into the vector its cells
-    /// will share.
+    /// The body pass: every chunk CRC, every record's encoding, trailing
+    /// data.  A trace routed in memory decodes straight into the vector its
+    /// cells will share; a streamed one is verified without decoding.
     fn load(&self) -> Result<ReplaySource, String> {
         let path = self.path.display();
         let mut reader = self
@@ -130,10 +137,18 @@ impl VettedTrace {
             let records = reader.read_all(self.len).map_err(corrupt)?;
             return Ok(ReplaySource::InMemory(Arc::new(records), self.path.clone()));
         }
-        if let Some(e) = reader.by_ref().find_map(|r| r.err()) {
-            return Err(corrupt(e));
-        }
+        reader.verify().map_err(corrupt)?;
         Ok(ReplaySource::Streamed(self.path.clone()))
+    }
+
+    /// This trace's share of the set-up pool, in ns.
+    fn cost_ns(&self) -> u64 {
+        let ps = if self.in_memory {
+            DECODE_PS_PER_TRACE_BYTE
+        } else {
+            VERIFY_PS_PER_TRACE_BYTE
+        };
+        self.len.saturating_mul(ps) / 1000
     }
 }
 
@@ -488,15 +503,13 @@ impl ExperimentSpec {
     /// budget on — the other eleven traces).
     ///
     /// Trace headers are vetted first, one after another in bench order,
-    /// and each trace is routed in memory or to streaming from its declared
-    /// count (see [`TRACE_INMEM_BUDGET_BYTES`]).  Then every workload build
-    /// and every trace body pass runs as one task on a pool of the spec's
-    /// width, largest first.  The first failure in bench order is the one
-    /// reported, whatever the width.
-    ///
-    /// Verification happens here, *once per process*; the sweep cells then
-    /// replay a shared in-memory decode or a trusted re-stream of the
-    /// proven bytes, never re-verifying per cell.
+    /// and each trace is routed in memory or to streaming from how many
+    /// cells replay it and its declared count (see
+    /// [`TRACE_INMEM_BUDGET_BYTES`]).  Then every workload build and every
+    /// trace body pass runs as one task on a pool of the spec's width,
+    /// largest first.  The first failure in bench order is the one
+    /// reported, whatever the width, so a corrupt trace fails the run
+    /// before any cell starts.
     fn set_up(&self, cells: &[SweepCell], build_workloads: bool) -> Result<SetUp, String> {
         self.set_up_within(cells, build_workloads, TRACE_INMEM_BUDGET_BYTES)
     }
@@ -515,14 +528,14 @@ impl ExperimentSpec {
         // traces before it still load: one of them may fail first.
         let mut bad_header = None;
         if let Some(paths) = &paths {
-            let mut used = vec![false; paths.len()];
+            let mut readers = vec![0usize; paths.len()];
             for c in cells {
-                if let Some(u) = used.get_mut(c.bench_idx) {
-                    *u = true;
+                if let Some(n) = readers.get_mut(c.bench_idx) {
+                    *n += 1;
                 }
             }
             for (bench_idx, (path, p)) in paths.iter().zip(&profiles).enumerate() {
-                if !used[bench_idx] {
+                if readers[bench_idx] == 0 {
                     continue;
                 }
                 let reader = match self.vet_trace(path, p.name) {
@@ -536,7 +549,7 @@ impl ExperimentSpec {
                     .header()
                     .count
                     .saturating_mul(std::mem::size_of::<DynInst>() as u64);
-                let in_memory = decoded_bytes <= budget;
+                let in_memory = readers[bench_idx] >= 2 && decoded_bytes <= budget;
                 if in_memory {
                     budget -= decoded_bytes;
                 }
@@ -559,11 +572,7 @@ impl ExperimentSpec {
         let costs: Vec<u64> = profiles[..n_builds]
             .iter()
             .map(|p| p.target_insts().saturating_mul(BUILD_NS_PER_STATIC_INST))
-            .chain(
-                vetted
-                    .iter()
-                    .map(|t| t.len.saturating_mul(LOAD_NS_PER_TRACE_BYTE)),
-            )
+            .chain(vetted.iter().map(VettedTrace::cost_ns))
             .collect();
         let outs = pool_map_largest_first(&costs, self.resolved_threads(), |k| {
             match k.checked_sub(n_builds) {
@@ -1863,32 +1872,81 @@ mod tests {
     }
 
     #[test]
-    fn set_up_routes_by_budget_and_replays_bit_exactly_at_any_width() {
+    fn set_up_routes_by_readers_and_budget_and_replays_bit_exactly_at_any_width() {
         let (replay, dir) = recorded_replay_spec("routing", &["gzip", "mcf", "twolf"]);
         let live = ExperimentSpec {
             trace: None,
             ..replay.clone()
         };
-        let cells = CellGrid::from_spec(&replay).unwrap().cells();
+        // gzip and mcf are replayed by all four of their cells, twolf by
+        // one.
+        let grid = CellGrid::from_spec(&replay).unwrap().cells();
+        let twolf = grid.iter().position(|c| c.bench_idx == 2).unwrap();
+        let cells: Vec<SweepCell> = grid
+            .iter()
+            .enumerate()
+            .filter(|&(i, c)| c.bench_idx != 2 || i == twolf)
+            .map(|(_, c)| *c)
+            .collect();
+        let readers = |b: usize| cells.iter().filter(|c| c.bench_idx == b).count();
+        assert_eq!((readers(0), readers(1), readers(2)), (4, 4, 1));
         let want = Sweep::new(&live, &cells).run().unwrap();
-        // Room for exactly one decode: the first trace in bench order stays
-        // in memory and the other two stream, for every pool width.
         let one = replay.trace_record_insts() * std::mem::size_of::<DynInst>() as u64;
-        for threads in [1, 2, 4] {
-            let spec = ExperimentSpec {
-                threads: Some(threads),
-                ..replay.clone()
-            };
-            let set_up = spec.set_up_within(&cells, true, one).unwrap();
-            let traces = set_up.traces.as_deref().unwrap();
-            assert!(matches!(traces[0], Some(ReplaySource::InMemory(..))));
-            assert!(traces[1..]
-                .iter()
-                .all(|t| matches!(t, Some(ReplaySource::Streamed(_)))));
-            let got = Sweep::new(&spec, &cells).run_within(one).unwrap();
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!((g.cell, &g.stats), (w.cell, &w.stats), "{threads} threads");
+        let in_memory = |t: &Option<ReplaySource>| matches!(t, Some(ReplaySource::InMemory(..)));
+        // (budget, which of gzip/mcf/twolf decode in memory): the
+        // single-reader trace always streams; with room for one decode,
+        // the second shared trace in bench order streams too.
+        for (budget, routes) in [
+            (TRACE_INMEM_BUDGET_BYTES, [true, true, false]),
+            (one, [true, false, false]),
+            (0, [false, false, false]),
+        ] {
+            for threads in [1, 2, 4] {
+                let spec = ExperimentSpec {
+                    threads: Some(threads),
+                    ..replay.clone()
+                };
+                let set_up = spec.set_up_within(&cells, true, budget).unwrap();
+                let traces = set_up.traces.as_deref().unwrap();
+                let got_routes: Vec<bool> = traces.iter().map(in_memory).collect();
+                assert_eq!(got_routes, routes, "budget {budget}, {threads} threads");
+                assert!(traces.iter().all(Option::is_some));
+                let got = Sweep::new(&spec, &cells).run_within(budget).unwrap();
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(
+                        (g.cell, &g.stats),
+                        (w.cell, &w.stats),
+                        "budget {budget}, {threads} threads"
+                    );
+                }
+            }
+        }
+        // Whatever the routes, the first corrupt trace in bench order is
+        // the one reported, before any cell runs.
+        let paths = replay.trace_paths().unwrap().unwrap();
+        let good: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+        for (broken, want) in [(&[0, 2][..], "gzip-w"), (&[1, 2], "mcf-w"), (&[2], "twolf-w")] {
+            for (i, bytes) in good.iter().enumerate() {
+                let mut bytes = bytes.clone();
+                if broken.contains(&i) {
+                    let at = bytes.len() - 10;
+                    bytes[at] ^= 0x40;
+                }
+                std::fs::write(&paths[i], bytes).unwrap();
+            }
+            for threads in [1, 4] {
+                let spec = ExperimentSpec {
+                    threads: Some(threads),
+                    ..replay.clone()
+                };
+                let Err(e) = Sweep::new(&spec, &cells).run_within(one) else {
+                    panic!("corrupt traces {broken:?} replayed clean")
+                };
+                assert!(
+                    e.contains(want) && e.contains("CRC mismatch"),
+                    "{threads} threads: {e}"
+                );
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1986,7 +2044,8 @@ mod tests {
     #[test]
     fn streamed_replay_equals_live_for_every_mechanism_at_any_width() {
         // Budget 0 forces every trace onto the per-cell file stream, the
-        // route a trace over the in-memory budget takes.  One recording
+        // route a single-reader trace, or one over the in-memory budget,
+        // takes.  One recording
         // serves all mechanisms: the committed path is
         // mechanism-independent.
         let (replay, dir) = recorded_replay_spec("streamed", &["gzip", "mcf", "twolf"]);

@@ -21,7 +21,6 @@ use prestage_isa::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Base address of the code image.
@@ -678,8 +677,9 @@ pub fn build(profile: &BenchmarkProfile, seed: u64) -> Workload {
     // Emission pass.
     let mut ra = RegAlloc::new(seed);
     let mut pb = ProgramBuilder::new();
-    // prestage: allow(nondeterministic-iteration, written by insert and drained by keyed remove(&b.start) in block order — never iterated, so the map order cannot reach the emitted program)
-    let mut control_by_start: HashMap<Addr, BlockControl> = HashMap::new();
+    // Per-block control in emission order.  Blocks are emitted in address
+    // order, so `finish`'s sort by start keeps this order.
+    let mut control = Vec::new();
     for (fi, f) in funcs.iter().enumerate() {
         // Block start addresses within the function.
         let mut starts = Vec::with_capacity(f.blocks.len());
@@ -770,7 +770,7 @@ pub fn build(profile: &BenchmarkProfile, seed: u64) -> Workload {
                     next: pc,
                 },
             };
-            control_by_start.insert(start, ctrl);
+            control.push((start, ctrl));
             pb.push(BasicBlock {
                 id: BlockId(u32::MAX),
                 start,
@@ -784,11 +784,19 @@ pub fn build(profile: &BenchmarkProfile, seed: u64) -> Workload {
         panic!("generated program for '{}' invalid: {e}", profile.name)
     });
 
-    // Align control to final BlockIds.
+    assert_eq!(control.len(), program.blocks().len(), "one control entry per block");
     let control = program
         .blocks()
         .iter()
-        .map(|b| control_by_start.remove(&b.start).unwrap_or_default())
+        .zip(control)
+        .map(|(b, (start, ctrl))| {
+            assert_eq!(
+                b.start, start,
+                "block {:?} of '{}' left emission order: starts at {:#x}, emitted at {start:#x}",
+                b.id, profile.name, b.start
+            );
+            ctrl
+        })
         .collect();
 
     Workload {

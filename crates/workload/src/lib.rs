@@ -39,7 +39,8 @@
 //!   CRC-checked v2 format with streaming [`TraceWriter`]/[`TraceReader`]
 //!   (v1 stays readable).
 //! * [`replay`] — [`InstSource`], the engine's stream abstraction, served
-//!   live by [`TraceGenerator`] or from disk by [`TraceReplayer`].
+//!   live by [`TraceGenerator`], streamed from disk by [`TraceReplayer`], or
+//!   from a decode shared by several cells by [`SharedReplayer`].
 
 pub mod bbv;
 pub mod codegen;
@@ -51,10 +52,7 @@ pub mod trace_io;
 pub use codegen::{build, BranchModel, MemModel, Workload};
 pub use exec::{DynInst, TraceGenerator};
 pub use profile::{by_name, specint2000, BenchmarkProfile};
-pub use replay::{
-    replay_file, replay_file_trusted, replay_shared, FileReplayer, InstSource, SharedReplayer,
-    TraceReplayer,
-};
+pub use replay::{replay_file, FileReplayer, InstSource, SharedReplayer, TraceReplayer};
 pub use trace_io::{
     open_trace, read_trace, record_trace, write_trace, TraceHeader, TraceMeta, TraceReader,
     TraceWriter, DEFAULT_CHUNK_INSTS,

@@ -3,10 +3,11 @@
 //! The engine consumes the committed path as *streams* (see [`crate::exec`])
 //! through one abstraction, [`InstSource`]: either the live
 //! [`TraceGenerator`] (generate the dynamic path on the fly, paying branch
-//! models, memory models and RNG per instruction in every sweep cell) or a
+//! models, memory models and RNG per instruction in every sweep cell), a
 //! [`TraceReplayer`] over a recorded trace (pay generation once per
 //! `(profile, seed)`, then stream the flat records back from disk at
-//! constant memory).
+//! constant memory), or a [`SharedReplayer`] over a trace decoded once into
+//! memory for several cells.
 //!
 //! Replay is **bit-exact**: a trace stores the flat [`DynInst`] sequence,
 //! and stream boundaries are a pure function of it — a stream ends at a
@@ -21,7 +22,7 @@ use crate::trace_io::{open_trace, TraceReader};
 use prestage_bpred::{StreamDesc, StreamEnd, MAX_STREAM_INSTS};
 use prestage_isa::OpClass;
 use std::fs::File;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Read};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -54,23 +55,25 @@ fn stream_end_of(inst: &DynInst) -> Option<StreamEnd> {
     }
 }
 
-/// Reassembles a flat record iterator (a [`TraceReader`], or anything else
-/// yielding `io::Result<DynInst>`) into the streams the engine fetches.
+/// Reassembles a trace's flat records into the streams the engine fetches,
+/// reading the trace at constant memory.  A v2 trace decodes each
+/// CRC-checked, validated chunk payload straight into the engine's stream
+/// buffer; a v1 trace goes record by record.
 #[derive(Debug)]
-pub struct TraceReplayer<I> {
-    records: I,
+pub struct TraceReplayer<R: Read> {
+    reader: TraceReader<R>,
     /// Where the records come from, for error messages.
     context: String,
     replayed: u64,
 }
 
 /// A replayer streaming straight off a trace file.
-pub type FileReplayer = TraceReplayer<TraceReader<BufReader<File>>>;
+pub type FileReplayer = TraceReplayer<BufReader<File>>;
 
-impl<I: Iterator<Item = io::Result<DynInst>>> TraceReplayer<I> {
-    pub fn new(records: I, context: impl Into<String>) -> Self {
+impl<R: Read> TraceReplayer<R> {
+    pub fn new(reader: TraceReader<R>, context: impl Into<String>) -> Self {
         TraceReplayer {
-            records,
+            reader,
             context: context.into(),
             replayed: 0,
         }
@@ -81,12 +84,21 @@ impl<I: Iterator<Item = io::Result<DynInst>>> TraceReplayer<I> {
         self.replayed
     }
 
+    #[inline]
     fn next_inst(&mut self) -> DynInst {
-        match self.records.next() {
-            Some(Ok(i)) => {
-                self.replayed += 1;
-                i
-            }
+        let inst = match self.reader.next_buffered() {
+            Some(i) => i,
+            None => self.next_chunk_inst(),
+        };
+        self.replayed += 1;
+        inst
+    }
+
+    /// The first record of the next chunk (or the next v1 record).
+    #[cold]
+    fn next_chunk_inst(&mut self) -> DynInst {
+        match self.reader.next() {
+            Some(Ok(i)) => i,
             Some(Err(e)) => panic!("replaying {}: {e}", self.context),
             None => panic!(
                 "trace {} exhausted after {} instructions — the engine needed more \
@@ -98,7 +110,7 @@ impl<I: Iterator<Item = io::Result<DynInst>>> TraceReplayer<I> {
     }
 }
 
-impl<I: Iterator<Item = io::Result<DynInst>>> InstSource for TraceReplayer<I> {
+impl<R: Read> InstSource for TraceReplayer<R> {
     fn next_stream(&mut self, out: &mut Vec<DynInst>) -> StreamDesc {
         out.clear();
         loop {
@@ -129,32 +141,21 @@ impl<I: Iterator<Item = io::Result<DynInst>>> InstSource for TraceReplayer<I> {
 }
 
 /// Open `path` for streaming replay.  Each caller gets an independent
-/// reader, so any number of sweep cells can replay the same file
-/// concurrently at constant memory apiece (the OS page cache makes the
-/// shared bytes cheap).
+/// reader that CRC-checks every chunk as it consumes it, so a sweep cell
+/// replaying a trace no other cell reads verifies each byte it uses, at
+/// constant memory.
 pub fn replay_file(path: &Path) -> io::Result<FileReplayer> {
     let reader = open_trace(path)?;
     Ok(TraceReplayer::new(reader, path.display().to_string()))
 }
 
-/// [`replay_file`] without per-chunk payload-CRC recomputation — for
-/// callers that already verified the file end-to-end this process (the
-/// spec runner vets every trace once before fanning out; see
-/// [`TraceReader::trusted`]).
-pub fn replay_file_trusted(path: &Path) -> io::Result<FileReplayer> {
-    let f = std::fs::File::open(path).map_err(|e| {
-        io::Error::new(e.kind(), format!("open trace {}: {e}", path.display()))
-    })?;
-    let reader = TraceReader::trusted(BufReader::new(f))?;
-    Ok(TraceReplayer::new(reader, path.display().to_string()))
-}
-
-/// Replayer over an in-memory decoded trace shared across sweep cells:
-/// the sweep runner decodes (and CRC-verifies) each trace once per
-/// process, then every cell replays the shared `Arc`.  Streams come
+/// Replayer over an in-memory decoded trace: the sweep set-up decodes
+/// (and CRC-checks) a trace that two or more cells replay once per
+/// process, then every such cell replays the shared `Arc`.  Streams come
 /// straight off the slice — the terminator scan plus one bulk
-/// `extend_from_slice` per stream, no per-record `Result` plumbing — so
-/// the per-cell replay cost is a small fraction of live generation.
+/// `extend_from_slice` per stream — which makes it the cheapest source per
+/// instruction once the decode is paid; the layer benchmarks drive it
+/// directly.
 #[derive(Debug)]
 pub struct SharedReplayer {
     records: Arc<Vec<DynInst>>,
@@ -210,11 +211,6 @@ impl InstSource for SharedReplayer {
             end,
         }
     }
-}
-
-/// A replayer over an in-memory decoded trace (see [`SharedReplayer`]).
-pub fn replay_shared(records: Arc<Vec<DynInst>>, context: impl Into<String>) -> SharedReplayer {
-    SharedReplayer::new(records, context)
 }
 
 #[cfg(test)]

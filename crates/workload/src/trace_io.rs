@@ -68,8 +68,8 @@ const MIN_REC_BYTES: usize = 24;
 const MAX_REC_BYTES: usize = 32;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), slice-by-8 so chunk
-// verification stays far off the replay critical path.
+// CRC-32 (IEEE 802.3, the zlib/PNG polynomial): a PCLMULQDQ folding kernel
+// where the CPU has one, slice-by-8 everywhere else and as the oracle.
 // ---------------------------------------------------------------------------
 
 const fn crc_tables() -> [[u32; 256]; 8] {
@@ -100,11 +100,9 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC-32 of `data` (IEEE; `crc32(b"123456789") == 0xCBF4_3926`).  Public
-/// so conformance tests and external tools can re-derive section CRCs.
-pub fn crc32(data: &[u8]) -> u32 {
+/// Advance the raw (un-inverted) CRC register over `data`, slice-by-8.
+fn crc_update_table(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = !0u32;
     let mut rest = data;
     while rest.len() >= 8 {
         let one = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) ^ crc;
@@ -122,7 +120,135 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in rest {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// CRC-32 of `data` by the portable slice-by-8 tables: the path every host
+/// can take, and the oracle the CLMUL kernel is tested against.
+pub fn crc32_table(data: &[u8]) -> u32 {
+    !crc_update_table(!0, data)
+}
+
+/// CRC-32 of `data` (IEEE; `crc32(b"123456789") == 0xCBF4_3926`).  Public
+/// so conformance tests and external tools can re-derive section CRCs.
+///
+/// On x86-64 hosts with PCLMULQDQ (detected once, at run time) inputs of
+/// 64 bytes or more fold 64 bytes per step with carry-less multiplies;
+/// everything else takes [`crc32_table`].  Both compute the same function.
+pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = clmul::crc32(data) {
+        return crc;
+    }
+    crc32_table(data)
+}
+
+/// The carry-less-multiply CRC-32 kernel (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction", Intel
+/// 2009), in the bit-reflected form the IEEE polynomial uses: fold four
+/// 128-bit lanes 64 bytes at a time, fold the lanes into one, reduce 128
+/// bits to 64, then Barrett-reduce to the 32-bit remainder.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Folding constants, each `x^k mod P(x)` bit-reflected and shifted
+    /// left by one: `K1`/`K2` fold across four lanes (k = 4·128 ± 32),
+    /// `K3`/`K4` across one (k = 128 ± 32), `K5` reduces 96 bits to 64
+    /// (k = 64).  `P_X` is the reflected polynomial, `MU` its Barrett
+    /// quotient `floor(x^64 / P(x))`, reflected.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    const P_X: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Below this the set-up of the fold costs more than the tables.
+    const MIN_LEN: usize = 64;
+
+    /// The CLMUL CRC-32 of `data`, or `None` when the input is short or
+    /// the CPU lacks PCLMULQDQ/SSE4.1 (the caller then uses the tables).
+    pub(super) fn crc32(data: &[u8]) -> Option<u32> {
+        if data.len() < MIN_LEN
+            || !is_x86_feature_detected!("pclmulqdq")
+            || !is_x86_feature_detected!("sse4.1")
+        {
+            return None;
+        }
+        // SAFETY: `fold` only requires the target features it enables,
+        // and both were detected on this CPU just above; its memory
+        // accesses are bounds-checked slices of `data`.
+        Some(!unsafe { fold(!0, data) })
+    }
+
+    /// One unaligned 16-byte lane of `data` at `at` (bounds-checked).
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn lane(data: &[u8], at: usize) -> __m128i {
+        let bytes = &data[at..at + 16];
+        // SAFETY: the index above guarantees 16 readable bytes; the load
+        // has no alignment requirement.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    /// `a` carried forward over one fold distance (`keys`), xored into `b`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    fn fold_into(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(a, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(a, keys);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// Advance the raw (un-inverted) CRC register `crc` over `data`
+    /// (`data.len() >= 64`); the sub-16-byte tail goes through the tables.
+    #[target_feature(enable = "pclmulqdq,sse2,sse4.1")]
+    fn fold(crc: u32, data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= MIN_LEN);
+        let mut x3 = _mm_xor_si128(lane(data, 0), _mm_cvtsi32_si128(crc.cast_signed()));
+        let mut x2 = lane(data, 16);
+        let mut x1 = lane(data, 32);
+        let mut x0 = lane(data, 48);
+        let mut at = 64;
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while data.len() - at >= 64 {
+            x3 = fold_into(x3, lane(data, at), k1k2);
+            x2 = fold_into(x2, lane(data, at + 16), k1k2);
+            x1 = fold_into(x1, lane(data, at + 32), k1k2);
+            x0 = fold_into(x0, lane(data, at + 48), k1k2);
+            at += 64;
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(x3, x2, k3k4);
+        x = fold_into(x, x1, k3k4);
+        x = fold_into(x, x0, k3k4);
+        while data.len() - at >= 16 {
+            x = fold_into(x, lane(data, at), k3k4);
+            at += 16;
+        }
+        // 128 -> 96 -> 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+            _mm_srli_si128::<8>(x),
+        );
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett reduction, 64 -> 32 bits (reflected: the remainder sits
+        // in the upper half).
+        let pu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pu);
+        let reg = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)).cast_unsigned();
+        super::crc_update_table(reg, &data[at..])
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -144,21 +270,19 @@ fn op_to_u8(op: OpClass) -> u8 {
     }
 }
 
-fn op_from_u8(x: u8) -> Result<OpClass, String> {
-    Ok(match x {
-        0 => OpClass::IntAlu,
-        1 => OpClass::IntMul,
-        2 => OpClass::FpAlu,
-        3 => OpClass::FpMul,
-        4 => OpClass::Load,
-        5 => OpClass::Store,
-        6 => OpClass::CondBranch,
-        7 => OpClass::Jump,
-        8 => OpClass::Call,
-        9 => OpClass::Return,
-        other => return Err(format!("bad opclass byte {other}")),
-    })
-}
+/// Opclasses by their wire byte: the inverse of [`op_to_u8`].
+const OPCLASSES: [OpClass; 10] = [
+    OpClass::IntAlu,
+    OpClass::IntMul,
+    OpClass::FpAlu,
+    OpClass::FpMul,
+    OpClass::Load,
+    OpClass::Store,
+    OpClass::CondBranch,
+    OpClass::Jump,
+    OpClass::Call,
+    OpClass::Return,
+];
 
 fn encode_inst(out: &mut Vec<u8>, i: &DynInst) {
     out.extend_from_slice(&i.pc.to_le_bytes());
@@ -173,44 +297,85 @@ fn encode_inst(out: &mut Vec<u8>, i: &DynInst) {
     }
 }
 
-/// Decode one record from `buf` at `*pos`, advancing `*pos`.  String errors
-/// name the failing part; the caller adds file-level context (chunk/record
-/// indices).
-///
-/// This is the replay hot path: the happy case does one bounds check for
-/// the 24-byte fixed part (and one more for an optional memory address);
-/// the named per-field diagnosis only runs once something already failed.
-fn decode_inst(buf: &[u8], pos: &mut usize) -> Result<DynInst, String> {
-    let p = *pos;
-    let Some(head) = buf.get(p..p + MIN_REC_BYTES) else {
-        return Err(diagnose_short_record(buf.len() - p.min(buf.len())));
+/// Check that `rest` opens with one well-formed record and return its
+/// encoded length: the whole fixed part, a known opclass byte, no unknown
+/// flag bits, and the memory address the flags promise.  String errors
+/// name the failing field; the caller adds file-level context.
+fn check_record(rest: &[u8]) -> Result<usize, String> {
+    let Some(head) = rest.get(..MIN_REC_BYTES) else {
+        return Err(diagnose_short_record(rest.len()));
     };
-    let le_u64 =
-        |s: &[u8]| u64::from_le_bytes(<[u8; 8]>::try_from(s).expect("8 bytes"));
-    let op = op_from_u8(head[8])?;
+    if usize::from(head[8]) >= OPCLASSES.len() {
+        return Err(format!("bad opclass byte {}", head[8]));
+    }
     let flags = head[15];
     if flags & !3 != 0 {
         return Err(format!("bad flags byte {flags:#04x}"));
     }
-    let mem_addr = if flags & 2 != 0 {
-        let Some(m) = buf.get(p + MIN_REC_BYTES..p + MAX_REC_BYTES) else {
-            return Err("payload ends inside memory address".into());
-        };
-        *pos = p + MAX_REC_BYTES;
-        Some(le_u64(m))
-    } else {
-        *pos = p + MIN_REC_BYTES;
-        None
+    let len = if flags & 2 != 0 { MAX_REC_BYTES } else { MIN_REC_BYTES };
+    if rest.len() < len {
+        return Err("payload ends inside memory address".into());
+    }
+    Ok(len)
+}
+
+/// Check that a chunk payload holds exactly `n` well-formed records and
+/// nothing after them, building none: the validation half of a chunk
+/// decode, and all of the verify-only pass.
+fn check_payload(payload: &[u8], n: u32, chunk: u64) -> io::Result<()> {
+    let mut pos = 0usize;
+    for j in 0..n {
+        pos += check_record(&payload[pos..])
+            .map_err(|e| invalid(format!("chunk {chunk} record {j}: {e}")))?;
+    }
+    if pos != payload.len() {
+        return Err(invalid(format!(
+            "chunk {chunk} payload has {} trailing bytes after its {n} records",
+            payload.len() - pos
+        )));
+    }
+    Ok(())
+}
+
+/// Bytes a decode buffer carries past its last record, so that
+/// [`decode_checked`] can load the memory-address slot unconditionally.
+const DECODE_SLACK: usize = MAX_REC_BYTES - MIN_REC_BYTES;
+
+/// Decode the record at `*pos`, advancing `*pos`.  `buf` must already have
+/// passed [`check_record`] there and extend [`DECODE_SLACK`] bytes past the
+/// payload, so this is the replay hot path: no per-field `Result`, one
+/// bounds check, and no branch on whether a memory address follows (that
+/// branch is data-dependent and mispredicts).
+#[inline]
+fn decode_checked(buf: &[u8], pos: &mut usize) -> DynInst {
+    let p = *pos;
+    let Some(rec) = buf[p..].first_chunk::<MAX_REC_BYTES>() else {
+        unreachable!("the record at byte {p} was checked whole, slack included")
     };
-    Ok(DynInst {
-        pc: le_u64(&head[0..8]),
-        op,
-        block: BlockId(u32::from_le_bytes(head[9..13].try_into().expect("4 bytes"))),
-        idx: u16::from_le_bytes(head[13..15].try_into().expect("2 bytes")),
+    let u64_at = |i: usize| {
+        u64::from_le_bytes([
+            rec[i],
+            rec[i + 1],
+            rec[i + 2],
+            rec[i + 3],
+            rec[i + 4],
+            rec[i + 5],
+            rec[i + 6],
+            rec[i + 7],
+        ])
+    };
+    let flags = rec[15];
+    let has_mem = flags & 2 != 0;
+    *pos = p + if has_mem { MAX_REC_BYTES } else { MIN_REC_BYTES };
+    DynInst {
+        pc: u64_at(0),
+        op: OPCLASSES[usize::from(rec[8])],
+        block: BlockId(u32::from_le_bytes([rec[9], rec[10], rec[11], rec[12]])),
+        idx: u16::from_le_bytes([rec[13], rec[14]]),
         taken: flags & 1 != 0,
-        next_pc: le_u64(&head[16..24]),
-        mem_addr,
-    })
+        next_pc: u64_at(16),
+        mem_addr: has_mem.then_some(u64_at(MIN_REC_BYTES)),
+    }
 }
 
 /// Name the field a record with only `have` bytes left dies in.
@@ -397,21 +562,27 @@ impl<W: Write + Seek> TraceWriter<W> {
 // ---------------------------------------------------------------------------
 
 /// Streaming trace reader: an `Iterator<Item = io::Result<DynInst>>` over
-/// either format, decoding (and CRC-verifying, for v2) one chunk at a time
-/// at constant memory — the payload and record buffers are reused across
-/// chunks, so a multi-GB trace replays with two bounded allocations.
-/// After the first error the iterator fuses.
+/// either format, CRC-checking (v2) and validating one chunk at a time at
+/// constant memory — the payload buffer is reused across chunks, and
+/// records decode straight out of it, so a multi-GB trace replays with one
+/// bounded allocation.  After the first error the reader fuses.
+///
+/// Three ways through the body share every check: iteration,
+/// [`read_all`](Self::read_all), and the verify-only
+/// [`verify`](Self::verify), which decodes nothing.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     r: R,
     header: TraceHeader,
-    /// Records handed to the consumer so far.
-    produced: u64,
-    /// Decoded records of the current chunk (reused) and the drain cursor.
-    chunk: Vec<DynInst>,
-    chunk_pos: usize,
-    /// Raw payload buffer, reused across chunks.
+    /// Records in the chunks loaded so far (v2), or records read (v1).
+    loaded: u64,
+    /// The current chunk's payload, CRC-checked and validated, at the
+    /// front of a buffer reused across chunks (with [`DECODE_SLACK`] bytes
+    /// to spare); the next record starts at `pos` and `left` records
+    /// remain.
     payload: Vec<u8>,
+    pos: usize,
+    left: u32,
     chunks_read: u64,
     verify_chunks: bool,
     failed: bool,
@@ -426,11 +597,11 @@ impl<R: Read> TraceReader<R> {
         Self::with_verification(r, true)
     }
 
-    /// A reader that skips per-chunk payload-CRC *recomputation* (all
-    /// structural checks remain).  For consumers that already verified the
-    /// file this process — a spec `Sweep` vets every trace end-to-end
-    /// once, then fans out to per-cell readers; re-hashing the same bytes
-    /// in every cell would be pure overhead on the sweep's hot path.
+    /// A reader that skips per-chunk payload-CRC *recomputation*; every
+    /// structural check remains.  No replay path uses it — every byte a
+    /// sweep cell replays is CRC-checked, at set-up or as the cell
+    /// consumes it — but it prices the CRC for tools that compare the two
+    /// (the layer benchmarks decode the same bytes both ways).
     pub fn trusted(r: R) -> io::Result<Self> {
         Self::with_verification(r, false)
     }
@@ -512,10 +683,10 @@ impl<R: Read> TraceReader<R> {
         Ok(TraceReader {
             r,
             header,
-            produced: 0,
-            chunk: Vec::new(),
-            chunk_pos: 0,
+            loaded: 0,
             payload: Vec::new(),
+            pos: 0,
+            left: 0,
             chunks_read: 0,
             verify_chunks,
             failed: false,
@@ -527,15 +698,36 @@ impl<R: Read> TraceReader<R> {
         &self.header
     }
 
-    /// Chunks decoded so far (diagnostics; v1 always 0).
+    /// Chunks read so far (diagnostics; v1 always 0).
     pub fn chunks_read(&self) -> u64 {
         self.chunks_read
     }
 
-    /// Decode the next v2 chunk, appending its records to `out`; returns
-    /// how many it held.  `produced` is left to the caller, which counts
-    /// records as it hands them out.
-    fn read_chunk(&mut self, out: &mut Vec<DynInst>) -> io::Result<u32> {
+    /// Records handed out (or verified) so far.
+    fn produced(&self) -> u64 {
+        self.loaded - u64::from(self.left)
+    }
+
+    /// The next record of the current chunk, if it has one left — the
+    /// per-record fast path, with no `Result`: the chunk was CRC-checked
+    /// and validated whole when it loaded.  `None` means the caller must
+    /// go through the iterator, which loads the next chunk (or reads a v1
+    /// record), reports errors and ends the trace.
+    #[inline]
+    pub(crate) fn next_buffered(&mut self) -> Option<DynInst> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(decode_checked(&self.payload, &mut self.pos))
+    }
+
+    /// Read the next v2 chunk into the payload buffer: check its framing
+    /// against the header, its CRC (unless [`trusted`](Self::trusted)) and
+    /// every record's encoding, then leave its records ready to decode.
+    /// Only called once the previous chunk is drained.
+    fn load_chunk(&mut self) -> io::Result<()> {
+        debug_assert_eq!(self.left, 0, "a chunk loads only once the last one drained");
         let k = self.chunks_read;
         let n = u32::from_le_bytes(read_field::<4>(
             &mut self.r,
@@ -547,8 +739,8 @@ impl<R: Read> TraceReader<R> {
                 self.header.chunk_insts
             )));
         }
-        let remaining = self.header.count - self.produced;
-        if n as u64 > remaining {
+        let remaining = self.header.count - self.loaded;
+        if u64::from(n) > remaining {
             return Err(invalid(format!(
                 "chunk {k} claims {n} records but only {remaining} remain of the header's {}",
                 self.header.count
@@ -564,8 +756,8 @@ impl<R: Read> TraceReader<R> {
                  ({MIN_REC_BYTES}-{MAX_REC_BYTES} bytes each)"
             )));
         }
-        if self.payload.len() < plen {
-            self.payload.resize(plen, 0);
+        if self.payload.len() < plen + DECODE_SLACK {
+            self.payload.resize(plen + DECODE_SLACK, 0);
         }
         let payload = &mut self.payload[..plen];
         self.r.read_exact(payload).map_err(|e| {
@@ -584,22 +776,12 @@ impl<R: Read> TraceReader<R> {
                 )));
             }
         }
-        let mut pos = 0usize;
-        out.reserve(n as usize);
-        for j in 0..n {
-            out.push(
-                decode_inst(payload, &mut pos)
-                    .map_err(|e| invalid(format!("chunk {k} record {j}: {e}")))?,
-            );
-        }
-        if pos != plen {
-            return Err(invalid(format!(
-                "chunk {k} payload has {} trailing bytes after its {n} records",
-                plen - pos
-            )));
-        }
+        check_payload(payload, n, k)?;
+        self.pos = 0;
+        self.left = n;
+        self.loaded += u64::from(n);
         self.chunks_read += 1;
-        Ok(n)
+        Ok(())
     }
 
     /// v2 forbids trailing garbage: a concatenated or padded file is
@@ -622,11 +804,44 @@ impl<R: Read> TraceReader<R> {
         e
     }
 
+    /// Refuse to go on after an error.
+    fn check_not_failed(&self) -> io::Result<()> {
+        if self.failed {
+            return Err(invalid("trace reader already failed".into()));
+        }
+        Ok(())
+    }
+
+    /// The verify-only body pass: check every remaining chunk's framing,
+    /// CRC (unless [`trusted`](Self::trusted)) and record encodings, and
+    /// that no data trails the last chunk, through the one reused payload
+    /// buffer — without decoding a record.  The rest of a chunk the
+    /// iterator already started was checked when it loaded.  Returns how
+    /// many records it covered; a failure is the error iteration or
+    /// [`read_all`](Self::read_all) would report, and fuses the reader.
+    pub fn verify(&mut self) -> io::Result<u64> {
+        self.check_not_failed()?;
+        let from = self.produced();
+        if self.header.version == VERSION_V1 {
+            if let Some(e) = self.by_ref().find_map(Result::err) {
+                return Err(e);
+            }
+            return Ok(self.header.count - from);
+        }
+        self.left = 0;
+        while self.loaded < self.header.count {
+            self.load_chunk().map_err(|e| self.fail(e))?;
+            self.left = 0;
+        }
+        self.check_trailing().map_err(|e| self.fail(e))?;
+        Ok(self.header.count - from)
+    }
+
     /// Decode every remaining record into one vector, allocated once: the
     /// whole-trace load.  Every check the iterator makes still runs (chunk
     /// framing, chunk CRCs unless [`trusted`](Self::trusted), record
-    /// bounds, trailing data), but chunks decode straight into the result,
-    /// without a per-record `io::Result`.
+    /// encodings, trailing data); each chunk is validated whole, then
+    /// decoded straight into the result without a per-record `Result`.
     ///
     /// The header's count is untrusted (a CRC is not a MAC): the up-front
     /// allocation is the declared remaining count capped by what
@@ -635,10 +850,8 @@ impl<R: Read> TraceReader<R> {
     /// Pass the input's byte length when it is known, or a smaller cap; the
     /// vector grows past the cap if records keep decoding.
     pub fn read_all(&mut self, input_len: u64) -> io::Result<Vec<DynInst>> {
-        if self.failed {
-            return Err(invalid("trace reader already failed".into()));
-        }
-        let cap = (self.header.count - self.produced).min(input_len / MIN_REC_BYTES as u64);
+        self.check_not_failed()?;
+        let cap = (self.header.count - self.produced()).min(input_len / MIN_REC_BYTES as u64);
         let mut out = Vec::with_capacity(usize::try_from(cap).unwrap_or(0));
         if self.header.version == VERSION_V1 {
             for rec in self.by_ref() {
@@ -646,15 +859,15 @@ impl<R: Read> TraceReader<R> {
             }
             return Ok(out);
         }
-        // The rest of a chunk the iterator already started.
-        out.extend_from_slice(&self.chunk[self.chunk_pos..]);
-        self.produced += (self.chunk.len() - self.chunk_pos) as u64;
-        self.chunk_pos = self.chunk.len();
-        while self.produced < self.header.count {
-            match self.read_chunk(&mut out) {
-                Ok(n) => self.produced += u64::from(n),
-                Err(e) => return Err(self.fail(e)),
+        loop {
+            out.reserve(self.left as usize);
+            while let Some(i) = self.next_buffered() {
+                out.push(i);
             }
+            if self.loaded == self.header.count {
+                break;
+            }
+            self.load_chunk().map_err(|e| self.fail(e))?;
         }
         self.check_trailing().map_err(|e| self.fail(e))?;
         Ok(out)
@@ -662,65 +875,47 @@ impl<R: Read> TraceReader<R> {
 
     /// One v1 record straight off the reader.
     fn read_v1_record(&mut self) -> io::Result<DynInst> {
-        // Large enough for the widest record; decode_inst bounds the reads.
-        let what = format!(
-            "record {} of the header's {}",
-            self.produced, self.header.count
-        );
-        let mut head = [0u8; MIN_REC_BYTES];
-        self.r.read_exact(&mut head).map_err(|e| {
+        let what = format!("record {} of the header's {}", self.loaded, self.header.count);
+        let mut buf = [0u8; MAX_REC_BYTES];
+        self.r.read_exact(&mut buf[..MIN_REC_BYTES]).map_err(|e| {
             if e.kind() == io::ErrorKind::UnexpectedEof {
                 invalid(format!("trace truncated reading {what}"))
             } else {
                 e
             }
         })?;
-        // Peek the flags byte (offset 15) to learn whether a memory address
-        // follows, then decode the full record from one buffer.
-        let mut buf = head.to_vec();
-        if head[15] & 2 != 0 {
+        // The flags byte (offset 15) says whether a memory address follows.
+        let len = if buf[15] & 2 != 0 {
             let tail = read_field::<8>(&mut self.r, &what)?;
-            buf.extend_from_slice(&tail);
-        }
-        let mut pos = 0;
-        let inst = decode_inst(&buf, &mut pos).map_err(|e| invalid(format!("{what}: {e}")))?;
-        debug_assert_eq!(pos, buf.len());
-        Ok(inst)
+            buf[MIN_REC_BYTES..].copy_from_slice(&tail);
+            MAX_REC_BYTES
+        } else {
+            MIN_REC_BYTES
+        };
+        check_record(&buf[..len]).map_err(|e| invalid(format!("{what}: {e}")))?;
+        Ok(decode_checked(&buf, &mut 0))
     }
 
     fn next_record(&mut self) -> Option<io::Result<DynInst>> {
+        if let Some(i) = self.next_buffered() {
+            return Some(Ok(i));
+        }
         if self.failed {
             return None;
         }
-        if self.produced == self.header.count {
+        if self.loaded == self.header.count {
             return self.check_trailing().err().map(|e| Err(self.fail(e)));
         }
-        if self.header.version != VERSION_V1 {
-            // Fast path: drain the decoded chunk without re-entering the
-            // framing logic per record.
-            if let Some(&i) = self.chunk.get(self.chunk_pos) {
-                self.chunk_pos += 1;
-                self.produced += 1;
-                return Some(Ok(i));
-            }
-            let mut chunk = std::mem::take(&mut self.chunk);
-            chunk.clear();
-            let read = self.read_chunk(&mut chunk);
-            self.chunk = chunk;
-            if let Err(e) = read {
-                return Some(Err(self.fail(e)));
-            }
-            self.chunk_pos = 1;
-            self.produced += 1;
-            return Some(Ok(self.chunk[0]));
+        if self.header.version == VERSION_V1 {
+            let read = self.read_v1_record();
+            self.loaded += u64::from(read.is_ok());
+            return Some(read.map_err(|e| self.fail(e)));
         }
-        match self.read_v1_record() {
-            Ok(i) => {
-                self.produced += 1;
-                Some(Ok(i))
-            }
-            Err(e) => Some(Err(self.fail(e))),
+        if let Err(e) = self.load_chunk() {
+            return Some(Err(self.fail(e)));
         }
+        // A loaded chunk holds at least one record.
+        self.next_buffered().map(Ok)
     }
 }
 
@@ -841,8 +1036,10 @@ mod tests {
 
     #[test]
     fn crc32_matches_the_standard_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        for f in [crc32, crc32_table] {
+            assert_eq!(f(b"123456789"), 0xCBF4_3926);
+            assert_eq!(f(b""), 0);
+        }
         // Slice-by-8 path (>= 8 bytes) agrees with the bytewise tail path.
         let long: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
         let bytewise = {
@@ -852,7 +1049,34 @@ mod tests {
             }
             !c
         };
-        assert_eq!(crc32(&long), bytewise);
+        assert_eq!(crc32_table(&long), bytewise);
+    }
+
+    #[test]
+    fn crc32_kernel_matches_the_table_path_at_every_length_and_offset() {
+        // Deterministic pseudo-random bytes (xorshift), 1 MiB + slack.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..(1 << 20) + 64)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()[3]
+            })
+            .collect();
+        for start in 0..16 {
+            for len in 0..=1024 {
+                let d = &bytes[start..start + len];
+                assert_eq!(crc32(d), crc32_table(d), "start {start}, len {len}");
+            }
+        }
+        let big = &bytes[3..3 + (1 << 20)];
+        assert_eq!(crc32(big), crc32_table(big));
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1") {
+            // The kernel is the path under test, not a silent fallback.
+            assert_eq!(clmul::crc32(big), Some(crc32_table(big)));
+        }
     }
 
     #[test]
@@ -956,6 +1180,152 @@ mod tests {
         }
         assert!(r.next().unwrap().is_err());
         assert!(r.next().is_none(), "reader fuses after an error");
+    }
+
+    /// `(frame offset, records, payload length)` of every chunk in `bytes`.
+    fn chunk_frames(bytes: &[u8], chunk: u32) -> Vec<(usize, u32, usize)> {
+        let mut at = header_bytes(&meta(), 0, chunk).len();
+        let mut frames = Vec::new();
+        while at < bytes.len() {
+            let n = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            let plen = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
+            frames.push((at, n, plen));
+            at += 8 + plen + 4;
+        }
+        frames
+    }
+
+    /// Replace chunk `k`'s payload by `edit(payload)`, re-framing it with
+    /// the new length and a recomputed CRC: damage only the record checks
+    /// can see.
+    fn rewrite_payload(bytes: &[u8], chunk: u32, k: usize, edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let (at, n, plen) = chunk_frames(bytes, chunk)[k];
+        let mut payload = bytes[at + 8..at + 8 + plen].to_vec();
+        edit(&mut payload);
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(&n.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&bytes[at + 8 + plen + 4..]);
+        out
+    }
+
+    /// The first error each way through the body reports: the verify-only
+    /// pass, `read_all`, the iterator and the streaming replayer.
+    fn every_rejection(bytes: &[u8]) -> [String; 4] {
+        use crate::replay::{InstSource, TraceReplayer};
+        let verify = TraceReader::new(bytes).unwrap().verify().unwrap_err();
+        let read_all = TraceReader::new(bytes)
+            .unwrap()
+            .read_all(bytes.len() as u64)
+            .unwrap_err();
+        let iter = TraceReader::new(bytes)
+            .unwrap()
+            .find_map(Result::err)
+            .unwrap();
+        let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut r = TraceReplayer::new(TraceReader::new(bytes).unwrap(), "matrix");
+            let mut buf = Vec::new();
+            loop {
+                r.next_stream(&mut buf);
+            }
+        }))
+        .unwrap_err();
+        let replay = match replay.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(_) => panic!("replayer panicked without a message"),
+        };
+        [verify.to_string(), read_all.to_string(), iter.to_string(), replay]
+    }
+
+    #[test]
+    fn every_body_pass_rejects_each_corruption_with_the_same_named_message() {
+        let insts = small_insts(200);
+        let chunk = 64;
+        let good = v2_bytes(&insts, chunk);
+        let frames = chunk_frames(&good, chunk);
+        assert_eq!(frames.len(), 4);
+        let (c1, _, c1_len) = frames[1];
+        let (c3, c3_n, _) = frames[3];
+        let with = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut b = good.clone();
+            edit(&mut b);
+            b
+        };
+        let cases: Vec<(&str, Vec<u8>, String)> = vec![
+            (
+                "flipped payload byte",
+                with(&|b| b[c1 + 8 + 100] ^= 0x04),
+                "chunk 1 CRC mismatch".into(),
+            ),
+            (
+                "bad opclass byte",
+                rewrite_payload(&good, chunk, 1, |p| p[8] = 0xEE),
+                "chunk 1 record 0: bad opclass byte 238".into(),
+            ),
+            (
+                "bad flags",
+                rewrite_payload(&good, chunk, 1, |p| p[15] |= 0x80),
+                "chunk 1 record 0: bad flags byte".into(),
+            ),
+            (
+                "record cut short",
+                rewrite_payload(&good, chunk, 1, |p| p.truncate(p.len() - 4)),
+                "chunk 1 record 63: payload ends inside".into(),
+            ),
+            (
+                "trailing bytes in a chunk",
+                rewrite_payload(&good, chunk, 1, |p| p.extend_from_slice(&[0; 8])),
+                "chunk 1 payload has 8 trailing bytes after its 64 records".into(),
+            ),
+            (
+                "trailing data after the last chunk",
+                with(&|b| b.push(0xAB)),
+                "trailing data after the final chunk".into(),
+            ),
+            (
+                "chunk count above the header's chunk size",
+                with(&|b| b[c1..c1 + 4].copy_from_slice(&(chunk + 1).to_le_bytes())),
+                "chunk 1 claims 65 records, outside 1..=64".into(),
+            ),
+            (
+                "chunk count above the header's total",
+                with(&|b| b[c3..c3 + 4].copy_from_slice(&(c3_n + 1).to_le_bytes())),
+                format!("chunk 3 claims {} records but only {c3_n} remain", c3_n + 1),
+            ),
+        ];
+        assert!(c1_len > 64 * MIN_REC_BYTES, "chunk 1 carries memory addresses");
+        for (what, bytes, want) in cases {
+            let [verify, read_all, iter, replay] = every_rejection(&bytes);
+            assert!(verify.contains(&want), "{what}: {verify}");
+            assert_eq!(read_all, verify, "{what}: read_all");
+            assert_eq!(iter, verify, "{what}: iterator");
+            assert_eq!(replay, format!("replaying matrix: {verify}"), "{what}: replayer");
+        }
+    }
+
+    #[test]
+    fn verify_checks_every_record_and_decodes_none() {
+        let insts = small_insts(3_000);
+        for chunk in [1u32, 100, DEFAULT_CHUNK_INSTS] {
+            let bytes = v2_bytes(&insts, chunk);
+            let mut r = TraceReader::new(&bytes[..]).unwrap();
+            assert_eq!(r.verify().unwrap(), insts.len() as u64, "chunk size {chunk}");
+            assert!(r.next().is_none(), "verify drains the reader");
+            // Picking up after the iterator, mid-chunk.
+            let mut r = TraceReader::new(&bytes[..]).unwrap();
+            for x in r.by_ref().take(150) {
+                x.unwrap();
+            }
+            assert_eq!(r.verify().unwrap(), insts.len() as u64 - 150);
+        }
+        let mut v1 = Vec::new();
+        write_trace(&mut v1, &insts).unwrap();
+        assert_eq!(
+            TraceReader::new(&v1[..]).unwrap().verify().unwrap(),
+            insts.len() as u64
+        );
     }
 
     #[test]

@@ -221,8 +221,10 @@ fn spec_target(data: &[u8]) -> Result<Outcome, String> {
     }
 }
 
-/// The trace v1/v2 reader, streamed to exhaustion.  Every rejection must
-/// name a field; the record stream may never outrun what the input bytes
+/// The trace v1/v2 reader, streamed to exhaustion, and the verify-only
+/// pass over the same bytes.  Every rejection must name a field, and both
+/// passes must agree: the same inputs accepted, the same message on each
+/// rejection.  The record stream may never outrun what the input bytes
 /// could encode (24-byte minimum per record) — the no-unbounded-output
 /// law, since decoded records are the reader's only allocation that
 /// scales with *claimed* (vs actual) content.
@@ -234,36 +236,42 @@ fn trace_target(data: &[u8]) -> Result<Outcome, String> {
         }
         Ok(())
     };
+    let decoded = decode_trace(data);
+    let verified = TraceReader::new(data).and_then(|mut r| r.verify());
+    match (&decoded, &verified) {
+        (Ok(n), Ok(m)) if n == m => {}
+        (Err(d), Err(v)) if d.to_string() == v.to_string() => check(d)?,
+        _ => {
+            return Err(format!(
+                "decoding reader and verify-only pass disagree: {:?} vs {:?}",
+                decoded.as_ref().map_err(ToString::to_string),
+                verified.as_ref().map_err(ToString::to_string)
+            ))
+        }
+    }
+    Ok(match decoded {
+        Ok(_) => Outcome::Accepted,
+        Err(_) => Outcome::Rejected,
+    })
+}
+
+/// Stream a trace to exhaustion through the iterator; the record count,
+/// or the first error.
+fn decode_trace(data: &[u8]) -> std::io::Result<u64> {
     // Records have a 24-byte floor and the v1 header is 16 bytes, so a
     // clean read can never produce more than len/24 + 1 records.
     let max_records = (data.len() / 24) as u64 + 1;
-    match TraceReader::new(data) {
-        Err(e) => {
-            check(&e)?;
-            Ok(Outcome::Rejected)
-        }
-        Ok(reader) => {
-            let mut produced: u64 = 0;
-            for rec in reader {
-                match rec {
-                    Ok(_) => {
-                        produced += 1;
-                        if produced > max_records {
-                            return Err(format!(
-                                "reader produced {produced} records from a {}-byte input",
-                                data.len()
-                            ));
-                        }
-                    }
-                    Err(e) => {
-                        check(&e)?;
-                        return Ok(Outcome::Rejected);
-                    }
-                }
-            }
-            Ok(Outcome::Accepted)
-        }
+    let mut produced: u64 = 0;
+    for rec in TraceReader::new(data)? {
+        rec?;
+        produced += 1;
+        assert!(
+            produced <= max_records,
+            "reader produced {produced} records from a {}-byte input",
+            data.len()
+        );
     }
+    Ok(produced)
 }
 
 /// The shard-file loader (`prestage shard` output / `prestage merge`

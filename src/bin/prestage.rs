@@ -336,13 +336,13 @@ fn cmd_trace_record(mut args: Vec<String>) {
     );
 }
 
-/// Print a trace's self-describing header and verify every chunk CRC by
-/// streaming the whole file — the first thing to run on a trace that
-/// behaves strangely.
+/// Print a trace's self-describing header and verify the whole file —
+/// every chunk CRC, every record's encoding, no trailing data — without
+/// decoding it: the first thing to run on a trace that behaves strangely.
 fn cmd_trace_info(args: Vec<String>) {
     let [path] = args.as_slice() else { usage() };
     let mut reader =
-        open_trace(Path::new(path)).unwrap_or_else(|e| fail(&e.to_string()));
+        open_trace(Path::new(path)).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
     let h = reader.header().clone();
     println!("{path}: PSTR v{}", h.version);
     match &h.meta {
@@ -355,13 +355,9 @@ fn cmd_trace_info(args: Vec<String>) {
         None => println!("  (v1: no embedded identity, no CRCs)"),
     }
     println!("  instructions:  {}", h.count);
-    let mut records = 0u64;
-    for rec in reader.by_ref() {
-        match rec {
-            Ok(_) => records += 1,
-            Err(e) => fail(&format!("{path}: record {records}: {e}")),
-        }
-    }
+    let records = reader
+        .verify()
+        .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     println!(
         "  verified:      {records} records in {} chunk(s), {bytes} bytes",

@@ -1,6 +1,7 @@
 //! End-to-end reproduction checks: the paper's *qualitative* claims must
-//! hold at small scale on every run.  (EXPERIMENTS.md records the full-size
-//! quantitative sweeps.)
+//! hold at small scale on every run.  The full-size quantitative sweeps are
+//! the figure binaries in `crates/bench/src/bin/`, which write their CSVs
+//! under `results/`.
 
 use fetch_prestaging::prelude::*;
 use fetch_prestaging::sim::GridResult;

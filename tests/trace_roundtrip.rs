@@ -150,8 +150,8 @@ proptest! {
 /// replay (the shared in-memory decode path) produce bit-identical
 /// `GridResult`s, every counter of every cell.  One recording serves all
 /// mechanisms: the committed path is mechanism-independent.  The streamed
-/// file replay (the over-budget fallback path) is checked for every
-/// mechanism beside the budget router in `crates/sim/src/spec.rs`.
+/// file replay (the single-reader and over-budget path) is checked for
+/// every mechanism beside the router in `crates/sim/src/spec.rs`.
 #[test]
 fn every_mechanism_replays_bit_identically_to_live() {
     let dir = TempDir::new("mech");
@@ -194,8 +194,8 @@ fn every_mechanism_replays_bit_identically_to_live() {
             ..replaying.clone()
         };
         let live_rows = try_run_spec(&live).unwrap();
-        // Spec replay: the traces are small, so this exercises the shared
-        // in-memory `SharedReplayer` path.
+        // Spec replay: two cells read the small trace, so this exercises
+        // the shared in-memory `SharedReplayer` path.
         let shared_rows = try_run_spec(&shared).unwrap();
         for (lr, rr) in live_rows.iter().flatten().zip(shared_rows.iter().flatten()) {
             assert_eq!(lr.per_bench, rr.per_bench, "{kind:?}: shared replay diverged");
@@ -210,7 +210,8 @@ fn every_mechanism_replays_bit_identically_to_live() {
 
 /// Pool-width invariance of replay: at `threads` 1, 2 and 4 the replayed
 /// grid equals the live grid through the spec runner, whose parallel
-/// set-up loads these small traces onto the shared in-memory path.  The
+/// set-up loads these small two-reader traces onto the shared in-memory
+/// path.  The
 /// streamed route and the router's in-memory/streamed mix are covered at
 /// the same widths beside the router in `crates/sim/src/spec.rs`.
 #[test]

@@ -108,13 +108,10 @@ pub fn classify(rel_path: &str) -> FileClass {
 }
 
 /// Paths where wall-clock time is the *point* (timing layers), exempt from
-/// [`WALLCLOCK_IN_SIM`].  The serve daemon is orchestration, not
-/// simulation: its deadlines and stall detection are wall-clock by design
-/// and never feed results.
+/// [`WALLCLOCK_IN_SIM`].
 const WALLCLOCK_ALLOWED: &[&str] = &[
     "src/bin/",
     "crates/bench/",
-    "crates/serve/",
     "crates/sim/src/runner.rs",
 ];
 
@@ -146,7 +143,7 @@ const CYCLE_PATH_FILES: &[&str] = &[
 /// that turns untrusted bytes into values.
 const REJECTION_PATHS: &[&str] = &[
     "crates/json/src/",
-    "crates/serve/src/",
+    "crates/sim/src/cache.rs",
     "crates/sim/src/spec.rs",
     "crates/workload/src/trace_io.rs",
     "crates/workload/src/replay.rs",

@@ -20,11 +20,13 @@
 //! `PRESTAGE_*` override layer); a previous artifact can be supplied
 //! explicitly via `PRESTAGE_PREV_JSON=<path>`.
 
-use prestage_bench::perf::{diff, load_baseline, parse_medians_tsv, CellPerf, PerfReport, ServePerf};
+use prestage_bench::perf::{diff, load_baseline, parse_medians_tsv, CachePerf, CellPerf, PerfReport};
 use prestage_bench::{results_dir, size_label};
 use prestage_cacti::TechNode;
-use prestage_serve::{Dispatch, Response, Scheduler, ServeConfig};
-use prestage_sim::{CellGrid, ConfigPreset, ExperimentSpec, ITlbConfig, PrefetcherKind, Sweep};
+use prestage_sim::{
+    try_run_spec_cached, CellGrid, ConfigPreset, ExperimentSpec, ITlbConfig, PrefetcherKind, Store,
+    Sweep,
+};
 use std::io::Write;
 
 /// True median: mean of the two middle elements for even counts (the CI
@@ -38,93 +40,37 @@ fn median(sorted: &[f64]) -> f64 {
     }
 }
 
-/// Drive a real in-process [`Scheduler`] over a one-preset sweep: journal,
-/// cache, worker pool and merge all on the hot path.  Returns `None` (and
-/// prints why) instead of killing the perf run when anything goes wrong —
-/// a broken orchestrator shows up as a `serve` section vanishing from the
-/// artifact, which `diff` flags as lost coverage.
-fn measure_serve(spec: &ExperimentSpec) -> Option<ServePerf> {
-    let sspec = ExperimentSpec {
+/// Run a one-preset sweep through a fresh cell cache twice: the cold run
+/// simulates and stores every cell, the re-run must be answered entirely
+/// from the cache.  Returns `None` (and prints why) instead of killing the
+/// perf run when anything goes wrong — a broken cache shows up as the
+/// `cache` section vanishing from the artifact, which `diff` flags as lost
+/// coverage.
+fn measure_cache(spec: &ExperimentSpec) -> Option<CachePerf> {
+    let cspec = ExperimentSpec {
         presets: vec![ConfigPreset::BaseL0],
         l1_sizes: vec![1 << 10],
         ..spec.clone()
     };
-    let state = std::env::temp_dir().join(format!("prestage-ci-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&state);
-    let mut cfg = ServeConfig::new(state.clone());
-    cfg.workers = 2;
-    cfg.job_cells = 1; // one cell per job: throughput counts scheduler round-trips
-    cfg.dispatch = Dispatch::InProcess;
-    let sched = match Scheduler::new(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ci_grid: serve measurement skipped: {e}");
-            return None;
-        }
+    let dir = std::env::temp_dir().join(format!("prestage-ci-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let timed = || -> Result<(f64, prestage_sim::CacheCounts), String> {
+        let store = Store::open(&dir)?;
+        let t0 = std::time::Instant::now();
+        let (_, counts) = try_run_spec_cached(&cspec, &store)?;
+        Ok((t0.elapsed().as_secs_f64(), counts))
     };
-    let workers: Vec<_> = (0..2)
-        .map(|_| {
-            let s = sched.clone();
-            std::thread::spawn(move || s.run_worker())
-        })
-        .collect();
-
-    let finish = |sched: &Scheduler, workers: Vec<std::thread::JoinHandle<()>>| {
-        sched.begin_drain();
-        for w in workers {
-            let _ = w.join();
+    let measured = timed().and_then(|(cold_s, _)| {
+        let (hit_s, counts) = timed()?;
+        if counts.cached != counts.cells {
+            return Err(format!("the re-run was not a full cache hit: {counts}"));
         }
-        let _ = std::fs::remove_dir_all(&state);
-    };
-
-    let t0 = std::time::Instant::now();
-    let (id, jobs) = match sched.submit(&sspec) {
-        Ok(Response::Submitted { sweep, jobs, .. }) if jobs > 0 => (sweep, jobs),
-        Ok(r) => {
-            eprintln!("ci_grid: serve measurement skipped: unexpected submit response {r:?}");
-            finish(&sched, workers);
-            return None;
-        }
-        Err(e) => {
-            eprintln!("ci_grid: serve measurement skipped: {e}");
-            finish(&sched, workers);
-            return None;
-        }
-    };
-    loop {
-        let Response::Status { sweeps } = sched.status(Some(&id)) else {
-            unreachable!("status always answers Status");
-        };
-        match sweeps.first().map(|s| s.state.as_str()) {
-            Some("done") => break,
-            Some(s) if s.starts_with("failed") => {
-                eprintln!("ci_grid: serve measurement sweep failed: {s}");
-                finish(&sched, workers);
-                return None;
-            }
-            _ => std::thread::sleep(std::time::Duration::from_millis(5)),
-        }
-    }
-    let jobs_per_s = jobs as f64 / t0.elapsed().as_secs_f64();
-
-    // Resubmit the identical sweep: must be answered from the cache alone.
-    let t1 = std::time::Instant::now();
-    let hit = sched.submit(&sspec);
-    let fetched = sched.fetch(&id);
-    let cache_hit_s = t1.elapsed().as_secs_f64();
-    finish(&sched, workers);
-    match (hit, fetched) {
-        (Ok(Response::Submitted { complete: true, jobs: 0, .. }), Response::Artifact { .. }) => {
-            Some(ServePerf {
-                jobs_per_s,
-                cache_hit_s,
-            })
-        }
-        (h, f) => {
-            eprintln!("ci_grid: serve resubmission was not a pure cache hit: {h:?} / {f:?}");
-            None
-        }
-    }
+        Ok(CachePerf { cold_s, hit_s })
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    measured
+        .map_err(|e| eprintln!("ci_grid: cache measurement skipped: {e}"))
+        .ok()
 }
 
 fn main() {
@@ -261,10 +207,9 @@ fn main() {
             max_cell_wall_s: walls[walls.len() - 1],
         });
     }
-    // Serve-orchestrator throughput on the same workload scale: a real
-    // scheduler (journal + content cache + worker pool) over a one-preset
-    // sweep, then the identical resubmission as a pure cache hit.
-    let serve = measure_serve(&spec);
+    // Cell-cache latency on the same workload scale: a one-preset sweep
+    // into a fresh cache, then the identical re-run as a pure cache hit.
+    let cache = measure_cache(&spec);
     let total_wall_s = t0.elapsed().as_secs_f64();
 
     let fail_threshold = PerfReport::derived_fail_threshold(&cells);
@@ -272,7 +217,7 @@ fn main() {
         total_wall_s,
         cells,
         benches,
-        serve,
+        cache,
         fail_threshold,
     };
 
@@ -296,11 +241,8 @@ fn main() {
         };
         println!("{:<30} median {:.1} ns/iter{tp}", b.name, b.median_ns);
     }
-    if let Some(s) = &report.serve {
-        println!(
-            "serve: {:.1} jobs/s cold, cache hit in {:.4}s",
-            s.jobs_per_s, s.cache_hit_s
-        );
+    if let Some(c) = &report.cache {
+        println!("cache: cold run {:.4}s, full hit {:.4}s", c.cold_s, c.hit_s);
     }
     println!(
         "spread-derived wall-clock failure threshold: {:.0}%",

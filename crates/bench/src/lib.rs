@@ -33,9 +33,7 @@ use std::path::PathBuf;
 /// The paper's L1 I-cache sweep axis, re-exported from the spec module.
 pub use prestage_sim::L1_SIZES;
 
-/// Where sweep artifacts land — re-exported from `prestage_sim` (the
-/// anchoring moved down so the `prestage serve` daemon shares it without
-/// depending on the figure harness); see
+/// Where sweep artifacts land — re-exported from `prestage_sim`; see
 /// [`prestage_sim::results_dir`] for the resolution rules.
 pub use prestage_sim::results_dir;
 

@@ -72,16 +72,14 @@ impl BenchMedian {
     }
 }
 
-/// Throughput of the `prestage serve` orchestrator on this host, measured
-/// by `ci_grid` driving a real scheduler over a small sweep.
+/// The cell cache (`prestage run --cache`) on this host, measured by
+/// `ci_grid` running one small sweep through a fresh cache twice.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServePerf {
-    /// Jobs completed per second on a fresh (cold-cache) sweep —
-    /// scheduler + journal + cache overhead on top of the cell sims.
-    pub jobs_per_s: f64,
-    /// Latency of resubmitting the identical sweep once cached: the pure
-    /// cache-hit path (spec hash + artifact lookup, no simulation).
-    pub cache_hit_s: f64,
+pub struct CachePerf {
+    /// The first run: every cell simulated and stored.
+    pub cold_s: f64,
+    /// The identical re-run: every cell a hit, no simulation or set-up.
+    pub hit_s: f64,
 }
 
 /// A whole CI perf report.  The artifact's schema number is not a field:
@@ -94,9 +92,9 @@ pub struct PerfReport {
     pub cells: Vec<CellPerf>,
     /// Micro-bench medians; empty when no medians file was present.
     pub benches: Vec<BenchMedian>,
-    /// Serve-orchestrator throughput; `None` when the measurement was
-    /// skipped (serialized as JSON `null`).
-    pub serve: Option<ServePerf>,
+    /// Cell-cache latency; `None` when the measurement was skipped
+    /// (serialized as JSON `null`).
+    pub cache: Option<CachePerf>,
     /// Hard-failure threshold for wall-clock regressions, derived from
     /// this run's recorded per-row spreads (see
     /// [`PerfReport::derived_fail_threshold`]).  Recorded in the artifact
@@ -111,9 +109,11 @@ pub struct PerfReport {
 /// `elems`/`policy` (throughput + measurement-policy provenance) and the
 /// spread-derived `fail_threshold`; 6 grew the grid's row set with the
 /// TLB-on row (an `itlb`-suffixed preset label simulated with address
-/// translation enabled).  [`load_baseline`] reads this schema only; any
-/// other reads as a *named* schema mismatch, never a silent "no baseline".
-pub const PERF_SCHEMA: u32 = 6;
+/// translation enabled); 7 replaced the `serve` section with the cell
+/// cache's `cache` section (`cold_s`, `hit_s`).  [`load_baseline`] reads
+/// this schema only; any other reads as a *named* schema mismatch, never
+/// a silent "no baseline".
+pub const PERF_SCHEMA: u32 = 7;
 
 /// Relative change `new/old - 1`, with a zero/zero as no change and a
 /// from-zero jump as +inf.
@@ -181,12 +181,12 @@ impl PerfReport {
                 ),
             ),
             (
-                "serve",
-                match &self.serve {
+                "cache",
+                match &self.cache {
                     None => Json::Null,
-                    Some(s) => Json::obj([
-                        ("jobs_per_s", s.jobs_per_s.into()),
-                        ("cache_hit_s", s.cache_hit_s.into()),
+                    Some(c) => Json::obj([
+                        ("cold_s", c.cold_s.into()),
+                        ("hit_s", c.hit_s.into()),
                     ]),
                 },
             ),
@@ -236,18 +236,18 @@ impl PerfReport {
                 })
             })
             .collect::<Option<Vec<_>>>()?;
-        let serve = match v.get("serve")? {
+        let cache = match v.get("cache")? {
             Json::Null => None,
-            s => Some(ServePerf {
-                jobs_per_s: s.get("jobs_per_s")?.as_f64()?,
-                cache_hit_s: s.get("cache_hit_s")?.as_f64()?,
+            c => Some(CachePerf {
+                cold_s: c.get("cold_s")?.as_f64()?,
+                hit_s: c.get("hit_s")?.as_f64()?,
             }),
         };
         Some(PerfReport {
             total_wall_s: v.get("total_wall_s")?.as_f64()?,
             cells,
             benches,
-            serve,
+            cache,
             fail_threshold: v.get("fail_threshold")?.as_f64()?,
         })
     }
@@ -455,44 +455,39 @@ pub fn diff(old: &PerfReport, new: &PerfReport) -> (Vec<String>, Vec<String>, Ve
             ));
         }
     }
-    match (&old.serve, &new.serve) {
-        (Some(prev), Some(s)) => {
-            let d_tp = rel_delta(prev.jobs_per_s, s.jobs_per_s);
-            let d_hit = rel_delta(prev.cache_hit_s, s.cache_hit_s);
+    match (&old.cache, &new.cache) {
+        (Some(prev), Some(c)) => {
+            let d_cold = rel_delta(prev.cold_s, c.cold_s);
+            let d_hit = rel_delta(prev.hit_s, c.hit_s);
             deltas.push(format!(
-                "serve: {:.1} -> {:.1} jobs/s ({:+.1}%), cache hit {:.4}s -> {:.4}s ({:+.1}%)",
-                prev.jobs_per_s,
-                s.jobs_per_s,
-                100.0 * d_tp,
-                prev.cache_hit_s,
-                s.cache_hit_s,
+                "cache: cold {:.4}s -> {:.4}s ({:+.1}%), hit {:.4}s -> {:.4}s ({:+.1}%)",
+                prev.cold_s,
+                c.cold_s,
+                100.0 * d_cold,
+                prev.hit_s,
+                c.hit_s,
                 100.0 * d_hit,
             ));
-            // Throughput numbers ride on wall-clock, so use the wide
-            // micro-bench band and only warn on regression.
-            if d_tp < -BENCH_WARN {
-                warnings.push(format!(
-                    "serve: job throughput down {:.1}% ({:.1} -> {:.1} jobs/s)",
-                    -100.0 * d_tp,
-                    prev.jobs_per_s,
-                    s.jobs_per_s
-                ));
-            }
-            if d_hit > BENCH_WARN {
-                warnings.push(format!(
-                    "serve: cache-hit latency up {:.1}% ({:.4}s -> {:.4}s)",
-                    100.0 * d_hit,
-                    prev.cache_hit_s,
-                    s.cache_hit_s
-                ));
+            // Both ride on wall-clock, so use the wide micro-bench band
+            // and only warn.
+            for (what, d, old_s, new_s) in [
+                ("cold run", d_cold, prev.cold_s, c.cold_s),
+                ("cache-hit latency", d_hit, prev.hit_s, c.hit_s),
+            ] {
+                if d > BENCH_WARN {
+                    warnings.push(format!(
+                        "cache: {what} up {:.1}% ({old_s:.4}s -> {new_s:.4}s)",
+                        100.0 * d
+                    ));
+                }
             }
         }
         (Some(_), None) => warnings.push(
-            "serve: section present in baseline but missing from this run".to_string(),
+            "cache: section present in baseline but missing from this run".to_string(),
         ),
-        (None, Some(s)) => deltas.push(format!(
-            "serve: {:.1} jobs/s, cache hit {:.4}s (no baseline)",
-            s.jobs_per_s, s.cache_hit_s
+        (None, Some(c)) => deltas.push(format!(
+            "cache: cold {:.4}s, hit {:.4}s (no baseline)",
+            c.cold_s, c.hit_s
         )),
         (None, None) => {}
     }
@@ -530,7 +525,7 @@ mod tests {
                 elems: 20_000,
                 policy: "min-median:rounds=5,warmup=3".into(),
             }],
-            serve: None,
+            cache: None,
             fail_threshold: 0.20,
         }
     }
@@ -548,36 +543,36 @@ mod tests {
         assert!(PerfReport::from_json("not json at all").is_none());
         let other = report(1.0, 1.0)
             .to_json()
-            .replace("\"schema\": 6", "\"schema\": 2");
+            .replace("\"schema\": 7", "\"schema\": 2");
         assert!(PerfReport::from_json(&other).is_none());
     }
 
     #[test]
-    fn baseline_loads_schema_6_only_and_names_everything_else() {
-        // Schema 6 loads clean.
-        let six = report(1.0, 0.01);
+    fn baseline_loads_schema_7_only_and_names_everything_else() {
+        // Schema 7 loads clean.
+        let seven = report(1.0, 0.01);
         assert_eq!(
-            load_baseline(&six.to_json()).expect("current schema loads"),
-            six
+            load_baseline(&seven.to_json()).expect("current schema loads"),
+            seven
         );
 
         // Everything else is a *named* refusal, not a silent skip —
-        // including schema 5, which was upgradeable one release ago.
+        // including schema 6, the last baseline with a `serve` section.
         let e = load_baseline("not json").unwrap_err();
         assert!(e.contains("not JSON"), "{e}");
-        for old in [5, 4, 2] {
-            let text = six
+        for old in [6, 5, 4, 2] {
+            let text = seven
                 .to_json()
-                .replace("\"schema\": 6", &format!("\"schema\": {old}"));
+                .replace("\"schema\": 7", &format!("\"schema\": {old}"));
             let e = load_baseline(&text).unwrap_err();
             assert!(
-                e.contains(&format!("schema {old}, this build reads 6")),
+                e.contains(&format!("schema {old}, this build reads 7")),
                 "{e}"
             );
         }
         let e = load_baseline("{\"schema\": true}").unwrap_err();
         assert!(e.contains("schema"), "{e}");
-        let e = load_baseline("{\"schema\": 6}").unwrap_err();
+        let e = load_baseline("{\"schema\": 7}").unwrap_err();
         assert!(e.contains("incomplete"), "{e}");
     }
 
@@ -724,7 +719,7 @@ mod tests {
             total_wall_s: 0.0,
             cells: vec![],
             benches: vec![],
-            serve: None,
+            cache: None,
             fail_threshold: 0.15,
         };
         let (deltas, warnings, _) = diff(&old, &report(1.0, 0.01));
@@ -741,38 +736,39 @@ mod tests {
     }
 
     #[test]
-    fn serve_section_roundtrips_and_diffs() {
+    fn cache_section_roundtrips_and_diffs() {
         let mut r = report(1.0, 0.01);
-        r.serve = Some(ServePerf {
-            jobs_per_s: 12.5,
-            cache_hit_s: 0.003,
+        r.cache = Some(CachePerf {
+            cold_s: 0.8,
+            hit_s: 0.003,
         });
         let back = PerfReport::from_json(&r.to_json()).expect("parses");
         assert_eq!(back, r);
         // An absent section serializes as null and round-trips to None.
         let absent = report(1.0, 0.01);
-        assert!(absent.to_json().contains("\"serve\": null"));
-        assert_eq!(PerfReport::from_json(&absent.to_json()).unwrap().serve, None);
+        assert!(absent.to_json().contains("\"cache\": null"));
+        assert_eq!(PerfReport::from_json(&absent.to_json()).unwrap().cache, None);
 
         // Small movement: reported, not warned.
         let mut faster = r.clone();
-        faster.serve = Some(ServePerf {
-            jobs_per_s: 13.0,
-            cache_hit_s: 0.0032,
+        faster.cache = Some(CachePerf {
+            cold_s: 0.82,
+            hit_s: 0.0032,
         });
         let (deltas, warnings, _) = diff(&r, &faster);
-        assert!(deltas.iter().any(|d| d.contains("jobs/s")), "{deltas:?}");
+        assert!(deltas.iter().any(|d| d.contains("cache: cold")), "{deltas:?}");
         assert!(warnings.is_empty(), "{warnings:?}");
-        // Throughput down 40% / cache-hit up 2x: both warned.
+        // Cold run up 50% / cache-hit up 2x: both warned, neither fails.
         let mut slow = r.clone();
-        slow.serve = Some(ServePerf {
-            jobs_per_s: 7.5,
-            cache_hit_s: 0.006,
+        slow.cache = Some(CachePerf {
+            cold_s: 1.2,
+            hit_s: 0.006,
         });
-        let (_, warnings, _) = diff(&r, &slow);
+        let (_, warnings, failures) = diff(&r, &slow);
         assert_eq!(warnings.len(), 2, "{warnings:?}");
-        assert!(warnings[0].contains("throughput down"));
+        assert!(warnings[0].contains("cold run up"));
         assert!(warnings[1].contains("cache-hit latency up"));
+        assert!(failures.is_empty(), "{failures:?}");
         // Section vanishing is lost coverage; appearing is just new data.
         let (_, warnings, _) = diff(&r, &report(1.0, 0.01));
         assert_eq!(warnings.len(), 1, "{warnings:?}");

@@ -23,11 +23,14 @@
 //! * [`spec`] — [`ExperimentSpec`], the serializable value that fully
 //!   describes an experiment, with JSON round-trip, the `PRESTAGE_*`
 //!   env override layer, and the shard-file format of the `prestage` CLI.
+//! * [`cache`] — the content-addressed cell cache behind
+//!   `prestage run --cache <dir>` ([`try_run_spec_cached`]).
 //! * [`artifacts`] — [`results_dir`], the one cwd-independent answer to
 //!   where sweep artifacts land on disk.
 
 pub mod artifacts;
 pub mod backend;
+pub mod cache;
 pub mod config;
 pub mod engine;
 pub mod runner;
@@ -36,6 +39,7 @@ pub mod stats;
 
 pub use artifacts::results_dir;
 pub use backend::{BackEnd, BackendConfig, BackendStats};
+pub use cache::{try_run_spec_cached, CacheCounts, Store};
 pub use config::{ConfigPreset, SimConfig};
 pub use engine::{Engine, PredictorKind};
 pub use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};

@@ -674,7 +674,8 @@ impl ExperimentSpec {
     /// (pool width) and `trace` (committed-path source) never change
     /// results, so the portable form is the spec's *result identity* —
     /// [`grid_output`] embeds it, `prestage merge` compares shard specs
-    /// through it, and the serve cache keys sweeps by its canonical JSON.
+    /// through it, and the cell cache keys each cell by its canonical JSON
+    /// ([`cell_key`](crate::cache::cell_key)).
     pub fn portable(&self) -> ExperimentSpec {
         ExperimentSpec {
             threads: None,
@@ -1031,7 +1032,7 @@ pub fn try_run_spec(spec: &ExperimentSpec) -> Result<Vec<Vec<GridResult>>, Strin
 // ---------------------------------------------------------------------------
 
 /// Serialize one cell's statistics as the canonical JSON object — the
-/// shard-file / grid-artifact / serve-cache representation.
+/// shard-file / grid-artifact / cell-cache representation.
 pub fn stats_to_json(s: &SimStats) -> Json {
     // Exhaustive destructuring everywhere in this codec: a new counter
     // field that is not serialized would silently break the bit-exact
@@ -1265,7 +1266,7 @@ pub fn stats_from_json(v: &Json) -> Result<SimStats, String> {
 }
 
 /// Serialize a cell identifier as the canonical JSON object used by
-/// shard files and the serve cache.
+/// shard files.
 pub fn cell_to_json(c: &SweepCell) -> Json {
     let SweepCell {
         preset,

@@ -33,8 +33,6 @@
 //! * [`codegen`] — static program synthesis ([`build`]).
 //! * [`exec`] — [`TraceGenerator`]: deterministic dynamic execution
 //!   yielding instruction streams.
-//! * [`bbv`] — basic-block-vector profiling and a small k-means SimPoint
-//!   (the paper's \[18\]) for representative-slice selection.
 //! * [`trace_io`] — versioned binary trace save/load: the chunked,
 //!   CRC-checked v2 format with streaming [`TraceWriter`]/[`TraceReader`]
 //!   (v1 stays readable).
@@ -42,7 +40,6 @@
 //!   live by [`TraceGenerator`], streamed from disk by [`TraceReplayer`], or
 //!   from a decode shared by several cells by [`SharedReplayer`].
 
-pub mod bbv;
 pub mod codegen;
 pub mod exec;
 pub mod profile;

@@ -11,9 +11,8 @@
 //! * **Byte-level fuzzers** ([`mod@targets`]) drive structure-aware mutations
 //!   of checked-in corpus seeds (`fuzz/corpus/<target>/`) through each
 //!   wire-format parser — the JSON tree ([`prestage_json`]), the
-//!   experiment-spec codec, the trace v1/v2 reader, the shard-file
-//!   loader and the `prestage serve` frame protocol — asserting the
-//!   workspace's loud-parsing policy
+//!   experiment-spec codec, the trace v1/v2 reader and the shard-file
+//!   loader — asserting the workspace's loud-parsing policy
 //!   *adversarially*: no input may panic, loop, or produce unboundedly
 //!   more output than it is long, and every rejection must name the
 //!   offending field or byte offset.

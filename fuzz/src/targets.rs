@@ -58,10 +58,6 @@ pub fn targets() -> &'static [Target] {
             name: "shard",
             run: shard_target,
         },
-        Target {
-            name: "frame",
-            run: frame_target,
-        },
     ]
 }
 
@@ -117,25 +113,6 @@ const TRACE_TOKENS: &[&str] = &[
 
 /// Additional sites a *shard* error may name on top of the spec's.
 const SHARD_TOKENS: &[&str] = &["shard", "cells", "results", "cell", "stats", "wall_s"];
-
-/// Sites a *frame* decoding error may name: every [`decode_frame`]
-/// rejection carries the header field or byte offset it tripped on.
-const FRAME_TOKENS: &[&str] = &[
-    "frame",
-    "magic",
-    "header",
-    "payload",
-    "byte offset",
-    "UTF-8",
-    "cap",
-    "JSON error",
-];
-
-/// Sites a request/response *payload* rejection may name (on top of the
-/// spec vocabulary, which a malformed submit body surfaces).
-const PROTO_TOKENS: &[&str] = &[
-    "field", "request", "response", "type", "sweep", "status", "spec",
-];
 
 fn names_a_site(msg: &str, tokens: &[&str]) -> bool {
     tokens.iter().any(|t| msg.contains(t))
@@ -316,83 +293,6 @@ fn shard_target(data: &[u8]) -> Result<Outcome, String> {
     }
 }
 
-/// The `prestage serve` frame decoder plus the request/response payload
-/// grammar: [`decode_frame`](prestage_serve::decode_frame) must be total
-/// (named rejection or a decoded value, never a panic), consume no more
-/// bytes than it was given, and re-encode/re-decode to the identical
-/// value; whatever payload it accepts must be *checkable* as a request
-/// and as a response without crashing, with named rejections and
-/// canonical round trips on acceptance.
-fn frame_target(data: &[u8]) -> Result<Outcome, String> {
-    use prestage_serve::{decode_frame, encode_frame, Request, Response, FRAME_HEADER};
-    match decode_frame(data) {
-        Err(e) => {
-            if e.trim().is_empty() {
-                return Err("frame rejection with an empty reason".into());
-            }
-            if !names_a_site(&e, FRAME_TOKENS) {
-                return Err(format!("frame rejection names no site: {e:?}"));
-            }
-            Ok(Outcome::Rejected)
-        }
-        Ok((v, consumed)) => {
-            if consumed < FRAME_HEADER || consumed > data.len() {
-                return Err(format!(
-                    "decoder claims {consumed} byte(s) consumed of a {}-byte input",
-                    data.len()
-                ));
-            }
-            let canon = encode_frame(&v);
-            let (back, n) = decode_frame(&canon)
-                .map_err(|e| format!("canonical frame does not re-decode: {e}"))?;
-            if n != canon.len() {
-                return Err(format!(
-                    "canonical frame is {} byte(s) but re-decode consumed {n}",
-                    canon.len()
-                ));
-            }
-            if back != v {
-                return Err("frame round-trip changed the payload".into());
-            }
-            match Request::from_json(&v) {
-                Ok(req) => {
-                    let back = Request::from_json(&req.to_json())
-                        .map_err(|e| format!("canonical request does not re-parse: {e}"))?;
-                    if back != req {
-                        return Err("request round-trip changed a field".into());
-                    }
-                }
-                Err(e) => {
-                    if e.trim().is_empty() {
-                        return Err("request rejection with an empty reason".into());
-                    }
-                    if !names_a_site(&e, PROTO_TOKENS) && !names_a_site(&e, SPEC_TOKENS) {
-                        return Err(format!("request rejection names no field: {e:?}"));
-                    }
-                }
-            }
-            match Response::from_json(&v) {
-                Ok(resp) => {
-                    let back = Response::from_json(&resp.to_json())
-                        .map_err(|e| format!("canonical response does not re-parse: {e}"))?;
-                    if back != resp {
-                        return Err("response round-trip changed a field".into());
-                    }
-                }
-                Err(e) => {
-                    if e.trim().is_empty() {
-                        return Err("response rejection with an empty reason".into());
-                    }
-                    if !names_a_site(&e, PROTO_TOKENS) && !names_a_site(&e, SPEC_TOKENS) {
-                        return Err(format!("response rejection names no field: {e:?}"));
-                    }
-                }
-            }
-            Ok(Outcome::Accepted)
-        }
-    }
-}
-
 /// In-process seeds per target: small valid documents so a campaign has
 /// structure to mutate even before the checked-in corpus loads.
 pub fn builtin_seeds_for(target: &str) -> Vec<Vec<u8>> {
@@ -427,39 +327,6 @@ pub fn builtin_seeds_for(target: &str) -> Vec<Vec<u8>> {
                 results: Vec::new(),
             };
             vec![shard.to_json().into_bytes()]
-        }
-        "frame" => {
-            use prestage_serve::{encode_frame, encode_frame_text, Request, Response};
-            vec![
-                encode_frame(&Request::Ping.to_json()),
-                encode_frame(&Request::Submit { spec: tiny_spec() }.to_json()),
-                encode_frame(&Request::Status { sweep: None }.to_json()),
-                encode_frame(
-                    &Request::Fetch {
-                        sweep: "00112233445566778899aabbccddeeff".into(),
-                    }
-                    .to_json(),
-                ),
-                encode_frame(
-                    &Response::Submitted {
-                        sweep: "00112233445566778899aabbccddeeff".into(),
-                        cells: 8,
-                        jobs: 2,
-                        cached_cells: 4,
-                        complete: false,
-                    }
-                    .to_json(),
-                ),
-                encode_frame(
-                    &Response::Error {
-                        error: "unknown field \"warp\" in submit request".into(),
-                    }
-                    .to_json(),
-                ),
-                // A well-framed but non-JSON payload: the framing layer
-                // accepts the length, the payload parser must reject loudly.
-                encode_frame_text("not json"),
-            ]
         }
         _ => Vec::new(),
     }

@@ -7,7 +7,7 @@
 //! result:
 //!
 //! ```text
-//! prestage run   <spec.json | figure> [--out <file>]
+//! prestage run   <spec.json | figure> [--out <file>] [--cache <dir>]
 //! prestage shard --spec <spec.json | figure> --cells A..B --out <file>
 //! prestage merge <shard.json>... [--out <file>]
 //! prestage trace record <spec.json | figure> --out <dir>
@@ -15,10 +15,6 @@
 //! prestage spec  <figure> [--out <file>]
 //! prestage fuzz  [--budget <N>] [--seed <S>] [--corpus <dir>] [--crashes <dir>]
 //! prestage list
-//! prestage serve  [--state <dir>] [--listen <addr>] [...] | --check
-//! prestage submit <spec.json | figure> [--wait] [--out <file>]
-//! prestage status [<sweep>] [--watch]
-//! prestage fetch  <sweep> [--out <file>]
 //! ```
 //!
 //! `trace record` captures one v2 trace per benchmark of a spec (run
@@ -39,29 +35,28 @@
 //! `diff` proves a sharded run reproduced the single-process results
 //! bit-exactly (CI does exactly that; see `.github/workflows/ci.yml`).
 //!
-//! `serve` runs the always-on sweep daemon (`prestage-serve`): submitted
-//! specs are journaled, split into cell-range jobs, evaluated on a worker
-//! pool, and cached content-addressed — a resubmitted or overlapping
-//! sweep is served from cache, byte-identical to `run --out`.  `submit`,
-//! `status` and `fetch` are its clients, discovering the daemon through
-//! the state directory's address file.
+//! `run --cache <dir>` keeps every cell's result in a content-addressed
+//! cache keyed by the cell's identity (`prestage_sim::cache`): a re-run or
+//! an overlapping grid simulates only the cells the cache lacks, a killed
+//! run resumes by being run again, and the artifact is byte-identical to
+//! an uncached `run --out` either way.
 
 use prestage_bench::figures::{self, Figure};
 use prestage_bench::report;
-use prestage_serve::{Dispatch, Request, Response, ServeConfig};
 use prestage_sim::spec::{grid_output, ShardFile, TraceSource};
 use prestage_sim::{
-    pool_map, try_run_spec, CellGrid, ConfigPreset, ExperimentSpec, GridResult, Sweep,
+    pool_map, try_run_spec, try_run_spec_cached, CellGrid, ConfigPreset, ExperimentSpec,
+    GridResult, Store, Sweep,
 };
 use prestage_workload::{build, open_trace, record_trace, specint2000, DEFAULT_CHUNK_INSTS};
 use std::io::BufWriter;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  \
-         prestage run   <spec.json | figure> [--out <file>]\n  \
+         prestage run   <spec.json | figure> [--out <file>] [--cache <dir>]\n  \
          prestage shard --spec <spec.json | figure> --cells A..B --out <file>\n  \
          prestage merge <shard.json>... [--out <file>]\n  \
          prestage trace record <spec.json | figure> --out <dir>\n  \
@@ -69,17 +64,12 @@ fn usage() -> ! {
          prestage spec  <figure> [--out <file>]\n  \
          prestage fuzz  [--budget <N>] [--seed <S>] [--corpus <dir>] [--crashes <dir>]\n  \
          prestage lint  [--rule <name>]... [--baseline <file>] [--update-baseline]\n  \
-         prestage list\n  \
-         prestage serve  [--state <dir>] [--listen <host:port>] [--workers <N>]\n  \
-         \x20               [--job-cells <N>] [--deadline <secs>] [--max-attempts <N>]\n  \
-         \x20               [--dispatch inproc|child] [--threads-per-job <N>] | --check\n  \
-         prestage submit <spec.json | figure> [--state <dir>] [--addr <a>] [--wait] [--out <file>]\n  \
-         prestage status [<sweep>] [--state <dir>] [--addr <a>] [--watch]\n  \
-         prestage fetch  <sweep> [--state <dir>] [--addr <a>] [--out <file>]\n\n\
+         prestage list\n\n\
          A figure name (see `prestage list`) runs its declared spec with the\n\
          PRESTAGE_* environment overrides applied; a spec file runs verbatim.\n\
          A spec whose \"trace\" field is {{\"dir\": \"<dir>\"}} replays traces\n\
-         previously captured by `trace record` instead of generating live."
+         previously captured by `trace record` instead of generating live.\n\
+         `run --cache <dir>` simulates only the cells <dir> does not hold yet."
     );
     exit(2);
 }
@@ -136,10 +126,20 @@ fn write_out(path: &str, content: &str) {
 
 fn cmd_run(mut args: Vec<String>) {
     let out = take_flag(&mut args, "--out");
+    let cache = take_flag(&mut args, "--cache");
     let [arg] = args.as_slice() else { usage() };
     let (spec, fig) = load_spec(arg);
     let t0 = std::time::Instant::now();
-    let rows = try_run_spec(&spec).unwrap_or_else(|e| fail(&e));
+    let rows = match &cache {
+        None => try_run_spec(&spec),
+        Some(dir) => Store::open(Path::new(dir))
+            .and_then(|store| try_run_spec_cached(&spec, &store))
+            .map(|(rows, counts)| {
+                eprintln!("cache {dir}: {counts}");
+                rows
+            }),
+    }
+    .unwrap_or_else(|e| fail(&e));
     eprintln!(
         "  ran {} cells in {:.2}s",
         spec.presets.len() * spec.l1_sizes.len() * rows[0][0].per_bench.len(),
@@ -499,203 +499,6 @@ fn cmd_fuzz(mut args: Vec<String>) {
     eprintln!("fuzz: clean");
 }
 
-/// Remove a boolean `--flag` from `args`, reporting whether it was there.
-fn take_switch(args: &mut Vec<String>, key: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != key);
-    before != args.len()
-}
-
-fn parse_usize(key: &str, v: String) -> usize {
-    v.parse()
-        .unwrap_or_else(|_| fail(&format!("{key} wants an unsigned integer, got {v:?}")))
-}
-
-/// State directory for the serve family: `--state` wins, else the
-/// workspace default (`results/serve`, honoring `PRESTAGE_RESULTS_DIR`).
-fn serve_state(args: &mut Vec<String>) -> PathBuf {
-    take_flag(args, "--state")
-        .map(PathBuf::from)
-        .unwrap_or_else(prestage_serve::default_state_dir)
-}
-
-/// `prestage serve` — run the sweep daemon (or audit its journal with
-/// `--check`: exits non-zero unless the journal replays clean, fully
-/// drained, ending in the clean-shutdown marker).
-fn cmd_serve(mut args: Vec<String>) {
-    let state = serve_state(&mut args);
-    if take_switch(&mut args, "--check") {
-        if !args.is_empty() {
-            usage();
-        }
-        match prestage_serve::check(&state) {
-            Ok(summary) => println!("{summary}"),
-            Err(e) => fail(&e),
-        }
-        return;
-    }
-    let mut cfg = ServeConfig::new(state);
-    if let Some(v) = take_flag(&mut args, "--listen") {
-        cfg.listen = v;
-    }
-    if let Some(v) = take_flag(&mut args, "--workers") {
-        cfg.workers = parse_usize("--workers", v).max(1);
-    }
-    if let Some(v) = take_flag(&mut args, "--job-cells") {
-        cfg.job_cells = parse_usize("--job-cells", v).max(1);
-    }
-    if let Some(v) = take_flag(&mut args, "--deadline") {
-        cfg.deadline = std::time::Duration::from_secs(parse_usize("--deadline", v) as u64);
-    }
-    if let Some(v) = take_flag(&mut args, "--max-attempts") {
-        cfg.max_attempts = u32::try_from(parse_usize("--max-attempts", v).max(1))
-            .unwrap_or(u32::MAX);
-    }
-    if let Some(v) = take_flag(&mut args, "--dispatch") {
-        cfg.dispatch = match v.as_str() {
-            "inproc" => Dispatch::InProcess,
-            "child" => Dispatch::Child,
-            other => fail(&format!("--dispatch wants inproc or child, got {other:?}")),
-        };
-    }
-    if let Some(v) = take_flag(&mut args, "--threads-per-job") {
-        cfg.threads_per_job = parse_usize("--threads-per-job", v).max(1);
-    }
-    if !args.is_empty() {
-        usage();
-    }
-    prestage_serve::serve(cfg).unwrap_or_else(|e| fail(&e));
-}
-
-/// One request to the daemon found via `--addr`/the state dir's address
-/// file; any transport or protocol error is fatal.
-fn serve_request(addr: &str, req: &Request) -> Response {
-    prestage_serve::request(addr, req).unwrap_or_else(|e| fail(&e))
-}
-
-/// Block until `sweep` reaches a terminal state, then return its artifact.
-fn wait_for_artifact(addr: &str, sweep: &str) -> String {
-    loop {
-        let resp = serve_request(addr, &Request::Status { sweep: Some(sweep.to_string()) });
-        let Response::Status { sweeps } = resp else {
-            fail("daemon answered status with an unexpected response kind");
-        };
-        let Some(s) = sweeps.iter().find(|s| s.sweep == sweep) else {
-            fail(&format!("daemon no longer knows sweep {sweep}"));
-        };
-        match s.state.as_str() {
-            "done" => break,
-            state if state.starts_with("failed") => {
-                fail(&format!("sweep {sweep} {state}"))
-            }
-            _ => std::thread::sleep(std::time::Duration::from_millis(200)),
-        }
-    }
-    match serve_request(addr, &Request::Fetch { sweep: sweep.to_string() }) {
-        Response::Artifact { artifact, .. } => artifact,
-        Response::Error { error } => fail(&error),
-        _ => fail("daemon answered fetch with an unexpected response kind"),
-    }
-}
-
-/// `prestage submit` — send a spec (file or figure) to the daemon.  The
-/// sweep id lands on stdout for scripting; `--wait` blocks until the
-/// sweep completes, and `--out` (implies `--wait`) writes the artifact —
-/// byte-identical to `prestage run --out` of the same spec.
-fn cmd_submit(mut args: Vec<String>) {
-    let state = serve_state(&mut args);
-    let addr_flag = take_flag(&mut args, "--addr");
-    let out = take_flag(&mut args, "--out");
-    let wait = take_switch(&mut args, "--wait") || out.is_some();
-    let [arg] = args.as_slice() else { usage() };
-    let (spec, _) = load_spec(arg);
-    let addr =
-        prestage_serve::resolve_addr(addr_flag.as_deref(), &state).unwrap_or_else(|e| fail(&e));
-    let resp = serve_request(&addr, &Request::Submit { spec });
-    let sweep = match resp {
-        Response::Submitted { sweep, cells, jobs, cached_cells, complete } => {
-            eprintln!(
-                "submitted sweep {sweep}: {cells} cell(s), {jobs} job(s), \
-                 {cached_cells} cached{}",
-                if complete { " — complete, served from cache" } else { "" }
-            );
-            sweep
-        }
-        Response::Error { error } => fail(&error),
-        _ => fail("daemon answered submit with an unexpected response kind"),
-    };
-    println!("{sweep}");
-    if wait {
-        let artifact = wait_for_artifact(&addr, &sweep);
-        match out {
-            Some(path) => write_out(&path, &artifact),
-            None => eprintln!("sweep {sweep} complete"),
-        }
-    }
-}
-
-fn print_status(sweeps: &[prestage_serve::SweepStatus]) {
-    if sweeps.is_empty() {
-        println!("(no sweeps)");
-        return;
-    }
-    for s in sweeps {
-        println!(
-            "{}  {:>4}/{:<4} cells ({} cached)  {:>3}/{:<3} jobs  {}",
-            s.sweep, s.cells_done, s.cells_total, s.cached_cells, s.jobs_done, s.jobs_total,
-            s.state
-        );
-    }
-}
-
-/// `prestage status` — per-sweep progress counters; `--watch` streams
-/// them until every listed sweep is terminal.
-fn cmd_status(mut args: Vec<String>) {
-    let state = serve_state(&mut args);
-    let addr_flag = take_flag(&mut args, "--addr");
-    let watch = take_switch(&mut args, "--watch");
-    let sweep = match args.as_slice() {
-        [] => None,
-        [s] => Some(s.clone()),
-        _ => usage(),
-    };
-    let addr =
-        prestage_serve::resolve_addr(addr_flag.as_deref(), &state).unwrap_or_else(|e| fail(&e));
-    loop {
-        let resp = serve_request(&addr, &Request::Status { sweep: sweep.clone() });
-        let Response::Status { sweeps } = resp else {
-            fail("daemon answered status with an unexpected response kind");
-        };
-        print_status(&sweeps);
-        let settled = sweeps
-            .iter()
-            .all(|s| s.state == "done" || s.state.starts_with("failed"));
-        if !watch || settled {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(500));
-        println!();
-    }
-}
-
-/// `prestage fetch` — a completed sweep's artifact, to `--out` or stdout.
-fn cmd_fetch(mut args: Vec<String>) {
-    let state = serve_state(&mut args);
-    let addr_flag = take_flag(&mut args, "--addr");
-    let out = take_flag(&mut args, "--out");
-    let [sweep] = args.as_slice() else { usage() };
-    let addr =
-        prestage_serve::resolve_addr(addr_flag.as_deref(), &state).unwrap_or_else(|e| fail(&e));
-    match serve_request(&addr, &Request::Fetch { sweep: sweep.clone() }) {
-        Response::Artifact { artifact, .. } => match out {
-            Some(path) => write_out(&path, &artifact),
-            None => print!("{artifact}"),
-        },
-        Response::Error { error } => fail(&error),
-        _ => fail("daemon answered fetch with an unexpected response kind"),
-    }
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -711,10 +514,6 @@ fn main() {
         "fuzz" => cmd_fuzz(args),
         "lint" => exit(prestage_analyze::cli::run("prestage lint", &args)),
         "list" => cmd_list(),
-        "serve" => cmd_serve(args),
-        "submit" => cmd_submit(args),
-        "status" => cmd_status(args),
-        "fetch" => cmd_fetch(args),
         _ => usage(),
     }
 }

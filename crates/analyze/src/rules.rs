@@ -145,6 +145,7 @@ const REJECTION_PATHS: &[&str] = &[
     "crates/json/src/",
     "crates/sim/src/cache.rs",
     "crates/sim/src/spec.rs",
+    "crates/sim/src/wire.rs",
     "crates/workload/src/trace_io.rs",
     "crates/workload/src/replay.rs",
     "fuzz/src/",

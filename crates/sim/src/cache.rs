@@ -5,10 +5,11 @@
 //! [`ExperimentSpec::to_json_value`]) with the grid axes narrowed to that
 //! one cell ([`cell_key`]).  The key is therefore every field that can
 //! change a result — a field added to the spec joins it through the
-//! exhaustive codec, never through a hand-kept list — and nothing that
-//! cannot: `threads` and `trace` are cleared, so live and replayed runs
-//! share entries.  Benchmarks are keyed by name, not grid position, so
-//! overlapping grids share every cell they have in common.
+//! spec's `record!` field list (the `wire` module), never through a
+//! hand-kept list — and nothing that cannot: `threads` and `trace` are
+//! cleared, so live and replayed runs share entries.  Benchmarks are keyed
+//! by name, not grid position, so overlapping grids share every cell they
+//! have in common.
 //!
 //! The key's compact rendering is hashed ([`content_hash`]) to pick the
 //! entry file `<root>/<hh>/<hash>.json` (`hh` = first two hex digits, a
@@ -25,7 +26,9 @@
 //! being run again.
 
 use crate::runner::{CellGrid, CellResult, GridResult, Sweep, SweepCell};
-use crate::spec::{stats_from_json, stats_to_json, ExperimentSpec};
+use crate::spec::ExperimentSpec;
+use crate::stats::SimStats;
+use crate::wire::Wire;
 use prestage_json::Json;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -199,7 +202,7 @@ pub fn try_run_spec_cached(
         match store.get(&key)? {
             Some(v) => results.push(CellResult {
                 cell: *cell,
-                stats: stats_from_json(&v).map_err(|e| {
+                stats: SimStats::from_json(&v, "stats").map_err(|e| {
                     format!("cache entry {}: {e}", store.entry_path(&key).display())
                 })?,
                 // Wall-clock is per-worker diagnostic data with no meaning
@@ -216,7 +219,7 @@ pub fn try_run_spec_cached(
     if !misses.is_empty() {
         let put_error: Mutex<Option<String>> = Mutex::new(None);
         let observer = |r: &CellResult| {
-            if let Err(e) = store.put(&cell_key(spec, &names, &r.cell), &stats_to_json(&r.stats)) {
+            if let Err(e) = store.put(&cell_key(spec, &names, &r.cell), &r.stats.to_json()) {
                 put_error
                     .lock()
                     .unwrap_or_else(|p| p.into_inner())

@@ -198,6 +198,11 @@ pub enum PredictorKind {
 }
 
 impl PredictorKind {
+    /// Both kinds, paper's first.
+    pub fn all() -> [PredictorKind; 2] {
+        [PredictorKind::Stream, PredictorKind::Gshare]
+    }
+
     /// Stable identifier used by `ExperimentSpec` JSON and the CLI.
     pub fn id(self) -> &'static str {
         match self {

@@ -23,6 +23,8 @@
 //! * [`spec`] — [`ExperimentSpec`], the serializable value that fully
 //!   describes an experiment, with JSON round-trip, the `PRESTAGE_*`
 //!   env override layer, and the shard-file format of the `prestage` CLI.
+//! * `wire` — the JSON codec of every wire record: one ordered field list
+//!   per struct declares both directions.
 //! * [`cache`] — the content-addressed cell cache behind
 //!   `prestage run --cache <dir>` ([`try_run_spec_cached`]).
 //! * [`artifacts`] — [`results_dir`], the one cwd-independent answer to
@@ -36,6 +38,7 @@ pub mod engine;
 pub mod runner;
 pub mod spec;
 pub mod stats;
+mod wire;
 
 pub use artifacts::results_dir;
 pub use backend::{BackEnd, BackendConfig, BackendStats};
@@ -45,7 +48,7 @@ pub use engine::{Engine, PredictorKind};
 pub use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
 pub use runner::{default_threads, pool_map, CellGrid, CellResult, GridResult, Sweep, SweepCell};
 pub use spec::{
-    cell_from_json, cell_to_json, grid_output, stats_from_json, stats_to_json, try_run_spec,
-    ExperimentSpec, ShardFile, TraceSource, L1_SIZES, TRACE_RECORD_SLACK,
+    grid_output, try_run_spec, ExperimentSpec, ShardFile, TraceSource, L1_SIZES,
+    TRACE_RECORD_SLACK,
 };
 pub use stats::{harmonic_mean, SimStats};

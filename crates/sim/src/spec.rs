@@ -28,12 +28,12 @@
 
 use crate::config::{ConfigPreset, SimConfig};
 use crate::engine::PredictorKind;
-use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
 use crate::runner::{
     default_threads, pool_map_largest_first, CellGrid, CellResult, GridResult, Sweep, SweepCell,
 };
-use crate::stats::SimStats;
+use crate::wire::{check_keys, field, Wire};
 use prestage_cacti::TechNode;
+use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
 use prestage_json::Json;
 use prestage_workload::{build, specint2000, BenchmarkProfile, DynInst, TraceReader, Workload};
 use std::fs::File;
@@ -437,7 +437,7 @@ impl ExperimentSpec {
         ))
     }
 
-    /// Open `path` and check its header against this spec: v2 identity
+    /// Open `path` and check its header against this spec: identity
     /// (profile, both seeds) and at least `warmup + measure` instructions.
     /// Errors name the file and the mismatching field — replaying the
     /// wrong trace must be impossible, not merely unlikely.
@@ -450,13 +450,7 @@ impl ExperimentSpec {
             format!("{e} — record it first: `prestage trace record <spec> --out <dir>`")
         })?;
         let h = reader.header();
-        let Some(meta) = &h.meta else {
-            return Err(format!(
-                "trace {} is v1 and carries no identity; spec replay needs a v2 \
-                 trace — re-record it",
-                path.display()
-            ));
-        };
+        let meta = &h.meta;
         if meta.profile != name {
             return Err(format!(
                 "trace {} was recorded from benchmark {:?}, spec expects {name:?}",
@@ -688,85 +682,14 @@ impl ExperimentSpec {
     // JSON round-trip.
     // -----------------------------------------------------------------------
 
+    /// The canonical JSON form: `schema`, then the fields in the order of
+    /// the spec's `record!` declaration.
     pub fn to_json_value(&self) -> Json {
-        // Exhaustive destructuring: adding a spec field without extending
-        // the codec must not compile.
-        let ExperimentSpec {
-            presets,
-            tech,
-            l1_sizes,
-            bench,
-            warmup_insts,
-            measure_insts,
-            workload_seed,
-            exec_seed,
-            threads,
-            predictor,
-            trace,
-            prefetcher,
-            itlb,
-            insertion,
-        } = self;
-        Json::obj([
-            ("schema", SPEC_SCHEMA.into()),
-            (
-                "presets",
-                Json::Arr(presets.iter().map(|p| p.id().into()).collect()),
-            ),
-            ("tech", tech.id().into()),
-            (
-                "l1_sizes",
-                Json::Arr(l1_sizes.iter().map(|&s| s.into()).collect()),
-            ),
-            (
-                "bench",
-                match bench {
-                    None => Json::Null,
-                    Some(names) => {
-                        Json::Arr(names.iter().map(|n| n.as_str().into()).collect())
-                    }
-                },
-            ),
-            ("warmup_insts", (*warmup_insts).into()),
-            ("measure_insts", (*measure_insts).into()),
-            ("workload_seed", (*workload_seed).into()),
-            ("exec_seed", (*exec_seed).into()),
-            ("threads", (*threads).into()),
-            ("predictor", predictor.id().into()),
-            (
-                "trace",
-                match trace {
-                    None => Json::Null,
-                    Some(t) => Json::obj([("dir", t.dir.as_str().into())]),
-                },
-            ),
-            (
-                "prefetcher",
-                match prefetcher {
-                    None => Json::Null,
-                    Some(k) => k.id().into(),
-                },
-            ),
-            (
-                "itlb",
-                match itlb {
-                    None => Json::Null,
-                    Some(t) => Json::obj([
-                        ("entries", t.entries.into()),
-                        ("assoc", t.assoc.into()),
-                        ("page_bytes", t.page_bytes.into()),
-                        ("miss_cycles", t.miss_cycles.into()),
-                    ]),
-                },
-            ),
-            (
-                "insertion",
-                match insertion {
-                    None => Json::Null,
-                    Some(p) => p.id().into(),
-                },
-            ),
-        ])
+        let mut v = Wire::to_json(self);
+        if let Json::Obj(fields) = &mut v {
+            fields.insert(0, ("schema".into(), SPEC_SCHEMA.into()));
+        }
+        v
     }
 
     /// Serialize as pretty JSON (the on-disk spec-file format).
@@ -774,30 +697,14 @@ impl ExperimentSpec {
         self.to_json_value().pretty()
     }
 
-    /// Parse a spec from a JSON value.  Strict: every field must be
-    /// present, unknown keys are rejected (a misspelled `"warmupinsts"`
-    /// must not silently fall back to the default run length).
+    /// Parse a spec from a JSON value.  Strict: the schema is checked
+    /// first, then every field must be present and unknown keys are
+    /// rejected (a misspelled `"warmupinsts"` must not silently fall back
+    /// to the default run length).
     pub fn from_json_value(v: &Json) -> Result<ExperimentSpec, String> {
-        let keys = v
-            .keys()
-            .ok_or_else(|| "spec must be a JSON object".to_string())?;
-        const KNOWN: [&str; 15] = [
-            "schema",
-            "presets",
-            "tech",
-            "l1_sizes",
-            "bench",
-            "warmup_insts",
-            "measure_insts",
-            "workload_seed",
-            "exec_seed",
-            "threads",
-            "predictor",
-            "trace",
-            "prefetcher",
-            "itlb",
-            "insertion",
-        ];
+        let Json::Obj(pairs) = v else {
+            return Err("spec must be a JSON object".into());
+        };
         let schema = v
             .get("schema")
             .and_then(Json::as_u64)
@@ -807,190 +714,12 @@ impl ExperimentSpec {
                 "spec schema {schema} not supported (this build reads schema {SPEC_SCHEMA} only)"
             ));
         }
-        for k in &keys {
-            if !KNOWN.contains(k) {
-                return Err(format!(
-                    "unknown spec field {k:?} (valid fields: {})",
-                    KNOWN.join(", ")
-                ));
-            }
-        }
-        for k in &KNOWN {
-            if !keys.contains(k) {
-                return Err(format!("spec is missing field {k:?}"));
-            }
-        }
-        let presets = v
-            .get("presets")
-            .and_then(Json::as_arr)
-            .ok_or("presets must be an array")?
+        let fields = pairs
             .iter()
-            .map(|p| {
-                let id = p.as_str().ok_or("presets entries must be strings")?;
-                ConfigPreset::from_id(id).ok_or_else(|| {
-                    let valid: Vec<&str> =
-                        ConfigPreset::all().iter().map(|p| p.id()).collect();
-                    format!("unknown preset {id:?}; valid ids: {}", valid.join(", "))
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let tech_id = v
-            .get("tech")
-            .and_then(Json::as_str)
-            .ok_or("tech must be a string")?;
-        let tech = TechNode::from_id(tech_id).ok_or_else(|| {
-            let valid: Vec<&str> = TechNode::all().iter().map(|n| n.id()).collect();
-            format!("unknown tech node {tech_id:?}; valid ids: {}", valid.join(", "))
-        })?;
-        let l1_sizes = v
-            .get("l1_sizes")
-            .and_then(Json::as_arr)
-            .ok_or("l1_sizes must be an array")?
-            .iter()
-            .map(|s| {
-                s.as_usize()
-                    .ok_or_else(|| format!("bad l1_sizes entry {s:?} (bytes expected)"))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let bench = match v.get("bench") {
-            Some(Json::Null) => None,
-            Some(Json::Arr(names)) => Some(
-                names
-                    .iter()
-                    .map(|n| {
-                        n.as_str()
-                            .map(str::to_string)
-                            .ok_or("bench entries must be strings".to_string())
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            ),
-            _ => return Err("bench must be null or an array of names".into()),
-        };
-        let u64_field = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{name} must be an unsigned integer"))
-        };
-        let threads = match v.get("threads") {
-            Some(Json::Null) => None,
-            Some(t) => Some(
-                t.as_usize()
-                    .ok_or("threads must be null or a positive integer")?,
-            ),
-            None => None,
-        };
-        let pred_id = v
-            .get("predictor")
-            .and_then(Json::as_str)
-            .ok_or("predictor must be a string")?;
-        let predictor = PredictorKind::from_id(pred_id)
-            .ok_or_else(|| format!("unknown predictor {pred_id:?} (stream or gshare)"))?;
-        let trace = match v.get("trace") {
-            None | Some(Json::Null) => None,
-            Some(t) => {
-                let tkeys = t
-                    .keys()
-                    .ok_or("trace must be null or an object {\"dir\": ...}")?;
-                for k in &tkeys {
-                    if *k != "dir" {
-                        return Err(format!("unknown trace field {k:?} (only \"dir\")"));
-                    }
-                }
-                let dir = t
-                    .get("dir")
-                    .and_then(Json::as_str)
-                    .ok_or("trace.dir must be a string")?;
-                Some(TraceSource {
-                    dir: dir.to_string(),
-                })
-            }
-        };
-        // An unknown mechanism id must abort listing the valid set — a
-        // typo'd `"prefetcher": "mnaa"` silently falling back to the
-        // preset default would measure the wrong mechanism.
-        let prefetcher = match v.get("prefetcher") {
-            None | Some(Json::Null) => None,
-            Some(p) => {
-                let id = p
-                    .as_str()
-                    .ok_or("prefetcher must be null or a mechanism id string")?;
-                Some(PrefetcherKind::from_id(id).ok_or_else(|| {
-                    let valid: Vec<&str> =
-                        PrefetcherKind::all().iter().map(|k| k.id()).collect();
-                    format!(
-                        "unknown prefetcher {id:?}; valid ids: {}",
-                        valid.join(", ")
-                    )
-                })?)
-            }
-        };
-        // Strict object parse for the i-TLB model: all four sizing fields
-        // present, nothing else — a misspelled `"pagebytes"` must not
-        // silently model 4 KiB pages.
-        let itlb = match v.get("itlb") {
-            None | Some(Json::Null) => None,
-            Some(t) => {
-                const TLB_FIELDS: [&str; 4] = ["entries", "assoc", "page_bytes", "miss_cycles"];
-                let tkeys = t.keys().ok_or(
-                    "itlb must be null or an object \
-                     {\"entries\", \"assoc\", \"page_bytes\", \"miss_cycles\"}",
-                )?;
-                for k in &tkeys {
-                    if !TLB_FIELDS.contains(k) {
-                        return Err(format!(
-                            "unknown itlb field {k:?} (valid fields: {})",
-                            TLB_FIELDS.join(", ")
-                        ));
-                    }
-                }
-                for k in TLB_FIELDS {
-                    if !tkeys.contains(&k) {
-                        return Err(format!("itlb is missing field {k:?}"));
-                    }
-                }
-                let tlb_usize = |name: &str| {
-                    t.get(name)
-                        .and_then(|f| f.as_usize())
-                        .ok_or_else(|| format!("itlb.{name} must be an unsigned integer"))
-                };
-                let tlb_u64 = |name: &str| {
-                    t.get(name)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("itlb.{name} must be an unsigned integer"))
-                };
-                Some(ITlbConfig {
-                    entries: tlb_usize("entries")?,
-                    assoc: tlb_usize("assoc")?,
-                    page_bytes: tlb_u64("page_bytes")?,
-                    miss_cycles: tlb_u64("miss_cycles")?,
-                })
-            }
-        };
-        let insertion = match v.get("insertion") {
-            None | Some(Json::Null) => None,
-            Some(p) => {
-                let id = p
-                    .as_str()
-                    .ok_or("insertion must be null or a policy id string")?;
-                Some(InsertionPolicy::from_id(id).map_err(|e| format!("spec field insertion: {e}"))?)
-            }
-        };
-        Ok(ExperimentSpec {
-            presets,
-            tech,
-            l1_sizes,
-            bench,
-            warmup_insts: u64_field("warmup_insts")?,
-            measure_insts: u64_field("measure_insts")?,
-            workload_seed: u64_field("workload_seed")?,
-            exec_seed: u64_field("exec_seed")?,
-            threads,
-            predictor,
-            trace,
-            prefetcher,
-            itlb,
-            insertion,
-        })
+            .filter(|(k, _)| k != "schema")
+            .cloned()
+            .collect();
+        <ExperimentSpec as Wire>::from_json(&Json::Obj(fields), "spec")
     }
 
     /// Parse a spec from JSON text.
@@ -1028,289 +757,8 @@ pub fn try_run_spec(spec: &ExperimentSpec) -> Result<Vec<Vec<GridResult>>, Strin
 }
 
 // ---------------------------------------------------------------------------
-// Cell/stats/shard serialization.
+// Shard-file serialization.
 // ---------------------------------------------------------------------------
-
-/// Serialize one cell's statistics as the canonical JSON object — the
-/// shard-file / grid-artifact / cell-cache representation.
-pub fn stats_to_json(s: &SimStats) -> Json {
-    // Exhaustive destructuring everywhere in this codec: a new counter
-    // field that is not serialized would silently break the bit-exact
-    // shard/merge guarantee, so it must not compile instead.
-    let SimStats {
-        seed,
-        cycles,
-        committed,
-        front,
-        bus,
-        pred,
-        backend,
-        redirects,
-    } = *s;
-    let prestage_core::FrontStats {
-        fetch_pb,
-        fetch_l0,
-        fetch_l1,
-        fetch_l2,
-        fetch_mem,
-        prefetch_from_pb,
-        prefetch_from_l1,
-        prefetch_from_l2,
-        prefetch_from_mem,
-        prefetches_issued,
-        filtered,
-        pb_alloc_stalls,
-        blocks_pushed,
-        blocks_rejected,
-        flushes,
-        consumer_bumps,
-    } = front;
-    let source = |c: prestage_core::SourceCount| {
-        Json::Arr(vec![c.lines.into(), c.insts.into()])
-    };
-    let prestage_cache::BusStats {
-        grants_dcache,
-        grants_ifetch,
-        grants_prefetch,
-        writebacks,
-        l2_hits,
-        l2_misses,
-        wait_cycles,
-    } = bus;
-    let prestage_bpred::PredStats {
-        predictions,
-        l1_supplied,
-        l2_supplied,
-        fallback_supplied,
-        trained,
-        train_correct,
-    } = pred;
-    let crate::backend::BackendStats {
-        committed: be_committed,
-        loads,
-        stores,
-        dcache_hits,
-        dcache_misses,
-        branches,
-        commit_stall_cycles,
-    } = backend;
-    Json::obj([
-        ("seed", seed.into()),
-        ("cycles", cycles.into()),
-        ("committed", committed.into()),
-        ("redirects", redirects.into()),
-        (
-            "front",
-            Json::obj([
-                ("fetch_pb", source(fetch_pb)),
-                ("fetch_l0", source(fetch_l0)),
-                ("fetch_l1", source(fetch_l1)),
-                ("fetch_l2", source(fetch_l2)),
-                ("fetch_mem", source(fetch_mem)),
-                ("prefetch_from_pb", prefetch_from_pb.into()),
-                ("prefetch_from_l1", prefetch_from_l1.into()),
-                ("prefetch_from_l2", prefetch_from_l2.into()),
-                ("prefetch_from_mem", prefetch_from_mem.into()),
-                ("prefetches_issued", prefetches_issued.into()),
-                ("filtered", filtered.into()),
-                ("pb_alloc_stalls", pb_alloc_stalls.into()),
-                ("blocks_pushed", blocks_pushed.into()),
-                ("blocks_rejected", blocks_rejected.into()),
-                ("flushes", flushes.into()),
-                ("consumer_bumps", consumer_bumps.into()),
-            ]),
-        ),
-        (
-            "bus",
-            Json::obj([
-                ("grants_dcache", grants_dcache.into()),
-                ("grants_ifetch", grants_ifetch.into()),
-                ("grants_prefetch", grants_prefetch.into()),
-                ("writebacks", writebacks.into()),
-                ("l2_hits", l2_hits.into()),
-                ("l2_misses", l2_misses.into()),
-                ("wait_cycles", wait_cycles.into()),
-            ]),
-        ),
-        (
-            "pred",
-            Json::obj([
-                ("predictions", predictions.into()),
-                ("l1_supplied", l1_supplied.into()),
-                ("l2_supplied", l2_supplied.into()),
-                ("fallback_supplied", fallback_supplied.into()),
-                ("trained", trained.into()),
-                ("train_correct", train_correct.into()),
-            ]),
-        ),
-        (
-            "backend",
-            Json::obj([
-                ("committed", be_committed.into()),
-                ("loads", loads.into()),
-                ("stores", stores.into()),
-                ("dcache_hits", dcache_hits.into()),
-                ("dcache_misses", dcache_misses.into()),
-                ("branches", branches.into()),
-                ("commit_stall_cycles", commit_stall_cycles.into()),
-            ]),
-        ),
-    ])
-}
-
-fn u64_of(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer stats field {key:?}"))
-}
-
-fn source_of(v: &Json, key: &str) -> Result<prestage_core::SourceCount, String> {
-    let arr = v
-        .get(key)
-        .and_then(Json::as_arr)
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| format!("stats field {key:?} must be a [lines, insts] pair"))?;
-    Ok(prestage_core::SourceCount {
-        lines: arr[0]
-            .as_u64()
-            .ok_or_else(|| format!("bad lines count in {key:?}"))?,
-        insts: arr[1]
-            .as_u64()
-            .ok_or_else(|| format!("bad insts count in {key:?}"))?,
-    })
-}
-
-/// Parse [`stats_to_json`]'s representation back; every missing,
-/// malformed or unknown counter is named.  An unknown counter (written by
-/// a build with an extra field) must not merge silently dropped.
-pub fn stats_from_json(v: &Json) -> Result<SimStats, String> {
-    let sub = |key: &str| {
-        v.get(key)
-            .filter(|s| matches!(s, Json::Obj(_)))
-            .ok_or_else(|| format!("missing stats block {key:?}"))
-    };
-    let front = sub("front")?;
-    let bus = sub("bus")?;
-    let pred = sub("pred")?;
-    let backend = sub("backend")?;
-    let stats = SimStats {
-        seed: u64_of(v, "seed")?,
-        cycles: u64_of(v, "cycles")?,
-        committed: u64_of(v, "committed")?,
-        redirects: u64_of(v, "redirects")?,
-        front: prestage_core::FrontStats {
-            fetch_pb: source_of(front, "fetch_pb")?,
-            fetch_l0: source_of(front, "fetch_l0")?,
-            fetch_l1: source_of(front, "fetch_l1")?,
-            fetch_l2: source_of(front, "fetch_l2")?,
-            fetch_mem: source_of(front, "fetch_mem")?,
-            prefetch_from_pb: u64_of(front, "prefetch_from_pb")?,
-            prefetch_from_l1: u64_of(front, "prefetch_from_l1")?,
-            prefetch_from_l2: u64_of(front, "prefetch_from_l2")?,
-            prefetch_from_mem: u64_of(front, "prefetch_from_mem")?,
-            prefetches_issued: u64_of(front, "prefetches_issued")?,
-            filtered: u64_of(front, "filtered")?,
-            pb_alloc_stalls: u64_of(front, "pb_alloc_stalls")?,
-            blocks_pushed: u64_of(front, "blocks_pushed")?,
-            blocks_rejected: u64_of(front, "blocks_rejected")?,
-            flushes: u64_of(front, "flushes")?,
-            consumer_bumps: u64_of(front, "consumer_bumps")?,
-        },
-        bus: prestage_cache::BusStats {
-            grants_dcache: u64_of(bus, "grants_dcache")?,
-            grants_ifetch: u64_of(bus, "grants_ifetch")?,
-            grants_prefetch: u64_of(bus, "grants_prefetch")?,
-            writebacks: u64_of(bus, "writebacks")?,
-            l2_hits: u64_of(bus, "l2_hits")?,
-            l2_misses: u64_of(bus, "l2_misses")?,
-            wait_cycles: u64_of(bus, "wait_cycles")?,
-        },
-        pred: prestage_bpred::PredStats {
-            predictions: u64_of(pred, "predictions")?,
-            l1_supplied: u64_of(pred, "l1_supplied")?,
-            l2_supplied: u64_of(pred, "l2_supplied")?,
-            fallback_supplied: u64_of(pred, "fallback_supplied")?,
-            trained: u64_of(pred, "trained")?,
-            train_correct: u64_of(pred, "train_correct")?,
-        },
-        backend: crate::backend::BackendStats {
-            committed: u64_of(backend, "committed")?,
-            loads: u64_of(backend, "loads")?,
-            stores: u64_of(backend, "stores")?,
-            dcache_hits: u64_of(backend, "dcache_hits")?,
-            dcache_misses: u64_of(backend, "dcache_misses")?,
-            branches: u64_of(backend, "branches")?,
-            commit_stall_cycles: u64_of(backend, "commit_stall_cycles")?,
-        },
-    };
-    // The canonical rendering holds exactly the known keys of each block.
-    let canon = stats_to_json(&stats);
-    for (block, given) in [
-        ("stats", v),
-        ("front", front),
-        ("bus", bus),
-        ("pred", pred),
-        ("backend", backend),
-    ] {
-        let known = if block == "stats" {
-            Some(&canon)
-        } else {
-            canon.get(block)
-        };
-        let unknown = |k: &&str| known.and_then(|c| c.get(k)).is_none();
-        if let Some(k) = given.keys().into_iter().flatten().find(unknown) {
-            return Err(format!("unknown stats field {k:?} in block {block:?}"));
-        }
-    }
-    Ok(stats)
-}
-
-/// Serialize a cell identifier as the canonical JSON object used by
-/// shard files.
-pub fn cell_to_json(c: &SweepCell) -> Json {
-    let SweepCell {
-        preset,
-        tech,
-        l1,
-        bench_idx,
-        exec_seed,
-    } = *c;
-    Json::obj([
-        ("preset", preset.id().into()),
-        ("tech", tech.id().into()),
-        ("l1", l1.into()),
-        ("bench_idx", bench_idx.into()),
-        ("exec_seed", exec_seed.into()),
-    ])
-}
-
-/// Parse [`cell_to_json`]'s representation back; every missing or
-/// malformed field is named.
-pub fn cell_from_json(v: &Json) -> Result<SweepCell, String> {
-    let preset_id = v
-        .get("preset")
-        .and_then(Json::as_str)
-        .ok_or("cell preset must be a string")?;
-    let tech_id = v
-        .get("tech")
-        .and_then(Json::as_str)
-        .ok_or("cell tech must be a string")?;
-    Ok(SweepCell {
-        preset: ConfigPreset::from_id(preset_id)
-            .ok_or_else(|| format!("unknown preset {preset_id:?} in cell"))?,
-        tech: TechNode::from_id(tech_id)
-            .ok_or_else(|| format!("unknown tech {tech_id:?} in cell"))?,
-        l1: v
-            .get("l1")
-            .and_then(Json::as_usize)
-            .ok_or("cell l1 must be an integer")?,
-        bench_idx: v
-            .get("bench_idx")
-            .and_then(Json::as_usize)
-            .ok_or("cell bench_idx must be an integer")?,
-        exec_seed: u64_of(v, "exec_seed")?,
-    })
-}
 
 /// One process's share of a sharded sweep: the spec, the half-open cell
 /// range `[start, end)` it evaluated, and the per-cell results.  Written
@@ -1331,6 +779,43 @@ impl PartialEq for CellResult {
     }
 }
 
+/// A result renders as `cell`, `wall_s`, `stats`.  Hand-written rather
+/// than a `record!`: `wall` renders as the float `wall_s`, which is checked
+/// before `cell` and `stats` so a hostile value is refused by name first.
+impl Wire for CellResult {
+    const SHAPE: &'static str = "an object";
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("cell", self.cell.to_json()),
+            // Wall-clock is diagnostic only; merge output never includes it.
+            ("wall_s", self.wall.as_secs_f64().into()),
+            ("stats", self.stats.to_json()),
+        ])
+    }
+
+    fn from_json(v: &Json, path: &str) -> Result<CellResult, String> {
+        check_keys(v, "result", path, &["cell", "wall_s", "stats"])?;
+        let secs = v
+            .get("wall_s")
+            .and_then(Json::as_f64)
+            .ok_or("result wall_s is missing or not a number")?;
+        // Found by the fuzz harness: Duration::from_secs_f64 panics on
+        // negative or over-range input, so a hostile wall_s crashed the
+        // merge instead of being refused.
+        if secs.is_nan() || secs < 0.0 || secs >= u64::MAX as f64 {
+            return Err(format!(
+                "result wall_s {secs} is not a representable duration"
+            ));
+        }
+        Ok(CellResult {
+            cell: field(v, path, "cell")?,
+            stats: field(v, path, "stats")?,
+            wall: Duration::from_secs_f64(secs),
+        })
+    }
+}
+
 impl ShardFile {
     pub fn to_json(&self) -> String {
         Json::obj([
@@ -1340,27 +825,14 @@ impl ShardFile {
                 "cells",
                 Json::obj([("start", self.start.into()), ("end", self.end.into())]),
             ),
-            (
-                "results",
-                Json::Arr(
-                    self.results
-                        .iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("cell", cell_to_json(&r.cell)),
-                                // Wall-clock is diagnostic only; merge
-                                // output never includes it.
-                                ("wall_s", r.wall.as_secs_f64().into()),
-                                ("stats", stats_to_json(&r.stats)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("results", self.results.to_json()),
         ])
         .pretty()
     }
 
+    /// Parse a shard file.  Strict at every level: the envelope, its
+    /// `cells` range, each result, its `cell` and its stats blocks all
+    /// refuse an unknown key by name.
     pub fn from_json(text: &str) -> Result<ShardFile, String> {
         let v = Json::parse(text).map_err(|e| e.to_string())?;
         let schema = v
@@ -1370,43 +842,18 @@ impl ShardFile {
         if schema != SPEC_SCHEMA {
             return Err(format!("shard schema {schema} not supported"));
         }
-        let spec = ExperimentSpec::from_json_value(
-            v.get("spec").ok_or("shard file has no spec")?,
+        check_keys(
+            &v,
+            "shard",
+            "shard",
+            &["schema", "spec", "cells", "results"],
         )?;
+        let spec = ExperimentSpec::from_json_value(v.get("spec").ok_or("shard file has no spec")?)?;
         let cells = v.get("cells").ok_or("shard file has no cells range")?;
-        let start = cells
-            .get("start")
-            .and_then(Json::as_usize)
-            .ok_or("bad cells.start")?;
-        let end = cells
-            .get("end")
-            .and_then(Json::as_usize)
-            .ok_or("bad cells.end")?;
-        let results = v
-            .get("results")
-            .and_then(Json::as_arr)
-            .ok_or("shard file has no results array")?
-            .iter()
-            .map(|r| {
-                let secs = r
-                    .get("wall_s")
-                    .and_then(Json::as_f64)
-                    .ok_or("result wall_s is missing or not a number")?;
-                // Found by the fuzz harness: Duration::from_secs_f64
-                // panics on negative or over-range input, so a hostile
-                // wall_s crashed the merge instead of being refused.
-                if secs.is_nan() || secs < 0.0 || secs >= u64::MAX as f64 {
-                    return Err(format!(
-                        "result wall_s {secs} is not a representable duration"
-                    ));
-                }
-                Ok(CellResult {
-                    cell: cell_from_json(r.get("cell").ok_or("result has no cell")?)?,
-                    stats: stats_from_json(r.get("stats").ok_or("result has no stats")?)?,
-                    wall: Duration::from_secs_f64(secs),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        check_keys(cells, "shard", "shard.cells", &["start", "end"])?;
+        let start = field(cells, "shard.cells", "start")?;
+        let end = field(cells, "shard.cells", "end")?;
+        let results: Vec<CellResult> = field(&v, "shard", "results")?;
         // Found by the fuzz harness: with a saturating count an *inverted*
         // range (start > end) plus an empty results array parsed clean.
         if start > end {
@@ -1451,7 +898,7 @@ pub fn grid_output(spec: &ExperimentSpec, rows: &[Vec<GridResult>]) -> String {
                                 Json::obj([
                                     ("bench", name.as_str().into()),
                                     ("ipc", s.ipc().into()),
-                                    ("stats", stats_to_json(s)),
+                                    ("stats", s.to_json()),
                                 ])
                             })
                             .collect(),
@@ -1471,6 +918,7 @@ pub fn grid_output(spec: &ExperimentSpec, rows: &[Vec<GridResult>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::SimStats;
     use std::collections::HashMap;
 
     fn tiny_spec() -> ExperimentSpec {
@@ -1661,6 +1109,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("unknown insertion policy `plru`"), "{e}");
+        assert!(e.contains("mru, lru, bypass"), "must list the valid ids: {e}");
         // A non-power-of-two set count is a validation error, by name.
         let bad = ExperimentSpec {
             itlb: Some(ITlbConfig {
@@ -2242,68 +1691,32 @@ mod tests {
         assert_eq!(c.exec_seed, 3);
     }
 
+    /// Give every numeric leaf of `v` a distinct value, counting up from
+    /// `*next`.
+    fn number_leaves(v: &mut Json, next: &mut u64) {
+        match v {
+            Json::Int(i) => {
+                *next += 1;
+                *i = i128::from(*next);
+            }
+            Json::Arr(items) => items.iter_mut().for_each(|x| number_leaves(x, next)),
+            Json::Obj(pairs) => pairs.iter_mut().for_each(|(_, x)| number_leaves(x, next)),
+            _ => {}
+        }
+    }
+
     #[test]
     fn stats_codec_roundtrips_every_field_exactly() {
-        // Fill each counter with a distinct value (including one above
-        // 2^53) so a swapped or dropped field cannot go unnoticed.
-        let mut n = (1u64 << 53) + 1;
-        let mut next = || {
-            n += 1;
-            n
-        };
-        let s = SimStats {
-            seed: next(),
-            cycles: next(),
-            committed: next(),
-            redirects: next(),
-            front: prestage_core::FrontStats {
-                fetch_pb: prestage_core::SourceCount { lines: next(), insts: next() },
-                fetch_l0: prestage_core::SourceCount { lines: next(), insts: next() },
-                fetch_l1: prestage_core::SourceCount { lines: next(), insts: next() },
-                fetch_l2: prestage_core::SourceCount { lines: next(), insts: next() },
-                fetch_mem: prestage_core::SourceCount { lines: next(), insts: next() },
-                prefetch_from_pb: next(),
-                prefetch_from_l1: next(),
-                prefetch_from_l2: next(),
-                prefetch_from_mem: next(),
-                prefetches_issued: next(),
-                filtered: next(),
-                pb_alloc_stalls: next(),
-                blocks_pushed: next(),
-                blocks_rejected: next(),
-                flushes: next(),
-                consumer_bumps: next(),
-            },
-            bus: prestage_cache::BusStats {
-                grants_dcache: next(),
-                grants_ifetch: next(),
-                grants_prefetch: next(),
-                writebacks: next(),
-                l2_hits: next(),
-                l2_misses: next(),
-                wait_cycles: next(),
-            },
-            pred: prestage_bpred::PredStats {
-                predictions: next(),
-                l1_supplied: next(),
-                l2_supplied: next(),
-                fallback_supplied: next(),
-                trained: next(),
-                train_correct: next(),
-            },
-            backend: crate::backend::BackendStats {
-                committed: next(),
-                loads: next(),
-                stores: next(),
-                dcache_hits: next(),
-                dcache_misses: next(),
-                branches: next(),
-                commit_stall_cycles: next(),
-            },
-        };
-        let v = stats_to_json(&s);
-        let back = stats_from_json(&Json::parse(&v.pretty()).unwrap()).unwrap();
-        assert_eq!(back, s);
+        // Every counter of the rendering gets a distinct value above 2^53,
+        // so a swapped, dropped or float-rounded field cannot go unnoticed.
+        let mut v = SimStats::default().to_json();
+        let first = 1u64 << 53;
+        let mut next = first;
+        number_leaves(&mut v, &mut next);
+        assert_eq!(next - first, 45, "every counter is a numeric leaf");
+        let s = SimStats::from_json(&Json::parse(&v.pretty()).unwrap(), "stats").unwrap();
+        assert_eq!(s.to_json(), v);
+        assert_eq!(s.front.consumer_bumps, s.front.flushes + 1);
     }
 
     #[test]
@@ -2407,7 +1820,7 @@ mod tests {
     fn unknown_stats_counters_are_rejected_by_name() {
         // A shard written by a build with an extra counter must not merge
         // with that counter silently dropped, whichever block holds it.
-        let canon = stats_to_json(&SimStats::default());
+        let canon = SimStats::default().to_json();
         for block in ["stats", "front", "bus", "pred", "backend"] {
             let Json::Obj(mut pairs) = canon.clone() else {
                 unreachable!("stats render as an object")
@@ -2421,7 +1834,7 @@ mod tests {
                 }
             };
             target.push(("extra_counter".into(), 7u64.into()));
-            let e = stats_from_json(&Json::Obj(pairs)).unwrap_err();
+            let e = SimStats::from_json(&Json::Obj(pairs), "stats").unwrap_err();
             assert!(e.contains("unknown stats field \"extra_counter\""), "{e}");
             assert!(e.contains(&format!("block \"{block}\"")), "{e}");
         }
@@ -2433,6 +1846,29 @@ mod tests {
             e.contains("unknown stats field \"extra_counter\" in block \"front\""),
             "{e}"
         );
+    }
+
+    #[test]
+    fn shard_files_refuse_unknown_keys_at_every_level() {
+        // `prestage merge` used to drop these silently: only the stats
+        // blocks checked their keys.
+        let text = one_result_shard();
+        // (the first key the bad one goes in front of, the bad key, its block)
+        let bad = [
+            ("\"spec\":", "extra_top", "shard"),
+            ("\"start\":", "stride", "cells"),
+            ("\"wall_s\":", "slots", "results[0]"),
+            ("\"preset\":", "bogus", "cell"),
+        ];
+        for (at, key, block) in bad {
+            let broken = text.replacen(at, &format!("\"{key}\": 1, {at}"), 1);
+            assert_ne!(broken, text, "{key}");
+            let e = ShardFile::from_json(&broken).unwrap_err();
+            assert!(
+                e.contains(&format!("field \"{key}\" in block \"{block}\"")),
+                "{key}: {e}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::backend::BackendStats;
 /// Everything measured in one simulation run (post-warm-up window).
 ///
 /// All fields (including the nested stat blocks) are integer counters, so
-/// equality is exact and the JSON codec in [`crate::spec`] round-trips a
+/// equality is exact and the JSON codec in the `wire` module round-trips a
 /// run bit-for-bit — the property the `prestage shard`/`merge` pipeline
 /// relies on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]

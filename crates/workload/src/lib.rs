@@ -33,9 +33,9 @@
 //! * [`codegen`] — static program synthesis ([`build`]).
 //! * [`exec`] — [`TraceGenerator`]: deterministic dynamic execution
 //!   yielding instruction streams.
-//! * [`trace_io`] — versioned binary trace save/load: the chunked,
-//!   CRC-checked v2 format with streaming [`TraceWriter`]/[`TraceReader`]
-//!   (v1 stays readable).
+//! * [`trace_io`] — binary trace save/load: the chunked, CRC-checked v2
+//!   format with streaming [`TraceWriter`]/[`TraceReader`] (the only
+//!   version read).
 //! * [`replay`] — [`InstSource`], the engine's stream abstraction, served
 //!   live by [`TraceGenerator`], streamed from disk by [`TraceReplayer`], or
 //!   from a decode shared by several cells by [`SharedReplayer`].
@@ -51,8 +51,8 @@ pub use exec::{DynInst, TraceGenerator};
 pub use profile::{by_name, specint2000, BenchmarkProfile};
 pub use replay::{replay_file, FileReplayer, InstSource, SharedReplayer, TraceReplayer};
 pub use trace_io::{
-    open_trace, read_trace, record_trace, write_trace, TraceHeader, TraceMeta, TraceReader,
-    TraceWriter, DEFAULT_CHUNK_INSTS,
+    open_trace, read_trace, record_trace, TraceHeader, TraceMeta, TraceReader, TraceWriter,
+    DEFAULT_CHUNK_INSTS,
 };
 
 /// Miniaturized SPECint2000 workloads — the first `n` profiles with code

@@ -56,9 +56,8 @@ fn stream_end_of(inst: &DynInst) -> Option<StreamEnd> {
 }
 
 /// Reassembles a trace's flat records into the streams the engine fetches,
-/// reading the trace at constant memory.  A v2 trace decodes each
-/// CRC-checked, validated chunk payload straight into the engine's stream
-/// buffer; a v1 trace goes record by record.
+/// reading the trace at constant memory: each CRC-checked, validated chunk
+/// payload decodes straight into the engine's stream buffer.
 #[derive(Debug)]
 pub struct TraceReplayer<R: Read> {
     reader: TraceReader<R>,
@@ -94,7 +93,7 @@ impl<R: Read> TraceReplayer<R> {
         inst
     }
 
-    /// The first record of the next chunk (or the next v1 record).
+    /// The first record of the next chunk.
     #[cold]
     fn next_chunk_inst(&mut self) -> DynInst {
         match self.reader.next() {

@@ -11,7 +11,7 @@
 //! * **Byte-level fuzzers** ([`mod@targets`]) drive structure-aware mutations
 //!   of checked-in corpus seeds (`fuzz/corpus/<target>/`) through each
 //!   wire-format parser — the JSON tree ([`prestage_json`]), the
-//!   experiment-spec codec, the trace v1/v2 reader and the shard-file
+//!   experiment-spec codec, the trace reader and the shard-file
 //!   loader — asserting the workspace's loud-parsing policy
 //!   *adversarially*: no input may panic, loop, or produce unboundedly
 //!   more output than it is long, and every rejection must name the

@@ -198,7 +198,7 @@ fn spec_target(data: &[u8]) -> Result<Outcome, String> {
     }
 }
 
-/// The trace v1/v2 reader, streamed to exhaustion, and the verify-only
+/// The trace reader, streamed to exhaustion, and the verify-only
 /// pass over the same bytes.  Every rejection must name a field, and both
 /// passes must agree: the same inputs accepted, the same message on each
 /// rejection.  The record stream may never outrun what the input bytes
@@ -235,8 +235,8 @@ fn trace_target(data: &[u8]) -> Result<Outcome, String> {
 /// Stream a trace to exhaustion through the iterator; the record count,
 /// or the first error.
 fn decode_trace(data: &[u8]) -> std::io::Result<u64> {
-    // Records have a 24-byte floor and the v1 header is 16 bytes, so a
-    // clean read can never produce more than len/24 + 1 records.
+    // Records have a 24-byte floor, so a clean read can never produce
+    // more than len/24 + 1 records.
     let max_records = (data.len() / 24) as u64 + 1;
     let mut produced: u64 = 0;
     for rec in TraceReader::new(data)? {
@@ -312,11 +312,7 @@ pub fn builtin_seeds_for(target: &str) -> Vec<Vec<u8>> {
             let mut v2 = std::io::Cursor::new(Vec::new());
             prestage_workload::record_trace(&mut v2, &w, 3, 600, 256)
                 .expect("in-memory recording");
-            let insts: Vec<_> =
-                prestage_workload::TraceGenerator::new(&w, 3).take_insts(200);
-            let mut v1 = Vec::new();
-            prestage_workload::write_trace(&mut v1, &insts).expect("in-memory v1");
-            vec![v2.into_inner(), v1]
+            vec![v2.into_inner()]
         }
         "shard" => {
             // An empty-but-valid shard: real stats come from the corpus.

@@ -31,6 +31,16 @@ fn all_checked_in_inputs_run_clean() {
     assert!(replayed >= 10, "only {replayed} checked-in inputs found");
 }
 
+/// `fuzz/corpus/shard/one-cell.json` re-renders byte-for-byte through the
+/// shard codec: pins the shard file's key order and number rendering.
+#[test]
+fn corpus_shard_re_renders_byte_for_byte() {
+    let text = std::fs::read_to_string(default_corpus_root().join("shard/one-cell.json"))
+        .expect("checked-in corpus input");
+    let shard = prestage_sim::ShardFile::from_json(&text).unwrap();
+    assert_eq!(shard.to_json(), text);
+}
+
 /// `fuzz/regressions/shard/inverted-range.json` — the crasher that led to
 /// the inverted-range check in `ShardFile::from_json`.
 #[test]
@@ -53,6 +63,23 @@ fn regression_negative_wall_seconds() {
     assert_eq!(check_input(t, &bytes), Ok(Outcome::Rejected));
     let e = prestage_sim::ShardFile::from_json(std::str::from_utf8(&bytes).unwrap()).unwrap_err();
     assert!(e.contains("wall_s"), "{e}");
+}
+
+/// `fuzz/regressions/trace/v1-refused.pstr` — a trace in the retired v1
+/// format (once a corpus seed): refused by its version number, through
+/// the iterator and the verify-only pass alike.
+#[test]
+fn regression_v1_trace_is_refused_by_version() {
+    let bytes = std::fs::read(default_regressions_root().join("trace/v1-refused.pstr"))
+        .expect("checked-in regression input");
+    let t = target_by_name("trace").unwrap();
+    assert_eq!(check_input(t, &bytes), Ok(Outcome::Rejected));
+    let e = prestage_workload::TraceReader::new(&bytes[..]).unwrap_err();
+    assert!(
+        e.to_string()
+            .contains("unsupported trace version 1 (this build reads v2 only)"),
+        "{e}"
+    );
 }
 
 /// `fuzz/regressions/spec/warmup-measure-overflow.json` — parses (every

@@ -344,16 +344,11 @@ fn cmd_trace_info(args: Vec<String>) {
     let mut reader =
         open_trace(Path::new(path)).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
     let h = reader.header().clone();
-    println!("{path}: PSTR v{}", h.version);
-    match &h.meta {
-        Some(m) => {
-            println!("  profile:       {}", m.profile);
-            println!("  workload_seed: {}", m.workload_seed);
-            println!("  exec_seed:     {}", m.exec_seed);
-            println!("  chunk size:    {} records", h.chunk_insts);
-        }
-        None => println!("  (v1: no embedded identity, no CRCs)"),
-    }
+    println!("{path}: PSTR v{}", prestage_workload::trace_io::VERSION);
+    println!("  profile:       {}", h.meta.profile);
+    println!("  workload_seed: {}", h.meta.workload_seed);
+    println!("  exec_seed:     {}", h.meta.exec_seed);
+    println!("  chunk size:    {} records", h.chunk_insts);
     println!("  instructions:  {}", h.count);
     let records = reader
         .verify()

@@ -38,9 +38,16 @@ fn trace_roundtrips_through_binary_io() {
     let w = build(p, 11);
     let mut gen = TraceGenerator::new(&w, 3);
     let insts = gen.take_insts(25_000);
-    let mut bytes = Vec::new();
-    trace_io::write_trace(&mut bytes, &insts).unwrap();
-    let back = trace_io::read_trace(&bytes[..]).unwrap();
+    let meta = trace_io::TraceMeta {
+        profile: p.name.into(),
+        workload_seed: 11,
+        exec_seed: 3,
+    };
+    let mut bytes = std::io::Cursor::new(Vec::new());
+    let mut writer = trace_io::TraceWriter::new(&mut bytes, meta).unwrap();
+    writer.push_all(&insts).unwrap();
+    writer.finish().unwrap();
+    let back = trace_io::read_trace(&bytes.into_inner()[..]).unwrap();
     assert_eq!(insts, back);
 }
 

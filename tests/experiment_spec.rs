@@ -199,3 +199,40 @@ fn unknown_bench_name_is_a_loud_error_through_the_whole_stack() {
     let err = try_run_spec(&spec).unwrap_err();
     assert!(err.contains("unknown benchmark"), "{err}");
 }
+
+/// `tests/golden/every_field_spec.json` sets every optional field (`bench`,
+/// `threads`, `trace`, `prefetcher`, `itlb`, `insertion`) and seeds above
+/// 2^53: it parses to exactly this value and renders back byte-for-byte,
+/// so any change to the spec codec's key order or number rendering fails
+/// here first.
+#[test]
+fn golden_spec_with_every_optional_field_renders_byte_identically() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/every_field_spec.json");
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let spec = ExperimentSpec {
+        presets: vec![ConfigPreset::FdpL0, ConfigPreset::ClgpL0Pb16],
+        tech: TechNode::T045,
+        l1_sizes: vec![512, 8 << 10],
+        bench: Some(vec!["gcc".into(), "mcf".into()]),
+        warmup_insts: 2_000,
+        measure_insts: 10_000,
+        workload_seed: (1 << 53) + 1,
+        exec_seed: u64::MAX,
+        threads: Some(3),
+        predictor: PredictorKind::Gshare,
+        trace: Some(TraceSource {
+            dir: "traces/every-field".into(),
+        }),
+        prefetcher: Some(PrefetcherKind::Mana),
+        itlb: Some(ITlbConfig {
+            entries: 64,
+            assoc: 4,
+            page_bytes: 8 << 10,
+            miss_cycles: 30,
+        }),
+        insertion: Some(InsertionPolicy::Bypass),
+    };
+    assert_eq!(spec.to_json(), text);
+    assert_eq!(ExperimentSpec::from_json(&text).unwrap(), spec);
+}

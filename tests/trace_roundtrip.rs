@@ -3,8 +3,6 @@
 //! * **Replay fidelity** — for randomized profiles and seeds, a recorded
 //!   trace replays into the *identical* stream sequence and the identical
 //!   full `GridResult`s (every counter of every cell) as live generation.
-//! * **Version compatibility** — v1 traces stay readable through both the
-//!   whole-slice API and the streaming reader.
 //! * **Corruption coverage** — every header byte mutated, every chunk
 //!   field mutated, mid-chunk truncation, trailing garbage: all must fail,
 //!   and the error must name the offending field, not just "bad data".
@@ -16,8 +14,8 @@ use prestage_sim::{
     grid_output, try_run_spec, ConfigPreset, ExperimentSpec, PrefetcherKind, TraceSource,
 };
 use prestage_workload::{
-    build, by_name, read_trace, record_trace, specint2000, write_trace, InstSource, TraceGenerator,
-    TraceReader, TraceReplayer,
+    build, by_name, read_trace, record_trace, specint2000, InstSource, TraceGenerator, TraceReader,
+    TraceReplayer,
 };
 use proptest::prelude::*;
 use std::io::{BufWriter, Cursor};
@@ -263,46 +261,6 @@ fn replayed_grids_equal_live_at_every_pool_width() {
 }
 
 // ---------------------------------------------------------------------------
-// v1 → v2 compatibility.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn v1_traces_stay_readable_through_both_apis() {
-    let w = mini_workload(0, 11);
-    let insts = TraceGenerator::new(&w, 5).take_insts(3_000);
-    let mut v1 = Vec::new();
-    write_trace(&mut v1, &insts).unwrap();
-
-    // Whole-slice API.
-    assert_eq!(read_trace(&v1[..]).unwrap(), insts);
-
-    // Streaming API: header declares v1, no identity, and the records
-    // stream out identically.
-    let reader = TraceReader::new(&v1[..]).unwrap();
-    let h = reader.header().clone();
-    assert_eq!(h.version, 1);
-    assert_eq!(h.count, insts.len() as u64);
-    assert_eq!(h.meta, None);
-    let streamed: Vec<_> = reader.map(|r| r.unwrap()).collect();
-    assert_eq!(streamed, insts);
-
-    // And a v1 trace replays into the same streams as a v2 recording of
-    // the same execution.
-    let v2 = record_to_vec(&w, 5, insts.len() as u64, 512);
-    let mut r1 = TraceReplayer::new(TraceReader::new(&v1[..]).unwrap(), "v1");
-    let mut r2 = TraceReplayer::new(TraceReader::new(&v2[..]).unwrap(), "v2");
-    let (mut b1, mut b2) = (Vec::new(), Vec::new());
-    let mut seen = 0;
-    while seen < 2_500 {
-        let s1 = r1.next_stream(&mut b1);
-        let s2 = r2.next_stream(&mut b2);
-        assert_eq!(s1, s2);
-        assert_eq!(b1, b2);
-        seen += s1.len;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Corruption coverage.
 // ---------------------------------------------------------------------------
 
@@ -475,17 +433,8 @@ fn chunk_corruption_is_rejected_by_name() {
 /// on the missing data immediately, not size a `Vec` from the header.
 #[test]
 fn hostile_header_counts_cannot_drive_preallocation() {
-    // v1: count is the only length field.
-    for count in [u64::MAX / 2, 1 << 40, 16_777_216] {
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(b"PSTR");
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&count.to_le_bytes());
-        let e = read_trace(&v1[..]).unwrap_err();
-        assert!(e.to_string().contains("truncated"), "{e}");
-    }
-    // v2: a genuine small trace whose count field is inflated is caught by
-    // the header CRC before any chunk is read.
+    // A genuine small trace whose count field is inflated is caught by the
+    // header CRC before any chunk is read.
     let (bytes, hlen) = fixture_bytes();
     let count_off = hlen - 16; // count(8) then chunk_insts(4) then crc(4)
     let mut bad = bytes;
@@ -541,17 +490,6 @@ fn oversized_length_fields_are_rejected_by_name() {
         msg.contains(&format!("chunk 0 payload length {}", u32::MAX)),
         "{msg}"
     );
-
-    // A v1 record count just above the actual body: the reader streams
-    // and dies on the missing bytes, never preallocating from the claim.
-    let w = mini_workload(2, 5);
-    let insts = TraceGenerator::new(&w, 5).take_insts(64);
-    let mut v1 = Vec::new();
-    write_trace(&mut v1, &insts).unwrap();
-    let count_off = 8;
-    v1[count_off..count_off + 8].copy_from_slice(&(insts.len() as u64 + 1).to_le_bytes());
-    let e = read_trace(&v1[..]).unwrap_err();
-    assert!(e.to_string().contains("truncated"), "{e}");
 }
 
 // ---------------------------------------------------------------------------
@@ -581,7 +519,7 @@ fn golden_trace_fixture_re_records_byte_identically() {
         .unwrap_or_else(|e| panic!("committed fixture {}: {e}", path.display()));
     let reader = TraceReader::new(&bytes[..]).unwrap();
     let h = reader.header().clone();
-    let meta = h.meta.clone().expect("fixture is v2");
+    let meta = h.meta.clone();
 
     // Rebuild the world from the header alone and re-record.
     let p = by_name(&meta.profile)

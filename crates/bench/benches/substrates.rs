@@ -97,8 +97,7 @@ fn bench_tracegen(c: &mut Criterion) {
 
 /// Trace I/O hot paths: the verify-only set-up pass, CRC-verified v2 read
 /// throughput, both replay routes a sweep cell can take instead of live
-/// generation, and the one-time record cost.  The `trace/*` medians land in the CI perf artifact via
-/// the `CRITERION_MEDIANS_FILE` hook, next to `engine/*` and `bpred/*`.
+/// generation, and the one-time record cost.
 fn bench_trace_io(c: &mut Criterion) {
     use prestage_workload::{record_trace, InstSource, TraceReader, TraceReplayer};
     use std::io::Cursor;

@@ -15,16 +15,18 @@
 //!   declared spec plus a [`report::ReportKind`], and
 //!   [`figures::run_figure`] is the entire body of every `fig*` binary.
 //!   The same named specs drive `prestage run <name>`.
-//! * **How results land on disk** is [`report`] (tables + CSVs) and
-//!   [`perf`] (the CI perf artifact), all under [`results_dir`].
+//! * **How results land on disk** is [`report`] (tables + CSVs), under
+//!   [`results_dir`].
 //!
-//! Two environment variables remain artifact plumbing rather than
-//! experiment configuration, and are documented as such in the README:
-//! `PRESTAGE_RESULTS_DIR` (where CSVs/notes/perf JSON land) and
-//! `PRESTAGE_PREV_JSON` (an explicit previous CI artifact for `ci_grid`).
+//! One environment variable remains artifact plumbing rather than
+//! experiment configuration, and is documented as such in the README:
+//! `PRESTAGE_RESULTS_DIR` (where CSVs and notes land).
+//!
+//! Performance is measured by the repository benchmark (`perfbench/`,
+//! declared in `BENCHMARK.json`), not by this crate; `benches/substrates.rs`
+//! keeps the micro-benches of the substrate hot paths.
 
 pub mod figures;
-pub mod perf;
 pub mod report;
 
 use std::io::Write;

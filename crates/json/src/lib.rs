@@ -2,8 +2,8 @@
 //!
 //! A minimal JSON value tree with a hand-written parser and a
 //! deterministic writer — the one serialization substrate shared by the
-//! [`ExperimentSpec`] API, the `prestage shard`/`merge` files, and the CI
-//! perf artifacts.  The vendored `serde` shim has no data-format backend
+//! [`ExperimentSpec`] API, the `prestage shard`/`merge` files, and the
+//! cell cache's entries.  The vendored `serde` shim has no data-format backend
 //! (vendor/README.md), so everything that crosses a process boundary in
 //! this workspace goes through this module instead.
 //!

@@ -1,12 +1,12 @@
 //! Artifact anchoring: the single answer to "where do results land on
-//! disk?", shared by the figure binaries and the CI perf gate through
+//! disk?", shared by the figure binaries and the CLI through
 //! `prestage-bench`'s re-export — so a run from any cwd lands its
 //! artifacts exactly where a run from the workspace root would.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// Directory where sweep artifacts (CSVs, notes, perf JSON) land: `PRESTAGE_RESULTS_DIR` if set, else
+/// Directory where sweep artifacts (CSVs, notes) land: `PRESTAGE_RESULTS_DIR` if set, else
 /// `<workspace root>/results` — derived once, independent of the
 /// invocation cwd.
 ///

@@ -15,7 +15,7 @@
 //! with that config.
 
 use prestage_bench::{note_result, results_dir};
-use prestage_sim::{CellGrid, ConfigPreset, ExperimentSpec, SimConfig, Sweep};
+use prestage_sim::{ConfigPreset, ExperimentSpec, SimConfig, Sweep};
 use std::io::Write;
 
 fn main() {
@@ -64,20 +64,20 @@ fn main() {
     std::fs::create_dir_all(results_dir()).unwrap();
     let mut csv = std::fs::File::create(results_dir().join("ablate.csv")).unwrap();
     writeln!(csv, "variant,hmean_ipc,pb_share").unwrap();
-    let grid =
-        CellGrid::from_spec(&spec).unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-    let cells = grid.cells();
-    let names = spec.bench_names().expect("validated above");
+    let cells = spec
+        .cells()
+        .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
     let mut full = None;
     for (name, cfg) in &variants {
-        let results = Sweep {
+        let rows = Sweep {
             workloads: Some(&w),
             configure: Some(&|_| *cfg),
             ..Sweep::new(&spec, &cells)
         }
         .run()
+        .and_then(|results| spec.rows(results))
         .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        let r = &grid.merge_named(results, &names)[0][0];
+        let r = &rows[0][0];
         let h = r.hmean_ipc();
         let pb: f64 = r
             .per_bench

@@ -13,7 +13,7 @@
 
 use prestage_bench::{note_result, size_label, L1_SIZES};
 use prestage_cacti::TechNode;
-use prestage_sim::{CellGrid, ConfigPreset, ExperimentSpec, GridResult, Sweep};
+use prestage_sim::{ConfigPreset, ExperimentSpec, GridResult, Sweep};
 
 fn main() {
     let base = ExperimentSpec::from_env();
@@ -22,17 +22,17 @@ fn main() {
     let w = base
         .build_workloads()
         .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-    let names = base.bench_names().expect("validated above");
     let run = |spec: &ExperimentSpec| -> Vec<Vec<GridResult>> {
-        let grid =
-            CellGrid::from_spec(spec).unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        let results = Sweep {
-            workloads: Some(&w),
-            ..Sweep::new(spec, &grid.cells())
-        }
-        .run()
-        .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        grid.merge_named(results, &names)
+        spec.cells()
+            .and_then(|cells| {
+                Sweep {
+                    workloads: Some(&w),
+                    ..Sweep::new(spec, &cells)
+                }
+                .run()
+            })
+            .and_then(|results| spec.rows(results))
+            .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"))
     };
 
     for tech in [TechNode::T090, TechNode::T045] {

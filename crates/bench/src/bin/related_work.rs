@@ -22,8 +22,8 @@ use prestage_bench::{note_result, results_dir};
 use prestage_cacti::{area_mm2, energy_nj_per_access, CacheGeometry};
 use prestage_core::{prefetcher_state_bytes, ITlbConfig, PrefetcherKind};
 use prestage_sim::{
-    harmonic_mean, CellGrid, ConfigPreset, ExperimentSpec, GridResult, PredictorKind, SimConfig,
-    Sweep, SweepCell,
+    harmonic_mean, ConfigPreset, ExperimentSpec, GridResult, PredictorKind, SimConfig, Sweep,
+    SweepCell,
 };
 use std::io::Write;
 
@@ -37,22 +37,24 @@ fn main() {
     let w = base
         .build_workloads()
         .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-    let names = base.bench_names().expect("validated above");
     // The one (preset, size) row of a derived one-row spec, over the shared
     // workloads; `configure` swaps in a config with no preset identity.
     let row = |spec: &ExperimentSpec,
                configure: Option<&(dyn Fn(&SweepCell) -> SimConfig + Sync)>|
      -> GridResult {
-        let grid =
-            CellGrid::from_spec(spec).unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        let results = Sweep {
-            workloads: Some(&w),
-            configure,
-            ..Sweep::new(spec, &grid.cells())
-        }
-        .run()
-        .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        grid.merge_named(results, &names).remove(0).remove(0)
+        spec.cells()
+            .and_then(|cells| {
+                Sweep {
+                    workloads: Some(&w),
+                    configure,
+                    ..Sweep::new(spec, &cells)
+                }
+                .run()
+            })
+            .and_then(|results| spec.rows(results))
+            .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"))
+            .remove(0)
+            .remove(0)
     };
 
     // --- Prefetch scheme ladder: none -> NLP -> FDP -> CLGP. -------------

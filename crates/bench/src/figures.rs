@@ -1,15 +1,15 @@
 //! The paper's figures as declarations.
 //!
 //! Each figure is an [`ExperimentSpec`] (what to run) plus a
-//! [`ReportKind`] (how to present it); [`run_figure`] is the whole figure
-//! binary.  The environment's `PRESTAGE_*` overrides apply through the
-//! spec's single [`env_overrides`](ExperimentSpec::env_overrides) layer,
-//! and the same named specs are reachable from the `prestage` CLI
-//! (`prestage run fig5b`, `prestage list`).
+//! [`ReportKind`] (how to present it).  `prestage run <figure>` runs one:
+//! the declared spec with the environment's `PRESTAGE_*` overrides applied
+//! through the spec's single [`env_overrides`](ExperimentSpec::env_overrides)
+//! layer, rendered by [`report::render`](crate::report::render)
+//! (`prestage list` prints the index).
 
-use crate::report::{self, ReportKind};
+use crate::report::ReportKind;
 use prestage_cacti::TechNode;
-use prestage_sim::{try_run_spec, ConfigPreset, ExperimentSpec};
+use prestage_sim::{ConfigPreset, ExperimentSpec};
 
 /// One declared figure.
 #[derive(Debug, Clone, Copy)]
@@ -151,31 +151,6 @@ pub const FIGURES: [Figure; 9] = [
 /// Look up a figure declaration by name.
 pub fn by_name(name: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.name == name)
-}
-
-/// Run one figure end-to-end: declared spec → env overrides → cell pool →
-/// report + CSV.  This *is* the body of every `fig*` binary.
-///
-/// # Panics
-/// On an unknown name or an invalid spec (e.g. a typo'd `PRESTAGE_BENCH`),
-/// with the valid alternatives in the message.
-pub fn run_figure(name: &str) {
-    let fig = by_name(name).unwrap_or_else(|| {
-        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-        panic!("unknown figure {name:?}; declared figures: {}", names.join(", "))
-    });
-    let spec = (fig.make_spec)().env_overrides();
-    let t0 = std::time::Instant::now();
-    let rows = try_run_spec(&spec).unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-    eprintln!(
-        "  swept {} cells ({} presets x {} sizes x {} benchmarks) in {:.2}s",
-        spec.presets.len() * spec.l1_sizes.len() * rows[0][0].per_bench.len(),
-        spec.presets.len(),
-        spec.l1_sizes.len(),
-        rows[0][0].per_bench.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    report::render(fig.report, fig.title, fig.name, &spec, &rows);
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! # prestage-bench
 //!
-//! The experiment harness: figure/table binaries in `src/bin/` (one per
-//! table/figure of the paper — `prestage list` prints the index), the
-//! Criterion benches in `benches/`, and the shared presentation layer.
+//! The experiment harness: the declared figures ([`figures`], run by
+//! `prestage run <figure>`; `prestage list` prints the index), the table
+//! and study binaries in `src/bin/` (`table1`–`table3`, `headline`,
+//! `ablate`, `related_work`), the substrate micro-benches in `benches/`,
+//! and the shared presentation layer.
 //!
 //! Since the `ExperimentSpec` redesign the harness has three layers:
 //!
@@ -12,9 +14,8 @@
 //!   ([`ExperimentSpec::env_overrides`](prestage_sim::ExperimentSpec::env_overrides));
 //!   no binary reads them directly.
 //! * **Which figure is which** lives in [`figures`]: each figure is a
-//!   declared spec plus a [`report::ReportKind`], and
-//!   [`figures::run_figure`] is the entire body of every `fig*` binary.
-//!   The same named specs drive `prestage run <name>`.
+//!   declared spec plus a [`report::ReportKind`], and `prestage run
+//!   <name>` runs it.
 //! * **How results land on disk** is [`report`] (tables + CSVs), under
 //!   [`results_dir`].
 //!

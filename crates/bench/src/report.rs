@@ -1,7 +1,7 @@
 //! The one place figure output is rendered.
 //!
-//! Every figure binary used to hand-roll its own table printing and CSV
-//! emission; they are now declarations (an [`ExperimentSpec`] plus a
+//! Every figure used to hand-roll its own table printing and CSV
+//! emission; figures are now declarations (an [`ExperimentSpec`] plus a
 //! [`ReportKind`]) and this module owns the four renderings the paper's
 //! figures need.  Each renderer takes the spec (for axes and labels) and
 //! the ordered `[preset][size]` rows `try_run_spec` returned, prints the

@@ -262,22 +262,12 @@ impl SetAssocCache {
         }
     }
 
-    /// Drop all contents (keeps statistics).
-    pub fn flush(&mut self) {
-        self.valid.iter_mut().for_each(|v| *v = false);
-        self.dirty.iter_mut().for_each(|d| *d = false);
-    }
-
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
 
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-    }
-
-    pub fn capacity_bytes(&self) -> usize {
-        (self.sets * self.assoc) << self.line_shift
     }
 
     pub fn line_bytes(&self) -> usize {
@@ -372,9 +362,7 @@ mod tests {
         assert!(c.invalidate(0x00));
         assert!(!c.invalidate(0x00));
         assert_eq!(c.occupancy(), 1);
-        c.flush();
-        assert_eq!(c.occupancy(), 0);
-        assert!(!c.contains(0x40));
+        assert!(c.contains(0x40));
     }
 
     #[test]
@@ -407,7 +395,6 @@ mod tests {
     #[test]
     fn capacity_reporting() {
         let c = SetAssocCache::new(32 << 10, 64, 2);
-        assert_eq!(c.capacity_bytes(), 32 << 10);
         assert_eq!(c.line_bytes(), 64);
         assert_eq!(c.assoc(), 2);
     }

@@ -41,11 +41,6 @@ pub fn pipelining_area_overhead(stages: u32) -> f64 {
     1.0 + PIPELINE_STAGE_OVERHEAD * stages.saturating_sub(1) as f64
 }
 
-/// Total area of an array pipelined into `stages` stages.
-pub fn pipelined_area_mm2(g: &CacheGeometry, node: TechNode, stages: u32) -> f64 {
-    area_mm2(g, node) * pipelining_area_overhead(stages)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,10 +65,6 @@ mod tests {
     fn pipelining_costs_area() {
         assert_eq!(pipelining_area_overhead(1), 1.0);
         assert!(pipelining_area_overhead(4) > pipelining_area_overhead(2));
-        let g = CacheGeometry::new(16 << 10, 64, 2, 1);
-        assert!(
-            pipelined_area_mm2(&g, TechNode::T045, 4) > area_mm2(&g, TechNode::T045)
-        );
     }
 
     #[test]

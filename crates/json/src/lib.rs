@@ -425,13 +425,6 @@ impl Json {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_i128(&self) -> Option<i128> {
         match self {
             Json::Int(i) => Some(*i),

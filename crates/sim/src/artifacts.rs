@@ -1,5 +1,5 @@
 //! Artifact anchoring: the single answer to "where do results land on
-//! disk?", shared by the figure binaries and the CLI through
+//! disk?", shared by the experiment binaries and the CLI through
 //! `prestage-bench`'s re-export — so a run from any cwd lands its
 //! artifacts exactly where a run from the workspace root would.
 

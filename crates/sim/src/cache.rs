@@ -25,7 +25,7 @@
 //! each cell is written the moment it finishes, a killed run resumes by
 //! being run again.
 
-use crate::runner::{CellGrid, CellResult, GridResult, Sweep, SweepCell};
+use crate::runner::{CellResult, GridResult, Sweep, SweepCell};
 use crate::spec::ExperimentSpec;
 use crate::stats::SimStats;
 use crate::wire::Wire;
@@ -147,16 +147,20 @@ impl Store {
 
 /// Cache key of one cell: the spec's portable canonical JSON with the grid
 /// axes narrowed to this cell (`presets: [preset]`, `l1_sizes: [l1]`,
-/// `bench: [name]`).  `names` are the spec's resolved benchmark names, so
-/// the same cell at any grid position gets the same key.
-pub fn cell_key(spec: &ExperimentSpec, names: &[&str], cell: &SweepCell) -> Json {
-    ExperimentSpec {
+/// `bench: [name]`).  The benchmark is keyed by its resolved name, so the
+/// same cell at any grid position gets the same key.
+pub fn cell_key(spec: &ExperimentSpec, cell: &SweepCell) -> Result<Json, String> {
+    let name = *spec
+        .bench_names()?
+        .get(cell.bench_idx)
+        .ok_or_else(|| format!("cell {cell:?} indexes outside the spec's benchmarks"))?;
+    Ok(ExperimentSpec {
         presets: vec![cell.preset],
         l1_sizes: vec![cell.l1],
-        bench: Some(vec![names[cell.bench_idx].to_string()]),
+        bench: Some(vec![name.to_string()]),
         ..spec.portable()
     }
-    .to_json_value()
+    .to_json_value())
 }
 
 /// What [`try_run_spec_cached`] found: the grid's cell count and how many
@@ -181,10 +185,11 @@ impl std::fmt::Display for CacheCounts {
 
 /// [`try_run_spec`](crate::try_run_spec) through a cell cache: every cell
 /// is looked up first, only the misses are simulated (one [`Sweep`], whose
-/// observer stores each result as its cell finishes), and the rows are
-/// assembled exactly as the uncached run assembles them — so the artifact
-/// is byte-identical whether a cell was cached or not.  A full hit does no
-/// set-up at all: no workload build, no trace load.
+/// observer stores each result as its cell finishes), and hits and misses
+/// fill one slot per flat position, assembled exactly as the uncached run
+/// assembles them — so the artifact is byte-identical whether a cell was
+/// cached or not.  A full hit does no set-up at all: no workload build, no
+/// trace load.
 ///
 /// The first failed store write is returned after the sweep; every cell
 /// stored before it stays a hit for the next run.
@@ -192,15 +197,13 @@ pub fn try_run_spec_cached(
     spec: &ExperimentSpec,
     store: &Store,
 ) -> Result<(Vec<Vec<GridResult>>, CacheCounts), String> {
-    let grid = CellGrid::from_spec(spec)?;
-    let names = spec.bench_names()?;
-    let cells = grid.cells();
-    let mut results = Vec::with_capacity(cells.len());
+    let cells = spec.cells()?;
+    let mut slots: Vec<Option<CellResult>> = Vec::with_capacity(cells.len());
     let mut misses = Vec::new();
     for cell in &cells {
-        let key = cell_key(spec, &names, cell);
-        match store.get(&key)? {
-            Some(v) => results.push(CellResult {
+        let key = cell_key(spec, cell)?;
+        let hit = match store.get(&key)? {
+            Some(v) => Some(CellResult {
                 cell: *cell,
                 stats: SimStats::from_json(&v, "stats").map_err(|e| {
                     format!("cache entry {}: {e}", store.entry_path(&key).display())
@@ -209,35 +212,42 @@ pub fn try_run_spec_cached(
                 // for a cached cell; nothing downstream reads it.
                 wall: Duration::ZERO,
             }),
-            None => misses.push(*cell),
-        }
+            None => {
+                misses.push(*cell);
+                None
+            }
+        };
+        slots.push(hit);
     }
     let counts = CacheCounts {
         cells: cells.len(),
-        cached: results.len(),
+        cached: cells.len() - misses.len(),
     };
     if !misses.is_empty() {
         let put_error: Mutex<Option<String>> = Mutex::new(None);
         let observer = |r: &CellResult| {
-            if let Err(e) = store.put(&cell_key(spec, &names, &r.cell), &r.stats.to_json()) {
+            let stored = cell_key(spec, &r.cell).and_then(|k| store.put(&k, &r.stats.to_json()));
+            if let Err(e) = stored {
                 put_error
                     .lock()
                     .unwrap_or_else(|p| p.into_inner())
                     .get_or_insert(e);
             }
         };
-        results.extend(
-            Sweep {
-                observer: Some(&observer),
-                ..Sweep::new(spec, &misses)
-            }
-            .run()?,
-        );
+        let mut fresh = Sweep {
+            observer: Some(&observer),
+            ..Sweep::new(spec, &misses)
+        }
+        .run()?
+        .into_iter();
+        for slot in slots.iter_mut().filter(|s| s.is_none()) {
+            *slot = fresh.next();
+        }
         if let Some(e) = put_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
             return Err(e);
         }
     }
-    Ok((grid.merge_named(results, &names), counts))
+    Ok((spec.rows(slots.into_iter().flatten().collect())?, counts))
 }
 
 #[cfg(test)]
@@ -323,8 +333,7 @@ mod tests {
             measure_insts: 4_000,
             ..ExperimentSpec::default()
         };
-        let names = spec.bench_names().unwrap();
-        let cells = CellGrid::from_spec(&spec).unwrap().cells();
+        let cells = spec.cells().unwrap();
         // A wider spec puts mcf at another bench index and adds an L1
         // size; its mcf cell at the same L1 still has the same key.
         let wide = ExperimentSpec {
@@ -333,15 +342,16 @@ mod tests {
             ..spec.clone()
         };
         let wide_names = wide.bench_names().unwrap();
-        let wide_cell = CellGrid::from_spec(&wide)
-            .unwrap()
+        let wide_cell = wide
             .cells()
+            .unwrap()
             .into_iter()
             .find(|c| c.l1 == 1 << 10 && wide_names[c.bench_idx] == "mcf")
             .unwrap();
-        let key = cell_key(&spec, &names, &cells[1]); // bench_idx 1 = mcf
-        assert_eq!(key.render(), cell_key(&wide, &wide_names, &wide_cell).render());
-        assert_ne!(key.render(), cell_key(&spec, &names, &cells[0]).render());
+        let key = |spec: &ExperimentSpec, cell: &SweepCell| cell_key(spec, cell).unwrap().render();
+        let mcf = key(&spec, &cells[1]); // bench_idx 1 = mcf
+        assert_eq!(mcf, key(&wide, &wide_cell));
+        assert_ne!(mcf, key(&spec, &cells[0]));
         // Host-local settings never change the key.
         let host = ExperimentSpec {
             threads: Some(7),
@@ -350,7 +360,7 @@ mod tests {
             }),
             ..spec.clone()
         };
-        assert_eq!(key.render(), cell_key(&host, &names, &cells[1]).render());
+        assert_eq!(mcf, key(&host, &cells[1]));
         // Every result-changing field does, including the ones a
         // hand-picked field list once left out.
         let variants = [
@@ -368,8 +378,7 @@ mod tests {
             },
         ];
         for v in &variants {
-            let c = CellGrid::from_spec(v).unwrap().cells()[1];
-            assert_ne!(key.render(), cell_key(v, &names, &c).render(), "{v:?}");
+            assert_ne!(mcf, key(v, &cells[1]), "{v:?}");
         }
     }
 }

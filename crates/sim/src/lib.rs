@@ -17,12 +17,13 @@
 //!   `FDP(+L0)(+PB16)`, `CLGP(+L0)(+PB16)` at both technology nodes.
 //! * [`stats`] — run statistics and aggregation (harmonic means, source
 //!   distributions for Figures 7/8).
-//! * [`runner`] — [`Sweep`], the one way to run a spec's cells: the flat
-//!   cell-addressed grid and one work-stealing pool over
-//!   (preset × L1-size × benchmark) cells.
+//! * [`runner`] — [`Sweep`], the one way to run a spec's cells: one
+//!   work-stealing pool over (preset × L1-size × benchmark) [`SweepCell`]s.
 //! * [`spec`] — [`ExperimentSpec`], the serializable value that fully
-//!   describes an experiment, with JSON round-trip, the `PRESTAGE_*`
-//!   env override layer, and the shard-file format of the `prestage` CLI.
+//!   describes an experiment and is its grid: JSON round-trip, the
+//!   `PRESTAGE_*` env override layer, the flat cell list and row assembly
+//!   ([`ExperimentSpec::cells`], [`ExperimentSpec::rows`]), and the
+//!   shard-file format and merge of the `prestage` CLI ([`ShardFile`]).
 //! * `wire` — the JSON codec of every wire record: one ordered field list
 //!   per struct declares both directions.
 //! * [`cache`] — the content-addressed cell cache behind
@@ -46,7 +47,7 @@ pub use cache::{try_run_spec_cached, CacheCounts, Store};
 pub use config::{ConfigPreset, SimConfig};
 pub use engine::{Engine, PredictorKind};
 pub use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
-pub use runner::{default_threads, pool_map, CellGrid, CellResult, GridResult, Sweep, SweepCell};
+pub use runner::{default_threads, pool_map, CellResult, GridResult, Sweep, SweepCell};
 pub use spec::{
     grid_output, try_run_spec, ExperimentSpec, ShardFile, TraceSource, L1_SIZES,
     TRACE_RECORD_SLACK,

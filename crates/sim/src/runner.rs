@@ -4,24 +4,21 @@
 //! first runner parallelised only the innermost axis: each (preset, size)
 //! cell spawned and tore down its own thread pool, so every core idled at
 //! every cell boundary.  This module instead flattens the whole grid into
-//! [`SweepCell`]s — flat deterministic cell identifiers — and
-//! [`Sweep::run`] evaluates an arbitrary slice of them on one long-lived
-//! work-stealing pool ([`pool_map`]'s atomic work cursor; the offline
-//! build has no rayon).  [`CellGrid`] maps cells to flat grid positions
-//! and [`CellGrid::merge_named`] reassembles ordered [`GridResult`]s per
-//! (preset, size) row from the unordered cell results.
+//! [`SweepCell`]s — (preset, L1 size, benchmark) coordinates in the spec's
+//! grid — and [`Sweep::run`] evaluates an arbitrary slice of them on one
+//! long-lived work-stealing pool ([`pool_map`]'s atomic work cursor; the
+//! offline build has no rayon).
 //!
 //! Every cell is an independent deterministic simulation, so results are
-//! bit-exact regardless of thread count or cell order — and the flat
-//! addressing doubles as the unit of distribution for multi-process
-//! sharding: a shard is just a sub-slice of [`CellGrid::cells`], and
-//! `merge_named` accepts any union of shard outputs.
+//! bit-exact regardless of thread count or cell order — and the flat order
+//! of [`ExperimentSpec::cells`] doubles as the unit of distribution for
+//! multi-process sharding: a shard is a contiguous slice of it, and
+//! [`ExperimentSpec::rows`] reassembles results given in that order.
 
 use crate::config::{ConfigPreset, SimConfig};
 use crate::engine::Engine;
 use crate::spec::{ExperimentSpec, ReplaySource, TRACE_INMEM_BUDGET_BYTES};
 use crate::stats::{harmonic_mean, SimStats};
-use prestage_cacti::TechNode;
 use prestage_workload::{replay_file, InstSource, SharedReplayer, TraceGenerator, Workload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -40,14 +37,6 @@ impl GridResult {
         harmonic_mean(&v)
     }
 
-    /// IPC for a given benchmark name.
-    pub fn ipc_of(&self, name: &str) -> Option<f64> {
-        self.per_bench
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s.ipc())
-    }
-
     /// Benchmarks whose IPC is zero (a hung or broken configuration).
     /// [`harmonic_mean`] propagates these as an aggregate of 0.0 instead of
     /// masking them; this names the culprits for the sweep output.
@@ -60,23 +49,20 @@ impl GridResult {
     }
 }
 
-/// Flat identifier of one simulation in a sweep grid: which paper
-/// configuration, at which node, with which L1 capacity, over which
-/// benchmark, executed with which engine seed.
+/// One simulation's coordinate in a spec's grid: which paper
+/// configuration, with which L1 capacity, over which benchmark.  The node,
+/// run lengths and seeds are the spec's.
 ///
 /// A cell is the atom of sweep execution *and* of distribution: it is
 /// `Copy`, hashable, and independent of every other cell, so any subset can
 /// run on any worker (thread today, process or host later) and the results
-/// merge by grid position.
+/// merge by flat grid position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SweepCell {
     pub preset: ConfigPreset,
-    pub tech: TechNode,
     pub l1: usize,
-    /// Index into the sweep's workload list.
+    /// Index into the spec's benchmark list.
     pub bench_idx: usize,
-    /// Engine execution seed (wrong-path / bus arbitration jitter).
-    pub exec_seed: u64,
 }
 
 /// One evaluated cell: the identifier, its stats, and how long it took on
@@ -87,155 +73,6 @@ pub struct CellResult {
     pub cell: SweepCell,
     pub stats: SimStats,
     pub wall: Duration,
-}
-
-/// A rectangular (preset × L1-size × benchmark) sweep grid at one node:
-/// the bijection between [`SweepCell`]s and flat grid positions.
-///
-/// Flat order is row-major: preset, then size, then benchmark — so one
-/// (preset, size) row occupies `n_bench` consecutive positions.
-#[derive(Debug, Clone)]
-pub struct CellGrid {
-    presets: Vec<ConfigPreset>,
-    tech: TechNode,
-    sizes: Vec<usize>,
-    n_bench: usize,
-    exec_seed: u64,
-}
-
-impl CellGrid {
-    /// Build a grid over duplicate-free preset and size axes.
-    ///
-    /// # Panics
-    /// If either axis contains duplicates (the cell ↔ position mapping
-    /// would no longer be a bijection).
-    pub fn new(
-        presets: Vec<ConfigPreset>,
-        tech: TechNode,
-        sizes: Vec<usize>,
-        n_bench: usize,
-        exec_seed: u64,
-    ) -> CellGrid {
-        for (i, p) in presets.iter().enumerate() {
-            assert!(
-                !presets[..i].contains(p),
-                "duplicate preset {p:?} in sweep axis"
-            );
-        }
-        for (i, s) in sizes.iter().enumerate() {
-            assert!(!sizes[..i].contains(s), "duplicate L1 size {s} in sweep axis");
-        }
-        CellGrid {
-            presets,
-            tech,
-            sizes,
-            n_bench,
-            exec_seed,
-        }
-    }
-
-    pub fn presets(&self) -> &[ConfigPreset] {
-        &self.presets
-    }
-
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// Total number of cells in the grid.
-    pub fn n_cells(&self) -> usize {
-        self.presets.len() * self.sizes.len() * self.n_bench
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.n_cells() == 0
-    }
-
-    /// The cell at flat position `flat` (row-major).
-    ///
-    /// # Panics
-    /// If `flat >= self.n_cells()`.
-    pub fn cell_at(&self, flat: usize) -> SweepCell {
-        assert!(flat < self.n_cells(), "cell index {flat} out of grid");
-        let bench_idx = flat % self.n_bench;
-        let size_idx = (flat / self.n_bench) % self.sizes.len();
-        let preset_idx = flat / (self.n_bench * self.sizes.len());
-        SweepCell {
-            preset: self.presets[preset_idx],
-            tech: self.tech,
-            l1: self.sizes[size_idx],
-            bench_idx,
-            exec_seed: self.exec_seed,
-        }
-    }
-
-    /// The flat position of `cell`, or `None` when the cell does not belong
-    /// to this grid (different node, seed, or off-axis coordinates).
-    pub fn index_of(&self, cell: &SweepCell) -> Option<usize> {
-        if cell.tech != self.tech || cell.exec_seed != self.exec_seed {
-            return None;
-        }
-        if cell.bench_idx >= self.n_bench {
-            return None;
-        }
-        let preset_idx = self.presets.iter().position(|p| *p == cell.preset)?;
-        let size_idx = self.sizes.iter().position(|s| *s == cell.l1)?;
-        Some((preset_idx * self.sizes.len() + size_idx) * self.n_bench + cell.bench_idx)
-    }
-
-    /// Every cell of the grid in flat order — the full work list, or the
-    /// thing to slice when sharding across processes.
-    pub fn cells(&self) -> Vec<SweepCell> {
-        (0..self.n_cells()).map(|i| self.cell_at(i)).collect()
-    }
-
-    /// Reassemble unordered cell results into ordered [`GridResult`]s,
-    /// indexed `[preset][size]` with per-benchmark entries labelled by
-    /// `names` in workload order.  Merging needs only the grid shape and
-    /// the benchmark labels, so a cross-process collector merges
-    /// serialized shard results without rebuilding any workload.
-    ///
-    /// # Panics
-    /// If a result does not belong to this grid, a position is duplicated,
-    /// or any position is missing — a sharded run that lost a cell should
-    /// fail loudly, not ship a partial figure.
-    pub fn merge_named(&self, results: Vec<CellResult>, names: &[&str]) -> Vec<Vec<GridResult>> {
-        assert_eq!(
-            names.len(),
-            self.n_bench,
-            "grid built for {} benchmarks, merge given {}",
-            self.n_bench,
-            names.len()
-        );
-        let mut slots: Vec<Option<SimStats>> = vec![None; self.n_cells()];
-        for r in results {
-            let flat = self
-                .index_of(&r.cell)
-                .unwrap_or_else(|| panic!("cell {:?} does not belong to this grid", r.cell));
-            assert!(
-                slots[flat].replace(r.stats).is_none(),
-                "duplicate result for cell {:?}",
-                r.cell
-            );
-        }
-        let mut flat = slots.into_iter().enumerate().map(|(i, s)| {
-            s.unwrap_or_else(|| panic!("missing result for cell {:?}", self.cell_at(i)))
-        });
-        self.presets
-            .iter()
-            .map(|_| {
-                self.sizes
-                    .iter()
-                    .map(|_| GridResult {
-                        per_bench: names
-                            .iter()
-                            .map(|n| (n.to_string(), flat.next().expect("sized")))
-                            .collect(),
-                    })
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 /// One sweep: an arbitrary slice of a spec's cells (a whole grid, one
@@ -250,7 +87,7 @@ impl CellGrid {
 /// `None` through [`Sweep::new`]; override them with struct-update syntax:
 ///
 /// ```
-/// # use prestage_sim::{CellGrid, ConfigPreset, ExperimentSpec, Sweep};
+/// # use prestage_sim::{ConfigPreset, ExperimentSpec, Sweep};
 /// let spec = ExperimentSpec {
 ///     presets: vec![ConfigPreset::Base],
 ///     l1_sizes: vec![4 << 10],
@@ -259,7 +96,7 @@ impl CellGrid {
 ///     measure_insts: 2_000,
 ///     ..ExperimentSpec::default()
 /// };
-/// let cells = CellGrid::from_spec(&spec)?.cells();
+/// let cells = spec.cells()?;
 /// let workloads = spec.build_workloads()?;
 /// let results = Sweep {
 ///     workloads: Some(&workloads),
@@ -307,15 +144,13 @@ impl<'a> Sweep<'a> {
     /// cell simulation is independent and deterministic.
     ///
     /// Each cell's committed path comes from the spec's source: a live
-    /// generator seeded by the cell's exec seed, or a replay of the
+    /// generator seeded by the spec's exec seed, or a replay of the
     /// benchmark's vetted trace — the shared in-memory decode when several
     /// cells replay it, otherwise the cell's own stream of the file at
     /// constant memory, CRC-checked chunk by chunk as it is consumed.
     ///
     /// # Panics
-    /// If a cell indexes outside the spec's benchmarks on the live path,
-    /// or asks a replaying spec for a foreign exec seed (the traces embody
-    /// the spec's).
+    /// If a cell indexes outside the spec's benchmarks on the live path.
     pub fn run(&self) -> Result<Vec<CellResult>, String> {
         self.run_within(TRACE_INMEM_BUDGET_BYTES)
     }
@@ -380,35 +215,24 @@ impl<'a> Sweep<'a> {
                 None => spec.sim_config(cell.preset, cell.l1),
             };
             let source: Box<dyn InstSource + '_> = match traces {
-                None => Box::new(TraceGenerator::new(w, cell.exec_seed)),
-                Some(sources) => {
-                    // The recorded traces embody one execution seed; a
-                    // foreign-seed cell would silently replay the wrong
-                    // dynamic path (live generation honours it).
-                    assert_eq!(
-                        cell.exec_seed, spec.exec_seed,
-                        "cell {cell:?} wants exec seed {}, but the spec's traces were \
-                         recorded at {} — replay cannot serve foreign-seed cells",
-                        cell.exec_seed, spec.exec_seed
-                    );
-                    match &sources[cell.bench_idx] {
-                        Some(ReplaySource::InMemory(records, path)) => Box::new(
-                            SharedReplayer::new(records.clone(), path.display().to_string()),
-                        ),
-                        // Set-up verified the file; this stream re-checks
-                        // each chunk CRC as the cell consumes it.
-                        Some(ReplaySource::Streamed(path)) => {
-                            Box::new(replay_file(path).unwrap_or_else(|e| {
-                                panic!("cannot replay {}: {e}", path.display())
-                            }))
-                        }
-                        None => unreachable!(
-                            "bench index {} was pre-checked against the replay \
-                             sources before the pool started",
-                            cell.bench_idx
-                        ),
-                    }
-                }
+                None => Box::new(TraceGenerator::new(w, spec.exec_seed)),
+                Some(sources) => match &sources[cell.bench_idx] {
+                    Some(ReplaySource::InMemory(records, path)) => Box::new(SharedReplayer::new(
+                        records.clone(),
+                        path.display().to_string(),
+                    )),
+                    // Set-up verified the file; this stream re-checks each
+                    // chunk CRC as the cell consumes it.
+                    Some(ReplaySource::Streamed(path)) => Box::new(
+                        replay_file(path)
+                            .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display())),
+                    ),
+                    None => unreachable!(
+                        "bench index {} was pre-checked against the replay \
+                         sources before the pool started",
+                        cell.bench_idx
+                    ),
+                },
             };
             let stats = Engine::with_source(cfg, w, source, spec.predictor).run();
             let r = CellResult {
@@ -503,7 +327,7 @@ mod tests {
     use super::*;
     use crate::config::{ConfigPreset, SimConfig};
     use crate::engine::Engine;
-    use crate::spec::ExperimentSpec;
+    use crate::spec::{ExperimentSpec, ShardFile};
     use prestage_cacti::TechNode;
 
     fn tiny_workloads(n: usize) -> Vec<Workload> {
@@ -540,25 +364,14 @@ mod tests {
         workloads: &[Workload],
         configure: Option<&(dyn Fn(&SweepCell) -> SimConfig + Sync)>,
     ) -> Vec<Vec<GridResult>> {
-        let grid = CellGrid::from_spec(spec).unwrap();
         let results = Sweep {
             workloads: Some(workloads),
             configure,
-            ..Sweep::new(spec, &grid.cells())
+            ..Sweep::new(spec, &spec.cells().unwrap())
         }
         .run()
         .unwrap();
-        grid.merge_named(results, &spec.bench_names().unwrap())
-    }
-
-    fn test_grid(n_bench: usize) -> CellGrid {
-        CellGrid::new(
-            vec![ConfigPreset::Base, ConfigPreset::ClgpL0],
-            TechNode::T090,
-            vec![2 << 10, 4 << 10],
-            n_bench,
-            3,
-        )
+        spec.rows(results).unwrap()
     }
 
     #[test]
@@ -580,8 +393,6 @@ mod tests {
             assert!((s.ipc() - ser).abs() < 1e-12);
         }
         assert!(par.hmean_ipc() > 0.0);
-        assert!(par.ipc_of(workloads[0].profile.name).is_some());
-        assert!(par.ipc_of("nonesuch").is_none());
     }
 
     #[test]
@@ -609,73 +420,68 @@ mod tests {
 
     #[test]
     fn cell_position_roundtrip() {
-        let grid = test_grid(3);
-        assert_eq!(grid.n_cells(), 2 * 2 * 3);
-        for flat in 0..grid.n_cells() {
-            let cell = grid.cell_at(flat);
-            assert_eq!(grid.index_of(&cell), Some(flat), "{cell:?}");
-        }
-        let cells = grid.cells();
-        assert_eq!(cells.len(), grid.n_cells());
-        // Foreign cells resolve to no position.
-        let mut foreign = cells[0];
-        foreign.tech = TechNode::T045;
-        assert_eq!(grid.index_of(&foreign), None);
-        let mut foreign = cells[0];
-        foreign.exec_seed += 1;
-        assert_eq!(grid.index_of(&foreign), None);
-        let mut foreign = cells[0];
-        foreign.bench_idx = 3;
-        assert_eq!(grid.index_of(&foreign), None);
-        let mut foreign = cells[0];
-        foreign.l1 = 3 << 10;
-        assert_eq!(grid.index_of(&foreign), None);
-        let mut foreign = cells[0];
-        foreign.preset = ConfigPreset::Ideal;
-        assert_eq!(grid.index_of(&foreign), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate L1 size")]
-    fn duplicate_axis_rejected() {
-        CellGrid::new(
-            vec![ConfigPreset::Base],
-            TechNode::T090,
-            vec![1024, 1024],
-            1,
-            0,
+        // Flat order is row-major: preset, then size, then benchmark.
+        let workloads = tiny_workloads(3);
+        let spec = spec_over(
+            &workloads,
+            vec![ConfigPreset::Base, ConfigPreset::ClgpL0],
+            vec![2 << 10, 4 << 10],
         );
+        let cells = spec.cells().unwrap();
+        assert_eq!(cells.len(), 2 * 2 * 3);
+        for (flat, cell) in cells.iter().enumerate() {
+            let want = SweepCell {
+                preset: spec.presets[flat / 6],
+                l1: spec.l1_sizes[flat / 3 % 2],
+                bench_idx: flat % 3,
+            };
+            assert_eq!(*cell, want, "flat position {flat}");
+        }
     }
 
     #[test]
     fn merge_reassembles_shuffled_cells() {
+        // One single-cell shard per cell, handed to the merge in a
+        // shuffled order, reassembles the rows of the whole run.
         let workloads = tiny_workloads(2);
         let spec = spec_over(
             &workloads,
             vec![ConfigPreset::Base, ConfigPreset::ClgpL0],
             vec![2 << 10, 4 << 10],
         );
-        let grid = CellGrid::from_spec(&spec).unwrap();
-        let mut results = Sweep {
+        let cells = spec.cells().unwrap();
+        let results = Sweep {
             workloads: Some(&workloads),
-            ..Sweep::new(&spec, &grid.cells())
+            ..Sweep::new(&spec, &cells)
         }
         .run()
         .unwrap();
-        // Any reordering of the unordered cell results must merge the same.
-        results.reverse();
-        results.swap(0, 3);
-        let names: Vec<&str> = workloads.iter().map(|w| w.profile.name).collect();
-        let merged = grid.merge_named(results, &names);
+        let mut shards: Vec<(String, ShardFile)> = results
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let shard = ShardFile {
+                    spec: spec.clone(),
+                    start: i,
+                    end: i + 1,
+                    results: vec![r.clone()],
+                };
+                (format!("cell-{i}.json"), shard)
+            })
+            .collect();
+        shards.reverse();
+        shards.swap(0, 3);
+        let merged = ShardFile::merge(&shards).unwrap();
+        let whole = spec.rows(results).unwrap();
         assert_eq!(merged.len(), 2);
         for (pi, row) in merged.iter().enumerate() {
             assert_eq!(row.len(), 2);
             for (si, r) in row.iter().enumerate() {
-                let cell = grid.cell_at((pi * 2 + si) * 2);
+                assert_eq!(r.per_bench, whole[pi][si].per_bench);
                 let serial = Engine::new(
-                    spec.sim_config(cell.preset, cell.l1),
+                    spec.sim_config(spec.presets[pi], spec.l1_sizes[si]),
                     &workloads[0],
-                    cell.exec_seed,
+                    spec.exec_seed,
                 )
                 .run();
                 assert_eq!(r.per_bench[0].1.cycles, serial.cycles);
@@ -685,16 +491,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "missing result")]
-    fn merge_rejects_lost_cells() {
-        let grid = CellGrid::new(
-            vec![ConfigPreset::Base],
-            TechNode::T090,
-            vec![1 << 10],
-            1,
-            3,
+    fn rows_refuse_lost_duplicated_or_misplaced_cells() {
+        let workloads = tiny_workloads(2);
+        let spec = spec_over(&workloads, vec![ConfigPreset::Base], vec![1 << 10]);
+        let cells = spec.cells().unwrap();
+        let result = |cell| CellResult {
+            cell,
+            stats: SimStats::default(),
+            wall: Duration::ZERO,
+        };
+        let e = spec.rows(vec![result(cells[0])]).unwrap_err();
+        assert!(e.contains("2 cells") && e.contains("1 result"), "{e}");
+        let e = spec
+            .rows(vec![result(cells[0]), result(cells[0])])
+            .unwrap_err();
+        assert!(
+            e.contains("result 1 is") && e.contains("cell 1 of the grid"),
+            "{e}"
         );
-        grid.merge_named(Vec::new(), &["gzip"]);
+        let e = spec
+            .rows(vec![result(cells[1]), result(cells[0])])
+            .unwrap_err();
+        assert!(
+            e.contains("result 0 is") && e.contains("cell 0 of the grid"),
+            "{e}"
+        );
+        assert!(spec
+            .rows(cells.iter().map(|&c| result(c)).collect())
+            .is_ok());
     }
 
     #[test]

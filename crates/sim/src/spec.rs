@@ -8,12 +8,13 @@
 //! that round-trips through JSON and therefore crosses process (and host)
 //! boundaries unchanged.  Everything above it is derived:
 //!
-//! * [`CellGrid::from_spec`] turns a spec into the flat cell grid the
-//!   work-stealing pool executes;
+//! * [`ExperimentSpec::cells`] lists the spec's grid as flat cells, the
+//!   work list the work-stealing pool executes, and
+//!   [`ExperimentSpec::rows`] reassembles results given in that order;
 //! * [`Sweep`] runs an arbitrary slice of those cells — the unit the
 //!   `prestage shard` CLI distributes across processes — and
 //!   [`ShardFile`] is its serialized output, reassembled bit-exactly by
-//!   `prestage merge` via [`CellGrid::merge_named`];
+//!   [`ShardFile::merge`] (`prestage merge`);
 //! * [`try_run_spec`] runs the whole grid in-process and returns ordered
 //!   `[preset][size]` rows;
 //! * [`grid_output`] renders merged rows deterministically, so a merged
@@ -29,8 +30,9 @@
 use crate::config::{ConfigPreset, SimConfig};
 use crate::engine::PredictorKind;
 use crate::runner::{
-    default_threads, pool_map_largest_first, CellGrid, CellResult, GridResult, Sweep, SweepCell,
+    default_threads, pool_map_largest_first, CellResult, GridResult, Sweep, SweepCell,
 };
+use crate::stats::SimStats;
 use crate::wire::{check_keys, field, Wire};
 use prestage_cacti::TechNode;
 use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
@@ -195,9 +197,10 @@ impl TraceSource {
 
 /// A complete, serializable description of one experiment.
 ///
-/// This is the *only* way experiments are configured: figure binaries
-/// declare one, the CLI loads one from JSON, and the environment can only
-/// override fields through [`ExperimentSpec::env_overrides`].
+/// This is the *only* way experiments are configured: figures and the
+/// experiment binaries declare one, the CLI loads one from JSON, and the
+/// environment can only override fields through
+/// [`ExperimentSpec::env_overrides`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Configuration presets (grid rows), figure-legend order.
@@ -309,7 +312,8 @@ fn parse_threads(value: Option<&str>) -> Option<usize> {
 
 impl ExperimentSpec {
     /// The default matrix with every `PRESTAGE_*` override applied — the
-    /// spec a figure binary runs when the environment says nothing.
+    /// spec `prestage run <figure>` starts from when the environment says
+    /// nothing.
     pub fn from_env() -> ExperimentSpec {
         ExperimentSpec::default().env_overrides()
     }
@@ -729,18 +733,80 @@ impl ExperimentSpec {
     }
 }
 
-impl CellGrid {
-    /// The flat cell grid this spec describes — the work list a single
-    /// process runs whole and `prestage shard` slices.
-    pub fn from_spec(spec: &ExperimentSpec) -> Result<CellGrid, String> {
-        spec.validate()?;
-        Ok(CellGrid::new(
-            spec.presets.clone(),
-            spec.tech,
-            spec.l1_sizes.clone(),
-            spec.bench_names()?.len(),
-            spec.exec_seed,
-        ))
+// ---------------------------------------------------------------------------
+// The grid.
+// ---------------------------------------------------------------------------
+
+impl ExperimentSpec {
+    /// Validate the spec and list its grid's cells in flat order:
+    /// row-major over preset, then L1 size, then benchmark, so one
+    /// (preset, size) row occupies `n_bench` consecutive positions.  The
+    /// work list a single process runs whole and `prestage shard` slices.
+    pub fn cells(&self) -> Result<Vec<SweepCell>, String> {
+        self.validate()?;
+        let n_bench = self.bench_names()?.len();
+        Ok(self
+            .presets
+            .iter()
+            .flat_map(|&preset| {
+                self.l1_sizes.iter().flat_map(move |&l1| {
+                    (0..n_bench).map(move |bench_idx| SweepCell {
+                        preset,
+                        l1,
+                        bench_idx,
+                    })
+                })
+            })
+            .collect())
+    }
+
+    /// Assemble results given in flat order (see [`cells`](Self::cells))
+    /// into `[preset][size]` rows, per-benchmark entries labelled in spec
+    /// bench order.  A wrong result count or a result out of its flat
+    /// position is a named error: a run that lost, duplicated or misplaced
+    /// a cell must not ship a figure.
+    pub fn rows(&self, results: Vec<CellResult>) -> Result<Vec<Vec<GridResult>>, String> {
+        let cells = self.cells()?;
+        if results.len() != cells.len() {
+            return Err(format!(
+                "the grid has {} cells but {} results were given",
+                cells.len(),
+                results.len()
+            ));
+        }
+        check_placed(&cells, 0, &results)?;
+        let names = self.bench_names()?;
+        let stats: Vec<SimStats> = results.into_iter().map(|r| r.stats).collect();
+        // validate() guarantees non-empty axes, so neither chunk is empty.
+        Ok(stats
+            .chunks(self.l1_sizes.len() * names.len())
+            .map(|row| {
+                row.chunks(names.len())
+                    .map(|benches| GridResult {
+                        per_bench: names
+                            .iter()
+                            .map(|n| n.to_string())
+                            .zip(benches.iter().copied())
+                            .collect(),
+                    })
+                    .collect()
+            })
+            .collect())
+    }
+}
+
+/// Refuse the first of `results` that is not the cell at its flat
+/// position: `cells[i]` is grid cell `start + i`.
+fn check_placed(cells: &[SweepCell], start: usize, results: &[CellResult]) -> Result<(), String> {
+    let name = |c: &SweepCell| format!("({}, L1 {}, bench {})", c.preset.id(), c.l1, c.bench_idx);
+    match results.iter().zip(cells).position(|(r, c)| r.cell != *c) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "result {i} is cell {}, but cell {} of the grid is {}",
+            name(&results[i].cell),
+            start + i,
+            name(&cells[i])
+        )),
     }
 }
 
@@ -751,9 +817,7 @@ impl CellGrid {
 /// Run the whole experiment in-process: ordered `[preset][size]` rows with
 /// per-benchmark entries in spec bench order.  Errors on an invalid spec.
 pub fn try_run_spec(spec: &ExperimentSpec) -> Result<Vec<Vec<GridResult>>, String> {
-    let grid = CellGrid::from_spec(spec)?;
-    let results = Sweep::new(spec, &grid.cells()).run()?;
-    Ok(grid.merge_named(results, &spec.bench_names()?))
+    spec.rows(Sweep::new(spec, &spec.cells()?).run()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -832,7 +896,8 @@ impl ShardFile {
 
     /// Parse a shard file.  Strict at every level: the envelope, its
     /// `cells` range, each result, its `cell` and its stats blocks all
-    /// refuse an unknown key by name.
+    /// refuse an unknown key by name.  The range must lie inside the
+    /// spec's grid and result `i` must be grid cell `start + i`.
     pub fn from_json(text: &str) -> Result<ShardFile, String> {
         let v = Json::parse(text).map_err(|e| e.to_string())?;
         let schema = v
@@ -867,7 +932,96 @@ impl ShardFile {
                 results.len()
             ));
         }
+        let cells = spec.cells()?;
+        if end > cells.len() {
+            return Err(format!(
+                "shard covers cells {start}..{end}, but the grid has only {} cells",
+                cells.len()
+            ));
+        }
+        check_placed(&cells[start..end], start, &results).map_err(|e| format!("shard {e}"))?;
         Ok(ShardFile { spec, start, end, results })
+    }
+
+    /// Merge shards, each named by the file it came from, into the rows of
+    /// their spec (see [`ExperimentSpec::rows`]).  The shards must come
+    /// from one experiment — equal portable specs, a differing i-TLB named
+    /// as such — and cover its grid exactly once, in any order; every
+    /// refusal names the files and cell ranges at fault.
+    pub fn merge(shards: &[(String, ShardFile)]) -> Result<Vec<Vec<GridResult>>, String> {
+        let Some((first, head)) = shards.first() else {
+            return Err("no shard files to merge".into());
+        };
+        let spec = &head.spec;
+        // Portable comparison: shards that only disagree on `threads` or on
+        // the committed-path source (replay is bit-exact to live generation)
+        // still describe the same experiment.
+        let itlb_desc = |itlb: &Option<ITlbConfig>| match itlb {
+            None => "no i-TLB".to_string(),
+            Some(c) => format!("a {}-entry {}-way i-TLB", c.entries, c.assoc),
+        };
+        for (path, shard) in &shards[1..] {
+            // Mixed translation is named specifically: a shard simulated
+            // with a different (or absent) i-TLB measured a different
+            // machine, and the generic spec mismatch would hide which knob.
+            if shard.spec.itlb != spec.itlb {
+                return Err(format!(
+                    "{path} was simulated with {} but {first} with {} — \
+                     translated and untranslated shards cannot merge into one figure",
+                    itlb_desc(&shard.spec.itlb),
+                    itlb_desc(&spec.itlb)
+                ));
+            }
+            if shard.spec.portable() != spec.portable() {
+                return Err(format!(
+                    "{path} was produced from a different spec than {first} — refusing to merge"
+                ));
+            }
+        }
+        let n_cells = spec.cells()?.len();
+        let mut order: Vec<&(String, ShardFile)> = shards.iter().collect();
+        order.sort_by(|(p, a), (q, b)| (a.start, a.end, p).cmp(&(b.start, b.end, q)));
+        let mut next = 0usize;
+        let mut widest: Option<(usize, usize, &str)> = None;
+        for (path, shard) in &order {
+            let (start, end) = (shard.start, shard.end);
+            if end > n_cells {
+                return Err(format!(
+                    "{path} covers cells {start}..{end}, but the grid has only {n_cells} cells"
+                ));
+            }
+            // Sorted by start, so any start inside the furthest coverage so
+            // far means two shards claim the same cells (duplicates
+            // included).
+            if let Some((wstart, wend, wpath)) = widest {
+                if start < wend && start < end {
+                    return Err(format!(
+                        "{wpath} (cells {wstart}..{wend}) and {path} (cells {start}..{end}) \
+                         overlap — refusing to merge"
+                    ));
+                }
+            }
+            if start > next {
+                return Err(format!(
+                    "no shard covers cells {next}..{start} — refusing to merge a partial grid"
+                ));
+            }
+            next = next.max(end);
+            if widest.is_none_or(|(_, wend, _)| end > wend) {
+                widest = Some((start, end, path));
+            }
+        }
+        if next < n_cells {
+            return Err(format!(
+                "no shard covers cells {next}..{n_cells} — refusing to merge a partial grid"
+            ));
+        }
+        spec.rows(
+            order
+                .iter()
+                .flat_map(|(_, shard)| shard.results.iter().cloned())
+                .collect(),
+        )
     }
 }
 
@@ -918,7 +1072,6 @@ pub fn grid_output(spec: &ExperimentSpec, rows: &[Vec<GridResult>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::SimStats;
     use std::collections::HashMap;
 
     fn tiny_spec() -> ExperimentSpec {
@@ -991,6 +1144,9 @@ mod tests {
         let mut s = tiny_spec();
         s.l1_sizes = vec![];
         assert!(s.validate().unwrap_err().contains("no L1 sizes"));
+        let mut s = tiny_spec();
+        s.l1_sizes = vec![1 << 10, 4 << 10, 1 << 10];
+        assert!(s.validate().unwrap_err().contains("duplicate L1 size 1024"));
         let mut s = tiny_spec();
         s.bench = Some(vec![]);
         assert!(s.validate().unwrap_err().contains("matches no benchmarks"));
@@ -1170,9 +1326,7 @@ mod tests {
             }),
             ..tiny_spec()
         };
-        let e = Sweep::new(&spec, &CellGrid::from_spec(&spec).unwrap().cells())
-            .run()
-            .unwrap_err();
+        let e = Sweep::new(&spec, &spec.cells().unwrap()).run().unwrap_err();
         assert!(e.contains("prestage trace record"), "{e}");
 
         // A trace recorded under different seeds is refused by name.
@@ -1197,7 +1351,7 @@ mod tests {
             1024,
         )
         .unwrap();
-        let cells = CellGrid::from_spec(&spec).unwrap().cells();
+        let cells = spec.cells().unwrap();
         let e = Sweep::new(&spec, &cells).run().unwrap_err();
         assert!(e.contains("exec seed 99"), "{e}");
         // Too-short traces are refused with both lengths.
@@ -1234,15 +1388,12 @@ mod tests {
             2048,
         )
         .unwrap();
-        let grid = CellGrid::from_spec(&spec).unwrap();
-        let gzip_cells: Vec<SweepCell> = grid
-            .cells()
-            .into_iter()
-            .filter(|c| c.bench_idx == 0)
-            .collect();
+        let cells = spec.cells().unwrap();
+        let gzip_cells: Vec<SweepCell> =
+            cells.iter().copied().filter(|c| c.bench_idx == 0).collect();
         let results = Sweep::new(&spec, &gzip_cells).run().unwrap();
         assert_eq!(results.len(), gzip_cells.len());
-        let e = Sweep::new(&spec, &grid.cells()).run().unwrap_err();
+        let e = Sweep::new(&spec, &cells).run().unwrap_err();
         assert!(e.contains("mcf"), "{e}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1278,7 +1429,7 @@ mod tests {
         let paths = spec.trace_paths().unwrap().unwrap();
         let good: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
         let workloads = spec.build_workloads().unwrap();
-        let cells = CellGrid::from_spec(&spec).unwrap().cells();
+        let cells = spec.cells().unwrap();
         // Body corruption: a flipped payload byte in the last chunk.
         let corrupt = |i: usize| {
             let mut bytes = good[i].clone();
@@ -1330,7 +1481,7 @@ mod tests {
         };
         // gzip and mcf are replayed by all four of their cells, twolf by
         // one.
-        let grid = CellGrid::from_spec(&replay).unwrap().cells();
+        let grid = replay.cells().unwrap();
         let twolf = grid.iter().position(|c| c.bench_idx == 2).unwrap();
         let cells: Vec<SweepCell> = grid
             .iter()
@@ -1408,9 +1559,9 @@ mod tests {
             bench: Some(vec!["gzip".into(), "mcf".into()]),
             ..tiny_spec()
         };
-        let grid = CellGrid::from_spec(&spec).unwrap();
+        let grid = spec.cells().unwrap();
         // An input order that is not grid order.
-        let mut cells = grid.cells();
+        let mut cells = grid.clone();
         cells.reverse();
         cells.swap(0, 3);
         let workloads = spec.build_workloads().unwrap();
@@ -1418,7 +1569,7 @@ mod tests {
             .iter()
             .map(|c| {
                 let cfg = spec.sim_config(c.preset, c.l1);
-                crate::Engine::new(cfg, &workloads[c.bench_idx], c.exec_seed).run()
+                crate::Engine::new(cfg, &workloads[c.bench_idx], spec.exec_seed).run()
             })
             .collect();
         for threads in [1, 2, 4] {
@@ -1443,12 +1594,12 @@ mod tests {
                 .into_inner()
                 .unwrap()
                 .iter()
-                .map(|c| grid.index_of(c).unwrap())
+                .map(|c| grid.iter().position(|g| g == c).unwrap())
                 .collect();
             seen.sort_unstable();
             assert_eq!(
                 seen,
-                (0..grid.n_cells()).collect::<Vec<_>>(),
+                (0..grid.len()).collect::<Vec<_>>(),
                 "{threads} threads"
             );
         }
@@ -1457,7 +1608,7 @@ mod tests {
     #[test]
     fn pre_built_workloads_must_match_the_spec_bench_set() {
         let spec = tiny_spec();
-        let cells = CellGrid::from_spec(&spec).unwrap().cells();
+        let cells = spec.cells().unwrap();
         for bench in [vec!["mcf"], vec!["gzip", "mcf"]] {
             let given = ExperimentSpec {
                 bench: Some(bench.iter().map(|b| b.to_string()).collect()),
@@ -1483,7 +1634,7 @@ mod tests {
     fn a_replay_cell_without_a_loaded_source_is_refused_by_name() {
         let (spec, dir) = recorded_replay_spec("unloaded", &["gzip"]);
         // A cell of a bench the spec does not have: no trace covers it.
-        let mut cell = CellGrid::from_spec(&spec).unwrap().cell_at(0);
+        let mut cell = spec.cells().unwrap()[0];
         cell.bench_idx = 1;
         let e = Sweep::new(&spec, &[cell]).run().unwrap_err();
         assert!(e.contains("has no loaded replay source"), "{e}");
@@ -1503,7 +1654,7 @@ mod tests {
             l1_sizes: vec![2 << 10],
             ..replay
         };
-        let cells = CellGrid::from_spec(&replay).unwrap().cells();
+        let cells = replay.cells().unwrap();
         let set_up = replay.set_up_within(&cells, false, 0).unwrap();
         assert!(set_up
             .traces
@@ -1547,45 +1698,12 @@ mod tests {
         let crc = prestage_workload::trace_io::crc32(&bytes[..crc_at]);
         bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(path, &bytes).unwrap();
-        let e = Sweep::new(&spec, &CellGrid::from_spec(&spec).unwrap().cells())
-            .run()
-            .unwrap_err();
+        let e = Sweep::new(&spec, &spec.cells().unwrap()).run().unwrap_err();
         assert!(
             e.contains("is corrupt") && e.contains("truncated reading chunk"),
             "{e}"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[should_panic(expected = "replay cannot serve foreign-seed cells")]
-    fn replay_refuses_cells_with_a_foreign_exec_seed() {
-        let dir = std::env::temp_dir().join(format!("prestage_fseed_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = ExperimentSpec {
-            trace: Some(TraceSource {
-                dir: dir.to_string_lossy().into_owned(),
-            }),
-            ..tiny_spec()
-        };
-        let w = spec.build_workloads().unwrap().remove(0);
-        let path = spec.trace_paths().unwrap().unwrap().remove(0);
-        let f = std::fs::File::create(&path).unwrap();
-        prestage_workload::record_trace(
-            std::io::BufWriter::new(f),
-            &w,
-            spec.exec_seed,
-            spec.trace_record_insts(),
-            2048,
-        )
-        .unwrap();
-        // A cell demanding a different execution seed than the recording:
-        // live generation would honour it, so replay must refuse instead
-        // of silently serving the spec-seed trace.
-        let mut cell = CellGrid::from_spec(&spec).unwrap().cell_at(0);
-        cell.exec_seed = spec.exec_seed + 1;
-        let _ = Sweep::new(&spec, &[cell]).run();
     }
 
     #[test]
@@ -1683,12 +1801,27 @@ mod tests {
     #[test]
     fn grid_from_spec_matches_axes() {
         let spec = tiny_spec();
-        let grid = CellGrid::from_spec(&spec).unwrap();
-        assert_eq!(grid.n_cells(), 4);
-        let c = grid.cell_at(0);
-        assert_eq!(c.preset, ConfigPreset::Base);
-        assert_eq!(c.tech, TechNode::T090);
-        assert_eq!(c.exec_seed, 3);
+        let cells = spec.cells().unwrap();
+        let at = |preset, l1| SweepCell {
+            preset,
+            l1,
+            bench_idx: 0,
+        };
+        assert_eq!(
+            cells,
+            [
+                at(ConfigPreset::Base, 1 << 10),
+                at(ConfigPreset::Base, 4 << 10),
+                at(ConfigPreset::ClgpL0, 1 << 10),
+                at(ConfigPreset::ClgpL0, 4 << 10),
+            ]
+        );
+        // An invalid spec has no grid.
+        let bad = ExperimentSpec {
+            l1_sizes: vec![],
+            ..spec
+        };
+        assert!(bad.cells().unwrap_err().contains("no L1 sizes"));
     }
 
     /// Give every numeric leaf of `v` a distinct value, counting up from
@@ -1722,8 +1855,9 @@ mod tests {
     #[test]
     fn shard_file_roundtrips_and_checks_its_count() {
         let spec = tiny_spec();
-        let grid = CellGrid::from_spec(&spec).unwrap();
-        let results = Sweep::new(&spec, &grid.cells()[1..3]).run().unwrap();
+        let results = Sweep::new(&spec, &spec.cells().unwrap()[1..3])
+            .run()
+            .unwrap();
         let shard = ShardFile { spec, start: 1, end: 3, results };
         let text = shard.to_json();
         let back = ShardFile::from_json(&text).unwrap();
@@ -1785,7 +1919,7 @@ mod tests {
     /// A one-result shard file as text, with a fabricated result.
     fn one_result_shard() -> String {
         let spec = tiny_spec();
-        let cell = CellGrid::from_spec(&spec).unwrap().cell_at(0);
+        let cell = spec.cells().unwrap()[0];
         let results = vec![CellResult {
             cell,
             stats: SimStats::default(),
@@ -1798,6 +1932,32 @@ mod tests {
             results,
         }
         .to_json()
+    }
+
+    #[test]
+    fn shard_results_must_sit_in_the_grid_at_their_positions() {
+        let text = one_result_shard();
+        let moved = |start: usize| {
+            text.replace("\"start\": 0", &format!("\"start\": {start}"))
+                .replace("\"end\": 1", &format!("\"end\": {}", start + 1))
+        };
+        // A range past the spec's four-cell grid.
+        let e = ShardFile::from_json(&moved(4)).unwrap_err();
+        assert!(
+            e.contains("cells 4..5, but the grid has only 4 cells"),
+            "{e}"
+        );
+        // Result 0 of a shard starting at cell 1 must be cell 1.
+        let e = ShardFile::from_json(&moved(1)).unwrap_err();
+        assert!(
+            e.contains("shard result 0 is") && e.contains("cell 1 of the grid"),
+            "{e}"
+        );
+        // A cell carrying the node, as older shard files did, is refused
+        // by name.
+        let old = text.replacen("\"preset\":", "\"tech\": \"90\", \"preset\":", 1);
+        let e = ShardFile::from_json(&old).unwrap_err();
+        assert!(e.contains("unknown cell field \"tech\""), "{e}");
     }
 
     #[test]

@@ -65,11 +65,6 @@ pub fn harmonic_mean(values: &[f64]) -> f64 {
     values.len() as f64 / denom
 }
 
-/// Arithmetic speedup of `new` over `old`, in percent.
-pub fn speedup_pct(new: f64, old: f64) -> f64 {
-    (new / old - 1.0) * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,11 +103,5 @@ mod tests {
         assert_eq!(harmonic_mean(&[0.0, 2.0, 2.0]), 0.0);
         assert_eq!(harmonic_mean(&[-1.0, 2.0]), 0.0);
         assert_eq!(harmonic_mean(&[0.0]), 0.0);
-    }
-
-    #[test]
-    fn speedup_sign() {
-        assert!((speedup_pct(1.25, 1.0) - 25.0).abs() < 1e-9);
-        assert!(speedup_pct(0.9, 1.0) < 0.0);
     }
 }

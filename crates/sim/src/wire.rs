@@ -236,7 +236,7 @@ record! {
         committed, loads, stores, dcache_hits, dcache_misses, branches, commit_stall_cycles,
     }
     SweepCell as "cell" {
-        preset, tech, l1, bench_idx, exec_seed,
+        preset, l1, bench_idx,
     }
     ExperimentSpec as "spec" {
         presets, tech, l1_sizes, bench, warmup_insts, measure_insts,

@@ -16,8 +16,8 @@
 use prestage_cacti::TechNode;
 use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
 use prestage_sim::{
-    grid_output, try_run_spec, CellGrid, CellResult, ConfigPreset, Engine, ExperimentSpec,
-    PredictorKind, ShardFile, SimConfig, Sweep, TraceSource,
+    grid_output, try_run_spec, ConfigPreset, Engine, ExperimentSpec, PredictorKind, ShardFile,
+    SimConfig, Sweep, TraceSource,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -115,8 +115,8 @@ fn random_small_spec(rng: &mut SmallRng) -> ExperimentSpec {
     panic!("random_small_spec cannot draw a valid spec");
 }
 
-/// Run `f` with panics captured as property failures (the differential
-/// laws lean on `merge_named`'s internal assertions, which panic).
+/// Run `f` with panics captured as property failures: a panic anywhere in
+/// a leg is a violation to report, not a reason to abort the campaign.
 fn guarded<T>(what: &str, spec_json: &str, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
     let hook = panic::take_hook();
     panic::set_hook(Box::new(|_| {}));
@@ -137,7 +137,8 @@ fn guarded<T>(what: &str, spec_json: &str, f: impl FnOnce() -> Result<T, String>
 /// * The shard leg splits the cell list at a random point, evaluates the
 ///   halves in *reverse* order, serializes each half through the
 ///   [`ShardFile`] wire format (parse-of-render, like a real multi-host
-///   run), and merges.
+///   run), and merges them with [`ShardFile::merge`], as `prestage merge`
+///   does.
 /// * The replay leg records the benchmark's trace to a scratch directory
 ///   and re-runs the spec with `trace` pointing at it.
 fn check_spec_equivalence(
@@ -153,28 +154,25 @@ fn check_spec_equivalence(
 
     // Shard leg.
     let sharded = guarded("shard/merge run", &spec_json, || {
-        let grid = CellGrid::from_spec(spec)?;
-        let cells = grid.cells();
+        let cells = spec.cells()?;
         let split = rng.gen_range(0..=cells.len());
-        let mut results: Vec<CellResult> = Vec::new();
+        let mut shards = Vec::new();
         // Back half first: merge order must not matter.
-        for half in [&cells[split..], &cells[..split]] {
-            if half.is_empty() {
+        for (start, end) in [(split, cells.len()), (0, split)] {
+            if start == end {
                 continue;
             }
-            let start = if half.as_ptr() == cells.as_ptr() { 0 } else { split };
             let shard = ShardFile {
                 spec: spec.clone(),
                 start,
-                end: start + half.len(),
-                results: Sweep::new(spec, half).run()?,
+                end,
+                results: Sweep::new(spec, &cells[start..end]).run()?,
             };
             // Through the wire format, exactly as `prestage merge` sees it.
             let back = ShardFile::from_json(&shard.to_json())?;
-            results.extend(back.results);
+            shards.push((format!("shard {start}..{end}"), back));
         }
-        let names = spec.bench_names()?;
-        let rows = grid.merge_named(results, &names);
+        let rows = ShardFile::merge(&shards)?;
         Ok(grid_output(spec, &rows))
     })?;
     if sharded != live {

@@ -27,9 +27,9 @@
 //!
 //! A *figure* argument (`fig1`, `fig5b`, ...) resolves to the declared
 //! spec from `prestage_bench::figures` with the `PRESTAGE_*` environment
-//! overrides applied — exactly what the figure binary would run.  A
-//! *file* argument is taken verbatim: what is in the file is what runs,
-//! so two shards of the same file are guaranteed to agree.
+//! overrides applied, rendered with the figure's own report (CSV
+//! included).  A *file* argument is taken verbatim: what is in the file
+//! is what runs, so two shards of the same file are guaranteed to agree.
 //!
 //! `run --out` and `merge --out` write the same canonical grid JSON, so
 //! `diff` proves a sharded run reproduced the single-process results
@@ -45,8 +45,7 @@ use prestage_bench::figures::{self, Figure};
 use prestage_bench::report;
 use prestage_sim::spec::{grid_output, ShardFile, TraceSource};
 use prestage_sim::{
-    pool_map, try_run_spec, try_run_spec_cached, CellGrid, ConfigPreset, ExperimentSpec,
-    GridResult, Store, Sweep,
+    pool_map, try_run_spec, try_run_spec_cached, ConfigPreset, ExperimentSpec, Store, Sweep,
 };
 use prestage_workload::{build, open_trace, record_trace, specint2000, DEFAULT_CHUNK_INSTS};
 use std::io::BufWriter;
@@ -90,8 +89,8 @@ fn take_flag(args: &mut Vec<String>, key: &str) -> Option<String> {
 }
 
 /// Resolve a spec argument: an existing file parses verbatim; otherwise a
-/// declared figure name (whose spec gets the environment overrides, like
-/// the figure binary).  Returns the figure declaration when there is one,
+/// declared figure name (whose spec gets the environment overrides).
+/// Returns the figure declaration when there is one,
 /// so `run` can render the figure's own report kind.
 fn load_spec(arg: &str) -> (ExperimentSpec, Option<&'static Figure>) {
     let path = std::path::Path::new(arg);
@@ -146,7 +145,7 @@ fn cmd_run(mut args: Vec<String>) {
         t0.elapsed().as_secs_f64()
     );
     match fig {
-        // A declared figure renders exactly like its binary (CSV included).
+        // A declared figure renders its own report (CSV included).
         Some(f) => report::render(f.report, f.title, f.name, &spec, &rows),
         // An ad-hoc spec file prints the table without touching results/.
         None => report::sweep_table(&format!("spec {arg}"), &spec, &rows),
@@ -179,9 +178,8 @@ fn cmd_shard(mut args: Vec<String>) {
         usage();
     }
     let (spec, _) = load_spec(&spec_arg);
-    let grid = CellGrid::from_spec(&spec).unwrap_or_else(|e| fail(&e));
-    let (start, end) = parse_range(&range_arg, grid.n_cells());
-    let cells = grid.cells();
+    let cells = spec.cells().unwrap_or_else(|e| fail(&e));
+    let (start, end) = parse_range(&range_arg, cells.len());
     let t0 = std::time::Instant::now();
     let results = Sweep::new(&spec, &cells[start..end])
         .run()
@@ -189,7 +187,7 @@ fn cmd_shard(mut args: Vec<String>) {
     eprintln!(
         "  shard {start}..{end}: ran {} of {} cells in {:.2}s",
         end - start,
-        grid.n_cells(),
+        cells.len(),
         t0.elapsed().as_secs_f64()
     );
     let shard = ShardFile { spec, start, end, results };
@@ -209,85 +207,11 @@ fn cmd_merge(mut args: Vec<String>) {
             .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         shards.push((path, shard));
     }
-    let spec = shards[0].1.spec.clone();
-    // Portable comparison: shards that only disagree on `threads` or on
-    // the committed-path source (replay is bit-exact to live generation)
-    // still describe the same experiment.
-    let itlb_desc = |itlb: &Option<prestage_sim::ITlbConfig>| match itlb {
-        None => "no i-TLB".to_string(),
-        Some(c) => format!("a {}-entry {}-way i-TLB", c.entries, c.assoc),
-    };
-    for (path, shard) in &shards[1..] {
-        // Mixed translation is named specifically: a shard simulated with
-        // a different (or absent) i-TLB measured a different machine, and
-        // the generic spec-mismatch message below would hide which knob.
-        if shard.spec.itlb != spec.itlb {
-            fail(&format!(
-                "{path} was simulated with {} but {} with {} — \
-                 translated and untranslated shards cannot merge into one figure",
-                itlb_desc(&shard.spec.itlb),
-                shards[0].0,
-                itlb_desc(&spec.itlb)
-            ));
-        }
-        if shard.spec.portable() != spec.portable() {
-            fail(&format!(
-                "{path} was produced from a different spec than {} — refusing to merge",
-                shards[0].0
-            ));
-        }
-    }
-    let grid = CellGrid::from_spec(&spec).unwrap_or_else(|e| fail(&e));
-    let names = spec.bench_names().unwrap_or_else(|e| fail(&e));
-    // Refuse malformed shard sets by name before handing results to
-    // merge_named (whose own duplicate/missing checks can only panic with
-    // flat cell positions, not file names).
-    let n_cells = grid.n_cells();
-    let mut ranges: Vec<(usize, usize, &str)> = shards
-        .iter()
-        .map(|(p, s)| (s.start, s.end, p.as_str()))
-        .collect();
-    ranges.sort();
-    let mut next = 0usize;
-    let mut widest: Option<(usize, usize, &str)> = None;
-    for &(start, end, path) in &ranges {
-        if end > n_cells {
-            fail(&format!(
-                "{path} covers cells {start}..{end}, but the grid has only {n_cells} cells"
-            ));
-        }
-        // Sorted by start, so any start inside the furthest coverage so
-        // far means two shards claim the same cells (duplicates included).
-        if let Some((wstart, wend, wpath)) = widest {
-            if start < wend && start < end {
-                fail(&format!(
-                    "{wpath} (cells {wstart}..{wend}) and {path} (cells {start}..{end}) \
-                     overlap — refusing to merge"
-                ));
-            }
-        }
-        if start > next {
-            fail(&format!(
-                "no shard covers cells {next}..{start} — refusing to merge a partial grid"
-            ));
-        }
-        next = next.max(end);
-        if widest.is_none_or(|(_, wend, _)| end > wend) {
-            widest = Some((start, end, path));
-        }
-    }
-    if next < n_cells {
-        fail(&format!(
-            "no shard covers cells {next}..{n_cells} — refusing to merge a partial grid"
-        ));
-    }
-    let results: Vec<_> = shards.into_iter().flat_map(|(_, s)| s.results).collect();
-    // merge_named fails loudly on duplicate or missing cells — a sharded
-    // run that lost a cell must not ship a partial figure.
-    let rows: Vec<Vec<GridResult>> = grid.merge_named(results, &names);
-    report::sweep_table("merged shards", &spec, &rows);
+    let rows = ShardFile::merge(&shards).unwrap_or_else(|e| fail(&e));
+    let spec = &shards[0].1.spec;
+    report::sweep_table("merged shards", spec, &rows);
     if let Some(path) = out {
-        write_out(&path, &grid_output(&spec, &rows));
+        write_out(&path, &grid_output(spec, &rows));
     }
 }
 

@@ -62,8 +62,8 @@ pub mod prelude {
     pub use prestage_cacti::TechNode;
     pub use prestage_core::{FrontendConfig, PrefetcherKind};
     pub use prestage_sim::{
-        harmonic_mean, try_run_spec, CellGrid, ConfigPreset, Engine, ExperimentSpec, SimConfig,
-        SimStats, Sweep, SweepCell,
+        harmonic_mean, try_run_spec, ConfigPreset, Engine, ExperimentSpec, SimConfig, SimStats,
+        Sweep, SweepCell,
     };
 }
 

@@ -5,88 +5,18 @@
 //! and a damaged entry fails the run by file name instead of being
 //! silently recomputed.
 
+mod common;
+
+use common::{assert_ok, prestage, prestage_cmd, spec_file, TempDir};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+use std::process::Stdio;
 use std::time::{Duration, Instant};
 
-fn spec_file() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("specs/ci_shard.json")
-}
-
-const SCRUB: &[&str] = &[
-    "PRESTAGE_WARMUP",
-    "PRESTAGE_MEASURE",
-    "PRESTAGE_SEED",
-    "PRESTAGE_EXEC_SEED",
-    "PRESTAGE_BENCH",
-    "PRESTAGE_THREADS",
-    "PRESTAGE_RESULTS_DIR",
-];
-
-/// The real binary with a scrubbed `PRESTAGE_*` environment (file specs
-/// ignore it by design, but the tests must not depend on that).
-fn prestage_cmd() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_prestage"));
-    for var in SCRUB {
-        cmd.env_remove(var);
-    }
-    cmd
-}
-
-fn prestage(args: &[&str]) -> Output {
-    prestage_cmd().args(args).output().expect("spawn prestage")
-}
-
-fn assert_ok(out: &Output, what: &str) -> String {
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(
-        out.status.success(),
-        "{what} failed:\nstdout: {}\nstderr: {stderr}",
-        String::from_utf8_lossy(&out.stdout),
-    );
-    stderr
-}
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("prestage_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn path(&self, name: &str) -> String {
-        self.0.join(name).to_string_lossy().into_owned()
-    }
-
-    /// Write `specs/ci_shard.json` with each `(from, to)` text substitution
-    /// applied, returning the new file's path.
-    fn variant(&self, name: &str, edits: &[(&str, &str)]) -> String {
-        let mut text = std::fs::read_to_string(spec_file()).unwrap();
-        for (from, to) in edits {
-            assert!(text.contains(from), "ci_shard spec changed shape: no {from:?}");
-            text = text.replace(from, to);
-        }
-        let path = self.path(name);
-        std::fs::write(&path, text).unwrap();
-        path
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// The stderr summary line of a `--cache` run.
-fn cache_line(stderr: &str) -> &str {
-    stderr
-        .lines()
+/// The summary line of a `--cache` run's output.
+fn cache_line(log: &str) -> &str {
+    log.lines()
         .find(|l| l.starts_with("cache "))
-        .unwrap_or_else(|| panic!("no cache summary line in:\n{stderr}"))
+        .unwrap_or_else(|| panic!("no cache summary line in:\n{log}"))
 }
 
 /// Every finished entry file under a cache directory.
@@ -114,11 +44,11 @@ fn plain_run(spec: &str, out: &str) -> Vec<u8> {
 
 /// `run <spec> --cache <dir> --out <file>`; returns (summary line, bytes).
 fn cached_run(spec: &str, cache: &str, out: &str) -> (String, Vec<u8>) {
-    let stderr = assert_ok(
+    let log = assert_ok(
         &prestage(&["run", spec, "--cache", cache, "--out", out]),
         "cached run",
     );
-    (cache_line(&stderr).to_string(), std::fs::read(out).unwrap())
+    (cache_line(&log).to_string(), std::fs::read(out).unwrap())
 }
 
 /// The artifact's `rows` (everything after the embedded spec).

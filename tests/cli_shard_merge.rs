@@ -3,60 +3,9 @@
 //! against a single-process `prestage run` of the same spec — the
 //! acceptance property of the sharding redesign.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
-fn spec_file() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("specs/ci_shard.json")
-}
-
-/// Run the real binary with a scrubbed `PRESTAGE_*` environment (file
-/// specs ignore it by design, but the test must not depend on that).
-fn prestage(args: &[&str]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_prestage"));
-    for var in [
-        "PRESTAGE_WARMUP",
-        "PRESTAGE_MEASURE",
-        "PRESTAGE_SEED",
-        "PRESTAGE_EXEC_SEED",
-        "PRESTAGE_BENCH",
-        "PRESTAGE_THREADS",
-        "PRESTAGE_RESULTS_DIR",
-    ] {
-        cmd.env_remove(var);
-    }
-    cmd.args(args).output().expect("spawn prestage")
-}
-
-fn assert_ok(out: &Output, what: &str) {
-    assert!(
-        out.status.success(),
-        "{what} failed:\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("prestage_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn path(&self, name: &str) -> String {
-        self.0.join(name).to_string_lossy().into_owned()
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use common::{assert_ok, prestage, spec_file, TempDir};
 
 #[test]
 fn two_process_shard_merge_equals_single_process_run_byte_exactly() {
@@ -190,6 +139,58 @@ fn merge_names_the_offending_shards_and_ranges() {
         stderr.contains("inverted") && stderr.contains("inverted.json"),
         "inverted-range refusal must name the file and defect: {stderr}"
     );
+}
+
+/// A hand-edited result that names the wrong cell — a duplicate inside
+/// one shard, or a cell another shard already holds — is refused by file
+/// and position with exit 2, never merged or answered with a panic.
+#[test]
+fn merge_names_shards_whose_results_sit_at_the_wrong_cells() {
+    let dir = TempDir::new("misplaced_cells");
+    let spec = spec_file();
+    let spec = spec.to_str().unwrap();
+    let a = dir.path("a.json");
+    let b = dir.path("b.json");
+    assert_ok(
+        &prestage(&["shard", "--spec", spec, "--cells", "0..3", "--out", &a]),
+        "shard A",
+    );
+    assert_ok(
+        &prestage(&["shard", "--spec", spec, "--cells", "3..8", "--out", &b]),
+        "shard B",
+    );
+    // Cells run preset, then L1 size, then bench: 0..3 is (base+l0, 1K,
+    // gzip), (base+l0, 1K, mcf), (base+l0, 4K, gzip); cell 3 is
+    // (base+l0, 4K, mcf).
+    let edit = |name: &str, from: &str, (old, new): (&str, &str)| {
+        let text = std::fs::read_to_string(from).unwrap();
+        let edited = text.replacen(old, new, 1);
+        assert_ne!(edited, text, "no {old:?} in {from}");
+        let path = dir.path(name);
+        std::fs::write(&path, edited).unwrap();
+        path
+    };
+    // Result 1 of A repeats cell 0.
+    let dup = edit("dup.json", &a, ("\"bench_idx\": 1", "\"bench_idx\": 0"));
+    // Result 0 of B names cell 1, which A holds.
+    let moved = edit("moved.json", &b, ("\"l1\": 4096", "\"l1\": 1024"));
+    // (shards, the refused file, its bad result, the cell due there)
+    for (shards, file, result, cell) in [
+        ([&dup, &b], "dup.json", 1, 1),
+        ([&a, &moved], "moved.json", 0, 3),
+    ] {
+        let out = prestage(&["merge", shards[0], shards[1]]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{file}: {stderr}");
+        let named = [
+            format!("{file}: shard result {result} is"),
+            format!("cell {cell} of the grid"),
+        ];
+        assert!(
+            named.iter().all(|n| stderr.contains(n.as_str())),
+            "{file}: the refusal must name the file and position: {stderr}"
+        );
+    }
 }
 
 /// The acceptance property for the pluggable mechanisms, proven on the

@@ -5,65 +5,10 @@
 //! the record-once/replay-everywhere redesign).  Mirrors
 //! `tests/cli_shard_merge.rs`.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
-fn spec_file() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("specs/ci_shard.json")
-}
-
-/// Run the real binary with a scrubbed `PRESTAGE_*` environment (file
-/// specs ignore it by design, but the test must not depend on that).
-fn prestage(args: &[&str]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_prestage"));
-    for var in [
-        "PRESTAGE_WARMUP",
-        "PRESTAGE_MEASURE",
-        "PRESTAGE_SEED",
-        "PRESTAGE_EXEC_SEED",
-        "PRESTAGE_BENCH",
-        "PRESTAGE_THREADS",
-        "PRESTAGE_RESULTS_DIR",
-    ] {
-        cmd.env_remove(var);
-    }
-    cmd.args(args).output().expect("spawn prestage")
-}
-
-fn assert_ok(out: &Output, what: &str) -> String {
-    assert!(
-        out.status.success(),
-        "{what} failed:\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    format!(
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    )
-}
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("prestage_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn path(&self, name: &str) -> String {
-        self.0.join(name).to_string_lossy().into_owned()
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use common::{assert_ok, prestage, spec_file, TempDir};
+use std::path::Path;
 
 /// The committed CI spec must be canonical bytes (parse → re-serialize is
 /// identity): the CI replay job rewrites it with `sed`, which only works
@@ -77,17 +22,10 @@ fn ci_shard_spec_is_canonical_and_live() {
     assert!(text.contains("\"trace\": null"), "sed anchor missing");
 }
 
-/// Write a replay twin of the CI spec pointing at `dir`.
+/// Write a replay twin of the CI spec pointing at `traces`.
 fn replay_spec_into(dir: &TempDir, traces: &str) -> String {
-    let text = std::fs::read_to_string(spec_file()).unwrap();
-    let replaced = text.replace(
-        "\"trace\": null",
-        &format!("\"trace\": {{\"dir\": {traces:?}}}"),
-    );
-    assert_ne!(text, replaced, "trace anchor not found in ci_shard.json");
-    let path = dir.path("replay_spec.json");
-    std::fs::write(&path, replaced).unwrap();
-    path
+    let trace = format!("\"trace\": {{\"dir\": {traces:?}}}");
+    dir.variant("replay_spec.json", &[("\"trace\": null", &trace)])
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! Properties of the flat cell-addressed `Sweep`: the cell ↔ grid
-//! position mapping is a bijection, and cell evaluation is bit-exact under
-//! any thread count and any cell order — the invariant that makes the grid
-//! shardable across threads and processes.
+//! Properties of the flat cell-addressed `Sweep`: a spec's flat cell list
+//! is a bijection onto its grid positions, and cell evaluation is bit-exact
+//! under any thread count and any cell order — the invariant that makes the
+//! grid shardable across threads and processes.
 
 use fetch_prestaging::prelude::*;
 use fetch_prestaging::sim::{CellResult, GridResult};
@@ -58,13 +58,15 @@ fn sweep(
     .unwrap()
 }
 
+/// Put results of any permutation of `cells` back in flat order and
+/// assemble the rows of `spec`.
 fn merge(
-    grid: &CellGrid,
-    results: Vec<CellResult>,
-    workloads: &[Workload],
+    spec: &ExperimentSpec,
+    cells: &[SweepCell],
+    mut results: Vec<CellResult>,
 ) -> Vec<Vec<GridResult>> {
-    let names: Vec<&str> = workloads.iter().map(|w| w.profile.name).collect();
-    grid.merge_named(results, &names)
+    results.sort_by_key(|r| cells.iter().position(|c| *c == r.cell));
+    spec.rows(results).unwrap()
 }
 
 fn fisher_yates<T>(items: &mut [T], seed: u64) {
@@ -86,39 +88,81 @@ fn assert_stats_eq(a: &CellResult, b: &CellResult, what: &str) {
 }
 
 proptest! {
-    /// cell-id ↔ grid-position round-trips for arbitrary grid shapes.
+    /// `cells` lists every (preset, size, bench) coordinate exactly once in
+    /// row-major order, and `rows` puts result `i` at cell `i`'s row and
+    /// column, for arbitrary grid shapes.
     #[test]
     fn cell_position_bijection(
         preset_picks in prop::collection::vec(0usize..10, 1..6),
-        size_picks in prop::collection::vec(1usize..257, 1..6),
+        size_picks in prop::collection::vec(0usize..9, 1..6),
         n_bench in 1usize..13,
-        exec_seed in 0u64..1000,
         tech_pick in 0usize..2,
     ) {
         let mut presets: Vec<ConfigPreset> =
             preset_picks.iter().map(|&i| ConfigPreset::all()[i]).collect();
         let mut seen = Vec::new();
         presets.retain(|p| { let new = !seen.contains(p); seen.push(*p); new });
-        let mut sizes: Vec<usize> = size_picks.iter().map(|&s| s * 256).collect();
+        let mut sizes: Vec<usize> = size_picks.iter().map(|&k| 256 << k).collect();
         let mut seen = Vec::new();
         sizes.retain(|s| { let new = !seen.contains(s); seen.push(*s); new });
-        let tech = [TechNode::T090, TechNode::T045][tech_pick];
+        let names: Vec<String> = prestage_workload::specint2000()
+            .iter()
+            .take(n_bench)
+            .map(|p| p.name.to_string())
+            .collect();
+        let spec = ExperimentSpec {
+            presets: presets.clone(),
+            tech: [TechNode::T090, TechNode::T045][tech_pick],
+            l1_sizes: sizes.clone(),
+            bench: Some(names.clone()),
+            ..ExperimentSpec::default()
+        };
 
-        let grid = CellGrid::new(presets.clone(), tech, sizes.clone(), n_bench, exec_seed);
-        prop_assert_eq!(grid.n_cells(), presets.len() * sizes.len() * n_bench);
-        let cells = grid.cells();
-        prop_assert_eq!(cells.len(), grid.n_cells());
+        let cells = spec.cells().unwrap();
+        prop_assert_eq!(cells.len(), presets.len() * sizes.len() * n_bench);
+        let mut distinct = cells.clone();
+        distinct.sort_by_key(|c| (c.preset.id(), c.l1, c.bench_idx));
+        distinct.dedup();
+        prop_assert_eq!(distinct.len(), cells.len());
         for (flat, cell) in cells.iter().enumerate() {
-            prop_assert_eq!(grid.cell_at(flat), *cell);
-            prop_assert_eq!(grid.index_of(cell), Some(flat));
-            // A cell from a different sweep never aliases into this grid.
-            let mut foreign = *cell;
-            foreign.exec_seed = exec_seed + 1;
-            prop_assert_eq!(grid.index_of(&foreign), None);
-            let mut foreign = *cell;
-            foreign.bench_idx = n_bench;
-            prop_assert_eq!(grid.index_of(&foreign), None);
+            let want = SweepCell {
+                preset: presets[flat / (sizes.len() * n_bench)],
+                l1: sizes[flat / n_bench % sizes.len()],
+                bench_idx: flat % n_bench,
+            };
+            prop_assert_eq!(*cell, want);
         }
+
+        // Tag each result with its flat position; `rows` must put it back
+        // where its cell says.
+        let results: Vec<CellResult> = cells
+            .iter()
+            .enumerate()
+            .map(|(flat, &cell)| CellResult {
+                cell,
+                stats: SimStats { cycles: flat as u64, ..SimStats::default() },
+                wall: std::time::Duration::ZERO,
+            })
+            .collect();
+        let rows = spec.rows(results.clone()).unwrap();
+        prop_assert_eq!(rows.len(), presets.len());
+        for (pi, row) in rows.iter().enumerate() {
+            prop_assert_eq!(row.len(), sizes.len());
+            for (si, r) in row.iter().enumerate() {
+                prop_assert_eq!(r.per_bench.len(), n_bench);
+                for (bi, (name, s)) in r.per_bench.iter().enumerate() {
+                    prop_assert_eq!(name, &names[bi]);
+                    prop_assert_eq!(s.cycles as usize, (pi * sizes.len() + si) * n_bench + bi);
+                }
+            }
+        }
+        // A result out of place, or a missing one, is refused.
+        if results.len() > 1 {
+            let mut swapped = results.clone();
+            swapped.swap(0, results.len() - 1);
+            prop_assert!(spec.rows(swapped).is_err());
+        }
+        prop_assert!(spec.rows(results[1..].to_vec()).is_err());
     }
 }
 
@@ -132,8 +176,7 @@ fn sweep_is_invariant_under_thread_count_and_shuffle() {
         7,
         (1_000, 5_000),
     );
-    let grid = CellGrid::from_spec(&spec).unwrap();
-    let cells = grid.cells();
+    let cells = spec.cells().unwrap();
 
     // Serial reference: one thread, flat order.
     let reference = sweep(&spec, &cells, &workloads, 1);
@@ -149,12 +192,12 @@ fn sweep_is_invariant_under_thread_count_and_shuffle() {
     }
 
     // Any shuffle of the work list merges back to the same ordered grid.
-    let reference_grid = merge(&grid, reference, &workloads);
+    let reference_grid = merge(&spec, &cells, reference);
     for shuffle_seed in [1u64, 2, 3] {
         let mut shuffled = cells.clone();
         fisher_yates(&mut shuffled, shuffle_seed);
         let results = sweep(&spec, &shuffled, &workloads, 2);
-        let merged = merge(&grid, results, &workloads);
+        let merged = merge(&spec, &cells, results);
         for (row_a, row_b) in merged.iter().zip(&reference_grid) {
             for (a, b) in row_a.iter().zip(row_b) {
                 for ((n1, s1), (n2, s2)) in a.per_bench.iter().zip(&b.per_bench) {
@@ -171,7 +214,7 @@ fn sweep_is_invariant_under_thread_count_and_shuffle() {
     let (left, right) = cells.split_at(cells.len() / 2);
     let mut shards = sweep(&spec, left, &workloads, 2);
     shards.extend(sweep(&spec, right, &workloads, 2));
-    let merged = merge(&grid, shards, &workloads);
+    let merged = merge(&spec, &cells, shards);
     for (row_a, row_b) in merged.iter().zip(&reference_grid) {
         for (a, b) in row_a.iter().zip(row_b) {
             for ((_, s1), (_, s2)) in a.per_bench.iter().zip(&b.per_bench) {
@@ -195,8 +238,7 @@ fn mechanism_axis_is_bit_exact_under_threads_and_sharding() {
         7,
         (1_000, 5_000),
     );
-    let grid = CellGrid::from_spec(&base).unwrap();
-    let cells = grid.cells();
+    let cells = base.cells().unwrap();
     for kind in PrefetcherKind::all() {
         let spec = ExperimentSpec {
             prefetcher: Some(kind),
@@ -213,8 +255,8 @@ fn mechanism_axis_is_bit_exact_under_threads_and_sharding() {
         let (left, right) = cells.split_at(3);
         let mut shards = sweep(&spec, left, &workloads, 2);
         shards.extend(sweep(&spec, right, &workloads, 2));
-        let merged = merge(&grid, shards, &workloads);
-        let whole = merge(&grid, reference, &workloads);
+        let merged = merge(&spec, &cells, shards);
+        let whole = merge(&spec, &cells, reference);
         for (row_a, row_b) in merged.iter().zip(&whole) {
             for (a, b) in row_a.iter().zip(row_b) {
                 for ((n1, s1), (n2, s2)) in a.per_bench.iter().zip(&b.per_bench) {
@@ -250,11 +292,10 @@ fn whole_flattened_grid_matches_serial_engine_runs() {
         9,
         (1_000, 5_000),
     );
-    let grid = CellGrid::from_spec(&spec).unwrap();
-    let results = sweep(&spec, &grid.cells(), &workloads, 4);
+    let results = sweep(&spec, &spec.cells().unwrap(), &workloads, 4);
     for r in &results {
         let cfg = spec.sim_config(r.cell.preset, r.cell.l1);
-        let serial = Engine::new(cfg, &workloads[r.cell.bench_idx], r.cell.exec_seed).run();
+        let serial = Engine::new(cfg, &workloads[r.cell.bench_idx], spec.exec_seed).run();
         assert_eq!(r.stats.cycles, serial.cycles, "{:?}", r.cell);
         assert_eq!(r.stats.committed, serial.committed, "{:?}", r.cell);
         assert_eq!(r.stats.redirects, serial.redirects, "{:?}", r.cell);
@@ -276,7 +317,7 @@ fn whole_grid_wall_clock_smoke() {
         3,
         (2_000, 20_000),
     );
-    let cells = CellGrid::from_spec(&spec).unwrap().cells();
+    let cells = spec.cells().unwrap();
 
     let t0 = std::time::Instant::now();
     let serial = sweep(&spec, &cells, &workloads, 1);

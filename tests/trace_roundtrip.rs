@@ -10,6 +10,9 @@
 //!   byte-identically from its own declared identity, so any drift in the
 //!   format *or* the trace generator is caught at review time.
 
+mod common;
+
+use common::TempDir;
 use prestage_sim::{
     grid_output, try_run_spec, ConfigPreset, ExperimentSpec, PrefetcherKind, TraceSource,
 };
@@ -20,23 +23,6 @@ use prestage_workload::{
 use proptest::prelude::*;
 use std::io::{BufWriter, Cursor};
 use std::path::{Path, PathBuf};
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("prestage_tr_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// A workload small enough to record/replay thousands of times, but with
 /// real structure (calls, loops, memory models).

@@ -150,7 +150,9 @@ impl Baseline {
     pub fn updated(&self, findings: &[Finding]) -> Baseline {
         let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
         for f in findings {
-            *counts.entry((f.rule.to_string(), f.file.clone())).or_insert(0) += 1;
+            *counts
+                .entry((f.rule.to_string(), f.file.clone()))
+                .or_insert(0) += 1;
         }
         let mut entries = Vec::with_capacity(counts.len());
         for ((rule, file), count) in counts {
@@ -160,7 +162,12 @@ impl Baseline {
                 .find(|e| e.rule == rule && e.file == file)
                 .map(|e| e.reason.clone())
                 .unwrap_or_default();
-            entries.push(BaselineEntry { rule, file, count, reason });
+            entries.push(BaselineEntry {
+                rule,
+                file,
+                count,
+                reason,
+            });
         }
         Baseline { entries }
     }

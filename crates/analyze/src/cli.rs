@@ -42,7 +42,9 @@ pub fn run(program: &str, args: &[String]) -> i32 {
         match a.as_str() {
             "--all" => rules = analyze::rules::rule_names(),
             "--rule" => {
-                let Some(name) = it.next() else { fail("--rule needs a value") };
+                let Some(name) = it.next() else {
+                    fail("--rule needs a value")
+                };
                 match analyze::RULES.iter().find(|r| r.name == name.as_str()) {
                     Some(r) => rules.push(r.name),
                     None => fail(&format!(
@@ -52,12 +54,16 @@ pub fn run(program: &str, args: &[String]) -> i32 {
                 }
             }
             "--baseline" => {
-                let Some(p) = it.next() else { fail("--baseline needs a value") };
+                let Some(p) = it.next() else {
+                    fail("--baseline needs a value")
+                };
                 baseline_path = Some(p.clone());
             }
             "--update-baseline" => update_baseline = true,
             "--root" => {
-                let Some(p) = it.next() else { fail("--root needs a value") };
+                let Some(p) = it.next() else {
+                    fail("--root needs a value")
+                };
                 root_arg = Some(p.clone());
             }
             "--list-rules" => {
@@ -110,7 +116,11 @@ pub fn run(program: &str, args: &[String]) -> i32 {
             "wrote {} ({} entr{}, {} finding(s))",
             baseline_file.display(),
             updated.entries.len(),
-            if updated.entries.len() == 1 { "y" } else { "ies" },
+            if updated.entries.len() == 1 {
+                "y"
+            } else {
+                "ies"
+            },
             analysis.findings.len()
         );
         if blank > 0 {

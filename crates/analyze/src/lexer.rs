@@ -139,12 +139,20 @@ pub fn lex(src: &str) -> Lexed {
             }
             b'"' => {
                 let s = lex_plain_string(&mut c);
-                out.tokens.push(Token { kind: Tok::Str(s), line, col });
+                out.tokens.push(Token {
+                    kind: Tok::Str(s),
+                    line,
+                    col,
+                });
             }
             b'\'' => lex_quote(&mut c, &mut out, line, col),
             b'0'..=b'9' => {
                 lex_number(&mut c);
-                out.tokens.push(Token { kind: Tok::Num, line, col });
+                out.tokens.push(Token {
+                    kind: Tok::Num,
+                    line,
+                    col,
+                });
             }
             _ if is_ident_start(b) => lex_ident_or_prefixed(&mut c, &mut out, line, col),
             _ => {
@@ -215,7 +223,11 @@ fn lex_quote(c: &mut Cursor, out: &mut Lexed, line: usize, col: usize) {
         if c.peek() == Some(b'\'') {
             c.bump();
         }
-        out.tokens.push(Token { kind: Tok::Char, line, col });
+        out.tokens.push(Token {
+            kind: Tok::Char,
+            line,
+            col,
+        });
     } else {
         c.bump(); // quote
         while c.peek().is_some_and(is_ident_continue) {
@@ -227,18 +239,26 @@ fn lex_quote(c: &mut Cursor, out: &mut Lexed, line: usize, col: usize) {
 /// A numeric literal; cursor on the first digit.  Loose: consumes digits,
 /// `_`, type suffixes, hex/binary bodies, and a fractional/exponent part.
 fn lex_number(c: &mut Cursor) {
-    while c.peek().is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_') {
+    while c
+        .peek()
+        .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_')
+    {
         c.bump();
     }
     // `1.5`, `1.5e-3` — but not `0..10` or `1.method()`.
     if c.peek() == Some(b'.') && c.peek_at(1).is_some_and(|b| b.is_ascii_digit()) {
         c.bump();
-        while c.peek().is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_') {
+        while c
+            .peek()
+            .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_')
+        {
             c.bump();
         }
         // Signed exponent (`1.5e-3`): the `e` was consumed above.
         if (c.peek() == Some(b'-') || c.peek() == Some(b'+'))
-            && c.bytes.get(c.pos.wrapping_sub(1)).is_some_and(|&b| b == b'e' || b == b'E')
+            && c.bytes
+                .get(c.pos.wrapping_sub(1))
+                .is_some_and(|&b| b == b'e' || b == b'E')
         {
             c.bump();
             while c.peek().is_some_and(|b| b.is_ascii_digit()) {
@@ -254,14 +274,19 @@ fn lex_ident_or_prefixed(c: &mut Cursor, out: &mut Lexed, line: usize, col: usiz
     let b = c.peek().unwrap_or(0);
     if b == b'r' || b == b'b' {
         // Count a possible raw-string introducer after the prefix.
-        let after_b = if b == b'b' && c.peek_at(1) == Some(b'r') { 2 } else { 1 };
+        let after_b = if b == b'b' && c.peek_at(1) == Some(b'r') {
+            2
+        } else {
+            1
+        };
         let mut hashes = 0usize;
         while c.peek_at(after_b + hashes) == Some(b'#') {
             hashes += 1;
         }
         let quote_at = after_b + hashes;
         let starts_raw = (b == b'r' || after_b == 2) && c.peek_at(quote_at) == Some(b'"');
-        let starts_byte_str = b == b'b' && after_b == 1 && hashes == 0 && c.peek_at(1) == Some(b'"');
+        let starts_byte_str =
+            b == b'b' && after_b == 1 && hashes == 0 && c.peek_at(1) == Some(b'"');
         let starts_byte_char = b == b'b' && c.peek_at(1) == Some(b'\'');
         if starts_raw && hashes == 0 && quote_at == after_b {
             // r"…" / br"…": raw string, no hashes: runs to the next quote.
@@ -274,7 +299,11 @@ fn lex_ident_or_prefixed(c: &mut Cursor, out: &mut Lexed, line: usize, col: usiz
             if c.peek() == Some(b'"') {
                 c.bump();
             }
-            out.tokens.push(Token { kind: Tok::Str(content), line, col });
+            out.tokens.push(Token {
+                kind: Tok::Str(content),
+                line,
+                col,
+            });
             return;
         }
         if starts_raw {
@@ -313,7 +342,11 @@ fn lex_ident_or_prefixed(c: &mut Cursor, out: &mut Lexed, line: usize, col: usiz
         if starts_byte_str {
             c.bump(); // the `b`
             let s = lex_plain_string(c);
-            out.tokens.push(Token { kind: Tok::Str(s), line, col });
+            out.tokens.push(Token {
+                kind: Tok::Str(s),
+                line,
+                col,
+            });
             return;
         }
         if starts_byte_char {
@@ -328,7 +361,11 @@ fn lex_ident_or_prefixed(c: &mut Cursor, out: &mut Lexed, line: usize, col: usiz
             if c.peek() == Some(b'\'') {
                 c.bump();
             }
-            out.tokens.push(Token { kind: Tok::Char, line, col });
+            out.tokens.push(Token {
+                kind: Tok::Char,
+                line,
+                col,
+            });
             return;
         }
         if b == b'r' && hashes == 1 && c.peek_at(quote_at).is_some_and(is_ident_start) {

@@ -36,7 +36,7 @@ pub mod lexer;
 pub mod rules;
 
 pub use baseline::{Baseline, BaselineEntry, Ratchet};
-pub use rules::{classify, Finding, FileClass, RULES};
+pub use rules::{classify, FileClass, Finding, RULES};
 
 use std::path::{Path, PathBuf};
 
@@ -66,7 +66,9 @@ fn scan_pragmas(rel_path: &str, lexed: &lexer::Lexed) -> (Vec<Pragma>, Vec<Findi
         if doc {
             continue;
         }
-        let Some(at) = c.text.find("prestage:") else { continue };
+        let Some(at) = c.text.find("prestage:") else {
+            continue;
+        };
         let rest = c.text[at + "prestage:".len()..].trim_start();
         let bad = |message: String| Finding {
             rule: rules::PRAGMA,
@@ -262,8 +264,9 @@ fn f(x: u64) -> u16 {
     #[test]
     fn test_files_and_test_modules_are_exempt() {
         let src = "fn f(x: u64) -> u16 { x as u16 }\n";
-        assert!(analyze_source("crates/core/tests/t.rs", src, &[rules::TRUNCATING_CAST])
-            .is_empty());
+        assert!(
+            analyze_source("crates/core/tests/t.rs", src, &[rules::TRUNCATING_CAST]).is_empty()
+        );
         let src = "\
 #[cfg(test)]
 mod tests {

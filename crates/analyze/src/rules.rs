@@ -109,11 +109,7 @@ pub fn classify(rel_path: &str) -> FileClass {
 
 /// Paths where wall-clock time is the *point* (timing layers), exempt from
 /// [`WALLCLOCK_IN_SIM`].
-const WALLCLOCK_ALLOWED: &[&str] = &[
-    "src/bin/",
-    "crates/bench/",
-    "crates/sim/src/runner.rs",
-];
+const WALLCLOCK_ALLOWED: &[&str] = &["src/bin/", "crates/bench/", "crates/sim/src/runner.rs"];
 
 /// Files ticked every simulated cycle, subject to [`MAP_IN_CYCLE_PATH`]:
 /// the engine loop and everything it calls per cycle.  Tree/hash lookups
@@ -155,8 +151,8 @@ const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
 /// Words that count as "naming" the rejected field/offset in a message.
 const NAMING_WORDS: &[&str] = &[
-    "field", "offset", "byte", "record", "chunk", "line", "key", "index", "cell", "seed",
-    "spec", "bench", "name", "inst", "version", "header", "crc",
+    "field", "offset", "byte", "record", "chunk", "line", "key", "index", "cell", "seed", "spec",
+    "bench", "name", "inst", "version", "header", "crc",
 ];
 
 /// `#[cfg(test)]` / `#[test]` item line ranges (inclusive), so in-file test
@@ -308,7 +304,9 @@ pub fn run_rules(
             if in_test(&regions, tokens[i].line) {
                 continue;
             }
-            let Some(name) = ident(tokens, i) else { continue };
+            let Some(name) = ident(tokens, i) else {
+                continue;
+            };
             if !is_counter(name) {
                 continue;
             }
@@ -460,8 +458,7 @@ fn check_rejections(
 ) {
     let mut i = 0;
     while i < tokens.len() {
-        let Some(mac @ ("panic" | "assert" | "assert_eq" | "assert_ne")) = ident(tokens, i)
-        else {
+        let Some(mac @ ("panic" | "assert" | "assert_eq" | "assert_ne")) = ident(tokens, i) else {
             i += 1;
             continue;
         };

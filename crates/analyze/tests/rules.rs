@@ -54,8 +54,14 @@ fn unchecked_counter_add_fires_on_minimized_pr6_bug() {
     );
     // `warmup_insts + measure_insts` and `measure_insts * reps`.
     assert_eq!(fs.len(), 2, "{fs:?}");
-    assert!(fs.iter().any(|f| f.message.contains("warmup_insts")), "{fs:?}");
-    assert!(fs.iter().any(|f| f.message.contains("measure_insts")), "{fs:?}");
+    assert!(
+        fs.iter().any(|f| f.message.contains("warmup_insts")),
+        "{fs:?}"
+    );
+    assert!(
+        fs.iter().any(|f| f.message.contains("measure_insts")),
+        "{fs:?}"
+    );
 }
 
 #[test]
@@ -165,7 +171,11 @@ fn unnamed_rejection_only_applies_to_parse_paths() {
     // The same anonymous panics outside a parse/validate surface are the
     // unwrap rule's business, not this one's.
     let src = fixture("bad", "unnamed_rejection");
-    let fs = analyze_source("crates/core/src/fixture.rs", &src, &[rules::UNNAMED_REJECTION]);
+    let fs = analyze_source(
+        "crates/core/src/fixture.rs",
+        &src,
+        &[rules::UNNAMED_REJECTION],
+    );
     assert!(fs.is_empty(), "{fs:?}");
 }
 
@@ -220,7 +230,11 @@ fn every_rule_has_a_firing_fixture() {
     // Belt and braces for the catalog: adding a rule without a bad
     // fixture fails here, not in review.
     let homes = [
-        (rules::TRUNCATING_CAST, "crates/bpred/src/fixture.rs", "truncating_cast"),
+        (
+            rules::TRUNCATING_CAST,
+            "crates/bpred/src/fixture.rs",
+            "truncating_cast",
+        ),
         (
             rules::UNCHECKED_COUNTER_ADD,
             "crates/sim/src/fixture.rs",
@@ -231,10 +245,26 @@ fn every_rule_has_a_firing_fixture() {
             "crates/sim/src/fixture.rs",
             "nondeterministic_iteration",
         ),
-        (rules::WALLCLOCK_IN_SIM, "crates/sim/src/fixture.rs", "wallclock_in_sim"),
-        (rules::UNWRAP_IN_LIB, "crates/core/src/fixture.rs", "unwrap_in_lib"),
-        (rules::UNNAMED_REJECTION, "crates/json/src/fixture.rs", "unnamed_rejection"),
-        (rules::MAP_IN_CYCLE_PATH, "crates/sim/src/backend.rs", "map_in_cycle_path"),
+        (
+            rules::WALLCLOCK_IN_SIM,
+            "crates/sim/src/fixture.rs",
+            "wallclock_in_sim",
+        ),
+        (
+            rules::UNWRAP_IN_LIB,
+            "crates/core/src/fixture.rs",
+            "unwrap_in_lib",
+        ),
+        (
+            rules::UNNAMED_REJECTION,
+            "crates/json/src/fixture.rs",
+            "unnamed_rejection",
+        ),
+        (
+            rules::MAP_IN_CYCLE_PATH,
+            "crates/sim/src/backend.rs",
+            "map_in_cycle_path",
+        ),
     ];
     assert_eq!(homes.len(), prestage_analyze::RULES.len());
     for (rule, home, name) in homes {
@@ -242,6 +272,9 @@ fn every_rule_has_a_firing_fixture() {
         assert!(!bad.is_empty(), "rule {rule} has no firing bad fixture");
         assert!(bad.iter().all(|f| f.rule == rule), "{rule}: {bad:?}");
         let ok = analyze_source(home, &fixture("ok", name), &[rule]);
-        assert!(ok.is_empty(), "rule {rule} fires on its clean fixture: {ok:?}");
+        assert!(
+            ok.is_empty(),
+            "rule {rule} fires on its clean fixture: {ok:?}"
+        );
     }
 }

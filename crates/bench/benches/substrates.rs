@@ -83,7 +83,10 @@ fn bench_predictor(c: &mut Criterion) {
 }
 
 fn bench_tracegen(c: &mut Criterion) {
-    let p = specint2000().into_iter().find(|p| p.name == "vortex").unwrap();
+    let p = specint2000()
+        .into_iter()
+        .find(|p| p.name == "vortex")
+        .unwrap();
     let w = build(&p, 42);
     c.bench_function("workload/stream_generation", |b| {
         let mut gen = TraceGenerator::new(&w, 7);
@@ -102,7 +105,10 @@ fn bench_trace_io(c: &mut Criterion) {
     use prestage_workload::{record_trace, InstSource, TraceReader, TraceReplayer};
     use std::io::Cursor;
 
-    let p = specint2000().into_iter().find(|p| p.name == "vortex").unwrap();
+    let p = specint2000()
+        .into_iter()
+        .find(|p| p.name == "vortex")
+        .unwrap();
     let w = build(&p, 42);
     const N: u64 = 64 * 1024;
     let mut bytes = Cursor::new(Vec::new());
@@ -144,8 +150,7 @@ fn bench_trace_io(c: &mut Criterion) {
     // reassembly, as the engine sees it.
     c.bench_function("trace/replay_streams_64k", |b| {
         b.iter(|| {
-            let mut replayer =
-                TraceReplayer::new(TraceReader::new(&bytes[..]).unwrap(), "bench");
+            let mut replayer = TraceReplayer::new(TraceReader::new(&bytes[..]).unwrap(), "bench");
             let mut buf = Vec::new();
             let mut seen = 0u64;
             while seen + 64 < N {
@@ -177,7 +182,9 @@ fn bench_trace_io(c: &mut Criterion) {
 
     // CRC-32 throughput over 1 MiB (the kernel on CLMUL hosts, the
     // slice-by-8 tables elsewhere), and the tables alone.
-    let mib: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+    let mib: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
     c.bench_function("trace/crc32_1mib", |b| {
         b.iter(|| prestage_workload::trace_io::crc32(black_box(&mib)))
     });

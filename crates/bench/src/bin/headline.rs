@@ -51,8 +51,7 @@ fn main() {
             ..base.clone()
         };
         let hs: Vec<f64> = run(&spec).iter().map(|row| row[0].hmean_ipc()).collect();
-        let (clgp16, fdp16, clgp, fdp, pipe, base_l0) =
-            (hs[0], hs[1], hs[2], hs[3], hs[4], hs[5]);
+        let (clgp16, fdp16, clgp, fdp, pipe, base_l0) = (hs[0], hs[1], hs[2], hs[3], hs[4], hs[5]);
         note_result(
             &format!("headline {}", tech.label()),
             &format!(

@@ -61,7 +61,10 @@ fn main() {
     let mut nlp_cfg = base.sim_config(ConfigPreset::Fdp, l1);
     nlp_cfg.frontend.prefetcher = PrefetcherKind::NextLine;
     let schemes: Vec<(&str, SimConfig)> = vec![
-        ("no prefetch (base)", base.sim_config(ConfigPreset::Base, l1)),
+        (
+            "no prefetch (base)",
+            base.sim_config(ConfigPreset::Base, l1),
+        ),
         ("next-2-line", nlp_cfg),
         ("FDP", base.sim_config(ConfigPreset::Fdp, l1)),
         ("CLGP", base.sim_config(ConfigPreset::Clgp, l1)),
@@ -78,8 +81,10 @@ fn main() {
         ladder.push(h);
         eprintln!("  ran {name}");
     }
-    assert!(ladder.windows(2).all(|p| p[1] >= p[0] * 0.97),
-        "scheme ladder regressed unexpectedly: {ladder:?}");
+    assert!(
+        ladder.windows(2).all(|p| p[1] >= p[0] * 0.97),
+        "scheme ladder regressed unexpectedly: {ladder:?}"
+    );
 
     // --- Mechanism comparison: CLGP vs FDP vs MANA vs program map, ------
     // --- per benchmark, with CACTI hardware-cost columns.           ------
@@ -113,7 +118,11 @@ fn main() {
         } else {
             let capacity = bytes.next_power_of_two().max(256);
             let g = CacheGeometry::new(capacity, 8, 4, 1);
-            (capacity, area_mm2(&g, spec.tech), energy_nj_per_access(&g, spec.tech))
+            (
+                capacity,
+                area_mm2(&g, spec.tech),
+                energy_nj_per_access(&g, spec.tech),
+            )
         };
         eprintln!("  ran mechanism {name}");
         rows.push((name, grid, modeled, area, energy));
@@ -125,8 +134,12 @@ fn main() {
     println!();
     let mut mcsv =
         std::fs::File::create(results_dir().join("related_work_mechanisms.csv")).unwrap();
-    writeln!(mcsv, "bench,{}", mechanisms.iter().map(|m| m.0).collect::<Vec<_>>().join(","))
-        .unwrap();
+    writeln!(
+        mcsv,
+        "bench,{}",
+        mechanisms.iter().map(|m| m.0).collect::<Vec<_>>().join(",")
+    )
+    .unwrap();
     for (bi, (bench, _)) in rows[0].1.per_bench.iter().enumerate() {
         print!("{bench:<10}");
         write!(mcsv, "{bench}").unwrap();
@@ -161,7 +174,11 @@ fn main() {
     }
     // Sanity: every mechanism actually runs (no wedged configuration).
     for (name, grid, ..) in &rows {
-        assert!(grid.hmean_ipc() > 0.05, "{name} wedged: {}", grid.hmean_ipc());
+        assert!(
+            grid.hmean_ipc() > 0.05,
+            "{name} wedged: {}",
+            grid.hmean_ipc()
+        );
     }
 
     // --- Six-mechanism comparison with address translation on. -----------
@@ -176,8 +193,7 @@ fn main() {
          {}-cycle walk; 4KB L1, 0.045um)",
         itlb.entries, itlb.assoc, itlb.page_bytes, itlb.miss_cycles
     );
-    let mut tcsv =
-        std::fs::File::create(results_dir().join("related_work_tlb.csv")).unwrap();
+    let mut tcsv = std::fs::File::create(results_dir().join("related_work_tlb.csv")).unwrap();
     writeln!(tcsv, "mechanism,hmean_ipc_no_tlb,hmean_ipc_tlb").unwrap();
     println!("{:<10} {:>9} {:>9}", "mechanism", "no-TLB", "TLB");
     for kind in PrefetcherKind::all() {
@@ -197,15 +213,21 @@ fn main() {
         println!("{:<10} {h_off:>9.3} {h_on:>9.3}", kind.id());
         writeln!(tcsv, "{},{h_off:.4},{h_on:.4}", kind.id()).unwrap();
         eprintln!("  ran {} with and without i-TLB", kind.id());
-        assert!(h_on > 0.05, "{} wedged under translation: {h_on}", kind.id());
+        assert!(
+            h_on > 0.05,
+            "{} wedged under translation: {h_on}",
+            kind.id()
+        );
     }
     // CACTI cost of the i-TLB itself (16-byte tag+translation records in a
     // set-associative SRAM, rounded up to a buildable power of two), so
     // the TLB-on figure carries its own hardware-cost line.
     let tlb_capacity = itlb.state_bytes().next_power_of_two().max(256);
     let tlb_geom = CacheGeometry::new(tlb_capacity, 16, itlb.assoc, 1);
-    let (tlb_area, tlb_energy) =
-        (area_mm2(&tlb_geom, base.tech), energy_nj_per_access(&tlb_geom, base.tech));
+    let (tlb_area, tlb_energy) = (
+        area_mm2(&tlb_geom, base.tech),
+        energy_nj_per_access(&tlb_geom, base.tech),
+    );
     println!(
         "i-TLB cost: {:.1} KB modelled, {tlb_area:.4} mm2, {tlb_energy:.4} nJ/access",
         tlb_capacity as f64 / 1024.0

@@ -163,7 +163,8 @@ mod tests {
         for fig in &FIGURES {
             assert!(seen.insert(fig.name), "duplicate figure {}", fig.name);
             let spec = (fig.make_spec)();
-            spec.validate().unwrap_or_else(|e| panic!("{}: {e}", fig.name));
+            spec.validate()
+                .unwrap_or_else(|e| panic!("{}: {e}", fig.name));
             // Declared figures serialize (the golden files in specs/ are
             // generated from these).
             let back = ExperimentSpec::from_json(&spec.to_json()).unwrap();

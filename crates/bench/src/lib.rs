@@ -88,8 +88,7 @@ mod tests {
         assert_eq!(size_label(2560), "2.5K");
         assert_ne!(size_label(1536), size_label(1024));
         // Distinct sizes never collide across a dense range.
-        let labels: std::collections::HashSet<String> =
-            (256..4096).map(size_label).collect();
+        let labels: std::collections::HashSet<String> = (256..4096).map(size_label).collect();
         assert_eq!(labels.len(), 4096 - 256);
     }
 

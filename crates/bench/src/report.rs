@@ -50,8 +50,8 @@ fn create_csv(name: &str) -> (std::fs::File, PathBuf) {
     let dir = results_dir();
     std::fs::create_dir_all(dir).expect("results dir creatable");
     let path = dir.join(format!("{name}.csv"));
-    let f = std::fs::File::create(&path)
-        .unwrap_or_else(|e| panic!("create {}: {e}", path.display()));
+    let f =
+        std::fs::File::create(&path).unwrap_or_else(|e| panic!("create {}: {e}", path.display()));
     (f, path)
 }
 

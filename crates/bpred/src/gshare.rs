@@ -208,8 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn learns_taken_loop_branch()
-    {
+    fn learns_taken_loop_branch() {
         let prog = loop_program();
         let mut g = GsharePredictor::default_16k();
         let taken = StreamDesc {

@@ -25,6 +25,8 @@ pub mod ras;
 pub mod stream;
 
 pub use gshare::GsharePredictor;
-pub use predictor::{PredCheckpoint, PredStats, StreamPredictor, StreamPredictorConfig, TrainToken};
+pub use predictor::{
+    PredCheckpoint, PredStats, StreamPredictor, StreamPredictorConfig, TrainToken,
+};
 pub use ras::{RasSnapshot, ReturnAddressStack};
 pub use stream::{FetchBlockPredictor, StreamDesc, StreamEnd, StreamPrediction, MAX_STREAM_INSTS};

@@ -149,7 +149,7 @@ pub fn static_fallback_walk(start: Addr, prog: &Program) -> Option<StreamDesc> {
                     len,
                     next: 0, // filled from the RAS by the caller
                     end: StreamEnd::Return,
-                })
+                });
             }
             // Conditional branches predicted not-taken in the fall-back.
             _ => {
@@ -183,7 +183,11 @@ mod tests {
             },
         ));
         // 0x1014: 2 ALU + jump -> 0x2000
-        pb.push(straightline_block(0x1014, 2, Terminator::Jump { target: 0x2000 }));
+        pb.push(straightline_block(
+            0x1014,
+            2,
+            Terminator::Jump { target: 0x2000 },
+        ));
         // 0x2000: 3 ALU + call -> 0x3000
         pb.push(straightline_block(
             0x2000,

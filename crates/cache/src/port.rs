@@ -63,7 +63,12 @@ impl ArrayPort {
     /// ready.
     pub fn start(&mut self, now: u64) -> u64 {
         let begin = self.next_start(now);
-        self.free_at = begin + if self.pipelined { 1 } else { self.latency as u64 };
+        self.free_at = begin
+            + if self.pipelined {
+                1
+            } else {
+                self.latency as u64
+            };
         begin + self.latency as u64
     }
 

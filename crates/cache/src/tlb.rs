@@ -139,7 +139,10 @@ impl ITlb {
             "itlb page_bytes must be a power of two, got {}",
             cfg.page_bytes
         );
-        assert!(cfg.assoc >= 1 && cfg.assoc <= cfg.entries, "itlb assoc out of range");
+        assert!(
+            cfg.assoc >= 1 && cfg.assoc <= cfg.entries,
+            "itlb assoc out of range"
+        );
         let sets = cfg.entries / cfg.assoc;
         assert!(
             sets.is_power_of_two() && sets * cfg.assoc == cfg.entries,
@@ -335,7 +338,11 @@ mod tests {
         }
         // …and identical future behavior (replacement state restored too).
         for (addr, at) in [(0x3000u64, 20u64), (0x1000, 21), (0xb000, 22), (0x7000, 23)] {
-            assert_eq!(t.translate(addr, at), u.translate(addr, at), "addr {addr:#x}");
+            assert_eq!(
+                t.translate(addr, at),
+                u.translate(addr, at),
+                "addr {addr:#x}"
+            );
         }
     }
 
@@ -362,13 +369,26 @@ mod tests {
     fn validate_names_offending_fields() {
         let ok = ITlbConfig::default_config();
         assert!(ok.validate(64).is_ok());
-        let bad_sets = ITlbConfig { entries: 48, assoc: 4, ..ok };
+        let bad_sets = ITlbConfig {
+            entries: 48,
+            assoc: 4,
+            ..ok
+        };
         assert!(bad_sets.validate(64).unwrap_err().contains("entries (48)"));
-        let bad_page = ITlbConfig { page_bytes: 3000, ..ok };
+        let bad_page = ITlbConfig {
+            page_bytes: 3000,
+            ..ok
+        };
         assert!(bad_page.validate(64).unwrap_err().contains("page_bytes"));
-        let small_page = ITlbConfig { page_bytes: 32, ..ok };
+        let small_page = ITlbConfig {
+            page_bytes: 32,
+            ..ok
+        };
         assert!(small_page.validate(64).unwrap_err().contains("line"));
-        let free_walk = ITlbConfig { miss_cycles: 0, ..ok };
+        let free_walk = ITlbConfig {
+            miss_cycles: 0,
+            ..ok
+        };
         assert!(free_walk.validate(64).unwrap_err().contains("miss_cycles"));
         let zero = ITlbConfig { entries: 0, ..ok };
         assert!(zero.validate(64).unwrap_err().contains("entries"));

@@ -139,7 +139,10 @@ pub fn latency_cycles(g: &CacheGeometry, node: TechNode) -> u32 {
         .rev()
         .find(|&&(c, _)| c < g.capacity)
         .map(|&(_, cy)| cy);
-    let above = table.iter().find(|&&(c, _)| c > g.capacity).map(|&(_, cy)| cy);
+    let above = table
+        .iter()
+        .find(|&&(c, _)| c > g.capacity)
+        .map(|&(_, cy)| cy);
     match (below, above) {
         (Some(lo), Some(hi)) => raw.clamp(lo, hi),
         (Some(lo), None) => raw.max(lo),

@@ -23,7 +23,10 @@ impl CacheGeometry {
     /// Panics if any parameter is zero, not a power of two, or inconsistent
     /// (capacity smaller than one way of lines).
     pub fn new(capacity: usize, line: usize, assoc: usize, ports: usize) -> Self {
-        assert!(capacity.is_power_of_two(), "capacity must be a power of two");
+        assert!(
+            capacity.is_power_of_two(),
+            "capacity must be a power of two"
+        );
         assert!(line.is_power_of_two(), "line size must be a power of two");
         assert!(assoc >= 1 && ports >= 1);
         assert!(

@@ -197,9 +197,7 @@ mod tests {
             assert!(w[0].gate_scale() > w[1].gate_scale());
             assert!(w[0].wire_scale() > w[1].wire_scale());
             // Wires improve more slowly than gates.
-            assert!(
-                w[1].wire_scale() / w[0].wire_scale() > w[1].gate_scale() / w[0].gate_scale()
-            );
+            assert!(w[1].wire_scale() / w[0].wire_scale() > w[1].gate_scale() / w[0].gate_scale());
         }
     }
 }

@@ -314,7 +314,7 @@ mod tests {
         pb.consume(0x1000);
         assert_eq!(pb.lookup(0x1000), PbLookup::Valid);
         assert!(pb.allocate(0x2000, R2)); // uses the empty entry
-        // Both entries now have live consumers: nothing is replaceable.
+                                          // Both entries now have live consumers: nothing is replaceable.
         assert!(!pb.can_allocate());
         // Second consumer fetches: counter 0 — now replaceable, line stays.
         pb.consume(0x1000);
@@ -365,7 +365,7 @@ mod tests {
         pb.allocate(0x1000, R1);
         pb.on_mispredict(); // consumers -> 0 while still pending
         assert!(pb.allocate(0x2000, R2)); // replaces the pending entry
-        // The late completion for the replaced request is dropped.
+                                          // The late completion for the replaced request is dropped.
         assert_eq!(pb.complete(R1), None);
         assert_eq!(pb.complete(R2), Some(0x2000));
     }

@@ -691,7 +691,10 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
             // TLB (or on a hit) the access starts at `now`, bit-identical
             // to the untranslated front-end; a miss serializes the page
             // walk ahead of the array/L2 access.
-            let pb_state = self.pb.as_ref().map_or(PbLookup::Miss, |pb| pb.lookup(line));
+            let pb_state = self
+                .pb
+                .as_ref()
+                .map_or(PbLookup::Miss, |pb| pb.lookup(line));
             let (state, source) = match pb_state {
                 PbLookup::Valid | PbLookup::Pending => {
                     // A CLTQ slot the prefetch scan never reached carries no
@@ -737,5 +740,4 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
             });
         }
     }
-
 }

@@ -38,11 +38,11 @@ pub mod stats;
 
 pub use buffer::{PbKind, PbLookup, PreBuffer};
 pub use config::{FrontendConfig, PrefetcherKind};
-pub use prestage_cache::{ITlbConfig, InsertionPolicy, TlbCheckpoint, TlbStats};
 pub use frontend::{Delivery, FetchSource, FrontEnd};
 pub use prefetch::{
     prefetcher_state_bytes, ClgpPrefetcher, FdpPrefetcher, Idle, InstrPrefetcher, ManaPrefetcher,
     NextLinePrefetcher, NoPrefetcher, PrefetchCheckpoint, PrefetchView, ProgMapPrefetcher,
 };
+pub use prestage_cache::{ITlbConfig, InsertionPolicy, TlbCheckpoint, TlbStats};
 pub use queue::{FetchQueue, LineSlot, QueueKind};
 pub use stats::{FrontStats, SourceCount};

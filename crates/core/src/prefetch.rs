@@ -124,7 +124,10 @@ impl PrefetchView<'_> {
     /// delays the L2 submission by the page-walk latency.
     pub fn request_from_l2(&mut self, line: Addr, now: u64, l2: &mut L2System) {
         let at = self.translate(line, now);
-        let pb = self.pb.as_deref_mut().expect("prefetch requires a pre-buffer");
+        let pb = self
+            .pb
+            .as_deref_mut()
+            .expect("prefetch requires a pre-buffer");
         let req = match l2.find_pending(line) {
             Some(r) => r,
             None => l2.submit(line, ReqClass::Prefetch, at),
@@ -284,7 +287,9 @@ fn issue_queue_head(
     l2: &mut L2System,
 ) {
     let Some(&line) = reqq.front() else { return };
-    let Some(pb) = fe.pb.as_deref_mut() else { return };
+    let Some(pb) = fe.pb.as_deref_mut() else {
+        return;
+    };
     if pb.lookup(line) != PbLookup::Miss {
         fe.stats.prefetch_from_pb += 1;
         reqq.pop_front();
@@ -297,7 +302,9 @@ fn issue_queue_head(
             return;
         }
     }
-    let Some(pb) = fe.pb.as_deref_mut() else { return };
+    let Some(pb) = fe.pb.as_deref_mut() else {
+        return;
+    };
     if !pb.can_allocate() {
         fe.stats.pb_alloc_stalls += 1;
         return;
@@ -379,7 +386,9 @@ impl InstrPrefetcher for FdpPrefetcher {
             if self.piq.len() >= self.piq_entries {
                 break;
             }
-            let Some(pb) = fe.pb.as_deref_mut() else { break };
+            let Some(pb) = fe.pb.as_deref_mut() else {
+                break;
+            };
             let Some(slot) = fe.queue.first_unprefetched() else {
                 break;
             };
@@ -409,8 +418,12 @@ impl InstrPrefetcher for FdpPrefetcher {
         }
 
         // Issue phase: one prefetch per cycle from the PIQ head.
-        let Some(&line) = self.piq.front() else { return };
-        let Some(pb) = fe.pb.as_deref_mut() else { return };
+        let Some(&line) = self.piq.front() else {
+            return;
+        };
+        let Some(pb) = fe.pb.as_deref_mut() else {
+            return;
+        };
         if pb.lookup(line) != PbLookup::Miss {
             // Raced with a demand fill or duplicate: drop it.
             self.piq.pop_front();
@@ -501,14 +514,20 @@ impl InstrPrefetcher for NextLinePrefetcher {
     }
 
     fn tick(&mut self, now: u64, fe: &mut PrefetchView<'_>, l2: &mut L2System) {
-        let Some(&line) = self.piq.front() else { return };
-        let Some(pb) = fe.pb.as_deref_mut() else { return };
+        let Some(&line) = self.piq.front() else {
+            return;
+        };
+        let Some(pb) = fe.pb.as_deref_mut() else {
+            return;
+        };
         if pb.lookup(line) != PbLookup::Miss || fe.l1.contains(line) {
             fe.stats.filtered += 1;
             self.piq.pop_front();
             return;
         }
-        let Some(pb) = fe.pb.as_deref_mut() else { return };
+        let Some(pb) = fe.pb.as_deref_mut() else {
+            return;
+        };
         if !pb.can_allocate() {
             fe.stats.pb_alloc_stalls += 1;
             return;
@@ -580,7 +599,9 @@ impl InstrPrefetcher for ClgpPrefetcher {
         // they sit in the L1, because a prestage hit is cheaper than a
         // multi-cycle L1 hit.
         for _ in 0..4 {
-            let Some(pb) = fe.pb.as_deref_mut() else { return };
+            let Some(pb) = fe.pb.as_deref_mut() else {
+                return;
+            };
             let Some(slot) = fe.queue.first_unprefetched() else {
                 return;
             };
@@ -728,7 +749,9 @@ impl ManaPrefetcher {
 
     fn contains(&self, trigger: u64) -> bool {
         let ways = self.ways(trigger);
-        self.table[ways].iter().any(|e| e.valid && e.trigger == trigger)
+        self.table[ways]
+            .iter()
+            .any(|e| e.valid && e.trigger == trigger)
     }
 
     /// Install (or update) the record for `trigger`.
@@ -800,17 +823,14 @@ impl ManaPrefetcher {
     }
 
     fn sab_slot(&mut self) -> usize {
-        self.sab
-            .iter()
-            .position(|e| !e.valid)
-            .unwrap_or_else(|| {
-                self.sab
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.lru)
-                    .map(|(i, _)| i)
-                    .expect("sab_entries >= 1")
-            })
+        self.sab.iter().position(|e| !e.valid).unwrap_or_else(|| {
+            self.sab
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.lru)
+                .map(|(i, _)| i)
+                .expect("sab_entries >= 1")
+        })
     }
 }
 
@@ -1100,7 +1120,10 @@ mod tests {
         assert_eq!(m.last_line, last);
         let sab2: Vec<(bool, u64)> = m.sab.iter().map(|e| (e.valid, e.expected)).collect();
         assert_eq!(sab2, sab);
-        assert!(m.reqq.is_empty(), "restore must not resurrect queued requests");
+        assert!(
+            m.reqq.is_empty(),
+            "restore must not resurrect queued requests"
+        );
     }
 
     #[test]
@@ -1116,8 +1139,16 @@ mod tests {
         }
         // Re-entering A traverses: all 4 lines of B and (degree 2) of C.
         for k in 0..4u64 {
-            assert!(p.reqq.contains(&(0x2000 + k * 64)), "B line {k}: {:?}", p.reqq);
-            assert!(p.reqq.contains(&(0x3000 + k * 64)), "C line {k}: {:?}", p.reqq);
+            assert!(
+                p.reqq.contains(&(0x2000 + k * 64)),
+                "B line {k}: {:?}",
+                p.reqq
+            );
+            assert!(
+                p.reqq.contains(&(0x3000 + k * 64)),
+                "C line {k}: {:?}",
+                p.reqq
+            );
         }
         // Same-region refetches are not transitions.
         let before = p.reqq.len();
@@ -1156,7 +1187,10 @@ mod tests {
     fn prefetcher_ids_round_trip() {
         for kind in PrefetcherKind::all() {
             assert_eq!(PrefetcherKind::from_id(kind.id()), Some(kind));
-            assert_eq!(PrefetcherKind::from_id(&kind.id().to_uppercase()), Some(kind));
+            assert_eq!(
+                PrefetcherKind::from_id(&kind.id().to_uppercase()),
+                Some(kind)
+            );
         }
         assert_eq!(PrefetcherKind::from_id("nonesuch"), None);
     }

@@ -160,11 +160,7 @@ impl FetchQueue {
     /// mutable reference so the caller can set `prefetched`; the cursor
     /// makes this O(new slots), not a fresh front-to-back scan.
     pub fn first_unprefetched(&mut self) -> Option<&mut LineSlot> {
-        while self
-            .lines
-            .get(self.pf_cursor)
-            .is_some_and(|s| s.prefetched)
-        {
+        while self.lines.get(self.pf_cursor).is_some_and(|s| s.prefetched) {
             self.pf_cursor += 1;
         }
         self.lines.get_mut(self.pf_cursor)

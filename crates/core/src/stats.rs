@@ -85,7 +85,9 @@ impl FrontStats {
     /// Total prefetch requests processed (including those resolved in the
     /// pre-buffer or filtered).
     pub fn total_prefetch_requests(&self) -> u64 {
-        self.prefetch_from_pb + self.prefetch_from_l1 + self.prefetch_from_l2
+        self.prefetch_from_pb
+            + self.prefetch_from_l1
+            + self.prefetch_from_l2
             + self.prefetch_from_mem
     }
 }
@@ -97,10 +99,22 @@ mod tests {
     #[test]
     fn shares_sum_to_one() {
         let s = FrontStats {
-            fetch_pb: SourceCount { lines: 60, insts: 240 },
-            fetch_l0: SourceCount { lines: 20, insts: 80 },
-            fetch_l1: SourceCount { lines: 15, insts: 60 },
-            fetch_l2: SourceCount { lines: 4, insts: 16 },
+            fetch_pb: SourceCount {
+                lines: 60,
+                insts: 240,
+            },
+            fetch_l0: SourceCount {
+                lines: 20,
+                insts: 80,
+            },
+            fetch_l1: SourceCount {
+                lines: 15,
+                insts: 60,
+            },
+            fetch_l2: SourceCount {
+                lines: 4,
+                insts: 16,
+            },
             fetch_mem: SourceCount { lines: 1, insts: 4 },
             ..FrontStats::default()
         };

@@ -4,11 +4,11 @@
 
 use prestage_cache::{L2Config, L2System};
 use prestage_cacti::TechNode;
+use prestage_core::FdpPrefetcher;
 use prestage_core::{
     ClgpPrefetcher, Delivery, FetchSource, FrontEnd, FrontendConfig, InstrPrefetcher,
     NextLinePrefetcher, NoPrefetcher, PrefetcherKind,
 };
-use prestage_core::FdpPrefetcher;
 
 fn l2(tech: TechNode) -> L2System {
     L2System::new(L2Config::for_node(tech))

@@ -108,9 +108,7 @@ impl BasicBlock {
             Terminator::CondBranch { not_taken, .. } => {
                 last.op == OpClass::CondBranch && not_taken == self.end()
             }
-            Terminator::Jump { target } => {
-                last.op == OpClass::Jump && last.target == Some(target)
-            }
+            Terminator::Jump { target } => last.op == OpClass::Jump && last.target == Some(target),
             Terminator::Call { target, link } => {
                 last.op == OpClass::Call && last.target == Some(target) && link == self.end()
             }

@@ -74,8 +74,12 @@ impl OpClass {
     /// Execution latency in cycles once issued (loads add cache time).
     pub fn exec_latency(self) -> u32 {
         match self {
-            OpClass::IntAlu | OpClass::CondBranch | OpClass::Jump | OpClass::Call
-            | OpClass::Return | OpClass::Store => 1,
+            OpClass::IntAlu
+            | OpClass::CondBranch
+            | OpClass::Jump
+            | OpClass::Call
+            | OpClass::Return
+            | OpClass::Store => 1,
             OpClass::IntMul => 7,
             OpClass::FpAlu => 4,
             OpClass::FpMul => 6,

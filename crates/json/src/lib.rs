@@ -337,11 +337,7 @@ impl Json {
 
     fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
         let (nl, pad, padc) = match indent {
-            Some(w) => (
-                "\n",
-                " ".repeat(w * (level + 1)),
-                " ".repeat(w * level),
-            ),
+            Some(w) => ("\n", " ".repeat(w * (level + 1)), " ".repeat(w * level)),
             None => ("", String::new(), String::new()),
         };
         match self {
@@ -399,12 +395,7 @@ impl Json {
 
     /// Build an object from key/value pairs (insertion order preserved).
     pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     // -- Accessors: `None` on type mismatch, so callers surface their own
@@ -577,10 +568,7 @@ mod tests {
         let s = "a \"quoted\\path\"\nwith\ttabs and µnicode";
         let v = Json::Str(s.to_string());
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
-        assert_eq!(
-            Json::parse(r#""µm""#).unwrap(),
-            Json::Str("\u{b5}m".into())
-        );
+        assert_eq!(Json::parse(r#""µm""#).unwrap(), Json::Str("\u{b5}m".into()));
     }
 
     #[test]
@@ -589,19 +577,13 @@ mod tests {
             ("name", "fig1".into()),
             ("sizes", Json::Arr(vec![256u64.into(), 512u64.into()])),
             ("bench", Json::Null),
-            (
-                "inner",
-                Json::obj([("ok", true.into()), ("x", 2.5.into())]),
-            ),
+            ("inner", Json::obj([("ok", true.into()), ("x", 2.5.into())])),
         ]);
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
         assert_eq!(Json::parse(&v.pretty()).unwrap(), v);
         assert_eq!(v.get("name").and_then(Json::as_str), Some("fig1"));
         assert_eq!(v.get("bench").map(Json::is_null), Some(true));
-        assert_eq!(
-            v.keys().unwrap(),
-            vec!["name", "sizes", "bench", "inner"]
-        );
+        assert_eq!(v.keys().unwrap(), vec!["name", "sizes", "bench", "inner"]);
     }
 
     #[test]

@@ -199,12 +199,7 @@ impl BackEnd {
 
     /// Dispatch one instruction into the RUU.  The caller must check
     /// [`BackEnd::free_slots`] first.  Returns its sequence number.
-    pub fn dispatch(
-        &mut self,
-        inst: &StaticInst,
-        mem_addr: Option<Addr>,
-        mispredict: bool,
-    ) -> u64 {
+    pub fn dispatch(&mut self, inst: &StaticInst, mem_addr: Option<Addr>, mispredict: bool) -> u64 {
         debug_assert!(self.ruu.len() < self.cfg.ruu_size);
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -95,8 +95,7 @@ impl Store {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(format!("cannot read cache entry {}: {e}", path.display())),
         };
-        let v = Json::parse(&text)
-            .map_err(|e| format!("cache entry {}: {e}", path.display()))?;
+        let v = Json::parse(&text).map_err(|e| format!("cache entry {}: {e}", path.display()))?;
         let schema = v
             .get("schema")
             .and_then(Json::as_u64)
@@ -140,8 +139,12 @@ impl Store {
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         std::fs::write(&tmp, &entry)
             .map_err(|e| format!("cannot write cache temp {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| format!("cannot move cache entry into place at {}: {e}", path.display()))
+        std::fs::rename(&tmp, &path).map_err(|e| {
+            format!(
+                "cannot move cache entry into place at {}: {e}",
+                path.display()
+            )
+        })
     }
 }
 
@@ -258,10 +261,8 @@ mod tests {
     struct TempDir(PathBuf);
     impl TempDir {
         fn new(tag: &str) -> TempDir {
-            let d = std::env::temp_dir().join(format!(
-                "prestage-cache-test-{tag}-{}",
-                std::process::id()
-            ));
+            let d = std::env::temp_dir()
+                .join(format!("prestage-cache-test-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&d);
             std::fs::create_dir_all(&d).unwrap();
             TempDir(d)

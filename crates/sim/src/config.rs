@@ -187,8 +187,7 @@ impl SimConfig {
     pub fn with_prefetcher(mut self, kind: PrefetcherKind) -> Self {
         self.frontend.prefetcher = kind;
         if kind != PrefetcherKind::None && self.frontend.pb_entries == 0 {
-            self.frontend.pb_entries =
-                FrontendConfig::one_cycle_buffer_lines(self.frontend.tech);
+            self.frontend.pb_entries = FrontendConfig::one_cycle_buffer_lines(self.frontend.tech);
         }
         self
     }

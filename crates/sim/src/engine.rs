@@ -66,7 +66,7 @@ use crate::backend::BackEnd;
 use crate::config::SimConfig;
 use crate::stats::SimStats;
 use prestage_bpred::{
-    FetchBlockPredictor, GsharePredictor, StreamDesc, StreamPredictor, StreamPrediction,
+    FetchBlockPredictor, GsharePredictor, StreamDesc, StreamPrediction, StreamPredictor,
 };
 use prestage_cache::{Completion, L2Config, L2System, ReqClass, TlbCheckpoint};
 use prestage_core::{
@@ -256,7 +256,11 @@ impl AnyPredictor {
         }
     }
 
-    fn predict(&mut self, start: prestage_isa::Addr, prog: &prestage_isa::Program) -> StreamPrediction {
+    fn predict(
+        &mut self,
+        start: prestage_isa::Addr,
+        prog: &prestage_isa::Program,
+    ) -> StreamPrediction {
         match self {
             AnyPredictor::Stream(p) => p.predict(start, prog),
             AnyPredictor::Gshare(p) => p.predict(start, prog),
@@ -377,7 +381,12 @@ impl<'w> Engine<'w> {
         exec_seed: u64,
         predictor: PredictorKind,
     ) -> Self {
-        Self::with_source(cfg, w, Box::new(TraceGenerator::new(w, exec_seed)), predictor)
+        Self::with_source(
+            cfg,
+            w,
+            Box::new(TraceGenerator::new(w, exec_seed)),
+            predictor,
+        )
     }
 
     /// Build an engine over an arbitrary committed-path source — the replay
@@ -507,7 +516,8 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
             self.l2.outstanding()
         );
         debug_assert!(
-            self.blocks.len() <= self.cfg.frontend.queue_blocks + self.cfg.frontend.max_inflight + 1,
+            self.blocks.len()
+                <= self.cfg.frontend.queue_blocks + self.cfg.frontend.max_inflight + 1,
             "live fetch blocks leaked: {}",
             self.blocks.len()
         );
@@ -658,8 +668,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
     /// request.  Both checks are O(1) — counters against counters.
     #[cfg(debug_assertions)]
     fn assert_hot_state_bounded(&self) {
-        let block_bound =
-            self.cfg.frontend.queue_blocks + self.cfg.frontend.max_inflight + 1;
+        let block_bound = self.cfg.frontend.queue_blocks + self.cfg.frontend.max_inflight + 1;
         debug_assert!(
             self.blocks.len() <= block_bound,
             "cycle {}: {} live fetch blocks exceed the structural bound {block_bound}",
@@ -767,7 +776,9 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                 };
                 let checkpoint = self.pred.checkpoint();
                 let token = self.pred.token(actual.start);
-                let p = self.pred.predict_with_token(&token, actual.start, &self.w.program);
+                let p = self
+                    .pred
+                    .predict_with_token(&token, actual.start, &self.w.program);
                 let ps = p.stream;
                 debug_assert_eq!(ps.start, actual.start);
 
@@ -898,10 +909,7 @@ mod tests {
     use prestage_workload::{build, specint2000};
 
     fn tiny(name: &str) -> Workload {
-        let mut p = specint2000()
-            .into_iter()
-            .find(|p| p.name == name)
-            .unwrap();
+        let mut p = specint2000().into_iter().find(|p| p.name == name).unwrap();
         p.i_footprint_kb = p.i_footprint_kb.min(16);
         p.n_funcs = p.n_funcs.min(24);
         build(&p, 42)
@@ -957,7 +965,6 @@ mod tests {
         assert_eq!(a.redirects, b.redirects);
     }
 }
-
 
 #[cfg(test)]
 mod accounting_tests {

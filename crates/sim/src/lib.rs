@@ -49,7 +49,6 @@ pub use engine::{Engine, PredictorKind};
 pub use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
 pub use runner::{default_threads, pool_map, CellResult, GridResult, Sweep, SweepCell};
 pub use spec::{
-    grid_output, try_run_spec, ExperimentSpec, ShardFile, TraceSource, L1_SIZES,
-    TRACE_RECORD_SLACK,
+    grid_output, try_run_spec, ExperimentSpec, ShardFile, TraceSource, L1_SIZES, TRACE_RECORD_SLACK,
 };
 pub use stats::{harmonic_mean, SimStats};

@@ -170,7 +170,6 @@ enum SetUpOut {
     Loaded(usize, Result<ReplaySource, String>),
 }
 
-
 /// Where a spec's pre-recorded traces live: a directory holding one v2
 /// trace per benchmark, named by [`TraceSource::file_name`].  Execution
 /// detail, not experiment identity — [`grid_output`] clears it (like
@@ -334,9 +333,7 @@ impl ExperimentSpec {
     /// [`env_overrides`](Self::env_overrides) with an injectable lookup
     /// (tests override without mutating process-global state).
     fn env_overrides_with(mut self, get: impl Fn(&str) -> Option<String>) -> ExperimentSpec {
-        let u64_of = |name: &str, current: u64| {
-            parse_env_u64(name, get(name).as_deref(), current)
-        };
+        let u64_of = |name: &str, current: u64| parse_env_u64(name, get(name).as_deref(), current);
         self.warmup_insts = u64_of("PRESTAGE_WARMUP", self.warmup_insts);
         self.measure_insts = u64_of("PRESTAGE_MEASURE", self.measure_insts);
         self.workload_seed = u64_of("PRESTAGE_SEED", self.workload_seed);
@@ -940,7 +937,12 @@ impl ShardFile {
             ));
         }
         check_placed(&cells[start..end], start, &results).map_err(|e| format!("shard {e}"))?;
-        Ok(ShardFile { spec, start, end, results })
+        Ok(ShardFile {
+            spec,
+            start,
+            end,
+            results,
+        })
     }
 
     /// Merge shards, each named by the file it came from, into the rows of
@@ -1118,7 +1120,13 @@ mod tests {
             prefetcher: Some(PrefetcherKind::ProgMap),
             ..tiny_spec()
         };
-        for spec in [ExperimentSpec::default(), tiny_spec(), replaying, mana, progmap] {
+        for spec in [
+            ExperimentSpec::default(),
+            tiny_spec(),
+            replaying,
+            mana,
+            progmap,
+        ] {
             let text = spec.to_json();
             let back = ExperimentSpec::from_json(&text).unwrap();
             assert_eq!(back, spec);
@@ -1164,14 +1172,13 @@ mod tests {
     #[test]
     fn from_json_rejects_typos_and_wrong_schemas() {
         let good = tiny_spec().to_json();
-        let e = ExperimentSpec::from_json(&good.replace("warmup_insts", "warmupinsts"))
-            .unwrap_err();
+        let e =
+            ExperimentSpec::from_json(&good.replace("warmup_insts", "warmupinsts")).unwrap_err();
         assert!(e.contains("unknown spec field"), "{e}");
         let e = ExperimentSpec::from_json(&good.replace("\"schema\": 4", "\"schema\": 99"))
             .unwrap_err();
         assert!(e.contains("schema 99"), "{e}");
-        let e = ExperimentSpec::from_json(&good.replace("\"clgp+l0\"", "\"clgp+l9\""))
-            .unwrap_err();
+        let e = ExperimentSpec::from_json(&good.replace("\"clgp+l0\"", "\"clgp+l9\"")).unwrap_err();
         assert!(e.contains("unknown preset"), "{e}");
         assert!(ExperimentSpec::from_json("[]").is_err());
         // Malformed trace blocks are loud.
@@ -1197,10 +1204,9 @@ mod tests {
             assert!(e.contains(id), "error must list {id:?}: {e}");
         }
         // Non-string values are loud too.
-        let e = ExperimentSpec::from_json(
-            &good.replace("\"prefetcher\": null", "\"prefetcher\": 7"),
-        )
-        .unwrap_err();
+        let e =
+            ExperimentSpec::from_json(&good.replace("\"prefetcher\": null", "\"prefetcher\": 7"))
+                .unwrap_err();
         assert!(e.contains("prefetcher must be null"), "{e}");
     }
 
@@ -1254,18 +1260,22 @@ mod tests {
         assert_eq!(back, spec);
         let text = spec.to_json();
         // Misspelled / missing i-TLB sizing fields are loud.
-        let e = ExperimentSpec::from_json(&text.replace("page_bytes", "pagebytes"))
-            .unwrap_err();
+        let e = ExperimentSpec::from_json(&text.replace("page_bytes", "pagebytes")).unwrap_err();
         assert!(e.contains("unknown itlb field \"pagebytes\""), "{e}");
-        let e = ExperimentSpec::from_json(&text.replace("\"miss_cycles\": 20", "\"miss_cycles\": \"x\""))
-            .unwrap_err();
+        let e = ExperimentSpec::from_json(
+            &text.replace("\"miss_cycles\": 20", "\"miss_cycles\": \"x\""),
+        )
+        .unwrap_err();
         assert!(e.contains("itlb.miss_cycles"), "{e}");
         let e = ExperimentSpec::from_json(
             &text.replace("\"insertion\": \"lru\"", "\"insertion\": \"plru\""),
         )
         .unwrap_err();
         assert!(e.contains("unknown insertion policy `plru`"), "{e}");
-        assert!(e.contains("mru, lru, bypass"), "must list the valid ids: {e}");
+        assert!(
+            e.contains("mru, lru, bypass"),
+            "must list the valid ids: {e}"
+        );
         // A non-power-of-two set count is a validation error, by name.
         let bad = ExperimentSpec {
             itlb: Some(ITlbConfig {
@@ -1293,8 +1303,10 @@ mod tests {
 
     #[test]
     fn prefetcher_override_reshapes_the_sim_config() {
-        for (id, kind) in [("mana", PrefetcherKind::Mana), ("progmap", PrefetcherKind::ProgMap)]
-        {
+        for (id, kind) in [
+            ("mana", PrefetcherKind::Mana),
+            ("progmap", PrefetcherKind::ProgMap),
+        ] {
             let spec = ExperimentSpec {
                 prefetcher: Some(kind),
                 ..tiny_spec()
@@ -1527,7 +1539,11 @@ mod tests {
         // the one reported, before any cell runs.
         let paths = replay.trace_paths().unwrap().unwrap();
         let good: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
-        for (broken, want) in [(&[0, 2][..], "gzip-w"), (&[1, 2], "mcf-w"), (&[2], "twolf-w")] {
+        for (broken, want) in [
+            (&[0, 2][..], "gzip-w"),
+            (&[1, 2], "mcf-w"),
+            (&[2], "twolf-w"),
+        ] {
             for (i, bytes) in good.iter().enumerate() {
                 let mut bytes = bytes.clone();
                 if broken.contains(&i) {
@@ -1757,8 +1773,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let spec = tiny_spec()
-            .env_overrides_with(|k| env.get(k).map(|v| v.to_string()));
+        let spec = tiny_spec().env_overrides_with(|k| env.get(k).map(|v| v.to_string()));
         assert_eq!(spec.measure_insts, 9_000);
         assert_eq!(spec.bench, Some(vec!["gcc".to_string(), "mcf".to_string()]));
         assert_eq!(spec.threads, Some(3));
@@ -1776,17 +1791,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "PRESTAGE_MEASURE must be an unsigned integer")]
     fn env_layer_rejects_scientific_notation() {
-        tiny_spec().env_overrides_with(|k| {
-            (k == "PRESTAGE_MEASURE").then(|| "1e6".to_string())
-        });
+        tiny_spec().env_overrides_with(|k| (k == "PRESTAGE_MEASURE").then(|| "1e6".to_string()));
     }
 
     #[test]
     #[should_panic(expected = "PRESTAGE_THREADS must be a positive integer")]
     fn env_layer_rejects_zero_threads() {
-        tiny_spec().env_overrides_with(|k| {
-            (k == "PRESTAGE_THREADS").then(|| "0".to_string())
-        });
+        tiny_spec().env_overrides_with(|k| (k == "PRESTAGE_THREADS").then(|| "0".to_string()));
     }
 
     #[test]
@@ -1858,13 +1869,20 @@ mod tests {
         let results = Sweep::new(&spec, &spec.cells().unwrap()[1..3])
             .run()
             .unwrap();
-        let shard = ShardFile { spec, start: 1, end: 3, results };
+        let shard = ShardFile {
+            spec,
+            start: 1,
+            end: 3,
+            results,
+        };
         let text = shard.to_json();
         let back = ShardFile::from_json(&text).unwrap();
         assert_eq!(back, shard);
         // A shard that lost a result line must not parse.
         let broken = text.replacen("\"end\": 3", "\"end\": 4", 1);
-        assert!(ShardFile::from_json(&broken).unwrap_err().contains("carries"));
+        assert!(ShardFile::from_json(&broken)
+            .unwrap_err()
+            .contains("carries"));
     }
 
     #[test]
@@ -1879,7 +1897,10 @@ mod tests {
         );
         let e = ShardFile::from_json(&text).unwrap_err();
         assert!(e.contains("inverted"), "{e}");
-        assert!(e.contains("cells.start 5") && e.contains("cells.end 2"), "{e}");
+        assert!(
+            e.contains("cells.start 5") && e.contains("cells.end 2"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -1892,7 +1913,10 @@ mod tests {
         s.warmup_insts = u64::MAX;
         s.measure_insts = 2;
         let e = s.validate().unwrap_err();
-        assert!(e.contains("warmup_insts") && e.contains("measure_insts"), "{e}");
+        assert!(
+            e.contains("warmup_insts") && e.contains("measure_insts"),
+            "{e}"
+        );
         assert!(e.contains("overflows"), "{e}");
         // And the trace vet itself stays total even without validate().
         assert!(s.trace_record_insts() == u64::MAX);
@@ -2040,12 +2064,8 @@ mod tests {
         let w = spec.build_workloads().unwrap();
         for (pi, &preset) in spec.presets.iter().enumerate() {
             for (si, &l1) in spec.l1_sizes.iter().enumerate() {
-                let direct = crate::Engine::new(
-                    spec.sim_config(preset, l1),
-                    &w[0],
-                    spec.exec_seed,
-                )
-                .run();
+                let direct =
+                    crate::Engine::new(spec.sim_config(preset, l1), &w[0], spec.exec_seed).run();
                 assert_eq!(rows[pi][si].per_bench[0].1, direct);
                 assert_eq!(rows[pi][si].per_bench[0].0, "gzip");
             }
@@ -2062,7 +2082,10 @@ mod tests {
         assert!(Json::parse(&a).is_ok());
         // The pool width is host-local: a run that only differed in
         // `threads` must still produce identical artifact bytes.
-        let wider = ExperimentSpec { threads: Some(7), ..spec.clone() };
+        let wider = ExperimentSpec {
+            threads: Some(7),
+            ..spec.clone()
+        };
         assert_eq!(grid_output(&wider, &try_run_spec(&wider).unwrap()), a);
     }
 }

@@ -173,7 +173,9 @@ impl<'p> Gen<'p> {
             } else {
                 // Geometric weights 2^1..2^(l-1) over the deeper levels.
                 let denom: usize = (1..=levels_left).map(|i| 1usize << i).sum();
-                (remaining * 2 / denom).max(1).min(remaining - (levels_left - 1))
+                (remaining * 2 / denom)
+                    .max(1)
+                    .min(remaining - (levels_left - 1))
             };
             levels.push(start..start + share);
             start += share;
@@ -393,8 +395,7 @@ impl<'p> Gen<'p> {
         if r < 0.10 {
             // Rotating site: executes ~p_exec of visits, periodically.
             let len = self.rng.gen_range(4..=8u8);
-            let skip_bits =
-                (((1.0 - p_exec) * len as f64).round() as u32).clamp(1, len as u32 - 1);
+            let skip_bits = (((1.0 - p_exec) * len as f64).round() as u32).clamp(1, len as u32 - 1);
             let mut bits = 0u32;
             for k in 0..skip_bits {
                 let pos = (k * len as u32) / skip_bits;
@@ -454,8 +455,8 @@ impl<'p> Gen<'p> {
         let min_construct = (self.p.block_insts.1 as u64 + 2) * 2;
         while used + min_construct < budget {
             let roll = self.rng.gen::<f64>();
-            let want_call = *call_sites_left > 0
-                && (is_root && roll < 0.50 || !is_root && roll < 0.30);
+            let want_call =
+                *call_sites_left > 0 && (is_root && roll < 0.50 || !is_root && roll < 0.30);
             if want_call {
                 if let Some(callee) = self.sample_callee(level, func) {
                     *call_sites_left -= 1;
@@ -490,8 +491,7 @@ impl<'p> Gen<'p> {
                 // calls/diamonds inside the body, so loops exercise real
                 // code footprints instead of spinning on one block.
                 let remaining = budget - used;
-                let inner_budget =
-                    ((remaining as f64) * self.rng.gen_range(0.3..0.6)) as u64;
+                let inner_budget = ((remaining as f64) * self.rng.gen_range(0.3..0.6)) as u64;
                 let head_idx = base + blocks.len();
                 let mut inner = self.gen_region(
                     func,
@@ -766,9 +766,7 @@ pub fn build(profile: &BenchmarkProfile, seed: u64) -> Workload {
                     insts.push(StaticInst::cti(pc, OpClass::Return, None));
                     Terminator::Return
                 }
-                STerm::Fall => Terminator::FallThrough {
-                    next: pc,
-                },
+                STerm::Fall => Terminator::FallThrough { next: pc },
             };
             control.push((start, ctrl));
             pb.push(BasicBlock {
@@ -780,11 +778,15 @@ pub fn build(profile: &BenchmarkProfile, seed: u64) -> Workload {
         }
     }
     pb.entry(entries[0]);
-    let program = pb.finish().unwrap_or_else(|e| {
-        panic!("generated program for '{}' invalid: {e}", profile.name)
-    });
+    let program = pb
+        .finish()
+        .unwrap_or_else(|e| panic!("generated program for '{}' invalid: {e}", profile.name));
 
-    assert_eq!(control.len(), program.blocks().len(), "one control entry per block");
+    assert_eq!(
+        control.len(),
+        program.blocks().len(),
+        "one control entry per block"
+    );
     let control = program
         .blocks()
         .iter()

@@ -389,7 +389,10 @@ mod tests {
             }
             strided_checked += 1;
         }
-        assert!(strided_checked > 1, "workload has no strided sites to check");
+        assert!(
+            strided_checked > 1,
+            "workload has no strided sites to check"
+        );
     }
 
     #[test]

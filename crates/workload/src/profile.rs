@@ -376,8 +376,8 @@ mod tests {
         assert_eq!(
             names,
             vec![
-                "gzip", "vpr", "gcc", "mcf", "crafty", "parser", "eon", "perlbmk", "gap",
-                "vortex", "bzip2", "twolf"
+                "gzip", "vpr", "gcc", "mcf", "crafty", "parser", "eon", "perlbmk", "gap", "vortex",
+                "bzip2", "twolf"
             ]
         );
     }
@@ -385,7 +385,11 @@ mod tests {
     #[test]
     fn fractions_are_sane() {
         for p in specint2000() {
-            assert!(p.load_frac + p.store_frac + p.mul_frac + p.fp_frac < 0.8, "{}", p.name);
+            assert!(
+                p.load_frac + p.store_frac + p.mul_frac + p.fp_frac < 0.8,
+                "{}",
+                p.name
+            );
             assert!(
                 p.loop_frac + p.pattern_frac + p.hard_frac <= 1.0,
                 "{}",

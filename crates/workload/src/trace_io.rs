@@ -74,7 +74,11 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         t[0][i] = c;
@@ -307,7 +311,11 @@ fn check_record(rest: &[u8]) -> Result<usize, String> {
     if flags & !3 != 0 {
         return Err(format!("bad flags byte {flags:#04x}"));
     }
-    let len = if flags & 2 != 0 { MAX_REC_BYTES } else { MIN_REC_BYTES };
+    let len = if flags & 2 != 0 {
+        MAX_REC_BYTES
+    } else {
+        MIN_REC_BYTES
+    };
     if rest.len() < len {
         return Err("payload ends inside memory address".into());
     }
@@ -361,7 +369,11 @@ fn decode_checked(buf: &[u8], pos: &mut usize) -> DynInst {
     };
     let flags = rec[15];
     let has_mem = flags & 2 != 0;
-    *pos = p + if has_mem { MAX_REC_BYTES } else { MIN_REC_BYTES };
+    *pos = p + if has_mem {
+        MAX_REC_BYTES
+    } else {
+        MIN_REC_BYTES
+    };
     DynInst {
         pc: u64_at(0),
         op: OPCLASSES[usize::from(rec[8])],
@@ -601,7 +613,9 @@ impl<R: Read> TraceReader<R> {
     fn with_verification(mut r: R, verify_chunks: bool) -> io::Result<Self> {
         let magic = read_field::<4>(&mut r, "magic")?;
         if magic != MAGIC {
-            return Err(invalid(format!("bad magic {magic:02x?} (not a PSTR trace)")));
+            return Err(invalid(format!(
+                "bad magic {magic:02x?} (not a PSTR trace)"
+            )));
         }
         let version = u32::from_le_bytes(read_field::<4>(&mut r, "version")?);
         if version != VERSION {
@@ -743,7 +757,9 @@ impl<R: Read> TraceReader<R> {
         let payload = &mut self.payload[..plen];
         self.r.read_exact(payload).map_err(|e| {
             if e.kind() == io::ErrorKind::UnexpectedEof {
-                invalid(format!("trace truncated reading chunk {k} payload ({plen} bytes)"))
+                invalid(format!(
+                    "trace truncated reading chunk {k} payload ({plen} bytes)"
+                ))
             } else {
                 e
             }
@@ -1071,7 +1087,10 @@ mod tests {
         let mut v2 = v2_bytes(&insts, 64);
         v2.truncate(v2.len() - 3);
         let e = read_trace(&v2[..]).unwrap_err();
-        assert!(e.to_string().contains("truncated") || e.to_string().contains("CRC"), "{e}");
+        assert!(
+            e.to_string().contains("truncated") || e.to_string().contains("CRC"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -1081,8 +1100,7 @@ mod tests {
         // Flip one payload byte in the *second* chunk: header is
         // header_bytes(...) long; chunk 0 is 4+4+payload+4.
         let hlen = header_bytes(&meta(), 0, 256).len();
-        let c0_plen =
-            u32::from_le_bytes(bytes[hlen + 4..hlen + 8].try_into().unwrap()) as usize;
+        let c0_plen = u32::from_le_bytes(bytes[hlen + 4..hlen + 8].try_into().unwrap()) as usize;
         let c1_payload = hlen + 8 + c0_plen + 4 + 8;
         let mut bad = bytes.clone();
         bad[c1_payload + 10] ^= 0xFF;
@@ -1152,7 +1170,12 @@ mod tests {
             Ok(msg) => *msg,
             Err(_) => panic!("replayer panicked without a message"),
         };
-        [verify.to_string(), read_all.to_string(), iter.to_string(), replay]
+        [
+            verify.to_string(),
+            read_all.to_string(),
+            iter.to_string(),
+            replay,
+        ]
     }
 
     #[test]
@@ -1211,13 +1234,20 @@ mod tests {
                 format!("chunk 3 claims {} records but only {c3_n} remain", c3_n + 1),
             ),
         ];
-        assert!(c1_len > 64 * MIN_REC_BYTES, "chunk 1 carries memory addresses");
+        assert!(
+            c1_len > 64 * MIN_REC_BYTES,
+            "chunk 1 carries memory addresses"
+        );
         for (what, bytes, want) in cases {
             let [verify, read_all, iter, replay] = every_rejection(&bytes);
             assert!(verify.contains(&want), "{what}: {verify}");
             assert_eq!(read_all, verify, "{what}: read_all");
             assert_eq!(iter, verify, "{what}: iterator");
-            assert_eq!(replay, format!("replaying matrix: {verify}"), "{what}: replayer");
+            assert_eq!(
+                replay,
+                format!("replaying matrix: {verify}"),
+                "{what}: replayer"
+            );
         }
     }
 
@@ -1227,7 +1257,11 @@ mod tests {
         for chunk in [1u32, 100, DEFAULT_CHUNK_INSTS] {
             let bytes = v2_bytes(&insts, chunk);
             let mut r = TraceReader::new(&bytes[..]).unwrap();
-            assert_eq!(r.verify().unwrap(), insts.len() as u64, "chunk size {chunk}");
+            assert_eq!(
+                r.verify().unwrap(),
+                insts.len() as u64,
+                "chunk size {chunk}"
+            );
             assert!(r.next().is_none(), "verify drains the reader");
             // Picking up after the iterator, mid-chunk.
             let mut r = TraceReader::new(&bytes[..]).unwrap();

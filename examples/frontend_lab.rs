@@ -53,7 +53,11 @@ fn main() {
     }
     blocks.push((seq, 0x20000, 16));
 
-    fn run_case<P: InstrPrefetcher>(tech: TechNode, pf: PrefetcherKind, blocks: &[(u64, u64, u32)]) {
+    fn run_case<P: InstrPrefetcher>(
+        tech: TechNode,
+        pf: PrefetcherKind,
+        blocks: &[(u64, u64, u32)],
+    ) {
         let mut cfg = FrontendConfig::base(tech, 8 << 10);
         cfg.prefetcher = pf;
         if pf != PrefetcherKind::None {

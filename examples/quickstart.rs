@@ -37,7 +37,8 @@ fn main() {
             100.0 * s.front.fetch_share(s.front.fetch_pb),
             100.0 * s.front.fetch_share(s.front.fetch_l0),
             100.0 * s.front.fetch_share(s.front.fetch_l1),
-            100.0 * (s.front.fetch_share(s.front.fetch_l2) + s.front.fetch_share(s.front.fetch_mem)),
+            100.0
+                * (s.front.fetch_share(s.front.fetch_l2) + s.front.fetch_share(s.front.fetch_mem)),
         );
     }
     println!(

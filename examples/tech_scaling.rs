@@ -21,7 +21,13 @@ fn main() {
         "{:<9} {:>7} {:>7} {:>10} {:>10} {:>8}",
         "node", "cyc/ns", "L1 lat", "base IPC", "CLGP IPC", "gain"
     );
-    for node in [TechNode::T180, TechNode::T130, TechNode::T090, TechNode::T065, TechNode::T045] {
+    for node in [
+        TechNode::T180,
+        TechNode::T130,
+        TechNode::T090,
+        TechNode::T065,
+        TechNode::T045,
+    ] {
         let lat = latency_cycles(&geom, node);
         let run = |preset| {
             let spec = ExperimentSpec {

@@ -46,7 +46,13 @@ const BENCHES: &[&str] = &["gzip", "mcf", "crafty"];
 /// exercises the monomorphized per-mechanism engines.
 fn random_small_spec(rng: &mut SmallRng) -> ExperimentSpec {
     let all_presets = ConfigPreset::all();
-    let techs = [TechNode::T180, TechNode::T130, TechNode::T090, TechNode::T065, TechNode::T045];
+    let techs = [
+        TechNode::T180,
+        TechNode::T130,
+        TechNode::T090,
+        TechNode::T065,
+        TechNode::T045,
+    ];
     let sizes = [256usize, 1 << 10, 4 << 10, 16 << 10];
     for _ in 0..20 {
         let n_presets = rng.gen_range(1..=2usize);
@@ -117,7 +123,11 @@ fn random_small_spec(rng: &mut SmallRng) -> ExperimentSpec {
 
 /// Run `f` with panics captured as property failures: a panic anywhere in
 /// a leg is a violation to report, not a reason to abort the campaign.
-fn guarded<T>(what: &str, spec_json: &str, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+fn guarded<T>(
+    what: &str,
+    spec_json: &str,
+    f: impl FnOnce() -> Result<T, String>,
+) -> Result<T, String> {
     let hook = panic::take_hook();
     panic::set_hook(Box::new(|_| {}));
     let result = panic::catch_unwind(AssertUnwindSafe(f));
@@ -259,11 +269,7 @@ fn check_disabled_mechanisms(rng: &mut SmallRng) -> Result<(), String> {
 /// Run the full differential campaign: `n_specs` random specs through
 /// property A, and one property-B configuration per spec.
 /// `log` receives one progress line per spec (the CLI's live ticker).
-pub fn run_differential(
-    n_specs: u64,
-    seed: u64,
-    mut log: impl FnMut(&str),
-) -> DiffReport {
+pub fn run_differential(n_specs: u64, seed: u64, mut log: impl FnMut(&str)) -> DiffReport {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1FF_D1FF);
     let mut report = DiffReport {
         specs: 0,

@@ -146,7 +146,9 @@ fn json_target(data: &[u8]) -> Result<Outcome, String> {
             let back = Json::parse(&canon)
                 .map_err(|e| format!("canonical rendering does not re-parse: {e} in {canon:?}"))?;
             if back != v {
-                return Err(format!("render/parse round-trip changed the value: {canon:?}"));
+                return Err(format!(
+                    "render/parse round-trip changed the value: {canon:?}"
+                ));
             }
             if back.render() != canon {
                 return Err(format!("render is not a fixpoint for {canon:?}"));
@@ -155,7 +157,9 @@ fn json_target(data: &[u8]) -> Result<Outcome, String> {
             let back = Json::parse(&pretty)
                 .map_err(|e| format!("pretty rendering does not re-parse: {e} in {pretty:?}"))?;
             if back != v {
-                return Err(format!("pretty/parse round-trip changed the value: {pretty:?}"));
+                return Err(format!(
+                    "pretty/parse round-trip changed the value: {pretty:?}"
+                ));
             }
             Ok(Outcome::Accepted)
         }
@@ -310,8 +314,7 @@ pub fn builtin_seeds_for(target: &str) -> Vec<Vec<u8>> {
         "trace" => {
             let w = tiny_workload();
             let mut v2 = std::io::Cursor::new(Vec::new());
-            prestage_workload::record_trace(&mut v2, &w, 3, 600, 256)
-                .expect("in-memory recording");
+            prestage_workload::record_trace(&mut v2, &w, 3, 600, 256).expect("in-memory recording");
             vec![v2.into_inner()]
         }
         "shard" => {

@@ -87,10 +87,8 @@ fn regression_v1_trace_is_refused_by_version() {
 /// overflowing the run-length sum.
 #[test]
 fn regression_overflowing_run_length() {
-    let bytes = std::fs::read(
-        default_regressions_root().join("spec/warmup-measure-overflow.json"),
-    )
-    .expect("checked-in regression input");
+    let bytes = std::fs::read(default_regressions_root().join("spec/warmup-measure-overflow.json"))
+        .expect("checked-in regression input");
     let t = target_by_name("spec").unwrap();
     assert_eq!(check_input(t, &bytes), Ok(Outcome::Accepted));
     let spec =
@@ -121,10 +119,17 @@ fn bounded_campaign_is_deterministic_and_clean() {
                 .collect::<Vec<_>>()
                 .join("; ")
         );
-        assert_eq!((a.executions, a.accepted, a.rejected), (b.executions, b.accepted, b.rejected));
+        assert_eq!(
+            (a.executions, a.accepted, a.rejected),
+            (b.executions, b.accepted, b.rejected)
+        );
         // A campaign that rejects nothing (or accepts nothing) is not
         // exercising both sides of the parser.
-        assert!(a.accepted > 0 && a.rejected > 0, "{}: degenerate campaign", t.name);
+        assert!(
+            a.accepted > 0 && a.rejected > 0,
+            "{}: degenerate campaign",
+            t.name
+        );
     }
 }
 

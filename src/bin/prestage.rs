@@ -97,8 +97,8 @@ fn load_spec(arg: &str) -> (ExperimentSpec, Option<&'static Figure>) {
     if path.exists() {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("cannot read {arg}: {e}")));
-        let spec = ExperimentSpec::from_json(&text)
-            .unwrap_or_else(|e| fail(&format!("{arg}: {e}")));
+        let spec =
+            ExperimentSpec::from_json(&text).unwrap_or_else(|e| fail(&format!("{arg}: {e}")));
         if let Err(e) = spec.validate() {
             fail(&format!("{arg}: {e}"));
         }
@@ -118,8 +118,7 @@ fn write_out(path: &str, content: &str) {
     if let Some(dir) = std::path::Path::new(path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    std::fs::write(path, content)
-        .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+    std::fs::write(path, content).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
     eprintln!("wrote {path}");
 }
 
@@ -157,7 +156,10 @@ fn cmd_run(mut args: Vec<String>) {
 
 fn parse_range(s: &str, n_cells: usize) -> (usize, usize) {
     let parsed = s.split_once("..").and_then(|(a, b)| {
-        Some((a.trim().parse::<usize>().ok()?, b.trim().parse::<usize>().ok()?))
+        Some((
+            a.trim().parse::<usize>().ok()?,
+            b.trim().parse::<usize>().ok()?,
+        ))
     });
     let Some((start, end)) = parsed else {
         fail(&format!("--cells wants A..B (half-open), got {s:?}"));
@@ -190,7 +192,12 @@ fn cmd_shard(mut args: Vec<String>) {
         cells.len(),
         t0.elapsed().as_secs_f64()
     );
-    let shard = ShardFile { spec, start, end, results };
+    let shard = ShardFile {
+        spec,
+        start,
+        end,
+        results,
+    };
     write_out(&out, &shard.to_json());
 }
 
@@ -203,8 +210,7 @@ fn cmd_merge(mut args: Vec<String>) {
     for path in args {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-        let shard = ShardFile::from_json(&text)
-            .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+        let shard = ShardFile::from_json(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         shards.push((path, shard));
     }
     let rows = ShardFile::merge(&shards).unwrap_or_else(|e| fail(&e));
@@ -225,22 +231,24 @@ fn cmd_trace_record(mut args: Vec<String>) {
     let [arg] = args.as_slice() else { usage() };
     let (spec, _) = load_spec(arg);
     let profiles = spec.bench_profiles().unwrap_or_else(|e| fail(&e));
-    std::fs::create_dir_all(&out)
-        .unwrap_or_else(|e| fail(&format!("cannot create {out}: {e}")));
+    std::fs::create_dir_all(&out).unwrap_or_else(|e| fail(&format!("cannot create {out}: {e}")));
     let n_insts = spec.trace_record_insts();
     let t0 = std::time::Instant::now();
     let written = pool_map(profiles.len(), spec.resolved_threads(), |i| {
         let p = &profiles[i];
         let w = build(p, spec.workload_seed);
-        let path = TraceSource { dir: out.clone() }.trace_path(
-            p.name,
-            spec.workload_seed,
-            spec.exec_seed,
-        );
+        let path =
+            TraceSource { dir: out.clone() }.trace_path(p.name, spec.workload_seed, spec.exec_seed);
         let f = std::fs::File::create(&path)
             .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-        let count = record_trace(BufWriter::new(f), &w, spec.exec_seed, n_insts, DEFAULT_CHUNK_INSTS)
-            .map_err(|e| format!("recording {}: {e}", path.display()))?;
+        let count = record_trace(
+            BufWriter::new(f),
+            &w,
+            spec.exec_seed,
+            n_insts,
+            DEFAULT_CHUNK_INSTS,
+        )
+        .map_err(|e| format!("recording {}: {e}", path.display()))?;
         let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         Ok::<_, String>((path, count, bytes))
     });
@@ -265,8 +273,7 @@ fn cmd_trace_record(mut args: Vec<String>) {
 /// decoding it: the first thing to run on a trace that behaves strangely.
 fn cmd_trace_info(args: Vec<String>) {
     let [path] = args.as_slice() else { usage() };
-    let mut reader =
-        open_trace(Path::new(path)).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+    let mut reader = open_trace(Path::new(path)).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
     let h = reader.header().clone();
     println!("{path}: PSTR v{}", prestage_workload::trace_io::VERSION);
     println!("  profile:       {}", h.meta.profile);
@@ -304,7 +311,10 @@ fn cmd_spec(mut args: Vec<String>) {
     let [name] = args.as_slice() else { usage() };
     let Some(fig) = figures::by_name(name) else {
         let names: Vec<&str> = figures::FIGURES.iter().map(|f| f.name).collect();
-        fail(&format!("unknown figure {name:?} (figures: {})", names.join(", ")));
+        fail(&format!(
+            "unknown figure {name:?} (figures: {})",
+            names.join(", ")
+        ));
     };
     let text = (fig.make_spec)().to_json();
     match out {
@@ -331,7 +341,10 @@ fn cmd_list() {
         println!("  {:<9} {}", k.id(), k.label());
     }
     println!("\n# benchmarks (spec \"bench\" entries; null = all)");
-    println!("  {:<10} {:>8} {:>7} {:>8}", "name", "code KB", "funcs", "data KB");
+    println!(
+        "  {:<10} {:>8} {:>7} {:>8}",
+        "name", "code KB", "funcs", "data KB"
+    );
     for p in specint2000() {
         println!(
             "  {:<10} {:>8} {:>7} {:>8}",

@@ -78,8 +78,8 @@ mod tests {
         p.i_footprint_kb = 4;
         p.n_funcs = 8;
         let w = workload::build_workload(&p, 1);
-        let cfg = SimConfig::preset(ConfigPreset::Base, TechNode::T090, 1 << 10)
-            .with_insts(1_000, 5_000);
+        let cfg =
+            SimConfig::preset(ConfigPreset::Base, TechNode::T090, 1 << 10).with_insts(1_000, 5_000);
         let s = Engine::new(cfg, &w, 1).run();
         assert!(s.committed >= 5_000);
     }

@@ -26,7 +26,11 @@ fn entries(cache: &str) -> Vec<PathBuf> {
         return out;
     };
     for dir in fanout.flatten() {
-        for f in std::fs::read_dir(dir.path()).into_iter().flatten().flatten() {
+        for f in std::fs::read_dir(dir.path())
+            .into_iter()
+            .flatten()
+            .flatten()
+        {
             if f.path().extension().is_some_and(|e| e == "json") {
                 out.push(f.path());
             }
@@ -139,7 +143,10 @@ fn killed_run_resumes_to_identical_bytes() {
     // Running it again is the resume: exactly the stored cells are hits,
     // and the artifact is the uninterrupted run's, byte for byte.
     let (line, resumed) = cached_run(&slow, &cache, &dir.path("resumed.json"));
-    assert!(line.ends_with(&format!("8 cell(s), {stored} cached, {} run", 8 - stored)), "{line}");
+    assert!(
+        line.ends_with(&format!("8 cell(s), {stored} cached, {} run", 8 - stored)),
+        "{line}"
+    );
     assert_eq!(
         resumed,
         plain_run(&slow, &dir.path("full.json")),
@@ -177,7 +184,10 @@ fn itlb_and_insertion_are_part_of_the_cell_identity() {
             "{variant} must not be served {cached_first}'s cells: {line}"
         );
         let cold = plain_run(variant, &dir.path("cold.json"));
-        assert_eq!(got, cold, "{variant} through the cache differs from its cold run");
+        assert_eq!(
+            got, cold,
+            "{variant} through the cache differs from its cold run"
+        );
         assert_ne!(
             rows(&first),
             rows(&cold),
@@ -208,14 +218,20 @@ fn corrupt_entries_fail_the_run_by_file_name() {
         let out_path = dir.path("damaged.json");
         let out = prestage(&["run", spec, "--cache", &cache, "--out", &out_path]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "a {damage} entry was accepted:\n{stderr}");
+        assert!(
+            !out.status.success(),
+            "a {damage} entry was accepted:\n{stderr}"
+        );
         assert!(
             stderr.contains(&victim.display().to_string()) && stderr.contains(why),
             "the {damage} entry's error must name the file: {stderr}"
         );
         // Loud, not recomputed: nothing was written, the entry is as the
         // damage left it, and no other entry appeared.
-        assert!(!Path::new(&out_path).exists(), "a {damage} entry still produced an artifact");
+        assert!(
+            !Path::new(&out_path).exists(),
+            "a {damage} entry still produced an artifact"
+        );
         assert_eq!(std::fs::read_to_string(victim).unwrap(), text);
         assert_eq!(entries(&cache), stored);
     }

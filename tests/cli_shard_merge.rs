@@ -53,7 +53,10 @@ fn merge_refuses_incomplete_or_overlapping_coverage() {
     assert!(!out.status.success(), "merge of a partial grid must fail");
     // The same shard twice: duplicate cells.
     let out = prestage(&["merge", &a, &a]);
-    assert!(!out.status.success(), "merge of overlapping shards must fail");
+    assert!(
+        !out.status.success(),
+        "merge of overlapping shards must fail"
+    );
     // An out-of-range shard request fails up front.
     let out = prestage(&["shard", "--spec", spec, "--cells", "6..9", "--out", &a]);
     assert!(!out.status.success());
@@ -112,7 +115,8 @@ fn merge_names_the_offending_shards_and_ranges() {
     let text = std::fs::read_to_string(&a).unwrap();
     std::fs::write(
         &oob,
-        text.replace("\"start\": 0", "\"start\": 6").replace("\"end\": 3", "\"end\": 9"),
+        text.replace("\"start\": 0", "\"start\": 6")
+            .replace("\"end\": 3", "\"end\": 9"),
     )
     .unwrap();
     let out = prestage(&["merge", &oob]);
@@ -129,7 +133,8 @@ fn merge_names_the_offending_shards_and_ranges() {
     let text = std::fs::read_to_string(&a).unwrap();
     std::fs::write(
         &inv,
-        text.replace("\"start\": 0", "\"start\": 5").replace("\"end\": 3", "\"end\": 2"),
+        text.replace("\"start\": 0", "\"start\": 5")
+            .replace("\"end\": 3", "\"end\": 2"),
     )
     .unwrap();
     let out = prestage(&["merge", &inv]);
@@ -220,8 +225,14 @@ fn mechanism_specs_shard_and_merge_byte_identically() {
             &prestage(&["shard", "--spec", &spec, "--cells", "3..8", "--out", &b]),
             &format!("{id} shard B"),
         );
-        assert_ok(&prestage(&["merge", &b, &a, "--out", &merged]), &format!("{id} merge"));
-        assert_ok(&prestage(&["run", &spec, "--out", &full]), &format!("{id} run"));
+        assert_ok(
+            &prestage(&["merge", &b, &a, "--out", &merged]),
+            &format!("{id} merge"),
+        );
+        assert_ok(
+            &prestage(&["run", &spec, "--out", &full]),
+            &format!("{id} run"),
+        );
         let merged_bytes = std::fs::read(&merged).unwrap();
         let full_bytes = std::fs::read(&full).unwrap();
         assert!(!merged_bytes.is_empty());
@@ -254,11 +265,21 @@ fn merge_refuses_shards_from_different_prefetchers() {
     let b = dir.path("b.json");
     let spec = spec_file();
     assert_ok(
-        &prestage(&["shard", "--spec", spec.to_str().unwrap(), "--cells", "0..3", "--out", &a]),
+        &prestage(&[
+            "shard",
+            "--spec",
+            spec.to_str().unwrap(),
+            "--cells",
+            "0..3",
+            "--out",
+            &a,
+        ]),
         "default shard",
     );
     assert_ok(
-        &prestage(&["shard", "--spec", &mana_spec, "--cells", "3..8", "--out", &b]),
+        &prestage(&[
+            "shard", "--spec", &mana_spec, "--cells", "3..8", "--out", &b,
+        ]),
         "mana shard",
     );
     let out = prestage(&["merge", &a, &b]);

@@ -47,15 +47,26 @@ fn record_info_replay_run_and_shards_match_live_byte_exactly() {
 
     // Info: the header self-describes and every chunk CRC verifies.
     let info = assert_ok(&prestage(&["trace", "info", &gzip_trace]), "trace info");
-    for needle in ["PSTR v2", "profile:       gzip", "workload_seed: 42", "verified:"] {
-        assert!(info.contains(needle), "info output missing {needle:?}:\n{info}");
+    for needle in [
+        "PSTR v2",
+        "profile:       gzip",
+        "workload_seed: 42",
+        "verified:",
+    ] {
+        assert!(
+            info.contains(needle),
+            "info output missing {needle:?}:\n{info}"
+        );
     }
 
     // Replay the spec — whole run, then two disjoint shard processes.
     let replay_spec = replay_spec_into(&dir, &traces);
     let replayed = dir.path("replayed.json");
     let live = dir.path("live.json");
-    assert_ok(&prestage(&["run", &replay_spec, "--out", &replayed]), "replay run");
+    assert_ok(
+        &prestage(&["run", &replay_spec, "--out", &replayed]),
+        "replay run",
+    );
     assert_ok(&prestage(&["run", spec, "--out", &live]), "live run");
     let replayed_bytes = std::fs::read(&replayed).unwrap();
     let live_bytes = std::fs::read(&live).unwrap();
@@ -72,7 +83,15 @@ fn record_info_replay_run_and_shards_match_live_byte_exactly() {
     let b = dir.path("b.json");
     let merged = dir.path("merged.json");
     assert_ok(
-        &prestage(&["shard", "--spec", &replay_spec, "--cells", "0..5", "--out", &a]),
+        &prestage(&[
+            "shard",
+            "--spec",
+            &replay_spec,
+            "--cells",
+            "0..5",
+            "--out",
+            &a,
+        ]),
         "replay shard A",
     );
     assert_ok(

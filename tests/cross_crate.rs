@@ -75,10 +75,7 @@ fn every_trace_pc_is_in_the_dictionary() {
 fn predictor_learns_the_trace_it_is_trained_on() {
     // Stream-level accuracy after online training must be far above the
     // static fallback alone for a predictable benchmark.
-    let p = specint2000()
-        .into_iter()
-        .find(|p| p.name == "eon")
-        .unwrap();
+    let p = specint2000().into_iter().find(|p| p.name == "eon").unwrap();
     let w = build(&p, 42);
     let mut gen = TraceGenerator::new(&w, 7);
     let mut pred = StreamPredictor::paper_default();
@@ -104,6 +101,12 @@ fn predictor_learns_the_trace_it_is_trained_on() {
 
 #[test]
 fn one_cycle_buffer_sizing_matches_the_node() {
-    assert_eq!(FrontendConfig::one_cycle_buffer_lines(TechNode::T090) * 64, 512);
-    assert_eq!(FrontendConfig::one_cycle_buffer_lines(TechNode::T045) * 64, 256);
+    assert_eq!(
+        FrontendConfig::one_cycle_buffer_lines(TechNode::T090) * 64,
+        512
+    );
+    assert_eq!(
+        FrontendConfig::one_cycle_buffer_lines(TechNode::T045) * 64,
+        256
+    );
 }

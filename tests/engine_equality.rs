@@ -140,10 +140,8 @@ fn engine_matches_pre_refactor_goldens_for_every_mechanism() {
         }
     }
 
-    let scratch = std::env::temp_dir().join(format!(
-        "prestage-engine-equality-{}",
-        std::process::id()
-    ));
+    let scratch =
+        std::env::temp_dir().join(format!("prestage-engine-equality-{}", std::process::id()));
     let mut fresh: Vec<(String, String)> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     for kind in PrefetcherKind::all() {

@@ -6,8 +6,8 @@
 use prestage_bench::figures;
 use prestage_cacti::TechNode;
 use prestage_sim::{
-    try_run_spec, ConfigPreset, Engine, ExperimentSpec, ITlbConfig, InsertionPolicy,
-    PredictorKind, PrefetcherKind, TraceSource, L1_SIZES,
+    try_run_spec, ConfigPreset, Engine, ExperimentSpec, ITlbConfig, InsertionPolicy, PredictorKind,
+    PrefetcherKind, TraceSource, L1_SIZES,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -138,13 +138,19 @@ fn golden_spec_files_match_the_figure_declarations() {
         let path = golden_path(name);
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        let golden = ExperimentSpec::from_json(&text)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let golden = ExperimentSpec::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let declared = (figures::by_name(name)
             .unwrap_or_else(|| panic!("figure {name} not declared"))
             .make_spec)();
-        assert_eq!(golden, declared, "{name}: golden file drifted from declaration");
-        assert_eq!(declared.to_json(), text, "{name}: golden file is not canonical");
+        assert_eq!(
+            golden, declared,
+            "{name}: golden file drifted from declaration"
+        );
+        assert_eq!(
+            declared.to_json(),
+            text,
+            "{name}: golden file is not canonical"
+        );
     }
 }
 
@@ -169,12 +175,12 @@ fn golden_specs_reproduce_the_engine_bit_exactly() {
         for (pi, &preset) in spec.presets.iter().enumerate() {
             for (si, &l1) in spec.l1_sizes.iter().enumerate() {
                 for (wi, w) in workloads.iter().enumerate() {
-                    let direct =
-                        Engine::new(spec.sim_config(preset, l1), w, spec.exec_seed).run();
+                    let direct = Engine::new(spec.sim_config(preset, l1), w, spec.exec_seed).run();
                     let (bench_name, stats) = &rows[pi][si].per_bench[wi];
                     assert_eq!(bench_name, w.profile.name, "{name}");
                     assert_eq!(
-                        *stats, direct,
+                        *stats,
+                        direct,
                         "{name}: {} @ {l1}B / {} diverged from the raw engine",
                         preset.label(),
                         w.profile.name
@@ -195,7 +201,10 @@ fn unknown_bench_name_is_a_loud_error_through_the_whole_stack() {
     };
     let err = spec.validate().unwrap_err();
     assert!(err.contains("unknown benchmark \"craftey\""), "{err}");
-    assert!(err.contains("crafty"), "error must list the valid names: {err}");
+    assert!(
+        err.contains("crafty"),
+        "error must list the valid names: {err}"
+    );
     let err = try_run_spec(&spec).unwrap_err();
     assert!(err.contains("unknown benchmark"), "{err}");
 }

@@ -137,7 +137,10 @@ fn tlb_state_is_checkpointed_across_redirects() {
         }),
         ..spec.clone()
     };
-    let replayed = grid_output(&replay_spec, &try_run_spec(&replay_spec).expect("replay run"));
+    let replayed = grid_output(
+        &replay_spec,
+        &try_run_spec(&replay_spec).expect("replay run"),
+    );
     let _ = std::fs::remove_dir_all(&scratch);
     assert_eq!(
         replayed, live,

@@ -182,7 +182,9 @@ fn sweep_is_invariant_under_thread_count_and_shuffle() {
     let reference = sweep(&spec, &cells, &workloads, 1);
 
     // Every thread count gives bit-exact results in the same order.
-    let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let avail = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
     for threads in [1, 2, avail, avail + 3] {
         let got = sweep(&spec, &cells, &workloads, threads);
         assert_eq!(got.len(), reference.len());
@@ -203,7 +205,10 @@ fn sweep_is_invariant_under_thread_count_and_shuffle() {
                 for ((n1, s1), (n2, s2)) in a.per_bench.iter().zip(&b.per_bench) {
                     assert_eq!(n1, n2, "shuffle seed {shuffle_seed}");
                     assert_eq!(s1.cycles, s2.cycles, "shuffle seed {shuffle_seed}: {n1}");
-                    assert_eq!(s1.committed, s2.committed, "shuffle seed {shuffle_seed}: {n1}");
+                    assert_eq!(
+                        s1.committed, s2.committed,
+                        "shuffle seed {shuffle_seed}: {n1}"
+                    );
                 }
             }
         }
@@ -323,7 +328,9 @@ fn whole_grid_wall_clock_smoke() {
     let serial = sweep(&spec, &cells, &workloads, 1);
     let serial_wall = t0.elapsed();
 
-    let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
+    let avail = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(2);
     let t0 = std::time::Instant::now();
     let par = sweep(&spec, &cells, &workloads, avail);
     let par_wall = t0.elapsed();

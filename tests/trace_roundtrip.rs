@@ -34,12 +34,7 @@ fn mini_workload(profile_idx: usize, wseed: u64) -> prestage_workload::Workload 
     build(&p, wseed)
 }
 
-fn record_to_vec(
-    w: &prestage_workload::Workload,
-    exec_seed: u64,
-    n: u64,
-    chunk: u32,
-) -> Vec<u8> {
+fn record_to_vec(w: &prestage_workload::Workload, exec_seed: u64, n: u64, chunk: u32) -> Vec<u8> {
     let mut out = Cursor::new(Vec::new());
     record_trace(&mut out, w, exec_seed, n, chunk).unwrap();
     out.into_inner()
@@ -182,7 +177,10 @@ fn every_mechanism_replays_bit_identically_to_live() {
         // the shared in-memory `SharedReplayer` path.
         let shared_rows = try_run_spec(&shared).unwrap();
         for (lr, rr) in live_rows.iter().flatten().zip(shared_rows.iter().flatten()) {
-            assert_eq!(lr.per_bench, rr.per_bench, "{kind:?}: shared replay diverged");
+            assert_eq!(
+                lr.per_bench, rr.per_bench,
+                "{kind:?}: shared replay diverged"
+            );
         }
         assert_eq!(
             grid_output(&live, &live_rows),
@@ -293,14 +291,17 @@ fn every_mutated_header_byte_is_rejected_by_name() {
     for i in 0..hlen {
         let mut bad = bytes.clone();
         bad[i] ^= 0x40;
-        let e = read_trace(&bad[..])
-            .expect_err(&format!("header byte {i} mutated yet the trace read"));
+        let e =
+            read_trace(&bad[..]).expect_err(&format!("header byte {i} mutated yet the trace read"));
         assert_names_a_field(&e, &format!("header byte {i}"));
     }
     // Targeted: the structural prefixes produce their *specific* errors.
     let mut bad = bytes.clone();
     bad[0] = b'Q';
-    assert!(read_trace(&bad[..]).unwrap_err().to_string().contains("magic"));
+    assert!(read_trace(&bad[..])
+        .unwrap_err()
+        .to_string()
+        .contains("magic"));
     let mut bad = bytes.clone();
     bad[4] = 77;
     assert!(read_trace(&bad[..])
@@ -400,10 +401,7 @@ fn chunk_corruption_is_rejected_by_name() {
     for cut in [n0 + 2, plen0 + 1, payload0 + c0_plen / 2, crc0 + 2] {
         let bad = &bytes[..cut];
         let e = read_trace(bad).unwrap_err();
-        assert!(
-            e.to_string().contains("truncated"),
-            "cut at {cut}: {e}"
-        );
+        assert!(e.to_string().contains("truncated"), "cut at {cut}: {e}");
         assert_names_a_field(&e, &format!("cut at {cut}"));
     }
 
@@ -448,7 +446,9 @@ fn oversized_length_fields_are_rejected_by_name() {
         h
     };
     for huge in [(1u32 << 20) + 1, u32::MAX] {
-        let msg = read_trace(&rebuild_header(huge)[..]).unwrap_err().to_string();
+        let msg = read_trace(&rebuild_header(huge)[..])
+            .unwrap_err()
+            .to_string();
         assert!(
             msg.contains(&format!("chunk size {huge} outside")),
             "chunk_insts {huge}: {msg}"
@@ -517,8 +517,7 @@ fn golden_trace_fixture_re_records_byte_identically() {
         out.into_inner()
     };
     assert_eq!(
-        rerecorded,
-        bytes,
+        rerecorded, bytes,
         "trace_smoke.pstr no longer re-records byte-identically: the v2 format, \
          record codec, or trace generator drifted (if intentional, regenerate \
          with PRESTAGE_REGEN_TRACE_FIXTURE=1 and call out the format change)"

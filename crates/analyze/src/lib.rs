@@ -14,6 +14,8 @@
 //! | `wallclock-in-sim` | wall-clock state breaking bit-exact replay |
 //! | `unwrap-in-lib` | panics where the policy demands named errors |
 //! | `unnamed-rejection` | rejections the fuzzer could only check dynamically |
+//! | `map-in-cycle-path` | PR 9's flattened hot path growing maps again |
+//! | `dead-pub` | the dead public functions PRs 16 and 20 found by hand; the one cross-file rule |
 //!
 //! The pass is a small hand-written Rust lexer ([`lexer`]) — strings,
 //! nested comments and raw strings handled correctly, no rustc internals,
@@ -38,6 +40,7 @@ pub mod rules;
 pub use baseline::{Baseline, BaselineEntry, Ratchet};
 pub use rules::{classify, FileClass, Finding, RULES};
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Workspace-relative default location of the ratchet baseline.
@@ -117,21 +120,41 @@ fn scan_pragmas(rel_path: &str, lexed: &lexer::Lexed) -> (Vec<Pragma>, Vec<Findi
     (pragmas, findings)
 }
 
-/// Analyze one source text as if it lived at `rel_path` (workspace-relative,
-/// unix separators).  This is the whole pipeline — lex, classify, rules,
-/// pragma suppression — and what the fixture tests drive directly.
-pub fn analyze_source(rel_path: &str, source: &str, enabled: &[&str]) -> Vec<Finding> {
-    let lexed = lexer::lex(source);
-    let class = rules::classify(rel_path);
-    let (pragmas, mut findings) = scan_pragmas(rel_path, &lexed);
-    let raw = rules::run_rules(rel_path, class, &lexed, enabled);
+/// Analyze source texts, each as if it lived at its workspace-relative path
+/// (unix separators).  This is the whole pipeline — lex each file once,
+/// the single-file rules per file and [`rules::DEAD_PUB`] across the set,
+/// pragma suppression — shared by the workspace walk and the fixture tests.
+pub fn analyze_sources<S: AsRef<str>>(sources: &[(S, S)], enabled: &[&str]) -> Vec<Finding> {
+    let files: Vec<rules::SourceFile> = sources
+        .iter()
+        .map(|(rel_path, source)| rules::SourceFile::new(rel_path.as_ref(), source.as_ref()))
+        .collect();
+    let mut findings = Vec::new();
+    let mut pragmas: BTreeMap<&str, Vec<Pragma>> = BTreeMap::new();
+    let mut raw = Vec::new();
+    for f in &files {
+        let (ok, bad) = scan_pragmas(&f.rel_path, &f.lexed);
+        pragmas.insert(&f.rel_path, ok);
+        findings.extend(bad);
+        raw.extend(rules::run_rules(f, enabled));
+    }
+    if enabled.contains(&rules::DEAD_PUB) {
+        raw.extend(rules::dead_pub(&files));
+    }
     findings.extend(raw.into_iter().filter(|f| {
-        !pragmas
+        !pragmas[f.file.as_str()]
             .iter()
             .any(|p| p.rule == f.rule && (p.line == f.line || p.line + 1 == f.line))
     }));
-    findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     findings
+        .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
+    findings
+}
+
+/// [`analyze_sources`] over one file: the cross-file rule sees no other
+/// file, so every `pub` item there is used in that file or nowhere.
+pub fn analyze_source(rel_path: &str, source: &str, enabled: &[&str]) -> Vec<Finding> {
+    analyze_sources(&[(rel_path, source)], enabled)
 }
 
 /// The result of a workspace pass.
@@ -174,27 +197,24 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 }
 
 /// Walk the workspace at `root` and run the enabled rules over every
-/// non-vendored `.rs` file.  Findings are sorted by (file, line, col).
+/// non-vendored `.rs` file as one [`analyze_sources`] set.
 pub fn analyze_workspace(root: &Path, enabled: &[&str]) -> Result<Analysis, String> {
-    let mut files = Vec::new();
-    collect_rs_files(root, &mut files)?;
-    let mut analysis = Analysis::default();
-    for path in files {
+    let mut paths = Vec::new();
+    collect_rs_files(root, &mut paths)?;
+    let mut sources = Vec::with_capacity(paths.len());
+    for path in paths {
         let rel = path
             .strip_prefix(root)
             .map_err(|_| format!("walker escaped the workspace root: {}", path.display()))?;
         let rel = rel.to_string_lossy().replace('\\', "/");
         let source = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        analysis.files_scanned += 1;
-        analysis
-            .findings
-            .extend(analyze_source(&rel, &source, enabled));
+        sources.push((rel, source));
     }
-    analysis
-        .findings
-        .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    Ok(analysis)
+    Ok(Analysis {
+        findings: analyze_sources(&sources, enabled),
+        files_scanned: sources.len(),
+    })
 }
 
 /// Find the workspace root: the nearest ancestor of `start` whose

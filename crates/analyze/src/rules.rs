@@ -8,6 +8,7 @@
 //! reasoned entry in the ratchet baseline.
 
 use crate::lexer::{Lexed, Tok, Token};
+use std::collections::BTreeMap;
 
 /// Where a file sits in the workspace, which decides rule applicability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +44,7 @@ pub const WALLCLOCK_IN_SIM: &str = "wallclock-in-sim";
 pub const UNWRAP_IN_LIB: &str = "unwrap-in-lib";
 pub const UNNAMED_REJECTION: &str = "unnamed-rejection";
 pub const MAP_IN_CYCLE_PATH: &str = "map-in-cycle-path";
+pub const DEAD_PUB: &str = "dead-pub";
 /// Meta-rule for malformed suppression pragmas; never suppressible.
 pub const PRAGMA: &str = "pragma";
 
@@ -82,6 +84,12 @@ pub const RULES: &[Rule] = &[
         summary: "BTreeMap/HashMap (and the Set variants) in per-cycle simulator \
                   files — the PR 9 raw-speed campaign replaced every one with flat \
                   state; new hot-path maps need a pragma proving they are cold",
+    },
+    Rule {
+        name: DEAD_PUB,
+        summary: "`pub fn`/`const`/`static` whose name no other file, and no non-test \
+                  code of its own file, mentions — the dead public functions PRs 16 \
+                  and 20 found by hand; the one cross-file rule",
     },
 ];
 
@@ -253,18 +261,39 @@ fn punct(tokens: &[Token], i: usize) -> Option<char> {
     }
 }
 
-/// Run every enabled rule over one lexed file.
-pub fn run_rules(
-    rel_path: &str,
+/// One workspace file, lexed once and shared by every rule.  Built only by
+/// [`SourceFile::new`], so its class and test regions match its path and
+/// tokens.
+pub struct SourceFile {
+    pub(crate) rel_path: String,
+    pub(crate) lexed: Lexed,
     class: FileClass,
-    lexed: &Lexed,
-    enabled: &[&str],
-) -> Vec<Finding> {
-    if class == FileClass::Test {
+    /// Its [`test_regions`].
+    regions: Vec<(usize, usize)>,
+}
+
+impl SourceFile {
+    pub fn new(rel_path: &str, source: &str) -> SourceFile {
+        let lexed = crate::lexer::lex(source);
+        let regions = test_regions(&lexed.tokens);
+        SourceFile {
+            rel_path: rel_path.to_string(),
+            class: classify(rel_path),
+            lexed,
+            regions,
+        }
+    }
+}
+
+/// Run every enabled single-file rule over one lexed file.
+pub fn run_rules(file: &SourceFile, enabled: &[&str]) -> Vec<Finding> {
+    if file.class == FileClass::Test {
         return Vec::new();
     }
-    let tokens = &lexed.tokens;
-    let regions = test_regions(tokens);
+    let rel_path = file.rel_path.as_str();
+    let class = file.class;
+    let tokens = &file.lexed.tokens;
+    let regions = &file.regions;
     let mut out = Vec::new();
     let on = |name: &str| enabled.contains(&name);
 
@@ -278,7 +307,7 @@ pub fn run_rules(
 
     if on(TRUNCATING_CAST) {
         for i in 0..tokens.len() {
-            if in_test(&regions, tokens[i].line) {
+            if in_test(regions, tokens[i].line) {
                 continue;
             }
             if ident(tokens, i) == Some("as") {
@@ -301,7 +330,7 @@ pub fn run_rules(
     if on(UNCHECKED_COUNTER_ADD) && class == FileClass::Lib {
         let is_counter = |s: &str| s.ends_with("_insts") || s.ends_with("seed");
         for i in 0..tokens.len() {
-            if in_test(&regions, tokens[i].line) {
+            if in_test(regions, tokens[i].line) {
                 continue;
             }
             let Some(name) = ident(tokens, i) else {
@@ -340,7 +369,7 @@ pub fn run_rules(
                     in_use = true
                 }
                 Some(name @ ("HashMap" | "HashSet"))
-                    if !in_use && !in_test(&regions, tokens[i].line) =>
+                    if !in_use && !in_test(regions, tokens[i].line) =>
                 {
                     out.push(finding(
                         NONDETERMINISTIC_ITERATION,
@@ -366,7 +395,7 @@ pub fn run_rules(
         && !WALLCLOCK_ALLOWED.iter().any(|p| rel_path.starts_with(p))
     {
         for i in 0..tokens.len() {
-            if in_test(&regions, tokens[i].line) {
+            if in_test(regions, tokens[i].line) {
                 continue;
             }
             if let Some(name @ ("Instant" | "SystemTime")) = ident(tokens, i) {
@@ -384,7 +413,7 @@ pub fn run_rules(
 
     if on(UNWRAP_IN_LIB) && class == FileClass::Lib {
         for i in 0..tokens.len() {
-            if in_test(&regions, tokens[i].line) || punct(tokens, i) != Some('.') {
+            if in_test(regions, tokens[i].line) || punct(tokens, i) != Some('.') {
                 continue;
             }
             let bad = match ident(tokens, i + 1) {
@@ -412,7 +441,7 @@ pub fn run_rules(
         && class == FileClass::Lib
         && REJECTION_PATHS.iter().any(|p| rel_path.starts_with(p))
     {
-        check_rejections(rel_path, tokens, &regions, &mut out);
+        check_rejections(rel_path, tokens, regions, &mut out);
     }
 
     if on(MAP_IN_CYCLE_PATH) && CYCLE_PATH_FILES.contains(&rel_path) {
@@ -423,7 +452,7 @@ pub fn run_rules(
                     in_use = true
                 }
                 Some(name @ ("BTreeMap" | "BTreeSet" | "HashMap" | "HashSet"))
-                    if !in_use && !in_test(&regions, tokens[i].line) =>
+                    if !in_use && !in_test(regions, tokens[i].line) =>
                 {
                     out.push(finding(
                         MAP_IN_CYCLE_PATH,
@@ -445,6 +474,94 @@ pub fn run_rules(
     }
 
     out
+}
+
+/// [`DEAD_PUB`], the one cross-file rule: a `pub fn`, `pub const` or
+/// `pub static` declared outside test code whose name no identifier token
+/// mentions, apart from its declaration and its own file's test regions.
+/// Every file counts as a user, test files included; comments and strings
+/// are not tokens, so prose or a message alone does not keep a name alive.
+pub fn dead_pub(files: &[SourceFile]) -> Vec<Finding> {
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    for f in files {
+        for name in name_uses(&f.lexed.tokens, |_| true) {
+            *uses.entry(name).or_default() += 1;
+        }
+    }
+    let mut out = Vec::new();
+    for f in files.iter().filter(|f| f.class != FileClass::Test) {
+        let tokens = &f.lexed.tokens;
+        let mut own_test_uses: BTreeMap<&str, usize> = BTreeMap::new();
+        for name in name_uses(tokens, |line| in_test(&f.regions, line)) {
+            *own_test_uses.entry(name).or_default() += 1;
+        }
+        for i in 0..tokens.len() {
+            if ident(tokens, i) != Some("pub") || in_test(&f.regions, tokens[i].line) {
+                continue;
+            }
+            let Some((kind, at)) = pub_item(tokens, i + 1) else {
+                continue;
+            };
+            let name = ident(tokens, at).unwrap_or_default();
+            let live = uses.get(name).copied().unwrap_or(0)
+                - own_test_uses.get(name).copied().unwrap_or(0);
+            if live == 0 {
+                out.push(Finding {
+                    rule: DEAD_PUB,
+                    file: f.rel_path.clone(),
+                    line: tokens[at].line,
+                    col: tokens[at].col,
+                    message: format!(
+                        "`pub {kind} {name}` is used nowhere outside its own file's \
+                         tests — delete it with its tests, or give it a caller"
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// The identifier tokens on lines `keep` accepts that are uses: every one
+/// except the name a `fn`, `const` or `static [mut]` declares.
+fn name_uses(tokens: &[Token], keep: impl Fn(usize) -> bool) -> impl Iterator<Item = &str> {
+    (0..tokens.len()).filter_map(move |i| {
+        let name = ident(tokens, i)?;
+        let declared = match ident(tokens, i.wrapping_sub(1)) {
+            Some("fn" | "const" | "static") => true,
+            Some("mut") => ident(tokens, i.wrapping_sub(2)) == Some("static"),
+            _ => false,
+        };
+        (!declared && keep(tokens[i].line)).then_some(name)
+    })
+}
+
+/// After a plain `pub` at `j`: the kind and name index of a `fn` (past any
+/// `const`/`unsafe`/`async`/`extern "abi"` qualifiers), `const` or
+/// `static [mut]` item.  `None` for every other item and for `pub(…)`.
+fn pub_item(tokens: &[Token], mut j: usize) -> Option<(&'static str, usize)> {
+    let kind = loop {
+        match ident(tokens, j)? {
+            "fn" => break "fn",
+            "static" => break "static",
+            "const"
+                if !matches!(
+                    ident(tokens, j + 1),
+                    Some("fn" | "unsafe" | "async" | "extern")
+                ) =>
+            {
+                break "const"
+            }
+            "const" | "unsafe" | "async" | "extern" => {}
+            _ => return None,
+        }
+        j += 1;
+        if matches!(tokens.get(j).map(|t| &t.kind), Some(Tok::Str(_))) {
+            j += 1;
+        }
+    };
+    let at = j + 1 + usize::from(kind == "static" && ident(tokens, j + 1) == Some("mut"));
+    ident(tokens, at).map(|_| (kind, at))
 }
 
 /// Scan `panic!`/`assert!`/`assert_eq!`/`assert_ne!` calls and demand that

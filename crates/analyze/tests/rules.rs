@@ -1,8 +1,9 @@
 //! Fixture-corpus tests: every rule must fire on its known-bad snippet
 //! (including the minimized PR 5 and PR 6 reproductions) and stay silent
-//! on the clean counterpart.
+//! on the clean counterpart.  The cross-file `dead-pub` rule's clean
+//! fixture is a set: the declaring file plus its users in `ok/dead_pub/`.
 
-use prestage_analyze::{analyze_source, rules};
+use prestage_analyze::{analyze_source, analyze_sources, rules};
 
 fn fixture(kind: &str, name: &str) -> String {
     let path = format!(
@@ -225,6 +226,61 @@ fn map_in_cycle_path_clean_fixture_is_silent() {
     assert!(fs.is_empty(), "{fs:?}");
 }
 
+/// Where the dead-pub fixtures live in the workspace they stand in for.
+const WIDGET_HOME: &str = "crates/cache/src/widget.rs";
+
+/// The clean dead-pub fixture's users, one per kind of place a use may come
+/// from: (home, fixture in `ok/dead_pub/`).  Each keeps `used_by_<fixture>`
+/// alive.
+const DEAD_PUB_USERS: [(&str, &str); 3] = [
+    ("crates/cache/src/other.rs", "other_tests"),
+    ("crates/cache/tests/widget.rs", "integration_test"),
+    ("perfbench/layers/src/bin/perfbench/w.rs", "perfbench"),
+];
+
+/// Run dead-pub over `widget` and every user but `dropped`.
+fn dead_pub_set(widget: &str, dropped: &str) -> Vec<rules::Finding> {
+    let mut set = vec![(WIDGET_HOME.to_string(), widget.to_string())];
+    for (home, name) in DEAD_PUB_USERS.into_iter().filter(|u| u.1 != dropped) {
+        set.push((home.to_string(), fixture("ok/dead_pub", name)));
+    }
+    analyze_sources(&set, &[rules::DEAD_PUB])
+}
+
+#[test]
+fn dead_pub_fires_on_own_test_uses_prose_and_strings() {
+    let fs = run(rules::DEAD_PUB, WIDGET_HOME, "bad", "dead_pub");
+    let named: Vec<_> = fs.iter().map(|f| f.message.split('`').nth(1)).collect();
+    let expected = [
+        "pub fn tested_only",
+        "pub fn prose_only",
+        "pub const UNUSED_LIMIT",
+        "pub static UNUSED_TABLE",
+    ];
+    assert_eq!(named, expected.map(Some), "{fs:?}");
+}
+
+#[test]
+fn dead_pub_each_kind_of_user_keeps_its_item_alive() {
+    let widget = fixture("ok", "dead_pub");
+    for (_, dropped) in DEAD_PUB_USERS {
+        let fs = dead_pub_set(&widget, dropped);
+        assert_eq!(fs.len(), 1, "without {dropped}: {fs:?}");
+        assert!(
+            fs[0].message.contains(&format!("fn used_by_{dropped}`")),
+            "{fs:?}"
+        );
+    }
+}
+
+#[test]
+fn dead_pub_pragma_suppresses() {
+    let widget = fixture("ok", "dead_pub").replace("// prestage: allow", "// allow");
+    let fs = dead_pub_set(&widget, "");
+    assert_eq!(fs.len(), 1, "{fs:?}");
+    assert!(fs[0].message.contains("kept_by_pragma"), "{fs:?}");
+}
+
 #[test]
 fn every_rule_has_a_firing_fixture() {
     // Belt and braces for the catalog: adding a rule without a bad
@@ -265,13 +321,18 @@ fn every_rule_has_a_firing_fixture() {
             "crates/sim/src/backend.rs",
             "map_in_cycle_path",
         ),
+        (rules::DEAD_PUB, WIDGET_HOME, "dead_pub"),
     ];
     assert_eq!(homes.len(), prestage_analyze::RULES.len());
     for (rule, home, name) in homes {
         let bad = analyze_source(home, &fixture("bad", name), &[rule]);
         assert!(!bad.is_empty(), "rule {rule} has no firing bad fixture");
         assert!(bad.iter().all(|f| f.rule == rule), "{rule}: {bad:?}");
-        let ok = analyze_source(home, &fixture("ok", name), &[rule]);
+        let ok = if rule == rules::DEAD_PUB {
+            dead_pub_set(&fixture("ok", name), "")
+        } else {
+            analyze_source(home, &fixture("ok", name), &[rule])
+        };
         assert!(
             ok.is_empty(),
             "rule {rule} fires on its clean fixture: {ok:?}"

@@ -14,10 +14,9 @@ use crate::stream::{
     static_fallback_walk, FetchBlockPredictor, StreamDesc, StreamEnd, StreamPrediction,
 };
 use prestage_isa::{Addr, Program, INST_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the cascaded stream predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamPredictorConfig {
     /// First-level (PC-indexed) entries.  Paper: 1024.
     pub l1_entries: usize,
@@ -84,7 +83,7 @@ pub struct TrainToken {
 }
 
 /// Prediction accuracy and table-usage counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredStats {
     pub predictions: u64,
     pub l1_supplied: u64,
@@ -92,16 +91,6 @@ pub struct PredStats {
     pub fallback_supplied: u64,
     pub trained: u64,
     pub train_correct: u64,
-}
-
-impl PredStats {
-    /// Fraction of trained predictions that were correct.
-    pub fn accuracy(&self) -> f64 {
-        if self.trained == 0 {
-            return 0.0;
-        }
-        self.train_correct as f64 / self.trained as f64
-    }
 }
 
 /// Checkpoint of all speculative predictor state.
@@ -534,6 +523,5 @@ mod tests {
         let _ = p.predict(0x1000, &prog);
         assert_eq!(p.stats().predictions, 2);
         assert!(p.stats().l1_supplied + p.stats().l2_supplied >= 1);
-        assert!((p.stats().accuracy() - 0.0).abs() < 1e-9);
     }
 }

@@ -1,12 +1,11 @@
 //! Checkpointable return address stack (8 entries per Table 2).
 
 use prestage_isa::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Circular return address stack.  Overflow silently wraps (overwriting the
 /// oldest entry) and underflow returns the bottom value — the standard
 /// hardware behaviours.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReturnAddressStack {
     entries: Vec<Addr>,
     /// Index of the next push slot.
@@ -24,7 +23,7 @@ pub const MAX_RAS_ENTRIES: usize = 16;
 /// cleverness, and restoring is exact even across overflows.  The entries
 /// live in a fixed inline array (`MAX_RAS_ENTRIES`) so taking a snapshot
 /// is a flat memcpy with no allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RasSnapshot {
     entries: [Addr; MAX_RAS_ENTRIES],
     top: usize,

@@ -1,7 +1,6 @@
 //! Instruction streams: the fetch entity predicted by the front-end.
 
 use prestage_isa::{Addr, Program, INST_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Maximum instructions in one stream / fetch block.  Streams longer than
 /// this are split by the segmentation logic (a "sequential break"), bounding
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_STREAM_INSTS: u32 = 64;
 
 /// Why a stream ended.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum StreamEnd {
     /// Taken conditional branch or unconditional jump.
     #[default]
@@ -24,7 +23,7 @@ pub enum StreamEnd {
 
 /// A dynamic stream: `len` sequential instructions from `start`, continuing
 /// at `next`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamDesc {
     pub start: Addr,
     /// Number of instructions, `1..=MAX_STREAM_INSTS`.

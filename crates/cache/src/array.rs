@@ -2,10 +2,9 @@
 
 use crate::lru::LruSet;
 use prestage_isa::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters for one array.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
@@ -23,7 +22,7 @@ pub struct CacheStats {
 /// [`FillClass::Prefetch`] — speculative lines whose usefulness is not yet
 /// proven.  Per Jamet et al., naive MRU insertion of speculative lines can
 /// erase a prefetcher's front-end gains by evicting demand-hot lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertionPolicy {
     /// Insert at MRU, exactly like a demand fill (the historical behavior).
     Mru,
@@ -252,16 +251,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Remove the line containing `addr` if present.
-    pub fn invalidate(&mut self, addr: Addr) -> bool {
-        if let Some((set, way)) = self.find(addr) {
-            self.valid[set * self.assoc + way] = false;
-            true
-        } else {
-            false
-        }
-    }
-
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
@@ -352,17 +341,6 @@ mod tests {
         c.fill(0x080);
         let victim = c.fill(0x100);
         assert_eq!(victim, Some((0x000, true)));
-    }
-
-    #[test]
-    fn invalidate_and_flush() {
-        let mut c = SetAssocCache::new(256, 64, 4);
-        c.fill(0x00);
-        c.fill(0x40);
-        assert!(c.invalidate(0x00));
-        assert!(!c.invalidate(0x00));
-        assert_eq!(c.occupancy(), 1);
-        assert!(c.contains(0x40));
     }
 
     #[test]

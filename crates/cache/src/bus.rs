@@ -19,12 +19,11 @@
 use crate::array::SetAssocCache;
 use prestage_cacti::{latency_cycles, CacheGeometry, TechNode};
 use prestage_isa::{align_line, Addr};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Requestor classes, in strictly decreasing bus priority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ReqClass {
     /// L1 data-cache demand misses and writebacks.
     DCache = 0,
@@ -35,11 +34,11 @@ pub enum ReqClass {
 }
 
 /// Handle for an outstanding request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReqId(pub u64);
 
 /// Where a completed request's data came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSource {
     /// Unified L2 hit.
     L2,
@@ -60,7 +59,7 @@ pub struct Completion {
 }
 
 /// Static configuration of the L2 system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct L2Config {
     pub capacity: usize,
     pub line: usize,
@@ -89,7 +88,7 @@ impl L2Config {
 }
 
 /// Bus/L2/memory statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusStats {
     pub grants_dcache: u64,
     pub grants_ifetch: u64,

@@ -43,18 +43,6 @@ impl LruSet {
             .unwrap_or(0)
     }
 
-    /// The least recently used way among `eligible` (e.g. CLGP restricts
-    /// replacement to entries with a zero consumers counter).  Returns
-    /// `None` when no way is eligible.
-    pub fn lru_among(&self, mut eligible: impl FnMut(usize) -> bool) -> Option<usize> {
-        self.rank
-            .iter()
-            .enumerate()
-            .filter(|&(way, _)| eligible(way))
-            .max_by_key(|&(_, &r)| r)
-            .map(|(way, _)| way)
-    }
-
     /// Mark `way` least recently used (the dual of [`touch`](Self::touch)).
     ///
     /// Used by the insert-at-LRU fill policy for speculative lines: the way
@@ -113,15 +101,6 @@ mod tests {
         l.touch(1);
         assert_eq!(l.rank_of(1), 0);
         assert_eq!(l.lru(), 2);
-    }
-
-    #[test]
-    fn lru_among_respects_eligibility() {
-        let mut l = LruSet::new(4);
-        l.touch(3); // ranks now: 3->0, 0->1, 1->2, 2->3
-        assert_eq!(l.lru_among(|w| w != 2), Some(1));
-        assert_eq!(l.lru_among(|w| w == 3), Some(3));
-        assert_eq!(l.lru_among(|_| false), None);
     }
 
     #[test]

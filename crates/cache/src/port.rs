@@ -9,10 +9,8 @@
 //! that: `start` returns when the access's data is available, while the
 //! internal occupancy decides how soon the *next* access may begin.
 
-use serde::{Deserialize, Serialize};
-
 /// One port of a storage array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayPort {
     /// Access latency in cycles (≥ 1).
     latency: u32,
@@ -38,17 +36,6 @@ impl ArrayPort {
         self.latency
     }
 
-    /// Number of pipeline stages this array contributes to the front-end:
-    /// `latency` when pipelined, 1 otherwise (a non-pipelined array is a
-    /// single long stage; it stalls instead of deepening the pipe).
-    pub fn pipeline_stages(&self) -> u32 {
-        if self.pipelined {
-            self.latency
-        } else {
-            1
-        }
-    }
-
     /// Earliest cycle ≥ `now` at which an access could start.
     pub fn next_start(&self, now: u64) -> u64 {
         now.max(self.free_at)
@@ -70,11 +57,6 @@ impl ArrayPort {
                 self.latency as u64
             };
         begin + self.latency as u64
-    }
-
-    /// Discard any in-flight occupancy (pipeline flush).
-    pub fn reset(&mut self) {
-        self.free_at = 0;
     }
 }
 
@@ -108,20 +90,5 @@ mod tests {
         assert_eq!(p.start(2), 6);
         // Two starts in the same cycle still serialise by one cycle.
         assert_eq!(p.start(2), 7);
-    }
-
-    #[test]
-    fn pipeline_stage_accounting() {
-        assert_eq!(ArrayPort::new(4, true).pipeline_stages(), 4);
-        assert_eq!(ArrayPort::new(4, false).pipeline_stages(), 1);
-        assert_eq!(ArrayPort::new(1, true).pipeline_stages(), 1);
-    }
-
-    #[test]
-    fn reset_clears_occupancy() {
-        let mut p = ArrayPort::new(3, false);
-        p.start(5);
-        p.reset();
-        assert!(p.can_start(0));
     }
 }

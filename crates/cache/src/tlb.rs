@@ -15,10 +15,9 @@
 
 use crate::lru::LruSet;
 use prestage_isa::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for an instruction TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ITlbConfig {
     /// Total translation entries (all ways).
     pub entries: usize,
@@ -202,13 +201,6 @@ impl ITlb {
         now.saturating_add(self.miss_cycles)
     }
 
-    /// Presence probe with no replacement or statistics side effects — what
-    /// a mechanism uses to *probe around* a would-be miss instead of paying
-    /// for the walk.
-    pub fn probe(&self, addr: Addr) -> bool {
-        self.find(self.page_num(addr)).is_some()
-    }
-
     /// Fixed page-walk latency this TLB charges on a miss.
     pub fn miss_cycles(&self) -> u64 {
         self.miss_cycles
@@ -289,6 +281,11 @@ mod tests {
         })
     }
 
+    /// Whether `addr`'s page is resident, read without touching LRU or stats.
+    fn resident(t: &ITlb, addr: Addr) -> bool {
+        t.find(t.page_num(addr)).is_some()
+    }
+
     #[test]
     fn miss_then_hit_within_page() {
         let mut t = tiny();
@@ -300,17 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_is_side_effect_free() {
-        let mut t = tiny();
-        assert!(!t.probe(0x5000));
-        t.translate(0x5000, 0);
-        assert!(t.probe(0x5000));
-        let stats_before = *t.stats();
-        assert!(t.probe(0x5000));
-        assert_eq!(*t.stats(), stats_before);
-    }
-
-    #[test]
     fn lru_eviction_within_set() {
         // 4 sets, 2 ways; pages 0, 4, 8 share set 0.
         let mut t = tiny();
@@ -318,9 +304,9 @@ mod tests {
         t.translate(0x4000, 0);
         t.translate(0x0000, 0); // refresh page 0
         t.translate(0x8000, 0); // evicts page 4
-        assert!(t.probe(0x0000));
-        assert!(!t.probe(0x4000));
-        assert!(t.probe(0x8000));
+        assert!(resident(&t, 0x0000));
+        assert!(!resident(&t, 0x4000));
+        assert!(resident(&t, 0x8000));
     }
 
     #[test]
@@ -334,7 +320,11 @@ mod tests {
         u.restore(&cp);
         // Identical contents…
         for page in 0..16u64 {
-            assert_eq!(t.probe(page << 12), u.probe(page << 12), "page {page}");
+            assert_eq!(
+                resident(&t, page << 12),
+                resident(&u, page << 12),
+                "page {page}"
+            );
         }
         // …and identical future behavior (replacement state restored too).
         for (addr, at) in [(0x3000u64, 20u64), (0x1000, 21), (0xb000, 22), (0x7000, 23)] {
@@ -351,7 +341,7 @@ mod tests {
         let mut t = tiny();
         t.translate(0x1000, 0);
         t.restore(&TlbCheckpoint::default());
-        assert!(t.probe(0x1000));
+        assert!(resident(&t, 0x1000));
     }
 
     #[test]

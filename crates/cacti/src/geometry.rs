@@ -1,9 +1,7 @@
 //! Cache geometry descriptions and candidate array organisations.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical description of a cache-like SRAM structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub capacity: usize,
@@ -63,11 +61,6 @@ impl CacheGeometry {
         (self.capacity / (self.line * self.assoc)).max(1)
     }
 
-    /// True if this is a single-set (fully associative) structure.
-    pub fn is_fully_associative(&self) -> bool {
-        self.sets() == 1
-    }
-
     /// Total data bits stored.
     pub fn data_bits(&self) -> usize {
         self.capacity * 8
@@ -83,7 +76,6 @@ mod tests {
         let g = CacheGeometry::new(4096, 64, 2, 1);
         assert_eq!(g.lines(), 64);
         assert_eq!(g.sets(), 32);
-        assert!(!g.is_fully_associative());
     }
 
     #[test]
@@ -91,7 +83,6 @@ mod tests {
         let g = CacheGeometry::fully_associative(256, 64, 1);
         assert_eq!(g.sets(), 1);
         assert_eq!(g.assoc, 4);
-        assert!(g.is_fully_associative());
     }
 
     #[test]

@@ -16,10 +16,9 @@
 
 use prestage_cache::ReqId;
 use prestage_isa::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Replacement/usage semantics of the buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PbKind {
     /// FDP prefetch buffer: free-on-use.
     Fdp,
@@ -193,24 +192,6 @@ impl PreBuffer {
         true
     }
 
-    /// Install an already-available line directly (e.g. a CLGP prefetch
-    /// that found the line in the L1 and copies it over after the L1
-    /// latency; the caller models the delay by calling this at arrival
-    /// time).  Same replacement rules as [`PreBuffer::allocate`].
-    pub fn install_valid(&mut self, line: Addr) -> bool {
-        if let Some(i) = self.find(line) {
-            self.entries[i].state = EntryState::Valid;
-            return true;
-        }
-        // Reuse allocate's victim policy with a dummy id, then mark valid.
-        if !self.allocate(line, ReqId(u64::MAX)) {
-            return false;
-        }
-        let i = self.find(line).expect("just allocated");
-        self.entries[i].state = EntryState::Valid;
-        true
-    }
-
     /// A prefetch completion arrived: mark the pending entry valid.
     /// Returns the line if an entry was still waiting for this request
     /// (it may have been replaced meanwhile — then the fill is dropped).
@@ -259,11 +240,6 @@ impl PreBuffer {
             .iter()
             .filter(|e| e.state != EntryState::Empty)
             .count()
-    }
-
-    /// Sum of consumers counters (CLGP pressure metric).
-    pub fn total_consumers(&self) -> u32 {
-        self.entries.iter().map(|e| e.consumers).sum()
     }
 }
 
@@ -350,7 +326,6 @@ mod tests {
         pb.bump_consumers(0x1000);
         pb.complete(R1);
         pb.on_mispredict();
-        assert_eq!(pb.total_consumers(), 0);
         // Line still answers hits (useful wrong-path line)...
         assert_eq!(pb.lookup(0x1000), PbLookup::Valid);
         // ...but is replaceable by new correct-path prefetches.
@@ -368,17 +343,6 @@ mod tests {
                                           // The late completion for the replaced request is dropped.
         assert_eq!(pb.complete(R1), None);
         assert_eq!(pb.complete(R2), Some(0x2000));
-    }
-
-    #[test]
-    fn install_valid_immediate() {
-        let mut pb = PreBuffer::new(PbKind::Clgp, 2);
-        assert!(pb.install_valid(0x7000));
-        assert_eq!(pb.lookup(0x7000), PbLookup::Valid);
-        // Installing over a pending entry upgrades it.
-        pb.allocate(0x8000, R1);
-        assert!(pb.install_valid(0x8000));
-        assert_eq!(pb.lookup(0x8000), PbLookup::Valid);
     }
 
     #[test]

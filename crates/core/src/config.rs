@@ -2,7 +2,6 @@
 
 use prestage_cache::{ITlbConfig, InsertionPolicy};
 use prestage_cacti::{latency_cycles, CacheGeometry, TechNode};
-use serde::{Deserialize, Serialize};
 
 /// Which prefetch engine drives the pre-buffer.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// [`InstrPrefetcher`](crate::prefetch::InstrPrefetcher) trait; the
 /// front-end is generic over the mechanism and the registry hook is the
 /// monomorphic `InstrPrefetcher::from_config`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetcherKind {
     /// No prefetching (baseline).
     None,
@@ -74,7 +73,7 @@ impl PrefetcherKind {
 }
 
 /// Static configuration of the front-end.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontendConfig {
     pub tech: TechNode,
     /// Instructions delivered per cycle (Table 2: 4).
@@ -304,31 +303,6 @@ impl FrontendConfig {
         let g = CacheGeometry::fully_associative(bytes, self.line_bytes as usize, 1);
         latency_cycles(&g, self.tech)
     }
-
-    /// Extra pipeline stages the fetch stage contributes beyond one:
-    /// pipelined arrays insert their full latency into the front-end,
-    /// which is what inflates the branch-misprediction penalty (§1).
-    pub fn fetch_pipeline_stages(&self) -> u32 {
-        let mut stages = 1;
-        if self.l1_pipelined {
-            stages = stages.max(self.l1_latency());
-        }
-        if self.pb_pipelined {
-            stages = stages.max(self.pb_latency());
-        }
-        stages
-    }
-
-    /// Total one-cycle-reachable cache budget in bytes (pre-buffer + L0),
-    /// used for the paper's hardware-budget comparisons.
-    pub fn one_cycle_budget_bytes(&self) -> usize {
-        self.pb_entries * self.line_bytes as usize + self.l0_capacity.unwrap_or(0)
-    }
-
-    /// Total front-end storage budget (pre-buffer + L0 + L1).
-    pub fn total_budget_bytes(&self) -> usize {
-        self.one_cycle_budget_bytes() + self.l1_capacity
-    }
 }
 
 #[cfg(test)]
@@ -368,18 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_stage_depth_tracks_pipelined_arrays() {
-        let mut c = FrontendConfig::base(TechNode::T045, 64 << 10);
-        assert_eq!(c.fetch_pipeline_stages(), 1);
-        c.l1_pipelined = true;
-        assert_eq!(c.fetch_pipeline_stages(), 5); // 64KB @0.045 = 5 cycles
-        c.l1_pipelined = false;
-        c.pb_entries = 16;
-        c.pb_pipelined = true;
-        assert_eq!(c.fetch_pipeline_stages(), 3);
-    }
-
-    #[test]
     fn itlb_validation_is_threaded_through() {
         let mut c = FrontendConfig::base(TechNode::T090, 4 << 10);
         assert!(c.validate().is_ok());
@@ -396,15 +358,5 @@ mod tests {
             ..ITlbConfig::default_config()
         });
         assert!(c.validate().unwrap_err().contains("itlb entries"));
-    }
-
-    #[test]
-    fn budget_accounting() {
-        let mut c = FrontendConfig::base(TechNode::T090, 1 << 10);
-        c.pb_entries = 16;
-        c.l0_capacity = Some(512);
-        // 1KB PB + 0.5KB L0 + 1KB L1 = 2.5KB: the paper's §5.1 example.
-        assert_eq!(c.total_budget_bytes(), 2560);
-        assert_eq!(c.one_cycle_budget_bytes(), 1536);
     }
 }

@@ -44,14 +44,13 @@ use crate::queue::{FetchQueue, LineSlot, QueueKind};
 use crate::stats::FrontStats;
 use prestage_cache::{
     ArrayPort, Completion, FillClass, ITlb, L2System, MemSource, ReqClass, ReqId, SetAssocCache,
-    TlbCheckpoint, TlbStats,
+    TlbCheckpoint,
 };
 use prestage_isa::{Addr, INST_BYTES};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Where a fetched line came from (Figure 7 categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FetchSource {
     PreBuffer,
     L0,
@@ -320,11 +319,6 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
     /// area/energy accounting); 0 for the no-prefetch baseline.
     pub fn prefetcher_state_bytes(&self) -> usize {
         self.pf.state_bytes()
-    }
-
-    /// i-TLB hit/miss counters, when a TLB is configured.
-    pub fn tlb_stats(&self) -> Option<TlbStats> {
-        self.tlb.as_ref().map(|t| *t.stats())
     }
 
     /// Snapshot the i-TLB contents (tags + replacement state) — taken by

@@ -14,11 +14,10 @@
 //! one structure serves FDP, CLGP and the no-prefetch baseline.
 
 use prestage_isa::{align_line, Addr, INST_BYTES};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Presentation/bookkeeping granularity of the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
     /// Fetch target queue: one logical entry per fetch block (FDP).
     Ftq,
@@ -96,11 +95,6 @@ impl FetchQueue {
         self.n_blocks
     }
 
-    /// Number of queued line slots.
-    pub fn len_lines(&self) -> usize {
-        self.lines.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.n_blocks == 0
     }
@@ -166,11 +160,6 @@ impl FetchQueue {
         self.lines.get_mut(self.pf_cursor)
     }
 
-    /// Iterate all queued slots front to back.
-    pub fn iter_lines(&self) -> impl Iterator<Item = &LineSlot> {
-        self.lines.iter()
-    }
-
     /// Drop everything (branch misprediction).
     pub fn flush(&mut self) {
         self.lines.clear();
@@ -193,8 +182,8 @@ mod tests {
         // 20 insts from 0x1030: bytes [0x1030, 0x1080): lines 0x1000, 0x1040.
         assert!(q.push_block(1, 0x1030, 20));
         assert_eq!(q.len_blocks(), 1);
-        assert_eq!(q.len_lines(), 2);
-        let slots: Vec<_> = q.iter_lines().cloned().collect();
+        assert_eq!(q.lines.len(), 2);
+        let slots: Vec<_> = q.lines.iter().cloned().collect();
         assert_eq!(slots[0].line, 0x1000);
         assert_eq!(slots[0].first_pc, 0x1030);
         assert_eq!(slots[0].n_insts, 4);
@@ -215,7 +204,7 @@ mod tests {
         assert!(!q.has_space());
         assert!(!q.push_block(99, 0x9000, 4));
         assert_eq!(q.len_blocks(), 8);
-        assert_eq!(q.len_lines(), 24);
+        assert_eq!(q.lines.len(), 24);
     }
 
     #[test]
@@ -266,7 +255,7 @@ mod tests {
         q.push_block(1, 0x1000, 64);
         q.flush();
         assert!(q.is_empty());
-        assert_eq!(q.len_lines(), 0);
+        assert_eq!(q.lines.len(), 0);
         assert!(q.head_line().is_none());
     }
 
@@ -274,7 +263,7 @@ mod tests {
     fn single_line_block() {
         let mut q = q();
         q.push_block(7, 0x1004, 3); // [0x1004, 0x1010): one line
-        assert_eq!(q.len_lines(), 1);
+        assert_eq!(q.lines.len(), 1);
         let s = q.head_line().unwrap();
         assert_eq!(s.n_insts, 3);
         assert!(s.last_of_block);
@@ -285,10 +274,10 @@ mod tests {
         let mut q = q();
         // 64 insts = 256 bytes from a line boundary = exactly 4 lines.
         q.push_block(1, 0x4000, 64);
-        assert_eq!(q.len_lines(), 4);
+        assert_eq!(q.lines.len(), 4);
         // Misaligned start adds one line.
         q.push_block(2, 0x5004, 64);
-        assert_eq!(q.len_lines(), 4 + 5);
+        assert_eq!(q.lines.len(), 4 + 5);
     }
 
     #[test]
@@ -300,7 +289,7 @@ mod tests {
         let start = 0xFFFF_FFFF_FFFF_F004; // line-misaligned, near the top
         let len = 48u32;
         assert!(q.push_block(7, start, len));
-        let slots: Vec<_> = q.iter_lines().cloned().collect();
+        let slots: Vec<_> = q.lines.iter().cloned().collect();
         assert_eq!(slots.iter().map(|s| s.n_insts).sum::<u32>(), len);
         assert!(slots.iter().all(|s| s.n_insts >= 1 && s.n_insts <= 16));
         assert_eq!(slots.first().map(|s| s.first_pc), Some(start));

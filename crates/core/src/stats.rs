@@ -1,17 +1,15 @@
 //! Front-end statistics: the raw counters behind Figures 7 and 8.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters for one storage source, tracked both per fetched line and per
 /// delivered instruction (the paper's Figure 7 plots per-fetch shares).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SourceCount {
     pub lines: u64,
     pub insts: u64,
 }
 
 /// All front-end counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontStats {
     // -- Fetch sources (Figure 7) --
     pub fetch_pb: SourceCount,

@@ -23,16 +23,6 @@ pub fn line_of(addr: Addr, line: u64) -> u64 {
     addr >> line.trailing_zeros()
 }
 
-/// Number of `line`-byte cache lines touched by the byte range
-/// `[start, start + bytes)`.
-#[inline]
-pub fn lines_spanned(start: Addr, bytes: u64, line: u64) -> u64 {
-    if bytes == 0 {
-        return 0;
-    }
-    line_of(start + bytes - 1, line) - line_of(start, line) + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,16 +40,5 @@ mod tests {
         assert_eq!(line_of(63, 64), 0);
         assert_eq!(line_of(64, 64), 1);
         assert_eq!(line_of(0x1000, 128), 0x20);
-    }
-
-    #[test]
-    fn span_counting() {
-        assert_eq!(lines_spanned(0, 64, 64), 1);
-        assert_eq!(lines_spanned(0, 65, 64), 2);
-        assert_eq!(lines_spanned(60, 8, 64), 2);
-        assert_eq!(lines_spanned(60, 4, 64), 1);
-        assert_eq!(lines_spanned(100, 0, 64), 0);
-        // A 17-instruction stream starting mid-line touches 2-3 lines.
-        assert_eq!(lines_spanned(32, 17 * 4, 64), 2);
     }
 }

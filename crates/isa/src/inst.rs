@@ -2,7 +2,6 @@
 //! per-instruction record stored in the basic-block dictionary.
 
 use crate::addr::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Total architectural registers: 32 integer + 32 floating point.
 pub const NUM_REGS: usize = 64;
@@ -12,7 +11,7 @@ pub const FIRST_FP_REG: u8 = 32;
 pub const REG_ZERO: Reg = Reg(31);
 
 /// An architectural register.  `0..32` integer, `32..64` floating point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -46,7 +45,7 @@ impl Reg {
 /// The back-end only needs classes (for latency and port binding), not full
 /// opcodes — the same granularity the paper's trace simulator keeps in its
 /// basic-block dictionary ("type, source/target registers").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Single-cycle integer ALU operation.
     IntAlu,
@@ -95,11 +94,6 @@ impl OpClass {
         )
     }
 
-    /// Conditional branch (the only class the direction predictor guesses).
-    pub fn is_cond_branch(self) -> bool {
-        matches!(self, OpClass::CondBranch)
-    }
-
     /// Touches data memory.
     pub fn is_mem(self) -> bool {
         matches!(self, OpClass::Load | OpClass::Store)
@@ -107,7 +101,7 @@ impl OpClass {
 }
 
 /// One static instruction in the basic-block dictionary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticInst {
     /// Program counter of this instruction.
     pub pc: Addr,
@@ -167,14 +161,6 @@ impl StaticInst {
         self.pc + crate::addr::INST_BYTES
     }
 
-    /// Sources that actually create dependencies (zero register excluded).
-    pub fn dep_sources(&self) -> impl Iterator<Item = Reg> + '_ {
-        [self.src1, self.src2]
-            .into_iter()
-            .flatten()
-            .filter(|r| !r.is_zero())
-    }
-
     /// Destination that actually produces a value (zero register excluded).
     pub fn dep_dest(&self) -> Option<Reg> {
         self.dst.filter(|r| !r.is_zero())
@@ -196,8 +182,6 @@ mod tests {
         assert!(OpClass::CondBranch.is_cti());
         assert!(OpClass::Return.is_cti());
         assert!(!OpClass::Load.is_cti());
-        assert!(OpClass::CondBranch.is_cond_branch());
-        assert!(!OpClass::Jump.is_cond_branch());
     }
 
     #[test]
@@ -210,8 +194,6 @@ mod tests {
             Some(REG_ZERO),
         );
         assert_eq!(i.dep_dest(), None);
-        let srcs: Vec<_> = i.dep_sources().collect();
-        assert_eq!(srcs, vec![Reg::int(3)]);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use crate::addr::{Addr, INST_BYTES};
 use crate::block::{BasicBlock, BlockId, Terminator};
 use crate::inst::StaticInst;
-use serde::{Deserialize, Serialize};
 
 /// Errors detected while assembling a [`Program`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +43,7 @@ impl std::fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// An immutable static program image (basic-block dictionary).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     /// Blocks sorted by start address; `BlockId` indexes this vector.
     blocks: Vec<BasicBlock>,
@@ -68,16 +67,6 @@ impl Program {
         self.entry
     }
 
-    /// Static code footprint in bytes: highest end minus lowest start.
-    /// (The builders lay blocks out contiguously, so this equals the true
-    /// instruction bytes for generated programs.)
-    pub fn footprint_bytes(&self) -> u64 {
-        if self.blocks.is_empty() {
-            return 0;
-        }
-        self.blocks.last().unwrap().end() - self.blocks[0].start
-    }
-
     /// All blocks, in address order.
     pub fn blocks(&self) -> &[BasicBlock] {
         &self.blocks
@@ -96,12 +85,6 @@ impl Program {
         }
         let b = &self.blocks[idx - 1];
         b.contains(pc).then_some(b)
-    }
-
-    /// The block *starting* at `pc`, if any.
-    pub fn block_starting_at(&self, pc: Addr) -> Option<&BasicBlock> {
-        let idx = self.blocks.binary_search_by_key(&pc, |b| b.start).ok()?;
-        Some(&self.blocks[idx])
     }
 
     /// The static instruction at `pc`, if mapped.
@@ -253,14 +236,11 @@ mod tests {
         assert_eq!(p.num_blocks(), 2);
         assert_eq!(p.num_insts(), 9);
         assert_eq!(p.entry(), 0x1000);
-        assert_eq!(p.footprint_bytes(), 0x24);
         assert!(p.block_at(0x100c).unwrap().contains(0x100c));
         assert_eq!(p.inst_at(0x100c).unwrap().op, OpClass::CondBranch);
         assert_eq!(p.inst_at(0x1020).unwrap().op, OpClass::Return);
         assert!(p.inst_at(0x0).is_none());
         assert!(p.inst_at(0x1024).is_none());
-        assert!(p.block_starting_at(0x1010).is_some());
-        assert!(p.block_starting_at(0x1014).is_none());
     }
 
     #[test]

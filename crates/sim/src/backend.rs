@@ -17,11 +17,10 @@
 
 use prestage_cache::{Completion, L2System, ReqClass, ReqId, SetAssocCache};
 use prestage_isa::{Addr, OpClass, Reg, StaticInst, NUM_REGS};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Back-end configuration (Table 2 defaults via [`BackendConfig::default`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendConfig {
     /// Issue and commit width.
     pub width: u32,
@@ -52,7 +51,7 @@ impl Default for BackendConfig {
 }
 
 /// Back-end statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendStats {
     pub committed: u64,
     pub loads: u64,
@@ -505,11 +504,6 @@ impl BackEnd {
         wake.clear();
         self.wake_buf = wake;
     }
-
-    /// Warm the D-cache directory (pre-measurement warm-up).
-    pub fn warm_dcache(&mut self, addr: Addr) {
-        self.dcache.fill(addr);
-    }
 }
 
 #[cfg(test)]
@@ -605,7 +599,7 @@ mod tests {
         let mut l2s = l2();
         // 6 independent load hits; 2 ports -> at least 3 issue cycles.
         for i in 0..6u64 {
-            be.warm_dcache(0x5000 + i * 8);
+            be.dcache.fill(0x5000 + i * 8);
             let ld = StaticInst::plain(
                 0x1000 + i * 4,
                 OpClass::Load,

@@ -57,6 +57,10 @@ pub const L1_SIZES: [usize; 9] = [
     64 << 10,
 ];
 
+/// The largest L1 capacity a spec may name: 1 MiB, the top of the CACTI
+/// calibration range (Table 3's L2 anchor in `prestage_cacti::delay`).
+const MAX_L1_BYTES: usize = 1 << 20;
+
 /// Schema version of every JSON artifact this module writes, and the only
 /// one it reads.  Schema 2 added the `trace` field, schema 3 the
 /// `prefetcher` mechanism override, schema 4 the memory-system model
@@ -379,6 +383,12 @@ impl ExperimentSpec {
                     "l1_sizes entry {s} is not a power of two — cache sets \
                      are mask-indexed and a non-power-of-two capacity would \
                      silently alias addresses"
+                ));
+            }
+            if *s > MAX_L1_BYTES {
+                return Err(format!(
+                    "l1_sizes entry {s} exceeds {MAX_L1_BYTES} (1 MiB), the largest \
+                     capacity the CACTI latency model is calibrated at"
                 ));
             }
         }
@@ -1155,6 +1165,13 @@ mod tests {
         let mut s = tiny_spec();
         s.l1_sizes = vec![1 << 10, 4 << 10, 1 << 10];
         assert!(s.validate().unwrap_err().contains("duplicate L1 size 1024"));
+        // Unbounded, 1 GiB wedges the engine and 2^62 B cannot be allocated.
+        for huge in [1 << 30, 1 << 62] {
+            let mut s = tiny_spec();
+            s.l1_sizes = vec![1 << 20, huge];
+            let e = s.validate().unwrap_err();
+            assert!(e.contains(&format!("l1_sizes entry {huge} exceeds")), "{e}");
+        }
         let mut s = tiny_spec();
         s.bench = Some(vec![]);
         assert!(s.validate().unwrap_err().contains("matches no benchmarks"));

@@ -3,7 +3,6 @@
 use prestage_bpred::PredStats;
 use prestage_cache::BusStats;
 use prestage_core::FrontStats;
-use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendStats;
 
@@ -13,7 +12,7 @@ use crate::backend::BackendStats;
 /// equality is exact and the JSON codec in the `wire` module round-trips a
 /// run bit-for-bit — the property the `prestage shard`/`merge` pipeline
 /// relies on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Benchmark-identifying seed the run used.
     pub seed: u64,

@@ -20,7 +20,6 @@ use prestage_isa::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Base address of the code image.
@@ -33,7 +32,7 @@ pub const ARRAY_BASE: Addr = 0x2000_0000;
 pub const HEAP_BASE: Addr = 0x4000_0000;
 
 /// Deterministic behavioural model of one static conditional branch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BranchModel {
     /// Taken with fixed probability (strongly biased = easy; mid-range =
     /// hard, data-dependent).
@@ -49,7 +48,7 @@ pub enum BranchModel {
 }
 
 /// Deterministic address model of one static load/store.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemModel {
     /// Sequential walk: `base + (visit * stride) % span`.
     Stride { base: Addr, stride: u32, span: u32 },
@@ -60,7 +59,7 @@ pub enum MemModel {
 }
 
 /// Behavioural annotations for one basic block.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockControl {
     /// Model for the terminating conditional branch, if any.
     pub branch: Option<BranchModel>,

@@ -18,10 +18,9 @@ use prestage_bpred::{StreamDesc, StreamEnd, MAX_STREAM_INSTS};
 use prestage_isa::{Addr, BasicBlock, BlockId, OpClass, Terminator, INST_BYTES};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One dynamically executed instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynInst {
     pub pc: Addr,
     pub op: OpClass,
@@ -97,11 +96,6 @@ impl<'w> TraceGenerator<'w> {
     /// Total instructions emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
-    }
-
-    /// Current call depth (RAS pressure indicator).
-    pub fn call_depth(&self) -> usize {
-        self.call_stack.len()
     }
 
     /// `slot` is the flat counter index of the site (`mem_slot_base[block]
@@ -440,8 +434,8 @@ mod tests {
         let rets = insts.iter().filter(|i| i.op == OpClass::Return).count();
         assert!(calls > 0, "no calls executed");
         // Stack never leaks: returns track calls closely.
-        assert!((calls as i64 - rets as i64).unsigned_abs() as usize <= t.call_depth() + 1);
-        assert!(t.call_depth() <= w.profile.n_levels as usize);
+        assert!((calls as i64 - rets as i64).unsigned_abs() as usize <= t.call_stack.len() + 1);
+        assert!(t.call_stack.len() <= w.profile.n_levels as usize);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Benchmark profiles: the tunable first-order characteristics of each
 //! synthetic workload.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters controlling one synthetic benchmark.
 ///
 /// Percentages are fractions of dynamic instructions except where noted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkProfile {
     /// Display name ("gzip", "gcc", ...).
     pub name: &'static str,

@@ -236,18 +236,6 @@ pub fn input_tag(data: &[u8]) -> String {
     format!("{h:016x}")
 }
 
-/// Convenience used by tests: mutate `n` inputs from `seeds` and return
-/// them (exposes the mutator's determinism without running a target).
-pub fn sample_mutations(seeds: &[Vec<u8>], n: usize, seed: u64) -> Vec<Vec<u8>> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let pool: Vec<Vec<u8>> = if seeds.is_empty() {
-        vec![Vec::new()]
-    } else {
-        seeds.to_vec()
-    };
-    (0..n).map(|_| mutate::mutate(&mut rng, &pool)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,10 +243,13 @@ mod tests {
     #[test]
     fn mutator_is_deterministic() {
         let seeds = vec![b"{\"a\": 1}".to_vec(), b"PSTR".to_vec()];
-        assert_eq!(
-            sample_mutations(&seeds, 50, 7),
-            sample_mutations(&seeds, 50, 7)
-        );
+        let sample = || {
+            let mut rng = SmallRng::seed_from_u64(7);
+            (0..50)
+                .map(|_| mutate::mutate(&mut rng, &seeds))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(sample(), sample());
     }
 
     #[test]

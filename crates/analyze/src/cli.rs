@@ -1,8 +1,7 @@
-//! The lint driver, shared by the `prestage-analyze` binary and the
-//! `prestage lint` subcommand.
+//! The lint driver behind the `prestage-analyze` binary.
 //!
 //! ```text
-//! [--all] [--rule <r>]... [--baseline <f>] [--update-baseline]
+//! prestage-analyze [--all] [--rule <r>]... [--baseline <f>] [--update-baseline]
 //! [--root <dir>] [--list-rules]
 //! ```
 //!
@@ -12,9 +11,9 @@
 use crate as analyze;
 use std::process::exit;
 
-fn usage(program: &str) -> ! {
+fn usage() -> ! {
     eprintln!(
-        "usage: {program} [--all] [--rule <name>]... [--baseline <file>]\n\
+        "usage: prestage-analyze [--all] [--rule <name>]... [--baseline <file>]\n\
          \x20      [--update-baseline] [--root <dir>] [--list-rules]\n\n\
          Runs the repo-specific static-analysis rules over the workspace and\n\
          exits 1 on any finding not absorbed by the ratchet baseline\n\
@@ -30,9 +29,8 @@ fn fail(msg: &str) -> ! {
 }
 
 /// Parse lint flags, run the pass, print diagnostics; returns the exit
-/// code.  `program` names the wrapper for usage text (`prestage lint` or
-/// `prestage-analyze`).
-pub fn run(program: &str, args: &[String]) -> i32 {
+/// code.
+pub fn run(args: &[String]) -> i32 {
     let mut rules: Vec<&'static str> = Vec::new();
     let mut baseline_path: Option<String> = None;
     let mut update_baseline = false;
@@ -72,7 +70,7 @@ pub fn run(program: &str, args: &[String]) -> i32 {
                 }
                 return 0;
             }
-            _ => usage(program),
+            _ => usage(),
         }
     }
     if rules.is_empty() {

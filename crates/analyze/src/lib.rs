@@ -1,6 +1,6 @@
 //! # prestage-analyze
 //!
-//! `prestage lint`: a fully-offline static-analysis pass that encodes this
+//! `prestage-analyze`: a fully-offline static-analysis pass that encodes this
 //! repository's determinism, overflow and loud-rejection invariants as
 //! CI-gated lints.  `cargo clippy` cannot see these rules because they are
 //! repo-specific; every one of them is a defect class the repo actually

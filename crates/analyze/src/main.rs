@@ -1,7 +1,7 @@
-//! `prestage-analyze` — the standalone driver for the lint pass; the
-//! `prestage lint` subcommand wraps the same [`prestage_analyze::cli`].
+//! `prestage-analyze` — the driver for the lint pass
+//! ([`prestage_analyze::cli`]).
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    std::process::exit(prestage_analyze::cli::run("prestage-analyze", &args));
+    std::process::exit(prestage_analyze::cli::run(&args));
 }

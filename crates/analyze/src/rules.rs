@@ -445,14 +445,11 @@ pub fn run_rules(file: &SourceFile, enabled: &[&str]) -> Vec<Finding> {
     }
 
     if on(MAP_IN_CYCLE_PATH) && CYCLE_PATH_FILES.contains(&rel_path) {
-        let mut in_use = false;
+        let in_use = use_items(tokens);
         for i in 0..tokens.len() {
             match ident(tokens, i) {
-                Some("use") if !matches!(punct(tokens, i.wrapping_sub(1)), Some('.')) => {
-                    in_use = true
-                }
                 Some(name @ ("BTreeMap" | "BTreeSet" | "HashMap" | "HashSet"))
-                    if !in_use && !in_test(regions, tokens[i].line) =>
+                    if !in_use[i] && !in_test(regions, tokens[i].line) =>
                 {
                     out.push(finding(
                         MAP_IN_CYCLE_PATH,
@@ -467,34 +464,45 @@ pub fn run_rules(file: &SourceFile, enabled: &[&str]) -> Vec<Finding> {
                 }
                 _ => {}
             }
-            if punct(tokens, i) == Some(';') {
-                in_use = false;
-            }
         }
     }
 
     out
 }
 
+/// Whether each token lies inside a `use` item, from `use` to its `;`.
+fn use_items(tokens: &[Token]) -> Vec<bool> {
+    let mut inside = false;
+    (0..tokens.len())
+        .map(|i| {
+            inside |=
+                ident(tokens, i) == Some("use") && punct(tokens, i.wrapping_sub(1)) != Some('.');
+            let here = inside;
+            inside &= punct(tokens, i) != Some(';');
+            here
+        })
+        .collect()
+}
+
 /// [`DEAD_PUB`], the one cross-file rule: a `pub fn`, `pub const` or
 /// `pub static` declared outside test code whose name no identifier token
-/// mentions, apart from its declaration and its own file's test regions.
-/// Every file counts as a user, test files included; comments and strings
-/// are not tokens, so prose or a message alone does not keep a name alive.
+/// mentions, apart from its declaration, `use` items and its own file's
+/// test regions.  A method (a `pub fn` taking `self` first) counts only
+/// calls and paths — `.name(`, `.name::<`, `::name` — so a field or local
+/// of the same name does not keep it alive, and neither does a `pub use`
+/// re-export.  Every file counts as a user, test files included; comments
+/// and strings are not tokens, so prose or a message alone does not keep a
+/// name alive.
 pub fn dead_pub(files: &[SourceFile]) -> Vec<Finding> {
-    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut uses = Uses::default();
     for f in files {
-        for name in name_uses(&f.lexed.tokens, |_| true) {
-            *uses.entry(name).or_default() += 1;
-        }
+        uses.add(&f.lexed.tokens, |_| true);
     }
     let mut out = Vec::new();
     for f in files.iter().filter(|f| f.class != FileClass::Test) {
         let tokens = &f.lexed.tokens;
-        let mut own_test_uses: BTreeMap<&str, usize> = BTreeMap::new();
-        for name in name_uses(tokens, |line| in_test(&f.regions, line)) {
-            *own_test_uses.entry(name).or_default() += 1;
-        }
+        let mut own_test_uses = Uses::default();
+        own_test_uses.add(tokens, |line| in_test(&f.regions, line));
         for i in 0..tokens.len() {
             if ident(tokens, i) != Some("pub") || in_test(&f.regions, tokens[i].line) {
                 continue;
@@ -503,8 +511,8 @@ pub fn dead_pub(files: &[SourceFile]) -> Vec<Finding> {
                 continue;
             };
             let name = ident(tokens, at).unwrap_or_default();
-            let live = uses.get(name).copied().unwrap_or(0)
-                - own_test_uses.get(name).copied().unwrap_or(0);
+            let method = kind == "fn" && takes_self(tokens, at);
+            let live = uses.count(name, method) - own_test_uses.count(name, method);
             if live == 0 {
                 out.push(Finding {
                     rule: DEAD_PUB,
@@ -522,18 +530,77 @@ pub fn dead_pub(files: &[SourceFile]) -> Vec<Finding> {
     out
 }
 
-/// The identifier tokens on lines `keep` accepts that are uses: every one
-/// except the name a `fn`, `const` or `static [mut]` declares.
-fn name_uses(tokens: &[Token], keep: impl Fn(usize) -> bool) -> impl Iterator<Item = &str> {
-    (0..tokens.len()).filter_map(move |i| {
-        let name = ident(tokens, i)?;
-        let declared = match ident(tokens, i.wrapping_sub(1)) {
-            Some("fn" | "const" | "static") => true,
-            Some("mut") => ident(tokens, i.wrapping_sub(2)) == Some("static"),
-            _ => false,
-        };
-        (!declared && keep(tokens[i].line)).then_some(name)
-    })
+/// Name uses counted over a set of token streams: every identifier, and
+/// the subset in call or path position.
+#[derive(Default)]
+struct Uses<'a> {
+    any: BTreeMap<&'a str, usize>,
+    calls: BTreeMap<&'a str, usize>,
+}
+
+impl<'a> Uses<'a> {
+    /// Count the identifier tokens on lines `keep` accepts that are uses:
+    /// every one outside a `use` item except the name a `fn`, `const` or
+    /// `static [mut]` declares.
+    fn add(&mut self, tokens: &'a [Token], keep: impl Fn(usize) -> bool) {
+        let in_use = use_items(tokens);
+        for i in 0..tokens.len() {
+            let Some(name) = ident(tokens, i) else {
+                continue;
+            };
+            let declared = match ident(tokens, i.wrapping_sub(1)) {
+                Some("fn" | "const" | "static") => true,
+                Some("mut") => ident(tokens, i.wrapping_sub(2)) == Some("static"),
+                _ => false,
+            };
+            if declared || in_use[i] || !keep(tokens[i].line) {
+                continue;
+            }
+            *self.any.entry(name).or_default() += 1;
+            let p = |k: usize| punct(tokens, k);
+            let turbofish = p(i + 1) == Some(':') && p(i + 2) == Some(':') && p(i + 3) == Some('<');
+            let call = p(i.wrapping_sub(1)) == Some('.') && (p(i + 1) == Some('(') || turbofish);
+            let path = p(i.wrapping_sub(1)) == Some(':') && p(i.wrapping_sub(2)) == Some(':');
+            if call || path {
+                *self.calls.entry(name).or_default() += 1;
+            }
+        }
+    }
+
+    fn count(&self, name: &str, method: bool) -> usize {
+        let map = if method { &self.calls } else { &self.any };
+        map.get(name).copied().unwrap_or(0)
+    }
+}
+
+/// Whether the `fn` named at `at` takes `self` first (`self`, `&self`,
+/// `&'a mut self`, `mut self`): past any generics, its parameter list
+/// opens on `self` behind at most `&` and `mut` (lifetimes are not tokens).
+fn takes_self(tokens: &[Token], at: usize) -> bool {
+    let mut j = at + 1;
+    if punct(tokens, j) == Some('<') {
+        let mut depth = 0usize;
+        while j < tokens.len() {
+            match punct(tokens, j) {
+                Some('<') => depth += 1,
+                // `->` inside a bound (`F: Fn() -> u32`) closes nothing.
+                Some('>') if punct(tokens, j - 1) != Some('-') => depth -= 1,
+                _ => {}
+            }
+            j += 1;
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    if punct(tokens, j) != Some('(') {
+        return false;
+    }
+    j += 1;
+    while punct(tokens, j) == Some('&') || ident(tokens, j) == Some("mut") {
+        j += 1;
+    }
+    ident(tokens, j) == Some("self")
 }
 
 /// After a plain `pub` at `j`: the kind and name index of a `fn` (past any

@@ -260,6 +260,28 @@ fn dead_pub_fires_on_own_test_uses_prose_and_strings() {
     assert_eq!(named, expected.map(Some), "{fs:?}");
 }
 
+/// A `pub use` re-export is not a use, and a method counts only calls and
+/// paths: a field, local or parameter sharing its name keeps nothing alive.
+#[test]
+fn dead_pub_sees_through_reexports_and_same_named_bindings() {
+    for (name, expected) in [
+        ("dead_pub_reexport", &["pub fn reexported_only"][..]),
+        (
+            "dead_pub_shadowed",
+            &["pub fn level", "pub fn reset", "pub fn apply"][..],
+        ),
+    ] {
+        let fs = run(rules::DEAD_PUB, WIDGET_HOME, "bad", name);
+        let named: Vec<_> = fs
+            .iter()
+            .filter_map(|f| f.message.split('`').nth(1))
+            .collect();
+        assert_eq!(named, expected, "{name}: {fs:?}");
+        let ok = run(rules::DEAD_PUB, WIDGET_HOME, "ok", name);
+        assert!(ok.is_empty(), "{name}: {ok:?}");
+    }
+}
+
 #[test]
 fn dead_pub_each_kind_of_user_keeps_its_item_alive() {
     let widget = fixture("ok", "dead_pub");

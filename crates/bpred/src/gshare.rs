@@ -9,9 +9,7 @@
 //! front-end.
 
 use crate::ras::{RasSnapshot, ReturnAddressStack};
-use crate::stream::{
-    FetchBlockPredictor, StreamDesc, StreamEnd, StreamPrediction, MAX_STREAM_INSTS,
-};
+use crate::stream::{StreamDesc, StreamEnd, StreamPrediction, MAX_STREAM_INSTS};
 use prestage_isa::{Addr, OpClass, Program, INST_BYTES};
 
 /// Checkpoint of gshare speculative state.
@@ -65,12 +63,10 @@ impl GsharePredictor {
             *c = c.saturating_sub(1);
         }
     }
-}
 
-impl FetchBlockPredictor for GsharePredictor {
-    type Checkpoint = GshareCheckpoint;
-
-    fn predict(&mut self, start: Addr, prog: &Program) -> StreamPrediction {
+    /// Predict the stream starting at `start` by walking the dictionary
+    /// `prog`, updating speculative state (global history, RAS).
+    pub fn predict(&mut self, start: Addr, prog: &Program) -> StreamPrediction {
         let mut pc = start;
         let mut len = 0u32;
         let mut stream = loop {
@@ -145,7 +141,8 @@ impl FetchBlockPredictor for GsharePredictor {
         }
     }
 
-    fn train(&mut self, actual: &StreamDesc) {
+    /// Train with a resolved actual stream.
+    pub fn train(&mut self, actual: &StreamDesc) {
         // Replay the stream's conditional branches: every embedded one was
         // not taken; the terminator was taken iff the stream ended Taken at
         // a conditional branch (unconditional CTIs need no direction
@@ -166,14 +163,16 @@ impl FetchBlockPredictor for GsharePredictor {
         }
     }
 
-    fn checkpoint(&self) -> GshareCheckpoint {
+    /// Capture speculative state (history + RAS) before a prediction.
+    pub fn checkpoint(&self) -> GshareCheckpoint {
         GshareCheckpoint {
             ghist: self.ghist,
             ras: self.ras.snapshot(),
         }
     }
 
-    fn restore(&mut self, cp: &GshareCheckpoint) {
+    /// Restore speculative state (branch misprediction recovery).
+    pub fn restore(&mut self, cp: &GshareCheckpoint) {
         self.ghist = cp.ghist;
         self.ras.restore(&cp.ras);
     }

@@ -24,9 +24,9 @@ pub mod predictor;
 pub mod ras;
 pub mod stream;
 
-pub use gshare::GsharePredictor;
+pub use gshare::{GshareCheckpoint, GsharePredictor};
 pub use predictor::{
     PredCheckpoint, PredStats, StreamPredictor, StreamPredictorConfig, TrainToken,
 };
 pub use ras::{RasSnapshot, ReturnAddressStack};
-pub use stream::{FetchBlockPredictor, StreamDesc, StreamEnd, StreamPrediction, MAX_STREAM_INSTS};
+pub use stream::{StreamDesc, StreamEnd, StreamPrediction, MAX_STREAM_INSTS};

@@ -10,9 +10,7 @@
 //! the branch predictor".
 
 use crate::ras::{RasSnapshot, ReturnAddressStack};
-use crate::stream::{
-    static_fallback_walk, FetchBlockPredictor, StreamDesc, StreamEnd, StreamPrediction,
-};
+use crate::stream::{static_fallback_walk, StreamDesc, StreamEnd, StreamPrediction};
 use prestage_isa::{Addr, Program, INST_BYTES};
 
 /// Configuration of the cascaded stream predictor.
@@ -198,40 +196,40 @@ impl StreamPredictor {
             conf: 1,
         };
     }
-}
 
-impl FetchBlockPredictor for StreamPredictor {
-    type Checkpoint = PredCheckpoint;
-
-    fn predict(&mut self, start: Addr, prog: &Program) -> StreamPrediction {
+    /// Predict the stream starting at `start`, updating speculative state
+    /// (path history, RAS pushes/pops).  `prog` is the basic-block
+    /// dictionary, available for static fall-back walks — the same
+    /// structure the paper's simulator uses for speculative lookups.
+    pub fn predict(&mut self, start: Addr, prog: &Program) -> StreamPrediction {
         let (i1, t1) = self.l1_index(start);
         let (i2, t2) = self.l2_index(start, self.history);
         self.predict_at(i1, t1, i2, t2, start, prog)
     }
 
-    fn train(&mut self, actual: &StreamDesc) {
-        // Trait-level train without a token: PC-indexed level only.  The
-        // engine uses `train_with_token` for full cascade training; this
-        // entry point exists for warm-up passes.
+    /// Train the PC-indexed level only with a resolved actual stream.  The
+    /// engine uses [`train_with_token`](Self::train_with_token) for full
+    /// cascade training; this entry point exists for warm-up passes.
+    pub fn train(&mut self, actual: &StreamDesc) {
         let (i1, t1) = self.l1_index(actual.start);
         let conf_max = self.cfg.conf_max;
         Self::train_entry(&mut self.l1[i1], t1, actual, conf_max);
     }
 
-    fn checkpoint(&self) -> PredCheckpoint {
+    /// Capture speculative state (history + RAS) before a prediction.
+    pub fn checkpoint(&self) -> PredCheckpoint {
         PredCheckpoint {
             history: self.history,
             ras: self.ras.snapshot(),
         }
     }
 
-    fn restore(&mut self, cp: &PredCheckpoint) {
+    /// Restore speculative state (branch misprediction recovery).
+    pub fn restore(&mut self, cp: &PredCheckpoint) {
         self.history = cp.history;
         self.ras.restore(&cp.ras);
     }
-}
 
-impl StreamPredictor {
     /// Shared prediction body over precomputed table indices/tags.
     fn predict_at(
         &mut self,
@@ -270,7 +268,7 @@ impl StreamPredictor {
         }
     }
 
-    /// [`FetchBlockPredictor::predict`] reusing the table indices already
+    /// [`predict`](Self::predict) reusing the table indices already
     /// computed for `tok` — which must have been captured by
     /// [`token`](Self::token) at this `start` with the current speculative
     /// history.  The on-path flow always takes a token for training, so

@@ -39,12 +39,6 @@ impl StreamDesc {
         self.start + self.len as u64 * INST_BYTES
     }
 
-    /// Link address for a call-terminated stream.
-    pub fn link(&self) -> Addr {
-        debug_assert_eq!(self.end, StreamEnd::Call);
-        self.end_pc()
-    }
-
     /// Two descriptors agree as *fetch directives* (same instructions, same
     /// continuation).
     pub fn same_flow(&self, other: &StreamDesc) -> bool {
@@ -52,7 +46,9 @@ impl StreamDesc {
     }
 }
 
-/// A prediction emitted by a [`FetchBlockPredictor`].
+/// A prediction emitted by a fetch-block predictor: the cascaded
+/// [`StreamPredictor`](crate::StreamPredictor) or the
+/// [`GsharePredictor`](crate::GsharePredictor) baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamPrediction {
     pub stream: StreamDesc,
@@ -61,28 +57,6 @@ pub struct StreamPrediction {
     pub table_hit: bool,
     /// True when the history-indexed second-level table supplied it.
     pub from_l2: bool,
-}
-
-/// Common interface of fetch-block predictors: the cascaded stream predictor
-/// and the gshare-over-dictionary baseline.
-pub trait FetchBlockPredictor {
-    /// Opaque speculative-state checkpoint (history + RAS).
-    type Checkpoint: Clone;
-
-    /// Predict the stream starting at `start`, updating speculative state
-    /// (path history, RAS pushes/pops).  `prog` is the basic-block
-    /// dictionary, available for static fall-back walks — the same
-    /// structure the paper's simulator uses for speculative lookups.
-    fn predict(&mut self, start: Addr, prog: &Program) -> StreamPrediction;
-
-    /// Train with a resolved actual stream.
-    fn train(&mut self, actual: &StreamDesc);
-
-    /// Capture speculative state before a prediction.
-    fn checkpoint(&self) -> Self::Checkpoint;
-
-    /// Restore speculative state (branch misprediction recovery).
-    fn restore(&mut self, cp: &Self::Checkpoint);
 }
 
 /// Walk the basic-block dictionary from `start` assuming every conditional

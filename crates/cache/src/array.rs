@@ -68,21 +68,6 @@ pub enum FillClass {
     Prefetch(InsertionPolicy),
 }
 
-impl CacheStats {
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    pub fn miss_rate(&self) -> f64 {
-        let a = self.accesses();
-        if a == 0 {
-            0.0
-        } else {
-            self.misses as f64 / a as f64
-        }
-    }
-}
-
 /// A set-associative cache directory (tags only — this simulator never needs
 /// data values, just presence and replacement state).
 #[derive(Debug, Clone)]
@@ -259,14 +244,6 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
-    pub fn line_bytes(&self) -> usize {
-        1 << self.line_shift
-    }
-
-    pub fn assoc(&self) -> usize {
-        self.assoc
-    }
-
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> usize {
         self.valid.iter().filter(|&&v| v).count()
@@ -368,13 +345,6 @@ mod tests {
     #[should_panic(expected = "capacity must be a power of two")]
     fn non_pow2_capacity_is_rejected_by_name() {
         let _ = SetAssocCache::new(1536, 64, 2);
-    }
-
-    #[test]
-    fn capacity_reporting() {
-        let c = SetAssocCache::new(32 << 10, 64, 2);
-        assert_eq!(c.line_bytes(), 64);
-        assert_eq!(c.assoc(), 2);
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl ArrayPort {
         }
     }
 
-    /// Access latency in cycles.
-    pub fn latency(&self) -> u32 {
-        self.latency
-    }
-
     /// Earliest cycle ≥ `now` at which an access could start.
     pub fn next_start(&self, now: u64) -> u64 {
         now.max(self.free_at)

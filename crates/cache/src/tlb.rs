@@ -16,6 +16,24 @@
 use crate::lru::LruSet;
 use prestage_isa::Addr;
 
+/// Largest i-TLB [`ITlbConfig::validate`] accepts, in entries.  The
+/// biggest second-level TLBs on shipping cores hold 2-4K entries, and the
+/// engine copies three words per entry into a checkpoint at every
+/// divergence, so a larger TLB models no machine and only slows the run.
+const MAX_ITLB_ENTRIES: usize = 4096;
+
+/// Largest associativity [`ITlbConfig::validate`] accepts: the limit of
+/// an [`LruSet`]'s `u8` ranks.
+const MAX_ITLB_ASSOC: usize = 255;
+
+/// Longest page walk [`ITlbConfig::validate`] accepts, in cycles: one
+/// 200-cycle memory access plus the L2.  The engine calls a cell wedged
+/// once it spends 120 cycles per instruction (below 0.0083 IPC).  At this
+/// cap even a 1-entry i-TLB over line-sized pages, which walks on every
+/// line fetched, keeps every SPECint2000 cell above 0.015 IPC; at 500
+/// cycles the slowest cell fell to 0.0084.
+const MAX_ITLB_MISS_CYCLES: u64 = 250;
+
 /// Configuration for an instruction TLB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ITlbConfig {
@@ -50,6 +68,19 @@ impl ITlbConfig {
                 self.entries, self.assoc
             ));
         }
+        if self.assoc > MAX_ITLB_ASSOC {
+            return Err(format!(
+                "itlb assoc ({}) exceeds {MAX_ITLB_ASSOC}, the widest set the LRU \
+                 state can rank",
+                self.assoc
+            ));
+        }
+        if self.entries > MAX_ITLB_ENTRIES {
+            return Err(format!(
+                "itlb entries ({}) exceeds {MAX_ITLB_ENTRIES}, the largest i-TLB modeled",
+                self.entries
+            ));
+        }
         if self.assoc > self.entries {
             return Err(format!(
                 "itlb assoc ({}) exceeds entries ({})",
@@ -79,6 +110,13 @@ impl ITlbConfig {
         }
         if self.miss_cycles == 0 {
             return Err("itlb miss_cycles must be at least 1 (a free walk is `itlb: null`)".into());
+        }
+        if self.miss_cycles > MAX_ITLB_MISS_CYCLES {
+            return Err(format!(
+                "itlb miss_cycles ({}) exceeds {MAX_ITLB_MISS_CYCLES}, the longest page \
+                 walk modeled",
+                self.miss_cycles
+            ));
         }
         Ok(())
     }
@@ -199,11 +237,6 @@ impl ITlb {
         self.valid[base + way] = true;
         self.lru[set].touch(way);
         now.saturating_add(self.miss_cycles)
-    }
-
-    /// Fixed page-walk latency this TLB charges on a miss.
-    pub fn miss_cycles(&self) -> u64 {
-        self.miss_cycles
     }
 
     pub fn stats(&self) -> &TlbStats {

@@ -1,8 +1,7 @@
 //! First-order per-access energy model.
 //!
-//! Complements [`crate::area`] for the paper's §1/§5 argument that pipelined
-//! caches burn extra energy in latches, clocking and duplicated decode, while
-//! CLGP serves most fetches from a tiny buffer.
+//! Complements [`crate::area`]: it prices the paper's §1/§5 point that CLGP
+//! serves most fetches from a tiny buffer rather than a large cache.
 
 use crate::geometry::CacheGeometry;
 use crate::tech::TechNode;
@@ -11,8 +10,6 @@ use crate::tech::TechNode;
 const NJ_PER_BIT_BASE: f64 = 6.0e-4;
 /// Fixed periphery energy per access (decoder, sense amps), base process.
 const NJ_PERIPHERY_BASE: f64 = 0.35;
-/// Energy overhead fraction per added pipeline stage (latch banks + clock).
-const PIPELINE_STAGE_ENERGY: f64 = 0.06;
 
 /// Estimated energy per read access in nanojoules.
 ///
@@ -27,11 +24,6 @@ pub fn energy_nj_per_access(g: &CacheGeometry, node: TechNode) -> f64 {
     let bits_activated = (g.assoc * g.line * 8) as f64 + 40.0 * g.assoc as f64;
     let wire_factor = (g.data_bits() as f64).sqrt() / (32768.0f64).sqrt();
     (NJ_PER_BIT_BASE * bits_activated + NJ_PERIPHERY_BASE * wire_factor) * escale
-}
-
-/// Multiplicative energy overhead of pipelining into `stages` stages.
-pub fn pipelining_energy_overhead(stages: u32) -> f64 {
-    1.0 + PIPELINE_STAGE_ENERGY * stages.saturating_sub(1) as f64
 }
 
 #[cfg(test)]
@@ -55,11 +47,5 @@ mod tests {
         assert!(
             energy_nj_per_access(&g, TechNode::T045) < energy_nj_per_access(&g, TechNode::T090)
         );
-    }
-
-    #[test]
-    fn pipelining_costs_energy() {
-        assert_eq!(pipelining_energy_overhead(1), 1.0);
-        assert!(pipelining_energy_overhead(3) > 1.1);
     }
 }

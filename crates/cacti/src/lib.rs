@@ -17,8 +17,9 @@
 //!    minimised over array organisations, **calibrated** so that
 //!    `ceil(access_ns / cycle_ns)` reproduces the paper's Table 3 exactly for
 //!    every (size, node) pair it lists.
-//! 3. [`area`] / [`energy`] — first-order area and energy estimates, used to
-//!    quantify the pipelining overheads the paper argues about in §1 and §5.
+//! 3. [`area`] / [`energy`] — first-order area and per-access energy
+//!    estimates; the area model also prices pipelining, the overhead the
+//!    paper argues about in §1 and §5.
 //!
 //! The top-level convenience API is [`latency_cycles`], which is what the
 //! simulator uses for every storage structure.
@@ -39,7 +40,7 @@ pub mod tech;
 
 pub use area::{area_mm2, pipelining_area_overhead};
 pub use delay::{access_time_ns, latency_cycles, latency_cycles_uncalibrated};
-pub use energy::{energy_nj_per_access, pipelining_energy_overhead};
+pub use energy::energy_nj_per_access;
 pub use geometry::CacheGeometry;
 pub use tech::{SiaEntry, TechNode, SIA_ROADMAP};
 

@@ -1,7 +1,28 @@
 //! Front-end configuration and derived latencies.
+//!
+//! [`FrontendConfig`] holds what the paper's figures vary (L1 size and
+//! pipelining, L0, pre-buffer, mechanism, technology node).  The Table 2
+//! front-end values no experiment varies are the constants below.
 
+use crate::prefetch::PROGMAP_REGION_BYTES;
 use prestage_cache::{ITlbConfig, InsertionPolicy};
 use prestage_cacti::{latency_cycles, CacheGeometry, TechNode};
+
+/// Instructions the fetch unit delivers per cycle (Table 2: 4-wide).
+pub const FETCH_WIDTH: u32 = 4;
+
+/// L1 I-cache associativity (Table 2: 2-way).
+pub const L1_ASSOC: usize = 2;
+
+/// Decoupling-queue capacity in fetch blocks (Table 2 text: 8).
+pub const QUEUE_BLOCKS: usize = 8;
+
+/// Line fetches the fetch unit overlaps (the fetch pipeline depth).
+pub const MAX_INFLIGHT: usize = 4;
+
+// A power-of-two capacity over power-of-two lines then always splits into
+// a power-of-two number of mask-indexed sets.
+const _: () = assert!(L1_ASSOC.is_power_of_two());
 
 /// Which prefetch engine drives the pre-buffer.
 ///
@@ -19,7 +40,7 @@ pub enum PrefetcherKind {
     Clgp,
     /// Next-N-line prefetching (Smith '82), the classic sequential scheme
     /// of the paper's related work: each demand line fetch triggers
-    /// prefetches of the next `nlp_degree` sequential lines into an
+    /// prefetches of the next two sequential lines into an
     /// FDP-style buffer.
     NextLine,
     /// MANA (Ansari et al., "MANA: Microarchitecting an Instruction
@@ -76,14 +97,10 @@ impl PrefetcherKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontendConfig {
     pub tech: TechNode,
-    /// Instructions delivered per cycle (Table 2: 4).
-    pub fetch_width: u32,
     /// I-cache line size in bytes (Table 2: 64).
     pub line_bytes: u64,
     /// L1 I-cache capacity in bytes.
     pub l1_capacity: usize,
-    /// L1 associativity (Table 2: 2).
-    pub l1_assoc: usize,
     /// Pipeline the L1 access (latency stages, 1/cycle throughput).
     pub l1_pipelined: bool,
     /// Figure 1's "ideal": the L1 answers in one cycle regardless of size.
@@ -94,32 +111,12 @@ pub struct FrontendConfig {
     pub pb_entries: usize,
     /// Pipeline the pre-buffer access (the 16-entry configurations).
     pub pb_pipelined: bool,
-    /// Decoupling-queue capacity in fetch blocks (Table 2 text: 8).
-    pub queue_blocks: usize,
     pub prefetcher: PrefetcherKind,
-    /// FDP prefetch-instruction-queue entries.
-    pub piq_entries: usize,
-    /// Maximum overlapped line fetches (fetch pipeline depth).
-    pub max_inflight: usize,
-    /// Sequential prefetch degree for [`PrefetcherKind::NextLine`].
-    pub nlp_degree: u32,
     /// MANA-table entries (total, across its 4-way sets); power of two.
     pub mana_entries: usize,
-    /// Lines per MANA spatial region (trigger + `region - 1` bitmap bits);
-    /// at most 33 (a `u32` bitmap plus the trigger line itself).
-    pub mana_region_lines: u32,
-    /// Stream-address-buffer entries (active MANA record chains).
-    pub mana_sab_entries: usize,
-    /// Records chased ahead per MANA stream advance.
-    pub mana_degree: u32,
     /// Program-map entries (direct-mapped region-successor table); power
     /// of two.
     pub progmap_entries: usize,
-    /// Program-map region granularity in bytes; power of two, at least
-    /// one cache line.
-    pub progmap_region_bytes: u64,
-    /// Regions traversed ahead per program-map region change.
-    pub progmap_degree: u32,
     /// Ablation: CLGP's prestage buffer uses FDP's free-on-use replacement
     /// instead of consumers counters (quantifies the counter's coverage).
     pub ablate_free_on_use: bool,
@@ -135,11 +132,9 @@ pub struct FrontendConfig {
     /// charge a fixed page-walk latency.
     pub itlb: Option<ITlbConfig>,
     /// Insertion-policy override for *prefetch-class* fills into the
-    /// L0/L1 (migrated pre-buffer lines).  `None` uses each mechanism's
-    /// own choice
-    /// ([`InstrPrefetcher::prefetch_insertion`](crate::prefetch::InstrPrefetcher::prefetch_insertion),
-    /// MRU for every current mechanism); `Some` forces one policy across
-    /// mechanisms for apples-to-apples sweeps.
+    /// L0/L1 (migrated pre-buffer lines).  `None` inserts them at MRU,
+    /// like demand fills; `Some` forces one policy across mechanisms for
+    /// apples-to-apples sweeps.
     pub insertion: Option<InsertionPolicy>,
 }
 
@@ -149,27 +144,16 @@ impl FrontendConfig {
     pub fn base(tech: TechNode, l1_capacity: usize) -> Self {
         FrontendConfig {
             tech,
-            fetch_width: 4,
             line_bytes: 64,
             l1_capacity,
-            l1_assoc: 2,
             l1_pipelined: false,
             ideal_l1: false,
             l0_capacity: None,
             pb_entries: 0,
             pb_pipelined: false,
-            queue_blocks: 8,
             prefetcher: PrefetcherKind::None,
-            piq_entries: 8,
-            max_inflight: 4,
-            nlp_degree: 2,
             mana_entries: 1024,
-            mana_region_lines: 8,
-            mana_sab_entries: 4,
-            mana_degree: 2,
             progmap_entries: 2048,
-            progmap_region_bytes: 256,
-            progmap_degree: 2,
             ablate_free_on_use: false,
             ablate_migrate: false,
             ablate_filter: false,
@@ -197,19 +181,11 @@ impl FrontendConfig {
             ));
         }
         let lines = self.l1_capacity / self.line_bytes as usize;
-        if self.l1_assoc == 0 || lines < self.l1_assoc {
+        if lines < L1_ASSOC {
             return Err(format!(
-                "l1_assoc {} does not fit {} lines of l1_capacity",
-                self.l1_assoc, lines
-            ));
-        }
-        let sets = lines / self.l1_assoc;
-        if !sets.is_power_of_two() || sets * self.l1_assoc != lines {
-            return Err(format!(
-                "l1_assoc {} over {lines} lines yields a non-power-of-two \
-                 set count ({sets}) — set indexing is mask-based and would \
-                 silently alias",
-                self.l1_assoc
+                "l1_capacity {} holds {lines} lines, fewer than the \
+                 {L1_ASSOC} ways of one L1 set",
+                self.l1_capacity
             ));
         }
         if let Some(l0) = self.l0_capacity {
@@ -217,24 +193,12 @@ impl FrontendConfig {
                 return Err(format!("l0_capacity {l0} is not a power of two"));
             }
         }
-        if self.prefetcher == PrefetcherKind::Mana {
-            if !self.mana_entries.is_power_of_two() {
-                return Err(format!(
-                    "mana_entries {} is not a power of two (the MANA table \
-                     is mask-indexed)",
-                    self.mana_entries
-                ));
-            }
-            if self.mana_region_lines < 2 || self.mana_region_lines > 33 {
-                return Err(format!(
-                    "mana_region_lines {} out of range 2..=33 (a u32 bitmap \
-                     plus the trigger line)",
-                    self.mana_region_lines
-                ));
-            }
-            if self.mana_sab_entries == 0 {
-                return Err("mana_sab_entries must be at least 1".into());
-            }
+        if self.prefetcher == PrefetcherKind::Mana && !self.mana_entries.is_power_of_two() {
+            return Err(format!(
+                "mana_entries {} is not a power of two (the MANA table is \
+                 mask-indexed)",
+                self.mana_entries
+            ));
         }
         if let Some(itlb) = &self.itlb {
             itlb.validate(self.line_bytes as usize)?;
@@ -247,13 +211,11 @@ impl FrontendConfig {
                     self.progmap_entries
                 ));
             }
-            if !self.progmap_region_bytes.is_power_of_two()
-                || self.progmap_region_bytes < self.line_bytes
-            {
+            if self.line_bytes > PROGMAP_REGION_BYTES {
                 return Err(format!(
-                    "progmap_region_bytes {} must be a power of two of at \
-                     least one {}-byte line",
-                    self.progmap_region_bytes, self.line_bytes
+                    "line_bytes {} exceeds the {PROGMAP_REGION_BYTES}-byte \
+                     program-map region",
+                    self.line_bytes
                 ));
             }
         }
@@ -279,7 +241,7 @@ impl FrontendConfig {
         if self.ideal_l1 {
             return 1;
         }
-        let g = CacheGeometry::new(self.l1_capacity, self.line_bytes as usize, self.l1_assoc, 1);
+        let g = CacheGeometry::new(self.l1_capacity, self.line_bytes as usize, L1_ASSOC, 1);
         latency_cycles(&g, self.tech)
     }
 

@@ -19,7 +19,7 @@
 //! ## Fetch path
 //!
 //! The fetch unit works on one queue line at a time (up to
-//! `cfg.max_inflight` overlapped), probing pre-buffer, L0 and L1 in
+//! [`MAX_INFLIGHT`] overlapped), probing pre-buffer, L0 and L1 in
 //! parallel; the fastest hit wins (pre-buffer and L0 are one cycle — or a
 //! pipelined pre-buffer's full latency — while the L1 costs its CACTI
 //! latency and, when not pipelined, blocks its port for the whole access).
@@ -38,13 +38,15 @@
 //!   and emergency-cache contents never duplicate.
 
 use crate::buffer::{PbKind, PbLookup, PreBuffer};
-use crate::config::{FrontendConfig, PrefetcherKind};
+use crate::config::{
+    FrontendConfig, PrefetcherKind, FETCH_WIDTH, L1_ASSOC, MAX_INFLIGHT, QUEUE_BLOCKS,
+};
 use crate::prefetch::{Idle, InstrPrefetcher, PrefetchCheckpoint, PrefetchView};
 use crate::queue::{FetchQueue, LineSlot, QueueKind};
 use crate::stats::FrontStats;
 use prestage_cache::{
-    ArrayPort, Completion, FillClass, ITlb, L2System, MemSource, ReqClass, ReqId, SetAssocCache,
-    TlbCheckpoint,
+    ArrayPort, Completion, FillClass, ITlb, InsertionPolicy, L2System, MemSource, ReqClass, ReqId,
+    SetAssocCache, TlbCheckpoint,
 };
 use prestage_isa::{Addr, INST_BYTES};
 use std::collections::VecDeque;
@@ -166,8 +168,7 @@ pub struct FrontEnd<P: InstrPrefetcher> {
     /// free translation — the pre-TLB behavior, bit for bit.
     tlb: Option<ITlb>,
     /// Insertion class for prefetch-originated fills into L0/L1 (the
-    /// migration path): the config override, else the mechanism's
-    /// [`InstrPrefetcher::prefetch_insertion`] choice, resolved once.
+    /// migration path): the config override, else MRU, resolved once.
     migrate_class: FillClass,
     stats: FrontStats,
 }
@@ -209,13 +210,12 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
                 ArrayPort::new(cfg.l0_latency(), false),
             )
         });
-        let migrate_class =
-            FillClass::Prefetch(cfg.insertion.unwrap_or_else(|| pf.prefetch_insertion()));
+        let migrate_class = FillClass::Prefetch(cfg.insertion.unwrap_or(InsertionPolicy::Mru));
         FrontEnd {
-            queue: FetchQueue::new(kind, cfg.line_bytes, cfg.queue_blocks),
+            queue: FetchQueue::new(kind, cfg.line_bytes, QUEUE_BLOCKS),
             pb,
             pb_port: ArrayPort::new(cfg.pb_latency(), cfg.pb_pipelined),
-            l1: SetAssocCache::new(cfg.l1_capacity, cfg.line_bytes as usize, cfg.l1_assoc),
+            l1: SetAssocCache::new(cfg.l1_capacity, cfg.line_bytes as usize, L1_ASSOC),
             l1_port: ArrayPort::new(cfg.l1_latency(), cfg.l1_pipelined),
             l1_copy_port: ArrayPort::new(cfg.l1_latency(), cfg.l1_pipelined),
             l0,
@@ -250,7 +250,6 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
         if let Some(tlb) = &mut self.tlb {
             tlb.reset_stats();
         }
-        self.pf.reset_stats();
     }
 
     pub fn queue(&self) -> &FetchQueue {
@@ -313,12 +312,6 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
     /// observations do not corrupt the mechanism's speculative cursors.
     pub fn prefetcher_restore(&mut self, cp: &PrefetchCheckpoint) {
         self.pf.restore(cp);
-    }
-
-    /// Mechanism-private metadata storage in bytes (for the CACTI
-    /// area/energy accounting); 0 for the no-prefetch baseline.
-    pub fn prefetcher_state_bytes(&self) -> usize {
-        self.pf.state_bytes()
     }
 
     /// Snapshot the i-TLB contents (tags + replacement state) — taken by
@@ -422,12 +415,12 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
                 }
             }
         }
-        if self.cfg.fetch_width.min(downstream_free) > 0 {
+        if FETCH_WIDTH.min(downstream_free) > 0 {
             if let Some(LfState::Ready(ready)) = self.inflight.front().map(|lf| lf.state) {
                 at = at.min(ready);
             }
         }
-        if all_ready && self.inflight.len() < self.cfg.max_inflight {
+        if all_ready && self.inflight.len() < MAX_INFLIGHT {
             if let Some(slot) = self.queue.head_line() {
                 at = at.min(self.l1_retry_at(slot.line, now).unwrap_or(now));
             }
@@ -571,7 +564,7 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
     }
 
     fn deliver(&mut self, now: u64, downstream_free: u32, out: &mut Vec<Delivery>) {
-        let width = self.cfg.fetch_width.min(downstream_free);
+        let width = FETCH_WIDTH.min(downstream_free);
         if width == 0 {
             return;
         }
@@ -660,7 +653,7 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
     }
 
     fn start_fetches(&mut self, now: u64, l2: &mut L2System) {
-        while self.inflight.len() < self.cfg.max_inflight {
+        while self.inflight.len() < MAX_INFLIGHT {
             // In-order fetch: a line waiting on memory (or on an in-flight
             // prestage fill) stalls the fetch engine; only ready hits may
             // overlap (which is what pipelined arrays exploit).  Without

@@ -16,8 +16,11 @@
 //!   so the engine can jump the clock over cycles in which it cannot act;
 //! * its speculative training state is **checkpointed/restored** around
 //!   wrong-path excursions ([`InstrPrefetcher::checkpoint`] /
-//!   [`InstrPrefetcher::restore`]) and its counters reset at the warm-up
-//!   boundary ([`InstrPrefetcher::reset_stats`]).
+//!   [`InstrPrefetcher::restore`]).
+//!
+//! Each mechanism's sizing is a constant beside it (`PIQ_ENTRIES` and
+//! friends): only the MANA table and the program map are sized per
+//! configuration.
 //!
 //! The registry is *monomorphic*: [`InstrPrefetcher::from_config`] is the
 //! per-type constructor, and the engine in `prestage-sim` dispatches on
@@ -36,15 +39,47 @@ use crate::config::{FrontendConfig, PrefetcherKind};
 use crate::frontend::RouteTable;
 use crate::queue::{FetchQueue, LineSlot};
 use crate::stats::FrontStats;
-use prestage_cache::{ArrayPort, ITlb, InsertionPolicy, L2System, ReqClass, ReqId, SetAssocCache};
+use prestage_cache::{ArrayPort, ITlb, L2System, ReqClass, ReqId, SetAssocCache};
 use prestage_isa::Addr;
 use std::collections::VecDeque;
 
 /// Upper bound on any mechanism's internal request queue that is not
-/// already bounded by `piq_entries` (MANA region expansions, program-map
+/// already bounded by `PIQ_ENTRIES` (MANA region expansions, program-map
 /// traversals).  A hardware MSHR-file-sized structure, not a software
 /// convenience.
 pub const PREFETCH_QUEUE_CAP: usize = 32;
+
+/// Prefetch-instruction-queue entries of FDP and next-N-line.
+const PIQ_ENTRIES: usize = 8;
+
+/// Lines next-N-line prefetches ahead of each demand line fetch.
+const NLP_DEGREE: u64 = 2;
+
+/// Lines per MANA spatial region: the trigger plus `MANA_REGION_LINES - 1`
+/// footprint bits.
+const MANA_REGION_LINES: u32 = 8;
+
+/// Stream-address-buffer entries (active MANA record chains).
+const MANA_SAB_ENTRIES: usize = 4;
+
+/// Records MANA chases ahead per stream advance.
+const MANA_DEGREE: u32 = 2;
+
+// The footprint is a `u32` bitmap of the lines after the trigger, and the
+// stream buffer needs a slot to load.
+const _: () = assert!(MANA_REGION_LINES >= 2 && MANA_REGION_LINES <= 33);
+const _: () = assert!(MANA_SAB_ENTRIES >= 1);
+
+/// Program-map region granularity in bytes; at least one cache line
+/// ([`FrontendConfig::validate`] checks the line size against it).
+pub(crate) const PROGMAP_REGION_BYTES: u64 = 256;
+
+/// Regions the program map traverses ahead per region change.
+const PROGMAP_DEGREE: u32 = 2;
+
+// A region number is an address shifted right, so regions are powers of two.
+const _: () = assert!(PROGMAP_REGION_BYTES.is_power_of_two());
+const PROGMAP_REGION_SHIFT: u32 = PROGMAP_REGION_BYTES.trailing_zeros();
 
 /// Opaque snapshot of a mechanism's *speculative* state (training cursors,
 /// stream expectations) — the state that must be repaired when a branch
@@ -182,18 +217,6 @@ pub trait InstrPrefetcher: std::fmt::Debug {
         true
     }
 
-    /// How the mechanism's migrated (prefetch-class) lines insert into the
-    /// L0/L1 replacement order — the `migrate_used_lines`-style policy
-    /// hook behind [`FillClass::Prefetch`](prestage_cache::FillClass).
-    /// MRU (demand-identical, the historical behavior) for every current
-    /// mechanism; a confidence-tracking mechanism may return
-    /// [`InsertionPolicy::Lru`] or [`InsertionPolicy::Bypass`] to keep
-    /// speculative lines from displacing demand-hot ones.  The
-    /// `FrontendConfig::insertion` knob overrides this per experiment.
-    fn prefetch_insertion(&self) -> InsertionPolicy {
-        InsertionPolicy::Mru
-    }
-
     /// A branch-misprediction redirect reached the front-end: drop
     /// in-flight request queues and stale stream expectations.
     fn on_redirect(&mut self) {}
@@ -210,9 +233,6 @@ pub trait InstrPrefetcher: std::fmt::Debug {
     fn restore(&mut self, cp: &PrefetchCheckpoint) {
         let _ = cp;
     }
-
-    /// End of warm-up: clear measurement-only counters, keep warm tables.
-    fn reset_stats(&mut self) {}
 
     /// Mechanism-private metadata storage in bytes (tables, queues,
     /// pointers — everything beyond the shared pre-buffer), for the CACTI
@@ -256,17 +276,15 @@ pub fn prefetcher_state_bytes(cfg: &FrontendConfig) -> usize {
     match cfg.prefetcher {
         PrefetcherKind::None => 0,
         // PIQ of line addresses.
-        PrefetcherKind::Fdp | PrefetcherKind::NextLine => cfg.piq_entries * 8,
+        PrefetcherKind::Fdp | PrefetcherKind::NextLine => PIQ_ENTRIES * 8,
         // CLGP's bookkeeping (prefetched bits, consumers counters) lives in
         // the shared CLTQ and pre-buffer, both already accounted.
         PrefetcherKind::Clgp => 0,
         PrefetcherKind::Mana => {
             // Per record: trigger tag (4 B) + successor pointer (4 B) +
             // valid/replacement (1 B) + the spatial bitmap.
-            let bitmap_bytes = (cfg.mana_region_lines as usize - 1).div_ceil(8);
-            cfg.mana_entries * (9 + bitmap_bytes)
-                + cfg.mana_sab_entries * 8
-                + PREFETCH_QUEUE_CAP * 8
+            let bitmap_bytes = (MANA_REGION_LINES as usize - 1).div_ceil(8);
+            cfg.mana_entries * (9 + bitmap_bytes) + MANA_SAB_ENTRIES * 8 + PREFETCH_QUEUE_CAP * 8
         }
         // Per map entry: region tag (4 B) + successor region (4 B).
         PrefetcherKind::ProgMap => cfg.progmap_entries * 8 + PREFETCH_QUEUE_CAP * 8,
@@ -358,16 +376,6 @@ fn enqueue(reqq: &mut VecDeque<Addr>, line: Addr) {
 #[derive(Debug)]
 pub struct FdpPrefetcher {
     piq: VecDeque<Addr>,
-    piq_entries: usize,
-}
-
-impl FdpPrefetcher {
-    pub fn new(cfg: &FrontendConfig) -> Self {
-        FdpPrefetcher {
-            piq: VecDeque::new(),
-            piq_entries: cfg.piq_entries,
-        }
-    }
 }
 
 impl InstrPrefetcher for FdpPrefetcher {
@@ -375,15 +383,17 @@ impl InstrPrefetcher for FdpPrefetcher {
         PrefetcherKind::Fdp
     }
 
-    fn from_config(cfg: &FrontendConfig) -> Self {
-        FdpPrefetcher::new(cfg)
+    fn from_config(_cfg: &FrontendConfig) -> Self {
+        FdpPrefetcher {
+            piq: VecDeque::new(),
+        }
     }
 
     fn tick(&mut self, now: u64, fe: &mut PrefetchView<'_>, l2: &mut L2System) {
         // Enqueue phase: process up to two queue slots through the probe
         // filter (the "additional tag port / replicated tags").
         for _ in 0..2 {
-            if self.piq.len() >= self.piq_entries {
+            if self.piq.len() >= PIQ_ENTRIES {
                 break;
             }
             let Some(pb) = fe.pb.as_deref_mut() else {
@@ -449,7 +459,7 @@ impl InstrPrefetcher for FdpPrefetcher {
             return Idle::Until(u64::MAX);
         };
         // The enqueue phase acts on any unscanned slot it has room for.
-        if self.piq.len() < self.piq_entries && fe.queue.first_unprefetched().is_some() {
+        if self.piq.len() < PIQ_ENTRIES && fe.queue.first_unprefetched().is_some() {
             return Idle::Until(now);
         }
         match self.piq.front() {
@@ -464,7 +474,7 @@ impl InstrPrefetcher for FdpPrefetcher {
     }
 
     fn state_bytes(&self) -> usize {
-        self.piq_entries * 8
+        PIQ_ENTRIES * 8
     }
 }
 
@@ -473,13 +483,11 @@ impl InstrPrefetcher for FdpPrefetcher {
 // ---------------------------------------------------------------------------
 
 /// Sequential prefetching: every demand line fetch enqueues the next
-/// `nlp_degree` lines; one queued candidate issues per cycle through the
+/// `NLP_DEGREE` lines; one queued candidate issues per cycle through the
 /// same probe filter and buffer as FDP.
 #[derive(Debug)]
 pub struct NextLinePrefetcher {
     piq: VecDeque<Addr>,
-    piq_entries: usize,
-    degree: u32,
     line_bytes: u64,
 }
 
@@ -487,8 +495,6 @@ impl NextLinePrefetcher {
     pub fn new(cfg: &FrontendConfig) -> Self {
         NextLinePrefetcher {
             piq: VecDeque::new(),
-            piq_entries: cfg.piq_entries,
-            degree: cfg.nlp_degree,
             line_bytes: cfg.line_bytes,
         }
     }
@@ -505,9 +511,9 @@ impl InstrPrefetcher for NextLinePrefetcher {
 
     fn observe_fetch(&mut self, slot: &LineSlot) {
         // Next-N-line prefetching triggers off every demand line fetch.
-        for k in 1..=self.degree as u64 {
+        for k in 1..=NLP_DEGREE {
             let next = slot.line + k * self.line_bytes;
-            if self.piq.len() < self.piq_entries && !self.piq.contains(&next) {
+            if self.piq.len() < PIQ_ENTRIES && !self.piq.contains(&next) {
                 self.piq.push_back(next);
             }
         }
@@ -551,7 +557,7 @@ impl InstrPrefetcher for NextLinePrefetcher {
     }
 
     fn state_bytes(&self) -> usize {
-        self.piq_entries * 8
+        PIQ_ENTRIES * 8
     }
 }
 
@@ -688,7 +694,7 @@ struct SabEntry {
 /// MANA: a set-associative table of spatial-region records keyed by
 /// trigger line, each carrying a footprint bitmap and a successor
 /// pointer; a small stream address buffer (SAB) tracks the active record
-/// chains and chases them `mana_degree` records ahead of fetch,
+/// chains and chases them `MANA_DEGREE` records ahead of fetch,
 /// prestaging each record's footprint into the pre-buffer (L1-resident
 /// lines are copied over, CLGP-style — a buffer hit is cheaper than a
 /// multi-cycle L1 hit).
@@ -703,8 +709,6 @@ pub struct ManaPrefetcher {
     last_line: Option<u64>,
     reqq: VecDeque<Addr>,
     tick: u64,
-    region_lines: u32,
-    degree: u32,
     line_shift: u32,
 }
 
@@ -715,13 +719,11 @@ impl ManaPrefetcher {
             sets: cfg.mana_entries / assoc,
             assoc,
             table: vec![ManaRecord::default(); cfg.mana_entries],
-            sab: vec![SabEntry::default(); cfg.mana_sab_entries],
+            sab: vec![SabEntry::default(); MANA_SAB_ENTRIES],
             cur: None,
             last_line: None,
             reqq: VecDeque::new(),
             tick: 0,
-            region_lines: cfg.mana_region_lines,
-            degree: cfg.mana_degree,
             line_shift: cfg.line_bytes.trailing_zeros(),
         }
     }
@@ -783,7 +785,7 @@ impl ManaPrefetcher {
     /// Enqueue a record's spatial footprint (without the trigger itself —
     /// the caller prefetches or is already fetching it).
     fn enqueue_footprint(&mut self, trigger: u64, bitmap: u32) {
-        for k in 0..self.region_lines.saturating_sub(1) {
+        for k in 0..MANA_REGION_LINES - 1 {
             if bitmap & (1 << k) != 0 {
                 enqueue(&mut self.reqq, (trigger + 1 + k as u64) << self.line_shift);
             }
@@ -799,7 +801,7 @@ impl ManaPrefetcher {
         // (when `from` has no record yet, keep expecting `from` itself so
         // the stream re-anchors once a record is learned for it).
         let mut expected = from;
-        for step in 0..self.degree.max(1) {
+        for step in 0..MANA_DEGREE {
             let Some(rec) = self.lookup(cur) else {
                 // Chain ran off the table.
                 break;
@@ -854,7 +856,7 @@ impl InstrPrefetcher for ManaPrefetcher {
         match self.cur {
             None => self.cur = Some((ln, 0)),
             Some((t, bm)) => {
-                if ln > t && ln - t < self.region_lines as u64 {
+                if ln > t && ln - t < u64::from(MANA_REGION_LINES) {
                     self.cur = Some((t, bm | 1 << (ln - t - 1)));
                 } else {
                     self.insert(t, bm, ln);
@@ -926,7 +928,7 @@ impl InstrPrefetcher for ManaPrefetcher {
     }
 
     fn state_bytes(&self) -> usize {
-        let bitmap_bytes = (self.region_lines as usize - 1).div_ceil(8);
+        let bitmap_bytes = (MANA_REGION_LINES as usize - 1).div_ceil(8);
         self.table.len() * (9 + bitmap_bytes) + self.sab.len() * 8 + PREFETCH_QUEUE_CAP * 8
     }
 }
@@ -945,8 +947,8 @@ struct MapEntry {
 }
 
 /// High-level program-map traversal: a direct-mapped region-successor map
-/// over the dynamic block graph.  Entering a new `progmap_region_bytes`
-/// region records the transition and walks the map `progmap_degree`
+/// over the dynamic block graph.  Entering a new `PROGMAP_REGION_BYTES`
+/// region records the transition and walks the map `PROGMAP_DEGREE`
 /// regions ahead, enqueueing every line of each predicted region.  Like
 /// MANA (and CLGP), L1-resident lines are copied into the pre-buffer
 /// rather than filtered — on instruction footprints whose hot regions fit
@@ -957,10 +959,8 @@ pub struct ProgMapPrefetcher {
     map: Vec<MapEntry>,
     last_region: Option<u64>,
     reqq: VecDeque<Addr>,
-    region_shift: u32,
     lines_per_region: u64,
     line_bytes: u64,
-    degree: u32,
 }
 
 impl ProgMapPrefetcher {
@@ -969,10 +969,8 @@ impl ProgMapPrefetcher {
             map: vec![MapEntry::default(); cfg.progmap_entries],
             last_region: None,
             reqq: VecDeque::new(),
-            region_shift: cfg.progmap_region_bytes.trailing_zeros(),
-            lines_per_region: cfg.progmap_region_bytes / cfg.line_bytes,
+            lines_per_region: PROGMAP_REGION_BYTES / cfg.line_bytes,
             line_bytes: cfg.line_bytes,
-            degree: cfg.progmap_degree,
         }
     }
 
@@ -991,7 +989,7 @@ impl InstrPrefetcher for ProgMapPrefetcher {
     }
 
     fn observe_fetch(&mut self, slot: &LineSlot) {
-        let region = slot.line >> self.region_shift;
+        let region = slot.line >> PROGMAP_REGION_SHIFT;
         if self.last_region == Some(region) {
             return;
         }
@@ -1007,12 +1005,12 @@ impl InstrPrefetcher for ProgMapPrefetcher {
         }
         // Traverse ahead: enqueue every line of the next learned regions.
         let mut r = region;
-        for _ in 0..self.degree {
+        for _ in 0..PROGMAP_DEGREE {
             let e = self.map[self.idx(r)];
             if !e.valid || e.region != r || e.next == region {
                 break;
             }
-            let base = e.next << self.region_shift;
+            let base = e.next << PROGMAP_REGION_SHIFT;
             for k in 0..self.lines_per_region {
                 enqueue(&mut self.reqq, base + k * self.line_bytes);
             }

@@ -280,8 +280,7 @@ fn flush_clears_queue_and_resets_counters() {
 fn pipelined_l1_streams_lines_back_to_back() {
     let tech = TechNode::T045;
     // 64KB L1 at 0.045um: 5-cycle latency.
-    let mut plain = FrontendConfig::base(tech, 64 << 10);
-    plain.max_inflight = 4;
+    let plain = FrontendConfig::base(tech, 64 << 10);
     let mut piped = plain;
     piped.l1_pipelined = true;
 
@@ -347,7 +346,6 @@ fn next_line_prefetcher_covers_sequential_streams() {
     let mut cfg = FrontendConfig::base(tech, 8 << 10);
     cfg.prefetcher = PrefetcherKind::NextLine;
     cfg.pb_entries = 4;
-    cfg.nlp_degree = 2;
     let mut fe = FrontEnd::<NextLinePrefetcher>::new(cfg);
     let mut l2sys = l2(tech);
     for i in 0..16u64 {

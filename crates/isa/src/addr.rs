@@ -16,13 +16,6 @@ pub fn align_line(addr: Addr, line: u64) -> Addr {
     addr & !(line - 1)
 }
 
-/// The line number (address divided by line size) containing `addr`.
-#[inline]
-pub fn line_of(addr: Addr, line: u64) -> u64 {
-    debug_assert!(line.is_power_of_two());
-    addr >> line.trailing_zeros()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -32,13 +25,5 @@ mod tests {
         assert_eq!(align_line(0x1234, 64), 0x1200);
         assert_eq!(align_line(0x1240, 64), 0x1240);
         assert_eq!(align_line(0x0, 64), 0x0);
-    }
-
-    #[test]
-    fn line_numbers() {
-        assert_eq!(line_of(0, 64), 0);
-        assert_eq!(line_of(63, 64), 0);
-        assert_eq!(line_of(64, 64), 1);
-        assert_eq!(line_of(0x1000, 128), 0x20);
     }
 }

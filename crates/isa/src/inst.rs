@@ -155,12 +155,6 @@ impl StaticInst {
         }
     }
 
-    /// The fall-through PC.
-    #[inline]
-    pub fn next_pc(&self) -> Addr {
-        self.pc + crate::addr::INST_BYTES
-    }
-
     /// Destination that actually produces a value (zero register excluded).
     pub fn dep_dest(&self) -> Option<Reg> {
         self.dst.filter(|r| !r.is_zero())

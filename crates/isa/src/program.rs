@@ -122,12 +122,6 @@ impl ProgramBuilder {
         self
     }
 
-    /// Next free address after all blocks added so far (for contiguous
-    /// layout), or `base` if none.
-    pub fn cursor(&self, base: Addr) -> Addr {
-        self.blocks.iter().map(|b| b.end()).max().unwrap_or(base)
-    }
-
     /// Validate everything and produce the immutable program.
     pub fn finish(mut self) -> Result<Program, ProgramError> {
         if self.blocks.is_empty() {
@@ -288,13 +282,5 @@ mod tests {
         ));
         pb.push(straightline_block(0x2000, 2, Terminator::Return));
         assert!(matches!(pb.finish(), Err(ProgramError::InvalidBlock(_))));
-    }
-
-    #[test]
-    fn cursor_tracks_layout() {
-        let mut pb = ProgramBuilder::new();
-        assert_eq!(pb.cursor(0x400), 0x400);
-        pb.push(straightline_block(0x400, 3, Terminator::Return));
-        assert_eq!(pb.cursor(0x400), 0x400 + 4 * 4);
     }
 }

@@ -408,14 +408,6 @@ impl Json {
         }
     }
 
-    /// Object keys in insertion order (used to reject unknown fields).
-    pub fn keys(&self) -> Option<Vec<&str>> {
-        match self {
-            Json::Obj(pairs) => Some(pairs.iter().map(|(k, _)| k.as_str()).collect()),
-            _ => None,
-        }
-    }
-
     pub fn as_i128(&self) -> Option<i128> {
         match self {
             Json::Int(i) => Some(*i),
@@ -583,7 +575,6 @@ mod tests {
         assert_eq!(Json::parse(&v.pretty()).unwrap(), v);
         assert_eq!(v.get("name").and_then(Json::as_str), Some("fig1"));
         assert_eq!(v.get("bench").map(Json::is_null), Some(true));
-        assert_eq!(v.keys().unwrap(), vec!["name", "sizes", "bench", "inner"]);
     }
 
     #[test]

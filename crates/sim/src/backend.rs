@@ -19,33 +19,38 @@ use prestage_cache::{Completion, L2System, ReqClass, ReqId, SetAssocCache};
 use prestage_isa::{Addr, OpClass, Reg, StaticInst, NUM_REGS};
 use std::collections::VecDeque;
 
+/// RUU entries (Table 2: 64).
+pub const RUU_SIZE: usize = 64;
+
+/// D-cache line size in bytes (Table 2: 64).
+pub const DCACHE_LINE: usize = 64;
+
+/// D-cache ports: loads and stores issued per cycle (Table 2: 2).
+pub const DCACHE_PORTS: u32 = 2;
+
+/// D-cache hit latency in cycles (Table 2: 1).
+pub const DCACHE_LATENCY: u64 = 1;
+
+// The issue scan's waiting-entry bitmaps are 128 bits wide.
+const _: () = assert!(RUU_SIZE <= 128);
+
 /// Back-end configuration (Table 2 defaults via [`BackendConfig::default`]).
+/// The values no experiment varies are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendConfig {
     /// Issue and commit width.
     pub width: u32,
-    /// RUU entries.
-    pub ruu_size: usize,
     /// D-cache capacity in bytes.
     pub dcache_capacity: usize,
     pub dcache_assoc: usize,
-    pub dcache_line: usize,
-    /// D-cache ports (loads + stores per cycle).
-    pub dcache_ports: u32,
-    /// D-cache hit latency in cycles.
-    pub dcache_latency: u32,
 }
 
 impl Default for BackendConfig {
     fn default() -> Self {
         BackendConfig {
             width: 4,
-            ruu_size: 64,
             dcache_capacity: 32 << 10,
             dcache_assoc: 2,
-            dcache_line: 64,
-            dcache_ports: 2,
-            dcache_latency: 1,
         }
     }
 }
@@ -122,8 +127,8 @@ pub struct BackEnd {
     /// commit pops the front and shifts the map).  The issue scan and the
     /// wakeup broadcast walk set bits only: entries that issued or went to
     /// memory are never re-examined, and only `Waiting` entries can carry
-    /// unresolved source tags.  Capacity is the map's width; construction
-    /// rejects larger windows by name.
+    /// unresolved source tags.  Capacity is the map's width, which a
+    /// `const` assertion holds [`RUU_SIZE`] to.
     waiting: u128,
     /// Bitmap of RUU entries in `WaitMem` state, indexed like `waiting`:
     /// a completion visits only the loads waiting on memory.
@@ -152,17 +157,11 @@ fn issue_time(src_time: &[u64; 2]) -> u64 {
 
 impl BackEnd {
     pub fn new(cfg: BackendConfig) -> Self {
-        assert!(
-            cfg.ruu_size <= 128,
-            "BackendConfig.ruu_size must be <= 128 (the issue scan's \
-             waiting-entry bitmap is 128 bits wide), got {}",
-            cfg.ruu_size
-        );
         BackEnd {
-            ruu: VecDeque::with_capacity(cfg.ruu_size),
+            ruu: VecDeque::with_capacity(RUU_SIZE),
             reg_ready: [0; NUM_REGS],
             last_writer: [u64::MAX; NUM_REGS],
-            dcache: SetAssocCache::new(cfg.dcache_capacity, cfg.dcache_line, cfg.dcache_assoc),
+            dcache: SetAssocCache::new(cfg.dcache_capacity, DCACHE_LINE, cfg.dcache_assoc),
             stats: BackendStats::default(),
             next_seq: 0,
             pending_mispredicts: 0,
@@ -189,7 +188,7 @@ impl BackEnd {
 
     /// Free RUU slots.
     pub fn free_slots(&self) -> usize {
-        self.cfg.ruu_size - self.ruu.len()
+        RUU_SIZE - self.ruu.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -199,7 +198,7 @@ impl BackEnd {
     /// Dispatch one instruction into the RUU.  The caller must check
     /// [`BackEnd::free_slots`] first.  Returns its sequence number.
     pub fn dispatch(&mut self, inst: &StaticInst, mem_addr: Option<Addr>, mispredict: bool) -> u64 {
-        debug_assert!(self.ruu.len() < self.cfg.ruu_size);
+        debug_assert!(self.ruu.len() < RUU_SIZE);
         let seq = self.next_seq;
         self.next_seq += 1;
         // Capture source readiness as of dispatch (register rename):
@@ -395,9 +394,8 @@ impl BackEnd {
     /// iterator instead of re-indexing the deque per entry.
     fn issue(&mut self, now: u64, l2: &mut L2System) {
         let mut issued = 0u32;
-        let mut dports = self.cfg.dcache_ports;
+        let mut dports = DCACHE_PORTS;
         let width = self.cfg.width;
-        let dcache_latency = self.cfg.dcache_latency as u64;
         let mut wake = std::mem::take(&mut self.wake_buf);
         // Earliest issue time among the entries the scan leaves waiting.
         let mut horizon = u64::MAX;
@@ -425,7 +423,7 @@ impl BackEnd {
                     let addr = e.mem_addr.unwrap_or(0);
                     if self.dcache.lookup(addr) {
                         self.stats.dcache_hits += 1;
-                        now + 1 + dcache_latency
+                        now + 1 + DCACHE_LATENCY
                     } else {
                         self.stats.dcache_misses += 1;
                         let req = match l2.find_pending(addr) {

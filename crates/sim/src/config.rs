@@ -98,9 +98,6 @@ impl ConfigPreset {
 pub struct SimConfig {
     pub frontend: FrontendConfig,
     pub backend: BackendConfig,
-    /// Pipeline stages between fetch delivery and RUU dispatch
-    /// (decode + rename + dispatch of the 15-stage pipeline).
-    pub decode_stages: u32,
     /// Decode-buffer entries (fetch-to-dispatch elasticity).
     pub decode_buffer: u32,
     /// Instructions to warm caches/predictor before measuring.
@@ -164,7 +161,6 @@ impl SimConfig {
         SimConfig {
             frontend: fe,
             backend: BackendConfig::default(),
-            decode_stages: 4,
             decode_buffer: 16,
             warmup_insts: 200_000,
             measure_insts: 1_000_000,
@@ -199,8 +195,7 @@ impl SimConfig {
     }
 
     /// Force one prefetch-fill insertion policy across mechanisms (the
-    /// `ExperimentSpec` `insertion` field); `None` keeps each mechanism's
-    /// own choice.
+    /// `ExperimentSpec` `insertion` field); `None` inserts at MRU.
     pub fn with_insertion(mut self, insertion: Option<InsertionPolicy>) -> Self {
         self.frontend.insertion = insertion;
         self

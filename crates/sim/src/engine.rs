@@ -66,9 +66,11 @@ use crate::backend::BackEnd;
 use crate::config::SimConfig;
 use crate::stats::SimStats;
 use prestage_bpred::{
-    FetchBlockPredictor, GsharePredictor, StreamDesc, StreamPrediction, StreamPredictor,
+    GshareCheckpoint, GsharePredictor, PredCheckpoint, StreamDesc, StreamPrediction,
+    StreamPredictor,
 };
 use prestage_cache::{Completion, L2Config, L2System, ReqClass, TlbCheckpoint};
+use prestage_core::config::{MAX_INFLIGHT, QUEUE_BLOCKS};
 use prestage_core::{
     ClgpPrefetcher, Delivery, FdpPrefetcher, FrontEnd, InstrPrefetcher, ManaPrefetcher,
     NextLinePrefetcher, NoPrefetcher, PrefetchCheckpoint, PrefetcherKind, ProgMapPrefetcher,
@@ -221,8 +223,7 @@ impl PredictorKind {
     }
 }
 
-/// Unified predictor wrapper so one engine serves both (the trait has an
-/// associated Checkpoint type, which a trait object cannot carry).
+/// The fetch-block predictor, as one type so one engine serves both.
 #[derive(Debug)]
 enum AnyPredictor {
     Stream(StreamPredictor),
@@ -231,8 +232,8 @@ enum AnyPredictor {
 
 #[derive(Debug, Clone)]
 enum PredictorCheckpoint {
-    Stream(<StreamPredictor as FetchBlockPredictor>::Checkpoint),
-    Gshare(<GsharePredictor as FetchBlockPredictor>::Checkpoint),
+    Stream(PredCheckpoint),
+    Gshare(GshareCheckpoint),
 }
 
 /// Training context captured before a prediction.
@@ -323,6 +324,10 @@ impl AnyPredictor {
         }
     }
 }
+
+/// Pipeline stages between fetch delivery and RUU dispatch (decode,
+/// rename and dispatch of the 15-stage pipeline).
+const DECODE_STAGES: u64 = 4;
 
 #[derive(Debug, Clone, Copy)]
 struct DecodeEntry {
@@ -516,8 +521,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
             self.l2.outstanding()
         );
         debug_assert!(
-            self.blocks.len()
-                <= self.cfg.frontend.queue_blocks + self.cfg.frontend.max_inflight + 1,
+            self.blocks.len() <= QUEUE_BLOCKS + MAX_INFLIGHT + 1,
             "live fetch blocks leaked: {}",
             self.blocks.len()
         );
@@ -668,7 +672,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
     /// request.  Both checks are O(1) — counters against counters.
     #[cfg(debug_assertions)]
     fn assert_hot_state_bounded(&self) {
-        let block_bound = self.cfg.frontend.queue_blocks + self.cfg.frontend.max_inflight + 1;
+        let block_bound = QUEUE_BLOCKS + MAX_INFLIGHT + 1;
         debug_assert!(
             self.blocks.len() <= block_bound,
             "cycle {}: {} live fetch blocks exceed the structural bound {block_bound}",
@@ -687,7 +691,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
     /// Match a front-end delivery against its block's correct-path
     /// instructions; wrong-path deliveries evaporate here.
     fn route_delivery(&mut self, d: &Delivery) {
-        let ready = d.cycle + self.cfg.decode_stages as u64;
+        let ready = d.cycle + DECODE_STAGES;
         let Some(info) = self.blocks.get(d.block_seq) else {
             return;
         };

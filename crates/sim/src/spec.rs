@@ -1184,6 +1184,41 @@ mod tests {
         let mut s = tiny_spec();
         s.measure_insts = 0;
         assert!(s.validate().unwrap_err().contains("measure_insts"));
+        // Unbounded i-TLB sizes: a 2^62-cycle walk wedges the engine, 2^40
+        // entries cannot be allocated, and 65536 ways overflow the LRU ranks.
+        let itlb = ITlbConfig::default_config();
+        for (bad, field) in [
+            (
+                ITlbConfig {
+                    miss_cycles: 1 << 62,
+                    ..itlb
+                },
+                "miss_cycles",
+            ),
+            (
+                ITlbConfig {
+                    entries: 1 << 40,
+                    assoc: 1,
+                    ..itlb
+                },
+                "entries",
+            ),
+            (
+                ITlbConfig {
+                    entries: 1 << 16,
+                    assoc: 1 << 16,
+                    ..itlb
+                },
+                "assoc",
+            ),
+        ] {
+            let s = ExperimentSpec {
+                itlb: Some(bad),
+                ..tiny_spec()
+            };
+            let e = s.validate().unwrap_err();
+            assert!(e.contains(&format!("itlb {field}")), "{e}");
+        }
     }
 
     #[test]

@@ -65,7 +65,6 @@ pub struct TraceGenerator<'w> {
     mem_counts: Vec<u32>,
     /// Maximum instructions per emitted stream.
     max_stream: u32,
-    emitted: u64,
 }
 
 impl<'w> TraceGenerator<'w> {
@@ -89,13 +88,7 @@ impl<'w> TraceGenerator<'w> {
             mem_counts: vec![0; total as usize],
             max_stream: MAX_STREAM_INSTS,
             w,
-            emitted: 0,
         }
-    }
-
-    /// Total instructions emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// `slot` is the flat counter index of the site (`mem_slot_base[block]
@@ -183,7 +176,6 @@ impl<'w> TraceGenerator<'w> {
             for ii in first..block.len() {
                 if out.len() as u32 == self.max_stream {
                     // Sequential break: close the stream mid-block.
-                    self.emitted += out.len() as u64;
                     return StreamDesc {
                         start,
                         len: out.len() as u32,
@@ -276,7 +268,6 @@ impl<'w> TraceGenerator<'w> {
                 });
                 self.pc = next;
                 if let Some(end) = end {
-                    self.emitted += out.len() as u64;
                     return StreamDesc {
                         start,
                         len: out.len() as u32,

@@ -166,9 +166,11 @@ fn json_target(data: &[u8]) -> Result<Outcome, String> {
     }
 }
 
-/// The `ExperimentSpec` codec: strict schema-4 parse; accepted specs
-/// must survive the canonical round trip, and `validate()`
-/// must return — never panic — on whatever parsed.
+/// The `ExperimentSpec` codec: strict schema-4 parse; parsed specs must
+/// survive the canonical round trip, and `validate()` must return — never
+/// panic — on whatever parsed.  A spec is accepted only if it also
+/// validates: a `validate()` rejection must name a field, like a parse
+/// rejection.
 fn spec_target(data: &[u8]) -> Result<Outcome, String> {
     let Ok(text) = std::str::from_utf8(data) else {
         return Ok(Outcome::Rejected);
@@ -190,12 +192,12 @@ fn spec_target(data: &[u8]) -> Result<Outcome, String> {
             if back != spec {
                 return Err("spec round-trip changed a field".into());
             }
-            // Whatever parsed must be *checkable* without crashing; the
-            // verdict itself is free to go either way.
+            // Whatever parsed must be *checkable* without crashing.
             if let Err(e) = spec.validate() {
-                if e.trim().is_empty() {
-                    return Err("validate() rejection with an empty reason".into());
+                if !names_a_site(&e, SPEC_TOKENS) {
+                    return Err(format!("validate() rejection names no field: {e:?}"));
                 }
+                return Ok(Outcome::Rejected);
             }
             Ok(Outcome::Accepted)
         }

@@ -87,14 +87,36 @@ fn regression_v1_trace_is_refused_by_version() {
 /// overflowing the run-length sum.
 #[test]
 fn regression_overflowing_run_length() {
-    let bytes = std::fs::read(default_regressions_root().join("spec/warmup-measure-overflow.json"))
-        .expect("checked-in regression input");
+    let e = parses_but_fails_validation("spec/warmup-measure-overflow.json");
+    assert!(e.contains("overflows"), "{e}");
+}
+
+/// `fuzz/regressions/spec/itlb-*.json` — well-formed i-TLB blocks that
+/// once crashed the first cell: a 2^62-cycle page walk wedged the engine,
+/// 2^40 entries aborted on allocation, and 65536 ways overflowed the LRU
+/// ranks.  Each must validate to an error naming its field.
+#[test]
+fn regression_unbounded_itlb_sizes() {
+    for (file, field) in [
+        ("spec/itlb-walk-wedges.json", "itlb miss_cycles"),
+        ("spec/itlb-entries-unallocatable.json", "itlb entries"),
+        ("spec/itlb-assoc-overflows-lru.json", "itlb assoc"),
+    ] {
+        let e = parses_but_fails_validation(file);
+        assert!(e.contains(field), "{file}: {e}");
+    }
+}
+
+/// Check that the spec regression `file` parses, that the spec target
+/// rejects it, and return its `validate()` error.
+fn parses_but_fails_validation(file: &str) -> String {
+    let bytes =
+        std::fs::read(default_regressions_root().join(file)).expect("checked-in regression input");
     let t = target_by_name("spec").unwrap();
-    assert_eq!(check_input(t, &bytes), Ok(Outcome::Accepted));
+    assert_eq!(check_input(t, &bytes), Ok(Outcome::Rejected), "{file}");
     let spec =
         prestage_sim::ExperimentSpec::from_json(std::str::from_utf8(&bytes).unwrap()).unwrap();
-    let e = spec.validate().unwrap_err();
-    assert!(e.contains("overflows"), "{e}");
+    spec.validate().unwrap_err()
 }
 
 /// A bounded campaign over every target is crash-free and bit-repeatable —

@@ -62,7 +62,6 @@ fn usage() -> ! {
          prestage trace info   <trace.pstr>\n  \
          prestage spec  <figure> [--out <file>]\n  \
          prestage fuzz  [--budget <N>] [--seed <S>] [--corpus <dir>] [--crashes <dir>]\n  \
-         prestage lint  [--rule <name>]... [--baseline <file>] [--update-baseline]\n  \
          prestage list\n\n\
          A figure name (see `prestage list`) runs its declared spec with the\n\
          PRESTAGE_* environment overrides applied; a spec file runs verbatim.\n\
@@ -444,7 +443,6 @@ fn main() {
         "trace" => cmd_trace(args),
         "spec" => cmd_spec(args),
         "fuzz" => cmd_fuzz(args),
-        "lint" => exit(prestage_analyze::cli::run("prestage lint", &args)),
         "list" => cmd_list(),
         _ => usage(),
     }

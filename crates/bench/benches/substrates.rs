@@ -141,13 +141,13 @@ fn bench_trace_io(c: &mut Criterion) {
         })
     });
 
-    // The set-up pass for a trace one cell replays: every check, no decode.
+    // The set-up pass for every replayed trace: every check, no decode.
     c.bench_function("trace/verify_64k_insts", |b| {
         b.iter(|| TraceReader::new(&bytes[..]).unwrap().verify().unwrap())
     });
 
-    // A single-reader cell's replay path: read + CRC + decode + stream
-    // reassembly, as the engine sees it.
+    // A replayed cell's path: read + CRC + decode + stream reassembly, as
+    // the engine sees it.
     c.bench_function("trace/replay_streams_64k", |b| {
         b.iter(|| {
             let mut replayer = TraceReplayer::new(TraceReader::new(&bytes[..]).unwrap(), "bench");
@@ -160,8 +160,8 @@ fn bench_trace_io(c: &mut Criterion) {
         })
     });
 
-    // A shared trace's replay path: its cells share one decoded trace;
-    // per-cell cost is the slice scan + bulk copy.
+    // Replay out of an in-memory decode (the layer benchmarks' source; no
+    // sweep takes it): the slice scan + bulk copy.
     let decoded = std::sync::Arc::new(
         TraceReader::new(&bytes[..])
             .unwrap()

@@ -207,15 +207,6 @@ impl StreamPredictor {
         self.predict_at(i1, t1, i2, t2, start, prog)
     }
 
-    /// Train the PC-indexed level only with a resolved actual stream.  The
-    /// engine uses [`train_with_token`](Self::train_with_token) for full
-    /// cascade training; this entry point exists for warm-up passes.
-    pub fn train(&mut self, actual: &StreamDesc) {
-        let (i1, t1) = self.l1_index(actual.start);
-        let conf_max = self.cfg.conf_max;
-        Self::train_entry(&mut self.l1[i1], t1, actual, conf_max);
-    }
-
     /// Capture speculative state (history + RAS) before a prediction.
     pub fn checkpoint(&self) -> PredCheckpoint {
         PredCheckpoint {

@@ -233,13 +233,6 @@ pub trait InstrPrefetcher: std::fmt::Debug {
     fn restore(&mut self, cp: &PrefetchCheckpoint) {
         let _ = cp;
     }
-
-    /// Mechanism-private metadata storage in bytes (tables, queues,
-    /// pointers — everything beyond the shared pre-buffer), for the CACTI
-    /// area/energy accounting of the hardware-budget comparisons.
-    fn state_bytes(&self) -> usize {
-        0
-    }
 }
 
 /// The no-prefetch baseline: a zero-sized mechanism whose hooks compile
@@ -472,10 +465,6 @@ impl InstrPrefetcher for FdpPrefetcher {
     fn on_redirect(&mut self) {
         self.piq.clear();
     }
-
-    fn state_bytes(&self) -> usize {
-        PIQ_ENTRIES * 8
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -554,10 +543,6 @@ impl InstrPrefetcher for NextLinePrefetcher {
 
     fn on_redirect(&mut self) {
         self.piq.clear();
-    }
-
-    fn state_bytes(&self) -> usize {
-        PIQ_ENTRIES * 8
     }
 }
 
@@ -926,11 +911,6 @@ impl InstrPrefetcher for ManaPrefetcher {
         }
         self.reqq.clear();
     }
-
-    fn state_bytes(&self) -> usize {
-        let bitmap_bytes = (MANA_REGION_LINES as usize - 1).div_ceil(8);
-        self.table.len() * (9 + bitmap_bytes) + self.sab.len() * 8 + PREFETCH_QUEUE_CAP * 8
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1043,10 +1023,6 @@ impl InstrPrefetcher for ProgMapPrefetcher {
         debug_assert_eq!(cp.0.len(), 2);
         self.last_region = (cp.0[0] == 1).then_some(cp.0[1]);
         self.reqq.clear();
-    }
-
-    fn state_bytes(&self) -> usize {
-        self.map.len() * 8 + PREFETCH_QUEUE_CAP * 8
     }
 }
 
@@ -1172,7 +1148,17 @@ mod tests {
                 PrefetcherKind::ProgMap => Box::new(ProgMapPrefetcher::from_config(&cfg)),
             };
             assert_eq!(pf.kind(), kind);
-            assert_eq!(pf.state_bytes(), prefetcher_state_bytes(&cfg));
+            // Metadata at this config: a PIQ of 8 line addresses; MANA's
+            // 1024 records of tag, successor, valid/replacement and a 1-byte
+            // bitmap, its 4-entry SAB and the 32-line request queue; the
+            // program map's 2048 region pairs and the same queue.
+            let want_bytes = match kind {
+                PrefetcherKind::None | PrefetcherKind::Clgp => 0,
+                PrefetcherKind::Fdp | PrefetcherKind::NextLine => 8 * 8,
+                PrefetcherKind::Mana => 1024 * (4 + 4 + 1 + 1) + 4 * 8 + 32 * 8,
+                PrefetcherKind::ProgMap => 2048 * (4 + 4) + 32 * 8,
+            };
+            assert_eq!(prefetcher_state_bytes(&cfg), want_bytes, "{kind:?}");
             assert_eq!(
                 pf.migrate_used_lines(),
                 kind != PrefetcherKind::None && kind != PrefetcherKind::Clgp,

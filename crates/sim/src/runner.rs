@@ -17,9 +17,9 @@
 
 use crate::config::{ConfigPreset, SimConfig};
 use crate::engine::Engine;
-use crate::spec::{ExperimentSpec, ReplaySource, TRACE_INMEM_BUDGET_BYTES};
+use crate::spec::ExperimentSpec;
 use crate::stats::{harmonic_mean, SimStats};
-use prestage_workload::{replay_file, InstSource, SharedReplayer, TraceGenerator, Workload};
+use prestage_workload::{replay_file, InstSource, TraceGenerator, Workload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -137,26 +137,20 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Validate the spec, set up its workloads and the replay traces the
-    /// cells use (see [`TRACE_INMEM_BUDGET_BYTES`]), then evaluate every
-    /// cell on a pool of the spec's width.  Results come back in
-    /// input-cell order and are bit-exact for any width, because every
-    /// cell simulation is independent and deterministic.
+    /// Validate the spec, set up its workloads and verify the replay traces
+    /// the cells use, then evaluate every cell on a pool of the spec's
+    /// width.  Results come back in input-cell order and are bit-exact for
+    /// any width, because every cell simulation is independent and
+    /// deterministic.
     ///
     /// Each cell's committed path comes from the spec's source: a live
-    /// generator seeded by the spec's exec seed, or a replay of the
-    /// benchmark's vetted trace — the shared in-memory decode when several
-    /// cells replay it, otherwise the cell's own stream of the file at
-    /// constant memory, CRC-checked chunk by chunk as it is consumed.
+    /// generator seeded by the spec's exec seed, or the cell's own stream
+    /// of the benchmark's verified trace file at constant memory,
+    /// CRC-checked chunk by chunk as it is consumed.
     ///
     /// # Panics
     /// If a cell indexes outside the spec's benchmarks on the live path.
     pub fn run(&self) -> Result<Vec<CellResult>, String> {
-        self.run_within(TRACE_INMEM_BUDGET_BYTES)
-    }
-
-    /// [`run`](Self::run) under an explicit in-memory trace budget.
-    pub(crate) fn run_within(&self, budget: u64) -> Result<Vec<CellResult>, String> {
         let Sweep {
             spec,
             cells,
@@ -181,13 +175,13 @@ impl<'a> Sweep<'a> {
                 ));
             }
         }
-        let set_up = spec.set_up_within(cells, workloads.is_none(), budget)?;
+        let set_up = spec.set_up(cells, workloads.is_none())?;
         let workloads = workloads.unwrap_or(&set_up.workloads);
         let traces = set_up.traces.as_deref();
         if let Some(sources) = traces {
             // Named rejection *before* the pool starts: every cell must
-            // have a loaded replay source, so no worker can hit a missing
-            // slot mid-sweep.
+            // have a verified trace, so no worker can hit a missing slot
+            // mid-sweep.
             for c in cells {
                 if !matches!(sources.get(c.bench_idx), Some(Some(_))) {
                     return Err(format!(
@@ -217,13 +211,9 @@ impl<'a> Sweep<'a> {
             let source: Box<dyn InstSource + '_> = match traces {
                 None => Box::new(TraceGenerator::new(w, spec.exec_seed)),
                 Some(sources) => match &sources[cell.bench_idx] {
-                    Some(ReplaySource::InMemory(records, path)) => Box::new(SharedReplayer::new(
-                        records.clone(),
-                        path.display().to_string(),
-                    )),
                     // Set-up verified the file; this stream re-checks each
                     // chunk CRC as the cell consumes it.
-                    Some(ReplaySource::Streamed(path)) => Box::new(
+                    Some(path) => Box::new(
                         replay_file(path)
                             .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display())),
                     ),

@@ -37,11 +37,11 @@ use crate::wire::{check_keys, field, Wire};
 use prestage_cacti::TechNode;
 use prestage_core::{ITlbConfig, InsertionPolicy, PrefetcherKind};
 use prestage_json::Json;
-use prestage_workload::{build, specint2000, BenchmarkProfile, DynInst, TraceReader, Workload};
+use prestage_workload::{build, specint2000, BenchmarkProfile, TraceReader, Workload};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// The paper's L1 I-cache sweep axis: 256 B … 64 KB.
@@ -76,85 +76,41 @@ pub const SPEC_SCHEMA: u64 = 4;
 /// trace.
 pub const TRACE_RECORD_SLACK: u64 = 16_384;
 
-/// Budget for holding *decoded* traces in memory during a replayed sweep.
-/// Only a trace that two or more of the run's cells replay is decoded
-/// into memory: set-up verifies and decodes it in one pass, and each of
-/// its cells replays the shared decode with no I/O, decoding or hashing of
-/// its own.  A trace read by one cell is only verified at set-up (no
-/// records are built), and that cell streams it at constant memory,
-/// re-checking each chunk's CRC as it consumes it — a shared decode would
-/// be shared by no one.  A shared trace beyond the budget streams the same
-/// way in every cell.  Bit-exact on every route.
-///
-/// The budget is spent before the set-up pool starts: in spec bench order,
-/// from the vetted headers' declared counts.  Which traces stay in memory
-/// therefore never depends on the pool width or on which load finishes
-/// first.
-pub const TRACE_INMEM_BUDGET_BYTES: u64 = 512 << 20;
-
 /// Rough single-core set-up costs on a 2-vCPU x86-64 host: building a
 /// workload takes about 200 ns per static instruction (gcc, the largest,
-/// 12–16 ms); a verify-only trace pass about 0.35 ns per file byte and a
-/// verify-and-decode pass about 0.8 (`trace/verify_64k_insts` and
-/// `trace/read_64k_insts` in the substrate benches).
+/// 12–16 ms) and a verify-only trace pass about 0.35 ns per file byte
+/// (`trace/verify_64k_insts` in the substrate benches).
 /// They only order the set-up pool's tasks, largest first, so the longest
 /// task does not start last; results never depend on them.
 const BUILD_NS_PER_STATIC_INST: u64 = 200;
 const VERIFY_PS_PER_TRACE_BYTE: u64 = 350;
-const DECODE_PS_PER_TRACE_BYTE: u64 = 800;
-
-/// One benchmark's vetted replay source.
-#[derive(Debug, Clone)]
-pub(crate) enum ReplaySource {
-    /// Verified and decoded at set-up; its cells replay the shared `Arc`.
-    InMemory(Arc<Vec<DynInst>>, PathBuf),
-    /// Verified at set-up; each cell streams the file, re-checking every
-    /// chunk CRC as it consumes it.
-    Streamed(PathBuf),
-}
 
 /// A used benchmark's trace whose header passed
-/// [`ExperimentSpec::vet_trace`], routed and waiting for its body pass.
+/// [`ExperimentSpec::vet_trace`], waiting for its body pass.
 struct VettedTrace {
     bench_idx: usize,
     path: PathBuf,
-    /// File length in bytes: caps the decode's up-front allocation.
+    /// File length in bytes: sizes this trace's set-up task.
     len: u64,
-    /// Decode into memory (shared by several cells, within the budget) or
-    /// stream per cell.
-    in_memory: bool,
     /// Positioned at the first chunk.  Locked once, by the one set-up
-    /// task that loads this trace.
+    /// task that verifies this trace.
     reader: Mutex<TraceReader<BufReader<File>>>,
 }
 
 impl VettedTrace {
     /// The body pass: every chunk CRC, every record's encoding, trailing
-    /// data.  A trace routed in memory decodes straight into the vector its
-    /// cells will share; a streamed one is verified without decoding.
-    fn load(&self) -> Result<ReplaySource, String> {
+    /// data — without decoding a record.  Each cell then streams the file
+    /// itself, re-checking every chunk CRC as it consumes it.
+    fn verify(&self) -> Result<PathBuf, String> {
         let path = self.path.display();
         let mut reader = self
             .reader
             .lock()
-            .map_err(|_| format!("trace {path}: a set-up worker panicked while loading it"))?;
-        let corrupt = |e: std::io::Error| format!("trace {path} is corrupt: {e}");
-        if self.in_memory {
-            let records = reader.read_all(self.len).map_err(corrupt)?;
-            return Ok(ReplaySource::InMemory(Arc::new(records), self.path.clone()));
-        }
-        reader.verify().map_err(corrupt)?;
-        Ok(ReplaySource::Streamed(self.path.clone()))
-    }
-
-    /// This trace's share of the set-up pool, in ns.
-    fn cost_ns(&self) -> u64 {
-        let ps = if self.in_memory {
-            DECODE_PS_PER_TRACE_BYTE
-        } else {
-            VERIFY_PS_PER_TRACE_BYTE
-        };
-        self.len.saturating_mul(ps) / 1000
+            .map_err(|_| format!("trace {path}: a set-up worker panicked while verifying it"))?;
+        reader
+            .verify()
+            .map_err(|e| format!("trace {path} is corrupt: {e}"))?;
+        Ok(self.path.clone())
     }
 }
 
@@ -163,15 +119,15 @@ pub(crate) struct SetUp {
     /// The spec's workloads in bench order; empty when the caller brought
     /// its own.
     pub(crate) workloads: Vec<Workload>,
-    /// One slot per spec benchmark (`None` for the ones no cell uses), or
-    /// `None` for live generation.
-    pub(crate) traces: Option<Vec<Option<ReplaySource>>>,
+    /// One verified trace path per spec benchmark (`None` for the ones no
+    /// cell uses), or `None` for live generation.
+    pub(crate) traces: Option<Vec<Option<PathBuf>>>,
 }
 
 /// One set-up task's output.
 enum SetUpOut {
     Built(Workload),
-    Loaded(usize, Result<ReplaySource, String>),
+    Verified(usize, Result<PathBuf, String>),
 }
 
 /// Where a spec's pre-recorded traces live: a directory holding one v2
@@ -503,44 +459,29 @@ impl ExperimentSpec {
 
     /// The set-up behind the spec runners: build the workloads (when
     /// `build_workloads`; callers with pre-built ones skip it) and vet and
-    /// load the replay traces of the benchmarks `cells` actually references
-    /// (a shard of a 12-bench spec must not pay for — or spend in-memory
-    /// budget on — the other eleven traces).
+    /// verify the replay traces of the benchmarks `cells` actually
+    /// references (a shard of a 12-bench spec must not pay for the other
+    /// eleven traces).
     ///
-    /// Trace headers are vetted first, one after another in bench order,
-    /// and each trace is routed in memory or to streaming from how many
-    /// cells replay it and its declared count (see
-    /// [`TRACE_INMEM_BUDGET_BYTES`]).  Then every workload build and every
-    /// trace body pass runs as one task on a pool of the spec's width,
-    /// largest first.  The first failure in bench order is the one
-    /// reported, whatever the width, so a corrupt trace fails the run
-    /// before any cell starts.
-    fn set_up(&self, cells: &[SweepCell], build_workloads: bool) -> Result<SetUp, String> {
-        self.set_up_within(cells, build_workloads, TRACE_INMEM_BUDGET_BYTES)
-    }
-
-    /// [`set_up`](Self::set_up) under an explicit in-memory budget.
-    pub(crate) fn set_up_within(
+    /// Trace headers are vetted first, one after another in bench order.
+    /// Then every workload build and every trace verify pass runs as one
+    /// task on a pool of the spec's width, largest first.  The first
+    /// failure in bench order is the one reported, whatever the width, so
+    /// a corrupt trace fails the run before any cell starts.
+    pub(crate) fn set_up(
         &self,
         cells: &[SweepCell],
         build_workloads: bool,
-        mut budget: u64,
     ) -> Result<SetUp, String> {
         let profiles = self.bench_profiles()?;
         let paths = self.trace_paths()?;
         let mut vetted = Vec::new();
         // A bad header fails the run, so vetting stops there and only the
-        // traces before it still load: one of them may fail first.
+        // traces before it are still verified: one of them may fail first.
         let mut bad_header = None;
         if let Some(paths) = &paths {
-            let mut readers = vec![0usize; paths.len()];
-            for c in cells {
-                if let Some(n) = readers.get_mut(c.bench_idx) {
-                    *n += 1;
-                }
-            }
             for (bench_idx, (path, p)) in paths.iter().zip(&profiles).enumerate() {
-                if readers[bench_idx] == 0 {
+                if !cells.iter().any(|c| c.bench_idx == bench_idx) {
                     continue;
                 }
                 let reader = match self.vet_trace(path, p.name) {
@@ -550,21 +491,10 @@ impl ExperimentSpec {
                         break;
                     }
                 };
-                let decoded_bytes = reader
-                    .header()
-                    .count
-                    .saturating_mul(std::mem::size_of::<DynInst>() as u64);
-                let in_memory = readers[bench_idx] >= 2 && decoded_bytes <= budget;
-                if in_memory {
-                    budget -= decoded_bytes;
-                }
                 vetted.push(VettedTrace {
                     bench_idx,
                     path: path.clone(),
-                    // Only an allocation cap: an unknown length allocates
-                    // as records decode.
                     len: std::fs::metadata(path).map_or(0, |m| m.len()),
-                    in_memory,
                     reader: Mutex::new(reader),
                 });
             }
@@ -577,25 +507,29 @@ impl ExperimentSpec {
         let costs: Vec<u64> = profiles[..n_builds]
             .iter()
             .map(|p| p.target_insts().saturating_mul(BUILD_NS_PER_STATIC_INST))
-            .chain(vetted.iter().map(VettedTrace::cost_ns))
+            .chain(
+                vetted
+                    .iter()
+                    .map(|t| t.len.saturating_mul(VERIFY_PS_PER_TRACE_BYTE) / 1000),
+            )
             .collect();
         let outs = pool_map_largest_first(&costs, self.resolved_threads(), |k| {
             match k.checked_sub(n_builds) {
                 None => SetUpOut::Built(build(&profiles[k], self.workload_seed)),
-                Some(j) => SetUpOut::Loaded(vetted[j].bench_idx, vetted[j].load()),
+                Some(j) => SetUpOut::Verified(vetted[j].bench_idx, vetted[j].verify()),
             }
         });
         let mut workloads = Vec::with_capacity(n_builds);
-        let mut loaded: Vec<Option<Result<ReplaySource, String>>> =
+        let mut verified: Vec<Option<Result<PathBuf, String>>> =
             profiles.iter().map(|_| None).collect();
         for out in outs {
             match out {
                 SetUpOut::Built(w) => workloads.push(w),
-                SetUpOut::Loaded(bench_idx, source) => loaded[bench_idx] = Some(source),
+                SetUpOut::Verified(bench_idx, path) => verified[bench_idx] = Some(path),
             }
         }
-        // Every loaded trace precedes the bad header in bench order.
-        let sources = loaded
+        // Every verified trace precedes the bad header in bench order.
+        let sources = verified
             .into_iter()
             .map(Option::transpose)
             .collect::<Result<Vec<_>, _>>()?;
@@ -1520,31 +1454,28 @@ mod tests {
                     threads: Some(threads),
                     ..spec.clone()
                 };
-                // In memory and streamed alike.
-                for budget in [TRACE_INMEM_BUDGET_BYTES, 0] {
-                    let Err(e) = spec.set_up_within(&cells, true, budget) else {
-                        panic!("two bad traces set up clean")
-                    };
-                    assert!(
-                        e.contains("mcf-w") && e.contains(want),
-                        "{threads} threads: {e}"
-                    );
-                    assert!(!e.contains("twolf"), "{threads} threads: {e}");
-                }
+                let Err(e) = spec.set_up(&cells, true) else {
+                    panic!("two bad traces set up clean")
+                };
+                assert!(
+                    e.contains("mcf-w") && e.contains(want),
+                    "{threads} threads: {e}"
+                );
+                assert!(!e.contains("twolf"), "{threads} threads: {e}");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn set_up_routes_by_readers_and_budget_and_replays_bit_exactly_at_any_width() {
-        let (replay, dir) = recorded_replay_spec("routing", &["gzip", "mcf", "twolf"]);
+    fn multi_reader_streamed_replay_is_bit_exact_at_any_width() {
+        let (replay, dir) = recorded_replay_spec("multi_reader", &["gzip", "mcf", "twolf"]);
         let live = ExperimentSpec {
             trace: None,
             ..replay.clone()
         };
-        // gzip and mcf are replayed by all four of their cells, twolf by
-        // one.
+        // gzip and mcf are replayed by all four of their cells, each cell
+        // streaming the file on its own; twolf by one.
         let grid = replay.cells().unwrap();
         let twolf = grid.iter().position(|c| c.bench_idx == 2).unwrap();
         let cells: Vec<SweepCell> = grid
@@ -1556,38 +1487,18 @@ mod tests {
         let readers = |b: usize| cells.iter().filter(|c| c.bench_idx == b).count();
         assert_eq!((readers(0), readers(1), readers(2)), (4, 4, 1));
         let want = Sweep::new(&live, &cells).run().unwrap();
-        let one = replay.trace_record_insts() * std::mem::size_of::<DynInst>() as u64;
-        let in_memory = |t: &Option<ReplaySource>| matches!(t, Some(ReplaySource::InMemory(..)));
-        // (budget, which of gzip/mcf/twolf decode in memory): the
-        // single-reader trace always streams; with room for one decode,
-        // the second shared trace in bench order streams too.
-        for (budget, routes) in [
-            (TRACE_INMEM_BUDGET_BYTES, [true, true, false]),
-            (one, [true, false, false]),
-            (0, [false, false, false]),
-        ] {
-            for threads in [1, 2, 4] {
-                let spec = ExperimentSpec {
-                    threads: Some(threads),
-                    ..replay.clone()
-                };
-                let set_up = spec.set_up_within(&cells, true, budget).unwrap();
-                let traces = set_up.traces.as_deref().unwrap();
-                let got_routes: Vec<bool> = traces.iter().map(in_memory).collect();
-                assert_eq!(got_routes, routes, "budget {budget}, {threads} threads");
-                assert!(traces.iter().all(Option::is_some));
-                let got = Sweep::new(&spec, &cells).run_within(budget).unwrap();
-                assert_eq!(got.len(), want.len());
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(
-                        (g.cell, &g.stats),
-                        (w.cell, &w.stats),
-                        "budget {budget}, {threads} threads"
-                    );
-                }
+        for threads in [1, 2, 4] {
+            let spec = ExperimentSpec {
+                threads: Some(threads),
+                ..replay.clone()
+            };
+            let got = Sweep::new(&spec, &cells).run().unwrap();
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!((g.cell, &g.stats), (w.cell, &w.stats), "{threads} threads");
             }
         }
-        // Whatever the routes, the first corrupt trace in bench order is
+        // Whatever the readers, the first corrupt trace in bench order is
         // the one reported, before any cell runs.
         let paths = replay.trace_paths().unwrap().unwrap();
         let good: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
@@ -1609,7 +1520,12 @@ mod tests {
                     threads: Some(threads),
                     ..replay.clone()
                 };
-                let Err(e) = Sweep::new(&spec, &cells).run_within(one) else {
+                let observer = |r: &CellResult| panic!("cell {:?} ran", r.cell);
+                let Err(e) = Sweep {
+                    observer: Some(&observer),
+                    ..Sweep::new(&spec, &cells)
+                }
+                .run() else {
                     panic!("corrupt traces {broken:?} replayed clean")
                 };
                 assert!(
@@ -1712,10 +1628,7 @@ mod tests {
 
     #[test]
     fn streamed_replay_equals_live_for_every_mechanism_at_any_width() {
-        // Budget 0 forces every trace onto the per-cell file stream, the
-        // route a single-reader trace, or one over the in-memory budget,
-        // takes.  One recording
-        // serves all mechanisms: the committed path is
+        // One recording serves all mechanisms: the committed path is
         // mechanism-independent.
         let (replay, dir) = recorded_replay_spec("streamed", &["gzip", "mcf", "twolf"]);
         let replay = ExperimentSpec {
@@ -1723,12 +1636,6 @@ mod tests {
             ..replay
         };
         let cells = replay.cells().unwrap();
-        let set_up = replay.set_up_within(&cells, false, 0).unwrap();
-        assert!(set_up
-            .traces
-            .unwrap()
-            .iter()
-            .all(|t| matches!(t, Some(ReplaySource::Streamed(_)))));
         for kind in PrefetcherKind::all() {
             let live = ExperimentSpec {
                 trace: None,
@@ -1742,7 +1649,7 @@ mod tests {
                     prefetcher: Some(kind),
                     ..replay.clone()
                 };
-                let got = Sweep::new(&spec, &cells).run_within(0).unwrap();
+                let got = Sweep::new(&spec, &cells).run().unwrap();
                 assert_eq!(got, want, "{kind:?}, {threads} threads");
             }
         }
@@ -1751,10 +1658,9 @@ mod tests {
 
     #[test]
     fn an_inflated_header_count_fails_on_its_missing_bytes() {
-        // A CRC-valid header claiming 2^23 records (inside the in-memory
-        // budget, so the trace is routed to a decode) over a 21k-record
-        // body: the decode's allocation is capped by the file's length and
-        // the load fails on the first absent chunk.
+        // A CRC-valid header claiming 2^23 records over a 21k-record body:
+        // set-up's verify pass allocates nothing per record and fails on
+        // the first absent chunk, before any cell runs.
         let (spec, dir) = recorded_replay_spec("inflated", &["gzip"]);
         let path = &spec.trace_paths().unwrap().unwrap()[0];
         let mut bytes = std::fs::read(path).unwrap();

@@ -37,8 +37,9 @@
 //!   format with streaming [`TraceWriter`]/[`TraceReader`] (the only
 //!   version read).
 //! * [`replay`] — [`InstSource`], the engine's stream abstraction, served
-//!   live by [`TraceGenerator`], streamed from disk by [`TraceReplayer`], or
-//!   from a decode shared by several cells by [`SharedReplayer`].
+//!   live by [`TraceGenerator`] or streamed from disk by [`TraceReplayer`]
+//!   (the sweep's two sources), or from an in-memory decode by
+//!   [`SharedReplayer`], which the layer benchmarks drive.
 
 pub mod codegen;
 pub mod exec;

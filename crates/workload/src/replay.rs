@@ -3,11 +3,13 @@
 //! The engine consumes the committed path as *streams* (see [`crate::exec`])
 //! through one abstraction, [`InstSource`]: either the live
 //! [`TraceGenerator`] (generate the dynamic path on the fly, paying branch
-//! models, memory models and RNG per instruction in every sweep cell), a
+//! models, memory models and RNG per instruction in every sweep cell) or a
 //! [`TraceReplayer`] over a recorded trace (pay generation once per
 //! `(profile, seed)`, then stream the flat records back from disk at
-//! constant memory), or a [`SharedReplayer`] over a trace decoded once into
-//! memory for several cells.
+//! constant memory).  These are the sweep's two sources: every replayed
+//! cell streams its own file.  A [`SharedReplayer`] serves streams from a
+//! trace already decoded into memory; no sweep takes it, and the layer
+//! benchmarks drive it to price replay without I/O.
 //!
 //! Replay is **bit-exact**: a trace stores the flat [`DynInst`] sequence,
 //! and stream boundaries are a pure function of it — a stream ends at a
@@ -143,12 +145,11 @@ pub fn replay_file(path: &Path) -> io::Result<FileReplayer> {
     Ok(TraceReplayer::new(reader, path.display().to_string()))
 }
 
-/// Replayer over an in-memory decoded trace: the sweep set-up decodes
-/// (and CRC-checks) a trace that two or more cells replay once per
-/// process, then every such cell replays the shared `Arc`.  Streams come
-/// straight off the slice — the terminator scan plus one bulk
+/// Replayer over an in-memory decoded trace shared through an `Arc`.
+/// Streams come straight off the slice — the terminator scan plus one bulk
 /// `extend_from_slice` per stream — which makes it the cheapest source per
-/// instruction once the decode is paid; the layer benchmarks drive it
+/// instruction once the decode is paid.  The sweep never takes it (every
+/// replayed cell streams its file); the layer benchmarks drive it
 /// directly.
 #[derive(Debug)]
 pub struct SharedReplayer {

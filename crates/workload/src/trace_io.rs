@@ -572,9 +572,8 @@ impl<W: Write + Seek> TraceWriter<W> {
 /// records decode straight out of it, so a multi-GB trace replays with one
 /// bounded allocation.  After the first error the reader fuses.
 ///
-/// Three ways through the body share every check: iteration,
-/// [`read_all`](Self::read_all), and the verify-only
-/// [`verify`](Self::verify), which decodes nothing.
+/// Both ways through the body share every check: iteration, and the
+/// verify-only [`verify`](Self::verify), which decodes nothing.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     r: R,
@@ -814,8 +813,8 @@ impl<R: Read> TraceReader<R> {
     /// that no data trails the last chunk, through the one reused payload
     /// buffer — without decoding a record.  The rest of a chunk the
     /// iterator already started was checked when it loaded.  Returns how
-    /// many records it covered; a failure is the error iteration or
-    /// [`read_all`](Self::read_all) would report, and fuses the reader.
+    /// many records it covered; a failure is the error iteration would
+    /// report, and fuses the reader.
     pub fn verify(&mut self) -> io::Result<u64> {
         self.check_not_failed()?;
         let from = self.produced();
@@ -826,36 +825,6 @@ impl<R: Read> TraceReader<R> {
         }
         self.check_trailing().map_err(|e| self.fail(e))?;
         Ok(self.header.count - from)
-    }
-
-    /// Decode every remaining record into one vector, allocated once: the
-    /// whole-trace load.  Every check the iterator makes still runs (chunk
-    /// framing, chunk CRCs unless [`trusted`](Self::trusted), record
-    /// encodings, trailing data); each chunk is validated whole, then
-    /// decoded straight into the result without a per-record `Result`.
-    ///
-    /// The header's count is untrusted (a CRC is not a MAC): the up-front
-    /// allocation is the declared remaining count capped by what
-    /// `input_len` bytes can hold, so a header claiming 2^60 records over a
-    /// small input fails on its missing bytes instead of allocating first.
-    /// Pass the input's byte length when it is known, or a smaller cap; the
-    /// vector grows past the cap if records keep decoding.
-    pub fn read_all(&mut self, input_len: u64) -> io::Result<Vec<DynInst>> {
-        self.check_not_failed()?;
-        let cap = (self.header.count - self.produced()).min(input_len / MIN_REC_BYTES as u64);
-        let mut out = Vec::with_capacity(usize::try_from(cap).unwrap_or(0));
-        loop {
-            out.reserve(self.left as usize);
-            while let Some(i) = self.next_buffered() {
-                out.push(i);
-            }
-            if self.loaded == self.header.count {
-                break;
-            }
-            self.load_chunk().map_err(|e| self.fail(e))?;
-        }
-        self.check_trailing().map_err(|e| self.fail(e))?;
-        Ok(out)
     }
 
     fn next_record(&mut self) -> Option<io::Result<DynInst>> {
@@ -897,14 +866,12 @@ pub fn open_trace(path: &Path) -> io::Result<TraceReader<BufReader<File>>> {
 
 /// Read a whole trace into memory.
 ///
-/// The header's `count` field is untrusted and the input's length unknown:
-/// preallocation is clamped to a small constant and the vector only grows
-/// as records actually decode, so a hostile header claiming 2^60 records
-/// fails on its missing bytes instead of driving a giant allocation first.
-/// Callers that know the input's length should use
-/// [`TraceReader::read_all`], which sizes the vector once.
+/// The header's `count` field is untrusted (a CRC is not a MAC), so it
+/// sizes nothing: the vector only grows as records actually decode, and a
+/// hostile header claiming 2^60 records fails on its missing bytes instead
+/// of driving a giant allocation first.
 pub fn read_trace<R: Read>(r: R) -> io::Result<Vec<DynInst>> {
-    TraceReader::new(r)?.read_all(4096 * MIN_REC_BYTES as u64)
+    TraceReader::new(r)?.collect()
 }
 
 /// Record exactly `n_insts` instructions of `(workload, exec_seed)` into a
@@ -1146,14 +1113,10 @@ mod tests {
     }
 
     /// The first error each way through the body reports: the verify-only
-    /// pass, `read_all`, the iterator and the streaming replayer.
-    fn every_rejection(bytes: &[u8]) -> [String; 4] {
+    /// pass, the iterator and the streaming replayer.
+    fn every_rejection(bytes: &[u8]) -> [String; 3] {
         use crate::replay::{InstSource, TraceReplayer};
         let verify = TraceReader::new(bytes).unwrap().verify().unwrap_err();
-        let read_all = TraceReader::new(bytes)
-            .unwrap()
-            .read_all(bytes.len() as u64)
-            .unwrap_err();
         let iter = TraceReader::new(bytes)
             .unwrap()
             .find_map(Result::err)
@@ -1170,12 +1133,7 @@ mod tests {
             Ok(msg) => *msg,
             Err(_) => panic!("replayer panicked without a message"),
         };
-        [
-            verify.to_string(),
-            read_all.to_string(),
-            iter.to_string(),
-            replay,
-        ]
+        [verify.to_string(), iter.to_string(), replay]
     }
 
     #[test]
@@ -1239,9 +1197,8 @@ mod tests {
             "chunk 1 carries memory addresses"
         );
         for (what, bytes, want) in cases {
-            let [verify, read_all, iter, replay] = every_rejection(&bytes);
+            let [verify, iter, replay] = every_rejection(&bytes);
             assert!(verify.contains(&want), "{what}: {verify}");
-            assert_eq!(read_all, verify, "{what}: read_all");
             assert_eq!(iter, verify, "{what}: iterator");
             assert_eq!(
                 replay,
@@ -1296,42 +1253,16 @@ mod tests {
     }
 
     #[test]
-    fn read_all_sizes_its_vector_once_and_matches_the_iterator() {
-        let insts = small_insts(3_000);
-        for chunk in [1u32, 100, DEFAULT_CHUNK_INSTS] {
-            let bytes = v2_bytes(&insts, chunk);
-            for reader in [
-                TraceReader::new(&bytes[..]),
-                TraceReader::trusted(&bytes[..]),
-            ] {
-                let all = reader.unwrap().read_all(bytes.len() as u64).unwrap();
-                assert_eq!(all, insts, "chunk size {chunk}");
-                assert_eq!(all.capacity(), insts.len(), "one exact allocation");
-            }
-            // Picking up after the iterator, mid-chunk.
-            let mut r = TraceReader::new(&bytes[..]).unwrap();
-            let head: Vec<_> = r.by_ref().take(150).map(|x| x.unwrap()).collect();
-            let mut joined = head;
-            joined.extend(r.read_all(bytes.len() as u64).unwrap());
-            assert_eq!(joined, insts, "chunk size {chunk}");
-            assert!(r.next().is_none(), "read_all drains the reader");
-        }
-    }
-
-    #[test]
-    fn read_all_hostile_count_fails_on_missing_bytes_without_allocating() {
+    fn a_hostile_count_over_a_real_chunk_fails_on_its_missing_bytes() {
         // A CRC-valid header claiming 2^60 records over one real chunk: the
-        // up-front allocation is capped by the input's length, so the load
-        // dies on the absent second chunk, not on a 2^60-record allocation.
+        // whole-trace read sizes nothing by the count, so it dies on the
+        // absent second chunk, not on a 2^60-record allocation.
         let insts = small_insts(50);
         let real = v2_bytes(&insts, 64);
         let hlen = header_bytes(&meta(), 0, 64).len();
         let mut bytes = header_bytes(&meta(), 1 << 60, 64);
         bytes.extend_from_slice(&real[hlen..]);
-        let e = TraceReader::new(&bytes[..])
-            .unwrap()
-            .read_all(bytes.len() as u64)
-            .unwrap_err();
+        let e = read_trace(&bytes[..]).unwrap_err();
         assert!(
             e.to_string()
                 .contains("truncated reading chunk 1 record count"),
@@ -1339,9 +1270,9 @@ mod tests {
         );
         // A failed reader stays failed.
         let mut r = TraceReader::new(&bytes[..]).unwrap();
-        assert!(r.read_all(bytes.len() as u64).is_err());
+        assert!(r.by_ref().find_map(Result::err).is_some());
         assert!(r.next().is_none());
-        assert!(r.read_all(bytes.len() as u64).is_err());
+        assert!(r.verify().is_err());
     }
 
     #[test]

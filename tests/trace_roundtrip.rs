@@ -126,11 +126,11 @@ proptest! {
 
 /// The mechanism axis of replay parity: for every `PrefetcherKind` —
 /// including the MANA and program-map mechanisms — a live run and a spec
-/// replay (the shared in-memory decode path) produce bit-identical
-/// `GridResult`s, every counter of every cell.  One recording serves all
-/// mechanisms: the committed path is mechanism-independent.  The streamed
-/// file replay (the single-reader and over-budget path) is checked for
-/// every mechanism beside the router in `crates/sim/src/spec.rs`.
+/// replay in which two cells each stream the same trace file produce
+/// bit-identical `GridResult`s, every counter of every cell.  One
+/// recording serves all mechanisms: the committed path is
+/// mechanism-independent.  Pool widths are covered for every mechanism
+/// beside the set-up in `crates/sim/src/spec.rs`.
 #[test]
 fn every_mechanism_replays_bit_identically_to_live() {
     let dir = TempDir::new("mech");
@@ -168,23 +168,23 @@ fn every_mechanism_replays_bit_identically_to_live() {
             prefetcher: Some(kind),
             ..base.clone()
         };
-        let shared = ExperimentSpec {
+        let replayed = ExperimentSpec {
             prefetcher: Some(kind),
             ..replaying.clone()
         };
         let live_rows = try_run_spec(&live).unwrap();
-        // Spec replay: two cells read the small trace, so this exercises
-        // the shared in-memory `SharedReplayer` path.
-        let shared_rows = try_run_spec(&shared).unwrap();
-        for (lr, rr) in live_rows.iter().flatten().zip(shared_rows.iter().flatten()) {
-            assert_eq!(
-                lr.per_bench, rr.per_bench,
-                "{kind:?}: shared replay diverged"
-            );
+        // Spec replay: two cells stream the small trace, each on its own.
+        let replayed_rows = try_run_spec(&replayed).unwrap();
+        for (lr, rr) in live_rows
+            .iter()
+            .flatten()
+            .zip(replayed_rows.iter().flatten())
+        {
+            assert_eq!(lr.per_bench, rr.per_bench, "{kind:?}: replay diverged");
         }
         assert_eq!(
             grid_output(&live, &live_rows),
-            grid_output(&shared, &shared_rows),
+            grid_output(&replayed, &replayed_rows),
             "{kind:?}: replayed artifact bytes diverged"
         );
     }
@@ -192,10 +192,8 @@ fn every_mechanism_replays_bit_identically_to_live() {
 
 /// Pool-width invariance of replay: at `threads` 1, 2 and 4 the replayed
 /// grid equals the live grid through the spec runner, whose parallel
-/// set-up loads these small two-reader traces onto the shared in-memory
-/// path.  The
-/// streamed route and the router's in-memory/streamed mix are covered at
-/// the same widths beside the router in `crates/sim/src/spec.rs`.
+/// set-up verifies these small two-reader traces before each cell streams
+/// its own.
 #[test]
 fn replayed_grids_equal_live_at_every_pool_width() {
     let dir = TempDir::new("widths");
@@ -235,11 +233,11 @@ fn replayed_grids_equal_live_at_every_pool_width() {
             threads: Some(threads),
             ..replay.clone()
         };
-        let shared = try_run_spec(&spec).unwrap();
+        let replayed = try_run_spec(&spec).unwrap();
         assert_eq!(
-            grid_output(&spec, &shared),
+            grid_output(&spec, &replayed),
             want,
-            "in-memory replay, {threads} threads"
+            "streamed replay, {threads} threads"
         );
     }
 }

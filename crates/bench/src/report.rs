@@ -11,8 +11,39 @@
 use crate::{note_result, results_dir, size_label};
 use prestage_core::FrontStats;
 use prestage_sim::{ExperimentSpec, GridResult};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once a reader closed stdout (`prestage list | head -1`).
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write to stdout like `print!`, except that a closed pipe silently drops
+/// this and all later output instead of panicking, so the program still
+/// finishes its other work (an `--out` artifact) and exits normally.
+pub fn emit(args: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => STDOUT_CLOSED.store(true, Ordering::Relaxed),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
+/// `print!` through [`emit`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => { $crate::report::emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+#[macro_export]
+macro_rules! outln {
+    () => { $crate::report::emit(format_args!("\n")) };
+    ($($arg:tt)*) => { $crate::report::emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 /// How a figure presents its grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,16 +104,16 @@ fn size_labels(spec: &ExperimentSpec) -> Vec<String> {
 /// culprit benchmarks named on stderr instead of hiding inside the table.
 pub fn sweep_table(title: &str, spec: &ExperimentSpec, rows: &[Vec<GridResult>]) {
     let labels = size_labels(spec);
-    println!("\n# {title}");
-    print!("{:<16}", "config");
+    outln!("\n# {title}");
+    out!("{:<16}", "config");
     for label in &labels {
-        print!(" {label:>8}");
+        out!(" {label:>8}");
     }
-    println!();
+    outln!();
     for (preset, row) in spec.presets.iter().zip(rows) {
-        print!("{:<16}", preset.label());
+        out!("{:<16}", preset.label());
         for (&size, r) in spec.l1_sizes.iter().zip(row) {
-            print!(" {:>8.3}", r.hmean_ipc());
+            out!(" {:>8.3}", r.hmean_ipc());
             let zeroed = r.zero_ipc_benches();
             if !zeroed.is_empty() {
                 eprintln!(
@@ -93,7 +124,7 @@ pub fn sweep_table(title: &str, spec: &ExperimentSpec, rows: &[Vec<GridResult>])
                 );
             }
         }
-        println!();
+        outln!();
     }
 }
 
@@ -150,12 +181,12 @@ pub fn per_bench(title: &str, csv_name: &str, spec: &ExperimentSpec, rows: &[Vec
     );
     let results: Vec<&GridResult> = rows.iter().map(|row| &row[0]).collect();
 
-    println!("\n# {title}");
-    print!("{:<10}", "bench");
+    outln!("\n# {title}");
+    out!("{:<10}", "bench");
     for p in &spec.presets {
-        print!(" {:>15}", p.label());
+        out!(" {:>15}", p.label());
     }
-    println!();
+    outln!();
     let (mut csv, path) = create_csv(csv_name);
     write!(csv, "bench").unwrap();
     for p in &spec.presets {
@@ -163,24 +194,24 @@ pub fn per_bench(title: &str, csv_name: &str, spec: &ExperimentSpec, rows: &[Vec
     }
     writeln!(csv).unwrap();
     for (i, (name, _)) in results[0].per_bench.iter().enumerate() {
-        print!("{name:<10}");
+        out!("{name:<10}");
         write!(csv, "{name}").unwrap();
         for r in &results {
             let ipc = r.per_bench[i].1.ipc();
-            print!(" {ipc:>15.3}");
+            out!(" {ipc:>15.3}");
             write!(csv, ",{ipc:.4}").unwrap();
         }
-        println!();
+        outln!();
         writeln!(csv).unwrap();
     }
-    print!("{:<10}", "HMEAN");
+    out!("{:<10}", "HMEAN");
     write!(csv, "HMEAN").unwrap();
     let hmeans: Vec<f64> = results.iter().map(|r| r.hmean_ipc()).collect();
     for h in &hmeans {
-        print!(" {h:>15.3}");
+        out!(" {h:>15.3}");
         write!(csv, ",{h:.4}").unwrap();
     }
-    println!();
+    outln!();
     writeln!(csv).unwrap();
     eprintln!("wrote {}", path.display());
 
@@ -224,10 +255,16 @@ fn fetch_shares(stats: &[FrontStats]) -> [f64; 5] {
 
 /// Distribution of fetch sources per (preset, size) — Figure 7.
 pub fn fetch_sources(title: &str, csv_name: &str, spec: &ExperimentSpec, rows: &[Vec<GridResult>]) {
-    println!("\n# {title}");
-    println!(
+    outln!("\n# {title}");
+    outln!(
         "{:<14} {:>6} | {:>6} {:>6} {:>6} {:>6} {:>6}",
-        "config", "L1", "PB", "il0", "il1", "ul2", "Mem"
+        "config",
+        "L1",
+        "PB",
+        "il0",
+        "il1",
+        "ul2",
+        "Mem"
     );
     let (mut csv, path) = create_csv(csv_name);
     writeln!(csv, "config,l1,pb,il0,il1,ul2,mem").unwrap();
@@ -235,7 +272,7 @@ pub fn fetch_sources(title: &str, csv_name: &str, spec: &ExperimentSpec, rows: &
         for (&size, r) in spec.l1_sizes.iter().zip(row) {
             let st: Vec<_> = r.per_bench.iter().map(|(_, s)| s.front).collect();
             let sh = fetch_shares(&st);
-            println!(
+            outln!(
                 "{:<14} {:>6} | {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1}",
                 preset.label(),
                 size_label(size),
@@ -270,10 +307,15 @@ pub fn prefetch_sources(
     spec: &ExperimentSpec,
     rows: &[Vec<GridResult>],
 ) {
-    println!("\n# {title}");
-    println!(
+    outln!("\n# {title}");
+    outln!(
         "{:<14} {:>6} | {:>6} {:>6} {:>6} {:>6}",
-        "config", "L1", "PB", "il1", "ul2", "Mem"
+        "config",
+        "L1",
+        "PB",
+        "il1",
+        "ul2",
+        "Mem"
     );
     let (mut csv, path) = create_csv(csv_name);
     writeln!(csv, "config,l1,pb,il1,ul2,mem").unwrap();
@@ -290,7 +332,7 @@ pub fn prefetch_sources(
             }
             let n = r.per_bench.len() as f64;
             let sh = acc.map(|x| 100.0 * x / n);
-            println!(
+            outln!(
                 "{:<14} {:>6} | {:>6.1} {:>6.1} {:>6.1} {:>6.1}",
                 preset.label(),
                 size_label(size),

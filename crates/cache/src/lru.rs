@@ -64,6 +64,12 @@ impl LruSet {
         self.rank[way]
     }
 
+    /// Set a way's rank, as read by [`rank_of`](Self::rank_of).  Restoring
+    /// every way from one saved set keeps the ranks a permutation.
+    pub fn set_rank(&mut self, way: usize, rank: u8) {
+        self.rank[way] = rank;
+    }
+
     /// Number of ways tracked.
     pub fn ways(&self) -> usize {
         self.rank.len()

@@ -287,15 +287,14 @@ impl ITlb {
             self.tags[i] = cp.words[2 * i];
             self.valid[i] = cp.words[2 * i + 1] != 0;
         }
-        // Replacement ranks: rebuild each set by touching ways in reverse
-        // rank order (coldest first), which reproduces the exact permutation.
-        for (s, set) in self.lru.iter_mut().enumerate() {
-            let base = 2 * n + s * self.assoc;
-            let ranks = &cp.words[base..base + self.assoc];
-            let mut order: Vec<usize> = (0..self.assoc).collect();
-            order.sort_by_key(|&w| core::cmp::Reverse(ranks[w]));
-            for w in order {
-                set.touch(w);
+        for (set, ranks) in self
+            .lru
+            .iter_mut()
+            .zip(cp.words[2 * n..].chunks(self.assoc))
+        {
+            for (way, &rank) in ranks.iter().enumerate() {
+                // prestage: allow(truncating-cast, `checkpoint` wrote these words from u8 ranks)
+                set.set_rank(way, rank as u8);
             }
         }
     }
@@ -351,6 +350,7 @@ mod tests {
         let cp = t.checkpoint();
         let mut u = tiny();
         u.restore(&cp);
+        assert_eq!(u.checkpoint(), cp);
         // Identical contents…
         for page in 0..16u64 {
             assert_eq!(

@@ -14,10 +14,17 @@
 //! front-end and memory system): a deliberate simplification for a fetch
 //! study, since the engine drops wrong-path deliveries at decode (see
 //! [`crate::engine`]).
+//!
+//! The RUU is a fixed ring of [`RUU_SIZE`] slots: dynamic instruction `seq`
+//! lives in slot `seq % RUU_SIZE` from dispatch to commit.  Per-state sets
+//! (waiting to issue, waiting on memory, unresolved mispredict) are `u64`
+//! slot bitmaps, walked oldest-first by rotating them by the head slot, so
+//! commit only advances the head and never shifts or moves anything.  Each
+//! in-flight producer keeps a bitmap of the consumers that captured its
+//! tag at dispatch, so a finishing producer wakes exactly those.
 
 use prestage_cache::{Completion, L2System, ReqClass, ReqId, SetAssocCache};
 use prestage_isa::{Addr, OpClass, Reg, StaticInst, NUM_REGS};
-use std::collections::VecDeque;
 
 /// RUU entries (Table 2: 64).
 pub const RUU_SIZE: usize = 64;
@@ -31,8 +38,9 @@ pub const DCACHE_PORTS: u32 = 2;
 /// D-cache hit latency in cycles (Table 2: 1).
 pub const DCACHE_LATENCY: u64 = 1;
 
-// The issue scan's waiting-entry bitmaps are 128 bits wide.
-const _: () = assert!(RUU_SIZE <= 128);
+// Slot sets are `u64` bitmaps, and `seq % RUU_SIZE` must survive the wrap
+// of the sequence counter.
+const _: () = assert!(RUU_SIZE.is_power_of_two() && RUU_SIZE <= 64);
 
 /// Back-end configuration (Table 2 defaults via [`BackendConfig::default`]).
 /// The values no experiment varies are the constants above.
@@ -90,9 +98,17 @@ struct RuuEntry {
     /// readiness test two plain compares (a tagged value can never be
     /// `<= now`).
     src_time: [u64; 2],
-    /// Resolving this instruction triggers a front-end redirect.
-    mispredict: bool,
 }
+
+/// Contents of a slot no instruction has occupied yet.
+const VACANT: RuuEntry = RuuEntry {
+    seq: 0,
+    op: OpClass::IntAlu,
+    dst: None,
+    mem_addr: None,
+    state: EState::Done(0),
+    src_time: [0; 2],
+};
 
 /// Result of one back-end cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,7 +123,12 @@ pub struct BackTick {
 #[derive(Debug)]
 pub struct BackEnd {
     cfg: BackendConfig,
-    ruu: VecDeque<RuuEntry>,
+    /// The RUU ring: seqs `head..head + len` are in flight, each in slot
+    /// `slot(seq)`.
+    ruu: [RuuEntry; RUU_SIZE],
+    /// Sequence number of the oldest in-flight entry (the next to commit).
+    head: u64,
+    len: usize,
     /// Cycle at which each architectural register's value is available.
     /// `PENDING` while the youngest producer has not yet computed it.
     reg_ready: [u64; NUM_REGS],
@@ -115,24 +136,20 @@ pub struct BackEnd {
     last_writer: [u64; NUM_REGS],
     dcache: SetAssocCache,
     stats: BackendStats,
-    next_seq: u64,
-    /// Dispatched-but-unresolved mispredicted branches; the per-cycle
-    /// resolve scan is skipped while this is zero (the common case).
-    pending_mispredicts: u32,
-    /// Scratch for the issue loop's deferred wakeups `(from, producer,
-    /// ready_at)`; persistent so the per-cycle tick never allocates.
-    wake_buf: Vec<(usize, u64, u64)>,
-    /// Bitmap of RUU entries in `Waiting` state — bit `k` covers the entry
-    /// at deque index `k` (entry seqs are contiguous: dispatch appends,
-    /// commit pops the front and shifts the map).  The issue scan and the
-    /// wakeup broadcast walk set bits only: entries that issued or went to
-    /// memory are never re-examined, and only `Waiting` entries can carry
-    /// unresolved source tags.  Capacity is the map's width, which a
-    /// `const` assertion holds [`RUU_SIZE`] to.
-    waiting: u128,
-    /// Bitmap of RUU entries in `WaitMem` state, indexed like `waiting`:
-    /// a completion visits only the loads waiting on memory.
-    wait_mem: u128,
+    /// Slots in `Waiting` state.  The issue scan walks these only: entries
+    /// that issued or went to memory are never re-examined.
+    waiting: u64,
+    /// Slots in `WaitMem` state: a completion visits only the loads
+    /// waiting on memory.
+    wait_mem: u64,
+    /// Slots of dispatched-but-unresolved mispredicted branches.
+    mispredicts: u64,
+    /// Per producer slot, the slots of the consumers holding its `DEP`
+    /// tag.  Set at the consumer's dispatch, emptied by the producer's
+    /// wakeup and again when its slot is re-dispatched.  Slot reuse cannot
+    /// misdirect a wakeup: a consumer is younger than its producer and
+    /// cannot commit (freeing its slot) before that producer wakes it.
+    consumers: [u64; RUU_SIZE],
     /// No `Waiting` entry can issue before this cycle.  A full issue scan
     /// sets it to the earliest ready time among the entries it left
     /// waiting; dispatch and wakeup lower it; a scan cut short by issue
@@ -155,20 +172,26 @@ fn issue_time(src_time: &[u64; 2]) -> u64 {
     src_time[0].max(src_time[1])
 }
 
+/// The ring slot of dynamic instruction `seq`.
+fn slot(seq: u64) -> usize {
+    seq as usize % RUU_SIZE
+}
+
 impl BackEnd {
     pub fn new(cfg: BackendConfig) -> Self {
         BackEnd {
-            ruu: VecDeque::with_capacity(RUU_SIZE),
+            ruu: [VACANT; RUU_SIZE],
+            head: 0,
+            len: 0,
             reg_ready: [0; NUM_REGS],
             last_writer: [u64::MAX; NUM_REGS],
             dcache: SetAssocCache::new(cfg.dcache_capacity, DCACHE_LINE, cfg.dcache_assoc),
             stats: BackendStats::default(),
-            next_seq: 0,
-            pending_mispredicts: 0,
             waiting: 0,
             wait_mem: 0,
+            mispredicts: 0,
+            consumers: [0; RUU_SIZE],
             next_issue: u64::MAX,
-            wake_buf: Vec::with_capacity(cfg.width as usize),
             cfg,
         }
     }
@@ -188,19 +211,33 @@ impl BackEnd {
 
     /// Free RUU slots.
     pub fn free_slots(&self) -> usize {
-        RUU_SIZE - self.ruu.len()
+        RUU_SIZE - self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ruu.is_empty()
+        self.len == 0
+    }
+
+    /// A slot bitmap rotated so that bit `k` is the `k`-th oldest entry.
+    fn by_age(&self, slots: u64) -> u64 {
+        // prestage: allow(truncating-cast, a slot index is below RUU_SIZE <= 64)
+        slots.rotate_right(slot(self.head) as u32)
+    }
+
+    /// The slot of the oldest unresolved mispredicted branch.
+    fn oldest_mispredict(&self) -> Option<usize> {
+        let aged = self.by_age(self.mispredicts);
+        (aged != 0).then(|| slot(self.head + u64::from(aged.trailing_zeros())))
     }
 
     /// Dispatch one instruction into the RUU.  The caller must check
     /// [`BackEnd::free_slots`] first.  Returns its sequence number.
     pub fn dispatch(&mut self, inst: &StaticInst, mem_addr: Option<Addr>, mispredict: bool) -> u64 {
-        debug_assert!(self.ruu.len() < RUU_SIZE);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        debug_assert!(self.len < RUU_SIZE);
+        let seq = self.head + self.len as u64;
+        self.len += 1;
+        let s = slot(seq);
+        self.consumers[s] = 0;
         // Capture source readiness as of dispatch (register rename):
         // either a concrete time, or the still-executing producer's seq.
         let mut src_time = [0u64; 2];
@@ -208,7 +245,9 @@ impl BackEnd {
             if let Some(r) = src.filter(|r| !r.is_zero()) {
                 let t = self.reg_ready[r.index()];
                 src_time[k] = if t == PENDING {
-                    DEP | self.last_writer[r.index()]
+                    let producer = self.last_writer[r.index()];
+                    self.consumers[slot(producer)] |= 1 << s;
+                    DEP | producer
                 } else {
                     t
                 };
@@ -219,58 +258,46 @@ impl BackEnd {
             self.last_writer[d.index()] = seq;
             self.reg_ready[d.index()] = PENDING;
         }
-        if mispredict {
-            self.pending_mispredicts += 1;
-        }
+        self.mispredicts |= u64::from(mispredict) << s;
         self.next_issue = self.next_issue.min(issue_time(&src_time));
-        self.waiting |= 1u128 << self.ruu.len();
-        self.ruu.push_back(RuuEntry {
+        self.waiting |= 1 << s;
+        self.ruu[s] = RuuEntry {
             seq,
             op: inst.op,
             dst: inst.dep_dest(),
             mem_addr,
             state: EState::Waiting,
             src_time,
-            mispredict,
-        });
+        };
         seq
     }
 
-    /// Broadcast a finished producer to every waiting consumer, lowering
-    /// the issue horizon to each woken consumer's new issue time.
-    /// Consumers always sit *behind* their producer (dependences are
-    /// captured at in-order dispatch), so the walk starts at `from`; only
-    /// `Waiting` entries can carry unresolved tags, so it visits set bits
-    /// of `waiting` rather than every younger entry.
-    fn wakeup(&mut self, from: usize, producer: u64, at: u64) {
+    /// A producer finished at `at`: record its result and patch the tag
+    /// out of each consumer it recorded at their dispatch, lowering the
+    /// issue horizon to each consumer's new issue time.
+    fn finish(&mut self, producer: u64, dst: Option<Reg>, at: u64) {
+        let Some(d) = dst else { return };
+        if self.last_writer[d.index()] == producer {
+            self.reg_ready[d.index()] = at;
+        }
         let tag = DEP | producer;
-        let mut bits = if from < 128 {
-            (self.waiting >> from) << from
-        } else {
-            0
-        };
+        let mut bits = std::mem::take(&mut self.consumers[slot(producer)]);
         while bits != 0 {
-            let idx = bits.trailing_zeros() as usize;
+            let e = &mut self.ruu[bits.trailing_zeros() as usize];
             bits &= bits - 1;
-            let e = &mut self.ruu[idx];
-            let mut woken = false;
-            for k in 0..2 {
-                if e.src_time[k] == tag {
-                    e.src_time[k] = at;
-                    woken = true;
+            for t in &mut e.src_time {
+                if *t == tag {
+                    *t = at;
                 }
             }
-            if woken {
-                self.next_issue = self.next_issue.min(issue_time(&e.src_time));
-            }
+            self.next_issue = self.next_issue.min(issue_time(&e.src_time));
         }
     }
 
     /// A D-cache miss returned from the L2 system.
     pub fn on_completion(&mut self, c: &Completion) {
         // Several loads can wait on one line request (MSHR merge), so
-        // every load waiting on memory is checked.  Wakeup interleaves
-        // safely with the walk: it only patches `Waiting` entries.
+        // every load waiting on memory is checked.
         let mut bits = self.wait_mem;
         while bits != 0 {
             let i = bits.trailing_zeros() as usize;
@@ -281,14 +308,9 @@ impl BackEnd {
             }
             let at = c.ready_at + 1;
             e.state = EState::Done(at);
-            self.wait_mem &= !(1u128 << i);
+            self.wait_mem &= !(1 << i);
             let (seq, dst) = (e.seq, e.dst);
-            if let Some(d) = dst {
-                if self.last_writer[d.index()] == seq {
-                    self.reg_ready[d.index()] = at;
-                }
-                self.wakeup(i + 1, seq, at);
-            }
+            self.finish(seq, dst, at);
         }
     }
 
@@ -301,11 +323,13 @@ impl BackEnd {
     /// or a dispatch).
     pub fn next_event(&self, now: u64) -> u64 {
         let mut at = self.next_issue;
-        if let Some(EState::Done(t)) = self.ruu.front().map(|e| e.state) {
-            at = at.min(t);
+        if self.len > 0 {
+            if let EState::Done(t) = self.ruu[slot(self.head)].state {
+                at = at.min(t);
+            }
         }
-        if self.pending_mispredicts > 0 {
-            if let Some(EState::Done(t)) = self.ruu.iter().find(|e| e.mispredict).map(|e| e.state) {
+        if let Some(i) = self.oldest_mispredict() {
+            if let EState::Done(t) = self.ruu[i].state {
                 at = at.min(t.saturating_sub(1));
             }
         }
@@ -327,54 +351,32 @@ impl BackEnd {
             self.issue(now, l2);
         }
 
-        // ---- Resolve mispredicted branches the moment they finish.
+        // ---- Resolve the oldest unresolved mispredict the moment it
+        // finishes; clearing its bit makes the redirect fire exactly once.
         let mut resolved = None;
-        if self.pending_mispredicts > 0 {
-            for e in &self.ruu {
-                if e.mispredict {
-                    if let EState::Done(t) = e.state {
-                        if t <= now + 1 {
-                            resolved = Some(e.seq);
-                        }
-                    }
-                    break; // only the oldest unresolved mispredict matters
-                }
-            }
-            if resolved.is_some() {
-                // Clear the flag so the redirect fires exactly once.
-                for e in &mut self.ruu {
-                    if Some(e.seq) == resolved {
-                        e.mispredict = false;
-                        self.pending_mispredicts -= 1;
-                        break;
-                    }
-                }
+        if let Some(i) = self.oldest_mispredict() {
+            if matches!(self.ruu[i].state, EState::Done(t) if t <= now + 1) {
+                resolved = Some(self.ruu[i].seq);
+                self.mispredicts &= !(1 << i);
             }
         }
 
         // ---- Commit: in order, up to width.
         let mut committed_now = 0u32;
-        while committed_now < self.cfg.width {
-            match self.ruu.front() {
-                Some(e) => match e.state {
-                    EState::Done(t) if t <= now => {
-                        self.ruu.pop_front();
-                        committed_now += 1;
-                        self.stats.committed += 1;
-                    }
-                    _ => break,
-                },
-                None => break,
+        while committed_now < self.cfg.width && self.len > 0 {
+            let i = slot(self.head);
+            if !matches!(self.ruu[i].state, EState::Done(t) if t <= now) {
+                break;
             }
+            debug_assert_eq!((self.waiting | self.wait_mem) & (1 << i), 0);
+            // A mispredict younger than the one resolved this cycle can
+            // commit unreported; its slot must not keep the flag.
+            self.mispredicts &= !(1 << i);
+            self.head += 1;
+            self.len -= 1;
+            committed_now += 1;
         }
-        // Committed entries were Done, never Waiting or WaitMem: shifting
-        // the bitmaps down just re-anchors them at the new front.
-        debug_assert_eq!(
-            (self.waiting | self.wait_mem) & ((1u128 << committed_now) - 1),
-            0
-        );
-        self.waiting >>= committed_now;
-        self.wait_mem >>= committed_now;
+        self.stats.committed += u64::from(committed_now);
         if committed_now == 0 {
             self.stats.commit_stall_cycles += 1;
         }
@@ -387,25 +389,23 @@ impl BackEnd {
 
     /// Issue: oldest-first, up to width, respecting D-cache ports.
     ///
-    /// Wakeups are deferred to after the scan: every issue completes at
-    /// now+1 or later (all execution latencies are >= 1), so a consumer
-    /// woken by an instruction issued this cycle could never itself issue
-    /// this cycle — deferral is bit-exact, and it lets the scan hold one
-    /// iterator instead of re-indexing the deque per entry.
+    /// Wakeups happen as producers issue: every issue completes at now+1
+    /// or later (all execution latencies are >= 1), so a consumer woken
+    /// this cycle reads as not ready when the scan reaches it.
     fn issue(&mut self, now: u64, l2: &mut L2System) {
         let mut issued = 0u32;
         let mut dports = DCACHE_PORTS;
-        let width = self.cfg.width;
-        let mut wake = std::mem::take(&mut self.wake_buf);
-        // Earliest issue time among the entries the scan leaves waiting.
+        // Earliest issue time among the entries the scan leaves waiting;
+        // wakeups lower `next_issue` below it to their consumers' times.
         let mut horizon = u64::MAX;
+        self.next_issue = u64::MAX;
         let mut port_limited = false;
-        // Walk only the Waiting entries (set bits), oldest first — the
-        // same visit order as a full scan that skipped non-Waiting states.
-        let mut bits = self.waiting;
-        while issued < width && bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
+        // Walk only the Waiting entries, oldest first — the same visit
+        // order as a full scan that skipped non-Waiting states.
+        let mut aged = self.by_age(self.waiting);
+        while issued < self.cfg.width && aged != 0 {
+            let i = slot(self.head + u64::from(aged.trailing_zeros()));
+            aged &= aged - 1;
             let e = &mut self.ruu[i];
             let ready_at = issue_time(&e.src_time);
             if ready_at > now {
@@ -438,8 +438,8 @@ impl BackEnd {
                             }
                         }
                         e.state = EState::WaitMem(req);
-                        self.waiting &= !(1u128 << i);
-                        self.wait_mem |= 1u128 << i;
+                        self.waiting &= !(1 << i);
+                        self.wait_mem |= 1 << i;
                         issued += 1;
                         // Destination stays PENDING until completion.
                         continue;
@@ -479,28 +479,18 @@ impl BackEnd {
                 }
             };
             e.state = EState::Done(done_at);
-            self.waiting &= !(1u128 << i);
-            if let Some(d) = e.dst {
-                if self.last_writer[d.index()] == e.seq {
-                    self.reg_ready[d.index()] = done_at;
-                }
-                wake.push((i + 1, e.seq, done_at));
-            }
+            self.waiting &= !(1 << i);
+            let (seq, dst) = (e.seq, e.dst);
+            self.finish(seq, dst, done_at);
             issued += 1;
         }
-        // A scan cut short by width (bits left) or ports may have left
+        // A scan cut short by width (entries left) or ports may have left
         // ready entries behind; a full one saw every entry still waiting.
-        // Wakeups then lower the horizon.
-        self.next_issue = if bits != 0 || port_limited {
+        self.next_issue = if aged != 0 || port_limited {
             now + 1
         } else {
-            horizon
+            horizon.min(self.next_issue)
         };
-        for &(from, seq, at) in &wake {
-            self.wakeup(from, seq, at);
-        }
-        wake.clear();
-        self.wake_buf = wake;
     }
 }
 
@@ -689,8 +679,7 @@ mod tests {
         };
         let (mut be, mut reference) = (BackEnd::new(cfg), BackEnd::new(cfg));
         let (mut l2s, mut ref_l2) = (L2System::new(l2cfg), L2System::new(l2cfg));
-        let mut insts = std::collections::VecDeque::new();
-        let mut buf = Vec::new();
+        let (mut buf, mut next) = (Vec::new(), 0);
         let (mut idle, mut dispatched, mut bubble_until, mut promise) = (0, 0u64, 0, 0);
         for now in 0..cycles {
             let done = l2s.tick(now);
@@ -745,11 +734,12 @@ mod tests {
                 if now < bubble_until || be.free_slots() == 0 {
                     break;
                 }
-                if insts.is_empty() {
+                if next == buf.len() {
                     src.next_stream(&mut buf);
-                    insts.extend(buf.drain(..));
+                    next = 0;
                 }
-                let di: prestage_workload::DynInst = insts.pop_front().unwrap();
+                let di: prestage_workload::DynInst = buf[next];
+                next += 1;
                 let st = w.program.block(di.block).insts[di.idx as usize];
                 dispatched += 1;
                 let mispredict = dispatched % 23 == 0;
@@ -787,5 +777,93 @@ mod tests {
         be.tick(0, &mut l2s);
         be.tick(1, &mut l2s);
         assert!(be.free_slots() > 0);
+    }
+
+    /// Three trips round the ring with the RUU kept full: a dependence
+    /// chain through r1-r3, a load miss every 16th instruction writing r10,
+    /// and every 23rd instruction a mispredicted branch reading r10, so
+    /// chains, pending mispredicts and stalled commits straddle slot
+    /// `RUU_SIZE - 1` -> 0.  Every source captured at dispatch must be the
+    /// finished producer's time or the in-flight producer's tag (recorded
+    /// in its consumer mask), never a stale slot's.
+    #[test]
+    fn ring_wraps_with_chains_mispredicts_and_finished_producers() {
+        let mut be = BackEnd::new(BackendConfig::default());
+        let mut l2s = l2();
+        let total = 3 * RUU_SIZE as u64;
+        let mut writer = [None::<u64>; NUM_REGS];
+        let (mut expected, mut reported) = (Vec::new(), Vec::new());
+        let (mut concrete, mut tagged, mut wrapped) = (0, 0, 0);
+        let (mut next, mut now) = (0, 0);
+        while be.committed() < total {
+            for c in l2s.tick(now) {
+                be.on_completion(&c);
+            }
+            reported.extend(be.tick(now, &mut l2s).resolved_mispredict);
+            while be.free_slots() > 0 && next < total {
+                let i = next;
+                next += 1;
+                let pc = 0x1000 + i * 4;
+                let (inst, addr) = if i % 23 == 22 {
+                    let br = StaticInst::cti(pc, OpClass::CondBranch, Some(0x2000));
+                    let inst = StaticInst {
+                        src1: Some(Reg::int(10)),
+                        ..br
+                    };
+                    (inst, None)
+                } else if i % 16 == 8 {
+                    let ld = StaticInst::plain(
+                        pc,
+                        OpClass::Load,
+                        Some(Reg::int(10)),
+                        Some(Reg::int(30)),
+                        None,
+                    );
+                    (ld, Some(0x4000_0000 + i * 4096))
+                } else {
+                    let dst = (i % 3) as u8 + 1;
+                    (alu(pc, dst, (i + 2) as u8 % 3 + 1), None)
+                };
+                let mispredict = inst.op == OpClass::CondBranch;
+                let seq = be.dispatch(&inst, addr, mispredict);
+                assert_eq!(seq, i);
+                if mispredict {
+                    expected.push(seq);
+                }
+                let t = be.ruu[slot(seq)].src_time[0];
+                let producer = inst.src1.and_then(|r| writer[r.index()]);
+                match producer.filter(|&p| p >= be.head) {
+                    Some(p) => match be.ruu[slot(p)].state {
+                        EState::Done(at) => {
+                            assert_eq!(t, at, "seq {seq} after finished {p}");
+                            assert_eq!(be.consumers[slot(p)] & 1 << slot(seq), 0);
+                            concrete += 1;
+                        }
+                        _ => {
+                            assert_eq!(t, DEP | p, "seq {seq} behind in-flight {p}");
+                            assert_ne!(be.consumers[slot(p)] & 1 << slot(seq), 0);
+                            tagged += 1;
+                            wrapped += usize::from(slot(p) > slot(seq));
+                        }
+                    },
+                    None => assert!(t < DEP, "seq {seq}: tag on a committed producer"),
+                }
+                if let Some(d) = inst.dep_dest() {
+                    writer[d.index()] = Some(seq);
+                }
+            }
+            now += 1;
+            assert!(now < 20_000, "stuck at {} committed", be.committed());
+        }
+        assert!(be.is_empty());
+        assert_eq!(be.committed(), total);
+        assert_eq!(
+            reported, expected,
+            "each mispredict once, in dispatch order"
+        );
+        assert!(
+            concrete > 0 && tagged > 0 && wrapped > 0,
+            "{concrete} finished-producer, {tagged} tagged, {wrapped} wrapped captures"
+        );
     }
 }

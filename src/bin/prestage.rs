@@ -42,7 +42,7 @@
 //! an uncached `run --out` either way.
 
 use prestage_bench::figures::{self, Figure};
-use prestage_bench::report;
+use prestage_bench::{out, outln, report};
 use prestage_sim::spec::{grid_output, ShardFile, TraceSource};
 use prestage_sim::{
     pool_map, try_run_spec, try_run_spec_cached, ConfigPreset, ExperimentSpec, Store, Sweep,
@@ -274,17 +274,17 @@ fn cmd_trace_info(args: Vec<String>) {
     let [path] = args.as_slice() else { usage() };
     let mut reader = open_trace(Path::new(path)).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
     let h = reader.header().clone();
-    println!("{path}: PSTR v{}", prestage_workload::trace_io::VERSION);
-    println!("  profile:       {}", h.meta.profile);
-    println!("  workload_seed: {}", h.meta.workload_seed);
-    println!("  exec_seed:     {}", h.meta.exec_seed);
-    println!("  chunk size:    {} records", h.chunk_insts);
-    println!("  instructions:  {}", h.count);
+    outln!("{path}: PSTR v{}", prestage_workload::trace_io::VERSION);
+    outln!("  profile:       {}", h.meta.profile);
+    outln!("  workload_seed: {}", h.meta.workload_seed);
+    outln!("  exec_seed:     {}", h.meta.exec_seed);
+    outln!("  chunk size:    {} records", h.chunk_insts);
+    outln!("  instructions:  {}", h.count);
     let records = reader
         .verify()
         .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    println!(
+    outln!(
         "  verified:      {records} records in {} chunk(s), {bytes} bytes",
         reader.chunks_read()
     );
@@ -318,36 +318,42 @@ fn cmd_spec(mut args: Vec<String>) {
     let text = (fig.make_spec)().to_json();
     match out {
         Some(path) => write_out(&path, &text),
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
 }
 
 fn cmd_list() {
-    println!("# figures (prestage run <name>; PRESTAGE_* overrides apply)");
+    outln!("# figures (prestage run <name>; PRESTAGE_* overrides apply)");
     for f in &figures::FIGURES {
-        println!("  {:<7} {}", f.name, f.title);
+        outln!("  {:<7} {}", f.name, f.title);
     }
-    println!("\n# presets (spec \"presets\" entries)");
+    outln!("\n# presets (spec \"presets\" entries)");
     for p in ConfigPreset::all() {
-        println!("  {:<14} {}", p.id(), p.label());
+        outln!("  {:<14} {}", p.id(), p.label());
     }
-    println!("\n# tech nodes (spec \"tech\")");
+    outln!("\n# tech nodes (spec \"tech\")");
     for n in prestage_cacti::TechNode::all() {
-        println!("  {:<5} {}", n.id(), n.label());
+        outln!("  {:<5} {}", n.id(), n.label());
     }
-    println!("\n# prefetcher mechanisms (spec \"prefetcher\"; null = preset default)");
+    outln!("\n# prefetcher mechanisms (spec \"prefetcher\"; null = preset default)");
     for k in prestage_core::PrefetcherKind::all() {
-        println!("  {:<9} {}", k.id(), k.label());
+        outln!("  {:<9} {}", k.id(), k.label());
     }
-    println!("\n# benchmarks (spec \"bench\" entries; null = all)");
-    println!(
+    outln!("\n# benchmarks (spec \"bench\" entries; null = all)");
+    outln!(
         "  {:<10} {:>8} {:>7} {:>8}",
-        "name", "code KB", "funcs", "data KB"
+        "name",
+        "code KB",
+        "funcs",
+        "data KB"
     );
     for p in specint2000() {
-        println!(
+        outln!(
             "  {:<10} {:>8} {:>7} {:>8}",
-            p.name, p.i_footprint_kb, p.n_funcs, p.d_footprint_kb
+            p.name,
+            p.i_footprint_kb,
+            p.n_funcs,
+            p.d_footprint_kb
         );
     }
 }

@@ -7,8 +7,10 @@
 
 mod common;
 
-use common::{assert_ok, prestage, spec_file, TempDir};
+use common::{assert_ok, prestage, prestage_cmd, spec_file, TempDir};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
+use std::process::Stdio;
 
 /// The committed CI spec must be canonical bytes (parse → re-serialize is
 /// identity): the CI replay job rewrites it with `sed`, which only works
@@ -142,4 +144,43 @@ fn replay_failures_are_loud_and_name_the_cure() {
     // And a replay over it dies loudly rather than producing numbers.
     let out = prestage(&["run", &replay_spec_into(&dir, &traces)]);
     assert!(!out.status.success(), "run over a corrupt trace must fail");
+}
+
+/// A reader that stops early (`prestage trace info t | head -1`) ends the
+/// output quietly: no panic text and a clean exit, not the 101 of a
+/// `println!` panic.  `trace info` loses the pipe after its first line
+/// (its last line follows the whole-file verify); `list` loses it before
+/// its first write.
+#[test]
+fn a_closed_stdout_ends_output_quietly() {
+    let dir = TempDir::new("cli_trace_pipe");
+    let traces = dir.path("traces");
+    let spec = spec_file();
+    assert_ok(
+        &prestage(&["trace", "record", spec.to_str().unwrap(), "--out", &traces]),
+        "trace record",
+    );
+    let trace = format!("{traces}/gzip-w42-x42.pstr");
+    for (args, first_line) in [
+        (vec!["trace", "info", trace.as_str()], Some("PSTR v2")),
+        (vec!["list"], None),
+    ] {
+        let mut child = prestage_cmd()
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn prestage");
+        let stdout = child.stdout.take().unwrap();
+        if let Some(needle) = first_line {
+            let mut line = String::new();
+            BufReader::new(stdout).read_line(&mut line).unwrap();
+            assert!(line.contains(needle), "{args:?} first line: {line:?}");
+        } // Dropping the reader closes the pipe.
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.status.success(), "{args:?}: {stderr}");
+    }
 }

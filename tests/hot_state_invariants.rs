@@ -2,8 +2,8 @@
 //!
 //! The raw-speed campaign replaced the engine's per-cycle `BTreeMap`s with
 //! flat structures — a block ring, a route table, a line-slot ring with a
-//! prefetch cursor, a `u128` waiting bitmap in the RUU — whose correctness
-//! rests on structural invariants (contiguous seqs, set-only flags,
+//! prefetch cursor, a slot ring with `u64` state bitmaps for the RUU — whose
+//! correctness rests on structural invariants (contiguous seqs, set-only flags,
 //! bounded occupancy) instead of a map's key discipline.  The engine
 //! checks those invariants with `debug_assert!`s every cycle and at end of
 //! cell; this suite *drives* those checks through mispredict-heavy runs of
@@ -11,8 +11,8 @@
 //! `debug_assertions` on) loudly rather than corrupting results silently.
 //!
 //! Covered per run, every cycle: live blocks bounded by queue + in-flight
-//! occupancy; routes bounded by outstanding L2 requests; the waiting
-//! bitmap shifted exactly with commits.  Covered at redirect: no
+//! occupancy; routes bounded by outstanding L2 requests; no committed RUU
+//! slot still marked waiting to issue or on memory.  Covered at redirect: no
 //! speculative block/decode state survives the flush.  Covered at end of
 //! cell: the hot tables drained back to their steady-state bounds.
 

@@ -9,13 +9,14 @@
 //! * `filter`       — skip prestaging L1-resident lines (give up the
 //!   hit-latency avoidance, FDP-style).
 //!
-//! The ablation flags have no preset identity, so this binary derives its
+//! The ablation flags have no spec field, so this binary derives its
 //! workloads, run lengths and seeds from an `ExperimentSpec`, mutates the
 //! spec-built base config per variant, and runs one `Sweep` per variant
-//! with that config.
+//! with that config through `Sweep::configure`.  Every other study is a
+//! declared spec list run by `prestage run <study>`.
 
-use prestage_bench::{note_result, results_dir};
-use prestage_sim::{ConfigPreset, ExperimentSpec, SimConfig, Sweep};
+use prestage_bench::{note_result, outln, results_dir};
+use prestage_sim::{ConfigPreset, ExperimentSpec, Sweep};
 use std::io::Write;
 
 fn main() {
@@ -23,43 +24,30 @@ fn main() {
     let spec = ExperimentSpec {
         presets: vec![ConfigPreset::ClgpL0],
         l1_sizes: vec![l1],
-        ..ExperimentSpec::from_env()
-    };
+        ..ExperimentSpec::default()
+    }
+    .env_overrides();
     let w = spec
         .build_workloads()
         .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
     let base_cfg = spec.sim_config(ConfigPreset::ClgpL0, l1);
 
-    let variants: Vec<(&str, SimConfig)> = vec![
-        ("CLGP (full)", base_cfg),
-        ("  - consumers counter (free-on-use)", {
-            let mut c = base_cfg;
-            c.frontend.ablate_free_on_use = true;
-            c
-        }),
-        ("  + migration (duplicate into L0/L1)", {
-            let mut c = base_cfg;
-            c.frontend.ablate_migrate = true;
-            c
-        }),
-        ("  + L1 filtering (keep L1 hits slow)", {
-            let mut c = base_cfg;
-            c.frontend.ablate_filter = true;
-            c
-        }),
-        ("all three (FDP-like management)", {
-            let mut c = base_cfg;
-            c.frontend.ablate_free_on_use = true;
-            c.frontend.ablate_migrate = true;
-            c.frontend.ablate_filter = true;
-            c
-        }),
+    // Each variant's (free-on-use, migrate, filter) ablation flags.
+    let variants = [
+        ("CLGP (full)", [false, false, false]),
+        ("  - consumers counter (free-on-use)", [true, false, false]),
+        ("  + migration (duplicate into L0/L1)", [false, true, false]),
+        ("  + L1 filtering (keep L1 hits slow)", [false, false, true]),
+        ("all three (FDP-like management)", [true, true, true]),
     ];
 
-    println!("\n# Ablation — CLGP design choices (4KB L1, 0.045um)");
-    println!(
+    outln!("\n# Ablation — CLGP design choices (4KB L1, 0.045um)");
+    outln!(
         "{:<40} {:>8} {:>9} {:>9}",
-        "variant", "HMEAN", "PB share", "vs full"
+        "variant",
+        "HMEAN",
+        "PB share",
+        "vs full"
     );
     std::fs::create_dir_all(results_dir()).unwrap();
     let mut csv = std::fs::File::create(results_dir().join("ablate.csv")).unwrap();
@@ -68,10 +56,14 @@ fn main() {
         .cells()
         .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
     let mut full = None;
-    for (name, cfg) in &variants {
+    for (name, [free_on_use, migrate, filter]) in variants {
+        let mut cfg = base_cfg;
+        cfg.frontend.ablate_free_on_use = free_on_use;
+        cfg.frontend.ablate_migrate = migrate;
+        cfg.frontend.ablate_filter = filter;
         let rows = Sweep {
             workloads: Some(&w),
-            configure: Some(&|_| *cfg),
+            configure: Some(&|_| cfg),
             ..Sweep::new(&spec, &cells)
         }
         .run()
@@ -86,7 +78,7 @@ fn main() {
             .sum::<f64>()
             / r.per_bench.len() as f64;
         let full_h = *full.get_or_insert(h);
-        println!(
+        outln!(
             "{:<40} {:>8.3} {:>8.1}% {:>8.1}%",
             name,
             h,

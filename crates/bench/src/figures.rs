@@ -1,15 +1,21 @@
-//! The paper's figures as declarations.
+//! The paper's figures and studies as declarations.
 //!
 //! Each figure is an [`ExperimentSpec`] (what to run) plus a
 //! [`ReportKind`] (how to present it).  `prestage run <figure>` runs one:
 //! the declared spec with the environment's `PRESTAGE_*` overrides applied
 //! through the spec's single [`env_overrides`](ExperimentSpec::env_overrides)
-//! layer, rendered by [`report::render`](crate::report::render)
+//! layer, rendered by [`report::render`]
 //! (`prestage list` prints the index).
+//!
+//! A [`Study`] is several labelled specs rendered as one report
+//! (`prestage run <study>`): the same override layer applies to each, and
+//! their cells are ordinary spec cells, so `run --cache` shares them with
+//! the figures.
 
-use crate::report::ReportKind;
+use crate::report::{self, ReportKind, StudyRun};
+use crate::L1_SIZES;
 use prestage_cacti::TechNode;
-use prestage_sim::{ConfigPreset, ExperimentSpec};
+use prestage_sim::{ConfigPreset, ExperimentSpec, ITlbConfig, PredictorKind, PrefetcherKind};
 
 /// One declared figure.
 #[derive(Debug, Clone, Copy)]
@@ -153,6 +159,134 @@ pub fn by_name(name: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.name == name)
 }
 
+/// One declared study: several labelled experiments run together and
+/// rendered as one report.
+#[derive(Debug, Clone, Copy)]
+pub struct Study {
+    /// Name: the CLI handle.
+    pub name: &'static str,
+    pub title: &'static str,
+    /// The labelled experiments (`section/row`), before environment
+    /// overrides.  All of them share one benchmark set and seed, so an
+    /// uncached run builds the workloads once.
+    pub make_specs: fn() -> Vec<(String, ExperimentSpec)>,
+    /// Print the report and write its files; an `Err` names the row that
+    /// broke one of the study's expectations.
+    pub render: fn(&[StudyRun]) -> Result<(), String>,
+}
+
+/// A one-preset spec at 4 KB and 0.045 µm, with `prefetcher` swapping the
+/// preset's mechanism where set.
+fn at_4k(preset: ConfigPreset, prefetcher: Option<PrefetcherKind>) -> ExperimentSpec {
+    ExperimentSpec {
+        presets: vec![preset],
+        l1_sizes: vec![4 << 10],
+        prefetcher,
+        ..ExperimentSpec::default()
+    }
+}
+
+fn related_work_specs() -> Vec<(String, ExperimentSpec)> {
+    use ConfigPreset::*;
+    use PrefetcherKind::{Mana, NextLine, ProgMap};
+    let rows = [
+        // The prefetch-scheme ladder: none -> next-line -> FDP -> CLGP.
+        ("ladder/no prefetch (base)", at_4k(Base, None)),
+        ("ladder/next-2-line", at_4k(Fdp, Some(NextLine))),
+        ("ladder/FDP", at_4k(Fdp, None)),
+        ("ladder/CLGP", at_4k(Clgp, None)),
+        // The record-and-replay mechanisms ride the FDP preset shape, so
+        // all four share one pre-buffer budget.
+        ("mechanism/FDP", at_4k(Fdp, None)),
+        ("mechanism/CLGP", at_4k(Clgp, None)),
+        ("mechanism/MANA", at_4k(Fdp, Some(Mana))),
+        ("mechanism/progmap", at_4k(Fdp, Some(ProgMap))),
+        ("predictor/stream predictor (paper)", at_4k(ClgpL0, None)),
+        (
+            "predictor/gshare 16K",
+            ExperimentSpec {
+                predictor: PredictorKind::Gshare,
+                ..at_4k(ClgpL0, None)
+            },
+        ),
+    ];
+    let mut specs: Vec<(String, ExperimentSpec)> =
+        rows.into_iter().map(|(l, s)| (l.to_string(), s)).collect();
+    for kind in PrefetcherKind::all() {
+        let off = at_4k(Fdp, Some(kind));
+        let on = ExperimentSpec {
+            itlb: Some(ITlbConfig::default_config()),
+            ..off.clone()
+        };
+        specs.push((format!("tlb-off/{}", kind.id()), off));
+        specs.push((format!("tlb-on/{}", kind.id()), on));
+    }
+    specs
+}
+
+/// Related-work comparison (§2.1): classic next-N-line prefetching against
+/// the branch-predictor-guided schemes; the per-benchmark mechanism
+/// comparison (CLGP vs FDP vs MANA vs program-map traversal, each a
+/// `prefetcher` spec id) with CACTI cost columns for each mechanism's
+/// metadata; the six mechanisms with the spec's `itlb` set to the default
+/// i-TLB, which every fetched *and prefetched* address pays; and the
+/// predictor ablation behind the paper's claim, via \[4\]/\[16\], that
+/// branch-prediction-based prefetching tracks predictor quality.
+const RELATED_WORK: Study = Study {
+    name: "related_work",
+    title: "Related work — scheme ladder, mechanisms, i-TLB, predictors (4KB L1, 0.045um)",
+    make_specs: related_work_specs,
+    render: report::related_work,
+};
+
+fn headline_specs() -> Vec<(String, ExperimentSpec)> {
+    use ConfigPreset::*;
+    use TechNode::{T045, T090};
+    let at = |presets: &[ConfigPreset], tech, l1_sizes: &[usize]| ExperimentSpec {
+        presets: presets.to_vec(),
+        tech,
+        l1_sizes: l1_sizes.to_vec(),
+        ..ExperimentSpec::default()
+    };
+    [
+        ("presets/0.09um", at(&FIG5_PRESETS, T090, &[4 << 10])),
+        ("presets/0.045um", at(&FIG5_PRESETS, T045, &[4 << 10])),
+        ("budget/clgp", at(&[ClgpL0Pb16], T090, &[1 << 10])),
+        ("budget/pipelined", at(&[BasePipelined], T090, &L1_SIZES)),
+        ("sources/4K", at(&[Clgp, ClgpL0], T045, &[4 << 10])),
+    ]
+    .into_iter()
+    .map(|(l, s)| (l.to_string(), s))
+    .collect()
+}
+
+/// The paper's headline numbers (abstract and §5.1):
+///
+/// * CLGP over FDP at 4 KB: +3.5% (0.09 µm) / +12.5% (0.045 µm) with the
+///   16-entry pipelined pre-buffers; +4.8% / +26% with the small ones.
+/// * CLGP over the pipelined baseline at 4 KB: +39% / +48%.
+/// * Budget equivalence: CLGP with 2.5 KB total (1 KB L1 + 512 B L0 + 1 KB
+///   PB16 at 0.09 µm) matches a 16 KB pipelined I-cache — 6.4x the budget.
+/// * Fetch-source headline: ≥86% of fetches from the prestage buffer
+///   (≈95% from one-cycle sources with an L0).
+///
+/// Every run is a set of fig5a, fig5b, fig7a and fig7b cells, so `prestage
+/// run headline --cache` answers it from those figures' cells.
+const HEADLINE: Study = Study {
+    name: "headline",
+    title: "Headline numbers — CLGP vs FDP and baselines, budget equivalence, fetch sources",
+    make_specs: headline_specs,
+    render: report::headline,
+};
+
+/// Every declared study.
+pub const STUDIES: [Study; 2] = [RELATED_WORK, HEADLINE];
+
+/// Look up a study declaration by name.
+pub fn study_by_name(name: &str) -> Option<&'static Study> {
+    STUDIES.iter().find(|s| s.name == name)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,6 +306,53 @@ mod tests {
         }
         assert!(by_name("fig6").is_some());
         assert!(by_name("fig3").is_none());
+        for study in &STUDIES {
+            assert!(seen.insert(study.name), "{} is declared twice", study.name);
+            let mut labels = std::collections::HashSet::new();
+            for (label, spec) in (study.make_specs)() {
+                assert!(
+                    labels.insert(label.clone()),
+                    "{}: duplicate {label}",
+                    study.name
+                );
+                spec.validate()
+                    .unwrap_or_else(|e| panic!("{} {label}: {e}", study.name));
+                let back = ExperimentSpec::from_json(&spec.to_json()).unwrap();
+                assert_eq!(back, spec, "{} {label}", study.name);
+            }
+        }
+        assert!(study_by_name("headline").is_some());
+        assert!(study_by_name("fig6").is_none());
+    }
+
+    /// The related-work ladder used to hand-build each rung's `SimConfig`
+    /// from a CLGP+L0 base spec; each declared rung must build exactly it.
+    #[test]
+    fn related_work_ladder_specs_build_the_hand_built_configs() {
+        use ConfigPreset::*;
+        let l1 = 4 << 10;
+        let base = ExperimentSpec {
+            presets: vec![ClgpL0],
+            l1_sizes: vec![l1],
+            ..ExperimentSpec::default()
+        };
+        let mut next_line = base.sim_config(Fdp, l1);
+        next_line.frontend.prefetcher = PrefetcherKind::NextLine;
+        assert_eq!(
+            at_4k(Fdp, Some(PrefetcherKind::NextLine)).sim_config(Fdp, l1),
+            next_line
+        );
+        let specs = related_work_specs();
+        for (label, cfg) in [
+            ("ladder/no prefetch (base)", base.sim_config(Base, l1)),
+            ("ladder/next-2-line", next_line),
+            ("ladder/FDP", base.sim_config(Fdp, l1)),
+            ("ladder/CLGP", base.sim_config(Clgp, l1)),
+        ] {
+            let (_, spec) = specs.iter().find(|(l, _)| l == label).unwrap();
+            assert_eq!(spec.l1_sizes, [l1], "{label}");
+            assert_eq!(spec.sim_config(spec.presets[0], l1), cfg, "{label}");
+        }
     }
 
     #[test]

@@ -1,21 +1,23 @@
 //! # prestage-bench
 //!
-//! The experiment harness: the declared figures ([`figures`], run by
-//! `prestage run <figure>`; `prestage list` prints the index), the table
-//! and study binaries in `src/bin/` (`table1`–`table3`, `headline`,
-//! `ablate`, `related_work`), the substrate micro-benches in `benches/`,
-//! and the shared presentation layer.
+//! The experiment harness: the declared figures and studies ([`figures`],
+//! run by `prestage run <name>`; `prestage list` prints the index and the
+//! paper's Tables 1–3), the CLGP ablation binary `ablate` in `src/bin/`,
+//! the substrate micro-benches in `benches/`, and the shared presentation
+//! layer.
 //!
 //! Since the `ExperimentSpec` redesign the harness has three layers:
 //!
-//! * **What to run** is an [`prestage_sim::ExperimentSpec`] — the only
-//!   way experiments are configured.  The `PRESTAGE_*` environment knobs
+//! * **What to run** is an [`prestage_sim::ExperimentSpec`].  Only the
+//!   ablation's CLGP flags have no spec field; `ablate` sets them through
+//!   `Sweep::configure`.  The `PRESTAGE_*` environment knobs
 //!   survive as a single override layer
 //!   ([`ExperimentSpec::env_overrides`](prestage_sim::ExperimentSpec::env_overrides));
 //!   no binary reads them directly.
 //! * **Which figure is which** lives in [`figures`]: each figure is a
-//!   declared spec plus a [`report::ReportKind`], and `prestage run
-//!   <name>` runs it.
+//!   declared spec plus a [`report::ReportKind`], each study a list of
+//!   labelled specs plus a renderer, and `prestage run <name>` runs
+//!   either.
 //! * **How results land on disk** is [`report`] (tables + CSVs), under
 //!   [`results_dir`].
 //!
@@ -31,7 +33,6 @@ pub mod figures;
 pub mod report;
 
 use std::io::Write;
-use std::path::PathBuf;
 
 /// The paper's L1 I-cache sweep axis, re-exported from the spec module.
 pub use prestage_sim::L1_SIZES;
@@ -54,10 +55,10 @@ pub fn size_label(bytes: usize) -> String {
     }
 }
 
-/// Append a record of measured headline values to `headline_notes.txt` in
-/// the results directory, next to the figure CSVs; returns its path.
-pub fn note_result(name: &str, text: &str) -> PathBuf {
-    println!("[{name}] {text}");
+/// Print a record of measured headline values and append it to
+/// `headline_notes.txt` in the results directory, next to the figure CSVs.
+pub fn note_result(name: &str, text: &str) {
+    outln!("[{name}] {text}");
     let dir = results_dir();
     let _ = std::fs::create_dir_all(dir);
     let path = dir.join("headline_notes.txt");
@@ -67,7 +68,6 @@ pub fn note_result(name: &str, text: &str) -> PathBuf {
         .open(&path)
         .expect("results dir writable");
     let _ = writeln!(f, "[{name}] {text}");
-    path
 }
 
 #[cfg(test)]

@@ -168,7 +168,7 @@ pub fn cell_key(spec: &ExperimentSpec, cell: &SweepCell) -> Result<Json, String>
 
 /// What [`try_run_spec_cached`] found: the grid's cell count and how many
 /// of those came from the cache (the rest were simulated).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounts {
     pub cells: usize,
     pub cached: usize,

@@ -117,8 +117,9 @@ pub struct Sweep<'a> {
     /// spec's bench set.  `None` builds them during set-up.
     pub workloads: Option<&'a [Workload]>,
     /// Maps each cell to its full [`SimConfig`]; `None` uses
-    /// [`ExperimentSpec::sim_config`].  Only configurations with no preset
-    /// identity (ablation flags, hand-built ladders) need it.
+    /// [`ExperimentSpec::sim_config`].  Only the CLGP ablation (the
+    /// `ablate` binary) sets it: its three ablation flags have no spec
+    /// field.
     pub configure: Option<&'a (dyn Fn(&SweepCell) -> SimConfig + Sync)>,
     /// Called once per finished cell, on whichever worker finished it, in
     /// completion order (a progress counter).

@@ -156,10 +156,11 @@ impl TraceSource {
 
 /// A complete, serializable description of one experiment.
 ///
-/// This is the *only* way experiments are configured: figures and the
-/// experiment binaries declare one, the CLI loads one from JSON, and the
-/// environment can only override fields through
-/// [`ExperimentSpec::env_overrides`].
+/// This is how experiments are configured: figures and studies declare
+/// one (a study several), the CLI loads one from JSON, and the environment
+/// can only override fields through [`ExperimentSpec::env_overrides`].
+/// The one exception is the CLGP ablation, whose flags have no field and
+/// go through [`Sweep::configure`](crate::Sweep::configure).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Configuration presets (grid rows), figure-legend order.
@@ -270,13 +271,6 @@ fn parse_threads(value: Option<&str>) -> Option<usize> {
 }
 
 impl ExperimentSpec {
-    /// The default matrix with every `PRESTAGE_*` override applied — the
-    /// spec `prestage run <figure>` starts from when the environment says
-    /// nothing.
-    pub fn from_env() -> ExperimentSpec {
-        ExperimentSpec::default().env_overrides()
-    }
-
     /// Fold the `PRESTAGE_*` environment variables over this spec:
     /// `PRESTAGE_WARMUP`, `PRESTAGE_MEASURE`, `PRESTAGE_SEED`,
     /// `PRESTAGE_EXEC_SEED`, `PRESTAGE_BENCH` (comma-separated filter) and

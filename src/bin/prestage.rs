@@ -7,7 +7,7 @@
 //! result:
 //!
 //! ```text
-//! prestage run   <spec.json | figure> [--out <file>] [--cache <dir>]
+//! prestage run   <spec.json | figure | study> [--out <file>] [--cache <dir>]
 //! prestage shard --spec <spec.json | figure> --cells A..B --out <file>
 //! prestage merge <shard.json>... [--out <file>]
 //! prestage trace record <spec.json | figure> --out <dir>
@@ -28,8 +28,12 @@
 //! A *figure* argument (`fig1`, `fig5b`, ...) resolves to the declared
 //! spec from `prestage_bench::figures` with the `PRESTAGE_*` environment
 //! overrides applied, rendered with the figure's own report (CSV
-//! included).  A *file* argument is taken verbatim: what is in the file
-//! is what runs, so two shards of the same file are guaranteed to agree.
+//! included).  A *study* argument (`related_work`, `headline`) runs each
+//! of its declared specs the same way and renders them as one report; it
+//! has no single spec, so `spec`, `shard`, `trace record` and `run --out`
+//! refuse it by name.  A *file* argument is taken verbatim: what is in the
+//! file is what runs, so two shards of the same file are guaranteed to
+//! agree.
 //!
 //! `run --out` and `merge --out` write the same canonical grid JSON, so
 //! `diff` proves a sharded run reproduced the single-process results
@@ -41,11 +45,13 @@
 //! run resumes by being run again, and the artifact is byte-identical to
 //! an uncached `run --out` either way.
 
-use prestage_bench::figures::{self, Figure};
-use prestage_bench::{out, outln, report};
+use prestage_bench::figures::{self, Figure, Study};
+use prestage_bench::report::{self, StudyRun};
+use prestage_bench::{out, outln};
 use prestage_sim::spec::{grid_output, ShardFile, TraceSource};
 use prestage_sim::{
-    pool_map, try_run_spec, try_run_spec_cached, ConfigPreset, ExperimentSpec, Store, Sweep,
+    pool_map, try_run_spec, try_run_spec_cached, CacheCounts, ConfigPreset, ExperimentSpec, Store,
+    Sweep,
 };
 use prestage_workload::{build, open_trace, record_trace, specint2000, DEFAULT_CHUNK_INSTS};
 use std::io::BufWriter;
@@ -55,7 +61,7 @@ use std::process::exit;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  \
-         prestage run   <spec.json | figure> [--out <file>] [--cache <dir>]\n  \
+         prestage run   <spec.json | figure | study> [--out <file>] [--cache <dir>]\n  \
          prestage shard --spec <spec.json | figure> --cells A..B --out <file>\n  \
          prestage merge <shard.json>... [--out <file>]\n  \
          prestage trace record <spec.json | figure> --out <dir>\n  \
@@ -63,8 +69,9 @@ fn usage() -> ! {
          prestage spec  <figure> [--out <file>]\n  \
          prestage fuzz  [--budget <N>] [--seed <S>] [--corpus <dir>] [--crashes <dir>]\n  \
          prestage list\n\n\
-         A figure name (see `prestage list`) runs its declared spec with the\n\
-         PRESTAGE_* environment overrides applied; a spec file runs verbatim.\n\
+         A figure or study name (see `prestage list`) runs its declared specs\n\
+         with the PRESTAGE_* environment overrides applied; a spec file runs\n\
+         verbatim.\n\
          A spec whose \"trace\" field is {{\"dir\": \"<dir>\"}} replays traces\n\
          previously captured by `trace record` instead of generating live.\n\
          `run --cache <dir>` simulates only the cells <dir> does not hold yet."
@@ -87,11 +94,30 @@ fn take_flag(args: &mut Vec<String>, key: &str) -> Option<String> {
     Some(args.remove(i))
 }
 
-/// Resolve a spec argument: an existing file parses verbatim; otherwise a
-/// declared figure name (whose spec gets the environment overrides).
-/// Returns the figure declaration when there is one,
-/// so `run` can render the figure's own report kind.
-fn load_spec(arg: &str) -> (ExperimentSpec, Option<&'static Figure>) {
+/// Every declared figure and study name, for "unknown name" errors.
+fn declared_names() -> String {
+    let figs = figures::FIGURES.iter().map(|f| f.name);
+    let studies = figures::STUDIES.iter().map(|s| s.name);
+    figs.chain(studies).collect::<Vec<_>>().join(", ")
+}
+
+/// Refuse a study where `what` needs exactly one spec.
+fn refuse_study(study: &Study, what: &str) -> ! {
+    fail(&format!(
+        "{:?} is a study of {} specs, and {what} takes one spec; \
+         run the study with `prestage run {}`",
+        study.name,
+        (study.make_specs)().len(),
+        study.name
+    ));
+}
+
+/// Resolve a spec argument for `what` (the verb, for the refusal of a
+/// study): an existing file parses verbatim; otherwise a declared figure
+/// name (whose spec gets the environment overrides).  Returns the figure
+/// declaration when there is one, so `run` can render the figure's own
+/// report kind.
+fn load_spec(arg: &str, what: &str) -> (ExperimentSpec, Option<&'static Figure>) {
     let path = std::path::Path::new(arg);
     if path.exists() {
         let text = std::fs::read_to_string(path)
@@ -106,10 +132,12 @@ fn load_spec(arg: &str) -> (ExperimentSpec, Option<&'static Figure>) {
     if let Some(fig) = figures::by_name(arg) {
         return ((fig.make_spec)().env_overrides(), Some(fig));
     }
-    let names: Vec<&str> = figures::FIGURES.iter().map(|f| f.name).collect();
+    if let Some(study) = figures::study_by_name(arg) {
+        refuse_study(study, what);
+    }
     fail(&format!(
-        "{arg:?} is neither a spec file nor a figure (figures: {})",
-        names.join(", ")
+        "{arg:?} is neither a spec file nor a declared name ({})",
+        declared_names()
     ));
 }
 
@@ -125,7 +153,15 @@ fn cmd_run(mut args: Vec<String>) {
     let out = take_flag(&mut args, "--out");
     let cache = take_flag(&mut args, "--cache");
     let [arg] = args.as_slice() else { usage() };
-    let (spec, fig) = load_spec(arg);
+    // A file of the study's name runs verbatim, like any spec file.
+    let study = figures::study_by_name(arg).filter(|_| !Path::new(arg).exists());
+    if let Some(study) = study {
+        if out.is_some() {
+            refuse_study(study, "`prestage run --out`");
+        }
+        return run_study(study, cache.as_deref());
+    }
+    let (spec, fig) = load_spec(arg, "`prestage run`");
     let t0 = std::time::Instant::now();
     let rows = match &cache {
         None => try_run_spec(&spec),
@@ -144,13 +180,63 @@ fn cmd_run(mut args: Vec<String>) {
     );
     match fig {
         // A declared figure renders its own report (CSV included).
-        Some(f) => report::render(f.report, f.title, f.name, &spec, &rows),
+        Some(f) => {
+            report::render(f.report, f.title, f.name, &spec, &rows).unwrap_or_else(|e| fail(&e))
+        }
         // An ad-hoc spec file prints the table without touching results/.
         None => report::sweep_table(&format!("spec {arg}"), &spec, &rows),
     }
     if let Some(path) = out {
         write_out(&path, &grid_output(&spec, &rows));
     }
+}
+
+/// Run every spec of a declared study (environment overrides applied) and
+/// render them as one report.  Uncached, the specs share one workload
+/// build; under `--cache` each spec goes through the cell cache, so a
+/// study shares cells with the figures and with other studies.
+fn run_study(study: &Study, cache: Option<&str>) {
+    let specs = (study.make_specs)();
+    let specs = specs
+        .into_iter()
+        .map(|(label, s)| (label, s.env_overrides()));
+    let t0 = std::time::Instant::now();
+    let store = cache.map(|dir| Store::open(Path::new(dir)).unwrap_or_else(|e| fail(&e)));
+    let mut workloads = None;
+    let mut total = CacheCounts::default();
+    let mut runs = Vec::new();
+    for (label, spec) in specs {
+        let rows = match &store {
+            Some(store) => try_run_spec_cached(&spec, store).map(|(rows, counts)| {
+                total.cells += counts.cells;
+                total.cached += counts.cached;
+                rows
+            }),
+            None => {
+                let w = workloads
+                    .get_or_insert_with(|| spec.build_workloads().unwrap_or_else(|e| fail(&e)));
+                spec.cells().and_then(|cells| {
+                    let sweep = Sweep {
+                        workloads: Some(w),
+                        ..Sweep::new(&spec, &cells)
+                    };
+                    spec.rows(sweep.run()?)
+                })
+            }
+        };
+        let rows = rows.unwrap_or_else(|e| fail(&e));
+        runs.push(StudyRun { label, spec, rows });
+    }
+    if let Some(dir) = cache {
+        eprintln!("cache {dir}: {total}");
+    }
+    let cells: usize = runs
+        .iter()
+        .flat_map(|r| r.rows.iter().flatten())
+        .map(|g| g.per_bench.len())
+        .sum();
+    eprintln!("  ran {cells} cells in {:.2}s", t0.elapsed().as_secs_f64());
+    (study.render)(&runs).unwrap_or_else(|e| fail(&e));
 }
 
 fn parse_range(s: &str, n_cells: usize) -> (usize, usize) {
@@ -178,7 +264,7 @@ fn cmd_shard(mut args: Vec<String>) {
     if !args.is_empty() {
         usage();
     }
-    let (spec, _) = load_spec(&spec_arg);
+    let (spec, _) = load_spec(&spec_arg, "`prestage shard`");
     let cells = spec.cells().unwrap_or_else(|e| fail(&e));
     let (start, end) = parse_range(&range_arg, cells.len());
     let t0 = std::time::Instant::now();
@@ -228,7 +314,7 @@ fn cmd_merge(mut args: Vec<String>) {
 fn cmd_trace_record(mut args: Vec<String>) {
     let out = take_flag(&mut args, "--out").unwrap_or_else(|| usage());
     let [arg] = args.as_slice() else { usage() };
-    let (spec, _) = load_spec(arg);
+    let (spec, _) = load_spec(arg, "`prestage trace record`");
     let profiles = spec.bench_profiles().unwrap_or_else(|e| fail(&e));
     std::fs::create_dir_all(&out).unwrap_or_else(|e| fail(&format!("cannot create {out}: {e}")));
     let n_insts = spec.trace_record_insts();
@@ -309,11 +395,10 @@ fn cmd_spec(mut args: Vec<String>) {
     let out = take_flag(&mut args, "--out");
     let [name] = args.as_slice() else { usage() };
     let Some(fig) = figures::by_name(name) else {
-        let names: Vec<&str> = figures::FIGURES.iter().map(|f| f.name).collect();
-        fail(&format!(
-            "unknown figure {name:?} (figures: {})",
-            names.join(", ")
-        ));
+        if let Some(study) = figures::study_by_name(name) {
+            refuse_study(study, "`prestage spec`");
+        }
+        fail(&format!("unknown figure {name:?} ({})", declared_names()));
     };
     let text = (fig.make_spec)().to_json();
     match out {
@@ -326,6 +411,14 @@ fn cmd_list() {
     outln!("# figures (prestage run <name>; PRESTAGE_* overrides apply)");
     for f in &figures::FIGURES {
         outln!("  {:<7} {}", f.name, f.title);
+    }
+    outln!("\n# studies (prestage run <name>; PRESTAGE_* overrides apply)");
+    for s in &figures::STUDIES {
+        outln!("  {:<12} {}", s.name, s.title);
+    }
+    for table in [report::table1, report::table2, report::table3] {
+        outln!();
+        table();
     }
     outln!("\n# presets (spec \"presets\" entries)");
     for p in ConfigPreset::all() {

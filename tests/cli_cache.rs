@@ -236,3 +236,39 @@ fn corrupt_entries_fail_the_run_by_file_name() {
         assert_eq!(entries(&cache), stored);
     }
 }
+
+/// A declared study runs its specs through the same cell cache as the
+/// figures: `headline` after `fig5a` simulates only the cells fig5a lacks,
+/// and its re-run simulates nothing and prints the same notes.
+#[test]
+fn studies_share_cells_with_figures_and_rerun_from_the_cache() {
+    let dir = TempDir::new("cli_cache_study");
+    let cache = dir.path("cache");
+    let run = |name: &str| {
+        let out = prestage_cmd()
+            .args(["run", name, "--cache", &cache])
+            .envs([
+                ("PRESTAGE_WARMUP", "500"),
+                ("PRESTAGE_MEASURE", "2000"),
+                ("PRESTAGE_BENCH", "gzip"),
+            ])
+            .env("PRESTAGE_RESULTS_DIR", dir.path("results"))
+            .output()
+            .expect("spawn prestage");
+        let log = assert_ok(&out, name);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (cache_line(&log).to_string(), stdout)
+    };
+    let (fig5a, _) = run("fig5a");
+    assert!(fig5a.ends_with(": 54 cell(s), 0 cached, 54 run"), "{fig5a}");
+    // 24 headline cells: 6 presets at 4 KB on each node, CLGP+L0+PB:16 at
+    // 1 KB and the 9-size pipelined column at 0.09 um (16 of them fig5a
+    // cells), and CLGP and CLGP+L0 at 4 KB and 0.045 um.  The pipelined
+    // 4 KB cell at 0.09 um appears twice; its second lookup hits too.
+    let (cold, notes) = run("headline");
+    assert!(cold.ends_with(": 24 cell(s), 17 cached, 7 run"), "{cold}");
+    let (warm, warm_notes) = run("headline");
+    assert!(warm.ends_with(": 24 cell(s), 24 cached, 0 run"), "{warm}");
+    assert_eq!(warm_notes, notes);
+    assert_eq!(notes.lines().count(), 5, "{notes}");
+}

@@ -6,6 +6,7 @@
 mod common;
 
 use common::{assert_ok, prestage, spec_file, TempDir};
+use std::path::Path;
 
 #[test]
 fn two_process_shard_merge_equals_single_process_run_byte_exactly() {
@@ -332,4 +333,42 @@ fn cli_surfaces_spec_errors_loudly() {
     let out = prestage(&["run", "fig99"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("fig5b"));
+}
+
+/// A study is several specs: every verb that takes exactly one refuses it
+/// by name with exit 2, and writes nothing.
+#[test]
+fn studies_are_refused_by_the_single_spec_verbs() {
+    let dir = TempDir::new("study_verbs");
+    let out_file = dir.path("out.json");
+    let traces = dir.path("traces");
+    let shard = ["shard", "--spec", "related_work", "--cells", "0..1"];
+    for (study, args, verb) in [
+        ("headline", vec!["spec", "headline"], "`prestage spec`"),
+        (
+            "related_work",
+            [&shard[..], &["--out", &out_file]].concat(),
+            "`prestage shard`",
+        ),
+        (
+            "headline",
+            vec!["trace", "record", "headline", "--out", &traces],
+            "`prestage trace record`",
+        ),
+        (
+            "related_work",
+            vec!["run", "related_work", "--out", &out_file],
+            "`prestage run --out`",
+        ),
+    ] {
+        let out = prestage(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{study:?} is a study of")) && stderr.contains(verb),
+            "{args:?} must name the study and {verb}: {stderr}"
+        );
+        assert!(!Path::new(&out_file).exists(), "{args:?} wrote {out_file}");
+        assert!(!Path::new(&traces).exists(), "{args:?} wrote {traces}");
+    }
 }

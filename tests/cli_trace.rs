@@ -150,7 +150,9 @@ fn replay_failures_are_loud_and_name_the_cure() {
 /// output quietly: no panic text and a clean exit, not the 101 of a
 /// `println!` panic.  `trace info` loses the pipe after its first line
 /// (its last line follows the whole-file verify); `list` loses it before
-/// its first write.
+/// its first write; `run fig6` loses it before its table, and still writes
+/// its `--out` artifact after the headline note that used to panic; `run
+/// headline` prints nothing but notes.
 #[test]
 fn a_closed_stdout_ends_output_quietly() {
     let dir = TempDir::new("cli_trace_pipe");
@@ -161,12 +163,21 @@ fn a_closed_stdout_ends_output_quietly() {
         "trace record",
     );
     let trace = format!("{traces}/gzip-w42-x42.pstr");
+    let artifact = dir.path("fig6.json");
     for (args, first_line) in [
         (vec!["trace", "info", trace.as_str()], Some("PSTR v2")),
         (vec!["list"], None),
+        (vec!["run", "fig6", "--out", artifact.as_str()], None),
+        (vec!["run", "headline"], None),
     ] {
         let mut child = prestage_cmd()
             .args(&args)
+            .envs([
+                ("PRESTAGE_WARMUP", "500"),
+                ("PRESTAGE_MEASURE", "2000"),
+                ("PRESTAGE_BENCH", "gzip,gcc"),
+            ])
+            .env("PRESTAGE_RESULTS_DIR", dir.path("results"))
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -183,4 +194,7 @@ fn a_closed_stdout_ends_output_quietly() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(out.status.success(), "{args:?}: {stderr}");
     }
+    let written = std::fs::read_to_string(&artifact).expect("fig6 --out artifact written");
+    assert!(written.contains("\"rows\""), "{written}");
+    assert!(Path::new(&dir.path("results/fig6.csv")).exists());
 }

@@ -26,7 +26,11 @@ fn main() {
         l1_sizes: vec![l1],
         ..ExperimentSpec::default()
     }
-    .env_overrides();
+    .env_overrides()
+    .unwrap_or_else(|e| {
+        eprintln!("ablate: {e}");
+        std::process::exit(2)
+    });
     let w = spec
         .build_workloads()
         .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));

@@ -1,31 +1,40 @@
 //! The paper's figures and studies as declarations.
 //!
-//! Each figure is an [`ExperimentSpec`] (what to run) plus a
-//! [`ReportKind`] (how to present it).  `prestage run <figure>` runs one:
-//! the declared spec with the environment's `PRESTAGE_*` overrides applied
-//! through the spec's single [`env_overrides`](ExperimentSpec::env_overrides)
-//! layer, rendered by [`report::render`]
-//! (`prestage list` prints the index).
-//!
-//! A [`Study`] is several labelled specs rendered as one report
-//! (`prestage run <study>`): the same override layer applies to each, and
-//! their cells are ordinary spec cells, so `run --cache` shares them with
-//! the figures.
+//! Every declaration is a [`Study`]: labelled [`ExperimentSpec`]s (what
+//! to run) plus a renderer from [`report`] (how to present them).  A
+//! figure is a study of one spec, labelled with the figure's name (the
+//! CSV base name); `related_work` and `headline` are studies of several.
+//! `prestage run <name>` runs any of them with the environment's
+//! `PRESTAGE_*` overrides applied to each spec through its single
+//! [`env_overrides`](ExperimentSpec::env_overrides) layer, and `prestage
+//! list` prints the index.  The cells are ordinary spec cells, so `run
+//! --cache` shares them across figures and studies.
 
-use crate::report::{self, ReportKind, StudyRun};
+use crate::report::{self, StudyRun};
 use crate::L1_SIZES;
 use prestage_cacti::TechNode;
 use prestage_sim::{ConfigPreset, ExperimentSpec, ITlbConfig, PredictorKind, PrefetcherKind};
 
-/// One declared figure.
+/// One declared study: labelled experiments run together and rendered as
+/// one report.
 #[derive(Debug, Clone, Copy)]
-pub struct Figure {
-    /// Name: the CLI handle and the CSV base name ("fig5a" → fig5a.csv).
+pub struct Study {
+    /// Name: the CLI handle.
     pub name: &'static str,
     pub title: &'static str,
-    pub report: ReportKind,
-    /// The figure's experiment, before environment overrides.
-    pub make_spec: fn() -> ExperimentSpec,
+    /// The labelled experiments (`section/row`, or a figure's name),
+    /// before environment overrides.  All of them share one benchmark set
+    /// and seed, so an uncached run builds the workloads once.
+    pub make_specs: fn() -> Vec<(String, ExperimentSpec)>,
+    /// Print the report under `title` from the runs and write its files;
+    /// an `Err` names the row that broke one of the study's expectations
+    /// or the file that could not be written.
+    pub render: fn(title: &str, runs: &[StudyRun]) -> Result<(), String>,
+}
+
+/// A figure's one spec, labelled with the figure's `name`.
+fn figure(name: &str, spec: ExperimentSpec) -> Vec<(String, ExperimentSpec)> {
+    vec![(name.to_string(), spec)]
 }
 
 /// A spec over the full L1 axis at 0.045 µm with the given presets — the
@@ -37,19 +46,19 @@ fn sweep_spec(presets: &[ConfigPreset]) -> ExperimentSpec {
     }
 }
 
-fn fig1() -> ExperimentSpec {
+fn fig1() -> Vec<(String, ExperimentSpec)> {
     use ConfigPreset::*;
-    sweep_spec(&[Ideal, BasePipelined, BaseL0, Base])
+    figure("fig1", sweep_spec(&[Ideal, BasePipelined, BaseL0, Base]))
 }
 
-fn fig2() -> ExperimentSpec {
+fn fig2() -> Vec<(String, ExperimentSpec)> {
     use ConfigPreset::*;
-    sweep_spec(&[FdpL0, Fdp])
+    figure("fig2", sweep_spec(&[FdpL0, Fdp]))
 }
 
-fn fig4() -> ExperimentSpec {
+fn fig4() -> Vec<(String, ExperimentSpec)> {
     use ConfigPreset::*;
-    sweep_spec(&[ClgpL0, Clgp])
+    figure("fig4", sweep_spec(&[ClgpL0, Clgp]))
 }
 
 /// Figure 5's legend: every technique, proposed configurations first.
@@ -62,117 +71,40 @@ const FIG5_PRESETS: [ConfigPreset; 6] = [
     ConfigPreset::BaseL0,
 ];
 
-fn fig5a() -> ExperimentSpec {
-    ExperimentSpec {
+fn fig5a() -> Vec<(String, ExperimentSpec)> {
+    let spec = ExperimentSpec {
         tech: TechNode::T090,
         ..sweep_spec(&FIG5_PRESETS)
-    }
+    };
+    figure("fig5a", spec)
 }
 
-fn fig5b() -> ExperimentSpec {
-    sweep_spec(&FIG5_PRESETS)
+fn fig5b() -> Vec<(String, ExperimentSpec)> {
+    figure("fig5b", sweep_spec(&FIG5_PRESETS))
 }
 
-fn fig6() -> ExperimentSpec {
+fn fig6() -> Vec<(String, ExperimentSpec)> {
     use ConfigPreset::*;
-    ExperimentSpec {
+    let spec = ExperimentSpec {
         l1_sizes: vec![8 << 10],
         ..sweep_spec(&[BasePipelined, FdpL0Pb16, ClgpL0Pb16])
-    }
+    };
+    figure("fig6", spec)
 }
 
-fn fig7a() -> ExperimentSpec {
+fn fig7a() -> Vec<(String, ExperimentSpec)> {
     use ConfigPreset::*;
-    sweep_spec(&[Fdp, Clgp])
+    figure("fig7a", sweep_spec(&[Fdp, Clgp]))
 }
 
-fn fig7b() -> ExperimentSpec {
+fn fig7b() -> Vec<(String, ExperimentSpec)> {
     use ConfigPreset::*;
-    sweep_spec(&[FdpL0, ClgpL0])
+    figure("fig7b", sweep_spec(&[FdpL0, ClgpL0]))
 }
 
-fn fig8() -> ExperimentSpec {
+fn fig8() -> Vec<(String, ExperimentSpec)> {
     use ConfigPreset::*;
-    sweep_spec(&[Fdp, Clgp])
-}
-
-/// Every declared figure, paper order.
-pub const FIGURES: [Figure; 9] = [
-    Figure {
-        name: "fig1",
-        title: "Figure 1 — L1 latency vs IPC (0.045um, HMEAN over SPECint2000)",
-        report: ReportKind::Sweep,
-        make_spec: fig1,
-    },
-    Figure {
-        name: "fig2",
-        title: "Figure 2(b) — FDP with/without L0 (0.045um)",
-        report: ReportKind::Sweep,
-        make_spec: fig2,
-    },
-    Figure {
-        name: "fig4",
-        title: "Figure 4(b) — CLGP with/without L0 (0.045um)",
-        report: ReportKind::Sweep,
-        make_spec: fig4,
-    },
-    Figure {
-        name: "fig5a",
-        title: "Figure 5(a) — all techniques at 0.09um",
-        report: ReportKind::Sweep,
-        make_spec: fig5a,
-    },
-    Figure {
-        name: "fig5b",
-        title: "Figure 5(b) — all techniques at 0.045um",
-        report: ReportKind::Sweep,
-        make_spec: fig5b,
-    },
-    Figure {
-        name: "fig6",
-        title: "Figure 6 — per-benchmark IPC (8KB L1, 0.045um)",
-        report: ReportKind::PerBench,
-        make_spec: fig6,
-    },
-    Figure {
-        name: "fig7a",
-        title: "Figure 7(a) — fetch source distribution (%, 0.045um)",
-        report: ReportKind::FetchSources,
-        make_spec: fig7a,
-    },
-    Figure {
-        name: "fig7b",
-        title: "Figure 7(b) — fetch source distribution with L0 (%, 0.045um)",
-        report: ReportKind::FetchSources,
-        make_spec: fig7b,
-    },
-    Figure {
-        name: "fig8",
-        title: "Figure 8 — prefetch source distribution (%, 0.045um)",
-        report: ReportKind::PrefetchSources,
-        make_spec: fig8,
-    },
-];
-
-/// Look up a figure declaration by name.
-pub fn by_name(name: &str) -> Option<&'static Figure> {
-    FIGURES.iter().find(|f| f.name == name)
-}
-
-/// One declared study: several labelled experiments run together and
-/// rendered as one report.
-#[derive(Debug, Clone, Copy)]
-pub struct Study {
-    /// Name: the CLI handle.
-    pub name: &'static str,
-    pub title: &'static str,
-    /// The labelled experiments (`section/row`), before environment
-    /// overrides.  All of them share one benchmark set and seed, so an
-    /// uncached run builds the workloads once.
-    pub make_specs: fn() -> Vec<(String, ExperimentSpec)>,
-    /// Print the report and write its files; an `Err` names the row that
-    /// broke one of the study's expectations.
-    pub render: fn(&[StudyRun]) -> Result<(), String>,
+    figure("fig8", sweep_spec(&[Fdp, Clgp]))
 }
 
 /// A one-preset spec at 4 KB and 0.045 µm, with `prefetcher` swapping the
@@ -279,10 +211,68 @@ const HEADLINE: Study = Study {
     render: report::headline,
 };
 
-/// Every declared study.
-pub const STUDIES: [Study; 2] = [RELATED_WORK, HEADLINE];
+/// Every declared figure and study: the figures in paper order, then the
+/// studies.
+pub const STUDIES: [Study; 11] = [
+    Study {
+        name: "fig1",
+        title: "Figure 1 — L1 latency vs IPC (0.045um, HMEAN over SPECint2000)",
+        make_specs: fig1,
+        render: report::sweep,
+    },
+    Study {
+        name: "fig2",
+        title: "Figure 2(b) — FDP with/without L0 (0.045um)",
+        make_specs: fig2,
+        render: report::sweep,
+    },
+    Study {
+        name: "fig4",
+        title: "Figure 4(b) — CLGP with/without L0 (0.045um)",
+        make_specs: fig4,
+        render: report::sweep,
+    },
+    Study {
+        name: "fig5a",
+        title: "Figure 5(a) — all techniques at 0.09um",
+        make_specs: fig5a,
+        render: report::sweep,
+    },
+    Study {
+        name: "fig5b",
+        title: "Figure 5(b) — all techniques at 0.045um",
+        make_specs: fig5b,
+        render: report::sweep,
+    },
+    Study {
+        name: "fig6",
+        title: "Figure 6 — per-benchmark IPC (8KB L1, 0.045um)",
+        make_specs: fig6,
+        render: report::per_bench,
+    },
+    Study {
+        name: "fig7a",
+        title: "Figure 7(a) — fetch source distribution (%, 0.045um)",
+        make_specs: fig7a,
+        render: report::fetch_sources,
+    },
+    Study {
+        name: "fig7b",
+        title: "Figure 7(b) — fetch source distribution with L0 (%, 0.045um)",
+        make_specs: fig7b,
+        render: report::fetch_sources,
+    },
+    Study {
+        name: "fig8",
+        title: "Figure 8 — prefetch source distribution (%, 0.045um)",
+        make_specs: fig8,
+        render: report::prefetch_sources,
+    },
+    RELATED_WORK,
+    HEADLINE,
+];
 
-/// Look up a study declaration by name.
+/// Look up a declared figure or study by name.
 pub fn study_by_name(name: &str) -> Option<&'static Study> {
     STUDIES.iter().find(|s| s.name == name)
 }
@@ -291,25 +281,21 @@ pub fn study_by_name(name: &str) -> Option<&'static Study> {
 mod tests {
     use super::*;
 
+    /// Names are unique, every spec validates and round-trips through
+    /// JSON, labels are unique within a study, and a figure (a one-spec
+    /// study) labels its spec with its own name, which its renderer uses
+    /// as the CSV base name.
     #[test]
     fn figure_names_are_unique_and_specs_validate() {
         let mut seen = std::collections::HashSet::new();
-        for fig in &FIGURES {
-            assert!(seen.insert(fig.name), "duplicate figure {}", fig.name);
-            let spec = (fig.make_spec)();
-            spec.validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", fig.name));
-            // Declared figures serialize (the golden files in specs/ are
-            // generated from these).
-            let back = ExperimentSpec::from_json(&spec.to_json()).unwrap();
-            assert_eq!(back, spec, "{}", fig.name);
-        }
-        assert!(by_name("fig6").is_some());
-        assert!(by_name("fig3").is_none());
         for study in &STUDIES {
             assert!(seen.insert(study.name), "{} is declared twice", study.name);
+            let specs = (study.make_specs)();
+            if let [(label, _)] = specs.as_slice() {
+                assert_eq!(label, study.name);
+            }
             let mut labels = std::collections::HashSet::new();
-            for (label, spec) in (study.make_specs)() {
+            for (label, spec) in specs {
                 assert!(
                     labels.insert(label.clone()),
                     "{}: duplicate {label}",
@@ -317,12 +303,15 @@ mod tests {
                 );
                 spec.validate()
                     .unwrap_or_else(|e| panic!("{} {label}: {e}", study.name));
+                // Declared specs serialize (the golden files in specs/ are
+                // generated from the figures').
                 let back = ExperimentSpec::from_json(&spec.to_json()).unwrap();
                 assert_eq!(back, spec, "{} {label}", study.name);
             }
         }
+        assert!(study_by_name("fig6").is_some());
         assert!(study_by_name("headline").is_some());
-        assert!(study_by_name("fig6").is_none());
+        assert!(study_by_name("fig3").is_none());
     }
 
     /// The related-work ladder used to hand-build each rung's `SimConfig`
@@ -357,10 +346,17 @@ mod tests {
 
     #[test]
     fn per_bench_figures_have_one_size() {
-        for fig in &FIGURES {
-            if fig.report == ReportKind::PerBench {
-                assert_eq!((fig.make_spec)().l1_sizes.len(), 1, "{}", fig.name);
+        type Render = fn(&str, &[StudyRun]) -> Result<(), String>;
+        let per_bench = STUDIES
+            .iter()
+            .filter(|s| std::ptr::fn_addr_eq(s.render, report::per_bench as Render));
+        let mut n = 0;
+        for study in per_bench {
+            for (label, spec) in (study.make_specs)() {
+                assert_eq!(spec.l1_sizes.len(), 1, "{label}");
             }
+            n += 1;
         }
+        assert!(n >= 1, "fig6 renders per benchmark");
     }
 }

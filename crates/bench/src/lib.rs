@@ -1,7 +1,7 @@
 //! # prestage-bench
 //!
-//! The experiment harness: the declared figures and studies ([`figures`],
-//! run by `prestage run <name>`; `prestage list` prints the index and the
+//! The experiment harness: the declared studies ([`figures`], run by
+//! `prestage run <name>`; `prestage list` prints the index and the
 //! paper's Tables 1–3), the CLGP ablation binary `ablate` in `src/bin/`,
 //! the substrate micro-benches in `benches/`, and the shared presentation
 //! layer.
@@ -14,10 +14,10 @@
 //!   survive as a single override layer
 //!   ([`ExperimentSpec::env_overrides`](prestage_sim::ExperimentSpec::env_overrides));
 //!   no binary reads them directly.
-//! * **Which figure is which** lives in [`figures`]: each figure is a
-//!   declared spec plus a [`report::ReportKind`], each study a list of
-//!   labelled specs plus a renderer, and `prestage run <name>` runs
-//!   either.
+//! * **Which figure is which** lives in [`figures`]: every declaration is
+//!   a [`figures::Study`], labelled specs plus a [`report`] renderer.  A
+//!   figure is a study of one spec labelled with its name; `prestage run
+//!   <name>` runs any of them.
 //! * **How results land on disk** is [`report`] (tables + CSVs), under
 //!   [`results_dir`].
 //!

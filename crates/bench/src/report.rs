@@ -1,14 +1,16 @@
 //! The one place figure, study and table output is rendered.
 //!
 //! Every figure used to hand-roll its own table printing and CSV
-//! emission; figures are now declarations (an [`ExperimentSpec`] plus a
-//! [`ReportKind`]) and this module owns the four renderings the paper's
-//! figures need.  Each renderer takes the spec (for axes and labels) and
-//! the ordered `[preset][size]` rows `try_run_spec` returned, prints the
-//! figure's data series as an aligned text table, and writes the matching
-//! CSV(s) under [`crate::results_dir`].  A study's renderer
-//! ([`related_work`], [`headline`]) takes each of its labelled runs the
-//! same way; the paper's static Tables 1–3 print from the models alone.
+//! emission; figures and studies are now declarations (labelled specs
+//! plus one of this module's renderers, see [`crate::figures`]).  Every
+//! renderer takes a title and the declaration's [`StudyRun`]s, each a
+//! spec (for axes and labels) with the ordered `[preset][size]` rows it
+//! ran to.  The four figure renderers ([`sweep`], [`per_bench`],
+//! [`fetch_sources`], [`prefetch_sources`]) take a figure's one run,
+//! print its data series as an aligned text table, and write the matching
+//! CSV(s) under [`crate::results_dir`], named after the run's label; the
+//! study renderers ([`related_work`], [`headline`]) pick their runs by
+//! label.  The paper's static Tables 1–3 print from the models alone.
 
 use crate::{note_result, results_dir, size_label, L1_SIZES};
 use prestage_bpred::StreamPredictorConfig;
@@ -53,41 +55,23 @@ macro_rules! outln {
     ($($arg:tt)*) => { $crate::report::emit(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
-/// How a figure presents its grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReportKind {
-    /// IPC vs L1 size, one row per preset (Figures 1, 2, 4, 5).
-    Sweep,
-    /// Per-benchmark IPC at a single L1 size, one column per preset
-    /// (Figure 6).  Requires a one-size spec.
-    PerBench,
-    /// Fetch-source distribution per (preset, size) (Figure 7).
-    FetchSources,
-    /// Prefetch-source distribution per (preset, size) (Figure 8).
-    PrefetchSources,
+/// One labelled experiment of a study, with its `[preset][size]` rows.
+#[derive(Debug)]
+pub struct StudyRun {
+    /// `section/row` (`"ladder/FDP"`), by whose prefix a study's renderer
+    /// picks its sections, or a figure's name.
+    pub label: String,
+    /// The spec as run, environment overrides applied.
+    pub spec: ExperimentSpec,
+    pub rows: Vec<Vec<GridResult>>,
 }
 
-/// Render `rows` as `kind`, printing the table and writing
-/// `<results dir>/<csv_name>.csv` (plus companions where the figure has
-/// them).  Fails, naming the file, when a CSV cannot be written.
-pub fn render(
-    kind: ReportKind,
-    title: &str,
-    csv_name: &str,
-    spec: &ExperimentSpec,
-    rows: &[Vec<GridResult>],
-) -> Result<(), String> {
-    match kind {
-        ReportKind::Sweep => sweep(title, csv_name, spec, rows),
-        ReportKind::PerBench => per_bench(title, csv_name, spec, rows),
-        ReportKind::FetchSources => {
-            let columns = ["PB", "il0", "il1", "ul2", "Mem"];
-            source_shares(title, csv_name, spec, rows, &columns, fetch_shares)
-        }
-        ReportKind::PrefetchSources => {
-            let columns = ["PB", "il1", "ul2", "Mem"];
-            source_shares(title, csv_name, spec, rows, &columns, prefetch_shares)
-        }
+/// A figure's one run as (CSV base name, spec, rows): a figure is a study
+/// of one spec, labelled with the figure's name.
+fn figure_run(runs: &[StudyRun]) -> Result<(&str, &ExperimentSpec, &[Vec<GridResult>]), String> {
+    match runs {
+        [run] => Ok((&run.label, &run.spec, &run.rows)),
+        _ => Err(format!("a figure renders one run, not {}", runs.len())),
     }
 }
 
@@ -143,14 +127,10 @@ pub fn sweep_table(title: &str, spec: &ExperimentSpec, rows: &[Vec<GridResult>])
     }
 }
 
-/// [`sweep_table`] plus the summary and per-benchmark detail CSVs — the
-/// full figure rendering.
-pub fn sweep(
-    title: &str,
-    csv_name: &str,
-    spec: &ExperimentSpec,
-    rows: &[Vec<GridResult>],
-) -> Result<(), String> {
+/// IPC vs L1 size, one row per preset (Figures 1, 2, 4, 5):
+/// [`sweep_table`] plus the summary and per-benchmark detail CSVs.
+pub fn sweep(title: &str, runs: &[StudyRun]) -> Result<(), String> {
+    let (csv_name, spec, rows) = figure_run(runs)?;
     sweep_table(title, spec, rows);
     let mut csv = format!("config,{}\n", size_labels(spec).join(","));
     let mut detail = String::from("config,l1,bench,ipc,mpki,pb_share,l0_share,l1_share\n");
@@ -207,14 +187,11 @@ fn table_row(csv: &mut String, label: &str, lw: usize, values: &[f64], vw: usize
     csv.push('\n');
 }
 
-/// Per-benchmark IPC columns at a single L1 size, with the HMEAN row the
-/// paper's Figure 6 ends on; notes the pairwise HMEAN comparisons.
-pub fn per_bench(
-    title: &str,
-    csv_name: &str,
-    spec: &ExperimentSpec,
-    rows: &[Vec<GridResult>],
-) -> Result<(), String> {
+/// Per-benchmark IPC columns at a single L1 size, one column per preset,
+/// with the HMEAN row the paper's Figure 6 ends on; notes the pairwise
+/// HMEAN comparisons.  Requires a one-size spec.
+pub fn per_bench(title: &str, runs: &[StudyRun]) -> Result<(), String> {
+    let (csv_name, spec, rows) = figure_run(runs)?;
     assert_eq!(
         spec.l1_sizes.len(),
         1,
@@ -263,12 +240,11 @@ pub fn per_bench(
 /// percent — fetch sources (Figure 7) or prefetch sources (Figure 8).
 fn source_shares(
     title: &str,
-    csv_name: &str,
-    spec: &ExperimentSpec,
-    rows: &[Vec<GridResult>],
+    runs: &[StudyRun],
     columns: &[&str],
     shares: fn(&FrontStats) -> Vec<f64>,
 ) -> Result<(), String> {
+    let (csv_name, spec, rows) = figure_run(runs)?;
     outln!("\n# {title}");
     out!("{:<14} {:>6} |", "config", "L1");
     let mut csv = String::from("config,l1");
@@ -303,6 +279,18 @@ fn source_shares(
     Ok(())
 }
 
+/// Fetch-source distribution per (preset, size) (Figure 7).
+pub fn fetch_sources(title: &str, runs: &[StudyRun]) -> Result<(), String> {
+    let columns = ["PB", "il0", "il1", "ul2", "Mem"];
+    source_shares(title, runs, &columns, fetch_shares)
+}
+
+/// Prefetch-source distribution per (preset, size) (Figure 8).
+pub fn prefetch_sources(title: &str, runs: &[StudyRun]) -> Result<(), String> {
+    let columns = ["PB", "il1", "ul2", "Mem"];
+    source_shares(title, runs, &columns, prefetch_shares)
+}
+
 /// Figure 7's columns: the share of fetched lines served by each source.
 fn fetch_shares(f: &FrontStats) -> Vec<f64> {
     [f.fetch_pb, f.fetch_l0, f.fetch_l1, f.fetch_l2, f.fetch_mem]
@@ -320,17 +308,6 @@ fn prefetch_shares(f: &FrontStats) -> Vec<f64> {
         f.prefetch_from_mem,
     ];
     counts.map(|c| c as f64 / total).to_vec()
-}
-
-/// One labelled experiment of a study, with its `[preset][size]` rows.
-#[derive(Debug)]
-pub struct StudyRun {
-    /// `section/row` (`"ladder/FDP"`): renderers pick their sections by
-    /// prefix.
-    pub label: String,
-    /// The spec as run, environment overrides applied.
-    pub spec: ExperimentSpec,
-    pub rows: Vec<Vec<GridResult>>,
 }
 
 /// The runs of `section` in declaration order, each with its row name
@@ -383,7 +360,7 @@ fn metadata_cost(spec: &ExperimentSpec) -> [f64; 3] {
 /// (ladder and predictors), `related_work_mechanisms.csv` and
 /// `related_work_tlb.csv`.  Fails, naming the row, when a ladder rung
 /// falls more than 3 % below the one before it or a mechanism is wedged.
-pub fn related_work(runs: &[StudyRun]) -> Result<(), String> {
+pub fn related_work(_title: &str, runs: &[StudyRun]) -> Result<(), String> {
     outln!("\n# Related work — prefetch scheme ladder (4KB L1, 0.045um)");
     let mut csv = String::from("scheme,hmean_ipc\n");
     let mut ladder: Vec<(&str, f64)> = Vec::new();
@@ -481,7 +458,7 @@ pub fn related_work(runs: &[StudyRun]) -> Result<(), String> {
 /// CLGP over FDP and over the two baselines at 4 KB for each node, the
 /// budget equivalence at 0.09 µm, and CLGP's fetch-source shares at 4 KB
 /// and 0.045 µm.
-pub fn headline(runs: &[StudyRun]) -> Result<(), String> {
+pub fn headline(_title: &str, runs: &[StudyRun]) -> Result<(), String> {
     use ConfigPreset::*;
     for (_, run) in section(runs, "presets") {
         let h = |preset: ConfigPreset| {
@@ -659,7 +636,7 @@ mod tests {
             run_at("ladder/FDP", 0.7),
             run_at("ladder/CLGP", 0.6),
         ];
-        let err = related_work(&runs).unwrap_err();
+        let err = related_work("", &runs).unwrap_err();
         assert!(
             err.starts_with("related_work: ")
                 && err.contains("CLGP HMEAN 0.600 is more than 3% below FDP HMEAN 0.700"),

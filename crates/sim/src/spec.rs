@@ -24,7 +24,7 @@
 //! The `PRESTAGE_*` environment variables survive only as an *override
 //! layer*: [`ExperimentSpec::env_overrides`] folds them onto an existing
 //! spec, and this module is the single place in the workspace where they
-//! are parsed (malformed values abort with the variable name, per the
+//! are parsed (a malformed value is an error naming the variable, per the
 //! loud-parsing policy).
 
 use crate::config::{ConfigPreset, SimConfig};
@@ -240,13 +240,13 @@ impl Default for ExperimentSpec {
 // ---------------------------------------------------------------------------
 
 /// Parse an env-var value, failing loudly on malformed input: a typo'd
-/// `PRESTAGE_MEASURE=1e6` must abort, not silently run the default length.
-/// Empty/whitespace values count as unset.
-fn parse_env_u64(name: &str, value: Option<&str>, default: u64) -> u64 {
+/// `PRESTAGE_MEASURE=1e6` must be refused, not silently run the default
+/// length.  Empty/whitespace values count as unset.
+fn parse_env_u64(name: &str, value: Option<&str>, default: u64) -> Result<u64, String> {
     match value.map(str::trim) {
-        None | Some("") => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            panic!(
+        None | Some("") => Ok(default),
+        Some(v) => v.parse().map_err(|_| {
+            format!(
                 "{name} must be an unsigned integer, got {v:?} \
                  (write e.g. {name}=1000000; scientific notation is not supported)"
             )
@@ -258,14 +258,16 @@ fn std_env(name: &str) -> Option<String> {
     std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
 }
 
-/// Parse a `PRESTAGE_THREADS` value (empty counts as unset).  Panics on
+/// Parse a `PRESTAGE_THREADS` value (empty counts as unset), refusing
 /// malformed values rather than silently running serial.
-fn parse_threads(value: Option<&str>) -> Option<usize> {
+fn parse_threads(value: Option<&str>) -> Result<Option<usize>, String> {
     match value.map(str::trim) {
-        None | Some("") => None,
+        None | Some("") => Ok(None),
         Some(t) => match t.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => panic!("PRESTAGE_THREADS must be a positive integer, got {t:?}"),
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!(
+                "PRESTAGE_THREADS must be a positive integer, got {t:?}"
+            )),
         },
     }
 }
@@ -275,32 +277,35 @@ impl ExperimentSpec {
     /// `PRESTAGE_WARMUP`, `PRESTAGE_MEASURE`, `PRESTAGE_SEED`,
     /// `PRESTAGE_EXEC_SEED`, `PRESTAGE_BENCH` (comma-separated filter) and
     /// `PRESTAGE_THREADS`.  Unset (or empty) variables leave the spec
-    /// field untouched; malformed values abort with the variable name.
+    /// field untouched; a malformed value is an `Err` naming the variable.
     ///
     /// The experiment axes (presets, tech, sizes, predictor) have no env
     /// form on purpose: changing *what* is measured is a spec edit, not a
     /// shell prefix.
-    pub fn env_overrides(self) -> ExperimentSpec {
+    pub fn env_overrides(self) -> Result<ExperimentSpec, String> {
         self.env_overrides_with(std_env)
     }
 
     /// [`env_overrides`](Self::env_overrides) with an injectable lookup
     /// (tests override without mutating process-global state).
-    fn env_overrides_with(mut self, get: impl Fn(&str) -> Option<String>) -> ExperimentSpec {
+    fn env_overrides_with(
+        mut self,
+        get: impl Fn(&str) -> Option<String>,
+    ) -> Result<ExperimentSpec, String> {
         let u64_of = |name: &str, current: u64| parse_env_u64(name, get(name).as_deref(), current);
-        self.warmup_insts = u64_of("PRESTAGE_WARMUP", self.warmup_insts);
-        self.measure_insts = u64_of("PRESTAGE_MEASURE", self.measure_insts);
-        self.workload_seed = u64_of("PRESTAGE_SEED", self.workload_seed);
-        self.exec_seed = u64_of("PRESTAGE_EXEC_SEED", self.exec_seed);
+        self.warmup_insts = u64_of("PRESTAGE_WARMUP", self.warmup_insts)?;
+        self.measure_insts = u64_of("PRESTAGE_MEASURE", self.measure_insts)?;
+        self.workload_seed = u64_of("PRESTAGE_SEED", self.workload_seed)?;
+        self.exec_seed = u64_of("PRESTAGE_EXEC_SEED", self.exec_seed)?;
         if let Some(v) = get("PRESTAGE_BENCH") {
             if !v.trim().is_empty() {
                 self.bench = Some(v.split(',').map(|s| s.trim().to_string()).collect());
             }
         }
-        if let Some(t) = parse_threads(get("PRESTAGE_THREADS").as_deref()) {
+        if let Some(t) = parse_threads(get("PRESTAGE_THREADS").as_deref())? {
             self.threads = Some(t);
         }
-        self
+        Ok(self)
     }
 
     // -----------------------------------------------------------------------
@@ -1725,7 +1730,9 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let spec = tiny_spec().env_overrides_with(|k| env.get(k).map(|v| v.to_string()));
+        let spec = tiny_spec()
+            .env_overrides_with(|k| env.get(k).map(|v| v.to_string()))
+            .unwrap();
         assert_eq!(spec.measure_insts, 9_000);
         assert_eq!(spec.bench, Some(vec!["gcc".to_string(), "mcf".to_string()]));
         assert_eq!(spec.threads, Some(3));
@@ -1733,32 +1740,45 @@ mod tests {
         assert_eq!(spec.warmup_insts, 1_000);
         assert_eq!(spec.workload_seed, 7);
         // Empty values count as unset.
-        let spec = tiny_spec().env_overrides_with(|k| {
-            (k == "PRESTAGE_BENCH" || k == "PRESTAGE_THREADS").then(|| "  ".to_string())
-        });
+        let spec = tiny_spec()
+            .env_overrides_with(|k| {
+                (k == "PRESTAGE_BENCH" || k == "PRESTAGE_THREADS").then(|| "  ".to_string())
+            })
+            .unwrap();
         assert_eq!(spec.bench, Some(vec!["gzip".to_string()]));
         assert_eq!(spec.threads, Some(2));
     }
 
     #[test]
-    #[should_panic(expected = "PRESTAGE_MEASURE must be an unsigned integer")]
     fn env_layer_rejects_scientific_notation() {
-        tiny_spec().env_overrides_with(|k| (k == "PRESTAGE_MEASURE").then(|| "1e6".to_string()));
+        let err = tiny_spec()
+            .env_overrides_with(|k| (k == "PRESTAGE_MEASURE").then(|| "1e6".to_string()))
+            .unwrap_err();
+        assert!(
+            err.starts_with("PRESTAGE_MEASURE must be an unsigned integer, got \"1e6\"")
+                && err.contains("scientific notation is not supported"),
+            "{err}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "PRESTAGE_THREADS must be a positive integer")]
     fn env_layer_rejects_zero_threads() {
-        tiny_spec().env_overrides_with(|k| (k == "PRESTAGE_THREADS").then(|| "0".to_string()));
+        let err = tiny_spec()
+            .env_overrides_with(|k| (k == "PRESTAGE_THREADS").then(|| "0".to_string()))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "PRESTAGE_THREADS must be a positive integer, got \"0\""
+        );
     }
 
     #[test]
     fn env_u64_parse_accepts_good_values_and_defaults() {
-        assert_eq!(parse_env_u64("X", None, 7), 7);
-        assert_eq!(parse_env_u64("X", Some(""), 7), 7);
-        assert_eq!(parse_env_u64("X", Some("  "), 7), 7);
-        assert_eq!(parse_env_u64("X", Some("123"), 7), 123);
-        assert_eq!(parse_env_u64("X", Some(" 42 "), 7), 42);
+        assert_eq!(parse_env_u64("X", None, 7), Ok(7));
+        assert_eq!(parse_env_u64("X", Some(""), 7), Ok(7));
+        assert_eq!(parse_env_u64("X", Some("  "), 7), Ok(7));
+        assert_eq!(parse_env_u64("X", Some("123"), 7), Ok(123));
+        assert_eq!(parse_env_u64("X", Some(" 42 "), 7), Ok(42));
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! result:
 //!
 //! ```text
-//! prestage run   <spec.json | figure | study> [--out <file>] [--cache <dir>]
-//! prestage shard --spec <spec.json | figure> --cells A..B --out <file>
+//! prestage run   <spec.json | name> [--out <file>] [--cache <dir>]
+//! prestage shard --spec <spec.json | name> --cells A..B --out <file>
 //! prestage merge <shard.json>... [--out <file>]
-//! prestage trace record <spec.json | figure> --out <dir>
+//! prestage trace record <spec.json | name> --out <dir>
 //! prestage trace info   <trace.pstr>
-//! prestage spec  <figure> [--out <file>]
+//! prestage spec  <spec.json | name> [--out <file>]
 //! prestage fuzz  [--budget <N>] [--seed <S>] [--corpus <dir>] [--crashes <dir>]
 //! prestage list
 //! ```
@@ -25,15 +25,17 @@
 //! either way (the trace source, like the pool width, is cleared from the
 //! embedded spec).
 //!
-//! A *figure* argument (`fig1`, `fig5b`, ...) resolves to the declared
-//! spec from `prestage_bench::figures` with the `PRESTAGE_*` environment
-//! overrides applied, rendered with the figure's own report (CSV
-//! included).  A *study* argument (`related_work`, `headline`) runs each
-//! of its declared specs the same way and renders them as one report; it
-//! has no single spec, so `spec`, `shard`, `trace record` and `run --out`
-//! refuse it by name.  A *file* argument is taken verbatim: what is in the
-//! file is what runs, so two shards of the same file are guaranteed to
-//! agree.
+//! A *name* argument is a declared study from `prestage_bench::figures`
+//! (`prestage list`): labelled specs plus a renderer.  A figure (`fig1`,
+//! `fig5b`, ...) is a study of one spec; `related_work` and `headline` are
+//! studies of several.  `run` applies the `PRESTAGE_*` environment
+//! overrides to each spec, runs them in one loop and renders them with the
+//! study's own report (CSVs included).  The verbs that take exactly one
+//! spec (`spec`, `shard`, `trace record`, `run --out`) resolve a figure to
+//! its spec and refuse a study of several by name.  A *file* argument (a
+//! regular file; a directory never shadows a name) is taken verbatim: what
+//! is in the file is what runs, so two shards of the same file are
+//! guaranteed to agree.
 //!
 //! `run --out` and `merge --out` write the same canonical grid JSON, so
 //! `diff` proves a sharded run reproduced the single-process results
@@ -45,13 +47,12 @@
 //! run resumes by being run again, and the artifact is byte-identical to
 //! an uncached `run --out` either way.
 
-use prestage_bench::figures::{self, Figure, Study};
+use prestage_bench::figures::{self, Study};
 use prestage_bench::report::{self, StudyRun};
 use prestage_bench::{out, outln};
 use prestage_sim::spec::{grid_output, ShardFile, TraceSource};
 use prestage_sim::{
-    pool_map, try_run_spec, try_run_spec_cached, CacheCounts, ConfigPreset, ExperimentSpec, Store,
-    Sweep,
+    pool_map, try_run_spec_cached, CacheCounts, ConfigPreset, ExperimentSpec, Store, Sweep,
 };
 use prestage_workload::{build, open_trace, record_trace, specint2000, DEFAULT_CHUNK_INSTS};
 use std::io::BufWriter;
@@ -61,17 +62,17 @@ use std::process::exit;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  \
-         prestage run   <spec.json | figure | study> [--out <file>] [--cache <dir>]\n  \
-         prestage shard --spec <spec.json | figure> --cells A..B --out <file>\n  \
+         prestage run   <spec.json | name> [--out <file>] [--cache <dir>]\n  \
+         prestage shard --spec <spec.json | name> --cells A..B --out <file>\n  \
          prestage merge <shard.json>... [--out <file>]\n  \
-         prestage trace record <spec.json | figure> --out <dir>\n  \
+         prestage trace record <spec.json | name> --out <dir>\n  \
          prestage trace info   <trace.pstr>\n  \
-         prestage spec  <figure> [--out <file>]\n  \
+         prestage spec  <spec.json | name> [--out <file>]\n  \
          prestage fuzz  [--budget <N>] [--seed <S>] [--corpus <dir>] [--crashes <dir>]\n  \
          prestage list\n\n\
-         A figure or study name (see `prestage list`) runs its declared specs\n\
+         A declared figure or study name (see `prestage list`) runs its specs\n\
          with the PRESTAGE_* environment overrides applied; a spec file runs\n\
-         verbatim.\n\
+         verbatim.  shard, trace record, spec and run --out take one spec.\n\
          A spec whose \"trace\" field is {{\"dir\": \"<dir>\"}} replays traces\n\
          previously captured by `trace record` instead of generating live.\n\
          `run --cache <dir>` simulates only the cells <dir> does not hold yet."
@@ -94,51 +95,56 @@ fn take_flag(args: &mut Vec<String>, key: &str) -> Option<String> {
     Some(args.remove(i))
 }
 
-/// Every declared figure and study name, for "unknown name" errors.
-fn declared_names() -> String {
-    let figs = figures::FIGURES.iter().map(|f| f.name);
-    let studies = figures::STUDIES.iter().map(|s| s.name);
-    figs.chain(studies).collect::<Vec<_>>().join(", ")
-}
-
-/// Refuse a study where `what` needs exactly one spec.
-fn refuse_study(study: &Study, what: &str) -> ! {
-    fail(&format!(
-        "{:?} is a study of {} specs, and {what} takes one spec; \
-         run the study with `prestage run {}`",
-        study.name,
-        (study.make_specs)().len(),
-        study.name
-    ));
-}
-
-/// Resolve a spec argument for `what` (the verb, for the refusal of a
-/// study): an existing file parses verbatim; otherwise a declared figure
-/// name (whose spec gets the environment overrides).  Returns the figure
-/// declaration when there is one, so `run` can render the figure's own
-/// report kind.
-fn load_spec(arg: &str, what: &str) -> (ExperimentSpec, Option<&'static Figure>) {
-    let path = std::path::Path::new(arg);
-    if path.exists() {
-        let text = std::fs::read_to_string(path)
+/// Resolve a spec argument to its labelled specs and, for a declared
+/// name, its study.  A regular file parses verbatim (its one spec is
+/// labelled `spec <file>`); anything else must be a declared name, whose
+/// specs get the environment overrides when `env` is set.
+fn resolve(arg: &str, env: bool) -> (Vec<(String, ExperimentSpec)>, Option<&'static Study>) {
+    if Path::new(arg).is_file() {
+        let text = std::fs::read_to_string(arg)
             .unwrap_or_else(|e| fail(&format!("cannot read {arg}: {e}")));
         let spec =
             ExperimentSpec::from_json(&text).unwrap_or_else(|e| fail(&format!("{arg}: {e}")));
         if let Err(e) = spec.validate() {
             fail(&format!("{arg}: {e}"));
         }
-        return (spec, None);
+        return (vec![(format!("spec {arg}"), spec)], None);
     }
-    if let Some(fig) = figures::by_name(arg) {
-        return ((fig.make_spec)().env_overrides(), Some(fig));
+    let Some(study) = figures::study_by_name(arg) else {
+        let names: Vec<&str> = figures::STUDIES.iter().map(|s| s.name).collect();
+        fail(&format!(
+            "{arg:?} is neither a spec file nor a declared name ({})",
+            names.join(", ")
+        ));
+    };
+    let mut specs = (study.make_specs)();
+    if env {
+        for (_, spec) in &mut specs {
+            *spec = spec.clone().env_overrides().unwrap_or_else(|e| fail(&e));
+        }
     }
-    if let Some(study) = figures::study_by_name(arg) {
-        refuse_study(study, what);
+    (specs, Some(study))
+}
+
+/// Refuse a study of several specs where `what` (the verb) takes one.
+fn refuse_many(specs: &[(String, ExperimentSpec)], study: Option<&Study>, what: &str) {
+    if let (Some(study), 2..) = (study, specs.len()) {
+        fail(&format!(
+            "{:?} is a study of {} specs, and {what} takes one spec; \
+             run the study with `prestage run {}`",
+            study.name,
+            specs.len(),
+            study.name
+        ));
     }
-    fail(&format!(
-        "{arg:?} is neither a spec file nor a declared name ({})",
-        declared_names()
-    ));
+}
+
+/// The one spec `arg` names, for `what` (the verb): [`resolve`], with a
+/// study of several specs refused by name.
+fn one_spec(arg: &str, what: &str, env: bool) -> ExperimentSpec {
+    let (mut specs, study) = resolve(arg, env);
+    refuse_many(&specs, study, what);
+    specs.remove(0).1
 }
 
 fn write_out(path: &str, content: &str) {
@@ -153,76 +159,55 @@ fn cmd_run(mut args: Vec<String>) {
     let out = take_flag(&mut args, "--out");
     let cache = take_flag(&mut args, "--cache");
     let [arg] = args.as_slice() else { usage() };
-    // A file of the study's name runs verbatim, like any spec file.
-    let study = figures::study_by_name(arg).filter(|_| !Path::new(arg).exists());
-    if let Some(study) = study {
-        if out.is_some() {
-            refuse_study(study, "`prestage run --out`");
-        }
-        return run_study(study, cache.as_deref());
+    let (specs, study) = resolve(arg, true);
+    if out.is_some() {
+        refuse_many(&specs, study, "`prestage run --out`");
     }
-    let (spec, fig) = load_spec(arg, "`prestage run`");
-    let t0 = std::time::Instant::now();
-    let rows = match &cache {
-        None => try_run_spec(&spec),
-        Some(dir) => Store::open(Path::new(dir))
-            .and_then(|store| try_run_spec_cached(&spec, &store))
-            .map(|(rows, counts)| {
-                eprintln!("cache {dir}: {counts}");
-                rows
-            }),
-    }
-    .unwrap_or_else(|e| fail(&e));
-    eprintln!(
-        "  ran {} cells in {:.2}s",
-        spec.presets.len() * spec.l1_sizes.len() * rows[0][0].per_bench.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    match fig {
-        // A declared figure renders its own report (CSV included).
-        Some(f) => {
-            report::render(f.report, f.title, f.name, &spec, &rows).unwrap_or_else(|e| fail(&e))
-        }
-        // An ad-hoc spec file prints the table without touching results/.
-        None => report::sweep_table(&format!("spec {arg}"), &spec, &rows),
+    let runs = run_specs(specs, cache.as_deref());
+    match study {
+        // A declared name renders its own report (CSVs included).
+        Some(study) => (study.render)(study.title, &runs).unwrap_or_else(|e| fail(&e)),
+        // A spec file prints the table without touching results/.
+        None => report::sweep_table(&runs[0].label, &runs[0].spec, &runs[0].rows),
     }
     if let Some(path) = out {
-        write_out(&path, &grid_output(&spec, &rows));
+        write_out(&path, &grid_output(&runs[0].spec, &runs[0].rows));
     }
 }
 
-/// Run every spec of a declared study (environment overrides applied) and
-/// render them as one report.  Uncached, the specs share one workload
-/// build; under `--cache` each spec goes through the cell cache, so a
-/// study shares cells with the figures and with other studies.
-fn run_study(study: &Study, cache: Option<&str>) {
-    let specs = (study.make_specs)();
-    let specs = specs
-        .into_iter()
-        .map(|(label, s)| (label, s.env_overrides()));
+/// Run labelled specs in order.  Under `--cache` each spec goes through
+/// the cell cache, so figures and studies share cells.  Uncached, a lone
+/// spec runs as one `Sweep` whose set-up builds its workloads and
+/// verifies its traces on one pool, and several specs share one workload
+/// build.  A spec equal to an earlier one reuses that spec's rows, and
+/// the `ran` line counts only the cells simulated.
+fn run_specs(specs: Vec<(String, ExperimentSpec)>, cache: Option<&str>) -> Vec<StudyRun> {
     let t0 = std::time::Instant::now();
     let store = cache.map(|dir| Store::open(Path::new(dir)).unwrap_or_else(|e| fail(&e)));
-    let mut workloads = None;
+    let shared = match (&store, specs.as_slice()) {
+        (None, [(_, first), _, ..]) => Some(first.build_workloads().unwrap_or_else(|e| fail(&e))),
+        _ => None,
+    };
     let mut total = CacheCounts::default();
-    let mut runs = Vec::new();
+    let mut ran = 0;
+    let mut runs: Vec<StudyRun> = Vec::with_capacity(specs.len());
     for (label, spec) in specs {
-        let rows = match &store {
-            Some(store) => try_run_spec_cached(&spec, store).map(|(rows, counts)| {
+        let rows = match (runs.iter().find(|r| r.spec == spec), &store) {
+            (Some(earlier), _) => Ok(earlier.rows.clone()),
+            (None, Some(store)) => try_run_spec_cached(&spec, store).map(|(rows, counts)| {
                 total.cells += counts.cells;
                 total.cached += counts.cached;
+                ran += counts.cells - counts.cached;
                 rows
             }),
-            None => {
-                let w = workloads
-                    .get_or_insert_with(|| spec.build_workloads().unwrap_or_else(|e| fail(&e)));
-                spec.cells().and_then(|cells| {
-                    let sweep = Sweep {
-                        workloads: Some(w),
-                        ..Sweep::new(&spec, &cells)
-                    };
-                    spec.rows(sweep.run()?)
-                })
-            }
+            (None, None) => spec.cells().and_then(|cells| {
+                let sweep = Sweep {
+                    workloads: shared.as_deref(),
+                    ..Sweep::new(&spec, &cells)
+                };
+                ran += cells.len();
+                spec.rows(sweep.run()?)
+            }),
         };
         let rows = rows.unwrap_or_else(|e| fail(&e));
         runs.push(StudyRun { label, spec, rows });
@@ -230,13 +215,8 @@ fn run_study(study: &Study, cache: Option<&str>) {
     if let Some(dir) = cache {
         eprintln!("cache {dir}: {total}");
     }
-    let cells: usize = runs
-        .iter()
-        .flat_map(|r| r.rows.iter().flatten())
-        .map(|g| g.per_bench.len())
-        .sum();
-    eprintln!("  ran {cells} cells in {:.2}s", t0.elapsed().as_secs_f64());
-    (study.render)(&runs).unwrap_or_else(|e| fail(&e));
+    eprintln!("  ran {ran} cells in {:.2}s", t0.elapsed().as_secs_f64());
+    runs
 }
 
 fn parse_range(s: &str, n_cells: usize) -> (usize, usize) {
@@ -264,7 +244,7 @@ fn cmd_shard(mut args: Vec<String>) {
     if !args.is_empty() {
         usage();
     }
-    let (spec, _) = load_spec(&spec_arg, "`prestage shard`");
+    let spec = one_spec(&spec_arg, "`prestage shard`", true);
     let cells = spec.cells().unwrap_or_else(|e| fail(&e));
     let (start, end) = parse_range(&range_arg, cells.len());
     let t0 = std::time::Instant::now();
@@ -314,7 +294,7 @@ fn cmd_merge(mut args: Vec<String>) {
 fn cmd_trace_record(mut args: Vec<String>) {
     let out = take_flag(&mut args, "--out").unwrap_or_else(|| usage());
     let [arg] = args.as_slice() else { usage() };
-    let (spec, _) = load_spec(arg, "`prestage trace record`");
+    let spec = one_spec(arg, "`prestage trace record`", true);
     let profiles = spec.bench_profiles().unwrap_or_else(|e| fail(&e));
     std::fs::create_dir_all(&out).unwrap_or_else(|e| fail(&format!("cannot create {out}: {e}")));
     let n_insts = spec.trace_record_insts();
@@ -387,20 +367,15 @@ fn cmd_trace(mut args: Vec<String>) {
     }
 }
 
-/// Dump a declared figure's spec as JSON — the starting point for a
-/// custom spec file (`prestage spec fig5b --out mine.json`, edit, run).
-/// The environment overrides are *not* applied: the output is the
-/// declaration itself, reproducible regardless of the caller's shell.
+/// Dump a figure's spec (or a spec file, canonicalised) as JSON — the
+/// starting point for a custom spec file (`prestage spec fig5b --out
+/// mine.json`, edit, run).  The environment overrides are *not* applied:
+/// the output is the declaration itself, reproducible regardless of the
+/// caller's shell.
 fn cmd_spec(mut args: Vec<String>) {
     let out = take_flag(&mut args, "--out");
     let [name] = args.as_slice() else { usage() };
-    let Some(fig) = figures::by_name(name) else {
-        if let Some(study) = figures::study_by_name(name) {
-            refuse_study(study, "`prestage spec`");
-        }
-        fail(&format!("unknown figure {name:?} ({})", declared_names()));
-    };
-    let text = (fig.make_spec)().to_json();
+    let text = one_spec(name, "`prestage spec`", false).to_json();
     match out {
         Some(path) => write_out(&path, &text),
         None => out!("{text}"),
@@ -408,11 +383,7 @@ fn cmd_spec(mut args: Vec<String>) {
 }
 
 fn cmd_list() {
-    outln!("# figures (prestage run <name>; PRESTAGE_* overrides apply)");
-    for f in &figures::FIGURES {
-        outln!("  {:<7} {}", f.name, f.title);
-    }
-    outln!("\n# studies (prestage run <name>; PRESTAGE_* overrides apply)");
+    outln!("# figures and studies (prestage run <name>; PRESTAGE_* overrides apply)");
     for s in &figures::STUDIES {
         outln!("  {:<12} {}", s.name, s.title);
     }

@@ -139,11 +139,14 @@ fn golden_spec_files_match_the_figure_declarations() {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
         let golden = ExperimentSpec::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let declared = (figures::by_name(name)
+        let specs = (figures::study_by_name(name)
             .unwrap_or_else(|| panic!("figure {name} not declared"))
-            .make_spec)();
+            .make_specs)();
+        let [(_, declared)] = &specs[..] else {
+            panic!("{name}: a figure declares one spec, not {}", specs.len())
+        };
         assert_eq!(
-            golden, declared,
+            golden, *declared,
             "{name}: golden file drifted from declaration"
         );
         assert_eq!(

@@ -1,6 +1,6 @@
 //! Set-associative cache array with true LRU.
 
-use crate::lru::LruSet;
+use crate::lru;
 use prestage_isa::Addr;
 
 /// Hit/miss counters for one array.
@@ -79,7 +79,8 @@ pub struct SetAssocCache {
     tags: Vec<u64>,
     valid: Vec<bool>,
     dirty: Vec<bool>,
-    lru: Vec<LruSet>,
+    /// `ranks[set * assoc + way]` — true-LRU ranks, 0 = MRU.
+    ranks: Vec<u8>,
     stats: CacheStats,
 }
 
@@ -119,7 +120,7 @@ impl SetAssocCache {
             tags: vec![0; lines],
             valid: vec![false; lines],
             dirty: vec![false; lines],
-            lru: (0..sets).map(|_| LruSet::new(assoc)).collect(),
+            ranks: lru::ranks(sets, assoc),
             stats: CacheStats::default(),
         }
     }
@@ -140,6 +141,13 @@ impl SetAssocCache {
         (line_num as usize) & (self.sets - 1)
     }
 
+    /// The LRU ranks of `set`'s ways.
+    #[inline]
+    fn set_ranks(&mut self, set: usize) -> &mut [u8] {
+        let base = set * self.assoc;
+        &mut self.ranks[base..base + self.assoc]
+    }
+
     fn find(&self, addr: Addr) -> Option<(usize, usize)> {
         let ln = self.line_num(addr);
         let set = self.set_of(ln);
@@ -153,7 +161,7 @@ impl SetAssocCache {
     pub fn lookup(&mut self, addr: Addr) -> bool {
         match self.find(addr) {
             Some((set, way)) => {
-                self.lru[set].touch(way);
+                lru::touch(self.set_ranks(set), way);
                 self.stats.hits += 1;
                 true
             }
@@ -199,7 +207,7 @@ impl SetAssocCache {
         self.stats.fills += 1;
         if let Some((set, way)) = self.find(addr) {
             if !at_lru {
-                self.lru[set].touch(way);
+                lru::touch(self.set_ranks(set), way);
             }
             return None;
         }
@@ -208,7 +216,7 @@ impl SetAssocCache {
         let base = set * self.assoc;
         let way = (0..self.assoc)
             .find(|&w| !self.valid[base + w])
-            .unwrap_or_else(|| self.lru[set].lru());
+            .unwrap_or_else(|| lru::lru(&self.ranks[base..base + self.assoc]));
         let victim = if self.valid[base + way] {
             self.stats.evictions += 1;
             Some((
@@ -221,10 +229,11 @@ impl SetAssocCache {
         self.tags[base + way] = ln;
         self.valid[base + way] = true;
         self.dirty[base + way] = false;
+        let ranks = self.set_ranks(set);
         if at_lru {
-            self.lru[set].demote(way);
+            lru::demote(ranks, way);
         } else {
-            self.lru[set].touch(way);
+            lru::touch(ranks, way);
         }
         victim
     }

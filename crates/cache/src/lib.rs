@@ -22,7 +22,7 @@
 
 pub mod array;
 pub mod bus;
-pub mod lru;
+mod lru;
 pub mod port;
 pub mod tlb;
 

@@ -13,17 +13,18 @@
 //! both must divide into a power-of-two set count
 //! ([`ITlbConfig::validate`] refuses anything else by name).
 
-use crate::lru::LruSet;
+use crate::lru;
 use prestage_isa::Addr;
 
 /// Largest i-TLB [`ITlbConfig::validate`] accepts, in entries.  The
 /// biggest second-level TLBs on shipping cores hold 2-4K entries, and the
-/// engine copies three words per entry into a checkpoint at every
-/// divergence, so a larger TLB models no machine and only slows the run.
+/// engine copies every entry's tag, valid bit and rank into a checkpoint
+/// at every divergence, so a larger TLB models no machine and only slows
+/// the run.
 const MAX_ITLB_ENTRIES: usize = 4096;
 
 /// Largest associativity [`ITlbConfig::validate`] accepts: the limit of
-/// an [`LruSet`]'s `u8` ranks.
+/// the `u8` LRU ranks.
 const MAX_ITLB_ASSOC: usize = 255;
 
 /// Longest page walk [`ITlbConfig::validate`] accepts, in cycles: one
@@ -133,12 +134,14 @@ impl ITlbConfig {
 /// nothing — the "no TLB configured" case.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TlbCheckpoint {
-    words: Vec<u64>,
+    tags: Vec<u64>,
+    valid: Vec<bool>,
+    ranks: Vec<u8>,
 }
 
 impl TlbCheckpoint {
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.tags.is_empty()
     }
 }
 
@@ -159,7 +162,8 @@ pub struct ITlb {
     /// `tags[set * assoc + way]` — virtual page numbers.
     tags: Vec<u64>,
     valid: Vec<bool>,
-    lru: Vec<LruSet>,
+    /// `ranks[set * assoc + way]` — true-LRU ranks, 0 = MRU.
+    ranks: Vec<u8>,
     stats: TlbStats,
 }
 
@@ -194,7 +198,7 @@ impl ITlb {
             miss_cycles: cfg.miss_cycles,
             tags: vec![0; cfg.entries],
             valid: vec![false; cfg.entries],
-            lru: (0..sets).map(|_| LruSet::new(cfg.assoc)).collect(),
+            ranks: lru::ranks(sets, cfg.assoc),
             stats: TlbStats::default(),
         }
     }
@@ -222,20 +226,20 @@ impl ITlb {
     /// a miss (the walk also installs the translation, evicting LRU).
     pub fn translate(&mut self, addr: Addr, now: u64) -> u64 {
         let page = self.page_num(addr);
-        if let Some((set, way)) = self.find(page) {
-            self.lru[set].touch(way);
+        let base = self.set_of(page) * self.assoc;
+        let ranks = base..base + self.assoc;
+        if let Some((_, way)) = self.find(page) {
+            lru::touch(&mut self.ranks[ranks], way);
             self.stats.hits += 1;
             return now;
         }
         self.stats.misses += 1;
-        let set = self.set_of(page);
-        let base = set * self.assoc;
         let way = (0..self.assoc)
             .find(|&w| !self.valid[base + w])
-            .unwrap_or_else(|| self.lru[set].lru());
+            .unwrap_or_else(|| lru::lru(&self.ranks[ranks.clone()]));
         self.tags[base + way] = page;
         self.valid[base + way] = true;
-        self.lru[set].touch(way);
+        lru::touch(&mut self.ranks[ranks], way);
         now.saturating_add(self.miss_cycles)
     }
 
@@ -256,47 +260,29 @@ impl ITlb {
     /// Snapshot tags, valid bits and replacement state (not statistics —
     /// counters keep counting across redirects like every other array).
     pub fn checkpoint(&self) -> TlbCheckpoint {
-        let mut words = Vec::with_capacity(self.tags.len() * 3);
-        for i in 0..self.tags.len() {
-            words.push(self.tags[i]);
-            words.push(u64::from(self.valid[i]));
+        TlbCheckpoint {
+            tags: self.tags.clone(),
+            valid: self.valid.clone(),
+            ranks: self.ranks.clone(),
         }
-        for set in &self.lru {
-            for way in 0..set.ways() {
-                words.push(u64::from(set.rank_of(way)));
-            }
-        }
-        TlbCheckpoint { words }
     }
 
     /// Restore a snapshot taken by [`checkpoint`](Self::checkpoint) on this
     /// same geometry.  An empty checkpoint is a no-op.
     pub fn restore(&mut self, cp: &TlbCheckpoint) {
-        if cp.words.is_empty() {
+        if cp.is_empty() {
             return;
         }
-        let n = self.tags.len();
         assert!(
-            cp.words.len() == n * 3,
-            "itlb checkpoint holds {} words, this geometry needs {} — \
+            cp.tags.len() == self.tags.len(),
+            "itlb checkpoint holds {} entries, this geometry needs {} — \
              checkpoint/restore crossed configurations",
-            cp.words.len(),
-            n * 3
+            cp.tags.len(),
+            self.tags.len()
         );
-        for i in 0..n {
-            self.tags[i] = cp.words[2 * i];
-            self.valid[i] = cp.words[2 * i + 1] != 0;
-        }
-        for (set, ranks) in self
-            .lru
-            .iter_mut()
-            .zip(cp.words[2 * n..].chunks(self.assoc))
-        {
-            for (way, &rank) in ranks.iter().enumerate() {
-                // prestage: allow(truncating-cast, `checkpoint` wrote these words from u8 ranks)
-                set.set_rank(way, rank as u8);
-            }
-        }
+        self.tags.copy_from_slice(&cp.tags);
+        self.valid.copy_from_slice(&cp.valid);
+        self.ranks.copy_from_slice(&cp.ranks);
     }
 }
 

@@ -2,6 +2,8 @@
 
 use crate::addr::{Addr, INST_BYTES};
 use crate::inst::{OpClass, StaticInst};
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// Identifier of a basic block inside a [`crate::Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,14 +27,78 @@ pub enum Terminator {
 
 impl Terminator {
     /// All statically-known successor addresses (RAS targets excluded).
-    pub fn static_successors(&self) -> Vec<Addr> {
-        match *self {
-            Terminator::CondBranch { taken, not_taken } => vec![taken, not_taken],
-            Terminator::Jump { target } => vec![target],
-            Terminator::Call { target, .. } => vec![target],
-            Terminator::Return => vec![],
-            Terminator::FallThrough { next } => vec![next],
+    pub fn static_successors(&self) -> impl Iterator<Item = Addr> {
+        let (first, second) = match *self {
+            Terminator::CondBranch { taken, not_taken } => (Some(taken), Some(not_taken)),
+            Terminator::Jump { target } | Terminator::Call { target, .. } => (Some(target), None),
+            Terminator::Return => (None, None),
+            Terminator::FallThrough { next } => (Some(next), None),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
+/// The instructions of one basic block: a window onto an instruction
+/// array that every block of a program may share, so a program costs one
+/// instruction allocation rather than one per block.  Derefs to the
+/// window's slice.
+#[derive(Clone)]
+pub struct BlockInsts {
+    all: Arc<Vec<StaticInst>>,
+    start: u32,
+    end: u32,
+}
+
+impl BlockInsts {
+    /// The instructions `range` of `all`.
+    ///
+    /// # Panics
+    /// If `range` is not a range of `all`'s indices.
+    pub fn window(all: &Arc<Vec<StaticInst>>, range: Range<u32>) -> BlockInsts {
+        assert!(
+            range.start <= range.end && range.end as usize <= all.len(),
+            "block instructions {range:?} lie outside the {} shared instructions",
+            all.len()
+        );
+        BlockInsts {
+            all: Arc::clone(all),
+            start: range.start,
+            end: range.end,
         }
+    }
+}
+
+impl From<Vec<StaticInst>> for BlockInsts {
+    /// A block that owns its instructions.
+    fn from(insts: Vec<StaticInst>) -> BlockInsts {
+        let end = u32::try_from(insts.len())
+            .unwrap_or_else(|_| panic!("a block of {} instructions overflows u32", insts.len()));
+        BlockInsts {
+            all: Arc::new(insts),
+            start: 0,
+            end,
+        }
+    }
+}
+
+impl Deref for BlockInsts {
+    type Target = [StaticInst];
+
+    #[inline]
+    fn deref(&self) -> &[StaticInst] {
+        &self.all[self.start as usize..self.end as usize]
+    }
+}
+
+impl PartialEq for BlockInsts {
+    fn eq(&self, other: &BlockInsts) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for BlockInsts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
     }
 }
 
@@ -45,7 +111,7 @@ pub struct BasicBlock {
     pub start: Addr,
     /// The instructions, contiguous from `start` at 4-byte stride.  When the
     /// terminator is a CTI, the final instruction is that CTI.
-    pub insts: Vec<StaticInst>,
+    pub insts: BlockInsts,
     pub term: Terminator,
 }
 
@@ -157,7 +223,7 @@ mod tests {
         BasicBlock {
             id: BlockId(0),
             start,
-            insts,
+            insts: insts.into(),
             term,
         }
     }
@@ -197,7 +263,9 @@ mod tests {
     #[test]
     fn validation_catches_mid_block_cti() {
         let mut b = mkblock(0x40, 2, Terminator::FallThrough { next: 0x48 });
-        b.insts[0] = StaticInst::cti(0x40, OpClass::Jump, Some(0x80));
+        let mut insts = b.insts.to_vec();
+        insts[0] = StaticInst::cti(0x40, OpClass::Jump, Some(0x80));
+        b.insts = insts.into();
         assert!(b.validate().is_err());
     }
 
@@ -207,7 +275,7 @@ mod tests {
             taken: 0x2000,
             not_taken: 0x1010,
         };
-        assert_eq!(t.static_successors(), vec![0x2000, 0x1010]);
-        assert!(Terminator::Return.static_successors().is_empty());
+        assert!(t.static_successors().eq([0x2000, 0x1010]));
+        assert_eq!(Terminator::Return.static_successors().count(), 0);
     }
 }

@@ -20,6 +20,6 @@ pub mod inst;
 pub mod program;
 
 pub use addr::{align_line, Addr, INST_BYTES};
-pub use block::{BasicBlock, BlockId, Terminator};
+pub use block::{BasicBlock, BlockId, BlockInsts, Terminator};
 pub use inst::{OpClass, Reg, StaticInst, FIRST_FP_REG, NUM_REGS, REG_ZERO};
 pub use program::{straightline_block, Program, ProgramBuilder, ProgramError};

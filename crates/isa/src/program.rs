@@ -110,6 +110,15 @@ impl ProgramBuilder {
         Self::default()
     }
 
+    /// A builder holding `blocks`, as if each had been
+    /// [`push`](Self::push)ed in order.
+    pub fn from_blocks(blocks: Vec<BasicBlock>) -> Self {
+        ProgramBuilder {
+            blocks,
+            entry: None,
+        }
+    }
+
     /// Set the entry point (defaults to the lowest block start).
     pub fn entry(&mut self, pc: Addr) -> &mut Self {
         self.entry = Some(pc);
@@ -127,7 +136,11 @@ impl ProgramBuilder {
         if self.blocks.is_empty() {
             return Err(ProgramError::Empty);
         }
-        self.blocks.sort_by_key(|b| b.start);
+        // Builders that push in address order skip the sort (and the
+        // scratch buffer a stable sort allocates).
+        if !self.blocks.is_sorted_by_key(|b| b.start) {
+            self.blocks.sort_by_key(|b| b.start);
+        }
         for (i, b) in self.blocks.iter_mut().enumerate() {
             b.id = BlockId(i as u32);
         }
@@ -200,7 +213,7 @@ pub fn straightline_block(start: Addr, n_plain: usize, term: Terminator) -> Basi
     BasicBlock {
         id: BlockId(u32::MAX),
         start,
-        insts,
+        insts: insts.into(),
         term,
     }
 }

@@ -114,7 +114,8 @@ pub struct Sweep<'a> {
     /// Pre-built workloads in spec bench order, for callers running
     /// several sweeps over one bench set (rebuilding the synthetic
     /// programs per sweep would dominate).  Checked by name against the
-    /// spec's bench set.  `None` builds them during set-up.
+    /// spec's bench set.  `None` builds, during set-up, those the cells
+    /// reference.
     pub workloads: Option<&'a [Workload]>,
     /// Maps each cell to its full [`SimConfig`]; `None` uses
     /// [`ExperimentSpec::sim_config`].  Only the CLGP ablation (the
@@ -138,9 +139,9 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Validate the spec, set up its workloads and verify the replay traces
-    /// the cells use, then evaluate every cell on a pool of the spec's
-    /// width.  Results come back in input-cell order and are bit-exact for
+    /// Validate the spec, build the workloads and verify the replay traces
+    /// of the benchmarks the cells use, then evaluate every cell on a pool
+    /// of the spec's width.  Results come back in input-cell order and are bit-exact for
     /// any width, because every cell simulation is independent and
     /// deterministic.
     ///
@@ -177,7 +178,12 @@ impl<'a> Sweep<'a> {
             }
         }
         let set_up = spec.set_up(cells, workloads.is_none())?;
-        let workloads = workloads.unwrap_or(&set_up.workloads);
+        // Given workloads cover every bench; set-up built the referenced
+        // ones.
+        let workload_of = |bench_idx: usize| match workloads {
+            Some(given) => given.get(bench_idx),
+            None => set_up.workloads.get(bench_idx).and_then(Option::as_ref),
+        };
         let traces = set_up.traces.as_deref();
         if let Some(sources) = traces {
             // Named rejection *before* the pool starts: every cell must
@@ -196,14 +202,19 @@ impl<'a> Sweep<'a> {
         }
         for c in cells {
             assert!(
-                c.bench_idx < workloads.len(),
-                "cell {c:?} indexes outside the {} given workloads",
-                workloads.len()
+                workload_of(c.bench_idx).is_some(),
+                "cell {c:?} indexes outside the spec's {} workloads",
+                set_up.workloads.len()
             );
         }
         Ok(pool_map(cells.len(), spec.resolved_threads(), |i| {
             let cell = cells[i];
-            let w = &workloads[cell.bench_idx];
+            let w = workload_of(cell.bench_idx).unwrap_or_else(|| {
+                unreachable!(
+                    "bench index {} was checked before the pool started",
+                    cell.bench_idx
+                )
+            });
             let t0 = std::time::Instant::now();
             let cfg = match configure {
                 Some(f) => f(&cell),

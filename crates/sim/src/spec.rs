@@ -76,14 +76,21 @@ pub const SPEC_SCHEMA: u64 = 4;
 /// trace.
 pub const TRACE_RECORD_SLACK: u64 = 16_384;
 
-/// Rough single-core set-up costs on a 2-vCPU x86-64 host: building a
-/// workload takes about 200 ns per static instruction (gcc, the largest,
-/// 12–16 ms) and a verify-only trace pass about 0.35 ns per file byte
+/// Rough set-up costs on a 2-vCPU x86-64 host with both workers busy:
+/// building a workload takes about 100–200 ns per static instruction,
+/// about twice its single-threaded cost, the gap tracking first-touch page
+/// faults (gcc, the largest, 5–12 ms), and a
+/// verify-only trace pass about 0.35 ns per file byte
 /// (`trace/verify_64k_insts` in the substrate benches).
 /// They only order the set-up pool's tasks, largest first, so the longest
 /// task does not start last; results never depend on them.
 const BUILD_NS_PER_STATIC_INST: u64 = 200;
 const VERIFY_PS_PER_TRACE_BYTE: u64 = 350;
+
+/// The estimated cost of building `p`'s workload, in nanoseconds.
+fn build_cost(p: &BenchmarkProfile) -> u64 {
+    p.target_insts().saturating_mul(BUILD_NS_PER_STATIC_INST)
+}
 
 /// A used benchmark's trace whose header passed
 /// [`ExperimentSpec::vet_trace`], waiting for its body pass.
@@ -116,9 +123,10 @@ impl VettedTrace {
 
 /// What a spec's cells need before the cell pool starts.
 pub(crate) struct SetUp {
-    /// The spec's workloads in bench order; empty when the caller brought
-    /// its own.
-    pub(crate) workloads: Vec<Workload>,
+    /// One slot per spec benchmark, in bench order, holding the workload
+    /// of each benchmark a cell references (`None` for the others, and
+    /// for every slot when the caller brought its own workloads).
+    pub(crate) workloads: Vec<Option<Workload>>,
     /// One verified trace path per spec benchmark (`None` for the ones no
     /// cell uses), or `None` for live generation.
     pub(crate) traces: Option<Vec<Option<PathBuf>>>,
@@ -126,7 +134,7 @@ pub(crate) struct SetUp {
 
 /// One set-up task's output.
 enum SetUpOut {
-    Built(Workload),
+    Built(usize, Workload),
     Verified(usize, Result<PathBuf, String>),
 }
 
@@ -459,8 +467,8 @@ impl ExperimentSpec {
     /// The set-up behind the spec runners: build the workloads (when
     /// `build_workloads`; callers with pre-built ones skip it) and vet and
     /// verify the replay traces of the benchmarks `cells` actually
-    /// references (a shard of a 12-bench spec must not pay for the other
-    /// eleven traces).
+    /// references (a one-cell shard of a 12-bench spec must not pay for
+    /// the other eleven programs or traces).
     ///
     /// Trace headers are vetted first, one after another in bench order.
     /// Then every workload build and every trace verify pass runs as one
@@ -498,14 +506,16 @@ impl ExperimentSpec {
                 });
             }
         }
-        let n_builds = if build_workloads && bad_header.is_none() {
-            profiles.len()
+        let builds: Vec<usize> = if build_workloads && bad_header.is_none() {
+            (0..profiles.len())
+                .filter(|&b| cells.iter().any(|c| c.bench_idx == b))
+                .collect()
         } else {
-            0
+            Vec::new()
         };
-        let costs: Vec<u64> = profiles[..n_builds]
+        let costs: Vec<u64> = builds
             .iter()
-            .map(|p| p.target_insts().saturating_mul(BUILD_NS_PER_STATIC_INST))
+            .map(|&b| build_cost(&profiles[b]))
             .chain(
                 vetted
                     .iter()
@@ -513,17 +523,17 @@ impl ExperimentSpec {
             )
             .collect();
         let outs = pool_map_largest_first(&costs, self.resolved_threads(), |k| {
-            match k.checked_sub(n_builds) {
-                None => SetUpOut::Built(build(&profiles[k], self.workload_seed)),
+            match k.checked_sub(builds.len()) {
+                None => SetUpOut::Built(builds[k], build(&profiles[builds[k]], self.workload_seed)),
                 Some(j) => SetUpOut::Verified(vetted[j].bench_idx, vetted[j].verify()),
             }
         });
-        let mut workloads = Vec::with_capacity(n_builds);
+        let mut workloads: Vec<Option<Workload>> = profiles.iter().map(|_| None).collect();
         let mut verified: Vec<Option<Result<PathBuf, String>>> =
             profiles.iter().map(|_| None).collect();
         for out in outs {
             match out {
-                SetUpOut::Built(w) => workloads.push(w),
+                SetUpOut::Built(bench_idx, w) => workloads[bench_idx] = Some(w),
                 SetUpOut::Verified(bench_idx, path) => verified[bench_idx] = Some(path),
             }
         }
@@ -585,7 +595,13 @@ impl ExperimentSpec {
     /// [`workload_seed`](Self::workload_seed)), one benchmark per task on a
     /// pool of the spec's width, largest program first.  Bench order.
     pub fn build_workloads(&self) -> Result<Vec<Workload>, String> {
-        Ok(self.set_up(&[], true)?.workloads)
+        let profiles = self.bench_profiles()?;
+        let costs: Vec<u64> = profiles.iter().map(build_cost).collect();
+        Ok(pool_map_largest_first(
+            &costs,
+            self.resolved_threads(),
+            |k| build(&profiles[k], self.workload_seed),
+        ))
     }
 
     /// The full simulator configuration for one (preset, L1 size) grid
@@ -1585,6 +1601,32 @@ mod tests {
                 (0..grid.len()).collect::<Vec<_>>(),
                 "{threads} threads"
             );
+        }
+    }
+
+    #[test]
+    fn a_one_cell_sweep_builds_only_its_benchmark_and_matches_the_whole_grid() {
+        let spec = ExperimentSpec {
+            bench: Some(vec!["gzip".into(), "mcf".into(), "twolf".into()]),
+            ..tiny_spec()
+        };
+        let grid = spec.cells().unwrap();
+        let whole = Sweep::new(&spec, &grid).run().unwrap();
+        // Cells on each of the three benchmarks, the last one included.
+        for i in [0, 4, grid.len() - 1] {
+            let one = &grid[i..i + 1];
+            let built: Vec<usize> = spec
+                .set_up(one, true)
+                .unwrap()
+                .workloads
+                .iter()
+                .enumerate()
+                .filter_map(|(b, w)| w.as_ref().map(|_| b))
+                .collect();
+            assert_eq!(built, [one[0].bench_idx], "cell {i}: {:?}", one[0]);
+            let got = Sweep::new(&spec, one).run().unwrap();
+            assert_eq!(got[0].cell, whole[i].cell);
+            assert_eq!(got[0].stats, whole[i].stats, "cell {i}: {:?}", one[0]);
         }
     }
 

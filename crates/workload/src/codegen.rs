@@ -15,11 +15,12 @@
 
 use crate::profile::BenchmarkProfile;
 use prestage_isa::{
-    Addr, BasicBlock, BlockId, OpClass, Program, ProgramBuilder, Reg, StaticInst, Terminator,
-    INST_BYTES,
+    Addr, BasicBlock, BlockId, BlockInsts, OpClass, Program, ProgramBuilder, Reg, StaticInst,
+    Terminator, INST_BYTES,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Base address of the code image.
@@ -63,8 +64,9 @@ pub enum MemModel {
 pub struct BlockControl {
     /// Model for the terminating conditional branch, if any.
     pub branch: Option<BranchModel>,
-    /// `(instruction index within block, model)` for each load/store.
-    pub mem: Vec<(u16, MemModel)>,
+    /// This block's memory sites: the range of [`Workload::mem`] that
+    /// holds them, in instruction order.
+    pub mem: Range<u32>,
 }
 
 /// A generated workload: static program + behavioural models.
@@ -74,6 +76,11 @@ pub struct Workload {
     pub program: Arc<Program>,
     /// Indexed by [`BlockId`].
     pub control: Vec<BlockControl>,
+    /// `(instruction index within its block, model)` for every load and
+    /// store, block after block in address order.  A site's position in
+    /// this table is its identity (the generator keeps one stride counter
+    /// per position).
+    pub mem: Vec<(u16, MemModel)>,
     /// Seed the program was generated from.
     pub seed: u64,
 }
@@ -83,58 +90,58 @@ impl Workload {
     pub fn control_of(&self, id: BlockId) -> &BlockControl {
         &self.control[id.0 as usize]
     }
+
+    /// The memory sites of `block`, in instruction order.
+    pub fn mem_sites(&self, id: BlockId) -> &[(u16, MemModel)] {
+        let r = &self.control_of(id).mem;
+        &self.mem[r.start as usize..r.end as usize]
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Symbolic (pre-layout) representation
+// Blocks under construction
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
-enum STarget {
-    /// Block index within the same function.
-    Local(usize),
-}
-
+/// How a generated block ends.  Branch and jump targets are block indices
+/// within the function (a skip past the function's end clamps to its
+/// final block); calls name the callee function.  Both resolve to
+/// addresses once the function, or for calls the whole program, is laid
+/// out.
 #[derive(Debug, Clone)]
 enum STerm {
-    Cond { taken: STarget, model: BranchModel },
-    Jump { target: STarget },
+    Cond { taken: usize, model: BranchModel },
+    Jump { target: usize },
     Call { callee: usize },
     Ret,
     Fall,
 }
 
-#[derive(Debug, Clone)]
-struct SInst {
-    op: OpClass,
-    mem: Option<MemModel>,
+/// A block's payload: its first instruction in the program's instruction
+/// array, and its range of memory sites.
+struct Payload {
+    first: u32,
+    mem: Range<u32>,
 }
 
-#[derive(Debug, Clone)]
-struct SBlock {
-    insts: Vec<SInst>,
-    term: STerm,
+/// A generated block: its range of the program's instruction array.
+struct GenBlock {
+    start: Addr,
+    insts: Range<u32>,
+    term: Terminator,
 }
 
-impl SBlock {
-    /// Instructions this block contributes, terminator included.
-    fn size(&self) -> u64 {
-        let term = match self.term {
-            STerm::Fall => 0,
-            _ => 1,
-        };
-        self.insts.len() as u64 + term
-    }
-}
-
-#[derive(Debug, Clone)]
-struct SFunc {
-    blocks: Vec<SBlock>,
-}
-
-impl SFunc {
-    fn size(&self) -> u64 {
-        self.blocks.iter().map(SBlock::size).sum()
+impl GenBlock {
+    /// Point the terminating CTI, the last of `insts`, at `target`.
+    fn set_target(&mut self, insts: &mut [StaticInst], target: Addr) {
+        match &mut self.term {
+            Terminator::CondBranch { taken: t, .. }
+            | Terminator::Jump { target: t }
+            | Terminator::Call { target: t, .. } => *t = target,
+            Terminator::Return | Terminator::FallThrough { .. } => {
+                unreachable!("block {:#x} has no direct target", self.start)
+            }
+        }
+        insts[self.insts.end as usize - 1].target = Some(target);
     }
 }
 
@@ -146,12 +153,35 @@ struct Gen<'p> {
     p: &'p BenchmarkProfile,
     rng: SmallRng,
     /// Function index ranges per level.
-    levels: Vec<std::ops::Range<usize>>,
+    levels: Vec<Range<usize>>,
     /// Shared hot data regions: the program's few cache-resident
     /// structures that most memory sites touch.  Keeping the *aggregate*
     /// hot footprint small (not just each site's span) is what gives the
     /// workload realistic D-cache hit rates.
     hot_pool: Vec<(Addr, u32)>,
+    /// Register choice: its own RNG stream, drawn in address order.
+    ra: RegAlloc,
+    /// Address of the next instruction generated: functions, and the
+    /// blocks within each, are laid out back to back in generation order.
+    pc: Addr,
+    /// The program's instructions so far, in address order: instruction
+    /// `i` is at `CODE_BASE + i * INST_BYTES`.
+    insts: Vec<StaticInst>,
+    /// The program's blocks so far, in address order.
+    blocks: Vec<GenBlock>,
+    /// One entry per block of [`Self::blocks`].
+    control: Vec<BlockControl>,
+    /// Memory sites, block after block: the finished workload's
+    /// [`Workload::mem`].
+    mem: Vec<(u16, MemModel)>,
+    /// Entry address of each function generated so far.
+    entries: Vec<Addr>,
+    /// `(block, function-local target)` of the current function's
+    /// branches and jumps, resolved when the function is complete.
+    local_targets: Vec<(usize, usize)>,
+    /// `(block, callee)` of every call, resolved once every function has
+    /// its entry.
+    calls: Vec<(usize, usize)>,
 }
 
 impl<'p> Gen<'p> {
@@ -190,11 +220,23 @@ impl<'p> Gen<'p> {
                 (base, size)
             })
             .collect();
+        // Sized for the profile's static footprint; the program lands
+        // within a small factor of it.
+        let insts = p.target_insts() as usize;
         Gen {
             p,
             rng,
             levels,
             hot_pool,
+            ra: RegAlloc::new(seed),
+            pc: CODE_BASE,
+            insts: Vec::with_capacity(insts),
+            blocks: Vec::with_capacity(insts / 8),
+            control: Vec::with_capacity(insts / 8),
+            mem: Vec::with_capacity(insts / 2),
+            entries: Vec::with_capacity(n),
+            local_targets: Vec::new(),
+            calls: Vec::new(),
         }
     }
 
@@ -260,7 +302,9 @@ impl<'p> Gen<'p> {
         Some(next.start + idx)
     }
 
-    fn payload_inst(&mut self) -> SInst {
+    /// One payload instruction's op class and, for a load or store, its
+    /// address model.
+    fn payload_inst(&mut self) -> (OpClass, Option<MemModel>) {
         let p = self.p;
         let x = self.rng.gen::<f64>();
         let (op, is_mem) = if x < p.load_frac {
@@ -282,7 +326,7 @@ impl<'p> Gen<'p> {
             (OpClass::IntAlu, false)
         };
         let mem = is_mem.then(|| self.mem_model());
-        SInst { op, mem }
+        (op, mem)
     }
 
     fn mem_model(&mut self) -> MemModel {
@@ -328,8 +372,25 @@ impl<'p> Gen<'p> {
         }
     }
 
-    fn payload(&mut self, n: u32) -> Vec<SInst> {
-        (0..n).map(|_| self.payload_inst()).collect()
+    /// `n` payload instructions from the next address on, with a memory
+    /// site for each load and store among them.
+    fn payload(&mut self, n: u32) -> Payload {
+        // prestage: allow(truncating-cast, the instruction array and site table are bounded by the program's static instructions, far below u32)
+        let (first, mem) = (self.insts.len() as u32, self.mem.len() as u32);
+        for ii in 0..n {
+            let (op, site) = self.payload_inst();
+            if let Some(model) = site {
+                // prestage: allow(truncating-cast, a payload is at most the profile's block length, far below u16)
+                self.mem.push((ii as u16, model));
+            }
+            self.insts.push(self.ra.inst(self.pc, op));
+            self.pc += INST_BYTES;
+        }
+        Payload {
+            first,
+            // prestage: allow(truncating-cast, the site table is bounded by the program's static instructions, far below u32)
+            mem: mem..self.mem.len() as u32,
+        }
     }
 
     fn block_len(&mut self) -> u32 {
@@ -337,14 +398,14 @@ impl<'p> Gen<'p> {
         self.rng.gen_range(lo..=hi)
     }
 
-    /// A profile-sized payload vector (hoists the length sample to avoid
-    /// nested mutable borrows).
-    fn block_payload(&mut self) -> Vec<SInst> {
+    /// A profile-sized payload (hoists the length sample to avoid nested
+    /// mutable borrows).
+    fn block_payload(&mut self) -> Payload {
         let n = self.block_len();
         self.payload(n)
     }
 
-    fn short_payload(&mut self, hi: u32) -> Vec<SInst> {
+    fn short_payload(&mut self, hi: u32) -> Payload {
         let n = self.rng.gen_range(0..=hi).min(self.block_len());
         self.payload(n.max(1))
     }
@@ -432,24 +493,76 @@ impl<'p> Gen<'p> {
         }
     }
 
-    /// Generate one function body.
-    /// Generate the blocks of one structured region, starting at block
-    /// index `base` within the function.  Regions are sequences of guarded
-    /// call sites, (possibly nested) loops over sub-regions, if-diamonds and
-    /// straight-line blocks; `STarget::Local` indices are absolute within
-    /// the function, so nested regions compose without relocation.
+    /// Close `payload` with `term` into the next block; returns the
+    /// block's size in instructions.  A target is left for
+    /// [`gen_function`](Self::gen_function) or [`build`] to resolve.
+    fn push_block(&mut self, payload: Payload, term: STerm) -> u64 {
+        let Payload { first, mem } = payload;
+        let block = self.blocks.len();
+        let pc = self.pc;
+        let start = CODE_BASE + u64::from(first) * INST_BYTES;
+        let mut branch = None;
+        let (cti, term) = match term {
+            STerm::Cond { taken, model } => {
+                self.local_targets.push((block, taken));
+                branch = Some(model);
+                let term = Terminator::CondBranch {
+                    taken: 0,
+                    not_taken: pc + INST_BYTES,
+                };
+                (Some(OpClass::CondBranch), term)
+            }
+            STerm::Jump { target } => {
+                self.local_targets.push((block, target));
+                (Some(OpClass::Jump), Terminator::Jump { target: 0 })
+            }
+            STerm::Call { callee } => {
+                self.calls.push((block, callee));
+                let term = Terminator::Call {
+                    target: 0,
+                    link: pc + INST_BYTES,
+                };
+                (Some(OpClass::Call), term)
+            }
+            STerm::Ret => (Some(OpClass::Return), Terminator::Return),
+            STerm::Fall => (None, Terminator::FallThrough { next: pc }),
+        };
+        if let Some(op) = cti {
+            let target = (op != OpClass::Return).then_some(0);
+            self.insts.push(StaticInst::cti(pc, op, target));
+            self.pc += INST_BYTES;
+        }
+        // prestage: allow(truncating-cast, the instruction array is bounded by the program's static instructions, far below u32)
+        let insts = first..self.insts.len() as u32;
+        let size = u64::from(insts.end - insts.start);
+        self.blocks.push(GenBlock { start, insts, term });
+        self.control.push(BlockControl { branch, mem });
+        size
+    }
+
+    /// The function-local index the next block pushed will get, for a
+    /// function whose first block is block `func_start`.
+    fn next_local(&self, func_start: usize) -> usize {
+        self.blocks.len() - func_start
+    }
+
+    /// Generate the blocks of one structured region; returns their total
+    /// size in instructions.  Regions are sequences of guarded call sites,
+    /// (possibly nested) loops over sub-regions, if-diamonds and
+    /// straight-line blocks; targets count blocks from the function's
+    /// first block, block `func_start`, so nested regions compose without
+    /// relocation.
     #[allow(clippy::too_many_arguments)]
     fn gen_region(
         &mut self,
         func: usize,
         level: usize,
         is_root: bool,
-        base: usize,
+        func_start: usize,
         budget: u64,
         call_sites_left: &mut u32,
         depth: u32,
-    ) -> Vec<SBlock> {
-        let mut blocks: Vec<SBlock> = Vec::new();
+    ) -> u64 {
         let mut used = 0u64;
         let min_construct = (self.p.block_insts.1 as u64 + 2) * 2;
         while used + min_construct < budget {
@@ -466,20 +579,11 @@ impl<'p> Gen<'p> {
                     let p_exec = (0.85 / (1.0 + rank as f64 * 0.10)).clamp(0.20, 0.95);
                     let guard_len = self.rng.gen_range(1..=3);
                     let model = self.guard_model(p_exec);
-                    let g = SBlock {
-                        insts: self.payload(guard_len),
-                        term: STerm::Cond {
-                            taken: STarget::Local(base + blocks.len() + 2),
-                            model,
-                        },
-                    };
-                    let c = SBlock {
-                        insts: self.short_payload(2),
-                        term: STerm::Call { callee },
-                    };
-                    used += g.size() + c.size();
-                    blocks.push(g);
-                    blocks.push(c);
+                    let skip = self.next_local(func_start) + 2;
+                    let guard = self.payload(guard_len);
+                    used += self.push_block(guard, STerm::Cond { taken: skip, model });
+                    let call = self.short_payload(2);
+                    used += self.push_block(call, STerm::Call { callee });
                     continue;
                 }
             }
@@ -491,64 +595,43 @@ impl<'p> Gen<'p> {
                 // code footprints instead of spinning on one block.
                 let remaining = budget - used;
                 let inner_budget = ((remaining as f64) * self.rng.gen_range(0.3..0.6)) as u64;
-                let head_idx = base + blocks.len();
-                let mut inner = self.gen_region(
+                let head = self.next_local(func_start);
+                used += self.gen_region(
                     func,
                     level,
                     is_root,
-                    head_idx,
+                    func_start,
                     inner_budget,
                     call_sites_left,
                     depth + 1,
                 );
-                if inner.is_empty() {
-                    inner.push(SBlock {
-                        insts: self.block_payload(),
-                        term: STerm::Fall,
-                    });
+                if self.next_local(func_start) == head {
+                    let body = self.block_payload();
+                    used += self.push_block(body, STerm::Fall);
                 }
-                used += inner.iter().map(SBlock::size).sum::<u64>();
-                blocks.extend(inner);
                 // Back-edge block closing the loop.
-                let back = SBlock {
-                    insts: self.short_payload(3),
-                    term: STerm::Cond {
-                        taken: STarget::Local(head_idx),
-                        model: self.loop_model(),
-                    },
-                };
-                used += back.size();
-                blocks.push(back);
+                let body = self.short_payload(3);
+                let model = self.loop_model();
+                used += self.push_block(body, STerm::Cond { taken: head, model });
             } else if roll < 0.80 {
                 // Diamond: conditional skip of the next block.
-                let a = SBlock {
-                    insts: self.block_payload(),
-                    term: STerm::Cond {
-                        taken: STarget::Local(base + blocks.len() + 2),
-                        model: self.cond_model(),
-                    },
-                };
-                let b = SBlock {
-                    insts: self.block_payload(),
-                    term: STerm::Fall,
-                };
-                used += a.size() + b.size();
-                blocks.push(a);
-                blocks.push(b);
+                let skip = self.next_local(func_start) + 2;
+                let body = self.block_payload();
+                let model = self.cond_model();
+                used += self.push_block(body, STerm::Cond { taken: skip, model });
+                let body = self.block_payload();
+                used += self.push_block(body, STerm::Fall);
             } else {
-                let s = SBlock {
-                    insts: self.block_payload(),
-                    term: STerm::Fall,
-                };
-                used += s.size();
-                blocks.push(s);
+                let body = self.block_payload();
+                used += self.push_block(body, STerm::Fall);
             }
         }
-        blocks
+        used
     }
 
-    /// Generate one function body.
-    fn gen_function(&mut self, func: usize, budget: u64) -> SFunc {
+    /// Generate one function body, and resolve its branch and jump
+    /// targets.
+    fn gen_function(&mut self, func: usize, budget: u64) {
         let level = self.level_of(func);
         let is_root = func == 0;
         let mut call_sites_left = if level + 1 < self.levels.len() {
@@ -567,41 +650,43 @@ impl<'p> Gen<'p> {
             call_sites_left = call_sites_left.max(6);
         }
 
-        let mut blocks = self.gen_region(
+        self.entries.push(self.pc);
+        let start = self.blocks.len();
+        self.gen_region(
             func,
             level,
             is_root,
-            0,
+            start,
             budget.saturating_sub(2),
             &mut call_sites_left,
             0,
         );
 
         // Padding so tiny budgets still produce a body.
-        if blocks.is_empty() {
-            blocks.push(SBlock {
-                insts: self.block_payload(),
-                term: STerm::Fall,
-            });
+        if self.blocks.len() == start {
+            let body = self.block_payload();
+            self.push_block(body, STerm::Fall);
         }
         // Final block: return (or the dispatcher's eternal loop).
-        let fin = SBlock {
-            insts: self.payload(1),
-            term: if is_root {
-                STerm::Jump {
-                    target: STarget::Local(0),
-                }
-            } else {
-                STerm::Ret
-            },
+        let body = self.payload(1);
+        let term = if is_root {
+            STerm::Jump { target: 0 }
+        } else {
+            STerm::Ret
         };
-        blocks.push(fin);
-        SFunc { blocks }
+        self.push_block(body, term);
+
+        // A skip target past the end clamps to the final block.
+        let last = self.blocks.len() - 1;
+        for (block, local) in self.local_targets.drain(..) {
+            let target = self.blocks[(start + local).min(last)].start;
+            self.blocks[block].set_target(&mut self.insts, target);
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Materialisation
+// Register choice
 // ---------------------------------------------------------------------------
 
 /// Round-robin register chooser producing realistic dependence chains.
@@ -643,16 +728,49 @@ impl RegAlloc {
             Reg::int(self.rng.gen_range(25..31) as u8)
         }
     }
+
+    /// The payload instruction `op` at `pc`, its registers drawn.
+    fn inst(&mut self, pc: Addr, op: OpClass) -> StaticInst {
+        match op {
+            OpClass::Load => StaticInst::plain(
+                pc,
+                OpClass::Load,
+                Some(self.fresh_dst(false)),
+                Some(self.src()),
+                None,
+            ),
+            OpClass::Store => {
+                StaticInst::plain(pc, OpClass::Store, None, Some(self.src()), Some(self.src()))
+            }
+            OpClass::FpAlu | OpClass::FpMul => StaticInst::plain(
+                pc,
+                op,
+                Some(self.fresh_dst(true)),
+                Some(self.src()),
+                Some(self.src()),
+            ),
+            op => StaticInst::plain(
+                pc,
+                op,
+                Some(self.fresh_dst(false)),
+                Some(self.src()),
+                Some(self.src()),
+            ),
+        }
+    }
 }
 
 /// Build the full workload for `profile` from `seed`.
+///
+/// One pass generates the functions in order, every instruction straight
+/// into the program's one instruction array at its final address and
+/// every memory site into the workload's site table; each block is a
+/// window onto that array.  Branch and jump targets resolve as each
+/// function completes, call targets once every function has its entry.
 pub fn build(profile: &BenchmarkProfile, seed: u64) -> Workload {
     let mut g = Gen::new(profile, seed);
     let n = profile.n_funcs as usize;
     let per_func = (profile.target_insts() / n as u64).max(24);
-
-    // Symbolic pass.
-    let mut funcs = Vec::with_capacity(n);
     for f in 0..n {
         // The dispatcher gets a slightly larger share; leaves vary ±40%.
         let jitter = 0.6 + g.rng.gen::<f64>() * 0.8;
@@ -662,148 +780,43 @@ pub fn build(profile: &BenchmarkProfile, seed: u64) -> Workload {
             (per_func as f64 * jitter) as u64
         }
         .max(16);
-        funcs.push(g.gen_function(f, budget));
+        g.gen_function(f, budget);
     }
-
-    // Layout pass: function entries by prefix sum.
-    let mut entries = Vec::with_capacity(n);
-    let mut cursor = CODE_BASE;
-    for f in &funcs {
-        entries.push(cursor);
-        cursor += f.size() * INST_BYTES;
+    let Gen {
+        mut insts,
+        mut blocks,
+        control,
+        mem,
+        entries,
+        calls,
+        ..
+    } = g;
+    for (block, callee) in calls {
+        blocks[block].set_target(&mut insts, entries[callee]);
     }
-
-    // Emission pass.
-    let mut ra = RegAlloc::new(seed);
-    let mut pb = ProgramBuilder::new();
-    // Per-block control in emission order.  Blocks are emitted in address
-    // order, so `finish`'s sort by start keeps this order.
-    let mut control = Vec::new();
-    for (fi, f) in funcs.iter().enumerate() {
-        // Block start addresses within the function.
-        let mut starts = Vec::with_capacity(f.blocks.len());
-        let mut pc = entries[fi];
-        for b in &f.blocks {
-            starts.push(pc);
-            pc += b.size() * INST_BYTES;
-        }
-        let resolve = |t: &STarget| -> Addr {
-            match *t {
-                STarget::Local(i) => {
-                    if i < starts.len() {
-                        starts[i]
-                    } else {
-                        // Clamped skip target: the function's final block.
-                        *starts.last().unwrap()
-                    }
-                }
-            }
-        };
-
-        for (bi, b) in f.blocks.iter().enumerate() {
-            let start = starts[bi];
-            let mut insts = Vec::with_capacity(b.insts.len() + 1);
-            let mut ctrl = BlockControl::default();
-            let mut pc = start;
-            for (ii, si) in b.insts.iter().enumerate() {
-                let inst = match si.op {
-                    OpClass::Load => StaticInst::plain(
-                        pc,
-                        OpClass::Load,
-                        Some(ra.fresh_dst(false)),
-                        Some(ra.src()),
-                        None,
-                    ),
-                    OpClass::Store => {
-                        StaticInst::plain(pc, OpClass::Store, None, Some(ra.src()), Some(ra.src()))
-                    }
-                    OpClass::FpAlu | OpClass::FpMul => StaticInst::plain(
-                        pc,
-                        si.op,
-                        Some(ra.fresh_dst(true)),
-                        Some(ra.src()),
-                        Some(ra.src()),
-                    ),
-                    op => StaticInst::plain(
-                        pc,
-                        op,
-                        Some(ra.fresh_dst(false)),
-                        Some(ra.src()),
-                        Some(ra.src()),
-                    ),
-                };
-                if let Some(m) = si.mem {
-                    ctrl.mem.push((ii as u16, m));
-                }
-                insts.push(inst);
-                pc += INST_BYTES;
-            }
-            let term = match &b.term {
-                STerm::Cond { taken, model } => {
-                    let taken_addr = resolve(taken);
-                    insts.push(StaticInst::cti(pc, OpClass::CondBranch, Some(taken_addr)));
-                    ctrl.branch = Some(*model);
-                    Terminator::CondBranch {
-                        taken: taken_addr,
-                        not_taken: pc + INST_BYTES,
-                    }
-                }
-                STerm::Jump { target } => {
-                    let t = resolve(target);
-                    insts.push(StaticInst::cti(pc, OpClass::Jump, Some(t)));
-                    Terminator::Jump { target: t }
-                }
-                STerm::Call { callee } => {
-                    let t = entries[*callee];
-                    insts.push(StaticInst::cti(pc, OpClass::Call, Some(t)));
-                    Terminator::Call {
-                        target: t,
-                        link: pc + INST_BYTES,
-                    }
-                }
-                STerm::Ret => {
-                    insts.push(StaticInst::cti(pc, OpClass::Return, None));
-                    Terminator::Return
-                }
-                STerm::Fall => Terminator::FallThrough { next: pc },
-            };
-            control.push((start, ctrl));
-            pb.push(BasicBlock {
-                id: BlockId(u32::MAX),
-                start,
-                insts,
-                term,
-            });
-        }
-    }
+    let insts = Arc::new(insts);
+    let blocks = blocks
+        .into_iter()
+        .map(|b| BasicBlock {
+            id: BlockId(u32::MAX),
+            start: b.start,
+            insts: BlockInsts::window(&insts, b.insts),
+            term: b.term,
+        })
+        .collect();
+    // Blocks are generated in address order, which `finish` keeps, so
+    // block `i` of the program is control entry `i`.
+    let mut pb = ProgramBuilder::from_blocks(blocks);
     pb.entry(entries[0]);
     let program = pb
         .finish()
         .unwrap_or_else(|e| panic!("generated program for '{}' invalid: {e}", profile.name));
 
-    assert_eq!(
-        control.len(),
-        program.blocks().len(),
-        "one control entry per block"
-    );
-    let control = program
-        .blocks()
-        .iter()
-        .zip(control)
-        .map(|(b, (start, ctrl))| {
-            assert_eq!(
-                b.start, start,
-                "block {:?} of '{}' left emission order: starts at {:#x}, emitted at {start:#x}",
-                b.id, profile.name, b.start
-            );
-            ctrl
-        })
-        .collect();
-
     Workload {
         profile: profile.clone(),
         program: Arc::new(program),
         control,
+        mem,
         seed,
     }
 }
@@ -850,6 +863,7 @@ mod tests {
             assert_eq!(x, y);
         }
         assert_eq!(a.control, b.control);
+        assert_eq!(a.mem, b.mem);
     }
 
     #[test]
@@ -884,11 +898,11 @@ mod tests {
     fn every_mem_inst_has_a_model() {
         let w = build(&small_profile(), 3);
         for b in w.program.blocks() {
-            let ctrl = w.control_of(b.id);
+            let sites = w.mem_sites(b.id);
             for (i, inst) in b.insts.iter().enumerate() {
                 if inst.op.is_mem() {
                     assert!(
-                        ctrl.mem.iter().any(|&(idx, _)| idx as usize == i),
+                        sites.iter().any(|&(idx, _)| idx as usize == i),
                         "mem inst {:#x} lacks a model",
                         inst.pc
                     );

@@ -56,12 +56,10 @@ pub struct TraceGenerator<'w> {
     /// almost always in the same block or its address-order successor, so
     /// block lookup is two `contains` probes instead of a binary search.
     cur_block: u32,
-    /// Per-block offsets into [`Self::mem_counts`]: block `b`'s memory
-    /// sites occupy `mem_slot_base[b] ..` in declaration order.
-    mem_slot_base: Vec<u32>,
-    /// Visit counters for strided memory sites, one flat slot per static
-    /// `(block, mem-site)` — the per-transition `HashMap` this replaced
-    /// hashed a synthetic key on every strided access.
+    /// Visit counters for strided memory sites, one per entry of the
+    /// workload's site table [`Workload::mem`] — the per-transition
+    /// `HashMap` this replaced hashed a synthetic key on every strided
+    /// access.
     mem_counts: Vec<u32>,
     /// Maximum instructions per emitted stream.
     max_stream: u32,
@@ -71,28 +69,20 @@ impl<'w> TraceGenerator<'w> {
     /// Start executing `w` from its entry point.  `seed` controls branch
     /// outcomes and memory addresses (independently of the codegen seed).
     pub fn new(w: &'w Workload, seed: u64) -> Self {
-        let mut mem_slot_base = Vec::with_capacity(w.program.num_blocks());
-        let mut total = 0u32;
-        for bid in 0..w.program.num_blocks() {
-            mem_slot_base.push(total);
-            // prestage: allow(truncating-cast, mem sites per block are u16-indexed and block counts are u32 BlockIds)
-            total += w.control_of(BlockId(bid as u32)).mem.len() as u32;
-        }
         TraceGenerator {
             rng: SmallRng::seed_from_u64(seed ^ 0x7ACE_7ACE),
             pc: w.program.entry(),
             call_stack: Vec::with_capacity(32),
             branch_state: vec![BranchState::default(); w.program.num_blocks()],
             cur_block: 0,
-            mem_slot_base,
-            mem_counts: vec![0; total as usize],
+            mem_counts: vec![0; w.mem.len()],
             max_stream: MAX_STREAM_INSTS,
             w,
         }
     }
 
-    /// `slot` is the flat counter index of the site (`mem_slot_base[block]
-    /// + position in the block's mem list`); only `Stride` reads it.
+    /// `slot` is the site's index in [`Workload::mem`]; only `Stride`
+    /// reads its counter.
     fn mem_addr(&mut self, slot: usize, model: &MemModel) -> Addr {
         match *model {
             MemModel::Stride { base, stride, span } => {
@@ -172,8 +162,14 @@ impl<'w> TraceGenerator<'w> {
             let block = self.lookup_block();
             let bid = block.id;
             let first = ((self.pc - block.start) / INST_BYTES) as usize;
+            // The block's memory sites, and the next one from `first` on:
+            // codegen gives every load and store one site, in instruction
+            // order, so the sites are consumed in step with them.
+            let sites = self.w.mem_sites(bid);
+            let sites_base = self.w.control_of(bid).mem.start as usize;
+            let mut next_site = sites.partition_point(|&(mi, _)| (mi as usize) < first);
             // Payload instructions (everything before any terminator CTI).
-            for ii in first..block.len() {
+            for (ii, inst) in block.insts.iter().enumerate().skip(first) {
                 if out.len() as u32 == self.max_stream {
                     // Sequential break: close the stream mid-block.
                     return StreamDesc {
@@ -183,25 +179,18 @@ impl<'w> TraceGenerator<'w> {
                         end: StreamEnd::SequentialBreak,
                     };
                 }
-                let inst = &block.insts[ii];
                 let is_cti = inst.op.is_cti();
                 if !is_cti {
                     let mem_addr = if inst.op.is_mem() {
-                        let site = self
-                            .w
-                            .control_of(bid)
-                            .mem
-                            .iter()
-                            .enumerate()
-                            .find(|&(_, &(mi, _))| mi as usize == ii);
-                        let (slot, model) = match site {
-                            Some((pos, &(_, m))) => {
-                                (self.mem_slot_base[bid.0 as usize] as usize + pos, m)
+                        let (slot, model) = match sites.get(next_site) {
+                            Some(&(mi, m)) if mi as usize == ii => {
+                                next_site += 1;
+                                (sites_base + next_site - 1, m)
                             }
                             // A mem instruction with no declared site gets
                             // the default stack model, which never touches
                             // a counter, so any slot will do.
-                            None => (
+                            _ => (
                                 0,
                                 MemModel::Stack {
                                     base: crate::codegen::STACK_BASE,
@@ -362,9 +351,8 @@ mod tests {
         }
         let mut strided_checked = 0;
         for ((b, ii), addrs) in &per_site {
-            let ctl = w.control_of(BlockId(*b));
             let Some(&(_, MemModel::Stride { base, stride, span })) =
-                ctl.mem.iter().find(|&&(mi, _)| mi == *ii)
+                w.mem_sites(BlockId(*b)).iter().find(|&&(mi, _)| mi == *ii)
             else {
                 continue;
             };

@@ -1,0 +1,108 @@
+//! Allocation budgets of the per-invocation set-up: an engine costs a
+//! fixed few heap allocations whatever its cache geometry, and a
+//! synthetic program a fixed few whatever its number of basic blocks
+//! (one per table, not one per set or per block).
+//!
+//! A counting global allocator tallies allocation calls (`alloc`,
+//! `alloc_zeroed` and `realloc`) per thread, so the suite's other tests,
+//! running in parallel on their own threads, cannot disturb a count.
+
+use fetch_prestaging::cache::ITlbConfig;
+use fetch_prestaging::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: an allocation during thread teardown goes uncounted.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocation calls on this thread, result)` of `f`.
+fn count<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// The most allocations one `Engine::new` may make.
+const ENGINE_BUDGET: u64 = 64;
+
+#[test]
+fn engine_new_allocates_a_constant_few_times_whatever_the_cache_sets() {
+    let mut p = workload::by_name("gzip").unwrap();
+    p.i_footprint_kb = 4;
+    p.n_funcs = 8;
+    let w = workload::build_workload(&p, 1);
+    let itlb = |entries| ITlbConfig {
+        entries,
+        assoc: 4,
+        ..ITlbConfig::default_config()
+    };
+    // 1 KB to 64 KB L1 (8 to 512 two-way sets), 64- to 4096-entry i-TLB;
+    // the 1 MB L2 and the D-cache are the same in every engine.
+    let counts: Vec<(usize, u64)> = [(1 << 10, 64), (64 << 10, 4096)]
+        .into_iter()
+        .map(|(l1, tlb)| {
+            let cfg = SimConfig::preset(ConfigPreset::ClgpL0Pb16, TechNode::T045, l1)
+                .with_itlb(Some(itlb(tlb)));
+            (l1, count(|| drop(Engine::new(cfg, &w, 7))).0)
+        })
+        .collect();
+    println!("Engine::new allocations by L1 size: {counts:?}");
+    assert_eq!(
+        counts[0].1, counts[1].1,
+        "Engine::new allocates per cache set: {counts:?}"
+    );
+    assert!(
+        counts[0].1 <= ENGINE_BUDGET,
+        "Engine::new made {} allocations, over its budget of {ENGINE_BUDGET}",
+        counts[0].1
+    );
+}
+
+/// The most allocations building one workload may make: its tables and
+/// the build's scratch vectors, each with a few growth steps.
+const BUILD_BUDGET: u64 = 64;
+
+#[test]
+fn building_gcc_allocates_per_table_not_per_block() {
+    let p = workload::by_name("gcc").unwrap();
+    let (n, w) = count(|| workload::build_workload(&p, 42));
+    let blocks = w.program.num_blocks();
+    println!("building gcc: {n} allocations for {blocks} blocks");
+    assert!(
+        n <= BUILD_BUDGET,
+        "building gcc made {n} allocations for {blocks} blocks, over its budget of \
+         {BUILD_BUDGET}"
+    );
+}

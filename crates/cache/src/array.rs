@@ -3,19 +3,6 @@
 use crate::lru;
 use prestage_isa::Addr;
 
-/// Hit/miss counters for one array.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub fills: u64,
-    pub evictions: u64,
-    /// Prefetch-class fills dropped by the [`InsertionPolicy::Bypass`]
-    /// policy (counted separately from `fills`, which only counts lines
-    /// that actually entered the array).
-    pub bypasses: u64,
-}
-
 /// Where a prefetch-class fill lands in the replacement order.
 ///
 /// Demand fills always insert at MRU; this policy only governs fills tagged
@@ -81,7 +68,6 @@ pub struct SetAssocCache {
     dirty: Vec<bool>,
     /// `ranks[set * assoc + way]` — true-LRU ranks, 0 = MRU.
     ranks: Vec<u8>,
-    stats: CacheStats,
 }
 
 impl SetAssocCache {
@@ -121,7 +107,6 @@ impl SetAssocCache {
             valid: vec![false; lines],
             dirty: vec![false; lines],
             ranks: lru::ranks(sets, assoc),
-            stats: CacheStats::default(),
         }
     }
 
@@ -162,20 +147,16 @@ impl SetAssocCache {
         match self.find(addr) {
             Some((set, way)) => {
                 lru::touch(self.set_ranks(set), way);
-                self.stats.hits += 1;
                 true
             }
-            None => {
-                self.stats.misses += 1;
-                false
-            }
+            None => false,
         }
     }
 
-    /// Tag probe with no LRU update and no accounting: the extra tag port
-    /// FDP's Enqueue Cache Probe Filtering uses, and the presence check of
-    /// assertions.  Having no side effect lets a prefetcher probe on a
-    /// cycle where it then stalls without that cycle changing any state.
+    /// Tag probe with no LRU update: the extra tag port FDP's Enqueue
+    /// Cache Probe Filtering uses, and the presence check of assertions.
+    /// Having no side effect lets a prefetcher probe on a cycle where it
+    /// then stalls without that cycle changing any state.
     pub fn contains(&self, addr: Addr) -> bool {
         self.find(addr).is_some()
     }
@@ -197,14 +178,12 @@ impl SetAssocCache {
     /// * `Prefetch(Lru)` inserts the line at the LRU position (and leaves
     ///   the replacement order untouched when the line is already present —
     ///   a speculative fill must not promote a line it did not bring in).
-    /// * `Prefetch(Bypass)` drops the line entirely and counts a bypass.
+    /// * `Prefetch(Bypass)` drops the line entirely.
     pub fn fill_with(&mut self, addr: Addr, class: FillClass) -> Option<(Addr, bool)> {
         if let FillClass::Prefetch(InsertionPolicy::Bypass) = class {
-            self.stats.bypasses += 1;
             return None;
         }
         let at_lru = matches!(class, FillClass::Prefetch(InsertionPolicy::Lru));
-        self.stats.fills += 1;
         if let Some((set, way)) = self.find(addr) {
             if !at_lru {
                 lru::touch(self.set_ranks(set), way);
@@ -218,7 +197,6 @@ impl SetAssocCache {
             .find(|&w| !self.valid[base + w])
             .unwrap_or_else(|| lru::lru(&self.ranks[base..base + self.assoc]));
         let victim = if self.valid[base + way] {
-            self.stats.evictions += 1;
             Some((
                 self.tags[base + way] << self.line_shift,
                 self.dirty[base + way],
@@ -245,14 +223,6 @@ impl SetAssocCache {
         }
     }
 
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> usize {
         self.valid.iter().filter(|&&v| v).count()
@@ -271,8 +241,8 @@ mod tests {
         assert!(c.lookup(0x40));
         assert!(c.lookup(0x7f)); // same line
         assert!(!c.lookup(0x80)); // next line
-        assert_eq!(c.stats().hits, 2);
-        assert_eq!(c.stats().misses, 2);
+        assert!(!c.contains(0x80), "a missing lookup must not fill the line");
+        assert_eq!(c.occupancy(), 1);
     }
 
     #[test]
@@ -298,14 +268,8 @@ mod tests {
         assert!(c.contains(0x000));
         let victim = c.fill(0x200);
         assert_eq!(victim, Some((0x000, false)));
-        assert_eq!(
-            *c.stats(),
-            CacheStats {
-                fills: 3,
-                evictions: 1,
-                ..CacheStats::default()
-            }
-        );
+        assert!(c.contains(0x100) && c.contains(0x200));
+        assert_eq!(c.occupancy(), 2);
     }
 
     #[test]
@@ -365,7 +329,7 @@ mod tests {
             let vb = b.fill_with(addr, FillClass::Prefetch(InsertionPolicy::Mru));
             assert_eq!(va, vb);
         }
-        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.occupancy(), b.occupancy());
         for addr in [0x000u64, 0x100, 0x200, 0x300] {
             assert_eq!(a.contains(addr), b.contains(addr));
         }
@@ -398,8 +362,7 @@ mod tests {
         let mut c = SetAssocCache::new(256, 64, 2);
         c.fill_with(0x000, FillClass::Prefetch(InsertionPolicy::Bypass));
         assert!(!c.contains(0x000));
-        assert_eq!(c.stats().bypasses, 1);
-        assert_eq!(c.stats().fills, 0);
+        assert_eq!(c.occupancy(), 0);
     }
 
     #[test]

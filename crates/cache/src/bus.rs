@@ -245,14 +245,16 @@ impl L2System {
     /// the request was found still queued.
     pub fn upgrade(&mut self, id: ReqId, class: ReqClass) -> bool {
         let mut found = false;
-        let drained: Vec<_> = std::mem::take(&mut self.queue).into_vec();
-        for Reverse(mut p) in drained {
+        // Re-heapify in the same buffer: `(class, seq)` is a total order,
+        // so the grant order does not depend on the heap's layout.
+        let mut pending = std::mem::take(&mut self.queue).into_vec();
+        for Reverse(p) in &mut pending {
             if p.id == id && class < p.class {
                 p.class = class;
                 found = true;
             }
-            self.queue.push(Reverse(p));
         }
+        self.queue = BinaryHeap::from(pending);
         found
     }
 
@@ -371,10 +373,9 @@ impl L2System {
         &self.stats
     }
 
-    /// Zero the bus and L2 counters (end of warm-up); contents are kept.
+    /// Zero the bus counters (end of warm-up); L2 contents are kept.
     pub fn reset_stats(&mut self) {
         self.stats = BusStats::default();
-        self.l2.reset_stats();
     }
 
     /// Outstanding request count (queued + in flight).

@@ -26,7 +26,7 @@ mod lru;
 pub mod port;
 pub mod tlb;
 
-pub use array::{CacheStats, FillClass, InsertionPolicy, SetAssocCache};
+pub use array::{FillClass, InsertionPolicy, SetAssocCache};
 pub use bus::{BusStats, Completion, L2Config, L2System, MemSource, ReqClass, ReqId};
 pub use port::ArrayPort;
 pub use tlb::{ITlb, ITlbConfig, TlbCheckpoint, TlbStats};

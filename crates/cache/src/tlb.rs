@@ -258,17 +258,16 @@ impl ITlb {
     }
 
     /// Snapshot tags, valid bits and replacement state (not statistics —
-    /// counters keep counting across redirects like every other array).
-    pub fn checkpoint(&self) -> TlbCheckpoint {
-        TlbCheckpoint {
-            tags: self.tags.clone(),
-            valid: self.valid.clone(),
-            ranks: self.ranks.clone(),
-        }
+    /// counters keep counting across redirects like every other array)
+    /// into `cp`, reusing its buffers: one is taken per divergence.
+    pub fn checkpoint_into(&self, cp: &mut TlbCheckpoint) {
+        cp.tags.clone_from(&self.tags);
+        cp.valid.clone_from(&self.valid);
+        cp.ranks.clone_from(&self.ranks);
     }
 
-    /// Restore a snapshot taken by [`checkpoint`](Self::checkpoint) on this
-    /// same geometry.  An empty checkpoint is a no-op.
+    /// Restore a snapshot taken by [`checkpoint_into`](Self::checkpoint_into)
+    /// on this same geometry.  An empty checkpoint is a no-op.
     pub fn restore(&mut self, cp: &TlbCheckpoint) {
         if cp.is_empty() {
             return;
@@ -333,10 +332,13 @@ mod tests {
         for (addr, at) in [(0x1000u64, 0u64), (0x2000, 5), (0x1000, 9), (0x9000, 12)] {
             t.translate(addr, at);
         }
-        let cp = t.checkpoint();
+        let mut cp = TlbCheckpoint::default();
+        t.checkpoint_into(&mut cp);
         let mut u = tiny();
         u.restore(&cp);
-        assert_eq!(u.checkpoint(), cp);
+        let mut cu = TlbCheckpoint::default();
+        u.checkpoint_into(&mut cu);
+        assert_eq!(cu, cp);
         // Identical contents…
         for page in 0..16u64 {
             assert_eq!(
@@ -419,7 +421,8 @@ mod tests {
             page_bytes: 4096,
             miss_cycles: 25,
         });
-        let cp = big.checkpoint();
+        let mut cp = TlbCheckpoint::default();
+        big.checkpoint_into(&mut cp);
         tiny().restore(&cp);
     }
 }

@@ -243,10 +243,6 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
     /// prefetch mechanism's warm tables are kept.
     pub fn reset_stats(&mut self) {
         self.stats = FrontStats::default();
-        self.l1.reset_stats();
-        if let Some((l0, _)) = &mut self.l0 {
-            l0.reset_stats();
-        }
         if let Some(tlb) = &mut self.tlb {
             tlb.reset_stats();
         }
@@ -314,15 +310,17 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
         self.pf.restore(cp);
     }
 
-    /// Snapshot the i-TLB contents (tags + replacement state) — taken by
-    /// the engine at a predicted branch, alongside
-    /// [`prefetcher_checkpoint`](Self::prefetcher_checkpoint).  Empty when
-    /// no TLB is configured.
-    pub fn tlb_checkpoint(&self) -> TlbCheckpoint {
-        self.tlb.as_ref().map(ITlb::checkpoint).unwrap_or_default()
+    /// Snapshot the i-TLB contents (tags + replacement state) into `cp` —
+    /// taken by the engine at a predicted branch, alongside
+    /// [`prefetcher_checkpoint`](Self::prefetcher_checkpoint).  `cp` stays
+    /// empty when no TLB is configured.
+    pub fn tlb_checkpoint_into(&self, cp: &mut TlbCheckpoint) {
+        if let Some(tlb) = &self.tlb {
+            tlb.checkpoint_into(cp);
+        }
     }
 
-    /// Reinstall a [`tlb_checkpoint`](Self::tlb_checkpoint) after a
+    /// Reinstall a [`tlb_checkpoint_into`](Self::tlb_checkpoint_into) after a
     /// redirect, so wrong-path translations do not survive into replayed
     /// right-path execution (keeping checkpoint replay bit-exact).
     pub fn tlb_restore(&mut self, cp: &TlbCheckpoint) {

@@ -202,7 +202,6 @@ impl BackEnd {
 
     pub fn reset_stats(&mut self) {
         self.stats = BackendStats::default();
-        self.dcache.reset_stats();
     }
 
     pub fn committed(&self) -> u64 {

@@ -17,6 +17,23 @@
 //! measures, and then evaporate at decode, so they never occupy RUU entries
 //! or access the D-cache.
 //!
+//! # How the correct path is held
+//!
+//! The source's streams land in one engine-owned window, a `VecDeque` of
+//! the correct path's instructions with a running path index at its
+//! front.  A fetch block is a `Copy` index range into it: its first
+//! instruction's path index and its number of correct-path instructions
+//! (0 on the wrong path, a prefix of the stream for the diverging block).
+//! At most one stream waits to be predicted, and its instructions are
+//! always the window's tail: a queue-full retry, or the rest of a stream
+//! the predictor split or diverged from, is a descriptor over
+//! instructions already in the window, so nothing is copied.  Blocks
+//! complete in sequence order and their first indices never decrease, so
+//! on each completion the window drops everything before the oldest live
+//! block; a redirect drops everything but the pending stream.  The
+//! window therefore holds at most one stream per live block plus the
+//! pending one, and a warm engine stops allocating.
+//!
 //! # How time advances
 //!
 //! The machine spends long stretches waiting on a 200-cycle memory, a
@@ -67,7 +84,7 @@ use crate::config::SimConfig;
 use crate::stats::SimStats;
 use prestage_bpred::{
     GshareCheckpoint, GsharePredictor, PredCheckpoint, StreamDesc, StreamPrediction,
-    StreamPredictor,
+    StreamPredictor, MAX_STREAM_INSTS,
 };
 use prestage_cache::{Completion, L2Config, L2System, ReqClass, TlbCheckpoint};
 use prestage_core::config::{MAX_INFLIGHT, QUEUE_BLOCKS};
@@ -79,87 +96,70 @@ use prestage_isa::{Addr, INST_BYTES};
 use prestage_workload::{DynInst, InstSource, TraceGenerator, Workload};
 use std::collections::VecDeque;
 
-#[derive(Debug)]
+/// One in-flight fetch block: a predicted start PC and the index range of
+/// its correct-path instructions in the engine's path window.
+#[derive(Debug, Clone, Copy)]
 struct BlockInfo {
     /// Block start PC (the predicted fetch block's first instruction).
     start: Addr,
-    /// Correct-path instructions of this block (empty for wrong-path
-    /// blocks; a prefix for the diverging block).
-    insts: Vec<DynInst>,
+    /// Path index of the block's first correct-path instruction (the
+    /// correct-path frontier when it was predicted, for wrong-path blocks).
+    first: u64,
+    /// Correct-path instructions in the block: 0 for wrong-path blocks, a
+    /// prefix of the stream for the diverging block.
+    len: u32,
     /// Index of the mispredicted instruction, if this block diverges.
     mispredict_idx: Option<u32>,
 }
 
-/// In-flight fetch blocks, keyed by their (strictly increasing) sequence
-/// number.  Successive seqs map to successive ring slots, so lookup and
-/// removal are O(1) index arithmetic instead of the `BTreeMap` walk the
-/// first implementation paid on every delivery.
+/// In-flight fetch blocks in sequence order.  Seqs are handed out
+/// consecutively and the fetch unit completes blocks in queue order, so the
+/// live blocks are one contiguous seq range: lookup is index arithmetic
+/// and completion pops the front.
 #[derive(Debug, Default)]
 struct BlockRing {
-    /// Sequence number of `slots[0]`.
+    /// Sequence number of `live[0]`.
     base: u64,
-    slots: VecDeque<Option<BlockInfo>>,
-    live: usize,
+    live: VecDeque<BlockInfo>,
 }
 
 impl BlockRing {
-    /// Insert under `seq`, which must be >= every previously inserted seq
-    /// (block seqs are handed out monotonically).
+    /// Insert under `seq`, the seq after the last one inserted (a flush
+    /// empties the ring).
     fn insert(&mut self, seq: u64, info: BlockInfo) {
-        if self.slots.is_empty() {
+        if self.live.is_empty() {
             self.base = seq;
         }
-        let Some(idx) = seq.checked_sub(self.base) else {
-            unreachable!("block seq {seq} inserted below ring base {}", self.base)
-        };
-        // prestage: allow(unwrap-in-lib, idx counts live blocks — a window that would overflow usize cannot be allocated)
-        let idx = usize::try_from(idx).expect("live block window fits in memory");
-        debug_assert!(idx >= self.slots.len(), "block seqs must arrive in order");
-        while self.slots.len() < idx {
-            self.slots.push_back(None);
-        }
-        self.slots.push_back(Some(info));
-        self.live += 1;
+        debug_assert_eq!(
+            seq,
+            self.base + self.live.len() as u64,
+            "block seqs must arrive in order"
+        );
+        self.live.push_back(info);
     }
 
-    fn get(&self, seq: u64) -> Option<&BlockInfo> {
+    fn get(&self, seq: u64) -> Option<BlockInfo> {
         let idx = usize::try_from(seq.checked_sub(self.base)?).ok()?;
-        self.slots.get(idx)?.as_ref()
+        self.live.get(idx).copied()
     }
 
-    fn remove(&mut self, seq: u64) -> Option<BlockInfo> {
-        let idx = usize::try_from(seq.checked_sub(self.base)?).ok()?;
-        let info = self.slots.get_mut(idx)?.take()?;
-        self.live -= 1;
-        // Advance the base past drained slots so the ring stays short.
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        Some(info)
+    /// Retire block `seq`, which must be the oldest.
+    fn complete(&mut self, seq: u64) {
+        debug_assert_eq!(seq, self.base, "fetch blocks must complete in order");
+        self.live.pop_front();
+        self.base += 1;
+    }
+
+    fn oldest(&self) -> Option<BlockInfo> {
+        self.live.front().copied()
     }
 
     fn len(&self) -> usize {
-        self.live
+        self.live.len()
     }
 
-    /// Drop every block, recycling instruction buffers into `pool`.
-    fn clear_into(&mut self, pool: &mut Vec<Vec<DynInst>>) {
-        for info in self.slots.drain(..).flatten() {
-            recycle(pool, info.insts);
-        }
-        self.live = 0;
-    }
-}
-
-/// Cap on pooled instruction buffers: enough for every live block plus the
-/// pending-truth queue in any sane configuration.
-const VEC_POOL_CAP: usize = 64;
-
-fn recycle(pool: &mut Vec<Vec<DynInst>>, mut v: Vec<DynInst>) {
-    if v.capacity() > 0 && pool.len() < VEC_POOL_CAP {
-        v.clear();
-        pool.push(v);
+    fn clear(&mut self) {
+        self.live.clear();
     }
 }
 
@@ -181,10 +181,6 @@ struct RedirectInfo {
     /// reinstated after the redirect flush (wrong-path fetches must not
     /// corrupt a mechanism's training cursors / stream expectations).
     pf_checkpoint: PrefetchCheckpoint,
-    /// i-TLB contents at the divergence point (empty when no TLB is
-    /// configured): wrong-path translations are unwound on redirect so a
-    /// checkpointed replay matches the live run bit for bit.
-    tlb_checkpoint: TlbCheckpoint,
 }
 
 /// Which fetch-block predictor drives the front-end.
@@ -329,6 +325,14 @@ impl AnyPredictor {
 /// rename and dispatch of the 15-stage pipeline).
 const DECODE_STAGES: u64 = 4;
 
+/// Most live fetch blocks: every one is queued, in flight through the
+/// fetch unit, or the one predicted this cycle.
+const BLOCK_BOUND: usize = QUEUE_BLOCKS + MAX_INFLIGHT + 1;
+
+/// Most instructions the path window can hold: one stream per live fetch
+/// block plus the pending stream.
+const WINDOW_BOUND: usize = (BLOCK_BOUND + 1) * MAX_STREAM_INSTS as usize;
+
 #[derive(Debug, Clone, Copy)]
 struct DecodeEntry {
     ready: u64,
@@ -376,21 +380,11 @@ macro_rules! for_each_engine {
 
 impl<'w> Engine<'w> {
     pub fn new(cfg: SimConfig, w: &'w Workload, exec_seed: u64) -> Self {
-        Self::with_predictor(cfg, w, exec_seed, PredictorKind::Stream)
-    }
-
-    /// Build an engine with an explicit fetch-block predictor (ablation).
-    pub fn with_predictor(
-        cfg: SimConfig,
-        w: &'w Workload,
-        exec_seed: u64,
-        predictor: PredictorKind,
-    ) -> Self {
         Self::with_source(
             cfg,
             w,
             Box::new(TraceGenerator::new(w, exec_seed)),
-            predictor,
+            PredictorKind::Stream,
         )
     }
 
@@ -430,11 +424,6 @@ impl<'w> Engine<'w> {
     pub fn run(self) -> SimStats {
         for_each_engine!(self.0, e => e.run())
     }
-
-    /// Committed instructions so far (including warm-up until reset).
-    pub fn committed(&self) -> u64 {
-        for_each_engine!(&self.0, e => e.committed())
-    }
 }
 
 /// The concrete cycle engine, generic over its prefetch mechanism.
@@ -449,20 +438,30 @@ struct EngineImpl<'w, P: InstrPrefetcher> {
     clock: u64,
 
     next_seq: u64,
-    /// Truth streams waiting to be predicted (partial streams after a
-    /// mid-stream divergence resume here).
-    pending_truth: VecDeque<(StreamDesc, Vec<DynInst>)>,
+    /// The correct path from the oldest live block's first instruction to
+    /// the last instruction drawn from the source.
+    window: VecDeque<DynInst>,
+    /// Path index of `window[0]`.
+    window_base: u64,
+    /// The truth stream waiting to be predicted (a retry, or the rest of a
+    /// stream after a split or divergence); its instructions are always
+    /// the window's tail.
+    pending: Option<StreamDesc>,
+    /// The source's output buffer, copied into the window per stream.
+    stream_buf: Vec<DynInst>,
     blocks: BlockRing,
     path: PathState,
     redirect: Option<RedirectInfo>,
+    /// i-TLB contents at the last divergence point (empty when no TLB is
+    /// configured), refilled in place: wrong-path translations are unwound
+    /// on redirect so a checkpointed replay matches the live run bit for
+    /// bit.
+    tlb_checkpoint: TlbCheckpoint,
     decode: VecDeque<DecodeEntry>,
 
     redirects: u64,
     deliveries: Vec<Delivery>,
     completions: Vec<Completion>,
-    /// Recycled instruction buffers: every truth stream and block split
-    /// draws from here, so steady-state prediction never allocates.
-    vec_pool: Vec<Vec<DynInst>>,
 }
 
 impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
@@ -480,22 +479,21 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
             l2: L2System::new(L2Config::for_node(cfg.frontend.tech)),
             clock: 0,
             next_seq: 0,
-            pending_truth: VecDeque::new(),
+            window: VecDeque::new(),
+            window_base: 0,
+            pending: None,
+            stream_buf: Vec::new(),
             blocks: BlockRing::default(),
             path: PathState::OnPath,
             redirect: None,
+            tlb_checkpoint: TlbCheckpoint::default(),
             decode: VecDeque::new(),
             redirects: 0,
             deliveries: Vec::with_capacity(8),
             completions: Vec::with_capacity(8),
-            vec_pool: Vec::new(),
             cfg,
             w,
         }
-    }
-
-    fn pooled(&mut self) -> Vec<DynInst> {
-        self.vec_pool.pop().unwrap_or_default()
     }
 
     /// Run warm-up + measurement; returns the measured-window statistics.
@@ -521,9 +519,14 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
             self.l2.outstanding()
         );
         debug_assert!(
-            self.blocks.len() <= QUEUE_BLOCKS + MAX_INFLIGHT + 1,
+            self.blocks.len() <= BLOCK_BOUND,
             "live fetch blocks leaked: {}",
             self.blocks.len()
+        );
+        debug_assert!(
+            self.window.len() <= WINDOW_BOUND,
+            "path window leaked: {} instructions",
+            self.window.len()
         );
 
         SimStats {
@@ -666,18 +669,23 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         self.clock += 1;
     }
 
-    /// Per-cycle invariants over the flat hot-path tables: every live
-    /// block is queued, in flight through the fetch unit, or the one
-    /// predicted this cycle; every route maps to an outstanding L2
-    /// request.  Both checks are O(1) — counters against counters.
+    /// Per-cycle invariants over the flat hot-path tables: live blocks
+    /// and the path window stay within their structural bounds, and every
+    /// route maps to an outstanding L2 request.  All checks are O(1) —
+    /// counters against counters.
     #[cfg(debug_assertions)]
     fn assert_hot_state_bounded(&self) {
-        let block_bound = QUEUE_BLOCKS + MAX_INFLIGHT + 1;
         debug_assert!(
-            self.blocks.len() <= block_bound,
-            "cycle {}: {} live fetch blocks exceed the structural bound {block_bound}",
+            self.blocks.len() <= BLOCK_BOUND,
+            "cycle {}: {} live fetch blocks exceed the structural bound {BLOCK_BOUND}",
             self.clock,
             self.blocks.len()
+        );
+        debug_assert!(
+            self.window.len() <= WINDOW_BOUND,
+            "cycle {}: {} path-window instructions exceed the bound {WINDOW_BOUND}",
+            self.clock,
+            self.window.len()
         );
         debug_assert!(
             self.fe.routes_len() <= self.l2.outstanding(),
@@ -701,21 +709,41 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         let Ok(base) = u32::try_from((d.first_pc - info.start) / INST_BYTES) else {
             return;
         };
-        for k in 0..d.count {
-            let idx = base + k;
-            if let Some(di) = info.insts.get(idx as usize) {
-                self.decode.push_back(DecodeEntry {
-                    ready,
-                    inst: *di,
-                    mispredict: info.mispredict_idx == Some(idx),
-                });
-            }
+        let at = self.window_at(info.first);
+        for idx in base..(base + d.count).min(info.len) {
+            self.decode.push_back(DecodeEntry {
+                ready,
+                inst: self.window[at + idx as usize],
+                mispredict: info.mispredict_idx == Some(idx),
+            });
         }
         if d.completes_block {
-            if let Some(info) = self.blocks.remove(d.block_seq) {
-                recycle(&mut self.vec_pool, info.insts);
-            }
+            self.blocks.complete(d.block_seq);
+            // Block `first`s never decrease with seq, so the oldest live
+            // block bounds what is still read.
+            let keep = self.blocks.oldest().map_or(self.frontier(), |b| b.first);
+            self.trim_window(keep);
         }
+    }
+
+    /// Position in `window` of path index `i` (which must not be trimmed).
+    fn window_at(&self, i: u64) -> usize {
+        debug_assert!(i >= self.window_base, "path index {i} already trimmed");
+        (i - self.window_base) as usize
+    }
+
+    /// Path index of the first correct-path instruction no block holds yet:
+    /// the pending stream's start, or the window's end without one.
+    fn frontier(&self) -> u64 {
+        let pending = self.pending.map_or(0, |p| u64::from(p.len));
+        self.window_base + self.window.len() as u64 - pending
+    }
+
+    /// Drop the window's instructions before path index `keep`.
+    fn trim_window(&mut self, keep: u64) {
+        let n = self.window_at(keep);
+        self.window.drain(..n);
+        self.window_base = keep;
     }
 
     /// A mispredicted branch resolved in the back-end: flush and restart
@@ -727,9 +755,10 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         debug_assert_eq!(r.ruu_seq, Some(ruu_seq));
         self.fe.flush();
         self.fe.prefetcher_restore(&r.pf_checkpoint);
-        self.fe.tlb_restore(&r.tlb_checkpoint);
+        self.fe.tlb_restore(&self.tlb_checkpoint);
         self.decode.clear();
-        self.blocks.clear_into(&mut self.vec_pool);
+        self.blocks.clear();
+        self.trim_window(self.frontier());
         self.pred.restore(&r.checkpoint);
         self.path = PathState::OnPath;
         self.redirects += 1;
@@ -737,7 +766,9 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         // the flush (routes do, deliberately — demand completions still in
         // flight warm the caches exactly as wrong-path fills would).
         debug_assert!(
-            self.blocks.len() == 0 && self.decode.is_empty(),
+            self.blocks.len() == 0
+                && self.decode.is_empty()
+                && self.window.len() == self.pending.map_or(0, |p| p.len as usize),
             "redirect flush left speculative state behind"
         );
     }
@@ -746,6 +777,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
     /// front-end, comparing against the trace when on the correct path.
     fn predict_one_block(&mut self) {
         let seq = self.next_seq;
+        let first = self.frontier();
         match self.path {
             PathState::WrongPath { next_start } => {
                 // Keep running down the predicted path through the
@@ -758,7 +790,8 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                         seq,
                         BlockInfo {
                             start: p.stream.start,
-                            insts: Vec::new(),
+                            first,
+                            len: 0,
                             mispredict_idx: None,
                         },
                     );
@@ -768,14 +801,14 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                 }
             }
             PathState::OnPath => {
-                // Pull the next truth stream (a partial stream first, after
-                // a mid-stream split/divergence).
-                let (actual, mut insts) = match self.pending_truth.pop_front() {
-                    Some(x) => x,
+                // The pending stream first (a retry, or the rest of a
+                // split/diverged stream), else a fresh one from the source.
+                let actual = match self.pending.take() {
+                    Some(s) => s,
                     None => {
-                        let mut buf = self.pooled();
-                        let s = self.src.next_stream(&mut buf);
-                        (s, buf)
+                        let s = self.src.next_stream(&mut self.stream_buf);
+                        self.window.extend(&self.stream_buf);
+                        s
                     }
                 };
                 let checkpoint = self.pred.checkpoint();
@@ -786,122 +819,61 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                 let ps = p.stream;
                 debug_assert_eq!(ps.start, actual.start);
 
-                if ps.same_flow(&actual) {
-                    self.pred.train(&token, &actual, true);
-                    if self.fe.push_block(seq, actual.start, actual.len) {
-                        self.next_seq += 1;
-                        self.blocks.insert(
-                            seq,
-                            BlockInfo {
-                                start: actual.start,
-                                insts,
-                                mispredict_idx: None,
-                            },
-                        );
-                    } else {
-                        // Queue full: retry the same stream next cycle.
-                        self.pending_truth.push_front((actual, insts));
-                        self.pred.restore(&checkpoint);
-                    }
-                    return;
-                }
-
                 let plen = ps.len;
                 let alen = actual.len;
+                let correct = ps.same_flow(&actual);
                 // Benign split: the predictor cut the stream short but
                 // continues sequentially — two blocks instead of one, no
                 // actual misprediction.
-                if plen < alen && ps.next == actual.start + plen as u64 * INST_BYTES {
-                    self.pred.train(&token, &actual, false);
-                    if self.fe.push_block(seq, actual.start, plen) {
-                        self.next_seq += 1;
-                        let mut tail_insts = self.pooled();
-                        let tail = split_stream(&actual, &mut insts, plen, &mut tail_insts);
-                        self.blocks.insert(
-                            seq,
-                            BlockInfo {
-                                start: actual.start,
-                                insts,
-                                mispredict_idx: None,
-                            },
-                        );
-                        self.pending_truth.push_front((tail, tail_insts));
-                    } else {
-                        self.pending_truth.push_front((actual, insts));
-                        self.pred.restore(&checkpoint);
-                    }
-                    return;
-                }
-
-                // Real divergence.
-                self.pred.train(&token, &actual, false);
-                if !self.fe.push_block(seq, actual.start, plen.max(1)) {
-                    self.pending_truth.push_front((actual, insts));
+                let split =
+                    !correct && plen < alen && ps.next == actual.start + plen as u64 * INST_BYTES;
+                let fetch_len = if correct { alen } else { plen.max(1) };
+                self.pred.train(&token, &actual, correct);
+                if !self.fe.push_block(seq, actual.start, fetch_len) {
+                    // Queue full: retry the same stream next cycle.
+                    self.pending = Some(actual);
                     self.pred.restore(&checkpoint);
                     return;
                 }
                 self.next_seq += 1;
-                let mispredict_idx = if plen < alen {
-                    // Predictor broke out of the stream early: everything
-                    // it fetched is still correct path; the instruction at
-                    // the break point is the mispredicted branch, and the
-                    // correct path resumes mid-stream.
-                    let mut tail_insts = self.pooled();
-                    let tail = split_stream(&actual, &mut insts, plen, &mut tail_insts);
-                    self.pending_truth.push_front((tail, tail_insts));
-                    plen - 1
-                } else {
-                    // Predictor sailed past the actual taken end (or got
-                    // the target wrong): the actual stream's instructions
-                    // are correct, its final CTI is the mispredicted one,
-                    // and anything beyond is wrong path.
-                    alen - 1
-                };
+                // The block holds the first `len` instructions; a shorter
+                // prediction leaves the rest of the stream pending.
+                let len = fetch_len.min(alen);
+                if len < alen {
+                    self.pending = Some(StreamDesc {
+                        start: actual.start + len as u64 * INST_BYTES,
+                        len: alen - len,
+                        next: actual.next,
+                        end: actual.end,
+                    });
+                }
+                // A divergence mispredicts the block's last correct-path
+                // instruction: where the predictor broke out of the stream
+                // early, or the stream's final CTI it sailed past (or whose
+                // target it got wrong).
+                let diverges = !correct && !split;
                 self.blocks.insert(
                     seq,
                     BlockInfo {
                         start: actual.start,
-                        insts,
-                        mispredict_idx: Some(mispredict_idx),
+                        first,
+                        len,
+                        mispredict_idx: diverges.then_some(len - 1),
                     },
                 );
-                self.redirect = Some(RedirectInfo {
-                    ruu_seq: None,
-                    checkpoint,
-                    pf_checkpoint: self.fe.prefetcher_checkpoint(),
-                    tlb_checkpoint: self.fe.tlb_checkpoint(),
-                });
-                self.path = PathState::WrongPath {
-                    next_start: ps.next.max(4),
-                };
+                if diverges {
+                    self.redirect = Some(RedirectInfo {
+                        ruu_seq: None,
+                        checkpoint,
+                        pf_checkpoint: self.fe.prefetcher_checkpoint(),
+                    });
+                    self.fe.tlb_checkpoint_into(&mut self.tlb_checkpoint);
+                    self.path = PathState::WrongPath {
+                        next_start: ps.next.max(4),
+                    };
+                }
             }
         }
-    }
-
-    /// Committed instructions so far (including warm-up until reset).
-    fn committed(&self) -> u64 {
-        self.be.committed()
-    }
-}
-
-/// Split a truth stream at instruction index `at`: `insts` is truncated to
-/// the head in place, the tail instructions are copied into `tail_insts`
-/// (cleared first), and the tail descriptor is returned.
-fn split_stream(
-    s: &StreamDesc,
-    insts: &mut Vec<DynInst>,
-    at: u32,
-    tail_insts: &mut Vec<DynInst>,
-) -> StreamDesc {
-    debug_assert!(at >= 1 && at < s.len);
-    tail_insts.clear();
-    tail_insts.extend_from_slice(&insts[at as usize..]);
-    insts.truncate(at as usize);
-    StreamDesc {
-        start: s.start + at as u64 * INST_BYTES,
-        len: s.len - at,
-        next: s.next,
-        end: s.end,
     }
 }
 
@@ -1010,12 +982,12 @@ mod accounting_tests {
         let w = tiny("vortex");
         let cfg = SimConfig::preset(ConfigPreset::ClgpL0, TechNode::T045, 4 << 10)
             .with_insts(20_000, 60_000);
-        let stream = Engine::with_predictor(cfg, &w, 7, PredictorKind::Stream)
-            .run()
-            .ipc();
-        let gshare = Engine::with_predictor(cfg, &w, 7, PredictorKind::Gshare)
-            .run()
-            .ipc();
+        let run = |kind| {
+            let src = Box::new(TraceGenerator::new(&w, 7));
+            Engine::with_source(cfg, &w, src, kind).run().ipc()
+        };
+        let stream = run(PredictorKind::Stream);
+        let gshare = run(PredictorKind::Gshare);
         assert!(gshare > 0.05, "gshare engine wedged: {gshare}");
         assert!(
             stream > gshare,

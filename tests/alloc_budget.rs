@@ -1,7 +1,9 @@
 //! Allocation budgets of the per-invocation set-up: an engine costs a
 //! fixed few heap allocations whatever its cache geometry, and a
 //! synthetic program a fixed few whatever its number of basic blocks
-//! (one per table, not one per set or per block).
+//! (one per table, not one per set or per block).  Once warm, a running
+//! engine stops allocating: its queues reach their high-water marks and
+//! a longer run costs no more allocations than a shorter one.
 //!
 //! A counting global allocator tallies allocation calls (`alloc`,
 //! `alloc_zeroed` and `realloc`) per thread, so the suite's other tests,
@@ -104,5 +106,32 @@ fn building_gcc_allocates_per_table_not_per_block() {
         n <= BUILD_BUDGET,
         "building gcc made {n} allocations for {blocks} blocks, over its budget of \
          {BUILD_BUDGET}"
+    );
+}
+
+/// The most allocations a 100k-instruction measured window may make
+/// beyond a 10k one: a queue meeting a new high-water mark late.
+const STEADY_STATE_SLACK: u64 = 4;
+
+#[test]
+fn a_warm_engine_does_not_allocate_per_instruction() {
+    let p = workload::by_name("gcc").unwrap();
+    let w = workload::build_workload(&p, 42);
+    let runs: Vec<(u64, u64)> = [10_000, 100_000]
+        .into_iter()
+        .map(|measure| {
+            let cfg = SimConfig::preset(ConfigPreset::ClgpL0Pb16, TechNode::T045, 4 << 10)
+                .with_itlb(Some(ITlbConfig::default_config()))
+                .with_insts(20_000, measure);
+            let engine = Engine::new(cfg, &w, 42);
+            let (n, stats) = count(|| engine.run());
+            assert!(stats.committed >= measure);
+            (measure, n)
+        })
+        .collect();
+    println!("run() allocations by measured instructions: {runs:?}");
+    assert!(
+        runs[1].1 <= runs[0].1 + STEADY_STATE_SLACK,
+        "a longer run allocates more: {runs:?} (slack {STEADY_STATE_SLACK})"
     );
 }

@@ -4,17 +4,22 @@
 //! flat structures — a block ring, a route table, a line-slot ring with a
 //! prefetch cursor, a slot ring with `u64` state bitmaps for the RUU — whose
 //! correctness rests on structural invariants (contiguous seqs, set-only flags,
-//! bounded occupancy) instead of a map's key discipline.  The engine
-//! checks those invariants with `debug_assert!`s every cycle and at end of
-//! cell; this suite *drives* those checks through mispredict-heavy runs of
-//! every preset so a violation fails a normal `cargo test` (dev profile,
+//! bounded occupancy) instead of a map's key discipline.  The correct path
+//! is held the same way: one window of instructions that fetch blocks
+//! index into, trimmed as blocks complete.  The engine checks those
+//! invariants with `debug_assert!`s every cycle and at end of cell; this
+//! suite *drives* those checks through mispredict-heavy runs of every
+//! preset so a violation fails a normal `cargo test` (dev profile,
 //! `debug_assertions` on) loudly rather than corrupting results silently.
 //!
 //! Covered per run, every cycle: live blocks bounded by queue + in-flight
-//! occupancy; routes bounded by outstanding L2 requests; no committed RUU
-//! slot still marked waiting to issue or on memory.  Covered at redirect: no
-//! speculative block/decode state survives the flush.  Covered at end of
-//! cell: the hot tables drained back to their steady-state bounds.
+//! occupancy; the path window bounded by one stream per live block plus
+//! the pending one; routes bounded by outstanding L2 requests; no committed
+//! RUU slot still marked waiting to issue or on memory.  Covered as blocks
+//! arrive and complete: seqs arrive and retire in order.  Covered at
+//! redirect: no speculative block/decode state survives the flush, and the
+//! window holds only the pending stream.  Covered at end of cell: the hot
+//! tables drained back to their steady-state bounds.
 
 use fetch_prestaging::cacti::TechNode;
 use fetch_prestaging::sim::{ConfigPreset, Engine, SimConfig};

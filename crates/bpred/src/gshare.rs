@@ -78,7 +78,8 @@ impl GsharePredictor {
                     end: StreamEnd::SequentialBreak,
                 };
             }
-            let Some(inst) = prog.inst_at(pc) else {
+            let Some((block, inst)) = prog.block_at(pc).and_then(|b| Some((b, b.inst_at(pc)?)))
+            else {
                 // Off the image: close the stream at the boundary.
                 break StreamDesc {
                     start,
@@ -96,7 +97,7 @@ impl GsharePredictor {
                         break StreamDesc {
                             start,
                             len,
-                            next: inst.target.expect("branch target"),
+                            next: block.term.direct_target().expect("branch target"),
                             end: StreamEnd::Taken,
                         };
                     }
@@ -106,7 +107,7 @@ impl GsharePredictor {
                     break StreamDesc {
                         start,
                         len,
-                        next: inst.target.expect("jump target"),
+                        next: block.term.direct_target().expect("jump target"),
                         end: StreamEnd::Taken,
                     }
                 }
@@ -114,7 +115,7 @@ impl GsharePredictor {
                     break StreamDesc {
                         start,
                         len,
-                        next: inst.target.expect("call target"),
+                        next: block.term.direct_target().expect("call target"),
                         end: StreamEnd::Call,
                     }
                 }

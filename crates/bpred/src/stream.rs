@@ -104,7 +104,7 @@ pub fn static_fallback_walk(start: Addr, prog: &Program) -> Option<StreamDesc> {
                 return Some(StreamDesc {
                     start,
                     len,
-                    next: inst.target.expect("jump target"),
+                    next: block.term.direct_target().expect("jump target"),
                     end: StreamEnd::Taken,
                 })
             }
@@ -112,7 +112,7 @@ pub fn static_fallback_walk(start: Addr, prog: &Program) -> Option<StreamDesc> {
                 return Some(StreamDesc {
                     start,
                     len,
-                    next: inst.target.expect("call target"),
+                    next: block.term.direct_target().expect("call target"),
                     end: StreamEnd::Call,
                 })
             }
@@ -253,7 +253,8 @@ mod tests {
         let mut pc = start;
         let mut len = 0u32;
         while len < MAX_STREAM_INSTS {
-            let Some(inst) = prog.inst_at(pc) else {
+            let Some((block, inst)) = prog.block_at(pc).and_then(|b| Some((b, b.inst_at(pc)?)))
+            else {
                 return (len > 0).then_some(StreamDesc {
                     start,
                     len,
@@ -271,7 +272,7 @@ mod tests {
                     continue;
                 }
             };
-            let next = inst.target.unwrap_or(0);
+            let next = block.term.direct_target().unwrap_or(0);
             return Some(StreamDesc {
                 start,
                 len,

@@ -297,13 +297,13 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
     }
 
     /// Snapshot the prefetch mechanism's speculative state (training
-    /// cursors, stream expectations) — taken by the engine when it detects
-    /// a divergence, *before* wrong-path fetches are observed.
-    pub fn prefetcher_checkpoint(&self) -> PrefetchCheckpoint {
-        self.pf.checkpoint()
+    /// cursors, stream expectations) into `cp` — taken by the engine when
+    /// it detects a divergence, *before* wrong-path fetches are observed.
+    pub fn prefetcher_checkpoint_into(&self, cp: &mut PrefetchCheckpoint) {
+        self.pf.checkpoint_into(cp);
     }
 
-    /// Reinstall a [`prefetcher_checkpoint`](Self::prefetcher_checkpoint)
+    /// Reinstall a [`prefetcher_checkpoint_into`](Self::prefetcher_checkpoint_into)
     /// after the redirect [`flush`](Self::flush), so wrong-path
     /// observations do not corrupt the mechanism's speculative cursors.
     pub fn prefetcher_restore(&mut self, cp: &PrefetchCheckpoint) {
@@ -312,7 +312,7 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
 
     /// Snapshot the i-TLB contents (tags + replacement state) into `cp` —
     /// taken by the engine at a predicted branch, alongside
-    /// [`prefetcher_checkpoint`](Self::prefetcher_checkpoint).  `cp` stays
+    /// [`prefetcher_checkpoint_into`](Self::prefetcher_checkpoint_into).  `cp` stays
     /// empty when no TLB is configured.
     pub fn tlb_checkpoint_into(&self, cp: &mut TlbCheckpoint) {
         if let Some(tlb) = &self.tlb {

@@ -15,7 +15,7 @@
 //! * it **reports its horizon** through [`InstrPrefetcher::next_event`],
 //!   so the engine can jump the clock over cycles in which it cannot act;
 //! * its speculative training state is **checkpointed/restored** around
-//!   wrong-path excursions ([`InstrPrefetcher::checkpoint`] /
+//!   wrong-path excursions ([`InstrPrefetcher::checkpoint_into`] /
 //!   [`InstrPrefetcher::restore`]).
 //!
 //! Each mechanism's sizing is a constant beside it (`PIQ_ENTRIES` and
@@ -221,13 +221,14 @@ pub trait InstrPrefetcher: std::fmt::Debug {
     /// in-flight request queues and stale stream expectations.
     fn on_redirect(&mut self) {}
 
-    /// Snapshot speculative training state (taken when the engine detects
-    /// a divergence, i.e. before any wrong-path fetch is observed).
-    fn checkpoint(&self) -> PrefetchCheckpoint {
-        PrefetchCheckpoint::default()
+    /// Snapshot speculative training state into `cp`, replacing what it
+    /// held (taken when the engine detects a divergence, i.e. before any
+    /// wrong-path fetch is observed; the engine refills one checkpoint).
+    fn checkpoint_into(&self, cp: &mut PrefetchCheckpoint) {
+        cp.0.clear();
     }
 
-    /// Reinstall a [`checkpoint`](Self::checkpoint) (after the redirect
+    /// Reinstall a [`checkpoint_into`](Self::checkpoint_into) (after the redirect
     /// flush), so wrong-path observations do not corrupt the mechanism's
     /// speculative cursors.
     fn restore(&mut self, cp: &PrefetchCheckpoint) {
@@ -877,8 +878,9 @@ impl InstrPrefetcher for ManaPrefetcher {
         }
     }
 
-    fn checkpoint(&self) -> PrefetchCheckpoint {
-        let mut v = Vec::with_capacity(5 + 3 * self.sab.len());
+    fn checkpoint_into(&self, cp: &mut PrefetchCheckpoint) {
+        let v = &mut cp.0;
+        v.clear();
         match self.cur {
             Some((t, bm)) => v.extend([1, t, bm as u64]),
             None => v.extend([0, 0, 0]),
@@ -890,14 +892,13 @@ impl InstrPrefetcher for ManaPrefetcher {
         for e in &self.sab {
             v.extend([e.valid as u64, e.expected, e.lru]);
         }
-        PrefetchCheckpoint(v)
     }
 
     fn restore(&mut self, cp: &PrefetchCheckpoint) {
         let v = &cp.0;
         debug_assert_eq!(v.len(), 5 + 3 * self.sab.len());
         self.cur = (v[0] == 1).then(|| {
-            // Word 2 was written from a u32 (`bm as u64` in `checkpoint`).
+            // Word 2 was written from a u32 (`bm as u64` in `checkpoint_into`).
             let Ok(bm) = u32::try_from(v[2]) else {
                 unreachable!("checkpoint footprint-bitmap word {:#x} overflows u32", v[2])
             };
@@ -1012,11 +1013,12 @@ impl InstrPrefetcher for ProgMapPrefetcher {
         self.last_region = None;
     }
 
-    fn checkpoint(&self) -> PrefetchCheckpoint {
-        PrefetchCheckpoint(match self.last_region {
-            Some(r) => vec![1, r],
-            None => vec![0, 0],
-        })
+    fn checkpoint_into(&self, cp: &mut PrefetchCheckpoint) {
+        cp.0.clear();
+        cp.0.extend(match self.last_region {
+            Some(r) => [1, r],
+            None => [0, 0],
+        });
     }
 
     fn restore(&mut self, cp: &PrefetchCheckpoint) {
@@ -1080,7 +1082,8 @@ mod tests {
         for ln in [0x10u64, 0x11, 0x40, 0x10] {
             m.observe_fetch(&slot(ln << 6));
         }
-        let cp = m.checkpoint();
+        let mut cp = PrefetchCheckpoint(vec![7; 99]);
+        m.checkpoint_into(&mut cp);
         let (cur, last) = (m.cur, m.last_line);
         let sab: Vec<(bool, u64)> = m.sab.iter().map(|e| (e.valid, e.expected)).collect();
         // Wrong path: observe garbage, then restore.

@@ -1,4 +1,9 @@
 //! Basic blocks and their terminators.
+//!
+//! A block is the one home of what its instructions share or imply: its
+//! `start`, from which instruction `i` sits at `start + i * INST_BYTES`,
+//! and its [`Terminator`], which holds the final CTI's direct target
+//! ([`Terminator::direct_target`]).  A [`StaticInst`] stores neither.
 
 use crate::addr::{Addr, INST_BYTES};
 use crate::inst::{OpClass, StaticInst};
@@ -35,6 +40,30 @@ impl Terminator {
             Terminator::FallThrough { next } => (Some(next), None),
         };
         first.into_iter().chain(second)
+    }
+
+    /// The direct target of the block's final CTI: the taken target of a
+    /// conditional branch, the target of a jump or call; `None` for a
+    /// return (its target comes from the RAS) and for a fall-through.
+    #[inline]
+    pub fn direct_target(&self) -> Option<Addr> {
+        match *self {
+            Terminator::CondBranch { taken: t, .. }
+            | Terminator::Jump { target: t }
+            | Terminator::Call { target: t, .. } => Some(t),
+            Terminator::Return | Terminator::FallThrough { .. } => None,
+        }
+    }
+
+    /// The class of the CTI ending a block with this terminator (none for a fall-through).
+    pub fn cti(&self) -> Option<OpClass> {
+        match self {
+            Terminator::CondBranch { .. } => Some(OpClass::CondBranch),
+            Terminator::Jump { .. } => Some(OpClass::Jump),
+            Terminator::Call { .. } => Some(OpClass::Call),
+            Terminator::Return => Some(OpClass::Return),
+            Terminator::FallThrough { .. } => None,
+        }
     }
 }
 
@@ -146,41 +175,28 @@ impl BasicBlock {
         self.insts.get(idx)
     }
 
-    /// Internal consistency: contiguous PCs, CTI placement matching the
-    /// terminator.
+    /// Internal consistency: a CTI only as the final instruction, and
+    /// that CTI and the fall-through address matching the terminator.
     pub fn validate(&self) -> Result<(), String> {
-        if self.insts.is_empty() {
+        let Some((last, body)) = self.insts.split_last() else {
             return Err(format!("block {:?} at {:#x} is empty", self.id, self.start));
-        }
-        for (i, inst) in self.insts.iter().enumerate() {
-            let expect = self.start + i as u64 * INST_BYTES;
-            if inst.pc != expect {
-                return Err(format!(
-                    "block {:?}: inst {} has pc {:#x}, expected {:#x}",
-                    self.id, i, inst.pc, expect
-                ));
-            }
-            let is_last = i + 1 == self.insts.len();
-            if inst.op.is_cti() && !is_last {
-                return Err(format!(
-                    "block {:?}: CTI at {:#x} is not the final instruction",
-                    self.id, inst.pc
-                ));
-            }
-        }
-        let last = self.insts.last().unwrap();
-        let term_matches = match self.term {
-            Terminator::CondBranch { not_taken, .. } => {
-                last.op == OpClass::CondBranch && not_taken == self.end()
-            }
-            Terminator::Jump { target } => last.op == OpClass::Jump && last.target == Some(target),
-            Terminator::Call { target, link } => {
-                last.op == OpClass::Call && last.target == Some(target) && link == self.end()
-            }
-            Terminator::Return => last.op == OpClass::Return,
-            Terminator::FallThrough { next } => !last.op.is_cti() && next == self.end(),
         };
-        if !term_matches {
+        if let Some(i) = body.iter().position(|inst| inst.op.is_cti()) {
+            return Err(format!(
+                "block {:?}: CTI at {:#x} is not the final instruction",
+                self.id,
+                self.start + i as u64 * INST_BYTES
+            ));
+        }
+        let falls_to_end = match self.term {
+            Terminator::CondBranch {
+                not_taken: next, ..
+            }
+            | Terminator::Call { link: next, .. }
+            | Terminator::FallThrough { next } => next == self.end(),
+            Terminator::Jump { .. } | Terminator::Return => true,
+        };
+        if !falls_to_end || self.term.cti() != Some(last.op).filter(|op| op.is_cti()) {
             return Err(format!(
                 "block {:?}: terminator {:?} inconsistent with final inst {:?}",
                 self.id, self.term, last
@@ -196,30 +212,9 @@ mod tests {
     use crate::inst::Reg;
 
     fn mkblock(start: Addr, n_plain: usize, term: Terminator) -> BasicBlock {
-        let mut insts = Vec::new();
-        for i in 0..n_plain {
-            insts.push(StaticInst::plain(
-                start + i as u64 * 4,
-                OpClass::IntAlu,
-                Some(Reg::int(1)),
-                Some(Reg::int(2)),
-                None,
-            ));
-        }
-        let tail_pc = start + n_plain as u64 * 4;
-        match term {
-            Terminator::CondBranch { taken, .. } => {
-                insts.push(StaticInst::cti(tail_pc, OpClass::CondBranch, Some(taken)))
-            }
-            Terminator::Jump { target } => {
-                insts.push(StaticInst::cti(tail_pc, OpClass::Jump, Some(target)))
-            }
-            Terminator::Call { target, .. } => {
-                insts.push(StaticInst::cti(tail_pc, OpClass::Call, Some(target)))
-            }
-            Terminator::Return => insts.push(StaticInst::cti(tail_pc, OpClass::Return, None)),
-            Terminator::FallThrough { .. } => {}
-        }
+        let alu = StaticInst::plain(OpClass::IntAlu, Some(Reg::int(1)), Some(Reg::int(2)), None);
+        let mut insts = vec![alu; n_plain];
+        insts.extend(term.cti().map(StaticInst::cti));
         BasicBlock {
             id: BlockId(0),
             start,
@@ -248,9 +243,10 @@ mod tests {
 
     #[test]
     fn inst_lookup() {
-        let b = mkblock(0x40, 2, Terminator::FallThrough { next: 0x48 });
-        assert_eq!(b.inst_at(0x44).unwrap().pc, 0x44);
-        assert!(b.inst_at(0x48).is_none());
+        let b = mkblock(0x40, 2, Terminator::Jump { target: 0x80 });
+        assert_eq!(b.inst_at(0x44).unwrap().op, OpClass::IntAlu);
+        assert_eq!(b.inst_at(0x48).unwrap().op, OpClass::Jump);
+        assert!(b.inst_at(0x4c).is_none());
         assert!(b.validate().is_ok());
     }
 
@@ -264,9 +260,20 @@ mod tests {
     fn validation_catches_mid_block_cti() {
         let mut b = mkblock(0x40, 2, Terminator::FallThrough { next: 0x48 });
         let mut insts = b.insts.to_vec();
-        insts[0] = StaticInst::cti(0x40, OpClass::Jump, Some(0x80));
+        insts[0] = StaticInst::cti(OpClass::Jump);
         b.insts = insts.into();
         assert!(b.validate().is_err());
+    }
+
+    #[test]
+    fn validation_catches_a_final_op_the_terminator_disagrees_with() {
+        let mut b = mkblock(0x40, 2, Terminator::Return);
+        let mut insts = b.insts.to_vec();
+        insts[2] = StaticInst::cti(OpClass::Jump);
+        b.insts = insts.into();
+        assert!(b.validate().is_err());
+        b.term = Terminator::Jump { target: 0x40 };
+        assert!(b.validate().is_ok());
     }
 
     #[test]
@@ -277,5 +284,13 @@ mod tests {
         };
         assert!(t.static_successors().eq([0x2000, 0x1010]));
         assert_eq!(Terminator::Return.static_successors().count(), 0);
+        assert_eq!(t.direct_target(), Some(0x2000));
+        let call = Terminator::Call {
+            target: 0x3000,
+            link: 0x1010,
+        };
+        assert_eq!(call.direct_target(), Some(0x3000));
+        assert_eq!(Terminator::Return.direct_target(), None);
+        assert_eq!(Terminator::FallThrough { next: 0x40 }.direct_target(), None);
     }
 }

@@ -1,7 +1,11 @@
 //! Static instruction model: operation classes, registers, and the
 //! per-instruction record stored in the basic-block dictionary.
-
-use crate::addr::Addr;
+//!
+//! A [`StaticInst`] holds only what is its own: its operation class and
+//! its registers.  Where it sits and where it jumps belong to its block
+//! ([`crate::BasicBlock`]): instruction `i` of a block is at
+//! `start + i * INST_BYTES`, and a direct CTI's target is the block
+//! terminator's ([`crate::Terminator::direct_target`]).
 
 /// Total architectural registers: 32 integer + 32 floating point.
 pub const NUM_REGS: usize = 64;
@@ -100,11 +104,10 @@ impl OpClass {
     }
 }
 
-/// One static instruction in the basic-block dictionary.
+/// One static instruction in the basic-block dictionary: its class and
+/// registers, with its pc and target left to its block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticInst {
-    /// Program counter of this instruction.
-    pub pc: Addr,
     /// Operation class.
     pub op: OpClass,
     /// Destination register, if any.
@@ -113,45 +116,32 @@ pub struct StaticInst {
     pub src1: Option<Reg>,
     /// Second source register, if any.
     pub src2: Option<Reg>,
-    /// Direct control-flow target (branch taken target / jump / call target).
-    pub target: Option<Addr>,
 }
+
+// Every program holds one of these per static instruction.
+const _: () = assert!(std::mem::size_of::<StaticInst>() <= 8);
 
 impl StaticInst {
     /// A plain non-CTI instruction.
-    pub fn plain(
-        pc: Addr,
-        op: OpClass,
-        dst: Option<Reg>,
-        src1: Option<Reg>,
-        src2: Option<Reg>,
-    ) -> Self {
+    pub fn plain(op: OpClass, dst: Option<Reg>, src1: Option<Reg>, src2: Option<Reg>) -> Self {
         assert!(!op.is_cti(), "use StaticInst::cti for control transfers");
         StaticInst {
-            pc,
             op,
             dst,
             src1,
             src2,
-            target: None,
         }
     }
 
-    /// A control-transfer instruction.  `target` is `None` only for
-    /// [`OpClass::Return`] (indirect through the return address stack).
-    pub fn cti(pc: Addr, op: OpClass, target: Option<Addr>) -> Self {
+    /// A control-transfer instruction; its target is its block's
+    /// terminator's.
+    pub fn cti(op: OpClass) -> Self {
         assert!(op.is_cti());
-        assert!(
-            target.is_some() || op == OpClass::Return,
-            "direct CTIs need a target"
-        );
         StaticInst {
-            pc,
             op,
             dst: None,
             src1: None,
             src2: None,
-            target,
         }
     }
 
@@ -181,7 +171,6 @@ mod tests {
     #[test]
     fn zero_register_breaks_dependencies() {
         let i = StaticInst::plain(
-            0x100,
             OpClass::IntAlu,
             Some(REG_ZERO),
             Some(Reg::int(3)),
@@ -199,12 +188,12 @@ mod tests {
     #[test]
     #[should_panic]
     fn plain_rejects_cti() {
-        StaticInst::plain(0, OpClass::Jump, None, None, None);
+        StaticInst::plain(OpClass::Jump, None, None, None);
     }
 
     #[test]
     #[should_panic]
-    fn direct_cti_requires_target() {
-        StaticInst::cti(0, OpClass::Call, None);
+    fn cti_rejects_plain_ops() {
+        StaticInst::cti(OpClass::Load);
     }
 }

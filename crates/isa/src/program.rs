@@ -9,7 +9,7 @@
 //! [`Program`] provides exactly that: O(log n) lookup from any PC to its
 //! static instruction and enclosing basic block.
 
-use crate::addr::{Addr, INST_BYTES};
+use crate::addr::Addr;
 use crate::block::{BasicBlock, BlockId, Terminator};
 use crate::inst::StaticInst;
 
@@ -189,27 +189,13 @@ pub fn straightline_block(start: Addr, n_plain: usize, term: Terminator) -> Basi
     let mut insts = Vec::with_capacity(n_plain + 1);
     for i in 0..n_plain {
         insts.push(StaticInst::plain(
-            start + i as u64 * INST_BYTES,
             OpClass::IntAlu,
             Some(Reg::int((i % 30) as u8 + 1)),
             Some(Reg::int(((i + 1) % 30) as u8 + 1)),
             None,
         ));
     }
-    let tail = start + n_plain as u64 * INST_BYTES;
-    match term {
-        Terminator::CondBranch { taken, .. } => {
-            insts.push(StaticInst::cti(tail, OpClass::CondBranch, Some(taken)))
-        }
-        Terminator::Jump { target } => {
-            insts.push(StaticInst::cti(tail, OpClass::Jump, Some(target)))
-        }
-        Terminator::Call { target, .. } => {
-            insts.push(StaticInst::cti(tail, OpClass::Call, Some(target)))
-        }
-        Terminator::Return => insts.push(StaticInst::cti(tail, OpClass::Return, None)),
-        Terminator::FallThrough { .. } => {}
-    }
+    insts.extend(term.cti().map(StaticInst::cti));
     BasicBlock {
         id: BlockId(u32::MAX),
         start,

@@ -504,9 +504,8 @@ mod tests {
         L2System::new(L2Config::for_node(TechNode::T045))
     }
 
-    fn alu(pc: Addr, dst: u8, src: u8) -> StaticInst {
+    fn alu(dst: u8, src: u8) -> StaticInst {
         StaticInst::plain(
-            pc,
             OpClass::IntAlu,
             Some(Reg::int(dst)),
             Some(Reg::int(src)),
@@ -533,7 +532,7 @@ mod tests {
         let mut be = BackEnd::new(BackendConfig::default());
         let mut l2s = l2();
         for i in 0..8u8 {
-            be.dispatch(&alu(0x1000 + i as u64 * 4, i + 1, 30), None, false);
+            be.dispatch(&alu(i + 1, 30), None, false);
         }
         let cycles = drain(&mut be, &mut l2s, 0, 50);
         // 8 independent single-cycle ops, width 4: ~3-4 cycles.
@@ -548,7 +547,7 @@ mod tests {
         // r1 <- r30; r2 <- r1; r3 <- r2 ... strict chain of 8.
         for i in 0..8u8 {
             let src = if i == 0 { 30 } else { i };
-            be.dispatch(&alu(0x1000 + i as u64 * 4, i + 1, src), None, false);
+            be.dispatch(&alu(i + 1, src), None, false);
         }
         let cycles = drain(&mut be, &mut l2s, 0, 50);
         assert!(cycles >= 8, "chain too fast: {cycles}");
@@ -558,16 +557,10 @@ mod tests {
     fn load_miss_waits_for_memory() {
         let mut be = BackEnd::new(BackendConfig::default());
         let mut l2s = l2();
-        let ld = StaticInst::plain(
-            0x1000,
-            OpClass::Load,
-            Some(Reg::int(1)),
-            Some(Reg::int(30)),
-            None,
-        );
+        let ld = StaticInst::plain(OpClass::Load, Some(Reg::int(1)), Some(Reg::int(30)), None);
         be.dispatch(&ld, Some(0x4000_0000), false);
         // Dependent consumer.
-        be.dispatch(&alu(0x1004, 2, 1), None, false);
+        be.dispatch(&alu(2, 1), None, false);
         let cycles = drain(&mut be, &mut l2s, 0, 400);
         // L2 miss -> 24 + 200 cycles minimum.
         assert!(cycles > 220, "load miss too fast: {cycles}");
@@ -588,7 +581,6 @@ mod tests {
         for i in 0..6u64 {
             be.dcache.fill(0x5000 + i * 8);
             let ld = StaticInst::plain(
-                0x1000 + i * 4,
                 OpClass::Load,
                 Some(Reg::int(i as u8 + 1)),
                 Some(Reg::int(30)),
@@ -604,7 +596,7 @@ mod tests {
     fn mispredict_resolution_reported_once() {
         let mut be = BackEnd::new(BackendConfig::default());
         let mut l2s = l2();
-        let br = StaticInst::cti(0x1000, OpClass::CondBranch, Some(0x2000));
+        let br = StaticInst::cti(OpClass::CondBranch);
         let seq = be.dispatch(&br, None, true);
         let mut seen = 0;
         for now in 0..10 {
@@ -628,13 +620,7 @@ mod tests {
         };
         let mut be = BackEnd::new(cfg);
         let mut l2s = l2();
-        let st = StaticInst::plain(
-            0x1000,
-            OpClass::Store,
-            None,
-            Some(Reg::int(1)),
-            Some(Reg::int(2)),
-        );
+        let st = StaticInst::plain(OpClass::Store, None, Some(Reg::int(1)), Some(Reg::int(2)));
         be.dispatch(&st, Some(0x6000_0000), false);
         drain(&mut be, &mut l2s, 0, 50);
         // Conflicting store evicts the dirty line -> writeback traffic.
@@ -767,10 +753,10 @@ mod tests {
         assert_eq!(be.free_slots(), 64);
         let mut l2s = l2();
         // Fill with a dependence chain so nothing commits quickly.
-        be.dispatch(&alu(0x1000, 1, 30), None, false);
+        be.dispatch(&alu(1, 30), None, false);
         for i in 1..64u64 {
             let s = (i % 29) as u8 + 1;
-            be.dispatch(&alu(0x1000 + i * 4, (i % 29) as u8 + 2, s), None, false);
+            be.dispatch(&alu((i % 29) as u8 + 2, s), None, false);
         }
         assert_eq!(be.free_slots(), 0);
         be.tick(0, &mut l2s);
@@ -802,9 +788,8 @@ mod tests {
             while be.free_slots() > 0 && next < total {
                 let i = next;
                 next += 1;
-                let pc = 0x1000 + i * 4;
                 let (inst, addr) = if i % 23 == 22 {
-                    let br = StaticInst::cti(pc, OpClass::CondBranch, Some(0x2000));
+                    let br = StaticInst::cti(OpClass::CondBranch);
                     let inst = StaticInst {
                         src1: Some(Reg::int(10)),
                         ..br
@@ -812,7 +797,6 @@ mod tests {
                     (inst, None)
                 } else if i % 16 == 8 {
                     let ld = StaticInst::plain(
-                        pc,
                         OpClass::Load,
                         Some(Reg::int(10)),
                         Some(Reg::int(30)),
@@ -821,7 +805,7 @@ mod tests {
                     (ld, Some(0x4000_0000 + i * 4096))
                 } else {
                     let dst = (i % 3) as u8 + 1;
-                    (alu(pc, dst, (i + 2) as u8 % 3 + 1), None)
+                    (alu(dst, (i + 2) as u8 % 3 + 1), None)
                 };
                 let mispredict = inst.op == OpClass::CondBranch;
                 let seq = be.dispatch(&inst, addr, mispredict);

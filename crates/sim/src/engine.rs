@@ -177,10 +177,6 @@ struct RedirectInfo {
     /// dispatches.
     ruu_seq: Option<u64>,
     checkpoint: PredictorCheckpoint,
-    /// Prefetch-mechanism speculative state at the divergence point,
-    /// reinstated after the redirect flush (wrong-path fetches must not
-    /// corrupt a mechanism's training cursors / stream expectations).
-    pf_checkpoint: PrefetchCheckpoint,
 }
 
 /// Which fetch-block predictor drives the front-end.
@@ -457,6 +453,10 @@ struct EngineImpl<'w, P: InstrPrefetcher> {
     /// on redirect so a checkpointed replay matches the live run bit for
     /// bit.
     tlb_checkpoint: TlbCheckpoint,
+    /// Prefetch-mechanism speculative state at the last divergence point,
+    /// refilled in place and reinstated after the redirect flush, so that
+    /// wrong-path fetches cannot corrupt a mechanism's training cursors.
+    pf_checkpoint: PrefetchCheckpoint,
     decode: VecDeque<DecodeEntry>,
 
     redirects: u64,
@@ -487,6 +487,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
             path: PathState::OnPath,
             redirect: None,
             tlb_checkpoint: TlbCheckpoint::default(),
+            pf_checkpoint: PrefetchCheckpoint::default(),
             decode: VecDeque::new(),
             redirects: 0,
             deliveries: Vec::with_capacity(8),
@@ -754,7 +755,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         };
         debug_assert_eq!(r.ruu_seq, Some(ruu_seq));
         self.fe.flush();
-        self.fe.prefetcher_restore(&r.pf_checkpoint);
+        self.fe.prefetcher_restore(&self.pf_checkpoint);
         self.fe.tlb_restore(&self.tlb_checkpoint);
         self.decode.clear();
         self.blocks.clear();
@@ -865,8 +866,8 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                     self.redirect = Some(RedirectInfo {
                         ruu_seq: None,
                         checkpoint,
-                        pf_checkpoint: self.fe.prefetcher_checkpoint(),
                     });
+                    self.fe.prefetcher_checkpoint_into(&mut self.pf_checkpoint);
                     self.fe.tlb_checkpoint_into(&mut self.tlb_checkpoint);
                     self.path = PathState::WrongPath {
                         next_start: ps.next.max(4),

@@ -131,8 +131,8 @@ struct GenBlock {
 }
 
 impl GenBlock {
-    /// Point the terminating CTI, the last of `insts`, at `target`.
-    fn set_target(&mut self, insts: &mut [StaticInst], target: Addr) {
+    /// Point the terminator, and so the block's final CTI, at `target`.
+    fn set_target(&mut self, target: Addr) {
         match &mut self.term {
             Terminator::CondBranch { taken: t, .. }
             | Terminator::Jump { target: t }
@@ -141,7 +141,6 @@ impl GenBlock {
                 unreachable!("block {:#x} has no direct target", self.start)
             }
         }
-        insts[self.insts.end as usize - 1].target = Some(target);
     }
 }
 
@@ -182,6 +181,10 @@ struct Gen<'p> {
     /// `(block, callee)` of every call, resolved once every function has
     /// its entry.
     calls: Vec<(usize, usize)>,
+    /// `((count, alpha bits), sum, terms)` of each Zipf distribution
+    /// [`Self::zipf_rank`] has drawn from, the terms `(r + 1)^-alpha`:
+    /// computed once per build.
+    zipf: Vec<((usize, u64), f64, Vec<f64>)>,
 }
 
 impl<'p> Gen<'p> {
@@ -237,6 +240,7 @@ impl<'p> Gen<'p> {
             entries: Vec::with_capacity(n),
             local_targets: Vec::new(),
             calls: Vec::new(),
+            zipf: Vec::new(),
         }
     }
 
@@ -253,10 +257,19 @@ impl<'p> Gen<'p> {
 
     /// Zipf-sample a rank in `0..count` with exponent `alpha`.
     fn zipf_rank(&mut self, count: usize, alpha: f64) -> usize {
-        let total: f64 = (0..count).map(|r| ((r + 1) as f64).powf(-alpha)).sum();
+        let key = (count, alpha.to_bits());
+        let z = match self.zipf.iter().position(|z| z.0 == key) {
+            Some(z) => z,
+            None => {
+                let terms: Vec<f64> = (0..count).map(|r| ((r + 1) as f64).powf(-alpha)).collect();
+                self.zipf.push((key, terms.iter().sum(), terms));
+                self.zipf.len() - 1
+            }
+        };
+        let (_, total, terms) = &self.zipf[z];
         let mut x = self.rng.gen::<f64>() * total;
-        for r in 0..count {
-            x -= ((r + 1) as f64).powf(-alpha);
+        for (r, term) in terms.iter().enumerate() {
+            x -= term;
             if x <= 0.0 {
                 return r;
             }
@@ -383,7 +396,7 @@ impl<'p> Gen<'p> {
                 // prestage: allow(truncating-cast, a payload is at most the profile's block length, far below u16)
                 self.mem.push((ii as u16, model));
             }
-            self.insts.push(self.ra.inst(self.pc, op));
+            self.insts.push(self.ra.inst(op));
             self.pc += INST_BYTES;
         }
         Payload {
@@ -502,34 +515,31 @@ impl<'p> Gen<'p> {
         let pc = self.pc;
         let start = CODE_BASE + u64::from(first) * INST_BYTES;
         let mut branch = None;
-        let (cti, term) = match term {
+        let term = match term {
             STerm::Cond { taken, model } => {
                 self.local_targets.push((block, taken));
                 branch = Some(model);
-                let term = Terminator::CondBranch {
+                Terminator::CondBranch {
                     taken: 0,
                     not_taken: pc + INST_BYTES,
-                };
-                (Some(OpClass::CondBranch), term)
+                }
             }
             STerm::Jump { target } => {
                 self.local_targets.push((block, target));
-                (Some(OpClass::Jump), Terminator::Jump { target: 0 })
+                Terminator::Jump { target: 0 }
             }
             STerm::Call { callee } => {
                 self.calls.push((block, callee));
-                let term = Terminator::Call {
+                Terminator::Call {
                     target: 0,
                     link: pc + INST_BYTES,
-                };
-                (Some(OpClass::Call), term)
+                }
             }
-            STerm::Ret => (Some(OpClass::Return), Terminator::Return),
-            STerm::Fall => (None, Terminator::FallThrough { next: pc }),
+            STerm::Ret => Terminator::Return,
+            STerm::Fall => Terminator::FallThrough { next: pc },
         };
-        if let Some(op) = cti {
-            let target = (op != OpClass::Return).then_some(0);
-            self.insts.push(StaticInst::cti(pc, op, target));
+        if let Some(op) = term.cti() {
+            self.insts.push(StaticInst::cti(op));
             self.pc += INST_BYTES;
         }
         // prestage: allow(truncating-cast, the instruction array is bounded by the program's static instructions, far below u32)
@@ -680,7 +690,7 @@ impl<'p> Gen<'p> {
         let last = self.blocks.len() - 1;
         for (block, local) in self.local_targets.drain(..) {
             let target = self.blocks[(start + local).min(last)].start;
-            self.blocks[block].set_target(&mut self.insts, target);
+            self.blocks[block].set_target(target);
         }
     }
 }
@@ -729,28 +739,20 @@ impl RegAlloc {
         }
     }
 
-    /// The payload instruction `op` at `pc`, its registers drawn.
-    fn inst(&mut self, pc: Addr, op: OpClass) -> StaticInst {
+    /// The payload instruction `op`, its registers drawn.
+    fn inst(&mut self, op: OpClass) -> StaticInst {
         match op {
-            OpClass::Load => StaticInst::plain(
-                pc,
-                OpClass::Load,
-                Some(self.fresh_dst(false)),
-                Some(self.src()),
-                None,
-            ),
-            OpClass::Store => {
-                StaticInst::plain(pc, OpClass::Store, None, Some(self.src()), Some(self.src()))
+            OpClass::Load => {
+                StaticInst::plain(op, Some(self.fresh_dst(false)), Some(self.src()), None)
             }
+            OpClass::Store => StaticInst::plain(op, None, Some(self.src()), Some(self.src())),
             OpClass::FpAlu | OpClass::FpMul => StaticInst::plain(
-                pc,
                 op,
                 Some(self.fresh_dst(true)),
                 Some(self.src()),
                 Some(self.src()),
             ),
             op => StaticInst::plain(
-                pc,
                 op,
                 Some(self.fresh_dst(false)),
                 Some(self.src()),
@@ -783,7 +785,7 @@ pub fn build(profile: &BenchmarkProfile, seed: u64) -> Workload {
         g.gen_function(f, budget);
     }
     let Gen {
-        mut insts,
+        insts,
         mut blocks,
         control,
         mem,
@@ -792,7 +794,7 @@ pub fn build(profile: &BenchmarkProfile, seed: u64) -> Workload {
         ..
     } = g;
     for (block, callee) in calls {
-        blocks[block].set_target(&mut insts, entries[callee]);
+        blocks[block].set_target(entries[callee]);
     }
     let insts = Arc::new(insts);
     let blocks = blocks
@@ -903,8 +905,8 @@ mod tests {
                 if inst.op.is_mem() {
                     assert!(
                         sites.iter().any(|&(idx, _)| idx as usize == i),
-                        "mem inst {:#x} lacks a model",
-                        inst.pc
+                        "mem inst {i} of block {:#x} lacks a model",
+                        b.start
                     );
                 }
             }

@@ -169,6 +169,7 @@ impl<'w> TraceGenerator<'w> {
             let sites_base = self.w.control_of(bid).mem.start as usize;
             let mut next_site = sites.partition_point(|&(mi, _)| (mi as usize) < first);
             // Payload instructions (everything before any terminator CTI).
+            // `self.pc` steps with `ii`: it is `block.start + ii * INST_BYTES`.
             for (ii, inst) in block.insts.iter().enumerate().skip(first) {
                 if out.len() as u32 == self.max_stream {
                     // Sequential break: close the stream mid-block.
@@ -203,15 +204,15 @@ impl<'w> TraceGenerator<'w> {
                         None
                     };
                     out.push(DynInst {
-                        pc: inst.pc,
+                        pc: self.pc,
                         op: inst.op,
                         block: bid,
                         idx: ii as u16,
                         taken: false,
-                        next_pc: inst.pc + INST_BYTES,
+                        next_pc: self.pc + INST_BYTES,
                         mem_addr,
                     });
-                    self.pc = inst.pc + INST_BYTES;
+                    self.pc += INST_BYTES;
                     continue;
                 }
 
@@ -247,7 +248,7 @@ impl<'w> TraceGenerator<'w> {
                     }
                 };
                 out.push(DynInst {
-                    pc: inst.pc,
+                    pc: self.pc,
                     op: inst.op,
                     block: bid,
                     idx: ii as u16,

@@ -4,6 +4,7 @@
 use fetch_prestaging::bpred::{StreamPredictor, MAX_STREAM_INSTS};
 use fetch_prestaging::cacti::{latency_cycles, CacheGeometry, TechNode};
 use fetch_prestaging::core::FrontendConfig;
+use fetch_prestaging::isa::INST_BYTES;
 use prestage_workload::{build, specint2000, trace_io, TraceGenerator};
 
 #[test]
@@ -65,8 +66,9 @@ fn every_trace_pc_is_in_the_dictionary() {
                 .unwrap_or_else(|| panic!("{}: unmapped pc {:#x}", p.name, di.pc));
             assert_eq!(st.op, di.op);
             // The (block, idx) fast path agrees with the pc lookup.
-            let by_idx = w.program.block(di.block).insts[di.idx as usize];
-            assert_eq!(by_idx.pc, di.pc);
+            let block = w.program.block(di.block);
+            assert_eq!(block.insts[di.idx as usize], *st);
+            assert_eq!(block.start + u64::from(di.idx) * INST_BYTES, di.pc);
         }
     }
 }

@@ -8,7 +8,12 @@
 //! rewritten to append into shared arenas, so a build that drew either
 //! RNG stream in a different order, or laid out one block differently,
 //! fails here by benchmark name before any engine golden notices.
+//!
+//! They were also computed while a `StaticInst` still carried its own pc
+//! and direct target, so [`insts_debug`] renders each instruction in that
+//! form, deriving both from its block.
 
+use fetch_prestaging::isa::{BasicBlock, INST_BYTES};
 use fetch_prestaging::workload::{self, Workload};
 use std::fmt::Write;
 
@@ -36,6 +41,27 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// `b.insts` as `Debug` rendered it when each instruction held its pc and
+/// direct target: the pc from the block's start and the instruction's
+/// index, the target of the final CTI from the block's terminator.
+fn insts_debug(s: &mut String, b: &BasicBlock) {
+    s.push('[');
+    for (i, inst) in b.insts.iter().enumerate() {
+        let pc = b.start + i as u64 * INST_BYTES;
+        let target = b.term.direct_target().filter(|_| inst.op.is_cti());
+        if i > 0 {
+            s.push_str(", ");
+        }
+        write!(
+            s,
+            "StaticInst {{ pc: {pc}, op: {:?}, dst: {:?}, src1: {:?}, src2: {:?}, target: {target:?} }}",
+            inst.op, inst.dst, inst.src1, inst.src2
+        )
+        .unwrap();
+    }
+    s.push(']');
+}
+
 fn digest(w: &Workload) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325;
     let mut s = String::new();
@@ -43,11 +69,11 @@ fn digest(w: &Workload) -> u64 {
     h = fnv1a(h, s.as_bytes());
     for b in w.program.blocks() {
         s.clear();
+        write!(s, "{:#x}|", b.start).unwrap();
+        insts_debug(&mut s, b);
         write!(
             s,
-            "{:#x}|{:?}|{:?}|{:?}|{:?}",
-            b.start,
-            b.insts,
+            "|{:?}|{:?}|{:?}",
             b.term,
             w.control_of(b.id).branch,
             w.mem_sites(b.id)
@@ -65,4 +91,27 @@ fn seed_42_programs_match_their_pinned_digests() {
         .map(|p| (p.name, digest(&workload::build_workload(p, 42))))
         .collect();
     assert_eq!(got, SEED_42_DIGESTS, "a generated program changed");
+}
+
+#[test]
+fn seed_42_programs_derive_pcs_and_targets_from_their_blocks() {
+    for p in workload::specint2000() {
+        let w = workload::build_workload(&p, 42);
+        let prog = &w.program;
+        for b in prog.blocks() {
+            for (i, inst) in b.insts.iter().enumerate() {
+                let pc = b.start + i as u64 * INST_BYTES;
+                assert_eq!(prog.inst_at(pc), Some(inst), "{}: inst at {pc:#x}", p.name);
+            }
+            if let Some(target) = b.term.direct_target() {
+                assert_eq!(
+                    prog.block_at(target).map(|t| t.start),
+                    Some(target),
+                    "{}: block {:#x} targets {target:#x}, not a block start",
+                    p.name,
+                    b.start
+                );
+            }
+        }
+    }
 }

@@ -13,7 +13,7 @@
 //! label.  The paper's static Tables 1–3 print from the models alone.
 
 use crate::{note_result, results_dir, size_label, L1_SIZES};
-use prestage_bpred::StreamPredictorConfig;
+use prestage_bpred::{StreamPredictorConfig, RAS_ENTRIES};
 use prestage_cacti::{
     area_mm2, energy_nj_per_access, latency_cycles, CacheGeometry, TechNode, SIA_ROADMAP,
 };
@@ -572,7 +572,7 @@ pub fn table2() {
     let be = BackendConfig::default();
     let (width, d_kb, d_assoc) = (be.width, be.dcache_capacity >> 10, be.dcache_assoc);
     let sp = StreamPredictorConfig::default();
-    let (l1k, l2k, ras) = (sp.l1_entries / 1024, sp.l2_entries / 1024, sp.ras_entries);
+    let (l1k, l2k, ras) = (sp.l1_entries / 1024, sp.l2_entries / 1024, RAS_ENTRIES);
     outln!("# Table 2 — simulation parameters");
     outln!("Fetch/Issue/Commit      {FETCH_WIDTH}/{width}/{width} instructions");
     outln!("RUU Size                {RUU_SIZE} instructions");

@@ -8,16 +8,9 @@
 //! predictor for gshare quantifies that sensitivity without touching the
 //! front-end.
 
-use crate::ras::{RasSnapshot, ReturnAddressStack};
+use crate::ras::ReturnAddressStack;
 use crate::stream::{StreamDesc, StreamEnd, StreamPrediction, MAX_STREAM_INSTS};
-use prestage_isa::{Addr, OpClass, Program, INST_BYTES};
-
-/// Checkpoint of gshare speculative state.
-#[derive(Debug, Clone)]
-pub struct GshareCheckpoint {
-    ghist: u64,
-    ras: RasSnapshot,
-}
+use prestage_isa::{Addr, OpClass, Program, Terminator, INST_BYTES};
 
 /// Gshare + RAS, producing stream predictions by dictionary walk.
 #[derive(Debug, Clone)]
@@ -27,22 +20,25 @@ pub struct GsharePredictor {
     mask: usize,
     ghist: u64,
     ras: ReturnAddressStack,
+    /// History and RAS as of the last [`checkpoint`](Self::checkpoint).
+    saved: (u64, ReturnAddressStack),
 }
 
 impl GsharePredictor {
     /// `pht_entries` must be a power of two (default configuration: 16K).
-    pub fn new(pht_entries: usize, ras_entries: usize) -> Self {
+    pub fn new(pht_entries: usize) -> Self {
         assert!(pht_entries.is_power_of_two());
         GsharePredictor {
             pht: vec![1; pht_entries], // weakly not-taken
             mask: pht_entries - 1,
             ghist: 0,
-            ras: ReturnAddressStack::new(ras_entries),
+            ras: ReturnAddressStack::default(),
+            saved: (0, ReturnAddressStack::default()),
         }
     }
 
     pub fn default_16k() -> Self {
-        Self::new(16 << 10, 8)
+        Self::new(16 << 10)
     }
 
     #[inline]
@@ -89,37 +85,39 @@ impl GsharePredictor {
                 };
             };
             len += 1;
-            match inst.op {
-                OpClass::CondBranch => {
+            // `BasicBlock::validate` guarantees a CTI is its block's final
+            // instruction and matches the block's terminator.
+            match (inst.op, block.term) {
+                (OpClass::CondBranch, Terminator::CondBranch { taken: target, .. }) => {
                     let taken = self.predict_dir(pc, self.ghist);
                     self.ghist = (self.ghist << 1) | taken as u64;
                     if taken {
                         break StreamDesc {
                             start,
                             len,
-                            next: block.term.direct_target().expect("branch target"),
+                            next: target,
                             end: StreamEnd::Taken,
                         };
                     }
                     pc += INST_BYTES;
                 }
-                OpClass::Jump => {
+                (OpClass::Jump, Terminator::Jump { target }) => {
                     break StreamDesc {
                         start,
                         len,
-                        next: block.term.direct_target().expect("jump target"),
+                        next: target,
                         end: StreamEnd::Taken,
                     }
                 }
-                OpClass::Call => {
+                (OpClass::Call, Terminator::Call { target, .. }) => {
                     break StreamDesc {
                         start,
                         len,
-                        next: block.term.direct_target().expect("call target"),
+                        next: target,
                         end: StreamEnd::Call,
                     }
                 }
-                OpClass::Return => {
+                (OpClass::Return, _) => {
                     break StreamDesc {
                         start,
                         len,
@@ -164,18 +162,16 @@ impl GsharePredictor {
         }
     }
 
-    /// Capture speculative state (history + RAS) before a prediction.
-    pub fn checkpoint(&self) -> GshareCheckpoint {
-        GshareCheckpoint {
-            ghist: self.ghist,
-            ras: self.ras.snapshot(),
-        }
+    /// Save speculative state (history + RAS) before a prediction,
+    /// replacing the previous saved copy.
+    pub fn checkpoint(&mut self) {
+        self.saved = (self.ghist, self.ras);
     }
 
-    /// Restore speculative state (branch misprediction recovery).
-    pub fn restore(&mut self, cp: &GshareCheckpoint) {
-        self.ghist = cp.ghist;
-        self.ras.restore(&cp.ras);
+    /// Reinstate the last [`checkpoint`](Self::checkpoint) (branch
+    /// misprediction recovery).
+    pub fn restore(&mut self) {
+        (self.ghist, self.ras) = self.saved;
     }
 }
 
@@ -279,9 +275,20 @@ mod tests {
     fn checkpoint_restore() {
         let prog = loop_program();
         let mut g = GsharePredictor::default_16k();
-        let cp = g.checkpoint();
+        // Bias the loop branch taken, so the prediction shifts a 1 in.
+        let taken = StreamDesc {
+            start: 0x1000,
+            len: 8,
+            next: 0x1000,
+            end: StreamEnd::Taken,
+        };
+        for _ in 0..4 {
+            g.train(&taken);
+        }
+        g.checkpoint();
         let _ = g.predict(0x1000, &prog);
-        g.restore(&cp);
+        assert_ne!(g.ghist, 0);
+        g.restore();
         assert_eq!(g.ghist, 0);
         assert_eq!(g.ras.depth(), 0);
     }

@@ -12,9 +12,14 @@
 //! Module map:
 //! * [`stream`] — stream descriptors, the segmentation invariants, and the
 //!   maximum fetch-block length shared with the front-end.
-//! * [`ras`] — checkpointable return address stack.
+//! * [`ras`] — the 8-entry return address stack, a `Copy` value.
 //! * [`predictor`] — the cascaded 1K (PC-indexed) + 6K (path-history
 //!   indexed) stream predictor, with speculative history and repair.
+//!
+//! Both predictors keep one saved copy of their speculative state (path
+//! history and RAS, never the tables): `checkpoint()` overwrites it before
+//! an on-path prediction and `restore()` reinstates it on a queue-full
+//! retry or a misprediction redirect.
 //! * [`gshare`] — a classic gshare + BTB predictor wrapped to produce
 //!   streams by walking the basic-block dictionary; used by the ablation
 //!   benches.
@@ -24,9 +29,7 @@ pub mod predictor;
 pub mod ras;
 pub mod stream;
 
-pub use gshare::{GshareCheckpoint, GsharePredictor};
-pub use predictor::{
-    PredCheckpoint, PredStats, StreamPredictor, StreamPredictorConfig, TrainToken,
-};
-pub use ras::{RasSnapshot, ReturnAddressStack};
+pub use gshare::GsharePredictor;
+pub use predictor::{PredStats, StreamPredictor, StreamPredictorConfig, TrainToken};
+pub use ras::{ReturnAddressStack, RAS_ENTRIES};
 pub use stream::{StreamDesc, StreamEnd, StreamPrediction, MAX_STREAM_INSTS};

@@ -7,9 +7,11 @@
 //! run of CLTQ cache-line entries (CLGP).  Speculative path history and RAS
 //! state advance at predict time and are checkpointed/restored around
 //! mispredictions, mirroring the paper's "speculative lookups and updates of
-//! the branch predictor".
+//! the branch predictor": the predictor keeps one saved copy of both, taken
+//! by [`StreamPredictor::checkpoint`] and reinstated by
+//! [`StreamPredictor::restore`].
 
-use crate::ras::{RasSnapshot, ReturnAddressStack};
+use crate::ras::ReturnAddressStack;
 use crate::stream::{static_fallback_walk, StreamDesc, StreamEnd, StreamPrediction};
 use prestage_isa::{Addr, Program, INST_BYTES};
 
@@ -20,8 +22,6 @@ pub struct StreamPredictorConfig {
     pub l1_entries: usize,
     /// Second-level (history-indexed) entries.  Paper: 6144.
     pub l2_entries: usize,
-    /// RAS entries.  Paper: 8.
-    pub ras_entries: usize,
     /// Hysteresis ceiling (2-bit counters → 3).
     pub conf_max: u8,
 }
@@ -31,7 +31,6 @@ impl Default for StreamPredictorConfig {
         StreamPredictorConfig {
             l1_entries: 1024,
             l2_entries: 6144,
-            ras_entries: 8,
             conf_max: 3,
         }
     }
@@ -91,13 +90,6 @@ pub struct PredStats {
     pub train_correct: u64,
 }
 
-/// Checkpoint of all speculative predictor state.
-#[derive(Debug, Clone)]
-pub struct PredCheckpoint {
-    history: u64,
-    ras: RasSnapshot,
-}
-
 /// The cascaded stream predictor.
 #[derive(Debug, Clone)]
 pub struct StreamPredictor {
@@ -107,6 +99,8 @@ pub struct StreamPredictor {
     ras: ReturnAddressStack,
     /// Speculative path history: folded stream-start addresses.
     history: u64,
+    /// History and RAS as of the last [`checkpoint`](Self::checkpoint).
+    saved: (u64, ReturnAddressStack),
     stats: PredStats,
 }
 
@@ -130,8 +124,9 @@ impl StreamPredictor {
         StreamPredictor {
             l1: vec![Entry::default(); cfg.l1_entries],
             l2: vec![Entry::default(); cfg.l2_entries],
-            ras: ReturnAddressStack::new(cfg.ras_entries),
+            ras: ReturnAddressStack::default(),
             history: 0,
+            saved: (0, ReturnAddressStack::default()),
             stats: PredStats::default(),
             cfg,
         }
@@ -207,18 +202,16 @@ impl StreamPredictor {
         self.predict_at(i1, t1, i2, t2, start, prog)
     }
 
-    /// Capture speculative state (history + RAS) before a prediction.
-    pub fn checkpoint(&self) -> PredCheckpoint {
-        PredCheckpoint {
-            history: self.history,
-            ras: self.ras.snapshot(),
-        }
+    /// Save speculative state (history + RAS) before a prediction,
+    /// replacing the previous saved copy.
+    pub fn checkpoint(&mut self) {
+        self.saved = (self.history, self.ras);
     }
 
-    /// Restore speculative state (branch misprediction recovery).
-    pub fn restore(&mut self, cp: &PredCheckpoint) {
-        self.history = cp.history;
-        self.ras.restore(&cp.ras);
+    /// Reinstate the last [`checkpoint`](Self::checkpoint) (branch
+    /// misprediction recovery).
+    pub fn restore(&mut self) {
+        (self.history, self.ras) = self.saved;
     }
 
     /// Shared prediction body over precomputed table indices/tags.
@@ -387,12 +380,14 @@ mod tests {
         let mut p = StreamPredictor::paper_default();
         let tok = p.token(0x1000);
         p.train_with_token(&tok, &taken_stream(), false);
-        let cp = p.checkpoint();
+        p.ras.push(0x40);
+        p.checkpoint();
+        let (history, ras) = (p.history, p.ras);
         let _ = p.predict(0x1000, &prog); // mutates history (next = 0x1000)
-        assert_ne!(p.history, cp.history);
-        p.restore(&cp);
-        assert_eq!(p.history, cp.history);
-        assert_eq!(p.ras.depth(), cp.ras.depth());
+        p.ras.pop();
+        assert_ne!(p.history, history);
+        p.restore();
+        assert_eq!((p.history, p.ras), (history, ras));
     }
 
     #[test]

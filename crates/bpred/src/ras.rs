@@ -1,64 +1,29 @@
-//! Checkpointable return address stack (8 entries per Table 2).
+//! Return address stack (8 entries per Table 2), `Copy` so a predictor
+//! checkpoints it by value.
 
 use prestage_isa::Addr;
 
+/// Return address stack entries (Table 2).
+pub const RAS_ENTRIES: usize = 8;
+
 /// Circular return address stack.  Overflow silently wraps (overwriting the
 /// oldest entry) and underflow returns the bottom value — the standard
-/// hardware behaviours.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// hardware behaviours.  At 8 entries a full copy is cheaper than any
+/// cleverness, and restoring one is exact even across overflows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReturnAddressStack {
-    entries: Vec<Addr>,
+    entries: [Addr; RAS_ENTRIES],
     /// Index of the next push slot.
     top: usize,
     /// Number of live entries (saturates at capacity).
     depth: usize,
 }
 
-/// Largest supported RAS: snapshots inline this many entries so that
-/// checkpointing — which the engine does for every on-path fetch block —
-/// never touches the heap.
-pub const MAX_RAS_ENTRIES: usize = 16;
-
-/// A full copy of the RAS — at 8 entries, copying is cheaper than any
-/// cleverness, and restoring is exact even across overflows.  The entries
-/// live in a fixed inline array (`MAX_RAS_ENTRIES`) so taking a snapshot
-/// is a flat memcpy with no allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RasSnapshot {
-    entries: [Addr; MAX_RAS_ENTRIES],
-    top: usize,
-    depth: usize,
-}
-
-impl RasSnapshot {
-    /// Live entries at the time the snapshot was taken.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-}
-
 impl ReturnAddressStack {
-    pub fn new(capacity: usize) -> Self {
-        assert!(
-            (1..=MAX_RAS_ENTRIES).contains(&capacity),
-            "RAS capacity {capacity} outside the supported 1..={MAX_RAS_ENTRIES}"
-        );
-        ReturnAddressStack {
-            entries: vec![0; capacity],
-            top: 0,
-            depth: 0,
-        }
-    }
-
-    /// The paper's configuration: 8 entries.
-    pub fn paper_default() -> Self {
-        Self::new(8)
-    }
-
     pub fn push(&mut self, addr: Addr) {
         self.entries[self.top] = addr;
-        self.top = (self.top + 1) % self.entries.len();
-        self.depth = (self.depth + 1).min(self.entries.len());
+        self.top = (self.top + 1) % RAS_ENTRIES;
+        self.depth = (self.depth + 1).min(RAS_ENTRIES);
     }
 
     /// Pop the predicted return target.  On underflow returns 0 (an
@@ -68,35 +33,13 @@ impl ReturnAddressStack {
         if self.depth == 0 {
             return 0;
         }
-        self.top = (self.top + self.entries.len() - 1) % self.entries.len();
+        self.top = (self.top + RAS_ENTRIES - 1) % RAS_ENTRIES;
         self.depth -= 1;
         self.entries[self.top]
     }
 
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn snapshot(&self) -> RasSnapshot {
-        let mut entries = [0; MAX_RAS_ENTRIES];
-        entries[..self.entries.len()].copy_from_slice(&self.entries);
-        RasSnapshot {
-            entries,
-            top: self.top,
-            depth: self.depth,
-        }
-    }
-
-    /// Restore from a snapshot taken on a RAS of the same capacity.
-    pub fn restore(&mut self, snap: &RasSnapshot) {
-        let n = self.entries.len();
-        self.entries.copy_from_slice(&snap.entries[..n]);
-        self.top = snap.top;
-        self.depth = snap.depth;
     }
 }
 
@@ -106,7 +49,7 @@ mod tests {
 
     #[test]
     fn lifo_order() {
-        let mut r = ReturnAddressStack::new(8);
+        let mut r = ReturnAddressStack::default();
         r.push(0x100);
         r.push(0x200);
         assert_eq!(r.pop(), 0x200);
@@ -116,7 +59,7 @@ mod tests {
 
     #[test]
     fn underflow_returns_zero() {
-        let mut r = ReturnAddressStack::new(4);
+        let mut r = ReturnAddressStack::default();
         assert_eq!(r.pop(), 0);
         r.push(0x40);
         assert_eq!(r.pop(), 0x40);
@@ -125,26 +68,29 @@ mod tests {
 
     #[test]
     fn overflow_wraps_oldest() {
-        let mut r = ReturnAddressStack::new(2);
-        r.push(0x1);
-        r.push(0x2);
-        r.push(0x3); // overwrites 0x1
-        assert_eq!(r.pop(), 0x3);
-        assert_eq!(r.pop(), 0x2);
+        let mut r = ReturnAddressStack::default();
+        // One push past capacity overwrites the oldest entry, 0x1.
+        for addr in 1..=RAS_ENTRIES as Addr + 1 {
+            r.push(addr);
+        }
+        assert_eq!(r.depth(), RAS_ENTRIES);
+        for addr in (2..=RAS_ENTRIES as Addr + 1).rev() {
+            assert_eq!(r.pop(), addr);
+        }
         // Depth exhausted: the overwritten 0x1 is gone.
         assert_eq!(r.pop(), 0);
     }
 
     #[test]
     fn snapshot_restore_roundtrip() {
-        let mut r = ReturnAddressStack::new(8);
+        let mut r = ReturnAddressStack::default();
         r.push(0xa);
         r.push(0xb);
-        let snap = r.snapshot();
+        let snap = r;
         r.push(0xc);
         r.pop();
         r.pop();
-        r.restore(&snap);
+        r = snap;
         assert_eq!(r.depth(), 2);
         assert_eq!(r.pop(), 0xb);
         assert_eq!(r.pop(), 0xa);
@@ -152,15 +98,15 @@ mod tests {
 
     #[test]
     fn snapshot_survives_wraparound() {
-        let mut r = ReturnAddressStack::new(2);
-        r.push(0x1);
-        r.push(0x2);
-        r.push(0x3);
-        let snap = r.snapshot();
-        r.push(0x4);
-        r.push(0x5);
-        r.restore(&snap);
-        assert_eq!(r.pop(), 0x3);
-        assert_eq!(r.pop(), 0x2);
+        let mut r = ReturnAddressStack::default();
+        for addr in 1..=RAS_ENTRIES as Addr + 1 {
+            r.push(addr);
+        }
+        let snap = r;
+        r.push(0x40);
+        r.push(0x50);
+        r = snap;
+        assert_eq!(r.pop(), RAS_ENTRIES as Addr + 1);
+        assert_eq!(r.pop(), RAS_ENTRIES as Addr);
     }
 }

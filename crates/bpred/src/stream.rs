@@ -70,7 +70,7 @@ pub struct StreamPrediction {
 ///
 /// Returns `None` if `start` is not a mapped instruction.
 pub fn static_fallback_walk(start: Addr, prog: &Program) -> Option<StreamDesc> {
-    use prestage_isa::OpClass;
+    use prestage_isa::{OpClass, Terminator};
     let blocks = prog.blocks();
     let first = prog.block_at(start)?;
     let mut bi = first.id.0 as usize;
@@ -99,24 +99,26 @@ pub fn static_fallback_walk(start: Addr, prog: &Program) -> Option<StreamDesc> {
             }
         };
         len += 1;
-        match inst.op {
-            OpClass::Jump => {
+        // `BasicBlock::validate` guarantees a CTI is its block's final
+        // instruction and matches the block's terminator.
+        match (inst.op, block.term) {
+            (OpClass::Jump, Terminator::Jump { target }) => {
                 return Some(StreamDesc {
                     start,
                     len,
-                    next: block.term.direct_target().expect("jump target"),
+                    next: target,
                     end: StreamEnd::Taken,
                 })
             }
-            OpClass::Call => {
+            (OpClass::Call, Terminator::Call { target, .. }) => {
                 return Some(StreamDesc {
                     start,
                     len,
-                    next: block.term.direct_target().expect("call target"),
+                    next: target,
                     end: StreamEnd::Call,
                 })
             }
-            OpClass::Return => {
+            (OpClass::Return, _) => {
                 return Some(StreamDesc {
                     start,
                     len,

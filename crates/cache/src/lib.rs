@@ -29,4 +29,4 @@ pub mod tlb;
 pub use array::{FillClass, InsertionPolicy, SetAssocCache};
 pub use bus::{BusStats, Completion, L2Config, L2System, MemSource, ReqClass, ReqId};
 pub use port::ArrayPort;
-pub use tlb::{ITlb, ITlbConfig, TlbCheckpoint, TlbStats};
+pub use tlb::{ITlb, ITlbConfig, TlbStats};

@@ -5,9 +5,10 @@
 //! lookup overlaps the I-cache tag access), a miss charges a fixed
 //! `miss_cycles` page-walk latency and installs the translation.  The model
 //! is deterministic — state is a pure function of the access sequence — and
-//! checkpointable, because the engine restores i-TLB state on branch
-//! redirects (wrong-path fetches must not leave translations behind, or
-//! replay from a checkpoint would diverge from the live run).
+//! checkpointable: the TLB keeps one saved copy of its contents, taken at
+//! each divergence by [`ITlb::checkpoint`] and reinstated on the redirect
+//! by [`ITlb::restore`] (wrong-path fetches must not leave translations
+//! behind, or replay from a checkpoint would diverge from the live run).
 //!
 //! Sizing follows the other SRAMs: `entries / assoc` sets, mask-indexed, so
 //! both must divide into a power-of-two set count
@@ -18,7 +19,7 @@ use prestage_isa::Addr;
 
 /// Largest i-TLB [`ITlbConfig::validate`] accepts, in entries.  The
 /// biggest second-level TLBs on shipping cores hold 2-4K entries, and the
-/// engine copies every entry's tag, valid bit and rank into a checkpoint
+/// TLB copies every entry's tag, valid bit and rank into its saved copy
 /// at every divergence, so a larger TLB models no machine and only slows
 /// the run.
 const MAX_ITLB_ENTRIES: usize = 4096;
@@ -129,22 +130,6 @@ impl ITlbConfig {
     }
 }
 
-/// Opaque snapshot of i-TLB contents, captured at a predicted branch and
-/// restored on redirect.  An empty checkpoint (the default) restores
-/// nothing — the "no TLB configured" case.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TlbCheckpoint {
-    tags: Vec<u64>,
-    valid: Vec<bool>,
-    ranks: Vec<u8>,
-}
-
-impl TlbCheckpoint {
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
-    }
-}
-
 /// Hit/miss counters for the i-TLB (advisory; not part of any artifact).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
@@ -164,6 +149,9 @@ pub struct ITlb {
     valid: Vec<bool>,
     /// `ranks[set * assoc + way]` — true-LRU ranks, 0 = MRU.
     ranks: Vec<u8>,
+    /// `tags`, `valid` and `ranks` as of the last
+    /// [`checkpoint`](Self::checkpoint).
+    saved: (Vec<u64>, Vec<bool>, Vec<u8>),
     stats: TlbStats,
 }
 
@@ -191,14 +179,20 @@ impl ITlb {
             cfg.entries,
             cfg.assoc
         );
+        let (tags, valid, ranks) = (
+            vec![0; cfg.entries],
+            vec![false; cfg.entries],
+            lru::ranks(sets, cfg.assoc),
+        );
         ITlb {
             page_shift: cfg.page_bytes.trailing_zeros(),
             sets,
             assoc: cfg.assoc,
             miss_cycles: cfg.miss_cycles,
-            tags: vec![0; cfg.entries],
-            valid: vec![false; cfg.entries],
-            ranks: lru::ranks(sets, cfg.assoc),
+            saved: (tags.clone(), valid.clone(), ranks.clone()),
+            tags,
+            valid,
+            ranks,
             stats: TlbStats::default(),
         }
     }
@@ -257,31 +251,21 @@ impl ITlb {
         self.sets * self.assoc * 16
     }
 
-    /// Snapshot tags, valid bits and replacement state (not statistics —
+    /// Save tags, valid bits and replacement state (not statistics —
     /// counters keep counting across redirects like every other array)
-    /// into `cp`, reusing its buffers: one is taken per divergence.
-    pub fn checkpoint_into(&self, cp: &mut TlbCheckpoint) {
-        cp.tags.clone_from(&self.tags);
-        cp.valid.clone_from(&self.valid);
-        cp.ranks.clone_from(&self.ranks);
+    /// over the previous saved copy: one is taken per divergence.
+    pub fn checkpoint(&mut self) {
+        self.saved.0.copy_from_slice(&self.tags);
+        self.saved.1.copy_from_slice(&self.valid);
+        self.saved.2.copy_from_slice(&self.ranks);
     }
 
-    /// Restore a snapshot taken by [`checkpoint_into`](Self::checkpoint_into)
-    /// on this same geometry.  An empty checkpoint is a no-op.
-    pub fn restore(&mut self, cp: &TlbCheckpoint) {
-        if cp.is_empty() {
-            return;
-        }
-        assert!(
-            cp.tags.len() == self.tags.len(),
-            "itlb checkpoint holds {} entries, this geometry needs {} — \
-             checkpoint/restore crossed configurations",
-            cp.tags.len(),
-            self.tags.len()
-        );
-        self.tags.copy_from_slice(&cp.tags);
-        self.valid.copy_from_slice(&cp.valid);
-        self.ranks.copy_from_slice(&cp.ranks);
+    /// Reinstate the last [`checkpoint`](Self::checkpoint) (the empty TLB
+    /// before the first one).
+    pub fn restore(&mut self) {
+        self.tags.copy_from_slice(&self.saved.0);
+        self.valid.copy_from_slice(&self.saved.1);
+        self.ranks.copy_from_slice(&self.saved.2);
     }
 }
 
@@ -328,22 +312,25 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_round_trips() {
+        let warm = [(0x1000u64, 0u64), (0x2000, 5), (0x1000, 9), (0x9000, 12)];
         let mut t = tiny();
-        for (addr, at) in [(0x1000u64, 0u64), (0x2000, 5), (0x1000, 9), (0x9000, 12)] {
+        let mut twin = tiny();
+        for (addr, at) in warm {
             t.translate(addr, at);
+            twin.translate(addr, at);
         }
-        let mut cp = TlbCheckpoint::default();
-        t.checkpoint_into(&mut cp);
-        let mut u = tiny();
-        u.restore(&cp);
-        let mut cu = TlbCheckpoint::default();
-        u.checkpoint_into(&mut cu);
-        assert_eq!(cu, cp);
-        // Identical contents…
-        for page in 0..16u64 {
+        t.checkpoint();
+        // Wrong path: evict the whole working set, then restore.
+        for page in 0x20..0x30u64 {
+            t.translate(page << 12, 15);
+        }
+        assert!(!resident(&t, 0x1000), "the wrong path evicted nothing");
+        t.restore();
+        // Identical contents to the twin that never left the path…
+        for page in 0..0x30u64 {
             assert_eq!(
                 resident(&t, page << 12),
-                resident(&u, page << 12),
+                resident(&twin, page << 12),
                 "page {page}"
             );
         }
@@ -351,18 +338,10 @@ mod tests {
         for (addr, at) in [(0x3000u64, 20u64), (0x1000, 21), (0xb000, 22), (0x7000, 23)] {
             assert_eq!(
                 t.translate(addr, at),
-                u.translate(addr, at),
+                twin.translate(addr, at),
                 "addr {addr:#x}"
             );
         }
-    }
-
-    #[test]
-    fn empty_checkpoint_is_noop() {
-        let mut t = tiny();
-        t.translate(0x1000, 0);
-        t.restore(&TlbCheckpoint::default());
-        assert!(resident(&t, 0x1000));
     }
 
     #[test]
@@ -410,19 +389,5 @@ mod tests {
         let cfg = ITlbConfig::default_config();
         assert_eq!(cfg.state_bytes(), 64 * 16);
         assert_eq!(ITlb::new(&cfg).state_bytes(), cfg.state_bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoint holds")]
-    fn cross_geometry_restore_is_refused() {
-        let big = ITlb::new(&ITlbConfig {
-            entries: 16,
-            assoc: 2,
-            page_bytes: 4096,
-            miss_cycles: 25,
-        });
-        let mut cp = TlbCheckpoint::default();
-        big.checkpoint_into(&mut cp);
-        tiny().restore(&cp);
     }
 }

@@ -11,7 +11,9 @@
 //!    deliveries come back tagged with block sequence, PC range and fetch
 //!    source;
 //! 3. routes L2 completions back via [`FrontEnd::on_completion`];
-//! 4. calls [`FrontEnd::flush`] on a branch misprediction redirect;
+//! 4. calls [`FrontEnd::checkpoint`] where the prediction diverges from the
+//!    correct path, and [`FrontEnd::flush`] then [`FrontEnd::restore`] on
+//!    the branch misprediction redirect;
 //! 5. may skip the ticks of cycles before [`FrontEnd::next_event`],
 //!    folding in the pre-buffer stalls they would have counted with
 //!    [`FrontEnd::skip_stalled`].
@@ -41,12 +43,12 @@ use crate::buffer::{PbKind, PbLookup, PreBuffer};
 use crate::config::{
     FrontendConfig, PrefetcherKind, FETCH_WIDTH, L1_ASSOC, MAX_INFLIGHT, QUEUE_BLOCKS,
 };
-use crate::prefetch::{Idle, InstrPrefetcher, PrefetchCheckpoint, PrefetchView};
-use crate::queue::{FetchQueue, LineSlot, QueueKind};
+use crate::prefetch::{Idle, InstrPrefetcher, PrefetchView};
+use crate::queue::{FetchQueue, LineSlot};
 use crate::stats::FrontStats;
 use prestage_cache::{
     ArrayPort, Completion, FillClass, ITlb, InsertionPolicy, L2System, MemSource, ReqClass, ReqId,
-    SetAssocCache, TlbCheckpoint,
+    SetAssocCache,
 };
 use prestage_isa::{Addr, INST_BYTES};
 use std::collections::VecDeque;
@@ -191,10 +193,6 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
             cfg.prefetcher,
             "front-end instantiated with the wrong mechanism type"
         );
-        let kind = match cfg.prefetcher {
-            PrefetcherKind::Clgp => QueueKind::Cltq,
-            _ => QueueKind::Ftq,
-        };
         let pb = (cfg.pb_entries > 0).then(|| {
             PreBuffer::new(
                 match cfg.prefetcher {
@@ -212,7 +210,7 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
         });
         let migrate_class = FillClass::Prefetch(cfg.insertion.unwrap_or(InsertionPolicy::Mru));
         FrontEnd {
-            queue: FetchQueue::new(kind, cfg.line_bytes, QUEUE_BLOCKS),
+            queue: FetchQueue::new(cfg.line_bytes, QUEUE_BLOCKS),
             pb,
             pb_port: ArrayPort::new(cfg.pb_latency(), cfg.pb_pipelined),
             l1: SetAssocCache::new(cfg.l1_capacity, cfg.line_bytes as usize, L1_ASSOC),
@@ -296,36 +294,25 @@ impl<P: InstrPrefetcher> FrontEnd<P> {
         self.routes.len()
     }
 
-    /// Snapshot the prefetch mechanism's speculative state (training
-    /// cursors, stream expectations) into `cp` — taken by the engine when
-    /// it detects a divergence, *before* wrong-path fetches are observed.
-    pub fn prefetcher_checkpoint_into(&self, cp: &mut PrefetchCheckpoint) {
-        self.pf.checkpoint_into(cp);
-    }
-
-    /// Reinstall a [`prefetcher_checkpoint_into`](Self::prefetcher_checkpoint_into)
-    /// after the redirect [`flush`](Self::flush), so wrong-path
-    /// observations do not corrupt the mechanism's speculative cursors.
-    pub fn prefetcher_restore(&mut self, cp: &PrefetchCheckpoint) {
-        self.pf.restore(cp);
-    }
-
-    /// Snapshot the i-TLB contents (tags + replacement state) into `cp` —
-    /// taken by the engine at a predicted branch, alongside
-    /// [`prefetcher_checkpoint_into`](Self::prefetcher_checkpoint_into).  `cp` stays
-    /// empty when no TLB is configured.
-    pub fn tlb_checkpoint_into(&self, cp: &mut TlbCheckpoint) {
-        if let Some(tlb) = &self.tlb {
-            tlb.checkpoint_into(cp);
+    /// Save the speculative state of the prefetch mechanism (training
+    /// cursors, stream expectations) and of the i-TLB (tags + replacement
+    /// state), each in its own saved copy — called by the engine when it
+    /// detects a divergence, *before* wrong-path fetches are observed.
+    pub fn checkpoint(&mut self) {
+        self.pf.checkpoint();
+        if let Some(tlb) = &mut self.tlb {
+            tlb.checkpoint();
         }
     }
 
-    /// Reinstall a [`tlb_checkpoint_into`](Self::tlb_checkpoint_into) after a
-    /// redirect, so wrong-path translations do not survive into replayed
-    /// right-path execution (keeping checkpoint replay bit-exact).
-    pub fn tlb_restore(&mut self, cp: &TlbCheckpoint) {
+    /// Reinstate the last [`checkpoint`](Self::checkpoint) after the
+    /// redirect [`flush`](Self::flush), so neither wrong-path observations
+    /// nor wrong-path translations survive into the replayed right path
+    /// (keeping checkpoint replay bit-exact).
+    pub fn restore(&mut self) {
+        self.pf.restore();
         if let Some(tlb) = &mut self.tlb {
-            tlb.restore(cp);
+            tlb.restore();
         }
     }
 

@@ -41,8 +41,8 @@ pub use config::{FrontendConfig, PrefetcherKind};
 pub use frontend::{Delivery, FetchSource, FrontEnd};
 pub use prefetch::{
     prefetcher_state_bytes, ClgpPrefetcher, FdpPrefetcher, Idle, InstrPrefetcher, ManaPrefetcher,
-    NextLinePrefetcher, NoPrefetcher, PrefetchCheckpoint, PrefetchView, ProgMapPrefetcher,
+    NextLinePrefetcher, NoPrefetcher, PrefetchView, ProgMapPrefetcher,
 };
-pub use prestage_cache::{ITlbConfig, InsertionPolicy, TlbCheckpoint, TlbStats};
-pub use queue::{FetchQueue, LineSlot, QueueKind};
+pub use prestage_cache::{ITlbConfig, InsertionPolicy, TlbStats};
+pub use queue::{FetchQueue, LineSlot};
 pub use stats::{FrontStats, SourceCount};

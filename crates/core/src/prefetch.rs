@@ -15,8 +15,11 @@
 //! * it **reports its horizon** through [`InstrPrefetcher::next_event`],
 //!   so the engine can jump the clock over cycles in which it cannot act;
 //! * its speculative training state is **checkpointed/restored** around
-//!   wrong-path excursions ([`InstrPrefetcher::checkpoint_into`] /
-//!   [`InstrPrefetcher::restore`]).
+//!   wrong-path excursions ([`InstrPrefetcher::checkpoint`] /
+//!   [`InstrPrefetcher::restore`]): a mechanism with such state keeps one
+//!   private saved copy of it — its training cursors and stream
+//!   expectations, never its tables or request queues, as the stream
+//!   predictor saves history and RAS but not its tables.
 //!
 //! Each mechanism's sizing is a constant beside it (`PIQ_ENTRIES` and
 //! friends): only the MANA table and the program map are sized per
@@ -80,15 +83,6 @@ const PROGMAP_DEGREE: u32 = 2;
 // A region number is an address shifted right, so regions are powers of two.
 const _: () = assert!(PROGMAP_REGION_BYTES.is_power_of_two());
 const PROGMAP_REGION_SHIFT: u32 = PROGMAP_REGION_BYTES.trailing_zeros();
-
-/// Opaque snapshot of a mechanism's *speculative* state (training cursors,
-/// stream expectations) — the state that must be repaired when a branch
-/// misprediction unwinds the fetch stream the mechanism observed.
-/// Architectural tables (MANA records, the program map) are not part of
-/// it, mirroring how the stream predictor checkpoints history + RAS but
-/// not its tables.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PrefetchCheckpoint(Vec<u64>);
 
 /// What a mechanism's [`tick`](InstrPrefetcher::tick) would do from now on
 /// if nothing outside it changed: the answer of
@@ -221,19 +215,15 @@ pub trait InstrPrefetcher: std::fmt::Debug {
     /// in-flight request queues and stale stream expectations.
     fn on_redirect(&mut self) {}
 
-    /// Snapshot speculative training state into `cp`, replacing what it
-    /// held (taken when the engine detects a divergence, i.e. before any
-    /// wrong-path fetch is observed; the engine refills one checkpoint).
-    fn checkpoint_into(&self, cp: &mut PrefetchCheckpoint) {
-        cp.0.clear();
-    }
+    /// Save the speculative training state over the previous saved copy
+    /// (the engine calls this when it detects a divergence, i.e. before
+    /// any wrong-path fetch is observed).
+    fn checkpoint(&mut self) {}
 
-    /// Reinstall a [`checkpoint_into`](Self::checkpoint_into) (after the redirect
-    /// flush), so wrong-path observations do not corrupt the mechanism's
-    /// speculative cursors.
-    fn restore(&mut self, cp: &PrefetchCheckpoint) {
-        let _ = cp;
-    }
+    /// Reinstate the last [`checkpoint`](Self::checkpoint) (after the
+    /// redirect flush), so wrong-path observations do not corrupt the
+    /// mechanism's speculative cursors.
+    fn restore(&mut self) {}
 }
 
 /// The no-prefetch baseline: a zero-sized mechanism whose hooks compile
@@ -481,22 +471,16 @@ pub struct NextLinePrefetcher {
     line_bytes: u64,
 }
 
-impl NextLinePrefetcher {
-    pub fn new(cfg: &FrontendConfig) -> Self {
-        NextLinePrefetcher {
-            piq: VecDeque::new(),
-            line_bytes: cfg.line_bytes,
-        }
-    }
-}
-
 impl InstrPrefetcher for NextLinePrefetcher {
     fn kind(&self) -> PrefetcherKind {
         PrefetcherKind::NextLine
     }
 
     fn from_config(cfg: &FrontendConfig) -> Self {
-        NextLinePrefetcher::new(cfg)
+        NextLinePrefetcher {
+            piq: VecDeque::new(),
+            line_bytes: cfg.line_bytes,
+        }
     }
 
     fn observe_fetch(&mut self, slot: &LineSlot) {
@@ -562,21 +546,15 @@ pub struct ClgpPrefetcher {
     migrate: bool,
 }
 
-impl ClgpPrefetcher {
-    pub fn new(cfg: &FrontendConfig) -> Self {
-        ClgpPrefetcher {
-            migrate: cfg.ablate_migrate || cfg.ablate_free_on_use,
-        }
-    }
-}
-
 impl InstrPrefetcher for ClgpPrefetcher {
     fn kind(&self) -> PrefetcherKind {
         PrefetcherKind::Clgp
     }
 
     fn from_config(cfg: &FrontendConfig) -> Self {
-        ClgpPrefetcher::new(cfg)
+        ClgpPrefetcher {
+            migrate: cfg.ablate_migrate || cfg.ablate_free_on_use,
+        }
     }
 
     fn migrate_used_lines(&self) -> bool {
@@ -669,7 +647,7 @@ struct ManaRecord {
     lru: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct SabEntry {
     valid: bool,
     /// Next trigger line this stream expects the fetch unit to reach.
@@ -689,31 +667,23 @@ pub struct ManaPrefetcher {
     sets: usize,
     assoc: usize,
     table: Vec<ManaRecord>,
-    sab: Vec<SabEntry>,
+    sab: [SabEntry; MANA_SAB_ENTRIES],
     /// Record under construction: (trigger line, footprint bitmap).
     cur: Option<(u64, u32)>,
     last_line: Option<u64>,
+    /// `cur`, `last_line` and `sab` as of the last
+    /// [`checkpoint`](InstrPrefetcher::checkpoint).
+    saved: (
+        Option<(u64, u32)>,
+        Option<u64>,
+        [SabEntry; MANA_SAB_ENTRIES],
+    ),
     reqq: VecDeque<Addr>,
     tick: u64,
     line_shift: u32,
 }
 
 impl ManaPrefetcher {
-    pub fn new(cfg: &FrontendConfig) -> Self {
-        let assoc = cfg.mana_entries.min(4);
-        ManaPrefetcher {
-            sets: cfg.mana_entries / assoc,
-            assoc,
-            table: vec![ManaRecord::default(); cfg.mana_entries],
-            sab: vec![SabEntry::default(); MANA_SAB_ENTRIES],
-            cur: None,
-            last_line: None,
-            reqq: VecDeque::new(),
-            tick: 0,
-            line_shift: cfg.line_bytes.trailing_zeros(),
-        }
-    }
-
     fn stamp(&mut self) -> u64 {
         self.tick += 1;
         self.tick
@@ -828,7 +798,19 @@ impl InstrPrefetcher for ManaPrefetcher {
     }
 
     fn from_config(cfg: &FrontendConfig) -> Self {
-        ManaPrefetcher::new(cfg)
+        let assoc = cfg.mana_entries.min(4);
+        ManaPrefetcher {
+            sets: cfg.mana_entries / assoc,
+            assoc,
+            table: vec![ManaRecord::default(); cfg.mana_entries],
+            sab: [SabEntry::default(); MANA_SAB_ENTRIES],
+            cur: None,
+            last_line: None,
+            saved: Default::default(),
+            reqq: VecDeque::new(),
+            tick: 0,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+        }
     }
 
     fn observe_fetch(&mut self, slot: &LineSlot) {
@@ -878,39 +860,12 @@ impl InstrPrefetcher for ManaPrefetcher {
         }
     }
 
-    fn checkpoint_into(&self, cp: &mut PrefetchCheckpoint) {
-        let v = &mut cp.0;
-        v.clear();
-        match self.cur {
-            Some((t, bm)) => v.extend([1, t, bm as u64]),
-            None => v.extend([0, 0, 0]),
-        }
-        match self.last_line {
-            Some(ln) => v.extend([1, ln]),
-            None => v.extend([0, 0]),
-        }
-        for e in &self.sab {
-            v.extend([e.valid as u64, e.expected, e.lru]);
-        }
+    fn checkpoint(&mut self) {
+        self.saved = (self.cur, self.last_line, self.sab);
     }
 
-    fn restore(&mut self, cp: &PrefetchCheckpoint) {
-        let v = &cp.0;
-        debug_assert_eq!(v.len(), 5 + 3 * self.sab.len());
-        self.cur = (v[0] == 1).then(|| {
-            // Word 2 was written from a u32 (`bm as u64` in `checkpoint_into`).
-            let Ok(bm) = u32::try_from(v[2]) else {
-                unreachable!("checkpoint footprint-bitmap word {:#x} overflows u32", v[2])
-            };
-            (v[1], bm)
-        });
-        self.last_line = (v[3] == 1).then_some(v[4]);
-        for (i, e) in self.sab.iter_mut().enumerate() {
-            e.valid = v[5 + 3 * i] == 1;
-            e.expected = v[6 + 3 * i];
-            e.lru = v[7 + 3 * i];
-        }
-        self.reqq.clear();
+    fn restore(&mut self) {
+        (self.cur, self.last_line, self.sab) = self.saved;
     }
 }
 
@@ -939,22 +894,15 @@ struct MapEntry {
 pub struct ProgMapPrefetcher {
     map: Vec<MapEntry>,
     last_region: Option<u64>,
+    /// `last_region` as of the last
+    /// [`checkpoint`](InstrPrefetcher::checkpoint).
+    saved_region: Option<u64>,
     reqq: VecDeque<Addr>,
     lines_per_region: u64,
     line_bytes: u64,
 }
 
 impl ProgMapPrefetcher {
-    pub fn new(cfg: &FrontendConfig) -> Self {
-        ProgMapPrefetcher {
-            map: vec![MapEntry::default(); cfg.progmap_entries],
-            last_region: None,
-            reqq: VecDeque::new(),
-            lines_per_region: PROGMAP_REGION_BYTES / cfg.line_bytes,
-            line_bytes: cfg.line_bytes,
-        }
-    }
-
     fn idx(&self, region: u64) -> usize {
         (region as usize) & (self.map.len() - 1)
     }
@@ -966,7 +914,14 @@ impl InstrPrefetcher for ProgMapPrefetcher {
     }
 
     fn from_config(cfg: &FrontendConfig) -> Self {
-        ProgMapPrefetcher::new(cfg)
+        ProgMapPrefetcher {
+            map: vec![MapEntry::default(); cfg.progmap_entries],
+            last_region: None,
+            saved_region: None,
+            reqq: VecDeque::new(),
+            lines_per_region: PROGMAP_REGION_BYTES / cfg.line_bytes,
+            line_bytes: cfg.line_bytes,
+        }
     }
 
     fn observe_fetch(&mut self, slot: &LineSlot) {
@@ -1013,18 +968,12 @@ impl InstrPrefetcher for ProgMapPrefetcher {
         self.last_region = None;
     }
 
-    fn checkpoint_into(&self, cp: &mut PrefetchCheckpoint) {
-        cp.0.clear();
-        cp.0.extend(match self.last_region {
-            Some(r) => [1, r],
-            None => [0, 0],
-        });
+    fn checkpoint(&mut self) {
+        self.saved_region = self.last_region;
     }
 
-    fn restore(&mut self, cp: &PrefetchCheckpoint) {
-        debug_assert_eq!(cp.0.len(), 2);
-        self.last_region = (cp.0[0] == 1).then_some(cp.0[1]);
-        self.reqq.clear();
+    fn restore(&mut self) {
+        self.last_region = self.saved_region;
     }
 }
 
@@ -1052,7 +1001,7 @@ mod tests {
 
     #[test]
     fn mana_learns_records_and_chases_them() {
-        let mut m = ManaPrefetcher::new(&mana_cfg());
+        let mut m = ManaPrefetcher::from_config(&mana_cfg());
         // First pass over a loop body: trigger 0x100, touches +1 and +3,
         // then jumps to trigger 0x200.
         for ln in [0x100u64, 0x101, 0x103, 0x200, 0x201, 0x100] {
@@ -1078,25 +1027,21 @@ mod tests {
 
     #[test]
     fn mana_checkpoint_round_trips_speculative_state() {
-        let mut m = ManaPrefetcher::new(&mana_cfg());
+        let mut m = ManaPrefetcher::from_config(&mana_cfg());
         for ln in [0x10u64, 0x11, 0x40, 0x10] {
             m.observe_fetch(&slot(ln << 6));
         }
-        let mut cp = PrefetchCheckpoint(vec![7; 99]);
-        m.checkpoint_into(&mut cp);
-        let (cur, last) = (m.cur, m.last_line);
-        let sab: Vec<(bool, u64)> = m.sab.iter().map(|e| (e.valid, e.expected)).collect();
-        // Wrong path: observe garbage, then restore.
+        m.checkpoint();
+        let (cur, last, sab) = (m.cur, m.last_line, m.sab);
+        assert!(sab.iter().any(|e| e.valid), "a stream was chased");
+        // Wrong path: observe garbage, then flush and restore.
         for ln in [0x900u64, 0x905, 0x77] {
             m.observe_fetch(&slot(ln << 6));
         }
         assert_ne!(m.last_line, last);
         m.on_redirect();
-        m.restore(&cp);
-        assert_eq!(m.cur, cur);
-        assert_eq!(m.last_line, last);
-        let sab2: Vec<(bool, u64)> = m.sab.iter().map(|e| (e.valid, e.expected)).collect();
-        assert_eq!(sab2, sab);
+        m.restore();
+        assert_eq!((m.cur, m.last_line, m.sab), (cur, last, sab));
         assert!(
             m.reqq.is_empty(),
             "restore must not resurrect queued requests"
@@ -1108,7 +1053,7 @@ mod tests {
         let mut cfg = FrontendConfig::base(prestage_cacti::TechNode::T045, 4 << 10);
         cfg.prefetcher = PrefetcherKind::ProgMap;
         cfg.pb_entries = 4;
-        let mut p = ProgMapPrefetcher::new(&cfg);
+        let mut p = ProgMapPrefetcher::from_config(&cfg);
         // Regions are 256 B = 4 lines.  Walk A(0x1000) → B(0x2000) →
         // C(0x3000), then return to A: the map now chains A→B→C.
         for pc in [0x1000u64, 0x2000, 0x3000, 0x1000] {
@@ -1131,6 +1076,34 @@ mod tests {
         let before = p.reqq.len();
         p.observe_fetch(&slot(0x1040));
         assert_eq!(p.reqq.len(), before);
+    }
+
+    #[test]
+    fn progmap_checkpoint_round_trips_its_region_cursor() {
+        let mut cfg = FrontendConfig::base(prestage_cacti::TechNode::T045, 4 << 10);
+        cfg.prefetcher = PrefetcherKind::ProgMap;
+        cfg.pb_entries = 4;
+        let mut p = ProgMapPrefetcher::from_config(&cfg);
+        for pc in [0x1000u64, 0x2000] {
+            p.observe_fetch(&slot(pc));
+        }
+        p.checkpoint();
+        // Wrong path: wander into another region, then flush and restore.
+        p.observe_fetch(&slot(0x9000));
+        assert_eq!(p.last_region, Some(0x9000 >> PROGMAP_REGION_SHIFT));
+        p.on_redirect();
+        assert_eq!(p.last_region, None);
+        p.restore();
+        assert_eq!(p.last_region, Some(0x2000 >> PROGMAP_REGION_SHIFT));
+        // Back on the path, the next region change records the transition
+        // from the restored region, not from the wrong-path one.
+        p.observe_fetch(&slot(0x3000));
+        let from = p.map[p.idx(0x2000 >> PROGMAP_REGION_SHIFT)];
+        assert!(from.valid && from.next == 0x3000 >> PROGMAP_REGION_SHIFT);
+        assert!(
+            p.reqq.is_empty(),
+            "restore must not resurrect queued requests"
+        );
     }
 
     #[test]

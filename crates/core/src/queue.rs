@@ -16,15 +16,6 @@
 use prestage_isa::{align_line, Addr, INST_BYTES};
 use std::collections::VecDeque;
 
-/// Presentation/bookkeeping granularity of the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Fetch target queue: one logical entry per fetch block (FDP).
-    Ftq,
-    /// Cache line target queue: one entry per fetch cache line (CLGP).
-    Cltq,
-}
-
 /// One fetch cache line awaiting fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineSlot {
@@ -52,7 +43,6 @@ pub struct LineSlot {
 /// the per-cycle path.
 #[derive(Debug, Clone)]
 pub struct FetchQueue {
-    kind: QueueKind,
     line_bytes: u64,
     max_blocks: usize,
     lines: VecDeque<LineSlot>,
@@ -66,10 +56,9 @@ pub struct FetchQueue {
 }
 
 impl FetchQueue {
-    pub fn new(kind: QueueKind, line_bytes: u64, max_blocks: usize) -> Self {
+    pub fn new(line_bytes: u64, max_blocks: usize) -> Self {
         assert!(line_bytes.is_power_of_two() && max_blocks >= 1);
         FetchQueue {
-            kind,
             line_bytes,
             max_blocks,
             // A fetch block spans at most fetch-width/line + 1 lines; 8 is
@@ -79,10 +68,6 @@ impl FetchQueue {
             n_blocks: 0,
             pf_cursor: 0,
         }
-    }
-
-    pub fn kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// True if another fetch block can be accepted.
@@ -173,7 +158,7 @@ mod tests {
     use super::*;
 
     fn q() -> FetchQueue {
-        FetchQueue::new(QueueKind::Cltq, 64, 8)
+        FetchQueue::new(64, 8)
     }
 
     #[test]
@@ -226,7 +211,7 @@ mod tests {
 
     #[test]
     fn popping_block_frees_capacity() {
-        let mut q = FetchQueue::new(QueueKind::Ftq, 64, 1);
+        let mut q = FetchQueue::new(64, 1);
         assert!(q.push_block(1, 0x1000, 4));
         assert!(!q.push_block(2, 0x2000, 4));
         q.pop_head_line();
@@ -285,7 +270,7 @@ mod tests {
         // Regression for the narrowing in `push_block`: per-line counts
         // are now range-checked, and must partition the block exactly
         // even when the PC sits in the top of the address space.
-        let mut q = FetchQueue::new(QueueKind::Cltq, 64, 8);
+        let mut q = FetchQueue::new(64, 8);
         let start = 0xFFFF_FFFF_FFFF_F004; // line-misaligned, near the top
         let len = 48u32;
         assert!(q.push_block(7, start, len));

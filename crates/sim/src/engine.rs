@@ -8,8 +8,14 @@
 //! (wrong) path through the basic-block dictionary — consuming fetch
 //! bandwidth, cache ports and bus slots — until the mispredicted branch
 //! resolves in the back-end, at which point the front-end is flushed, the
-//! predictor's speculative state (path history + RAS) is restored from its
-//! checkpoint, and fetch resumes on the correct path.
+//! speculative state of the predictor (path history + RAS), the prefetch
+//! mechanism (training cursors) and the i-TLB (contents) is restored, and
+//! fetch resumes on the correct path.  Each of those units keeps its own
+//! saved copy behind `checkpoint()` / `restore()`; the engine only says
+//! when: the predictor checkpoints before each on-path prediction and
+//! restores on a queue-full retry and at the redirect, and the front-end
+//! checkpoints at a divergence and restores right after the redirect
+//! flush.
 //!
 //! Wrong-path instructions are fetched and prefetched but never dispatched
 //! into the RUU.  This is a deliberate simplification: they cost fetch
@@ -83,14 +89,13 @@ use crate::backend::BackEnd;
 use crate::config::SimConfig;
 use crate::stats::SimStats;
 use prestage_bpred::{
-    GshareCheckpoint, GsharePredictor, PredCheckpoint, StreamDesc, StreamPrediction,
-    StreamPredictor, MAX_STREAM_INSTS,
+    GsharePredictor, StreamDesc, StreamPrediction, StreamPredictor, MAX_STREAM_INSTS,
 };
-use prestage_cache::{Completion, L2Config, L2System, ReqClass, TlbCheckpoint};
+use prestage_cache::{Completion, L2Config, L2System, ReqClass};
 use prestage_core::config::{MAX_INFLIGHT, QUEUE_BLOCKS};
 use prestage_core::{
     ClgpPrefetcher, Delivery, FdpPrefetcher, FrontEnd, InstrPrefetcher, ManaPrefetcher,
-    NextLinePrefetcher, NoPrefetcher, PrefetchCheckpoint, PrefetcherKind, ProgMapPrefetcher,
+    NextLinePrefetcher, NoPrefetcher, PrefetcherKind, ProgMapPrefetcher,
 };
 use prestage_isa::{Addr, INST_BYTES};
 use prestage_workload::{DynInst, InstSource, TraceGenerator, Workload};
@@ -176,7 +181,6 @@ struct RedirectInfo {
     /// RUU sequence number of the mispredicted instruction, known once it
     /// dispatches.
     ruu_seq: Option<u64>,
-    checkpoint: PredictorCheckpoint,
 }
 
 /// Which fetch-block predictor drives the front-end.
@@ -220,12 +224,6 @@ impl PredictorKind {
 enum AnyPredictor {
     Stream(StreamPredictor),
     Gshare(GsharePredictor),
-}
-
-#[derive(Debug, Clone)]
-enum PredictorCheckpoint {
-    Stream(PredCheckpoint),
-    Gshare(GshareCheckpoint),
 }
 
 /// Training context captured before a prediction.
@@ -288,18 +286,17 @@ impl AnyPredictor {
         }
     }
 
-    fn checkpoint(&self) -> PredictorCheckpoint {
+    fn checkpoint(&mut self) {
         match self {
-            AnyPredictor::Stream(p) => PredictorCheckpoint::Stream(p.checkpoint()),
-            AnyPredictor::Gshare(p) => PredictorCheckpoint::Gshare(p.checkpoint()),
+            AnyPredictor::Stream(p) => p.checkpoint(),
+            AnyPredictor::Gshare(p) => p.checkpoint(),
         }
     }
 
-    fn restore(&mut self, cp: &PredictorCheckpoint) {
-        match (self, cp) {
-            (AnyPredictor::Stream(p), PredictorCheckpoint::Stream(c)) => p.restore(c),
-            (AnyPredictor::Gshare(p), PredictorCheckpoint::Gshare(c)) => p.restore(c),
-            _ => unreachable!("checkpoint/predictor mismatch"),
+    fn restore(&mut self) {
+        match self {
+            AnyPredictor::Stream(p) => p.restore(),
+            AnyPredictor::Gshare(p) => p.restore(),
         }
     }
 
@@ -343,20 +340,21 @@ struct DecodeEntry {
 /// [`Engine::with_source`] — the engine cannot tell the difference, which
 /// is what makes replayed sweeps bit-exact.
 ///
-/// `Engine` is a thin enum over the internal `EngineImpl`, monomorphized per prefetch
-/// mechanism: the one `match` at construction picks the variant, and from
+/// `Engine` is a thin enum over a boxed internal `EngineImpl` (several KB,
+/// and the variants differ by their mechanism's size), monomorphized per
+/// prefetch mechanism: the one `match` at construction picks the variant, and from
 /// then on every per-cycle prefetcher hook (tick / observe-fetch /
 /// migration policy) is a statically dispatched — and inlinable — call
 /// instead of a virtual one.
 pub struct Engine<'w>(EngineInner<'w>);
 
 enum EngineInner<'w> {
-    None(EngineImpl<'w, NoPrefetcher>),
-    NextLine(EngineImpl<'w, NextLinePrefetcher>),
-    Fdp(EngineImpl<'w, FdpPrefetcher>),
-    Clgp(EngineImpl<'w, ClgpPrefetcher>),
-    Mana(EngineImpl<'w, ManaPrefetcher>),
-    ProgMap(EngineImpl<'w, ProgMapPrefetcher>),
+    None(Box<EngineImpl<'w, NoPrefetcher>>),
+    NextLine(Box<EngineImpl<'w, NextLinePrefetcher>>),
+    Fdp(Box<EngineImpl<'w, FdpPrefetcher>>),
+    Clgp(Box<EngineImpl<'w, ClgpPrefetcher>>),
+    Mana(Box<EngineImpl<'w, ManaPrefetcher>>),
+    ProgMap(Box<EngineImpl<'w, ProgMapPrefetcher>>),
 }
 
 /// Dispatch once on the mechanism variant, then run `$body` with `$e`
@@ -396,22 +394,22 @@ impl<'w> Engine<'w> {
     ) -> Self {
         Engine(match cfg.frontend.prefetcher {
             PrefetcherKind::None => {
-                EngineInner::None(EngineImpl::with_source(cfg, w, src, predictor))
+                EngineInner::None(Box::new(EngineImpl::with_source(cfg, w, src, predictor)))
             }
             PrefetcherKind::NextLine => {
-                EngineInner::NextLine(EngineImpl::with_source(cfg, w, src, predictor))
+                EngineInner::NextLine(Box::new(EngineImpl::with_source(cfg, w, src, predictor)))
             }
             PrefetcherKind::Fdp => {
-                EngineInner::Fdp(EngineImpl::with_source(cfg, w, src, predictor))
+                EngineInner::Fdp(Box::new(EngineImpl::with_source(cfg, w, src, predictor)))
             }
             PrefetcherKind::Clgp => {
-                EngineInner::Clgp(EngineImpl::with_source(cfg, w, src, predictor))
+                EngineInner::Clgp(Box::new(EngineImpl::with_source(cfg, w, src, predictor)))
             }
             PrefetcherKind::Mana => {
-                EngineInner::Mana(EngineImpl::with_source(cfg, w, src, predictor))
+                EngineInner::Mana(Box::new(EngineImpl::with_source(cfg, w, src, predictor)))
             }
             PrefetcherKind::ProgMap => {
-                EngineInner::ProgMap(EngineImpl::with_source(cfg, w, src, predictor))
+                EngineInner::ProgMap(Box::new(EngineImpl::with_source(cfg, w, src, predictor)))
             }
         })
     }
@@ -448,15 +446,6 @@ struct EngineImpl<'w, P: InstrPrefetcher> {
     blocks: BlockRing,
     path: PathState,
     redirect: Option<RedirectInfo>,
-    /// i-TLB contents at the last divergence point (empty when no TLB is
-    /// configured), refilled in place: wrong-path translations are unwound
-    /// on redirect so a checkpointed replay matches the live run bit for
-    /// bit.
-    tlb_checkpoint: TlbCheckpoint,
-    /// Prefetch-mechanism speculative state at the last divergence point,
-    /// refilled in place and reinstated after the redirect flush, so that
-    /// wrong-path fetches cannot corrupt a mechanism's training cursors.
-    pf_checkpoint: PrefetchCheckpoint,
     decode: VecDeque<DecodeEntry>,
 
     redirects: u64,
@@ -486,8 +475,6 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
             blocks: BlockRing::default(),
             path: PathState::OnPath,
             redirect: None,
-            tlb_checkpoint: TlbCheckpoint::default(),
-            pf_checkpoint: PrefetchCheckpoint::default(),
             decode: VecDeque::new(),
             redirects: 0,
             deliveries: Vec::with_capacity(8),
@@ -755,12 +742,11 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         };
         debug_assert_eq!(r.ruu_seq, Some(ruu_seq));
         self.fe.flush();
-        self.fe.prefetcher_restore(&self.pf_checkpoint);
-        self.fe.tlb_restore(&self.tlb_checkpoint);
+        self.fe.restore();
         self.decode.clear();
         self.blocks.clear();
         self.trim_window(self.frontier());
-        self.pred.restore(&r.checkpoint);
+        self.pred.restore();
         self.path = PathState::OnPath;
         self.redirects += 1;
         // Redirect-flush invariant: no speculative per-cycle state survives
@@ -812,7 +798,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                         s
                     }
                 };
-                let checkpoint = self.pred.checkpoint();
+                self.pred.checkpoint();
                 let token = self.pred.token(actual.start);
                 let p = self
                     .pred
@@ -833,7 +819,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                 if !self.fe.push_block(seq, actual.start, fetch_len) {
                     // Queue full: retry the same stream next cycle.
                     self.pending = Some(actual);
-                    self.pred.restore(&checkpoint);
+                    self.pred.restore();
                     return;
                 }
                 self.next_seq += 1;
@@ -863,12 +849,8 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                     },
                 );
                 if diverges {
-                    self.redirect = Some(RedirectInfo {
-                        ruu_seq: None,
-                        checkpoint,
-                    });
-                    self.fe.prefetcher_checkpoint_into(&mut self.pf_checkpoint);
-                    self.fe.tlb_checkpoint_into(&mut self.tlb_checkpoint);
+                    self.redirect = Some(RedirectInfo { ruu_seq: None });
+                    self.fe.checkpoint();
                     self.path = PathState::WrongPath {
                         next_start: ps.next.max(4),
                     };

@@ -12,6 +12,8 @@
 
 use fetch_prestaging::cache::ITlbConfig;
 use fetch_prestaging::prelude::*;
+use fetch_prestaging::sim::PredictorKind;
+use fetch_prestaging::workload::TraceGenerator;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -166,10 +168,11 @@ const STEADY_STATE_SLACK: u64 = 4;
 fn a_warm_engine_does_not_allocate_per_instruction() {
     let p = workload::by_name("gcc").unwrap();
     let w = workload::build_workload(&p, 42);
-    for kind in [
-        PrefetcherKind::Clgp,
-        PrefetcherKind::Mana,
-        PrefetcherKind::ProgMap,
+    for (kind, predictor) in [
+        (PrefetcherKind::Clgp, PredictorKind::Stream),
+        (PrefetcherKind::Mana, PredictorKind::Stream),
+        (PrefetcherKind::ProgMap, PredictorKind::Stream),
+        (PrefetcherKind::Clgp, PredictorKind::Gshare),
     ] {
         let runs: Vec<(u64, u64)> = [10_000, 100_000]
             .into_iter()
@@ -178,16 +181,18 @@ fn a_warm_engine_does_not_allocate_per_instruction() {
                     .with_prefetcher(kind)
                     .with_itlb(Some(ITlbConfig::default_config()))
                     .with_insts(20_000, measure);
-                let engine = Engine::new(cfg, &w, 42);
+                let src = Box::new(TraceGenerator::new(&w, 42));
+                let engine = Engine::with_source(cfg, &w, src, predictor);
                 let (n, stats) = count(|| engine.run());
                 assert!(stats.committed >= measure);
                 (measure, n)
             })
             .collect();
-        println!("{kind:?} run() allocations by measured instructions: {runs:?}");
+        println!("{kind:?}/{predictor:?} run() allocations by measured instructions: {runs:?}");
         assert!(
             runs[1].1 <= runs[0].1 + STEADY_STATE_SLACK,
-            "a longer {kind:?} run allocates more: {runs:?} (slack {STEADY_STATE_SLACK})"
+            "a longer {kind:?}/{predictor:?} run allocates more: {runs:?} \
+             (slack {STEADY_STATE_SLACK})"
         );
     }
 }

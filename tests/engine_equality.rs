@@ -8,7 +8,10 @@
 //! engine's result rows against them byte for byte (the artifact header
 //! embeds the spec, whose schema number may legitimately grow), for every
 //! mechanism in the registry crossed with both predictors, in both
-//! live-generation and trace-replay modes.  (The shard/merge leg is covered separately by
+//! live-generation and trace-replay modes.  An i-TLB leg runs every
+//! mechanism under the stream predictor with a TLB small enough to miss,
+//! so the redirect must unwind wrong-path translations and mechanism
+//! state identically live and replayed.  (The shard/merge leg is covered separately by
 //! `tests/sweep_cells.rs::mechanism_axis_is_bit_exact_under_threads_and_sharding`,
 //! which proves shard == live for the same mechanism axis.)
 //!
@@ -19,8 +22,8 @@
 //! ```
 
 use fetch_prestaging::sim::{
-    grid_output, try_run_spec, ConfigPreset, ExperimentSpec, PredictorKind, PrefetcherKind,
-    TraceSource,
+    grid_output, try_run_spec, ConfigPreset, ExperimentSpec, ITlbConfig, PredictorKind,
+    PrefetcherKind, TraceSource,
 };
 use fetch_prestaging::workload;
 use prestage_json::Json;
@@ -53,11 +56,16 @@ fn unescape(s: &str) -> String {
     out
 }
 
-/// One deterministic spec per (mechanism, predictor) point: two L1 sizes
-/// and two benchmarks under the FDP preset (which carries a pre-buffer so
-/// every mechanism has somewhere to prefetch into), mechanism swapped in
-/// via the spec `prefetcher` override exactly as `prestage run` does it.
-fn spec_for(kind: PrefetcherKind, predictor: PredictorKind) -> ExperimentSpec {
+/// One deterministic spec per (mechanism, predictor, i-TLB) point: two L1
+/// sizes and two benchmarks under the FDP preset (which carries a
+/// pre-buffer so every mechanism has somewhere to prefetch into),
+/// mechanism swapped in via the spec `prefetcher` override exactly as
+/// `prestage run` does it.
+fn spec_for(
+    kind: PrefetcherKind,
+    predictor: PredictorKind,
+    itlb: Option<ITlbConfig>,
+) -> ExperimentSpec {
     ExperimentSpec {
         presets: vec![ConfigPreset::Fdp],
         l1_sizes: vec![1 << 10, 4 << 10],
@@ -67,12 +75,41 @@ fn spec_for(kind: PrefetcherKind, predictor: PredictorKind) -> ExperimentSpec {
         threads: Some(1),
         predictor,
         prefetcher: Some(kind),
+        itlb,
         ..ExperimentSpec::default()
     }
 }
 
-fn case_label(kind: PrefetcherKind, predictor: PredictorKind) -> String {
-    format!("{}/{}", kind.id(), predictor.id())
+/// Two 256-byte pages of reach against a multi-KB instruction footprint:
+/// the i-TLB misses in steady state, so wrong-path translations evict
+/// right-path ones until the redirect restores them.
+fn tiny_tlb() -> ITlbConfig {
+    ITlbConfig {
+        entries: 2,
+        assoc: 1,
+        page_bytes: 256,
+        miss_cycles: 25,
+    }
+}
+
+/// Every golden case: each mechanism under both predictors without a TLB,
+/// then each mechanism under the stream predictor with [`tiny_tlb`].
+fn cases() -> Vec<(PrefetcherKind, PredictorKind, Option<ITlbConfig>)> {
+    let mut cases = Vec::new();
+    for kind in PrefetcherKind::all() {
+        for predictor in [PredictorKind::Stream, PredictorKind::Gshare] {
+            cases.push((kind, predictor, None));
+        }
+    }
+    for kind in PrefetcherKind::all() {
+        cases.push((kind, PredictorKind::Stream, Some(tiny_tlb())));
+    }
+    cases
+}
+
+fn case_label(kind: PrefetcherKind, predictor: PredictorKind, itlb: bool) -> String {
+    let tlb = if itlb { "/itlb" } else { "" };
+    format!("{}/{}{tlb}", kind.id(), predictor.id())
 }
 
 /// The comparable part of a grid artifact: the result rows.  The header
@@ -144,27 +181,26 @@ fn engine_matches_pre_refactor_goldens_for_every_mechanism() {
         std::env::temp_dir().join(format!("prestage-engine-equality-{}", std::process::id()));
     let mut fresh: Vec<(String, String)> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    for kind in PrefetcherKind::all() {
-        for predictor in [PredictorKind::Stream, PredictorKind::Gshare] {
-            let label = case_label(kind, predictor);
-            let spec = spec_for(kind, predictor);
-            let rows = try_run_spec(&spec).expect("live run");
-            let live = grid_output(&spec, &rows);
-            let replayed = replay_output(&spec, &scratch);
-            assert_eq!(
-                replayed, live,
-                "{label}: trace replay diverged from live generation"
-            );
-            if regen {
-                fresh.push((label, live));
-            } else {
-                match golden.iter().find(|(l, _)| *l == label) {
-                    Some((_, want)) if rows_subtree(want) == rows_subtree(&live) => {}
-                    Some(_) => failures.push(format!(
-                        "{label}: grid output differs from the pre-refactor golden"
-                    )),
-                    None => failures.push(format!("{label}: no golden entry")),
-                }
+    let cases = cases();
+    for &(kind, predictor, itlb) in &cases {
+        let label = case_label(kind, predictor, itlb.is_some());
+        let spec = spec_for(kind, predictor, itlb);
+        let rows = try_run_spec(&spec).expect("live run");
+        let live = grid_output(&spec, &rows);
+        let replayed = replay_output(&spec, &scratch);
+        assert_eq!(
+            replayed, live,
+            "{label}: trace replay diverged from live generation"
+        );
+        if regen {
+            fresh.push((label, live));
+        } else {
+            match golden.iter().find(|(l, _)| *l == label) {
+                Some((_, want)) if rows_subtree(want) == rows_subtree(&live) => {}
+                Some(_) => failures.push(format!(
+                    "{label}: grid output differs from the pre-refactor golden"
+                )),
+                None => failures.push(format!("{label}: no golden entry")),
             }
         }
     }
@@ -185,7 +221,7 @@ fn engine_matches_pre_refactor_goldens_for_every_mechanism() {
     }
     assert_eq!(
         golden.len(),
-        PrefetcherKind::all().len() * 2,
+        cases.len(),
         "golden file covers a different case set — regenerate"
     );
     assert!(

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures' invariants.
 
 use fetch_prestaging::cache::{ReqClass, ReqId, SetAssocCache};
-use fetch_prestaging::core::{FetchQueue, PbKind, PbLookup, PreBuffer, QueueKind};
+use fetch_prestaging::core::{FetchQueue, PbKind, PbLookup, PreBuffer};
 use proptest::prelude::*;
 
 proptest! {
@@ -77,7 +77,7 @@ proptest! {
     /// block cap is respected.
     #[test]
     fn fetch_queue_fifo(blocks in prop::collection::vec((0u64..1u64<<20, 1u32..64), 1..20)) {
-        let mut q = FetchQueue::new(QueueKind::Cltq, 64, 8);
+        let mut q = FetchQueue::new(64, 8);
         let mut accepted = Vec::new();
         for (i, &(start, len)) in blocks.iter().enumerate() {
             let start = start * 4;

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the substrate crates' hot paths.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use prestage_bpred::StreamPredictor;
+use prestage_bpred::{FetchPredictor, StreamPredictor};
 use prestage_cache::{L2Config, L2System, ReqClass, SetAssocCache};
 use prestage_cacti::{latency_cycles, CacheGeometry, TechNode};
 use prestage_workload::{build, specint2000, TraceGenerator};

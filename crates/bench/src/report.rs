@@ -13,7 +13,7 @@
 //! label.  The paper's static Tables 1–3 print from the models alone.
 
 use crate::{note_result, results_dir, size_label, L1_SIZES};
-use prestage_bpred::{StreamPredictorConfig, RAS_ENTRIES};
+use prestage_bpred::{RAS_ENTRIES, STREAM_L1_ENTRIES, STREAM_L2_ENTRIES};
 use prestage_cacti::{
     area_mm2, energy_nj_per_access, latency_cycles, CacheGeometry, TechNode, SIA_ROADMAP,
 };
@@ -571,13 +571,12 @@ pub fn table2() {
     let line = FrontendConfig::base(TechNode::T045, 8 << 10).line_bytes;
     let be = BackendConfig::default();
     let (width, d_kb, d_assoc) = (be.width, be.dcache_capacity >> 10, be.dcache_assoc);
-    let sp = StreamPredictorConfig::default();
-    let (l1k, l2k, ras) = (sp.l1_entries / 1024, sp.l2_entries / 1024, RAS_ENTRIES);
+    let (l1k, l2k) = (STREAM_L1_ENTRIES / 1024, STREAM_L2_ENTRIES / 1024);
     outln!("# Table 2 — simulation parameters");
     outln!("Fetch/Issue/Commit      {FETCH_WIDTH}/{width}/{width} instructions");
     outln!("RUU Size                {RUU_SIZE} instructions");
     outln!("Branch Predictor        {l1k}K+{l2k}K-entry stream pred., 1 cycle lat.");
-    outln!("RAS                     {ras}-entry");
+    outln!("RAS                     {RAS_ENTRIES}-entry");
     outln!("Fetch queue             {QUEUE_BLOCKS} fetch blocks, {MAX_INFLIGHT} line fetches in flight");
     outln!("Pipeline depth          15 stages");
     outln!("L1 I-Cache              {L1_ASSOC}-way asc., 1 port, {line}B/line");

@@ -8,50 +8,53 @@
 //! predictor for gshare quantifies that sensitivity without touching the
 //! front-end.
 
+use crate::predictor::PredStats;
 use crate::ras::ReturnAddressStack;
 use crate::stream::{StreamDesc, StreamEnd, StreamPrediction, MAX_STREAM_INSTS};
+use crate::FetchPredictor;
 use prestage_isa::{Addr, OpClass, Program, Terminator, INST_BYTES};
+
+/// Pattern history table entries: 16K 2-bit counters, mask-indexed.
+const PHT_ENTRIES: usize = 16 << 10;
+const _: () = assert!(PHT_ENTRIES.is_power_of_two());
 
 /// Gshare + RAS, producing stream predictions by dictionary walk.
 #[derive(Debug, Clone)]
 pub struct GsharePredictor {
     /// 2-bit saturating counters.
     pht: Vec<u8>,
-    mask: usize,
     ghist: u64,
     ras: ReturnAddressStack,
-    /// History and RAS as of the last [`checkpoint`](Self::checkpoint).
+    /// History and RAS as of the last [`FetchPredictor::checkpoint`].
     saved: (u64, ReturnAddressStack),
+    stats: PredStats,
 }
 
-impl GsharePredictor {
-    /// `pht_entries` must be a power of two (default configuration: 16K).
-    pub fn new(pht_entries: usize) -> Self {
-        assert!(pht_entries.is_power_of_two());
+impl Default for GsharePredictor {
+    /// A 16K-entry table of weakly not-taken counters.
+    fn default() -> Self {
         GsharePredictor {
-            pht: vec![1; pht_entries], // weakly not-taken
-            mask: pht_entries - 1,
+            pht: vec![1; PHT_ENTRIES],
             ghist: 0,
             ras: ReturnAddressStack::default(),
             saved: (0, ReturnAddressStack::default()),
+            stats: PredStats::default(),
         }
     }
+}
 
-    pub fn default_16k() -> Self {
-        Self::new(16 << 10)
-    }
-
+impl GsharePredictor {
     #[inline]
-    fn index(&self, pc: Addr, hist: u64) -> usize {
-        (((pc >> 2) ^ hist) as usize) & self.mask
+    fn index(pc: Addr, hist: u64) -> usize {
+        (((pc >> 2) ^ hist) as usize) & (PHT_ENTRIES - 1)
     }
 
     fn predict_dir(&self, pc: Addr, hist: u64) -> bool {
-        self.pht[self.index(pc, hist)] >= 2
+        self.pht[Self::index(pc, hist)] >= 2
     }
 
     fn update_dir(&mut self, pc: Addr, hist: u64, taken: bool) {
-        let idx = self.index(pc, hist);
+        let idx = Self::index(pc, hist);
         let c = &mut self.pht[idx];
         if taken {
             *c = (*c + 1).min(3);
@@ -60,9 +63,34 @@ impl GsharePredictor {
         }
     }
 
-    /// Predict the stream starting at `start` by walking the dictionary
-    /// `prog`, updating speculative state (global history, RAS).
-    pub fn predict(&mut self, start: Addr, prog: &Program) -> StreamPrediction {
+    /// Train the direction counters with a resolved actual stream.
+    fn train(&mut self, actual: &StreamDesc) {
+        // Replay the stream's conditional branches: every embedded one was
+        // not taken; the terminator was taken iff the stream ended Taken at
+        // a conditional branch (unconditional CTIs need no direction
+        // training).  History replay uses the retired history convention:
+        // we simply fold outcomes into a scratch history starting from the
+        // current one — gshare is noise-tolerant by design and this is an
+        // ablation baseline.
+        let mut hist = self.ghist;
+        let end_pc = actual.end_pc();
+        let mut pc = actual.start;
+        while pc < end_pc {
+            // Only the terminator can be taken.
+            let is_last = pc + INST_BYTES == end_pc;
+            let taken = is_last && actual.end == StreamEnd::Taken;
+            self.update_dir(pc, hist, taken);
+            hist = (hist << 1) | taken as u64;
+            pc += INST_BYTES;
+        }
+    }
+}
+
+impl FetchPredictor for GsharePredictor {
+    /// Walk the dictionary `prog` from `start`, predicting each
+    /// conditional branch.
+    fn predict(&mut self, start: Addr, prog: &Program) -> StreamPrediction {
+        self.stats.predictions += 1;
         let mut pc = start;
         let mut len = 0u32;
         let mut stream = loop {
@@ -140,38 +168,30 @@ impl GsharePredictor {
         }
     }
 
-    /// Train with a resolved actual stream.
-    pub fn train(&mut self, actual: &StreamDesc) {
-        // Replay the stream's conditional branches: every embedded one was
-        // not taken; the terminator was taken iff the stream ended Taken at
-        // a conditional branch (unconditional CTIs need no direction
-        // training).  History replay uses the retired history convention:
-        // we simply fold outcomes into a scratch history starting from the
-        // current one — gshare is noise-tolerant by design and this is an
-        // ablation baseline.
-        let mut hist = self.ghist;
-        let end_pc = actual.end_pc();
-        let mut pc = actual.start;
-        while pc < end_pc {
-            // Only the terminator can be taken.
-            let is_last = pc + INST_BYTES == end_pc;
-            let taken = is_last && actual.end == StreamEnd::Taken;
-            self.update_dir(pc, hist, taken);
-            hist = (hist << 1) | taken as u64;
-            pc += INST_BYTES;
+    fn predict_and_train(&mut self, actual: &StreamDesc, prog: &Program) -> StreamPrediction {
+        let p = self.predict(actual.start, prog);
+        self.stats.trained += 1;
+        if p.stream.same_flow(actual) {
+            self.stats.train_correct += 1;
         }
+        self.train(actual);
+        p
     }
 
-    /// Save speculative state (history + RAS) before a prediction,
-    /// replacing the previous saved copy.
-    pub fn checkpoint(&mut self) {
+    fn checkpoint(&mut self) {
         self.saved = (self.ghist, self.ras);
     }
 
-    /// Reinstate the last [`checkpoint`](Self::checkpoint) (branch
-    /// misprediction recovery).
-    pub fn restore(&mut self) {
+    fn restore(&mut self) {
         (self.ghist, self.ras) = self.saved;
+    }
+
+    fn stats(&self) -> &PredStats {
+        &self.stats
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = PredStats::default();
     }
 }
 
@@ -197,7 +217,7 @@ mod tests {
     #[test]
     fn cold_predicts_not_taken() {
         let prog = loop_program();
-        let mut g = GsharePredictor::default_16k();
+        let mut g = GsharePredictor::default();
         let p = g.predict(0x1000, &prog);
         // Weakly-not-taken counters: walks through the branch to the Return.
         assert_eq!(p.stream.end, StreamEnd::Return);
@@ -206,7 +226,7 @@ mod tests {
     #[test]
     fn learns_taken_loop_branch() {
         let prog = loop_program();
-        let mut g = GsharePredictor::default_16k();
+        let mut g = GsharePredictor::default();
         let taken = StreamDesc {
             start: 0x1000,
             len: 8,
@@ -225,7 +245,7 @@ mod tests {
     #[test]
     fn training_embedded_branches_not_taken() {
         let prog = loop_program();
-        let mut g = GsharePredictor::default_16k();
+        let mut g = GsharePredictor::default();
         // Bias the branch taken, then train a stream where it is embedded
         // (i.e. fell through to the Return).
         let taken = StreamDesc {
@@ -264,7 +284,7 @@ mod tests {
         pb.push(straightline_block(0x10c, 1, Terminator::Return));
         pb.push(straightline_block(0x200, 1, Terminator::Return));
         let prog = pb.finish().unwrap();
-        let mut g = GsharePredictor::default_16k();
+        let mut g = GsharePredictor::default();
         let c = g.predict(0x100, &prog);
         assert_eq!(c.stream.next, 0x200);
         let r = g.predict(0x200, &prog);
@@ -274,7 +294,7 @@ mod tests {
     #[test]
     fn checkpoint_restore() {
         let prog = loop_program();
-        let mut g = GsharePredictor::default_16k();
+        let mut g = GsharePredictor::default();
         // Bias the loop branch taken, so the prediction shifts a 1 in.
         let taken = StreamDesc {
             start: 0x1000,
@@ -291,5 +311,28 @@ mod tests {
         g.restore();
         assert_eq!(g.ghist, 0);
         assert_eq!(g.ras.depth(), 0);
+    }
+
+    #[test]
+    fn counts_predictions_and_training_like_the_stream_predictor() {
+        let prog = loop_program();
+        let mut g = GsharePredictor::default();
+        let taken = StreamDesc {
+            start: 0x1000,
+            len: 8,
+            next: 0x1000,
+            end: StreamEnd::Taken,
+        };
+        // Cold counters walk past the branch: the first is wrong.
+        for _ in 0..4 {
+            g.predict_and_train(&taken, &prog);
+        }
+        let _ = g.predict(0x1000, &prog); // wrong path: predicted, not trained
+        let s = *g.stats();
+        assert_eq!((s.predictions, s.trained), (5, 4));
+        assert!(s.train_correct >= 1 && s.train_correct < 4, "{s:?}");
+        assert_eq!(s.l1_supplied + s.l2_supplied + s.fallback_supplied, 0);
+        g.reset_stats();
+        assert_eq!(*g.stats(), PredStats::default());
     }
 }

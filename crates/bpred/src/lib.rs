@@ -15,14 +15,14 @@
 //! * [`ras`] — the 8-entry return address stack, a `Copy` value.
 //! * [`predictor`] — the cascaded 1K (PC-indexed) + 6K (path-history
 //!   indexed) stream predictor, with speculative history and repair.
+//! * [`gshare`] — a gshare direction predictor that builds streams by
+//!   walking the basic-block dictionary; the ablation baseline.
 //!
-//! Both predictors keep one saved copy of their speculative state (path
-//! history and RAS, never the tables): `checkpoint()` overwrites it before
-//! an on-path prediction and `restore()` reinstates it on a queue-full
-//! retry or a misprediction redirect.
-//! * [`gshare`] — a classic gshare + BTB predictor wrapped to produce
-//!   streams by walking the basic-block dictionary; used by the ablation
-//!   benches.
+//! Both predictors implement [`FetchPredictor`], the one interface the
+//! engine drives.  Each keeps one saved copy of its speculative state
+//! (path history and RAS, never the tables): `checkpoint()` overwrites it
+//! before an on-path prediction and `restore()` reinstates it on a
+//! queue-full retry or a misprediction redirect.
 
 pub mod gshare;
 pub mod predictor;
@@ -30,6 +30,32 @@ pub mod ras;
 pub mod stream;
 
 pub use gshare::GsharePredictor;
-pub use predictor::{PredStats, StreamPredictor, StreamPredictorConfig, TrainToken};
+pub use predictor::{PredStats, StreamPredictor, TrainToken, STREAM_L1_ENTRIES, STREAM_L2_ENTRIES};
 pub use ras::{ReturnAddressStack, RAS_ENTRIES};
 pub use stream::{StreamDesc, StreamEnd, StreamPrediction, MAX_STREAM_INSTS};
+
+use prestage_isa::{Addr, Program};
+
+/// A fetch-block predictor: what the engine asks for one stream at a time.
+pub trait FetchPredictor {
+    /// Predict the stream starting at `start`, advancing speculative state
+    /// (history, RAS).  The wrong path uses this: nothing is trained.
+    fn predict(&mut self, start: Addr, prog: &Program) -> StreamPrediction;
+
+    /// Predict at `actual.start`, then train toward `actual`, counting the
+    /// prediction correct when it has the same flow
+    /// ([`StreamDesc::same_flow`]).  The correct path uses this.
+    fn predict_and_train(&mut self, actual: &StreamDesc, prog: &Program) -> StreamPrediction;
+
+    /// Save speculative state over the previous saved copy.
+    fn checkpoint(&mut self);
+
+    /// Reinstate the last [`checkpoint`](Self::checkpoint).
+    fn restore(&mut self);
+
+    /// Accuracy and table-usage counters.
+    fn stats(&self) -> &PredStats;
+
+    /// Zero the counters (end of warm-up); tables are kept.
+    fn reset_stats(&mut self);
+}

@@ -8,33 +8,27 @@
 //! state advance at predict time and are checkpointed/restored around
 //! mispredictions, mirroring the paper's "speculative lookups and updates of
 //! the branch predictor": the predictor keeps one saved copy of both, taken
-//! by [`StreamPredictor::checkpoint`] and reinstated by
-//! [`StreamPredictor::restore`].
+//! by [`FetchPredictor::checkpoint`] and reinstated by
+//! [`FetchPredictor::restore`].
 
 use crate::ras::ReturnAddressStack;
 use crate::stream::{static_fallback_walk, StreamDesc, StreamEnd, StreamPrediction};
+use crate::FetchPredictor;
 use prestage_isa::{Addr, Program, INST_BYTES};
 
-/// Configuration of the cascaded stream predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamPredictorConfig {
-    /// First-level (PC-indexed) entries.  Paper: 1024.
-    pub l1_entries: usize,
-    /// Second-level (history-indexed) entries.  Paper: 6144.
-    pub l2_entries: usize,
-    /// Hysteresis ceiling (2-bit counters → 3).
-    pub conf_max: u8,
-}
+/// First-level (PC-indexed) entries (Table 2: 1K).
+pub const STREAM_L1_ENTRIES: usize = 1024;
 
-impl Default for StreamPredictorConfig {
-    fn default() -> Self {
-        StreamPredictorConfig {
-            l1_entries: 1024,
-            l2_entries: 6144,
-            conf_max: 3,
-        }
-    }
-}
+/// Second-level (path-history-indexed) entries (Table 2: 6K).
+pub const STREAM_L2_ENTRIES: usize = 6144;
+
+/// Hysteresis ceiling of an entry's confidence (2-bit counters).
+const CONF_MAX: u8 = 3;
+
+// The first level is indexed with `& (STREAM_L1_ENTRIES - 1)` while the
+// second level uses `%`: a non-power-of-two first level would silently
+// alias entries.
+const _: () = assert!(STREAM_L1_ENTRIES.is_power_of_two());
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Entry {
@@ -80,6 +74,10 @@ pub struct TrainToken {
 }
 
 /// Prediction accuracy and table-usage counters.
+///
+/// Every [`FetchPredictor`] counts `predictions`, `trained` and
+/// `train_correct`.  The three table-source counters are the stream
+/// predictor's; the gshare baseline has no such tables and leaves them 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredStats {
     pub predictions: u64,
@@ -93,13 +91,12 @@ pub struct PredStats {
 /// The cascaded stream predictor.
 #[derive(Debug, Clone)]
 pub struct StreamPredictor {
-    cfg: StreamPredictorConfig,
     l1: Vec<Entry>,
     l2: Vec<Entry>,
     ras: ReturnAddressStack,
     /// Speculative path history: folded stream-start addresses.
     history: u64,
-    /// History and RAS as of the last [`checkpoint`](Self::checkpoint).
+    /// History and RAS as of the last [`FetchPredictor::checkpoint`].
     saved: (u64, ReturnAddressStack),
     stats: PredStats,
 }
@@ -110,41 +107,26 @@ fn fold_tag(x: u64) -> u32 {
 }
 
 impl StreamPredictor {
-    pub fn new(cfg: StreamPredictorConfig) -> Self {
-        // The first level is indexed with `& (l1_entries - 1)` while the
-        // second level uses `%`: a non-power-of-two first level would
-        // silently alias entries and the two tables would disagree about
-        // which streams they cover.  Reject it at construction, by name.
-        assert!(
-            cfg.l1_entries.is_power_of_two(),
-            "StreamPredictorConfig.l1_entries must be a power of two \
-             (the PC-indexed level is mask-indexed), got {}",
-            cfg.l1_entries
-        );
+    /// Paper configuration (1K + 6K entries, 8-entry RAS).
+    pub fn paper_default() -> Self {
         StreamPredictor {
-            l1: vec![Entry::default(); cfg.l1_entries],
-            l2: vec![Entry::default(); cfg.l2_entries],
+            l1: vec![Entry::default(); STREAM_L1_ENTRIES],
+            l2: vec![Entry::default(); STREAM_L2_ENTRIES],
             ras: ReturnAddressStack::default(),
             history: 0,
             saved: (0, ReturnAddressStack::default()),
             stats: PredStats::default(),
-            cfg,
         }
     }
 
-    /// Paper configuration (1K + 6K entries, 8-entry RAS).
-    pub fn paper_default() -> Self {
-        Self::new(StreamPredictorConfig::default())
-    }
-
     fn l1_index(&self, start: Addr) -> (usize, u32) {
-        let idx = ((start >> 2) as usize) & (self.cfg.l1_entries - 1);
+        let idx = ((start >> 2) as usize) & (STREAM_L1_ENTRIES - 1);
         (idx, fold_tag(start))
     }
 
     fn l2_index(&self, start: Addr, history: u64) -> (usize, u32) {
         let h = history ^ (start >> 2).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let idx = (h % self.cfg.l2_entries as u64) as usize;
+        let idx = (h % STREAM_L2_ENTRIES as u64) as usize;
         (idx, fold_tag(start ^ history.rotate_left(13)))
     }
 
@@ -162,20 +144,16 @@ impl StreamPredictor {
         }
     }
 
+    /// The counters, for callers without [`FetchPredictor`] in scope.
     pub fn stats(&self) -> &PredStats {
         &self.stats
     }
 
-    /// Zero the accuracy counters (end of warm-up); tables are kept.
-    pub fn reset_stats(&mut self) {
-        self.stats = PredStats::default();
-    }
-
     /// Update one table entry towards `actual` with hysteresis.
-    fn train_entry(entry: &mut Entry, tag: u32, actual: &StreamDesc, conf_max: u8) {
+    fn train_entry(entry: &mut Entry, tag: u32, actual: &StreamDesc) {
         let same = entry.valid && entry.tag == tag && entry.matches(actual);
         if same {
-            entry.conf = (entry.conf + 1).min(conf_max);
+            entry.conf = (entry.conf + 1).min(CONF_MAX);
             return;
         }
         if entry.valid && entry.conf > 0 {
@@ -190,28 +168,6 @@ impl StreamPredictor {
             end: actual.end,
             conf: 1,
         };
-    }
-
-    /// Predict the stream starting at `start`, updating speculative state
-    /// (path history, RAS pushes/pops).  `prog` is the basic-block
-    /// dictionary, available for static fall-back walks — the same
-    /// structure the paper's simulator uses for speculative lookups.
-    pub fn predict(&mut self, start: Addr, prog: &Program) -> StreamPrediction {
-        let (i1, t1) = self.l1_index(start);
-        let (i2, t2) = self.l2_index(start, self.history);
-        self.predict_at(i1, t1, i2, t2, start, prog)
-    }
-
-    /// Save speculative state (history + RAS) before a prediction,
-    /// replacing the previous saved copy.
-    pub fn checkpoint(&mut self) {
-        self.saved = (self.history, self.ras);
-    }
-
-    /// Reinstate the last [`checkpoint`](Self::checkpoint) (branch
-    /// misprediction recovery).
-    pub fn restore(&mut self) {
-        (self.history, self.ras) = self.saved;
     }
 
     /// Shared prediction body over precomputed table indices/tags.
@@ -252,7 +208,7 @@ impl StreamPredictor {
         }
     }
 
-    /// [`predict`](Self::predict) reusing the table indices already
+    /// [`FetchPredictor::predict`] reusing the table indices already
     /// computed for `tok` — which must have been captured by
     /// [`token`](Self::token) at this `start` with the current speculative
     /// history.  The on-path flow always takes a token for training, so
@@ -291,21 +247,57 @@ impl StreamPredictor {
         if was_correct {
             self.stats.train_correct += 1;
         }
-        let conf_max = self.cfg.conf_max;
         let l1_was_right = {
             let e = &self.l1[tok.l1_idx];
             e.valid && e.tag == tok.l1_tag && e.matches(actual)
         };
-        Self::train_entry(&mut self.l1[tok.l1_idx], tok.l1_tag, actual, conf_max);
+        Self::train_entry(&mut self.l1[tok.l1_idx], tok.l1_tag, actual);
         if !l1_was_right {
-            Self::train_entry(&mut self.l2[tok.l2_idx], tok.l2_tag, actual, conf_max);
+            Self::train_entry(&mut self.l2[tok.l2_idx], tok.l2_tag, actual);
         } else {
             // Keep a correct L2 entry fresh if it exists.
             let e = &mut self.l2[tok.l2_idx];
             if e.valid && e.tag == tok.l2_tag && e.matches(actual) {
-                e.conf = (e.conf + 1).min(conf_max);
+                e.conf = (e.conf + 1).min(CONF_MAX);
             }
         }
+    }
+}
+
+impl FetchPredictor for StreamPredictor {
+    /// Predict the stream starting at `start`.  `prog` is the basic-block
+    /// dictionary, available for static fall-back walks — the same
+    /// structure the paper's simulator uses for speculative lookups.
+    fn predict(&mut self, start: Addr, prog: &Program) -> StreamPrediction {
+        let (i1, t1) = self.l1_index(start);
+        let (i2, t2) = self.l2_index(start, self.history);
+        self.predict_at(i1, t1, i2, t2, start, prog)
+    }
+
+    /// One token serves both the prediction and the training, so the
+    /// entries trained are the ones looked up, with the history that was
+    /// live at prediction time.
+    fn predict_and_train(&mut self, actual: &StreamDesc, prog: &Program) -> StreamPrediction {
+        let tok = self.token(actual.start);
+        let p = self.predict_with_token(&tok, actual.start, prog);
+        self.train_with_token(&tok, actual, p.stream.same_flow(actual));
+        p
+    }
+
+    fn checkpoint(&mut self) {
+        self.saved = (self.history, self.ras);
+    }
+
+    fn restore(&mut self) {
+        (self.history, self.ras) = self.saved;
+    }
+
+    fn stats(&self) -> &PredStats {
+        &self.stats
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = PredStats::default();
     }
 }
 
@@ -484,16 +476,6 @@ mod tests {
         p.train_with_token(&tok, &long, true);
         let pred = p.predict(0x1000, &prog);
         assert_eq!(pred.stream.len, 100_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "l1_entries must be a power of two")]
-    fn non_pow2_l1_table_is_rejected_by_name() {
-        let cfg = StreamPredictorConfig {
-            l1_entries: 1000, // not a power of two: mask-indexing would alias
-            ..StreamPredictorConfig::default()
-        };
-        let _ = StreamPredictor::new(cfg);
     }
 
     #[test]

@@ -85,10 +85,6 @@ impl SetAssocCache {
             capacity.is_power_of_two(),
             "cache capacity must be a power of two (mask-indexed sets), got {capacity}"
         );
-        assert!(
-            line.is_power_of_two(),
-            "cache line size must be a power of two, got {line}"
-        );
         assert!(assoc >= 1);
         let lines = capacity / line;
         assert!(lines >= assoc, "capacity below one way");
@@ -99,15 +95,47 @@ impl SetAssocCache {
              not a power of two — set indexing uses `& (sets - 1)` and would \
              silently alias"
         );
+        Self::with_sets(sets, line, assoc)
+    }
+
+    /// Build a directory of `sets` sets of `assoc` ways of `line`-byte
+    /// lines.  Only the set count must be a power of two (sets are
+    /// mask-indexed); the capacity need not be (6 entries, 3-way).
+    ///
+    /// # Panics
+    /// Panics on a non-power-of-two set count or line size, or an
+    /// associativity outside `1..=255`.
+    pub(crate) fn with_sets(sets: usize, line: usize, assoc: usize) -> Self {
+        assert!(
+            sets.is_power_of_two(),
+            "set count must be a power of two (mask-indexed sets), got {sets}"
+        );
+        assert!(
+            line.is_power_of_two(),
+            "cache line size must be a power of two, got {line}"
+        );
         SetAssocCache {
             line_shift: line.trailing_zeros(),
             sets,
             assoc,
-            tags: vec![0; lines],
-            valid: vec![false; lines],
-            dirty: vec![false; lines],
+            tags: vec![0; sets * assoc],
+            valid: vec![false; sets * assoc],
+            dirty: vec![false; sets * assoc],
             ranks: lru::ranks(sets, assoc),
         }
+    }
+
+    /// Overwrite this directory's contents and replacement state with
+    /// `other`'s, without allocating.  The geometries must be equal.
+    pub(crate) fn copy_from(&mut self, other: &SetAssocCache) {
+        debug_assert_eq!(
+            (self.line_shift, self.sets, self.assoc),
+            (other.line_shift, other.sets, other.assoc)
+        );
+        self.tags.copy_from_slice(&other.tags);
+        self.valid.copy_from_slice(&other.valid);
+        self.dirty.copy_from_slice(&other.dirty);
+        self.ranks.copy_from_slice(&other.ranks);
     }
 
     /// Fully associative helper.
@@ -363,6 +391,36 @@ mod tests {
         c.fill_with(0x000, FillClass::Prefetch(InsertionPolicy::Bypass));
         assert!(!c.contains(0x000));
         assert_eq!(c.occupancy(), 0);
+    }
+
+    #[test]
+    fn with_sets_allows_a_non_pow2_capacity_and_copy_from_round_trips() {
+        // 2 sets of 3 ways: 6 lines, not a power of two.
+        let mut c = SetAssocCache::with_sets(2, 64, 3);
+        for addr in [0x000u64, 0x080, 0x100, 0x040] {
+            c.fill(addr);
+        }
+        let mut saved = SetAssocCache::with_sets(2, 64, 3);
+        saved.copy_from(&c);
+        let mut twin = c.clone();
+        for addr in [0x180u64, 0x200, 0x280, 0x0c0] {
+            c.fill(addr);
+        }
+        assert!(!c.contains(0x000), "the detour evicted nothing");
+        c.copy_from(&saved);
+        for addr in [0x000u64, 0x080, 0x100, 0x040, 0x180, 0x0c0] {
+            assert_eq!(c.contains(addr), twin.contains(addr), "{addr:#x}");
+        }
+        // Replacement state came back too: the same victims follow.
+        for addr in [0x300u64, 0x380, 0x000, 0x400] {
+            assert_eq!(c.fill(addr), twin.fill(addr), "{addr:#x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn with_sets_rejects_a_non_pow2_set_count() {
+        let _ = SetAssocCache::with_sets(3, 64, 2);
     }
 
     #[test]

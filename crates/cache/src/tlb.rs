@@ -10,16 +10,17 @@
 //! by [`ITlb::restore`] (wrong-path fetches must not leave translations
 //! behind, or replay from a checkpoint would diverge from the live run).
 //!
-//! Sizing follows the other SRAMs: `entries / assoc` sets, mask-indexed, so
-//! both must divide into a power-of-two set count
-//! ([`ITlbConfig::validate`] refuses anything else by name).
+//! The directory is a [`SetAssocCache`] whose lines are pages.  Sizing
+//! follows the other SRAMs: `entries / assoc` sets, mask-indexed, so both
+//! must divide into a power-of-two set count ([`ITlbConfig::validate`]
+//! refuses anything else by name).
 
-use crate::lru;
+use crate::array::SetAssocCache;
 use prestage_isa::Addr;
 
 /// Largest i-TLB [`ITlbConfig::validate`] accepts, in entries.  The
 /// biggest second-level TLBs on shipping cores hold 2-4K entries, and the
-/// TLB copies every entry's tag, valid bit and rank into its saved copy
+/// TLB copies every entry's tag, state bits and rank into its saved copy
 /// at every divergence, so a larger TLB models no machine and only slows
 /// the run.
 const MAX_ITLB_ENTRIES: usize = 4096;
@@ -140,18 +141,11 @@ pub struct TlbStats {
 /// The instruction TLB proper.
 #[derive(Debug, Clone)]
 pub struct ITlb {
-    page_shift: u32,
-    sets: usize,
-    assoc: usize,
+    /// Resident translations: one "line" per page.
+    pages: SetAssocCache,
+    /// `pages` as of the last [`checkpoint`](Self::checkpoint).
+    saved: SetAssocCache,
     miss_cycles: u64,
-    /// `tags[set * assoc + way]` — virtual page numbers.
-    tags: Vec<u64>,
-    valid: Vec<bool>,
-    /// `ranks[set * assoc + way]` — true-LRU ranks, 0 = MRU.
-    ranks: Vec<u8>,
-    /// `tags`, `valid` and `ranks` as of the last
-    /// [`checkpoint`](Self::checkpoint).
-    saved: (Vec<u64>, Vec<bool>, Vec<u8>),
     stats: TlbStats,
 }
 
@@ -163,77 +157,32 @@ impl ITlb {
     /// (the configuration layer validates first; these asserts defend the
     /// mask-indexing invariant).
     pub fn new(cfg: &ITlbConfig) -> ITlb {
+        let sets = cfg.entries / cfg.assoc.max(1);
         assert!(
-            cfg.page_bytes.is_power_of_two(),
-            "itlb page_bytes must be a power of two, got {}",
-            cfg.page_bytes
-        );
-        assert!(
-            cfg.assoc >= 1 && cfg.assoc <= cfg.entries,
-            "itlb assoc out of range"
-        );
-        let sets = cfg.entries / cfg.assoc;
-        assert!(
-            sets.is_power_of_two() && sets * cfg.assoc == cfg.entries,
-            "itlb entries ({}) over assoc ({}) yields a non-power-of-two set count",
+            sets * cfg.assoc == cfg.entries,
+            "itlb entries ({}) do not divide into sets of assoc ({})",
             cfg.entries,
             cfg.assoc
         );
-        let (tags, valid, ranks) = (
-            vec![0; cfg.entries],
-            vec![false; cfg.entries],
-            lru::ranks(sets, cfg.assoc),
-        );
+        let pages = SetAssocCache::with_sets(sets, cfg.page_bytes as usize, cfg.assoc);
         ITlb {
-            page_shift: cfg.page_bytes.trailing_zeros(),
-            sets,
-            assoc: cfg.assoc,
+            saved: pages.clone(),
+            pages,
             miss_cycles: cfg.miss_cycles,
-            saved: (tags.clone(), valid.clone(), ranks.clone()),
-            tags,
-            valid,
-            ranks,
             stats: TlbStats::default(),
         }
-    }
-
-    #[inline]
-    fn page_num(&self, addr: Addr) -> u64 {
-        addr >> self.page_shift
-    }
-
-    #[inline]
-    fn set_of(&self, page: u64) -> usize {
-        (page as usize) & (self.sets - 1)
-    }
-
-    fn find(&self, page: u64) -> Option<(usize, usize)> {
-        let set = self.set_of(page);
-        let base = set * self.assoc;
-        (0..self.assoc)
-            .find(|&w| self.valid[base + w] && self.tags[base + w] == page)
-            .map(|w| (set, w))
     }
 
     /// Translate the page containing `addr`.  Returns the cycle at which
     /// the translation is available: `now` on a hit, `now + miss_cycles` on
     /// a miss (the walk also installs the translation, evicting LRU).
     pub fn translate(&mut self, addr: Addr, now: u64) -> u64 {
-        let page = self.page_num(addr);
-        let base = self.set_of(page) * self.assoc;
-        let ranks = base..base + self.assoc;
-        if let Some((_, way)) = self.find(page) {
-            lru::touch(&mut self.ranks[ranks], way);
+        if self.pages.lookup(addr) {
             self.stats.hits += 1;
             return now;
         }
         self.stats.misses += 1;
-        let way = (0..self.assoc)
-            .find(|&w| !self.valid[base + w])
-            .unwrap_or_else(|| lru::lru(&self.ranks[ranks.clone()]));
-        self.tags[base + way] = page;
-        self.valid[base + way] = true;
-        lru::touch(&mut self.ranks[ranks], way);
+        self.pages.fill(addr);
         now.saturating_add(self.miss_cycles)
     }
 
@@ -245,27 +194,17 @@ impl ITlb {
         self.stats = TlbStats::default();
     }
 
-    /// Modeled storage for budget accounting (mirrors
-    /// [`ITlbConfig::state_bytes`]).
-    pub fn state_bytes(&self) -> usize {
-        self.sets * self.assoc * 16
-    }
-
-    /// Save tags, valid bits and replacement state (not statistics —
+    /// Save the resident pages and replacement state (not statistics —
     /// counters keep counting across redirects like every other array)
     /// over the previous saved copy: one is taken per divergence.
     pub fn checkpoint(&mut self) {
-        self.saved.0.copy_from_slice(&self.tags);
-        self.saved.1.copy_from_slice(&self.valid);
-        self.saved.2.copy_from_slice(&self.ranks);
+        self.saved.copy_from(&self.pages);
     }
 
     /// Reinstate the last [`checkpoint`](Self::checkpoint) (the empty TLB
     /// before the first one).
     pub fn restore(&mut self) {
-        self.tags.copy_from_slice(&self.saved.0);
-        self.valid.copy_from_slice(&self.saved.1);
-        self.ranks.copy_from_slice(&self.saved.2);
+        self.pages.copy_from(&self.saved);
     }
 }
 
@@ -284,7 +223,7 @@ mod tests {
 
     /// Whether `addr`'s page is resident, read without touching LRU or stats.
     fn resident(t: &ITlb, addr: Addr) -> bool {
-        t.find(t.page_num(addr)).is_some()
+        t.pages.contains(addr)
     }
 
     #[test]
@@ -388,6 +327,5 @@ mod tests {
     fn state_bytes_accounting() {
         let cfg = ITlbConfig::default_config();
         assert_eq!(cfg.state_bytes(), 64 * 16);
-        assert_eq!(ITlb::new(&cfg).state_bytes(), cfg.state_bytes());
     }
 }

@@ -34,8 +34,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// On-disk schema of one cache entry file.
-pub const CACHE_SCHEMA: u64 = 1;
+/// On-disk schema of one cache entry file.  Schema 1 entries hold all-zero
+/// `pred` counters for every gshare cell, which the cell key cannot tell
+/// apart, so schema 2 refuses them.
+pub const CACHE_SCHEMA: u64 = 2;
 
 /// 128-bit FNV-1a over `bytes`, as 32 hex digits: two independent 64-bit
 /// lanes with distinct offset bases, each avalanched through a
@@ -321,6 +323,25 @@ mod tests {
         std::fs::write(&path, forged).unwrap();
         let err = store.get(&key).unwrap_err();
         assert!(err.contains("different key"), "{err}");
+        assert!(err.contains(&path.display().to_string()), "{err}");
+    }
+
+    #[test]
+    fn schema_1_entry_is_refused_by_file() {
+        let tmp = TempDir::new("schema1");
+        let store = Store::open(&tmp.0).unwrap();
+        let key = Json::obj([("kind", "cell".into())]);
+        store.put(&key, &Json::Null).unwrap();
+        let path = store.entry_path(&key);
+        let old = Json::obj([
+            ("schema", 1u64.into()),
+            ("key", key.clone()),
+            ("value", Json::Null),
+        ])
+        .pretty();
+        std::fs::write(&path, old).unwrap();
+        let err = store.get(&key).unwrap_err();
+        assert!(err.contains("schema 1"), "{err}");
         assert!(err.contains(&path.display().to_string()), "{err}");
     }
 

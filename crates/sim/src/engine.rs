@@ -1,9 +1,10 @@
 //! The full-system cycle engine.
 //!
-//! Ties together the stream predictor, the decoupled front-end (queue +
-//! prefetcher + fetch unit), the decode pipe and the RUU back-end, with the
-//! paper's §4 methodology: the *correct* dynamic path comes from the trace
-//! generator; the predictor runs ahead of fetch, and where its prediction
+//! Ties together the fetch-block predictor (a `FetchPredictor`: the stream
+//! predictor or gshare), the decoupled front-end (queue + prefetcher +
+//! fetch unit), the decode pipe and the RUU back-end, with the paper's §4
+//! methodology: the *correct* dynamic path comes from the trace generator;
+//! the predictor runs ahead of fetch, and where its prediction
 //! diverges from the trace the front-end keeps fetching down the predicted
 //! (wrong) path through the basic-block dictionary — consuming fetch
 //! bandwidth, cache ports and bus slots — until the mispredicted branch
@@ -12,8 +13,9 @@
 //! mechanism (training cursors) and the i-TLB (contents) is restored, and
 //! fetch resumes on the correct path.  Each of those units keeps its own
 //! saved copy behind `checkpoint()` / `restore()`; the engine only says
-//! when: the predictor checkpoints before each on-path prediction and
-//! restores on a queue-full retry and at the redirect, and the front-end
+//! when: the predictor checkpoints before each on-path prediction (which
+//! also trains it) and restores on a queue-full retry and at the redirect,
+//! and the front-end
 //! checkpoints at a divergence and restores right after the redirect
 //! flush.
 //!
@@ -89,7 +91,7 @@ use crate::backend::BackEnd;
 use crate::config::SimConfig;
 use crate::stats::SimStats;
 use prestage_bpred::{
-    GsharePredictor, StreamDesc, StreamPrediction, StreamPredictor, MAX_STREAM_INSTS,
+    FetchPredictor, GsharePredictor, StreamDesc, StreamPredictor, MAX_STREAM_INSTS,
 };
 use prestage_cache::{Completion, L2Config, L2System, ReqClass};
 use prestage_core::config::{MAX_INFLIGHT, QUEUE_BLOCKS};
@@ -217,99 +219,12 @@ impl PredictorKind {
             _ => None,
         }
     }
-}
 
-/// The fetch-block predictor, as one type so one engine serves both.
-#[derive(Debug)]
-enum AnyPredictor {
-    Stream(StreamPredictor),
-    Gshare(GsharePredictor),
-}
-
-/// Training context captured before a prediction.
-enum PredictorToken {
-    Stream(prestage_bpred::predictor::TrainToken),
-    Gshare,
-}
-
-impl AnyPredictor {
-    fn new(kind: PredictorKind) -> Self {
-        match kind {
-            PredictorKind::Stream => AnyPredictor::Stream(StreamPredictor::paper_default()),
-            PredictorKind::Gshare => AnyPredictor::Gshare(GsharePredictor::default_16k()),
-        }
-    }
-
-    fn token(&self, start: prestage_isa::Addr) -> PredictorToken {
+    /// A cold predictor of this kind.
+    fn build(self) -> Box<dyn FetchPredictor> {
         match self {
-            AnyPredictor::Stream(p) => PredictorToken::Stream(p.token(start)),
-            AnyPredictor::Gshare(_) => PredictorToken::Gshare,
-        }
-    }
-
-    fn predict(
-        &mut self,
-        start: prestage_isa::Addr,
-        prog: &prestage_isa::Program,
-    ) -> StreamPrediction {
-        match self {
-            AnyPredictor::Stream(p) => p.predict(start, prog),
-            AnyPredictor::Gshare(p) => p.predict(start, prog),
-        }
-    }
-
-    /// Predict reusing the table indices captured in `tok` (taken at the
-    /// same start address with the same speculative history) — identical
-    /// result to [`predict`](Self::predict), minus recomputing them.
-    fn predict_with_token(
-        &mut self,
-        tok: &PredictorToken,
-        start: prestage_isa::Addr,
-        prog: &prestage_isa::Program,
-    ) -> StreamPrediction {
-        match (self, tok) {
-            (AnyPredictor::Stream(p), PredictorToken::Stream(t)) => {
-                p.predict_with_token(t, start, prog)
-            }
-            (AnyPredictor::Gshare(p), _) => p.predict(start, prog),
-            _ => unreachable!("token/predictor mismatch"),
-        }
-    }
-
-    fn train(&mut self, tok: &PredictorToken, actual: &StreamDesc, was_correct: bool) {
-        match (self, tok) {
-            (AnyPredictor::Stream(p), PredictorToken::Stream(t)) => {
-                p.train_with_token(t, actual, was_correct)
-            }
-            (AnyPredictor::Gshare(p), _) => p.train(actual),
-            _ => unreachable!("token/predictor mismatch"),
-        }
-    }
-
-    fn checkpoint(&mut self) {
-        match self {
-            AnyPredictor::Stream(p) => p.checkpoint(),
-            AnyPredictor::Gshare(p) => p.checkpoint(),
-        }
-    }
-
-    fn restore(&mut self) {
-        match self {
-            AnyPredictor::Stream(p) => p.restore(),
-            AnyPredictor::Gshare(p) => p.restore(),
-        }
-    }
-
-    fn stats(&self) -> prestage_bpred::PredStats {
-        match self {
-            AnyPredictor::Stream(p) => *p.stats(),
-            AnyPredictor::Gshare(_) => prestage_bpred::PredStats::default(),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        if let AnyPredictor::Stream(p) = self {
-            p.reset_stats();
+            PredictorKind::Stream => Box::new(StreamPredictor::paper_default()),
+            PredictorKind::Gshare => Box::<GsharePredictor>::default(),
         }
     }
 }
@@ -425,7 +340,7 @@ struct EngineImpl<'w, P: InstrPrefetcher> {
     cfg: SimConfig,
     w: &'w Workload,
     src: Box<dyn InstSource + 'w>,
-    pred: AnyPredictor,
+    pred: Box<dyn FetchPredictor>,
     fe: FrontEnd<P>,
     be: BackEnd,
     l2: L2System,
@@ -462,7 +377,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
     ) -> Self {
         EngineImpl {
             src,
-            pred: AnyPredictor::new(predictor),
+            pred: predictor.build(),
             fe: FrontEnd::new(cfg.frontend),
             be: BackEnd::new(cfg.backend),
             l2: L2System::new(L2Config::for_node(cfg.frontend.tech)),
@@ -523,7 +438,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
             committed: self.be.committed(),
             front: *self.fe.stats(),
             bus: *self.l2.stats(),
-            pred: self.pred.stats(),
+            pred: *self.pred.stats(),
             backend: *self.be.stats(),
             redirects: self.redirects,
         }
@@ -799,11 +714,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                     }
                 };
                 self.pred.checkpoint();
-                let token = self.pred.token(actual.start);
-                let p = self
-                    .pred
-                    .predict_with_token(&token, actual.start, &self.w.program);
-                let ps = p.stream;
+                let ps = self.pred.predict_and_train(&actual, &self.w.program).stream;
                 debug_assert_eq!(ps.start, actual.start);
 
                 let plen = ps.len;
@@ -815,7 +726,6 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
                 let split =
                     !correct && plen < alen && ps.next == actual.start + plen as u64 * INST_BYTES;
                 let fetch_len = if correct { alen } else { plen.max(1) };
-                self.pred.train(&token, &actual, correct);
                 if !self.fe.push_block(seq, actual.start, fetch_len) {
                     // Queue full: retry the same stream next cycle.
                     self.pending = Some(actual);
@@ -944,20 +854,26 @@ mod accounting_tests {
         let w = tiny("crafty");
         let cfg = SimConfig::preset(ConfigPreset::ClgpL0, TechNode::T045, 4 << 10)
             .with_insts(20_000, 60_000);
-        let s = Engine::new(cfg, &w, 7).run();
-        // Every committed instruction was fetched (plus wrong-path extras).
-        assert!(s.front.total_fetch_insts() >= s.committed);
-        // Every redirect corresponds to a trained-incorrect stream; counts
-        // are reset together at the warm-up boundary so they must be close
-        // (trained-incorrect also counts benign splits, so it dominates).
-        let wrong = s.pred.trained - s.pred.train_correct;
-        assert!(
-            s.redirects <= wrong,
-            "redirects {} exceed mispredicted streams {}",
-            s.redirects,
-            wrong
-        );
-        assert!(s.redirects > 0);
+        for kind in PredictorKind::all() {
+            let src = Box::new(TraceGenerator::new(&w, 7));
+            let s = Engine::with_source(cfg, &w, src, kind).run();
+            // Every committed instruction was fetched (plus wrong-path extras).
+            assert!(s.front.total_fetch_insts() >= s.committed);
+            // Every predictor counts what it predicts and trains.
+            assert!(s.pred.predictions > 0, "{kind:?} counted no predictions");
+            // Every redirect corresponds to a trained-incorrect stream;
+            // counts are reset together at the warm-up boundary so they
+            // must be close (trained-incorrect also counts benign splits,
+            // so it dominates).
+            let wrong = s.pred.trained - s.pred.train_correct;
+            assert!(
+                s.redirects <= wrong,
+                "{kind:?}: redirects {} exceed mispredicted streams {}",
+                s.redirects,
+                wrong
+            );
+            assert!(s.redirects > 0);
+        }
     }
 
     #[test]

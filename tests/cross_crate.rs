@@ -1,7 +1,7 @@
 //! Cross-crate consistency checks: the substrates must agree with each
 //! other (latencies, trace replay, predictor-vs-trace segmentation).
 
-use fetch_prestaging::bpred::{StreamPredictor, MAX_STREAM_INSTS};
+use fetch_prestaging::bpred::{FetchPredictor, StreamPredictor, MAX_STREAM_INSTS};
 use fetch_prestaging::cacti::{latency_cycles, CacheGeometry, TechNode};
 use fetch_prestaging::core::FrontendConfig;
 use fetch_prestaging::isa::INST_BYTES;

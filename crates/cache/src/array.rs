@@ -62,9 +62,10 @@ pub struct SetAssocCache {
     line_shift: u32,
     sets: usize,
     assoc: usize,
-    /// `tags[set * assoc + way]` — stored as line numbers.
+    /// `tags[set * assoc + way]` — the line number plus one (a line of two
+    /// or more bytes keeps it below `u64::MAX`), or 0 for an empty way.  A
+    /// zero fill leaves pages nothing touches unmapped.
     tags: Vec<u64>,
-    valid: Vec<bool>,
     dirty: Vec<bool>,
     /// `ranks[set * assoc + way]` — true-LRU ranks, 0 = MRU.
     ranks: Vec<u8>,
@@ -119,7 +120,6 @@ impl SetAssocCache {
             sets,
             assoc,
             tags: vec![0; sets * assoc],
-            valid: vec![false; sets * assoc],
             dirty: vec![false; sets * assoc],
             ranks: lru::ranks(sets, assoc),
         }
@@ -133,7 +133,6 @@ impl SetAssocCache {
             (other.line_shift, other.sets, other.assoc)
         );
         self.tags.copy_from_slice(&other.tags);
-        self.valid.copy_from_slice(&other.valid);
         self.dirty.copy_from_slice(&other.dirty);
         self.ranks.copy_from_slice(&other.ranks);
     }
@@ -166,7 +165,7 @@ impl SetAssocCache {
         let set = self.set_of(ln);
         let base = set * self.assoc;
         (0..self.assoc)
-            .find(|&w| self.valid[base + w] && self.tags[base + w] == ln)
+            .find(|&w| self.tags[base + w] == ln + 1)
             .map(|w| (set, w))
     }
 
@@ -222,18 +221,11 @@ impl SetAssocCache {
         let set = self.set_of(ln);
         let base = set * self.assoc;
         let way = (0..self.assoc)
-            .find(|&w| !self.valid[base + w])
+            .find(|&w| self.tags[base + w] == 0)
             .unwrap_or_else(|| lru::lru(&self.ranks[base..base + self.assoc]));
-        let victim = if self.valid[base + way] {
-            Some((
-                self.tags[base + way] << self.line_shift,
-                self.dirty[base + way],
-            ))
-        } else {
-            None
-        };
-        self.tags[base + way] = ln;
-        self.valid[base + way] = true;
+        let tag = self.tags[base + way];
+        let victim = (tag != 0).then(|| ((tag - 1) << self.line_shift, self.dirty[base + way]));
+        self.tags[base + way] = ln + 1;
         self.dirty[base + way] = false;
         let ranks = self.set_ranks(set);
         if at_lru {
@@ -253,7 +245,7 @@ impl SetAssocCache {
 
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> usize {
-        self.valid.iter().filter(|&&v| v).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 

@@ -17,11 +17,15 @@
 //!
 //! The RUU is a fixed ring of [`RUU_SIZE`] slots: dynamic instruction `seq`
 //! lives in slot `seq % RUU_SIZE` from dispatch to commit.  Per-state sets
-//! (waiting to issue, waiting on memory, unresolved mispredict) are `u64`
+//! (armed to issue, waiting on memory, unresolved mispredict) are `u64`
 //! slot bitmaps, walked oldest-first by rotating them by the head slot, so
 //! commit only advances the head and never shifts or moves anything.  Each
 //! in-flight producer keeps a bitmap of the consumers that captured its
-//! tag at dispatch, so a finishing producer wakes exactly those.
+//! tag at dispatch, so a finishing producer wakes exactly those.  An entry
+//! is *armed* once both its sources hold concrete ready times: at dispatch
+//! when it captured no tag, else when the wakeup patches its last tag.  The
+//! issue scan walks only armed entries, so an entry still waiting on an
+//! in-flight producer is never visited.
 
 use prestage_cache::{Completion, L2System, ReqClass, ReqId, SetAssocCache};
 use prestage_isa::{Addr, OpClass, Reg, StaticInst, NUM_REGS};
@@ -136,9 +140,11 @@ pub struct BackEnd {
     last_writer: [u64; NUM_REGS],
     dcache: SetAssocCache,
     stats: BackendStats,
-    /// Slots in `Waiting` state.  The issue scan walks these only: entries
-    /// that issued or went to memory are never re-examined.
-    waiting: u64,
+    /// `Waiting` slots whose sources are both concrete times (no `DEP`
+    /// tag).  The issue scan walks these only: entries still tagged on an
+    /// in-flight producer, and entries that issued or went to memory, are
+    /// never examined.
+    armed: u64,
     /// Slots in `WaitMem` state: a completion visits only the loads
     /// waiting on memory.
     wait_mem: u64,
@@ -187,7 +193,7 @@ impl BackEnd {
             last_writer: [u64::MAX; NUM_REGS],
             dcache: SetAssocCache::new(cfg.dcache_capacity, DCACHE_LINE, cfg.dcache_assoc),
             stats: BackendStats::default(),
-            waiting: 0,
+            armed: 0,
             wait_mem: 0,
             mispredicts: 0,
             consumers: [0; RUU_SIZE],
@@ -258,8 +264,7 @@ impl BackEnd {
             self.reg_ready[d.index()] = PENDING;
         }
         self.mispredicts |= u64::from(mispredict) << s;
-        self.next_issue = self.next_issue.min(issue_time(&src_time));
-        self.waiting |= 1 << s;
+        self.arm(s, &src_time);
         self.ruu[s] = RuuEntry {
             seq,
             op: inst.op,
@@ -271,9 +276,19 @@ impl BackEnd {
         seq
     }
 
+    /// Arm slot `s` if both its sources are concrete, lowering the issue
+    /// horizon to its issue time.
+    fn arm(&mut self, s: usize, src_time: &[u64; 2]) {
+        let ready_at = issue_time(src_time);
+        if ready_at < DEP {
+            self.armed |= 1 << s;
+            self.next_issue = self.next_issue.min(ready_at);
+        }
+    }
+
     /// A producer finished at `at`: record its result and patch the tag
-    /// out of each consumer it recorded at their dispatch, lowering the
-    /// issue horizon to each consumer's new issue time.
+    /// out of each consumer it recorded at their dispatch, arming each
+    /// consumer whose last tag this was.
     fn finish(&mut self, producer: u64, dst: Option<Reg>, at: u64) {
         let Some(d) = dst else { return };
         if self.last_writer[d.index()] == producer {
@@ -282,14 +297,16 @@ impl BackEnd {
         let tag = DEP | producer;
         let mut bits = std::mem::take(&mut self.consumers[slot(producer)]);
         while bits != 0 {
-            let e = &mut self.ruu[bits.trailing_zeros() as usize];
+            let s = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            for t in &mut e.src_time {
+            let src_time = &mut self.ruu[s].src_time;
+            for t in src_time.iter_mut() {
                 if *t == tag {
                     *t = at;
                 }
             }
-            self.next_issue = self.next_issue.min(issue_time(&e.src_time));
+            let src_time = *src_time;
+            self.arm(s, &src_time);
         }
     }
 
@@ -367,7 +384,7 @@ impl BackEnd {
             if !matches!(self.ruu[i].state, EState::Done(t) if t <= now) {
                 break;
             }
-            debug_assert_eq!((self.waiting | self.wait_mem) & (1 << i), 0);
+            debug_assert_eq!((self.armed | self.wait_mem) & (1 << i), 0);
             // A mispredict younger than the one resolved this cycle can
             // commit unreported; its slot must not keep the flag.
             self.mispredicts &= !(1 << i);
@@ -389,19 +406,20 @@ impl BackEnd {
     /// Issue: oldest-first, up to width, respecting D-cache ports.
     ///
     /// Wakeups happen as producers issue: every issue completes at now+1
-    /// or later (all execution latencies are >= 1), so a consumer woken
-    /// this cycle reads as not ready when the scan reaches it.
+    /// or later (all execution latencies are >= 1), so a consumer armed
+    /// this cycle could not issue before the next one; the scan walks the
+    /// set as it stood when it began.
     fn issue(&mut self, now: u64, l2: &mut L2System) {
         let mut issued = 0u32;
         let mut dports = DCACHE_PORTS;
-        // Earliest issue time among the entries the scan leaves waiting;
-        // wakeups lower `next_issue` below it to their consumers' times.
+        // Earliest issue time among the armed entries the scan leaves
+        // waiting; wakeups lower `next_issue` below it as they arm.
         let mut horizon = u64::MAX;
         self.next_issue = u64::MAX;
         let mut port_limited = false;
-        // Walk only the Waiting entries, oldest first — the same visit
-        // order as a full scan that skipped non-Waiting states.
-        let mut aged = self.by_age(self.waiting);
+        // Walk only the armed entries, oldest first — the same issue
+        // order as a full scan, since a tagged entry can never be ready.
+        let mut aged = self.by_age(self.armed);
         while issued < self.cfg.width && aged != 0 {
             let i = slot(self.head + u64::from(aged.trailing_zeros()));
             aged &= aged - 1;
@@ -437,7 +455,7 @@ impl BackEnd {
                             }
                         }
                         e.state = EState::WaitMem(req);
-                        self.waiting &= !(1 << i);
+                        self.armed &= !(1 << i);
                         self.wait_mem |= 1 << i;
                         issued += 1;
                         // Destination stays PENDING until completion.
@@ -478,13 +496,13 @@ impl BackEnd {
                 }
             };
             e.state = EState::Done(done_at);
-            self.waiting &= !(1 << i);
+            self.armed &= !(1 << i);
             let (seq, dst) = (e.seq, e.dst);
             self.finish(seq, dst, done_at);
             issued += 1;
         }
-        // A scan cut short by width (entries left) or ports may have left
-        // ready entries behind; a full one saw every entry still waiting.
+        // A scan cut short by width (armed entries left) or ports may have
+        // left ready entries behind; a full one saw every armed entry.
         self.next_issue = if aged != 0 || port_limited {
             now + 1
         } else {
@@ -511,6 +529,18 @@ mod tests {
             Some(Reg::int(src)),
             None,
         )
+    }
+
+    /// `armed` is exactly the set of `Waiting` slots whose sources are
+    /// both concrete.
+    fn assert_armed_exact(be: &BackEnd, at: &str) {
+        let expect = (0..RUU_SIZE)
+            .filter(|&i| {
+                let e = &be.ruu[i];
+                e.state == EState::Waiting && e.src_time.iter().all(|&t| t & DEP == 0)
+            })
+            .fold(0u64, |m, i| m | 1 << i);
+        assert_eq!(be.armed, expect, "{at}: armed {:#x}", be.armed);
     }
 
     /// Run until the backend drains, returning cycles taken.
@@ -672,6 +702,7 @@ mod tests {
             for c in &done {
                 be.on_completion(c);
                 reference.on_completion(c);
+                assert_armed_exact(&be, &format!("{bench} cycle {now} completion"));
             }
             if !done.is_empty() {
                 promise = now;
@@ -712,6 +743,7 @@ mod tests {
                 (expect, reference.stats()),
                 "{bench} cycle {now}"
             );
+            assert_armed_exact(&be, &format!("{bench} cycle {now} tick"));
             if t.resolved_mispredict.is_some() {
                 bubble_until = now + 12;
             }
@@ -730,6 +762,7 @@ mod tests {
                 let mispredict = dispatched % 23 == 0;
                 be.dispatch(&st, di.mem_addr, mispredict);
                 reference.dispatch(&st, di.mem_addr, mispredict);
+                assert_armed_exact(&be, &format!("{bench} cycle {now} dispatch"));
                 promise = now + 1;
             }
         }
@@ -783,8 +816,10 @@ mod tests {
         while be.committed() < total {
             for c in l2s.tick(now) {
                 be.on_completion(&c);
+                assert_armed_exact(&be, &format!("cycle {now} completion"));
             }
             reported.extend(be.tick(now, &mut l2s).resolved_mispredict);
+            assert_armed_exact(&be, &format!("cycle {now} tick"));
             while be.free_slots() > 0 && next < total {
                 let i = next;
                 next += 1;
@@ -810,6 +845,7 @@ mod tests {
                 let mispredict = inst.op == OpClass::CondBranch;
                 let seq = be.dispatch(&inst, addr, mispredict);
                 assert_eq!(seq, i);
+                assert_armed_exact(&be, &format!("dispatch of {seq}"));
                 if mispredict {
                     expected.push(seq);
                 }

@@ -35,12 +35,21 @@
 //! At most one stream waits to be predicted, and its instructions are
 //! always the window's tail: a queue-full retry, or the rest of a stream
 //! the predictor split or diverged from, is a descriptor over
-//! instructions already in the window, so nothing is copied.  Blocks
+//! instructions already in the window, so nothing is copied.
+//!
+//! Decode is a cursor into the same window, not a copy of it.  Fetch
+//! delivers each correct-path block in order, so the decoded
+//! instructions are always one path range, `decode_head..decode_tail`.
+//! A delivery only advances the tail and records `(end, ready)`: the
+//! range it ended and the cycle it clears the decode stages.  Dispatch
+//! reads `window[decode_head]` and advances the head, and the one
+//! mispredicted instruction is known by its path index.  Blocks
 //! complete in sequence order and their first indices never decrease, so
 //! on each completion the window drops everything before the oldest live
-//! block; a redirect drops everything but the pending stream.  The
-//! window therefore holds at most one stream per live block plus the
-//! pending one, and a warm engine stops allocating.
+//! block or the decode head, whichever is older; a redirect drops
+//! everything but the pending stream and empties decode.  The window
+//! therefore holds at most one stream per live block plus the pending
+//! one, plus the decode buffer, and a warm engine stops allocating.
 //!
 //! # How time advances
 //!
@@ -237,16 +246,10 @@ const DECODE_STAGES: u64 = 4;
 /// fetch unit, or the one predicted this cycle.
 const BLOCK_BOUND: usize = QUEUE_BLOCKS + MAX_INFLIGHT + 1;
 
-/// Most instructions the path window can hold: one stream per live fetch
-/// block plus the pending stream.
+/// Most instructions the path window holds for fetch: one stream per live
+/// fetch block plus the pending stream.  Decoded instructions not yet
+/// dispatched stay in the window too, so its checks add the decode buffer.
 const WINDOW_BOUND: usize = (BLOCK_BOUND + 1) * MAX_STREAM_INSTS as usize;
-
-#[derive(Debug, Clone, Copy)]
-struct DecodeEntry {
-    ready: u64,
-    inst: DynInst,
-    mispredict: bool,
-}
 
 /// The full-system simulator for one (workload, configuration) pair.
 ///
@@ -347,8 +350,9 @@ struct EngineImpl<'w, P: InstrPrefetcher> {
     clock: u64,
 
     next_seq: u64,
-    /// The correct path from the oldest live block's first instruction to
-    /// the last instruction drawn from the source.
+    /// The correct path from the decode head or the oldest live block's
+    /// first instruction, whichever is older, to the last instruction
+    /// drawn from the source.
     window: VecDeque<DynInst>,
     /// Path index of `window[0]`.
     window_base: u64,
@@ -361,7 +365,16 @@ struct EngineImpl<'w, P: InstrPrefetcher> {
     blocks: BlockRing,
     path: PathState,
     redirect: Option<RedirectInfo>,
-    decode: VecDeque<DecodeEntry>,
+    /// Path index of the oldest decoded instruction not yet dispatched.
+    decode_head: u64,
+    /// Path index after the last decoded instruction.
+    decode_tail: u64,
+    /// One `(end, ready)` per delivery still in decode, oldest first: the
+    /// path indices before `end` may dispatch from cycle `ready`.
+    decode_ready: VecDeque<(u64, u64)>,
+    /// Path index of the decoded mispredicted instruction, until it
+    /// dispatches.
+    decode_mispredict: Option<u64>,
 
     redirects: u64,
     deliveries: Vec<Delivery>,
@@ -390,7 +403,10 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
             blocks: BlockRing::default(),
             path: PathState::OnPath,
             redirect: None,
-            decode: VecDeque::new(),
+            decode_head: 0,
+            decode_tail: 0,
+            decode_ready: VecDeque::new(),
+            decode_mispredict: None,
             redirects: 0,
             deliveries: Vec::with_capacity(8),
             completions: Vec::with_capacity(8),
@@ -427,7 +443,7 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
             self.blocks.len()
         );
         debug_assert!(
-            self.window.len() <= WINDOW_BOUND,
+            self.window.len() <= WINDOW_BOUND + self.cfg.decode_buffer as usize,
             "path window leaked: {} instructions",
             self.window.len()
         );
@@ -494,8 +510,8 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         }
         let mut at = self.l2.next_event(now).min(self.be.next_event(now));
         if self.be.free_slots() > 0 {
-            if let Some(e) = self.decode.front() {
-                at = at.min(e.ready);
+            if let Some(&(_, ready)) = self.decode_ready.front() {
+                at = at.min(ready);
             }
         }
         if at <= now {
@@ -507,9 +523,10 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
 
     /// Decode-buffer slots free for this cycle's front-end deliveries.
     fn decode_free(&self) -> u32 {
+        let decoded = self.decode_tail - self.decode_head;
         self.cfg
             .decode_buffer
-            .saturating_sub(u32::try_from(self.decode.len()).unwrap_or(u32::MAX))
+            .saturating_sub(u32::try_from(decoded).unwrap_or(u32::MAX))
     }
 
     /// Advance the whole machine by one cycle.
@@ -546,14 +563,23 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         // 4. Dispatch decoded instructions into the RUU.
         let mut width = self.cfg.backend.width;
         while width > 0 && self.be.free_slots() > 0 {
-            let Some(&e) = self.decode.front() else { break };
-            if e.ready > now {
+            let Some(&(end, ready)) = self.decode_ready.front() else {
+                break;
+            };
+            if ready > now {
                 break;
             }
-            self.decode.pop_front();
-            let st = self.w.program.block(e.inst.block).insts[e.inst.idx as usize];
-            let ruu_seq = self.be.dispatch(&st, e.inst.mem_addr, e.mispredict);
-            if e.mispredict {
+            let i = self.decode_head;
+            let di = self.window[self.window_at(i)];
+            self.decode_head += 1;
+            if self.decode_head == end {
+                self.decode_ready.pop_front();
+            }
+            let st = self.w.program.block(di.block).insts[di.idx as usize];
+            let mispredict = self.decode_mispredict == Some(i);
+            let ruu_seq = self.be.dispatch(&st, di.mem_addr, mispredict);
+            if mispredict {
+                self.decode_mispredict = None;
                 if let Some(r) = &mut self.redirect {
                     r.ruu_seq = Some(ruu_seq);
                 }
@@ -573,9 +599,10 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
     }
 
     /// Per-cycle invariants over the flat hot-path tables: live blocks
-    /// and the path window stay within their structural bounds, and every
-    /// route maps to an outstanding L2 request.  All checks are O(1) —
-    /// counters against counters.
+    /// and the path window stay within their structural bounds, the decode
+    /// cursor lies inside the window and holds at most a decode buffer,
+    /// and every route maps to an outstanding L2 request.  All checks are
+    /// O(1) — counters against counters.
     #[cfg(debug_assertions)]
     fn assert_hot_state_bounded(&self) {
         debug_assert!(
@@ -584,11 +611,29 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
             self.clock,
             self.blocks.len()
         );
+        let decode_buffer = self.cfg.decode_buffer as usize;
         debug_assert!(
-            self.window.len() <= WINDOW_BOUND,
-            "cycle {}: {} path-window instructions exceed the bound {WINDOW_BOUND}",
+            self.window.len() <= WINDOW_BOUND + decode_buffer,
+            "cycle {}: {} path-window instructions exceed the bound {WINDOW_BOUND} + {decode_buffer}",
             self.clock,
             self.window.len()
+        );
+        debug_assert!(
+            self.window_base <= self.decode_head
+                && self.decode_head <= self.decode_tail
+                && self.decode_tail <= self.frontier(),
+            "cycle {}: decode {}..{} outside the window {}..{}",
+            self.clock,
+            self.decode_head,
+            self.decode_tail,
+            self.window_base,
+            self.frontier()
+        );
+        debug_assert!(
+            self.decode_tail - self.decode_head <= decode_buffer as u64,
+            "cycle {}: {} decoded instructions exceed the decode buffer {decode_buffer}",
+            self.clock,
+            self.decode_tail - self.decode_head
         );
         debug_assert!(
             self.fe.routes_len() <= self.l2.outstanding(),
@@ -612,20 +657,25 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         let Ok(base) = u32::try_from((d.first_pc - info.start) / INST_BYTES) else {
             return;
         };
-        let at = self.window_at(info.first);
-        for idx in base..(base + d.count).min(info.len) {
-            self.decode.push_back(DecodeEntry {
-                ready,
-                inst: self.window[at + idx as usize],
-                mispredict: info.mispredict_idx == Some(idx),
-            });
+        let end = base.saturating_add(d.count).min(info.len);
+        if base < end {
+            debug_assert_eq!(
+                info.first + u64::from(base),
+                self.decode_tail,
+                "a delivery must continue the decoded path"
+            );
+            self.decode_tail = info.first + u64::from(end);
+            self.decode_ready.push_back((self.decode_tail, ready));
+            if let Some(m) = info.mispredict_idx.filter(|m| (base..end).contains(m)) {
+                self.decode_mispredict = Some(info.first + u64::from(m));
+            }
         }
         if d.completes_block {
             self.blocks.complete(d.block_seq);
             // Block `first`s never decrease with seq, so the oldest live
-            // block bounds what is still read.
-            let keep = self.blocks.oldest().map_or(self.frontier(), |b| b.first);
-            self.trim_window(keep);
+            // block and the decode head bound what is still read.
+            let oldest = self.blocks.oldest().map_or(self.frontier(), |b| b.first);
+            self.trim_window(oldest.min(self.decode_head));
         }
     }
 
@@ -658,9 +708,13 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         debug_assert_eq!(r.ruu_seq, Some(ruu_seq));
         self.fe.flush();
         self.fe.restore();
-        self.decode.clear();
         self.blocks.clear();
-        self.trim_window(self.frontier());
+        let frontier = self.frontier();
+        self.trim_window(frontier);
+        self.decode_head = frontier;
+        self.decode_tail = frontier;
+        self.decode_ready.clear();
+        self.decode_mispredict = None;
         self.pred.restore();
         self.path = PathState::OnPath;
         self.redirects += 1;
@@ -669,7 +723,6 @@ impl<'w, P: InstrPrefetcher> EngineImpl<'w, P> {
         // flight warm the caches exactly as wrong-path fills would).
         debug_assert!(
             self.blocks.len() == 0
-                && self.decode.is_empty()
                 && self.window.len() == self.pending.map_or(0, |p| p.len as usize),
             "redirect flush left speculative state behind"
         );

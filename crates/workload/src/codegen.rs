@@ -25,12 +25,13 @@ use std::sync::Arc;
 
 /// Base address of the code image.
 pub const CODE_BASE: Addr = 0x0010_0000;
-/// Base of the (always warm) stack data region.
-pub const STACK_BASE: Addr = 0x7000_0000;
+/// Base of the (always warm) stack data region.  The data regions lie
+/// below 4 GiB, so their bases, like [`MemModel`]'s fields, are `u32`.
+pub const STACK_BASE: u32 = 0x7000_0000;
 /// Base of the strided (array) data region.
-pub const ARRAY_BASE: Addr = 0x2000_0000;
+pub const ARRAY_BASE: u32 = 0x2000_0000;
 /// Base of the random-access (heap/pointer) data region.
-pub const HEAP_BASE: Addr = 0x4000_0000;
+pub const HEAP_BASE: u32 = 0x4000_0000;
 
 /// Deterministic behavioural model of one static conditional branch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,15 +49,28 @@ pub enum BranchModel {
     Pattern { bits: u32, len: u8 },
 }
 
-/// Deterministic address model of one static load/store.
+/// Deterministic address model of one static load/store.  Bases and
+/// masks are `u32` (a site takes 20 bytes in [`Workload::mem`], not 32);
+/// the executor widens them back to [`Addr`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemModel {
     /// Sequential walk: `base + (visit * stride) % span`.
-    Stride { base: Addr, stride: u32, span: u32 },
+    Stride { base: u32, stride: u32, span: u32 },
     /// Uniform random address in `[base, base + mask]` (pointer chasing).
-    Random { base: Addr, mask: u64 },
+    Random { base: u32, mask: u32 },
     /// Small always-warm region (stack frame traffic).
-    Stack { base: Addr, mask: u64 },
+    Stack { base: u32, mask: u32 },
+}
+
+/// The 4 KB hot stack frame region.
+pub(crate) const STACK_FRAME: MemModel = MemModel::Stack {
+    base: STACK_BASE,
+    mask: 0xFFF,
+};
+
+/// `v` as a [`MemModel`] field.
+fn mem_field(v: u64) -> u32 {
+    u32::try_from(v).unwrap_or_else(|_| panic!("data address field {v:#x} does not fit 32 bits"))
 }
 
 /// Behavioural annotations for one basic block.
@@ -157,7 +171,7 @@ struct Gen<'p> {
     /// structures that most memory sites touch.  Keeping the *aggregate*
     /// hot footprint small (not just each site's span) is what gives the
     /// workload realistic D-cache hit rates.
-    hot_pool: Vec<(Addr, u32)>,
+    hot_pool: Vec<(u32, u32)>,
     /// Register choice: its own RNG stream, drawn in address order.
     ra: RegAlloc,
     /// Address of the next instruction generated: functions, and the
@@ -219,8 +233,9 @@ impl<'p> Gen<'p> {
         let hot_pool = (0..6)
             .map(|i| {
                 let size = 2048u32 << (i % 2);
-                let base = ARRAY_BASE + i as u64 * (1 << 20) + (rng.gen::<u64>() & 0xFF00);
-                (base, size)
+                let base =
+                    u64::from(ARRAY_BASE) + i as u64 * (1 << 20) + (rng.gen::<u64>() & 0xFF00);
+                (mem_field(base), size)
             })
             .collect();
         // Sized for the profile's static footprint; the program lands
@@ -244,7 +259,7 @@ impl<'p> Gen<'p> {
         }
     }
 
-    fn hot_region(&mut self) -> (Addr, u32) {
+    fn hot_region(&mut self) -> (u32, u32) {
         self.hot_pool[self.rng.gen_range(0..self.hot_pool.len())]
     }
 
@@ -347,10 +362,7 @@ impl<'p> Gen<'p> {
         let d_bytes = (p.d_footprint_kb as u64) << 10;
         let x = self.rng.gen::<f64>();
         if x < p.d_stack_frac {
-            MemModel::Stack {
-                base: STACK_BASE,
-                mask: 0xFFF, // 4 KB hot frame region
-            }
+            STACK_FRAME
         } else if x < p.d_stack_frac + p.d_random_frac {
             // Pointer-chasing site.  Most such sites in real code walk a
             // *hot* structure that caches well; a minority (controlled by
@@ -359,13 +371,13 @@ impl<'p> Gen<'p> {
             if self.rng.gen::<f64>() < p.d_cold_frac {
                 MemModel::Random {
                     base: HEAP_BASE,
-                    mask: d_bytes.next_power_of_two().max(64) - 1,
+                    mask: mem_field(d_bytes.next_power_of_two().max(64) - 1),
                 }
             } else {
                 let (base, size) = self.hot_region();
                 MemModel::Random {
                     base,
-                    mask: (size as u64).next_power_of_two() - 1,
+                    mask: size.next_power_of_two() - 1,
                 }
             }
         } else {
@@ -375,8 +387,8 @@ impl<'p> Gen<'p> {
             // same cold-site knob as pointer chasing.
             let (base, span) = if self.rng.gen::<f64>() < p.d_cold_frac {
                 let span = ((d_bytes / 8).max(4096) as u32).min(1 << 26);
-                let base = ARRAY_BASE + (8 + self.rng.gen::<u64>() % 56) * (1 << 20);
-                (base, span)
+                let base = u64::from(ARRAY_BASE) + (8 + self.rng.gen::<u64>() % 56) * (1 << 20);
+                (mem_field(base), span)
             } else {
                 self.hot_region()
             };

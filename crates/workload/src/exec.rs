@@ -87,12 +87,13 @@ impl<'w> TraceGenerator<'w> {
         match *model {
             MemModel::Stride { base, stride, span } => {
                 let k = &mut self.mem_counts[slot];
-                let addr = base + (*k as u64 * stride as u64) % span as u64;
+                let addr = u64::from(base) + (u64::from(*k) * u64::from(stride)) % u64::from(span);
                 *k = k.wrapping_add(1);
                 addr & !7
             }
-            MemModel::Random { base, mask } => (base + (self.rng.gen::<u64>() & mask)) & !7,
-            MemModel::Stack { base, mask } => (base + (self.rng.gen::<u64>() & mask)) & !7,
+            MemModel::Random { base, mask } | MemModel::Stack { base, mask } => {
+                (u64::from(base) + (self.rng.gen::<u64>() & u64::from(mask))) & !7
+            }
         }
     }
 
@@ -191,13 +192,7 @@ impl<'w> TraceGenerator<'w> {
                             // A mem instruction with no declared site gets
                             // the default stack model, which never touches
                             // a counter, so any slot will do.
-                            _ => (
-                                0,
-                                MemModel::Stack {
-                                    base: crate::codegen::STACK_BASE,
-                                    mask: 0xFFF,
-                                },
-                            ),
+                            _ => (0, crate::codegen::STACK_FRAME),
                         };
                         Some(self.mem_addr(slot, &model))
                     } else {
@@ -358,7 +353,8 @@ mod tests {
                 continue;
             };
             for (k, &a) in addrs.iter().enumerate() {
-                let want = (base + (k as u64 * stride as u64) % span as u64) & !7;
+                let want =
+                    (u64::from(base) + (k as u64 * u64::from(stride)) % u64::from(span)) & !7;
                 assert_eq!(a, want, "site ({b},{ii}) visit {k}");
             }
             strided_checked += 1;

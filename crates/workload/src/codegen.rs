@@ -50,8 +50,8 @@ pub enum BranchModel {
 }
 
 /// Deterministic address model of one static load/store.  Bases and
-/// masks are `u32` (a site takes 20 bytes in [`Workload::mem`], not 32);
-/// the executor widens them back to [`Addr`].
+/// masks are `u32`, so a site takes 20 bytes in [`Workload::mem`]; the
+/// executor widens them back to [`Addr`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemModel {
     /// Sequential walk: `base + (visit * stride) % span`.
